@@ -44,7 +44,9 @@ pub enum DeltaScore {
     /// touching the repair machinery. A candidate whose lower-bound cost is
     /// already not an improvement is guaranteed non-improving and may be
     /// skipped; otherwise re-score it with
-    /// [`CostEvaluator::score_exact_last`].
+    /// [`CostEvaluator::score_exact_last`]. This is the `O(n)` kernel tier;
+    /// scans first try the coarser `O(D)` level-histogram tier,
+    /// [`CostEvaluator::level_bound`], which reads no distance vector.
     LowerBound(DistanceSummary),
     /// The move does not apply in the current state (mirrors the moves
     /// rejected by [`crate::moves::apply_move`]); skip it.
@@ -72,6 +74,9 @@ pub struct CostEvaluator {
     /// evict the mover's pinned base vector or its delta-stack prefix. Lazily
     /// created on the first consent-checked scan.
     consent: Option<Box<dyn DistanceOracle>>,
+    /// Candidates the scans pruned on a [`CostEvaluator::level_bound`]
+    /// (reported as [`OracleStats::bound_pruned`]).
+    bound_pruned: u64,
 }
 
 impl CostEvaluator {
@@ -108,6 +113,7 @@ impl CostEvaluator {
             oracle: make_oracle_with_budgets(kind, n, cache_budget, byte_budget),
             deltas: Vec::with_capacity(4),
             consent: None,
+            bound_pruned: 0,
         }
     }
 
@@ -143,9 +149,13 @@ impl CostEvaluator {
         self.byte_budget
     }
 
-    /// Work counters of the underlying oracle.
+    /// Work counters of the underlying oracle, plus the scans'
+    /// level-bound prunes.
     pub fn stats(&self) -> OracleStats {
-        self.oracle.stats()
+        let mut stats = self.oracle.stats();
+        stats.bound_pruned += self.bound_pruned;
+        stats.debug_validate();
+        stats
     }
 
     /// Work counters of the consent (counterpart) oracle, if one was created.
@@ -156,6 +166,7 @@ impl CostEvaluator {
     /// Clears the work counters.
     pub fn reset_stats(&mut self) {
         self.oracle.reset_stats();
+        self.bound_pruned = 0;
     }
 
     /// Pins the base state `(g, u)` for the following
@@ -188,45 +199,8 @@ impl CostEvaluator {
         mv: &Move,
         allow_bound: bool,
     ) -> DeltaScore {
-        self.deltas.clear();
-        match *mv {
-            Move::Swap { from, to } => {
-                if !g.has_edge(u, from) || g.has_edge(u, to) || to == u || to >= g.num_nodes() {
-                    return DeltaScore::Inapplicable;
-                }
-                self.deltas.push(EdgeDelta::Remove { u, v: from });
-                self.deltas.push(EdgeDelta::Insert { u, v: to });
-            }
-            Move::Buy { to } => {
-                if to == u || to >= g.num_nodes() || g.has_edge(u, to) {
-                    return DeltaScore::Inapplicable;
-                }
-                self.deltas.push(EdgeDelta::Insert { u, v: to });
-            }
-            Move::Delete { to } => {
-                if !g.owns_edge(u, to) {
-                    return DeltaScore::Inapplicable;
-                }
-                self.deltas.push(EdgeDelta::Remove { u, v: to });
-            }
-            Move::SetOwned { ref new_owned } => {
-                if !strictly_sorted(new_owned) {
-                    return DeltaScore::Unsupported;
-                }
-                if new_owned.iter().any(|&v| v == u || v >= g.num_nodes()) {
-                    return DeltaScore::Inapplicable;
-                }
-                push_set_deltas(g.owned_neighbors(u), new_owned, g, u, &mut self.deltas);
-            }
-            Move::SetNeighbors { ref new_neighbors } => {
-                if !strictly_sorted(new_neighbors) {
-                    return DeltaScore::Unsupported;
-                }
-                if new_neighbors.iter().any(|&v| v == u || v >= g.num_nodes()) {
-                    return DeltaScore::Inapplicable;
-                }
-                push_set_deltas(g.neighbors(u), new_neighbors, g, u, &mut self.deltas);
-            }
+        if let Err(score) = self.buffer_deltas(g, u, mv) {
+            return score;
         }
         // Candidates ending in an insertion incident to the pinned source are
         // first tried against the persistent oracle's cache arithmetic: exact
@@ -250,6 +224,81 @@ impl CostEvaluator {
         let summary = self.oracle.evaluate(&deltas);
         self.deltas = deltas;
         DeltaScore::Summary(summary)
+    }
+
+    /// The `O(D)` tier in front of [`CostEvaluator::try_score_bounded`]: a
+    /// lower bound on the post-move summary of a candidate that ends in an
+    /// insertion `{u, v}` at the pinned source on a removal-only prefix
+    /// (every `Buy` and `Swap`), from level histograms alone (see
+    /// [`DistanceOracle::insert_level_bound`]). Both fields are `≤` those of
+    /// the fused kernel's answer for the same candidate, and so `≤` the
+    /// exact summary. `None` for other candidate shapes and whenever the
+    /// backend cannot serve the bound; the caller then scores the candidate
+    /// with `try_score_bounded` as usual. The candidate's deltas stay
+    /// buffered, like after `try_score`.
+    pub fn level_bound(&mut self, g: &OwnedGraph, u: NodeId, mv: &Move) -> Option<DistanceSummary> {
+        self.buffer_deltas(g, u, mv).ok()?;
+        match self.deltas.split_last() {
+            Some((&EdgeDelta::Insert { u: a, v: b }, prefix)) if a == u => {
+                self.oracle.insert_level_bound(g, prefix, a, b)
+            }
+            _ => None,
+        }
+    }
+
+    /// Adds `count` candidates that a [`CostEvaluator::level_bound`] kept
+    /// from the insertion kernel to the `bound_pruned` counter of
+    /// [`CostEvaluator::stats`]. The scan makes the prune decision, because
+    /// it needs the game's cost model.
+    pub fn record_bound_prunes(&mut self, count: u64) {
+        self.bound_pruned += count;
+    }
+
+    /// Buffers the delta sequence of candidate `mv` of agent `u`, or returns
+    /// the score of a candidate that has none ([`DeltaScore::Inapplicable`]
+    /// or [`DeltaScore::Unsupported`]).
+    fn buffer_deltas(&mut self, g: &OwnedGraph, u: NodeId, mv: &Move) -> Result<(), DeltaScore> {
+        self.deltas.clear();
+        match *mv {
+            Move::Swap { from, to } => {
+                if !g.has_edge(u, from) || g.has_edge(u, to) || to == u || to >= g.num_nodes() {
+                    return Err(DeltaScore::Inapplicable);
+                }
+                self.deltas.push(EdgeDelta::Remove { u, v: from });
+                self.deltas.push(EdgeDelta::Insert { u, v: to });
+            }
+            Move::Buy { to } => {
+                if to == u || to >= g.num_nodes() || g.has_edge(u, to) {
+                    return Err(DeltaScore::Inapplicable);
+                }
+                self.deltas.push(EdgeDelta::Insert { u, v: to });
+            }
+            Move::Delete { to } => {
+                if !g.owns_edge(u, to) {
+                    return Err(DeltaScore::Inapplicable);
+                }
+                self.deltas.push(EdgeDelta::Remove { u, v: to });
+            }
+            Move::SetOwned { ref new_owned } => {
+                if !strictly_sorted(new_owned) {
+                    return Err(DeltaScore::Unsupported);
+                }
+                if new_owned.iter().any(|&v| v == u || v >= g.num_nodes()) {
+                    return Err(DeltaScore::Inapplicable);
+                }
+                push_set_deltas(g.owned_neighbors(u), new_owned, g, u, &mut self.deltas);
+            }
+            Move::SetNeighbors { ref new_neighbors } => {
+                if !strictly_sorted(new_neighbors) {
+                    return Err(DeltaScore::Unsupported);
+                }
+                if new_neighbors.iter().any(|&v| v == u || v >= g.num_nodes()) {
+                    return Err(DeltaScore::Inapplicable);
+                }
+                push_set_deltas(g.neighbors(u), new_neighbors, g, u, &mut self.deltas);
+            }
+        }
+        Ok(())
     }
 
     /// Exact summary of the last candidate scored by

@@ -12,6 +12,8 @@ use crate::evaluator::{edge_cost_after, party_edge_cost_after, CostEvaluator, De
 use crate::moves::{apply_move, undo_move, Move};
 use ncg_graph::oracle::{OracleKind, OracleStats};
 use ncg_graph::{BfsBuffer, HostGraph, NodeId, OwnedGraph};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Reusable scratch space for best-response computations.
 ///
@@ -350,24 +352,52 @@ fn scan_moves<G: Game + ?Sized>(
     // deferred to one ascending-cost pass after the scoring loop; the entries
     // of `unchecked` mark which collected moves still owe one.
     let defer_consent = consent_delta && mode == ScanMode::BestOnly;
-    // In best-only mode without consent, lower-bounded candidates are not
-    // re-scored inline either: they queue up in `pending` and are evaluated
-    // in ascending-bound order, stopping once no bound can beat the best
-    // exact cost found (an A*-style cutoff). All-improving scans disable the
-    // bound path entirely — every improving candidate needs an exact score,
-    // so the bound would be a pure detour.
+    // Candidates ending in an insertion at `u` are bounded before they are
+    // scored: first by the O(D) level-histogram bound, then by the O(n)
+    // kernel's (exact for a purchase). A candidate whose bound cost is not an
+    // improvement is dropped. In best-only mode without consent, survivors
+    // are not re-scored inline either: they queue up in `pending` and are
+    // evaluated in ascending-bound order, stopping once no bound can beat
+    // the best exact cost found (an A*-style cutoff). All-improving scans
+    // disable the bound path entirely — every improving candidate needs an
+    // exact score, so the bound would be a pure detour.
     let order_by_bound = delta_path && !consent_delta && mode == ScanMode::BestOnly;
     let allow_bound = delta_path && mode != ScanMode::AllImproving;
+    let kernel_calls_before = ncg_trace::enabled().then(|| ws.evaluator.stats().kernel_calls);
     let mut scratch_synced = false;
     let mut out = Vec::new();
     // Original candidate index of each `out` entry (enumeration order must be
     // restored after the bound-ordered pass — tie-breaking RNG sees it).
     let mut out_idx: Vec<usize> = Vec::new();
     let mut unchecked: Vec<bool> = Vec::new();
-    let mut pending: Vec<(usize, f64)> = Vec::new();
+    let mut pending: Vec<Pending> = Vec::new();
+    // Best exact improving cost so far: a pending bound above it can never
+    // be scored, so it is dropped before it is queued.
+    let mut best = f64::INFINITY;
+    let mut pruned = 0u64;
     for (ci, mv) in candidates.iter().enumerate() {
         let mut deferred = false;
         let new_cost = if delta_path {
+            // Most candidates stop at the level-histogram bound, before the
+            // kernel reads `v`'s vector.
+            if allow_bound {
+                if let Some(lb) = ws.evaluator.level_bound(g, u, mv) {
+                    let lb_cost =
+                        edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&lb);
+                    if !is_improvement(old_cost, lb_cost) || (order_by_bound && lb_cost > best) {
+                        pruned += 1;
+                        continue;
+                    }
+                    if order_by_bound {
+                        pending.push(Pending {
+                            lb_cost,
+                            ci,
+                            kernel_bound: false,
+                        });
+                        continue;
+                    }
+                }
+            }
             let score = ws.evaluator.try_score_bounded(g, u, mv, allow_bound);
             let summary = match score {
                 DeltaScore::Summary(summary) => Some(summary),
@@ -380,7 +410,13 @@ fn scan_moves<G: Game + ?Sized>(
                         continue;
                     }
                     if order_by_bound {
-                        pending.push((ci, lb_cost));
+                        if lb_cost <= best {
+                            pending.push(Pending {
+                                lb_cost,
+                                ci,
+                                kernel_bound: true,
+                            });
+                        }
                         continue;
                     }
                     Some(ws.evaluator.score_exact_last())
@@ -421,6 +457,7 @@ fn scan_moves<G: Game + ?Sized>(
                 new_cost,
             });
             out_idx.push(ci);
+            best = best.min(new_cost);
             if defer_consent {
                 unchecked.push(deferred);
             }
@@ -430,21 +467,40 @@ fn scan_moves<G: Game + ?Sized>(
         }
     }
     if order_by_bound && !pending.is_empty() {
-        // Ascending-bound exact evaluation with cutoff: once the next bound
+        // Ascending-bound evaluation with cutoff: once the next bound
         // exceeds the best exact cost seen, no remaining candidate can beat
         // (or tie) it — candidates tying the best have bounds ≤ it and were
-        // already evaluated.
-        pending.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("costs are never NaN"));
-        let mut best = out.iter().map(|s| s.new_cost).fold(f64::INFINITY, f64::min);
-        for &(ci, lb_cost) in &pending {
-            if lb_cost > best {
+        // already evaluated. A level-histogram entry first takes the kernel
+        // tier (exact for a purchase, a tighter bound for a swap). Usually
+        // only the first few entries are scored, so a heap (`O(P)` to build)
+        // stands in for a full sort.
+        let mut queue = BinaryHeap::from(pending);
+        while let Some(entry) = queue.pop() {
+            if entry.lb_cost > best {
+                pruned += std::iter::once(&entry)
+                    .chain(queue.iter())
+                    .filter(|e| !e.kernel_bound)
+                    .count() as u64;
                 break;
             }
-            let mv = &candidates[ci];
-            let DeltaScore::Summary(summary) = ws.evaluator.try_score_bounded(g, u, mv, false)
-            else {
-                debug_assert!(false, "re-scoring a bounded candidate must be exact");
-                continue;
+            let mv = &candidates[entry.ci];
+            let summary = match ws
+                .evaluator
+                .try_score_bounded(g, u, mv, !entry.kernel_bound)
+            {
+                DeltaScore::Summary(summary) => summary,
+                DeltaScore::LowerBound(lb) => {
+                    let lb_cost =
+                        edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&lb);
+                    if !is_improvement(old_cost, lb_cost) || lb_cost > best {
+                        continue;
+                    }
+                    ws.evaluator.score_exact_last()
+                }
+                DeltaScore::Inapplicable | DeltaScore::Unsupported => {
+                    debug_assert!(false, "re-scoring a bounded candidate must succeed");
+                    continue;
+                }
             };
             let new_cost =
                 edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&summary);
@@ -454,7 +510,7 @@ fn scan_moves<G: Game + ?Sized>(
                     old_cost,
                     new_cost,
                 });
-                out_idx.push(ci);
+                out_idx.push(entry.ci);
                 best = best.min(new_cost);
             }
         }
@@ -463,12 +519,56 @@ fn scan_moves<G: Game + ?Sized>(
         paired.sort_by_key(|&(ci, _)| ci);
         out = paired.into_iter().map(|(_, s)| s).collect();
     }
+    let had_candidates = !candidates.is_empty();
     ws.candidates = candidates;
+    ws.evaluator.record_bound_prunes(pruned);
     if defer_consent && !out.is_empty() {
         out = resolve_deferred_consent(game, g, u, ws, out, &unchecked);
     }
+    if let Some(before) = kernel_calls_before {
+        if out.is_empty() && had_candidates && ws.evaluator.stats().kernel_calls == before {
+            ncg_trace::add(ncg_trace::Counter::CertifiedHappy, 1);
+        }
+    }
     out
 }
+
+/// A candidate queued for the best-only scan's ascending-bound pass. The heap
+/// pops the lowest bound first, ties in enumeration order.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    /// Lower bound on the candidate's cost.
+    lb_cost: f64,
+    /// Index into the scan's candidate list.
+    ci: usize,
+    /// The bound came from the kernel, so only the exact score is left;
+    /// otherwise it came from the level histograms and the kernel is next.
+    kernel_bound: bool,
+}
+
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: `BinaryHeap` is a max-heap.
+        other
+            .lb_cost
+            .total_cmp(&self.lb_cost)
+            .then(other.ci.cmp(&self.ci))
+    }
+}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Pending {}
 
 /// The ascending-cost consent pass of the best-only scan: finds the minimal
 /// new cost among the *feasible* (unblocked) candidates and returns exactly
@@ -617,7 +717,7 @@ pub(crate) fn push_swap_targets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::games::SwapGame;
+    use crate::games::{GreedyBuyGame, SwapGame};
     use ncg_graph::generators;
 
     #[test]
@@ -643,6 +743,37 @@ mod tests {
         assert!(best.iter().all(|s| s.new_cost == best_cost));
         assert!(improving.iter().all(|s| s.new_cost >= best_cost));
         assert!(best.len() <= improving.len());
+    }
+
+    #[test]
+    fn kernel_free_happy_verdicts_count_as_certified() {
+        // Leaves of a star that own their edge, in SUM-GBG with α = 2: every
+        // swap and purchase fails on its level-histogram bound alone (the
+        // bound is tight here), so each leaf is certified happy without a
+        // kernel call. The centre owns nothing and has no candidates.
+        let n = 9;
+        let edges: Vec<(NodeId, NodeId)> = (1..n).map(|leaf| (leaf, 0)).collect();
+        let g = OwnedGraph::from_owned_edges(n, &edges);
+        let game = GreedyBuyGame::sum(2.0);
+        let mut ws = Workspace::with_oracle(n, OracleKind::Persistent);
+        let all: Vec<NodeId> = (0..n).collect();
+        ws.evaluator.pin_sources(&g, &all);
+        ncg_trace::set_enabled(true);
+        let _ = ncg_trace::take_report();
+        let unhappy = (0..n)
+            .filter(|&u| game.has_improving_move(&g, u, &mut ws))
+            .count();
+        let report = ncg_trace::take_report();
+        ncg_trace::set_enabled(false);
+        assert_eq!(unhappy, 0);
+        assert_eq!(
+            report.counter(ncg_trace::Counter::CertifiedHappy),
+            n as u64 - 1
+        );
+        let stats = ws.oracle_stats();
+        assert_eq!(stats.kernel_calls, 0);
+        assert!(stats.bound_queries > 0);
+        assert_eq!(stats.bound_pruned, stats.bound_queries);
     }
 
     #[test]

@@ -167,6 +167,21 @@ pub struct OracleStats {
     /// Cache-arithmetic insertion queries served from a ball-sparse parked
     /// vector (`O(|ball|)` instead of the dense kernel's `O(n)` pass).
     pub sparse_hits: u64,
+    /// Insertion kernels run by [`DistanceOracle::evaluate_insert_via_cache`]:
+    /// the dense fused `O(n)` pass, or its ball-sparse twin (those are also
+    /// counted in `sparse_hits`).
+    pub kernel_calls: u64,
+    /// `O(D)` level-histogram lower bounds answered by
+    /// [`DistanceOracle::insert_level_bound`] (`D` = number of distance
+    /// levels).
+    pub bound_queries: u64,
+    /// Candidates whose level-histogram bound kept them from the insertion
+    /// kernel: proven non-improving, or unable to reach the best cost of a
+    /// best-response scan. Only the caller can decide a prune, because the
+    /// cost model belongs to the game. The scoring layer
+    /// (`ncg_core::evaluator::CostEvaluator::stats`) fills this field in;
+    /// an oracle's own counters always report 0 here.
+    pub bound_pruned: u64,
     /// Histogram of warm-pass widths: how many parked vectors each
     /// [`DistanceOracle::warm_sources`] pass had to *repair* (scalar replays
     /// plus batched recomputes; trusted stamp bumps are free and excluded).
@@ -197,12 +212,15 @@ impl OracleStats {
     /// * a `lazy_hits` query first lazily replayed the target's parked
     ///   vector, so each one is covered by a `lazy_replays` increment;
     /// * every bounded net-diff repair served either a `begin` (counted in
-    ///   `replayed_begins`) or a lazy warm (counted in `lazy_replays`).
+    ///   `replayed_begins`) or a lazy warm (counted in `lazy_replays`);
+    /// * a candidate is pruned by its level-histogram bound only after that
+    ///   bound was answered.
     pub fn consistent(&self) -> bool {
         let width_passes: u64 = self.warm_batch_width.iter().sum();
         width_passes <= self.warm_batches
             && self.lazy_hits <= self.lazy_replays
             && self.bounded_repairs <= self.replayed_begins + self.lazy_replays
+            && self.bound_pruned <= self.bound_queries
     }
 
     /// Debug assertion of [`OracleStats::consistent`]; free in release
@@ -227,6 +245,9 @@ impl OracleStats {
         self.bounded_repairs += other.bounded_repairs;
         self.sparse_demotions += other.sparse_demotions;
         self.sparse_hits += other.sparse_hits;
+        self.kernel_calls += other.kernel_calls;
+        self.bound_queries += other.bound_queries;
+        self.bound_pruned += other.bound_pruned;
         self.peak_parked_bytes = self.peak_parked_bytes.max(other.peak_parked_bytes);
         for (a, b) in self
             .warm_batch_width
@@ -373,6 +394,10 @@ pub trait DistanceOracle: Send {
     /// backends; `u` not the pinned source; `v`'s vector neither parked at
     /// the pinned version nor lazily warmable to it; `prefix` containing
     /// insertions, which would flip the bound's direction).
+    ///
+    /// Scans put a cheaper `O(D)` tier in front of this `O(n)` pass:
+    /// [`DistanceOracle::insert_level_bound`] bounds the same candidate from
+    /// level histograms alone, and most candidates never get here.
     fn evaluate_insert_via_cache(
         &mut self,
         _g: &OwnedGraph,
@@ -380,6 +405,31 @@ pub trait DistanceOracle: Send {
         _u: NodeId,
         _v: NodeId,
     ) -> Option<(DistanceSummary, bool)> {
+        None
+    }
+
+    /// `O(D)` lower bound (`D` = number of distance levels) on the summary
+    /// of the same candidate [`DistanceOracle::evaluate_insert_via_cache`]
+    /// scores: the trailing insertion `{u, v}` on top of a removal-only
+    /// `prefix`. Reads no distance vector. It pairs the pinned source's
+    /// per-level vertex counts after `prefix` (unreached vertices at level
+    /// +∞) with `v`'s parked per-level counts in opposite order. With
+    /// `U(k) = #{x : d_u(x) ≥ k}` and `W(k) = #{x : d_v(x) ≥ k − 1}`, that is
+    /// `SUM = Σ_{k≥1} max(0, U(k) + W(k) − n)` and `MAX` = the largest `k`
+    /// with a positive term. The pairing minimises SUM and MAX of
+    /// `min(a, 1 + b)` over all pairings, so both fields are `≤` the
+    /// kernel's, and hence `≤` the exact post-move summary.
+    ///
+    /// `None` whenever the backend cannot serve the query: every case where
+    /// the kernel returns `None`, plus a ball-sparse or disconnected parked
+    /// vector of `v`. Callers then take the kernel path.
+    fn insert_level_bound(
+        &mut self,
+        _g: &OwnedGraph,
+        _prefix: &[EdgeDelta],
+        _u: NodeId,
+        _v: NodeId,
+    ) -> Option<DistanceSummary> {
         None
     }
 
@@ -1475,9 +1525,16 @@ impl IncrementalOracle {
     }
 
     /// Moves the delta stack to exactly `deltas`, reusing the longest common
-    /// prefix with the previous evaluation.
+    /// prefix with the previous evaluation, and counts one evaluation.
     fn run_deltas(&mut self, deltas: &[EdgeDelta]) {
         self.stats.evaluations += 1;
+        self.seat_deltas(deltas);
+    }
+
+    /// [`IncrementalOracle::run_deltas`] without the evaluation count: the
+    /// level-histogram bound reads the state after a candidate's prefix
+    /// but answers no evaluation.
+    fn seat_deltas(&mut self, deltas: &[EdgeDelta]) {
         let mut common = 0usize;
         while common < self.active.len()
             && common < deltas.len()
@@ -2080,6 +2137,42 @@ impl IncrementalOracle {
         self.state.summary(n)
     }
 
+    /// Shared front half of the cache-arithmetic insertion queries
+    /// ([`DistanceOracle::evaluate_insert_via_cache`] and
+    /// [`DistanceOracle::insert_level_bound`]): `true` iff the query is
+    /// servable, with `v`'s parked vector at the pinned version. A stale
+    /// vector is lazily warmed first by replaying its own journal window
+    /// (the working state and its candidate deltas are swapped aside, so
+    /// the pin is undisturbed). `g` is the pinned graph, so success lands
+    /// the slot exactly on the pinned version.
+    fn prepare_insert_query(
+        &mut self,
+        g: &OwnedGraph,
+        prefix: &[EdgeDelta],
+        u: NodeId,
+        v: NodeId,
+    ) -> bool {
+        if !self.persistent
+            || u as u32 != self.src
+            || self.pinned_version.is_none()
+            || v >= self.cache.len()
+            || prefix.iter().any(|d| matches!(d, EdgeDelta::Insert { .. }))
+        {
+            return false;
+        }
+        if self.cache[v].version != self.pinned_version {
+            if self.cache[v].version.is_none()
+                || Some(g.version()) != self.pinned_version
+                || !self.warm_slot(g, v)
+            {
+                return false;
+            }
+            debug_assert_eq!(self.cache[v].version, self.pinned_version);
+            self.stats.lazy_hits += 1;
+        }
+        true
+    }
+
     /// The ball-sparse twin of [`fused_insert_summary`]: the post-insertion
     /// summary of the pinned source when the inserted endpoint `v`'s parked
     /// vector is demoted, computed in `O(|ball| + levels touched)` from the
@@ -2192,6 +2285,45 @@ fn fused_insert_summary(src_dist: &[u16], far_dist: &[u16]) -> DistanceSummary {
     DistanceSummary {
         sum: Some(sum),
         max: Some(u32::from(max)),
+    }
+}
+
+/// Closed form of the level-histogram insertion bound behind
+/// [`DistanceOracle::insert_level_bound`]. `src_levels[d]` counts the pinned
+/// source's vertices at distance `d`. The `n − Σ src_levels` vertices it
+/// does not reach sit at level +∞. `far_levels[d]` counts `v`'s vertices,
+/// and `v` must reach all `n`.
+///
+/// With `U(k) = #{x : d_u(x) ≥ k}` and `W(k) = #{x : d_v(x) ≥ k − 1}`, the
+/// bound is `SUM = Σ_{k≥1} max(0, U(k) + W(k) − n)`, and `MAX` is the largest
+/// `k` with a positive term. Term `k` is the least number of vertices that
+/// any pairing of the two level multisets can place at
+/// `min(a, 1 + b) ≥ k` (inclusion–exclusion). The opposite-order pairing
+/// attains it at every `k` at once, because `min(a, 1 + b)` has increasing
+/// differences. Summing `#{x : value ≥ k}` over `k` gives the SUM, so both
+/// fields are `≤` those of any pairing, including the kernel's
+/// vertex-by-vertex one.
+fn level_pair_bound(n: usize, src_levels: &[u16], far_levels: &[u16]) -> DistanceSummary {
+    // term(k) = n − Σ_{d<k} src_levels[d] − Σ_{d<k−1} far_levels[d] only
+    // shrinks as `k` grows, and reaches ≤ 0 once every far level is counted.
+    // Step `k` subtracts `(src_levels[k], far_levels[k − 1])`; both
+    // histograms are padded past the last level (`n + 2` entries in the
+    // oracle), so the zipped steps never run out first.
+    let (&first, rest) = src_levels.split_first().expect("level 0 holds the source");
+    let mut steps = rest.iter().zip(far_levels);
+    let mut term = n as i64 - i64::from(first);
+    let (mut sum, mut k) = (0u64, 0u32);
+    while term > 0 {
+        k += 1;
+        sum += term as u64;
+        let Some((&src, &far)) = steps.next() else {
+            break;
+        };
+        term -= i64::from(src) + i64::from(far);
+    }
+    DistanceSummary {
+        sum: Some(sum),
+        max: Some(k),
     }
 }
 
@@ -2349,28 +2481,8 @@ impl DistanceOracle for IncrementalOracle {
         v: NodeId,
     ) -> Option<(DistanceSummary, bool)> {
         let _sp = trace::span(trace::Phase::FusedKernel);
-        if !self.persistent
-            || u as u32 != self.src
-            || self.pinned_version.is_none()
-            || v >= self.cache.len()
-            || prefix.iter().any(|d| matches!(d, EdgeDelta::Insert { .. }))
-        {
+        if !self.prepare_insert_query(g, prefix, u, v) {
             return None;
-        }
-        if self.cache[v].version != self.pinned_version {
-            // Lazy on-demand warming: repair `v`'s parked vector by replaying
-            // its own journal window right now (the working state and its
-            // candidate deltas are swapped aside, so the pin is undisturbed).
-            // `g` is the pinned graph, so success lands the slot exactly on
-            // the pinned version.
-            if self.cache[v].version.is_none()
-                || Some(g.version()) != self.pinned_version
-                || !self.warm_slot(g, v)
-            {
-                return None;
-            }
-            debug_assert_eq!(self.cache[v].version, self.pinned_version);
-            self.stats.lazy_hits += 1;
         }
         // Bring the delta stack to exactly `prefix` (for the swap enumeration
         // `(from, to₁), (from, to₂), …` this is a no-op after the first
@@ -2391,6 +2503,7 @@ impl DistanceOracle for IncrementalOracle {
         if self.cache[v].is_sparse() {
             let summary = self.sparse_insert_ball_summary(v)?;
             self.stats.sparse_hits += 1;
+            self.stats.kernel_calls += 1;
             self.stats.nodes_expanded += self.cache[v].ball_verts.len() as u64;
             let tick = self.lru_tick;
             self.cache[v].last_used = tick;
@@ -2398,8 +2511,46 @@ impl DistanceOracle for IncrementalOracle {
             return Some((summary, prefix.is_empty()));
         }
         let summary = fused_insert_summary(&self.state.dist[..n], &self.cache[v].dist[..n]);
+        self.stats.kernel_calls += 1;
         self.stats.nodes_expanded += n as u64;
         Some((summary, prefix.is_empty()))
+    }
+
+    fn insert_level_bound(
+        &mut self,
+        g: &OwnedGraph,
+        prefix: &[EdgeDelta],
+        u: NodeId,
+        v: NodeId,
+    ) -> Option<DistanceSummary> {
+        if !self.prepare_insert_query(g, prefix, u, v) {
+            return None;
+        }
+        let n = self.csr.num_nodes();
+        if self.cache[v].is_sparse() || self.cache[v].reached < n {
+            return None;
+        }
+        if self.active.as_slice() != prefix {
+            // Only a stack that actually moves (the first swap of each
+            // removed edge) pays for a span.
+            let _sp = trace::span(trace::Phase::DeltaRepair);
+            self.seat_deltas(prefix);
+        }
+        let slot = &self.cache[v];
+        let bound = level_pair_bound(n, &self.state.level_counts, &slot.level_counts);
+        self.stats.bound_queries += 1;
+        if cfg!(debug_assertions) {
+            // Soundness cross-check against the kernel on the same prefix
+            // state (kept out of the counters, so debug and release builds
+            // count the same work).
+            let kernel = fused_insert_summary(&self.state.dist[..n], &slot.dist[..n]);
+            assert!(
+                bound.sum <= kernel.sum && bound.max <= kernel.max,
+                "level bound {bound:?} exceeds the kernel's {kernel:?} \
+                 (src {u}, v {v}, prefix {prefix:?})"
+            );
+        }
+        Some(bound)
     }
 
     fn evaluate_into(&mut self, deltas: &[EdgeDelta], out: &mut Vec<u16>) -> DistanceSummary {
@@ -2520,6 +2671,7 @@ mod tests {
                 oracle.warm_sources(&g, &[u, v]);
             }
             oracle.begin(&g, u);
+            let _ = oracle.insert_level_bound(&g, &[], u, (u + 11) % 24);
             let _ = oracle.evaluate_insert_via_cache(&g, &[], u, (u + 11) % 24);
             assert!(
                 oracle.stats().consistent(),
@@ -2527,13 +2679,20 @@ mod tests {
                 oracle.stats()
             );
         }
-        let stats = oracle.stats();
+        let mut stats = oracle.stats();
         assert!(stats.warm_batches > 0 && stats.replayed_begins > 0);
+        assert!(stats.kernel_calls > 0 && stats.bound_queries > 0);
+        // The prune count comes from the scoring layer; any count up to the
+        // answered bounds is consistent.
+        stats.bound_pruned = stats.bound_queries;
         // Merging self-consistent stats stays consistent (the invariants are
         // linear inequalities over summed fields).
         let mut merged = stats;
         merged.merge(&stats);
         assert!(merged.consistent());
+        assert_eq!(merged.kernel_calls, 2 * stats.kernel_calls);
+        assert_eq!(merged.bound_queries, 2 * stats.bound_queries);
+        assert_eq!(merged.bound_pruned, 2 * stats.bound_pruned);
         // And each invariant actually bites on corrupted counters.
         let mut bad = stats;
         bad.warm_batch_width[0] = bad.warm_batches + 1;
@@ -2544,6 +2703,9 @@ mod tests {
         let mut bad = stats;
         bad.bounded_repairs = bad.replayed_begins + bad.lazy_replays + 1;
         assert!(!bad.consistent(), "bounded repair without a replay");
+        let mut bad = stats;
+        bad.bound_pruned = bad.bound_queries + 1;
+        assert!(!bad.consistent(), "prune without an answered bound");
     }
 
     #[test]
@@ -3394,5 +3556,152 @@ mod tests {
         let deltas = [EdgeDelta::Insert { u: 23, v: 12 }];
         let (_, expect) = truth(&g, 23, &deltas);
         assert_eq!(oracle.evaluate(&deltas), expect);
+    }
+    /// Reference for [`level_pair_bound`]: expand both level histograms into
+    /// value lists, pair them in opposite order, and sum/max
+    /// `min(a, 1 + b)` explicitly (`None` marks an unreached `a`).
+    fn sort_and_pair(a: &[Option<u16>], b: &[u16]) -> (u64, u64) {
+        let mut a: Vec<u64> = a.iter().map(|x| x.map_or(u64::MAX, u64::from)).collect();
+        let mut b: Vec<u64> = b.iter().map(|&x| u64::from(x)).collect();
+        a.sort_unstable_by(|x, y| y.cmp(x));
+        b.sort_unstable();
+        a.iter()
+            .zip(&b)
+            .map(|(&x, &y)| x.min(1 + y))
+            .fold((0, 0), |(sum, max), d| (sum + d, max.max(d)))
+    }
+
+    fn level_histogram(values: impl Iterator<Item = u16>, n: usize) -> Vec<u16> {
+        let mut counts = vec![0u16; n + 10];
+        for d in values {
+            counts[d as usize] += 1;
+        }
+        counts
+    }
+
+    #[test]
+    fn level_bound_closed_form_matches_sort_and_pair() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1e7e1);
+        for case in 0..400 {
+            let n = rng.gen_range(1usize..48);
+            let levels = rng.gen_range(1u16..9);
+            let unreached = [0.0, 0.1, 0.5][case % 3];
+            let a: Vec<Option<u16>> = (0..n)
+                .map(|_| (!rng.gen_bool(unreached)).then(|| rng.gen_range(0..levels)))
+                .collect();
+            let b: Vec<u16> = (0..n).map(|_| rng.gen_range(0..levels)).collect();
+            let src = level_histogram(a.iter().flatten().copied(), n);
+            let far = level_histogram(b.iter().copied(), n);
+            let bound = level_pair_bound(n, &src, &far);
+            let (sum, max) = sort_and_pair(&a, &b);
+            assert_eq!(bound.sum, Some(sum), "case {case}: {a:?} / {b:?}");
+            assert_eq!(bound.max, Some(max as u32), "case {case}: {a:?} / {b:?}");
+            // No other pairing goes below it.
+            let mut shuffled = b.clone();
+            shuffled.shuffle(&mut rng);
+            let other: u64 = a
+                .iter()
+                .zip(&shuffled)
+                .map(|(&x, &y)| x.map_or(u64::MAX, u64::from).min(1 + u64::from(y)))
+                .sum();
+            assert!(sum <= other, "case {case}: a pairing beat the bound");
+        }
+    }
+
+    #[test]
+    fn level_bound_never_exceeds_bfs_truth_under_removal_prefixes() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xb0b0);
+        let (mut answered, mut cut_off) = (0usize, 0usize);
+        for case in 0..60 {
+            let n = rng.gen_range(4usize..36);
+            // Trees make every removal a cut, leaf edges included.
+            let g = if case % 2 == 0 {
+                generators::random_spanning_tree(n, None, &mut rng)
+            } else {
+                generators::random_with_m_edges(n, rng.gen_range(n..2 * n), &mut rng)
+            };
+            let mut oracle = IncrementalOracle::persistent(n);
+            let all: Vec<NodeId> = (0..n).collect();
+            oracle.pin_sources(&g, &all);
+            for _ in 0..6 {
+                let u = rng.gen_range(0..n);
+                oracle.begin(&g, u);
+                let mut incident = g.neighbors(u).to_vec();
+                incident.shuffle(&mut rng);
+                let mut h = g.clone();
+                let mut prefix = Vec::new();
+                for &w in incident.iter().take(rng.gen_range(0usize..3)) {
+                    assert!(h.remove_edge(u, w));
+                    prefix.push(EdgeDelta::Remove { u, v: w });
+                }
+                let mut buf = BfsBuffer::new(n);
+                if buf.summary(&h, u).sum.is_none() {
+                    cut_off += 1;
+                }
+                for v in (0..n).filter(|&v| v != u && !h.has_edge(u, v)) {
+                    let Some(bound) = oracle.insert_level_bound(&g, &prefix, u, v) else {
+                        continue;
+                    };
+                    answered += 1;
+                    let mut deltas = prefix.clone();
+                    deltas.push(EdgeDelta::Insert { u, v });
+                    let (_, exact) = truth(&g, u, &deltas);
+                    let ctx = format!("case {case}: src {u} v {v} prefix {prefix:?}");
+                    assert!(bound.sum.unwrap() <= exact.sum.unwrap_or(u64::MAX), "{ctx}");
+                    assert!(bound.max.unwrap() <= exact.max.unwrap_or(u32::MAX), "{ctx}");
+                    let (kernel, is_exact) = oracle
+                        .evaluate_insert_via_cache(&g, &prefix, u, v)
+                        .expect("the kernel serves every bounded candidate");
+                    assert!(bound.sum <= kernel.sum && bound.max <= kernel.max, "{ctx}");
+                    assert_eq!(is_exact, prefix.is_empty());
+                }
+            }
+        }
+        assert!(answered > 1000, "only {answered} bounds answered");
+        assert!(
+            cut_off > 10,
+            "only {cut_off} prefixes left vertices unreached"
+        );
+    }
+
+    #[test]
+    fn level_bound_refuses_disconnected_and_sparse_slots() {
+        // Two components: every parked vector misses the other one.
+        let g = OwnedGraph::from_owned_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
+        let mut oracle = IncrementalOracle::persistent(6);
+        oracle.pin_sources(&g, &[0, 1, 2, 3, 4, 5]);
+        oracle.begin(&g, 0);
+        assert_eq!(oracle.insert_level_bound(&g, &[], 0, 2), None);
+        assert_eq!(oracle.insert_level_bound(&g, &[], 0, 4), None);
+        assert!(
+            oracle.evaluate_insert_via_cache(&g, &[], 0, 4).is_some(),
+            "the kernel still serves the candidate"
+        );
+        // A demoted ball-sparse slot has no level counts to pair.
+        let g = generators::cycle(16);
+        let mut oracle = IncrementalOracle::persistent_with_budgets(16, None, Some(130));
+        oracle.set_warm_batching(false);
+        oracle.begin(&g, 5);
+        oracle.begin(&g, 0);
+        oracle.begin(&g, 9);
+        assert!(oracle.cache[5].is_sparse() && !oracle.cache[0].is_sparse());
+        assert_eq!(oracle.insert_level_bound(&g, &[], 9, 5), None);
+        let dense = oracle
+            .insert_level_bound(&g, &[], 9, 0)
+            .expect("a dense connected slot is served");
+        let (_, exact) = truth(&g, 9, &[EdgeDelta::Insert { u: 9, v: 0 }]);
+        assert!(dense.sum <= exact.sum && dense.max <= exact.max);
+        assert_eq!(
+            oracle.stats().bound_queries,
+            1,
+            "only answered bounds count"
+        );
+        assert_eq!(oracle.stats().kernel_calls, 0, "a bound runs no kernel");
     }
 }

@@ -169,6 +169,10 @@ pub enum Counter {
     ImprovingMoves,
     /// Agents re-examined by confirmation-sweep iterations only.
     ConfirmScans,
+    /// Candidate scans that ended with no improving move and ran no
+    /// insertion kernel: agents certified happy by exact deletion scores
+    /// and level-histogram bounds alone.
+    CertifiedHappy,
     /// (point, chunk) jobs claimed from the orchestrator work queue.
     ChunkClaims,
     /// Chunk records appended to the sweep journal.
@@ -176,10 +180,11 @@ pub enum Counter {
 }
 
 /// All counters, in serialization order.
-pub const COUNTERS: [Counter; 5] = [
+pub const COUNTERS: [Counter; 6] = [
     Counter::AgentsScanned,
     Counter::ImprovingMoves,
     Counter::ConfirmScans,
+    Counter::CertifiedHappy,
     Counter::ChunkClaims,
     Counter::JournalAppends,
 ];
@@ -191,6 +196,7 @@ impl Counter {
             Counter::AgentsScanned => "agents_scanned",
             Counter::ImprovingMoves => "improving_moves",
             Counter::ConfirmScans => "confirm_scans",
+            Counter::CertifiedHappy => "certified_happy",
             Counter::ChunkClaims => "chunk_claims",
             Counter::JournalAppends => "journal_appends",
         }
@@ -901,7 +907,8 @@ mod tests {
             "{\"phase\":\"apply\",\"total_ns\":250,\"count\":4,\"children\":[]}",
             "]}",
             "],\"counters\":{\"agents_scanned\":40,\"improving_moves\":4,",
-            "\"confirm_scans\":0,\"chunk_claims\":0,\"journal_appends\":0},",
+            "\"confirm_scans\":0,\"certified_happy\":0,\"chunk_claims\":0,",
+            "\"journal_appends\":0},",
             "\"hists\":{\"scan_width\":[0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0],",
             "\"wave_width\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}",
         );

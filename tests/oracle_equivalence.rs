@@ -154,9 +154,36 @@ fn oracle_stays_exact_along_random_move_sequences() {
     }
 }
 
+/// The bounded scan modes — the best-response tie set in enumeration order
+/// (what the random tie-break draws from) and the unhappiness verdict —
+/// must be identical on two workspaces. Only these modes take the
+/// level-histogram and kernel bound paths; `improving_moves` scores
+/// exactly.
+fn assert_bounded_scans_agree(
+    game: &dyn Game,
+    g: &OwnedGraph,
+    u: usize,
+    reference: &mut Workspace,
+    fast: &mut Workspace,
+    ctx: &str,
+) {
+    assert_eq!(
+        game.best_responses(g, u, reference),
+        game.best_responses(g, u, fast),
+        "{ctx}: best-response tie set"
+    );
+    assert_eq!(
+        game.has_improving_move(g, u, reference),
+        game.has_improving_move(g, u, fast),
+        "{ctx}: unhappiness verdict"
+    );
+}
+
 /// End-to-end equivalence at the game layer: for every scanned agent, the
 /// full-BFS, incremental and persistent workspaces must produce the
-/// *identical* list of improving moves and the identical best response.
+/// *identical* list of improving moves and the identical best response,
+/// and the full-BFS and persistent ones the identical best-response tie set
+/// and unhappiness verdict.
 #[test]
 fn best_responses_identical_across_backends() {
     let mut rng = StdRng::seed_from_u64(0xbe57);
@@ -185,6 +212,8 @@ fn best_responses_identical_across_backends() {
                 let bp = game.best_response(&g, u, &mut ws_pers);
                 assert_eq!(bf, bi, "case {case}: {} agent {u}", game.name());
                 assert_eq!(bf, bp, "case {case}: {} agent {u}", game.name());
+                let ctx = format!("case {case}: {} agent {u}", game.name());
+                assert_bounded_scans_agree(game.as_ref(), &g, u, &mut ws_full, &mut ws_pers, &ctx);
             }
         }
     }
@@ -360,6 +389,8 @@ fn scans_identical_across_engines_along_random_playouts() {
                 let bf = game.best_response(&g, u, &mut ws_full);
                 let bp = game.best_response(&g, u, &mut ws_pers);
                 assert_eq!(bf, bp, "{label} agent {u}");
+                let ctx = format!("{label} agent {u}");
+                assert_bounded_scans_agree(game.as_ref(), &g, u, &mut ws_full, &mut ws_pers, &ctx);
                 scans += 1;
                 match bf {
                     Some(scored) => {
@@ -373,6 +404,36 @@ fn scans_identical_across_engines_along_random_playouts() {
                 }
             }
         }
+    }
+}
+
+/// Converged SUM-GBG and SUM-ASG states at n = 128 are certified by the
+/// eager persistent engine's final max-cost scan with no insertion kernel
+/// at all: every bound the scan answers is pruned by its level histogram.
+#[test]
+fn converged_states_are_certified_without_the_kernel() {
+    let n = 128;
+    let mut rng = StdRng::seed_from_u64(0xce27);
+    let gbg = GreedyBuyGame::sum(n as f64 / 4.0);
+    let asg = AsymSwapGame::sum();
+    let cases: Vec<(&dyn Game, OwnedGraph)> = vec![
+        (&gbg, generators::random_with_m_edges(n, 2 * n, &mut rng)),
+        (&asg, generators::budgeted_random(n, 2, &mut rng)),
+    ];
+    for (game, initial) in cases {
+        let cfg = DynamicsConfig::simulation(400 * n).with_oracle(OracleKind::Persistent);
+        let out = run_dynamics(game, &initial, &cfg, &mut rng);
+        assert!(out.converged(), "{}", game.name());
+        let mut dynamics = Dynamics::new(game, out.final_graph, cfg);
+        assert!(
+            dynamics.step(&mut rng).is_none(),
+            "{} is stable",
+            game.name()
+        );
+        let stats = dynamics.oracle_stats();
+        assert!(stats.bound_queries > 0, "{}: {stats:?}", game.name());
+        assert_eq!(stats.kernel_calls, 0, "{}: {stats:?}", game.name());
+        assert_eq!(stats.bound_pruned, stats.bound_queries, "{}", game.name());
     }
 }
 
