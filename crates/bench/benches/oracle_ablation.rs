@@ -1,6 +1,6 @@
-//! Ablation of the pluggable cost-evaluation engine: full-BFS re-evaluation
-//! vs. the incremental distance oracle vs. the cross-step persistent oracle,
-//! with and without dirty-agent tracking, on the swap-game dynamics hot path
+//! Ablation of the pluggable cost-evaluation engine: the full-BFS reference
+//! vs. the cross-step persistent oracle, with and without dirty-agent
+//! tracking, on the swap-game dynamics hot path
 //! (plus the GBG for the buy-move mix and the Buy-Game `SetOwned`
 //! enumeration for the whole-strategy delta path).
 //!
@@ -18,11 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-const BACKENDS: [OracleKind; 3] = [
-    OracleKind::FullBfs,
-    OracleKind::Incremental,
-    OracleKind::Persistent,
-];
+const BACKENDS: [OracleKind; 2] = [OracleKind::FullBfs, OracleKind::Persistent];
 
 /// One best-response scan of a single agent — the innermost hot operation.
 fn bench_best_response_backends(c: &mut Criterion) {
@@ -64,7 +60,7 @@ fn bench_buy_game_set_owned(c: &mut Criterion) {
         let alpha = n as f64 / 4.0;
         let delta_game = BuyGame::sum(alpha);
         let fallback_game = ConsentForced(BuyGame::sum(alpha));
-        let mut ws = Workspace::with_oracle(n, OracleKind::Incremental);
+        let mut ws = Workspace::with_oracle(n, OracleKind::Persistent);
         group.bench_with_input(BenchmarkId::new("delta", n), &g, |b, g| {
             b.iter(|| {
                 let mut found = 0usize;
@@ -106,11 +102,14 @@ fn bench_swap_dynamics_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("oracle_swap_dynamics");
     group.sample_size(10);
     for &n in &[128usize, 256] {
+        let full_dirty = EngineSpec {
+            dirty_agents: true,
+            ..EngineSpec::baseline()
+        };
         for engine in [
             EngineSpec::baseline(),
-            EngineSpec::default(),
             EngineSpec::persistent(),
-            EngineSpec::fast(),
+            full_dirty,
             EngineSpec::fastest(),
         ] {
             let point = engine_point(n, engine);

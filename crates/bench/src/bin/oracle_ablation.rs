@@ -1,12 +1,9 @@
-//! Ablation report: full-BFS re-evaluation vs. the incremental distance
-//! oracle vs. the cross-step **persistent** oracle (each with and without
-//! dirty-agent tracking) on the swap-game and greedy-buy-game dynamics hot
-//! paths, plus a Buy-Game `SetOwned` series comparing whole-strategy delta
-//! scoring against the historical apply → BFS → undo cycle, plus a
-//! **ball-sparse parking** series running the same seeded trial under parked
-//! byte budgets (dense / 128 MiB default / an eighth of the dense envelope)
-//! and asserting bit-identical trajectories with a high-water mark strictly
-//! below the dense-u16 `n · (2n+2) · 2` envelope.
+//! Ablation report: the full-BFS reference engine vs. the cross-step
+//! **persistent** oracle (each with and without dirty-agent tracking) on the
+//! swap-game and greedy-buy-game dynamics hot paths, plus a Buy-Game
+//! `SetOwned` series comparing whole-strategy delta scoring against the
+//! historical apply → BFS → undo cycle and a bilateral series doing the same
+//! for delta-scored consent.
 //!
 //! ```text
 //! cargo run -p ncg-bench --release --bin oracle_ablation -- max_n=512 trials=5
@@ -15,10 +12,12 @@
 //! ```
 //!
 //! Prints, per `(family, n)`, the wall-clock per engine together with the
-//! speedup of the persistent engine over the per-scan re-pinning incremental
-//! engine and of the fastest engine (persistent + dirty) over the full-BFS
-//! baseline. `smoke=1` shrinks everything for CI; `json=PATH` additionally
-//! writes the measurements as a JSON snapshot.
+//! speedups of the persistent engines over their full-BFS references.
+//! Before any timing it asserts the identities the fast engines rest on:
+//! `persistent` ≡ `full-bfs` and `persistent+dirty` ≡ `full-bfs+dirty`
+//! trajectories, and traced ≡ untraced runs. `smoke=1` shrinks everything
+//! for CI; `json=PATH` additionally writes the measurements as a JSON
+//! snapshot.
 
 use ncg_bench::ConsentForced;
 use ncg_core::policy::Policy;
@@ -35,18 +34,15 @@ use std::fmt::Write as _;
 
 struct Scale {
     max_n: usize,
-    /// Largest `n` the slow engines (full BFS and the per-scan re-pinning
-    /// incremental pair) still run at; beyond it only the persistent engines
-    /// are measured, which is what lets the sweep reach n = 1024 on one core.
+    /// Largest `n` the full-BFS reference engines still run at; beyond it
+    /// only the persistent engines are measured, which is what lets the
+    /// sweep reach n = 1024 on one core.
     full_max_n: usize,
     /// Largest `n` the *eager* persistent engine still runs at; beyond it
     /// only `persistent+dirty` is measured — the eager engine rescans all
     /// agents per step and falls behind by an order of magnitude at
     /// n ≥ 2048, while the dirty engine carries the sweep to n = 4096.
     pers_max_n: usize,
-    /// Largest `n` of the ball-sparse parking series (its headline cell is
-    /// n = 8192, past the dense layout's memory envelope).
-    sparse_max_n: usize,
     trials: usize,
     smoke: bool,
     /// `trace=1`: keep the global trace switch on for the whole run — the CI
@@ -61,7 +57,6 @@ fn parse_scale() -> Scale {
         max_n: 256,
         full_max_n: 256,
         pers_max_n: 1024,
-        sparse_max_n: 8192,
         trials: 3,
         smoke: false,
         trace: false,
@@ -75,7 +70,6 @@ fn parse_scale() -> Scale {
             "max_n" => scale.max_n = value.parse().unwrap_or(scale.max_n),
             "full_max_n" => scale.full_max_n = value.parse().unwrap_or(scale.full_max_n),
             "pers_max_n" => scale.pers_max_n = value.parse().unwrap_or(scale.pers_max_n),
-            "sparse_max_n" => scale.sparse_max_n = value.parse().unwrap_or(scale.sparse_max_n),
             "trials" => scale.trials = value.parse().unwrap_or(scale.trials),
             "smoke" => scale.smoke = value == "1" || value == "true",
             "trace" => scale.trace = value == "1" || value == "true",
@@ -180,10 +174,10 @@ fn measure_pair(p2: &ExperimentPoint, p4: &ExperimentPoint, repeats: usize) -> (
 }
 
 /// The dirty-engine trajectory-identity assertion of the CI smoke job: with
-/// the same seed, full-BFS + dirty, incremental + dirty and the warmed
-/// persistent + dirty engine must walk **identical** move sequences — the
-/// dirty set is computed from the same exact distance diffs in all three, and
-/// warming/replay never change a score. Asserted on both headline families.
+/// the same seed, `full-bfs+dirty` and the warmed `persistent+dirty` engine
+/// must walk **identical** move sequences — the dirty set is computed from
+/// the same exact distance diffs in both, and warming/replay never change a
+/// score. Asserted on both headline families.
 fn assert_dirty_trajectories_match_full_bfs(n: usize) {
     use ncg_core::dynamics::{run_dynamics, DynamicsConfig};
     for family in [GameFamily::AsgSum, GameFamily::GbgSum] {
@@ -191,37 +185,26 @@ fn assert_dirty_trajectories_match_full_bfs(n: usize) {
         let game = p.make_game();
         let mut seed_rng = StdRng::seed_from_u64(p.base_seed);
         let initial = p.topology.generate(n, &mut seed_rng);
-        let run = |engine: EngineSpec| {
+        let run = |oracle: OracleKind| {
             let mut rng = StdRng::seed_from_u64(0xd1b7);
             let mut cfg = DynamicsConfig::simulation(p.max_steps())
-                .with_oracle(engine.oracle)
-                .with_dirty_agents(true)
-                .with_warm_parked(engine.warm_parked)
-                .with_warm_batching(engine.warm_batching);
+                .with_oracle(oracle)
+                .with_dirty_agents(true);
             cfg.record_trajectory = true;
             run_dynamics(game.as_ref(), &initial, &cfg, &mut rng)
         };
-        let reference = run(EngineSpec::baseline().with_warm_parked(false));
+        let reference = run(OracleKind::FullBfs);
         assert!(reference.converged(), "{} n={n}", family.label());
-        for engine in [
-            EngineSpec::fast(),
-            EngineSpec::fastest(),
-            EngineSpec::fastest().with_warm_batching(false),
-            EngineSpec::fastest_cold(),
-        ] {
-            let out = run(engine);
-            assert_eq!(
-                out.trajectory,
-                reference.trajectory,
-                "{} n={n}: {} trajectory diverged from full-bfs+dirty",
-                family.label(),
-                engine.label()
-            );
-            assert_eq!(out.final_graph, reference.final_graph);
-        }
+        let out = run(OracleKind::Persistent);
+        assert_eq!(
+            out.trajectory,
+            reference.trajectory,
+            "{} n={n}: persistent+dirty trajectory diverged from full-bfs+dirty",
+            family.label()
+        );
+        assert_eq!(out.final_graph, reference.final_graph);
         println!(
-            "dirty trajectory identity OK: {} n={n} ({} steps, full-bfs ≡ incremental ≡ \
-             persistent warm/cold, batched ≡ scalar)",
+            "dirty trajectory identity OK: {} n={n} ({} steps, persistent+dirty ≡ full-bfs+dirty)",
             family.label(),
             reference.steps
         );
@@ -301,42 +284,6 @@ fn trace_cell(point: &ExperimentPoint) -> trace::TraceReport {
     trace::take_report()
 }
 
-/// Per-cell batched ≡ scalar identity of the word-parallel waves: on the
-/// exact `(family, n, seed)` of an ablation cell, `persistent+dirty` with
-/// batching on and off must walk identical move sequences and land on the
-/// same final graph — the waves compute the same exact distances the scalar
-/// path does, so nothing downstream may diverge.
-fn assert_batch_identity(family: GameFamily, n: usize, trials: usize) {
-    use ncg_core::dynamics::{run_dynamics, DynamicsConfig};
-    let p = point(family, n, EngineSpec::fastest(), trials);
-    let game = p.make_game();
-    let mut seed_rng = StdRng::seed_from_u64(p.base_seed);
-    let initial = p.topology.generate(n, &mut seed_rng);
-    let run = |batch: bool| {
-        let mut rng = StdRng::seed_from_u64(0xba7c);
-        let mut cfg = DynamicsConfig::simulation(p.max_steps())
-            .with_oracle(OracleKind::Persistent)
-            .with_dirty_agents(true)
-            .with_warm_batching(batch);
-        cfg.record_trajectory = true;
-        run_dynamics(game.as_ref(), &initial, &cfg, &mut rng)
-    };
-    let batched = run(true);
-    let scalar = run(false);
-    assert_eq!(
-        batched.trajectory,
-        scalar.trajectory,
-        "{} n={n}: batched waves diverged from the scalar replay baseline",
-        family.label()
-    );
-    assert_eq!(batched.final_graph, scalar.final_graph);
-    println!(
-        "batch identity OK: {} n={n} ({} steps, batched ≡ scalar)",
-        family.label(),
-        batched.steps
-    );
-}
-
 struct SetOwnedRow {
     n: usize,
     reps: usize,
@@ -345,7 +292,7 @@ struct SetOwnedRow {
 }
 
 /// Buy-Game `SetOwned` series: time the exponential strategy enumeration with
-/// delta scoring (Gray-code prefix reuse on the incremental oracle) vs. the
+/// delta scoring (Gray-code prefix reuse on the persistent oracle) vs. the
 /// apply → BFS → undo fallback, all agents of a random connected network.
 fn measure_set_owned(n: usize, reps: usize) -> SetOwnedRow {
     let mut rng = StdRng::seed_from_u64(7 + n as u64);
@@ -353,7 +300,7 @@ fn measure_set_owned(n: usize, reps: usize) -> SetOwnedRow {
     let alpha = n as f64 / 4.0;
     let delta_game = BuyGame::sum(alpha);
     let fallback_game = ConsentForced(BuyGame::sum(alpha));
-    let mut ws = Workspace::with_oracle(n, OracleKind::Incremental);
+    let mut ws = Workspace::with_oracle(n, OracleKind::Persistent);
     let run = |game: &dyn Game, ws: &mut Workspace| {
         let watch = trace::Stopwatch::start();
         let mut found = 0usize;
@@ -430,213 +377,11 @@ fn measure_bilateral(n: usize, reps: usize) -> BilateralRow {
     }
 }
 
-struct SparseRow {
-    family: &'static str,
-    n: usize,
-    label: &'static str,
-    seconds: f64,
-    steps: usize,
-    peak_parked_bytes: u64,
-    dense_envelope: u64,
-    sparse_demotions: u64,
-    sparse_hits: u64,
-    bounded_repairs: u64,
-}
-
-/// The documented default parked-cache ceiling of the persistent oracle
-/// (what a `None` byte budget resolves to); mirrored here so the series can
-/// decide which rows are *actually* budget-bound.
-const DEFAULT_BYTE_BUDGET: u64 = 128 * 1024 * 1024;
-
-/// Ball-sparse parking series: the same seeded trial under up to three
-/// parked-cache byte budgets — effectively unbounded ("dense"), the 128 MiB
-/// default ("auto"), and half the dense envelope ("tight", an eighth in
-/// smoke; dropped where it would duplicate "auto"). Demotion, eviction and
-/// the sparse-miss fallback are representation changes only, so all runs
-/// must walk **identical** move sequences (over a shared 1024-step prefix at
-/// full scale) and land on the same state; every budget-bound run's parked
-/// high-water mark must sit strictly below the dense-u16 envelope
-/// `n · (2n+2) · 2` — the footprint that made `n = 8192` unreachable for the
-/// all-dense layout (≈ 268 MB).
-fn measure_sparse_parking(scale: &Scale) -> Vec<SparseRow> {
-    use ncg_core::dynamics::{Dynamics, DynamicsConfig};
-    let all_ns: &[usize] = if scale.smoke {
-        &[256]
-    } else {
-        &[2048, 4096, 8192]
-    };
-    let mut ns: Vec<usize> = all_ns
-        .iter()
-        .copied()
-        .filter(|&n| scale.smoke || n <= scale.sparse_max_n)
-        .collect();
-    if ns.is_empty() {
-        // A sub-2048 `sparse_max_n` probes that single size directly.
-        ns.push(scale.sparse_max_n);
-    }
-    // The buy game, not the swap game: greedy-buy moves are local, so most
-    // demoted slots ride trusted stamp bumps across steps and the budget-bound
-    // runs stay within a small factor of dense. A swap dirties ~90% of all
-    // vectors per move, which would re-densify (and re-demote) nearly the
-    // whole cache every step — a thrash benchmark, not a memory benchmark.
-    let family = GameFamily::GbgSum;
-    let mut rows = Vec::new();
-    println!("\nball-sparse parking (same seed across parked byte budgets)");
-    println!(
-        "{:>6} {:>7} {:>13} {:>7} {:>15} {:>15} {:>9} {:>9} {:>9}",
-        "n",
-        "budget",
-        "seconds",
-        "steps",
-        "peak bytes",
-        "dense env",
-        "demote",
-        "sp hits",
-        "bounded"
-    );
-    for &n in &ns {
-        let p = point(family, n, EngineSpec::fastest(), 1);
-        let game = p.make_game();
-        let mut seed_rng = StdRng::seed_from_u64(p.base_seed);
-        let initial = p.topology.generate(n, &mut seed_rng);
-        let envelope = n as u64 * (2 * n as u64 + 2) * 2;
-        // The smoke variant squeezes the cache to an eighth of the envelope —
-        // maximum demote/evict churn on a tiny cell, which is what CI wants
-        // to cover. The full-scale series uses half the envelope: still
-        // strictly budget-bound at every n, without turning the big cells
-        // into multi-hour thrash benchmarks.
-        let tight = if scale.smoke {
-            envelope / 8
-        } else {
-            envelope / 2
-        };
-        let mut budgets: Vec<(&'static str, Option<u64>)> =
-            vec![("dense", Some(u64::MAX)), ("auto", None)];
-        // At n = 8192 half the envelope ≈ the 128 MiB default — the "tight"
-        // run would just repeat "auto", so it is only kept while it is
-        // meaningfully tighter.
-        if tight < DEFAULT_BYTE_BUDGET * 9 / 10 {
-            budgets.push(("tight", Some(tight)));
-        }
-        // Budget-bound runs trade memory for recompute waves; at large n that
-        // trade is steep (the budget holds less than one step's working set),
-        // so the non-smoke series compares a fixed 1024-step prefix instead
-        // of running every budget to convergence. Identity over the executed
-        // prefix is exactly as strong per step, and the peak is reached in
-        // the very first steps (the cold bulk pin parks everything).
-        let step_cap = if scale.smoke {
-            p.max_steps()
-        } else {
-            p.max_steps().min(1024)
-        };
-        let mut reference: Option<(Vec<ncg_core::dynamics::MoveRecord>, ncg_graph::OwnedGraph)> =
-            None;
-        for &(label, budget) in &budgets {
-            let mut cfg = DynamicsConfig::simulation(step_cap)
-                .with_oracle(OracleKind::Persistent)
-                .with_dirty_agents(true)
-                .with_oracle_byte_budget(budget);
-            cfg.record_trajectory = true;
-            let mut rng = StdRng::seed_from_u64(0x5bb1);
-            let watch = trace::Stopwatch::start();
-            let mut dynamics = Dynamics::new(game.as_ref(), initial.clone(), cfg);
-            let mut steps = 0usize;
-            let converged = loop {
-                if steps >= step_cap {
-                    break false;
-                }
-                match dynamics.step(&mut rng) {
-                    Some(_) => steps += 1,
-                    None => break true,
-                }
-            };
-            let seconds = watch.elapsed_secs();
-            assert!(
-                converged || steps == step_cap,
-                "sparse parking n={n} {label}: must converge or fill the prefix"
-            );
-            let stats = dynamics.oracle_stats();
-            match &reference {
-                None => {
-                    reference = Some((dynamics.trajectory().to_vec(), dynamics.graph().clone()))
-                }
-                Some((traj, final_graph)) => {
-                    assert_eq!(
-                        dynamics.trajectory(),
-                        &traj[..],
-                        "n={n}: {label} trajectory diverged from the dense reference"
-                    );
-                    assert_eq!(dynamics.graph(), final_graph, "n={n}: {label} final graph");
-                }
-            }
-            let effective = budget.unwrap_or(DEFAULT_BYTE_BUDGET);
-            if effective >= envelope {
-                // Nothing to demote: the dense layout fits, and its
-                // accounting must land exactly on the envelope (n slots of
-                // `2·(2n+2)` bytes each, all pinned by the bulk cold fill).
-                assert_eq!(
-                    stats.peak_parked_bytes, envelope,
-                    "n={n} {label}: un-bound run must park the full dense envelope"
-                );
-            } else {
-                assert!(
-                    stats.peak_parked_bytes < envelope,
-                    "n={n} {label}: peak {} must sit strictly below the dense envelope {envelope}",
-                    stats.peak_parked_bytes
-                );
-                assert!(
-                    stats.peak_parked_bytes <= effective,
-                    "n={n} {label}: peak {} exceeds the byte budget {effective}",
-                    stats.peak_parked_bytes
-                );
-                assert!(
-                    stats.sparse_demotions > 0,
-                    "n={n} {label}: a budget-bound run must demote at least one slot"
-                );
-            }
-            println!(
-                "{:>6} {:>7} {:>13.4} {:>7} {:>15} {:>15} {:>9} {:>9} {:>9}",
-                n,
-                label,
-                seconds,
-                steps,
-                stats.peak_parked_bytes,
-                envelope,
-                stats.sparse_demotions,
-                stats.sparse_hits,
-                stats.bounded_repairs
-            );
-            if std::env::var_os("SPARSE_DEBUG").is_some() {
-                eprintln!("  {label}: {stats:?}");
-            }
-            rows.push(SparseRow {
-                family: family.label(),
-                n,
-                label,
-                seconds,
-                steps,
-                peak_parked_bytes: stats.peak_parked_bytes,
-                dense_envelope: envelope,
-                sparse_demotions: stats.sparse_demotions,
-                sparse_hits: stats.sparse_hits,
-                bounded_repairs: stats.bounded_repairs,
-            });
-        }
-        let labels: Vec<&str> = budgets.iter().map(|&(l, _)| l).collect();
-        println!(
-            "sparse parking identity OK: {} n={n} ({})",
-            family.label(),
-            labels.join(" ≡ ")
-        );
-    }
-    rows
-}
-
 struct SweepRow {
     family: &'static str,
     n: usize,
     /// Wall-clock per engine; `None` when the engine was skipped at this `n`
-    /// (slow engines past `full_max_n`).
+    /// (reference engines past `full_max_n`).
     times: Vec<Option<f64>>,
     /// Summed oracle work counters per engine (same indexing as `times`).
     stats: Vec<Option<OracleStats>>,
@@ -657,19 +402,24 @@ fn main() {
     if scale.trace {
         trace::set_enabled(true);
     }
+    // Reference and fast engine of each scan discipline: the eager pair
+    // (indices 0, 1) follows the exact policy order, the dirty pair (2, 3)
+    // re-examines only invalidated agents.
+    let full_dirty = EngineSpec {
+        dirty_agents: true,
+        ..EngineSpec::baseline()
+    };
     let engines = [
         EngineSpec::baseline(),
-        EngineSpec::default(),
         EngineSpec::persistent(),
-        EngineSpec::fast(),
+        full_dirty,
         EngineSpec::fastest(),
-        EngineSpec::fastest_cold(),
     ];
     // Which engines still run at a given n: `persistent+dirty` always, the
-    // eager persistent engine up to `pers_max_n`, the re-scanning baselines
-    // and the cold ablation only up to `full_max_n`.
+    // eager persistent engine up to `pers_max_n`, the full-BFS references
+    // only up to `full_max_n`.
     let engine_runs_at = |idx: usize, n: usize| -> bool {
-        idx == 4 || (idx == 2 && n <= scale.pers_max_n) || n <= scale.full_max_n
+        idx == 3 || (idx == 1 && n <= scale.pers_max_n) || n <= scale.full_max_n
     };
     let mut ns = Vec::new();
     let mut n = 64usize;
@@ -694,15 +444,13 @@ fn main() {
     for family in [GameFamily::AsgSum, GameFamily::GbgSum] {
         println!("\nfamily {}", family.label());
         println!(
-            "{:>6} {:>13} {:>13} {:>13} {:>13} {:>13} {:>13} {:>9} {:>9} {:>9} {:>9}",
+            "{:>6} {:>13} {:>13} {:>13} {:>13} {:>9} {:>9} {:>9} {:>9}",
             "n",
             "full-bfs [s]",
-            "increm [s]",
             "persist [s]",
-            "inc+dirty [s]",
+            "fb+dirty [s]",
             "pers+dirty[s]",
-            "pd+cold [s]",
-            "p/inc",
+            "full/p",
             "p/pd",
             "pd/full",
             "steps e/d"
@@ -712,7 +460,6 @@ fn main() {
             // trial already integrates minutes of work — the repeat/min
             // machinery is what fights noise at the small sizes).
             let cell_trials = if n >= 2048 { 1 } else { scale.trials };
-            assert_batch_identity(family, n, cell_trials);
             let mut times: Vec<Option<f64>> = Vec::new();
             let mut stats: Vec<Option<OracleStats>> = Vec::new();
             let mut profiles: Vec<Option<trace::TraceReport>> = Vec::new();
@@ -734,8 +481,8 @@ fn main() {
                 let p = point(family, n, engine, cell_trials);
                 let (secs, s, st) = if scale.smoke {
                     measure(&p, 1)
-                } else if idx == 2 {
-                    let p4 = point(family, n, engines[4], cell_trials);
+                } else if idx == 1 {
+                    let p4 = point(family, n, engines[3], cell_trials);
                     // The swap-game cells sit at true parity (a swap dirties
                     // ~90% of all vectors, so there is little for the dirty
                     // engine to skip); they need more repeats than the
@@ -754,7 +501,7 @@ fn main() {
                     let (r2, r4) = measure_pair(&p, &p4, repeats);
                     stashed_pd = Some(r4);
                     r2
-                } else if idx == 4 {
+                } else if idx == 3 {
                     // Past `pers_max_n` the pair partner is skipped and
                     // `persistent+dirty` is measured on its own.
                     match stashed_pd.take() {
@@ -768,7 +515,7 @@ fn main() {
                 stats.push(Some(st));
                 // Phase profile + wasted-scan counters for the persistent
                 // pair, each from one extra traced rep of the same cell.
-                profiles.push(if (idx == 2 || idx == 4) && scale.json.is_some() {
+                profiles.push(if (idx == 1 || idx == 3) && scale.json.is_some() {
                     Some(trace_cell(&p))
                 } else {
                     None
@@ -780,10 +527,10 @@ fn main() {
                 // CI smoke run. The dirty engines form a second equivalence
                 // class: their invalidation sets are identical across
                 // oracles (exact diffs either way) and warming never touches
-                // a score, so inc+dirty, pers+dirty and pers+dirty+cold must
-                // also agree step for step (with each other, not with the
-                // eager class — mover order legally differs between classes).
-                if idx <= 2 {
+                // a score, so full-bfs+dirty and persistent+dirty must also
+                // agree step for step (with each other, not with the eager
+                // class — mover order legally differs between classes).
+                if idx <= 1 {
                     match eager_steps {
                         None => eager_steps = Some(s),
                         Some(expect) => assert_eq!(
@@ -812,17 +559,15 @@ fn main() {
                 _ => format!("{:>9}", "-"),
             };
             println!(
-                "{:>6} {} {} {} {} {} {} {} {} {} {:>5}/{}",
+                "{:>6} {} {} {} {} {} {} {} {:>5}/{}",
                 n,
                 fmt_time(times[0]),
                 fmt_time(times[1]),
                 fmt_time(times[2]),
                 fmt_time(times[3]),
-                fmt_time(times[4]),
-                fmt_time(times[5]),
-                ratio(times[1], times[2]),
-                ratio(times[2], times[4]),
-                ratio(times[0], times[4]),
+                ratio(times[0], times[1]),
+                ratio(times[1], times[3]),
+                ratio(times[0], times[3]),
                 eager_steps.unwrap_or(0),
                 dirty_steps.unwrap_or(0)
             );
@@ -881,9 +626,6 @@ fn main() {
         bilateral_rows.push(row);
     }
 
-    // Ball-sparse parking series: byte budgets vs. the dense envelope.
-    let sparse_rows = measure_sparse_parking(&scale);
-
     if let Some(path) = &scale.json {
         let mut out = String::new();
         out.push_str("{\n");
@@ -908,9 +650,8 @@ fn main() {
                             "\"{l}\": {{\"full_bfs_runs\": {}, \"replayed_begins\": {}, \
                              \"lazy_replays\": {}, \"warm_bumps\": {}, \"warm_batches\": {}, \
                              \"lazy_hits\": {}, \"csr_patches\": {}, \"csr_rebuilds\": {}, \
-                             \"batched_repins\": {}, \"bounded_repairs\": {}, \
-                             \"sparse_demotions\": {}, \"sparse_hits\": {}, \
-                             \"peak_parked_bytes\": {}, \"warm_batch_width\": [{}]}}",
+                             \"batched_repins\": {}, \"peak_parked_bytes\": {}, \
+                             \"warm_batch_width\": [{}]}}",
                             st.full_bfs_runs,
                             st.replayed_begins,
                             st.lazy_replays,
@@ -920,9 +661,6 @@ fn main() {
                             st.csr_patches,
                             st.csr_rebuilds,
                             st.batched_repins,
-                            st.bounded_repairs,
-                            st.sparse_demotions,
-                            st.sparse_hits,
                             st.peak_parked_bytes,
                             widths.join(", ")
                         )
@@ -1003,31 +741,6 @@ fn main() {
                 row.apply_undo_s / row.delta_s.max(1e-9)
             );
             out.push_str(if i + 1 < set_owned_rows.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"sparse_parking\": [\n");
-        for (i, row) in sparse_rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"family\": \"{}\", \"n\": {}, \"budget\": \"{}\", \"seconds\": {:.6}, \
-                 \"steps\": {}, \"peak_parked_bytes\": {}, \"dense_envelope\": {}, \
-                 \"sparse_demotions\": {}, \"sparse_hits\": {}, \"bounded_repairs\": {}}}",
-                row.family,
-                row.n,
-                row.label,
-                row.seconds,
-                row.steps,
-                row.peak_parked_bytes,
-                row.dense_envelope,
-                row.sparse_demotions,
-                row.sparse_hits,
-                row.bounded_repairs
-            );
-            out.push_str(if i + 1 < sparse_rows.len() {
                 ",\n"
             } else {
                 "\n"

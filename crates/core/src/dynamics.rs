@@ -47,17 +47,6 @@ pub struct DynamicsConfig {
     pub ownership_in_state: bool,
     /// Which distance-oracle backend scores candidate moves.
     pub oracle: OracleKind,
-    /// Cap on the persistent oracle's per-source distance cache (number of
-    /// parked vectors; `None` = backend default: unlimited slots at
-    /// `n ≤ 8192`, capped at 8192 beyond — the byte budget below binds
-    /// first in practice).
-    pub oracle_cache_budget: Option<usize>,
-    /// Cap on the persistent oracle's parked-vector **bytes** (`None` =
-    /// backend default: 128 MiB). Over budget, parked vectors are demoted to
-    /// their ball-sparse representation and then evicted, oldest-stalest
-    /// first. Purely a memory knob — scoring stays exact, so trajectories
-    /// are bit-identical under any budget.
-    pub oracle_byte_budget: Option<u64>,
     /// If `true`, the engine keeps a dirty-agent set: after a move only agents
     /// whose distance vectors could have changed are re-examined, instead of
     /// re-scanning all `n` agents per step. Termination stays exact — before
@@ -65,27 +54,14 @@ pub struct DynamicsConfig {
     /// final state — but the *order* in which unhappy agents are discovered
     /// can differ from the eager scan, so trajectories may differ from the
     /// `dirty_agents: false` runs (both are valid sequential-move processes).
+    ///
+    /// On the persistent oracle, each committed move's exact change union is
+    /// handed to the oracle so every parked distance vector is advanced to
+    /// the new version in one grouped pass (replay for changed vectors, a
+    /// trusted stamp bump for the rest). This keeps the cache-arithmetic
+    /// insertion scoring and the bounded best-response scans lit even though
+    /// the dirty engine re-pins only a few sources per step.
     pub dirty_agents: bool,
-    /// If `true` (the default), a dirty-agent run on the persistent oracle
-    /// hands the oracle each committed move's exact change union so every
-    /// parked distance vector is advanced to the new version in one grouped
-    /// pass (replay for changed vectors, a trusted stamp bump for the rest).
-    /// This keeps the cache-arithmetic insertion scoring and the bounded
-    /// best-response scans lit even though the dirty engine re-pins only a
-    /// few sources per step. Purely a performance knob: warming never changes
-    /// scores, mover selection, or trajectories — disabling it ("cold" mode)
-    /// only exists for ablation measurements. Ignored without `dirty_agents`
-    /// (the eager policy scan re-pins every source anyway) and by the
-    /// stateless oracle backends.
-    pub warm_parked: bool,
-    /// If `true` (the default), the persistent oracle serves bulk (re)pins —
-    /// the trial-start cold fill and parked vectors whose journal window
-    /// outgrew the replay limit — with word-parallel 64-wide bitset BFS
-    /// waves instead of one scalar traversal per source. Purely a
-    /// performance knob: both paths compute identical exact distances, so
-    /// trajectories are bit-identical either way; `false` keeps the scalar
-    /// verification baseline. Ignored by the stateless oracle backends.
-    pub warm_batching: bool,
 }
 
 impl DynamicsConfig {
@@ -101,11 +77,7 @@ impl DynamicsConfig {
             record_trajectory: false,
             ownership_in_state: true,
             oracle: OracleKind::default(),
-            oracle_cache_budget: None,
-            oracle_byte_budget: None,
             dirty_agents: false,
-            warm_parked: true,
-            warm_batching: true,
         }
     }
 
@@ -121,11 +93,7 @@ impl DynamicsConfig {
             record_trajectory: true,
             ownership_in_state: true,
             oracle: OracleKind::default(),
-            oracle_cache_budget: None,
-            oracle_byte_budget: None,
             dirty_agents: false,
-            warm_parked: true,
-            warm_batching: true,
         }
     }
 
@@ -153,36 +121,9 @@ impl DynamicsConfig {
         self
     }
 
-    /// Sets the persistent oracle's per-source cache budget.
-    pub fn with_oracle_cache_budget(mut self, budget: Option<usize>) -> Self {
-        self.oracle_cache_budget = budget;
-        self
-    }
-
-    /// Sets the persistent oracle's parked-vector byte budget (see
-    /// [`DynamicsConfig::oracle_byte_budget`]).
-    pub fn with_oracle_byte_budget(mut self, budget: Option<u64>) -> Self {
-        self.oracle_byte_budget = budget;
-        self
-    }
-
     /// Enables or disables dirty-agent tracking.
     pub fn with_dirty_agents(mut self, dirty_agents: bool) -> Self {
         self.dirty_agents = dirty_agents;
-        self
-    }
-
-    /// Enables or disables post-move bulk warming of the persistent oracle's
-    /// parked vectors (see [`DynamicsConfig::warm_parked`]).
-    pub fn with_warm_parked(mut self, warm_parked: bool) -> Self {
-        self.warm_parked = warm_parked;
-        self
-    }
-
-    /// Enables or disables the persistent oracle's word-parallel bulk waves
-    /// (see [`DynamicsConfig::warm_batching`]).
-    pub fn with_warm_batching(mut self, warm_batching: bool) -> Self {
-        self.warm_batching = warm_batching;
         self
     }
 }
@@ -275,10 +216,8 @@ pub struct Dynamics<'a, G: Game + ?Sized> {
     /// heuristic under-approximated.
     confirm_pending: bool,
     /// Scratch distance vectors of the move endpoints (pre-move state; only
-    /// used with non-persistent oracles, which cannot export a diff).
+    /// used with the full-BFS oracle, which cannot export a diff).
     pre_dists: Vec<Vec<u16>>,
-    /// Scratch for the persistent oracle's exact changed-vertex export.
-    changed_scratch: Vec<NodeId>,
     /// Scratch for the per-move change union handed to the oracle's bulk
     /// warming pass (endpoints + mover + every exported changed vertex).
     warm_scratch: Vec<NodeId>,
@@ -294,19 +233,11 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
     /// Creates a process in the given initial state.
     pub fn new(game: &'a G, initial: OwnedGraph, config: DynamicsConfig) -> Self {
         let n = initial.num_nodes();
-        let mut ws = Workspace::with_engine_budgets(
-            n,
-            config.oracle,
-            config.oracle_cache_budget,
-            config.oracle_byte_budget,
-        );
-        ws.set_warm_batching(config.warm_batching);
+        let mut ws = Workspace::with_oracle(n, config.oracle);
         if config.oracle == OracleKind::Persistent {
             // Bulk-pin every agent's vector up front: the first policy scan
-            // needs all n summaries anyway, and with batching on the cold
-            // fill costs ⌈n/64⌉ shared bitset waves instead of n scalar
-            // traversals (with batching off this is the same n `begin`s the
-            // first scan would have issued, just grouped here).
+            // needs all n summaries anyway, and the cold fill costs ⌈n/64⌉
+            // shared bitset waves instead of n scalar traversals.
             let all: Vec<NodeId> = (0..n).collect();
             ws.evaluator.pin_sources(&initial, &all);
         }
@@ -326,7 +257,6 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
             cost_fresh: vec![false; n],
             confirm_pending: false,
             pre_dists: Vec::new(),
-            changed_scratch: Vec::new(),
             warm_scratch: Vec::new(),
             order_scratch: Vec::new(),
             par_pool: Vec::new(),
@@ -437,12 +367,13 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
     /// touch. `None` means the move is a whole-strategy change and everything
     /// must be invalidated.
     ///
-    /// With a non-persistent oracle the endpoints' pre-move distance vectors
+    /// With the full-BFS oracle the endpoints' pre-move distance vectors
     /// are snapshotted (one BFS each) so the post-move diff can be computed.
     /// With the persistent oracle the endpoints are instead pinned into the
-    /// oracle's per-source cache at the pre-move version: the post-move re-pin
-    /// then replays exactly this move's deltas and exports the exact
-    /// changed-vertex set for free — no endpoint BFS at all.
+    /// oracle's per-source cache at the pre-move version: the post-move
+    /// `warm_after_move` pass then replays exactly this move's deltas and
+    /// exports the exact changed-vertex set for free — no endpoint BFS at
+    /// all.
     fn snapshot_endpoints(&mut self, agent: NodeId, mv: &Move) -> Option<Vec<NodeId>> {
         let endpoints: Vec<NodeId> = match *mv {
             Move::Swap { from, to } => vec![agent, from, to],
@@ -473,7 +404,7 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
         let n = self.graph.num_nodes();
         match endpoints {
             None => self.invalidate_all(),
-            Some(endpoints) if self.persistent_oracle() && self.config.warm_parked => {
+            Some(endpoints) if self.persistent_oracle() => {
                 // Fused path: one oracle pass replays the endpoint vectors
                 // (exporting the exact invalidation union) and warms every
                 // other parked vector — no per-endpoint re-pins at all.
@@ -499,32 +430,6 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
                 self.warm_scratch = union;
                 self.invalidate_all();
             }
-            Some(endpoints) if self.persistent_oracle() => {
-                // Cold mode (`warm_parked == false`): per-endpoint diff
-                // re-pins, the pre-warming invalidation path.
-                let mut changed = std::mem::take(&mut self.changed_scratch);
-                for &e in &endpoints {
-                    let (_, exact) =
-                        self.ws
-                            .evaluator
-                            .begin_agent_diff(&self.graph, e, &mut changed);
-                    if !exact {
-                        // The oracle had to re-pin from scratch (cold cache or
-                        // staleness); no diff available — be conservative.
-                        self.invalidate_all();
-                        break;
-                    }
-                    for &x in &changed {
-                        self.verified_happy[x] = false;
-                        self.cost_fresh[x] = false;
-                    }
-                    self.verified_happy[e] = false;
-                    self.cost_fresh[e] = false;
-                }
-                self.verified_happy[agent] = false;
-                self.cost_fresh[agent] = false;
-                self.changed_scratch = changed;
-            }
             Some(endpoints) => {
                 for (i, &e) in endpoints.iter().enumerate() {
                     let post = self.ws.bfs.run(&self.graph, e);
@@ -544,7 +449,7 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
             }
         }
         self.confirm_pending = true;
-        if self.config.warm_parked && self.persistent_oracle() {
+        if self.persistent_oracle() {
             // Unknown change set (whole-strategy move or an unreplayable
             // endpoint): every parked vector is suspect, so the oracle must
             // repair each from its own stamp rather than trust a bump.
@@ -754,8 +659,6 @@ impl<'a, G: Game + Sync + ?Sized> Dynamics<'a, G> {
             self.game,
             &self.graph,
             kind,
-            self.config.oracle_cache_budget,
-            self.config.oracle_byte_budget,
             threads,
             &mut self.par_pool,
             |game, g, u, ws| {
@@ -907,11 +810,7 @@ mod tests {
         // scan, but every run must still end in a genuinely stable network
         // (the final confirmation sweep makes termination exact).
         use crate::equilibrium::is_stable;
-        for kind in [
-            OracleKind::FullBfs,
-            OracleKind::Incremental,
-            OracleKind::Persistent,
-        ] {
+        for kind in [OracleKind::FullBfs, OracleKind::Persistent] {
             let mut rng = StdRng::seed_from_u64(17);
             let n = 18;
             let g = generators::random_with_m_edges(n, 2 * n, &mut rng);
@@ -950,7 +849,7 @@ mod tests {
     }
 
     #[test]
-    fn persistent_engine_matches_incremental_trajectories() {
+    fn persistent_engine_matches_full_bfs_trajectories() {
         // Same seed, same config, different oracle backend: the scoring is
         // exact in both, so the recorded move sequences must be identical.
         let mut seed_rng = StdRng::seed_from_u64(40);
@@ -964,12 +863,10 @@ mod tests {
             run_dynamics(&game, &g, &cfg, &mut rng)
         };
         let reference = run(OracleKind::FullBfs);
-        for kind in [OracleKind::Incremental, OracleKind::Persistent] {
-            let out = run(kind);
-            assert_eq!(out.termination, reference.termination, "{}", kind.label());
-            assert_eq!(out.trajectory, reference.trajectory, "{}", kind.label());
-            assert_eq!(out.final_graph, reference.final_graph, "{}", kind.label());
-        }
+        let out = run(OracleKind::Persistent);
+        assert_eq!(out.termination, reference.termination);
+        assert_eq!(out.trajectory, reference.trajectory);
+        assert_eq!(out.final_graph, reference.final_graph);
     }
 
     #[test]
@@ -1015,81 +912,39 @@ mod tests {
             };
             let reference = run(OracleKind::FullBfs);
             assert!(reference.converged(), "α={alpha}");
-            for kind in [OracleKind::Incremental, OracleKind::Persistent] {
-                let out = run(kind);
-                assert_eq!(
-                    out.termination,
-                    reference.termination,
-                    "α={alpha} {}",
-                    kind.label()
-                );
-                assert_eq!(
-                    out.trajectory,
-                    reference.trajectory,
-                    "α={alpha} {}",
-                    kind.label()
-                );
-                assert_eq!(
-                    out.final_graph,
-                    reference.final_graph,
-                    "α={alpha} {}",
-                    kind.label()
-                );
-            }
+            let out = run(OracleKind::Persistent);
+            assert_eq!(out.termination, reference.termination, "α={alpha}");
+            assert_eq!(out.trajectory, reference.trajectory, "α={alpha}");
+            assert_eq!(out.final_graph, reference.final_graph, "α={alpha}");
         }
     }
 
     #[test]
     fn oracle_cache_budget_never_changes_trajectories() {
-        // LRU eviction only trades speed for memory: a harshly budgeted
-        // persistent engine must walk exactly the same move sequence as the
-        // unlimited one.
+        // Slot-cap eviction only trades speed for memory: a persistent
+        // engine whose oracle keeps at most 0, 1 or 4 parked vectors must
+        // walk exactly the same move sequence as the uncapped one.
+        use crate::evaluator::CostEvaluator;
+        use ncg_graph::PersistentOracle;
         let mut seed_rng = StdRng::seed_from_u64(61);
         let n = 16;
         let g = generators::random_with_m_edges(n, 2 * n, &mut seed_rng);
         let game = GreedyBuyGame::sum(n as f64 / 4.0);
-        let run = |budget: Option<usize>| {
+        let run = |cap: Option<usize>| {
             let mut rng = StdRng::seed_from_u64(7);
-            let mut cfg = DynamicsConfig::simulation(400 * n)
-                .with_oracle(OracleKind::Persistent)
-                .with_oracle_cache_budget(budget);
+            let mut cfg = DynamicsConfig::simulation(400 * n).with_oracle(OracleKind::Persistent);
             cfg.record_trajectory = true;
-            run_dynamics(&game, &g, &cfg, &mut rng)
+            let mut dynamics = Dynamics::new(&game, g.clone(), cfg);
+            let oracle = PersistentOracle::with_slot_cap(n, cap);
+            dynamics.ws.evaluator = CostEvaluator::from_oracle(Box::new(oracle));
+            dynamics.run(&mut rng)
         };
         let unlimited = run(None);
         assert!(unlimited.converged());
-        for budget in [Some(0), Some(1), Some(4)] {
-            let capped = run(budget);
-            assert_eq!(capped.trajectory, unlimited.trajectory, "{budget:?}");
-            assert_eq!(capped.final_graph, unlimited.final_graph, "{budget:?}");
-        }
-    }
-
-    #[test]
-    fn oracle_byte_budget_never_changes_trajectories() {
-        // Byte budgets demote parked vectors to their sparse balls and then
-        // evict them; both are invisible to scoring, so harshly capped runs
-        // must walk exactly the unlimited move sequence.
-        let mut seed_rng = StdRng::seed_from_u64(67);
-        let n = 16;
-        let g = generators::random_with_m_edges(n, 2 * n, &mut seed_rng);
-        let game = GreedyBuyGame::sum(n as f64 / 4.0);
-        let run = |budget: Option<u64>| {
-            let mut rng = StdRng::seed_from_u64(7);
-            let mut cfg = DynamicsConfig::simulation(400 * n)
-                .with_oracle(OracleKind::Persistent)
-                .with_oracle_byte_budget(budget);
-            cfg.record_trajectory = true;
-            run_dynamics(&game, &g, &cfg, &mut rng)
-        };
-        let unlimited = run(Some(u64::MAX));
-        assert!(unlimited.converged());
-        // One dense slot at n = 16 is 68 bytes: 40 forces every park through
-        // demotion and eviction, 200 keeps a couple of balls alive.
-        for budget in [None, Some(40), Some(200)] {
-            let capped = run(budget);
-            assert_eq!(capped.trajectory, unlimited.trajectory, "{budget:?}");
-            assert_eq!(capped.final_graph, unlimited.final_graph, "{budget:?}");
+        for cap in [Some(0), Some(1), Some(4)] {
+            let capped = run(cap);
+            assert_eq!(capped.trajectory, unlimited.trajectory, "{cap:?}");
+            assert_eq!(capped.final_graph, unlimited.final_graph, "{cap:?}");
         }
     }
 

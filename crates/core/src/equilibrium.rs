@@ -19,13 +19,10 @@ pub fn unhappy_agents<G: Game + ?Sized>(
 /// `per_agent` for every agent `0..n`, distributing the agents over scoped
 /// worker threads. Workspaces are reused from (and lazily added to) `pool`,
 /// one per thread, so repeated scans allocate nothing.
-#[allow(clippy::too_many_arguments)] // internal plumbing: every arg is a workspace knob
 pub(crate) fn scan_agents_parallel<G, T, F>(
     game: &G,
     g: &OwnedGraph,
     kind: OracleKind,
-    cache_budget: Option<usize>,
-    byte_budget: Option<u64>,
     threads: usize,
     pool: &mut Vec<Workspace>,
     per_agent: F,
@@ -42,12 +39,7 @@ where
     let threads = threads.clamp(1, n);
     let chunk = n.div_ceil(threads);
     while pool.len() < threads {
-        pool.push(Workspace::with_engine_budgets(
-            n,
-            kind,
-            cache_budget,
-            byte_budget,
-        ));
+        pool.push(Workspace::with_oracle(n, kind));
     }
     let mut results = vec![T::default(); n];
     std::thread::scope(|scope| {
@@ -74,16 +66,9 @@ pub fn unhappy_agents_parallel<G: Game + Sync + ?Sized>(
     threads: usize,
 ) -> Vec<NodeId> {
     let mut pool = Vec::new();
-    let unhappy = scan_agents_parallel(
-        game,
-        g,
-        kind,
-        None,
-        None,
-        threads,
-        &mut pool,
-        |game, g, u, ws| game.has_improving_move(g, u, ws),
-    );
+    let unhappy = scan_agents_parallel(game, g, kind, threads, &mut pool, |game, g, u, ws| {
+        game.has_improving_move(g, u, ws)
+    });
     unhappy
         .into_iter()
         .enumerate()
@@ -155,7 +140,7 @@ mod tests {
         let mut ws = Workspace::new(12);
         let sequential = unhappy_agents(&game, &g, &mut ws);
         for threads in [1usize, 2, 5, 32] {
-            let parallel = unhappy_agents_parallel(&game, &g, OracleKind::Incremental, threads);
+            let parallel = unhappy_agents_parallel(&game, &g, OracleKind::Persistent, threads);
             assert_eq!(parallel, sequential, "threads={threads}");
         }
         let empty = ncg_graph::OwnedGraph::new(0);

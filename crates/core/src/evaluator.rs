@@ -14,7 +14,7 @@
 //! in **descending vertex order**: the Buy-Game enumeration walks strategy
 //! subsets in Gray-code order (consecutive masks toggle one low pool element),
 //! so consecutive candidates share a long delta-sequence prefix and the
-//! incremental oracle's delta-stack prefix reuse pays the shared repairs only
+//! persistent oracle's delta-stack prefix reuse pays the shared repairs only
 //! once across the exponential enumeration.
 //!
 //! Games that need a consent check on the post-move state fall back to the
@@ -28,9 +28,7 @@
 
 use crate::cost::EdgeCostMode;
 use crate::moves::Move;
-use ncg_graph::oracle::{
-    make_oracle_with_budgets, DistanceOracle, EdgeDelta, OracleKind, OracleStats,
-};
+use ncg_graph::oracle::{make_oracle, DistanceOracle, EdgeDelta, OracleKind, OracleStats};
 use ncg_graph::{DistanceSummary, NodeId, OwnedGraph};
 
 /// Outcome of a delta-based candidate evaluation.
@@ -60,19 +58,14 @@ pub enum DeltaScore {
 /// A distance-oracle-backed scorer for one agent's candidate moves.
 pub struct CostEvaluator {
     kind: OracleKind,
-    cache_budget: Option<usize>,
-    byte_budget: Option<u64>,
-    /// Word-parallel bulk waves on the persistent backend (see
-    /// [`DistanceOracle::set_warm_batching`]); applied to both oracles,
-    /// including a consent oracle created after the flag is set.
-    warm_batching: bool,
     oracle: Box<dyn DistanceOracle>,
     deltas: Vec<EdgeDelta>,
-    /// Second oracle of the same backend answering *counterpart* queries
-    /// ("what does agent `v` pay after the mover's candidate?") for consent
-    /// checks. Kept separate from the main oracle so consent queries never
-    /// evict the mover's pinned base vector or its delta-stack prefix. Lazily
-    /// created on the first consent-checked scan.
+    /// Second oracle of the same backend (under its default configuration)
+    /// answering *counterpart* queries ("what does agent `v` pay after the
+    /// mover's candidate?") for consent checks. Kept separate from the main
+    /// oracle so consent queries never evict the mover's pinned base vector
+    /// or its delta-stack prefix. Lazily created on the first consent-checked
+    /// scan.
     consent: Option<Box<dyn DistanceOracle>>,
     /// Candidates the scans pruned on a [`CostEvaluator::level_bound`]
     /// (reported as [`OracleStats::bound_pruned`]).
@@ -82,71 +75,24 @@ pub struct CostEvaluator {
 impl CostEvaluator {
     /// Creates an evaluator with the given backend for graphs on `n` vertices.
     pub fn new(kind: OracleKind, n: usize) -> Self {
-        CostEvaluator::with_budget(kind, n, None)
+        CostEvaluator::from_oracle(make_oracle(kind, n))
     }
 
-    /// Like [`CostEvaluator::new`], with an explicit cap on the persistent
-    /// backend's per-source distance cache (`None` = the backend default:
-    /// a byte budget that is unlimited at `n ≤ 4096`). Ignored by the
-    /// stateless backends.
-    pub fn with_budget(kind: OracleKind, n: usize, cache_budget: Option<usize>) -> Self {
-        CostEvaluator::with_budgets(kind, n, cache_budget, None)
-    }
-
-    /// Like [`CostEvaluator::with_budget`], additionally capping the
-    /// persistent backend's parked-vector **bytes** (`None` = the backend's
-    /// 128 MiB default). Over the byte budget, parked vectors are first
-    /// demoted to their ball-sparse representation and then evicted — both
-    /// oracles (main and consent) share the same caps. Pure memory knob:
-    /// trajectories are bit-identical under any budget.
-    pub fn with_budgets(
-        kind: OracleKind,
-        n: usize,
-        cache_budget: Option<usize>,
-        byte_budget: Option<u64>,
-    ) -> Self {
+    /// Creates an evaluator around an already-built oracle, e.g. a
+    /// slot-capped [`ncg_graph::PersistentOracle`] in scan-level tests.
+    pub fn from_oracle(oracle: Box<dyn DistanceOracle>) -> Self {
         CostEvaluator {
-            kind,
-            cache_budget,
-            byte_budget,
-            warm_batching: true,
-            oracle: make_oracle_with_budgets(kind, n, cache_budget, byte_budget),
+            kind: oracle.kind(),
+            oracle,
             deltas: Vec::with_capacity(4),
             consent: None,
             bound_pruned: 0,
         }
     }
 
-    /// Enables or disables the persistent backend's word-parallel bulk
-    /// (re)pin waves on both oracles — a pure performance knob, the scalar
-    /// path computes identical distances (see
-    /// [`DistanceOracle::set_warm_batching`]).
-    pub fn set_warm_batching(&mut self, on: bool) {
-        self.warm_batching = on;
-        self.oracle.set_warm_batching(on);
-        if let Some(consent) = self.consent.as_mut() {
-            consent.set_warm_batching(on);
-        }
-    }
-
-    /// Whether the word-parallel bulk waves are enabled.
-    pub fn warm_batching(&self) -> bool {
-        self.warm_batching
-    }
-
     /// The configured backend.
     pub fn kind(&self) -> OracleKind {
         self.kind
-    }
-
-    /// The configured persistent-cache budget (`None` = backend default).
-    pub fn cache_budget(&self) -> Option<usize> {
-        self.cache_budget
-    }
-
-    /// The configured parked-vector byte budget (`None` = backend default).
-    pub fn byte_budget(&self) -> Option<u64> {
-        self.byte_budget
     }
 
     /// Work counters of the underlying oracle, plus the scans'
@@ -321,19 +267,14 @@ impl CostEvaluator {
     }
 
     /// Parks the distance vectors of `sources` in the **main** oracle at the
-    /// current version of `g`, so a later [`CostEvaluator::begin_agent_diff`]
-    /// of the same source can export an exact change diff. Lazy on the
-    /// persistent backend: sources whose vector is already parked (or
-    /// pinned) at the current version cost nothing, and stale parked vectors
-    /// are repaired in place without churning the working pin.
+    /// current version of `g`, so a later
+    /// [`CostEvaluator::warm_after_move`] seeded with them can export an
+    /// exact change diff. Lazy on the persistent backend: sources whose
+    /// vector is already parked (or pinned) at the current version cost
+    /// nothing, and stale parked vectors are repaired in place without
+    /// churning the working pin.
     pub fn pin_sources(&mut self, g: &OwnedGraph, sources: &[NodeId]) {
         self.oracle.pin_sources(g, sources);
-    }
-
-    /// Number of the main oracle's parked vectors currently demoted to the
-    /// ball-sparse representation — see [`DistanceOracle::sparse_parked`].
-    pub fn sparse_parked(&self) -> usize {
-        self.oracle.sparse_parked()
     }
 
     /// The fused post-move pass: replays the move endpoints' vectors on the
@@ -378,19 +319,9 @@ impl CostEvaluator {
     /// scans are served by journal replay instead of full BFS re-pins.
     pub fn pin_consent_sources(&mut self, g: &OwnedGraph, sources: &[NodeId]) {
         let _sp = ncg_trace::span(ncg_trace::Phase::Consent);
-        let (kind, budget, bytes, n, wb) = (
-            self.kind,
-            self.cache_budget,
-            self.byte_budget,
-            g.num_nodes(),
-            self.warm_batching,
-        );
+        let kind = self.kind;
         self.consent
-            .get_or_insert_with(|| {
-                let mut oracle = make_oracle_with_budgets(kind, n, budget, bytes);
-                oracle.set_warm_batching(wb);
-                oracle
-            })
+            .get_or_insert_with(|| make_oracle(kind, g.num_nodes()))
             .pin_sources(g, sources);
     }
 
@@ -409,18 +340,10 @@ impl CostEvaluator {
         v: NodeId,
     ) -> (DistanceSummary, DistanceSummary) {
         let _sp = ncg_trace::span(ncg_trace::Phase::Consent);
-        let (kind, budget, bytes, n, wb) = (
-            self.kind,
-            self.cache_budget,
-            self.byte_budget,
-            g.num_nodes(),
-            self.warm_batching,
-        );
-        let consent = self.consent.get_or_insert_with(|| {
-            let mut oracle = make_oracle_with_budgets(kind, n, budget, bytes);
-            oracle.set_warm_batching(wb);
-            oracle
-        });
+        let kind = self.kind;
+        let consent = self
+            .consent
+            .get_or_insert_with(|| make_oracle(kind, g.num_nodes()));
         consent.evaluate_for_source(g, v, &self.deltas)
     }
 
@@ -438,28 +361,6 @@ impl CostEvaluator {
             }
         }
         delta
-    }
-
-    /// Pins `(g, src)` like [`CostEvaluator::begin_agent`] and additionally
-    /// reports the exact vertices whose base distance changed since the last
-    /// pin of the same source, when the backend can tell (persistent oracle
-    /// served by journal replay). `None` means the caller must treat every
-    /// vertex as potentially changed.
-    pub fn begin_agent_diff(
-        &mut self,
-        g: &OwnedGraph,
-        src: NodeId,
-        changed: &mut Vec<NodeId>,
-    ) -> (DistanceSummary, bool) {
-        let summary = self.oracle.begin(g, src);
-        match self.oracle.changed_since_begin() {
-            Some(diff) => {
-                changed.clear();
-                changed.extend(diff.iter().map(|&x| x as NodeId));
-                (summary, true)
-            }
-            None => (summary, false),
-        }
     }
 }
 
@@ -637,11 +538,7 @@ mod tests {
                 new_neighbors: vec![1, 5, 7],
             },
         ];
-        for kind in [
-            OracleKind::FullBfs,
-            OracleKind::Incremental,
-            OracleKind::Persistent,
-        ] {
+        for kind in [OracleKind::FullBfs, OracleKind::Persistent] {
             for u in 0..g.num_nodes() {
                 let mut evaluator = CostEvaluator::new(kind, g.num_nodes());
                 evaluator.begin_agent(&g, u);
@@ -695,7 +592,7 @@ mod tests {
         // A SetOwned strategy naming a foreign-owned edge must neither insert
         // nor charge for it; the distance summary matches the applied state.
         let g = OwnedGraph::from_owned_edges(5, &[(0, 1), (0, 2), (3, 0), (3, 4)]);
-        let mut evaluator = CostEvaluator::new(OracleKind::Incremental, 5);
+        let mut evaluator = CostEvaluator::new(OracleKind::Persistent, 5);
         evaluator.begin_agent(&g, 0);
         let mv = Move::SetOwned {
             new_owned: vec![3, 4],
@@ -718,7 +615,7 @@ mod tests {
     #[test]
     fn unsorted_strategy_lists_take_the_fallback() {
         let g = generators::path(4);
-        let mut evaluator = CostEvaluator::new(OracleKind::Incremental, 4);
+        let mut evaluator = CostEvaluator::new(OracleKind::Persistent, 4);
         evaluator.begin_agent(&g, 0);
         assert_eq!(
             evaluator.try_score(

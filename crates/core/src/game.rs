@@ -34,47 +34,20 @@ pub struct Workspace {
 
 impl Workspace {
     /// Creates a workspace for graphs on `n` vertices with the default
-    /// (incremental) distance-oracle backend.
+    /// (persistent) distance-oracle backend.
     pub fn new(n: usize) -> Self {
         Workspace::with_oracle(n, OracleKind::default())
     }
 
     /// Creates a workspace with an explicit distance-oracle backend.
     pub fn with_oracle(n: usize, kind: OracleKind) -> Self {
-        Workspace::with_engine(n, kind, None)
-    }
-
-    /// Creates a workspace with an explicit backend and persistent-cache
-    /// budget (`None` = the backend default: a byte budget unlimited at
-    /// `n ≤ 4096`).
-    pub fn with_engine(n: usize, kind: OracleKind, cache_budget: Option<usize>) -> Self {
-        Workspace::with_engine_budgets(n, kind, cache_budget, None)
-    }
-
-    /// Creates a workspace with explicit backend, slot-count and parked-byte
-    /// budgets for the persistent oracle (see
-    /// [`CostEvaluator::with_budgets`]); `None` = backend defaults. Pure
-    /// memory knobs — trajectories are identical under any budget.
-    pub fn with_engine_budgets(
-        n: usize,
-        kind: OracleKind,
-        cache_budget: Option<usize>,
-        byte_budget: Option<u64>,
-    ) -> Self {
         Workspace {
             bfs: BfsBuffer::new(n),
-            evaluator: CostEvaluator::with_budgets(kind, n, cache_budget, byte_budget),
+            evaluator: CostEvaluator::new(kind, n),
             scratch: OwnedGraph::new(n),
             candidates: Vec::new(),
             parties: Vec::new(),
         }
-    }
-
-    /// Enables or disables the persistent oracle's word-parallel bulk
-    /// (re)pin waves (see [`CostEvaluator::set_warm_batching`]); preserved
-    /// across clones.
-    pub fn set_warm_batching(&mut self, on: bool) {
-        self.evaluator.set_warm_batching(on);
     }
 
     /// The configured distance-oracle backend.
@@ -92,14 +65,7 @@ impl Clone for Workspace {
     /// Clones the workspace configuration; the oracle state is scratch and is
     /// recreated fresh.
     fn clone(&self) -> Self {
-        let mut ws = Workspace::with_engine_budgets(
-            self.scratch.num_nodes(),
-            self.evaluator.kind(),
-            self.evaluator.cache_budget(),
-            self.evaluator.byte_budget(),
-        );
-        ws.set_warm_batching(self.evaluator.warm_batching());
-        ws
+        Workspace::with_oracle(self.scratch.num_nodes(), self.evaluator.kind())
     }
 }
 
@@ -311,7 +277,7 @@ enum ScanMode {
 /// Single-edge candidates (swap / buy / delete) are scored through the
 /// workspace's [`CostEvaluator`] as edge deltas against the agent's pinned
 /// base distance vector — no graph mutation, no full BFS per candidate (with
-/// the incremental backend). Whole-strategy candidates and consent-checked
+/// the persistent backend). Whole-strategy candidates and consent-checked
 /// games fall back to the classic apply → BFS → undo cycle on a scratch copy.
 fn scan_moves<G: Game + ?Sized>(
     game: &G,

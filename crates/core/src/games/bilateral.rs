@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn delta_consent_scan_matches_apply_undo_scan() {
         // The persistent workspace scores candidates (and consent) through
-        // oracle what-ifs; the incremental one takes the historical
+        // oracle what-ifs; the full-BFS one takes the historical
         // apply → BFS → undo path. Same states, identical scored-move lists.
         let mut rng = StdRng::seed_from_u64(5);
         for trial in 0..8u64 {
@@ -189,7 +189,7 @@ mod tests {
             for &alpha in &[0.6, 2.0, 6.0] {
                 for game in [BilateralBuyGame::sum(alpha), BilateralBuyGame::max(alpha)] {
                     let mut fast = Workspace::with_oracle(n, OracleKind::Persistent);
-                    let mut slow = Workspace::with_oracle(n, OracleKind::Incremental);
+                    let mut slow = Workspace::with_oracle(n, OracleKind::FullBfs);
                     for u in 0..n {
                         let a = game.improving_moves(&g, u, &mut fast);
                         let b = game.improving_moves(&g, u, &mut slow);

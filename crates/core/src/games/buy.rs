@@ -103,7 +103,7 @@ impl Game for BuyGame {
         let k = pool.len();
         // Reflected-Gray-code order: consecutive masks toggle exactly one
         // (usually low) pool element. Combined with the evaluator's
-        // descending-vertex delta sequences this lets the incremental oracle
+        // descending-vertex delta sequences this lets the persistent oracle
         // reuse the shared high-element delta prefix between consecutive
         // candidates, so the exponential enumeration pays each prefix repair
         // once instead of once per subset.

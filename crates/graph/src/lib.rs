@@ -11,10 +11,11 @@
 //! * shortest-path machinery with reusable buffers ([`BfsBuffer`],
 //!   [`DistanceMatrix`], [`DistanceSummary`]) tuned for the inner loop of
 //!   best-response computations,
-//! * pluggable what-if distance oracles ([`oracle`]): a full-BFS baseline and
-//!   an incremental backend that repairs a source's distance vector under
-//!   single edge insert/delete deltas, both operating on a flat CSR adjacency
-//!   snapshot ([`csr`]) for cache locality,
+//! * pluggable what-if distance oracles ([`oracle`]): a full-BFS reference and
+//!   a persistent backend that repairs a source's distance vector under
+//!   single edge insert/delete deltas and carries it across graph versions,
+//!   both operating on a flat CSR adjacency snapshot ([`csr`]) for cache
+//!   locality,
 //! * structural predicates and descriptors ([`properties`]): connectivity, tree
 //!   tests, diameter, eccentricities, centers and medians,
 //! * the workload generators used by the paper's empirical study
@@ -50,8 +51,8 @@ pub use graph::{EdgeChange, EdgeRef, GraphVersion, NodeId, OwnedGraph};
 pub use host::HostGraph;
 pub use isomorphism::{are_isomorphic, are_isomorphic_owned};
 pub use oracle::{
-    make_oracle, DistanceOracle, EdgeDelta, FullBfsOracle, IncrementalOracle, OracleKind,
-    OracleStats,
+    make_oracle, DistanceOracle, EdgeDelta, FullBfsOracle, OracleKind, OracleStats,
+    PersistentOracle,
 };
 pub use properties::{
     center_vertices, components, diameter, eccentricities, is_connected, is_tree, median_vertices,

@@ -5,32 +5,32 @@
 //! Historically every candidate move paid a full apply → BFS → undo cycle.
 //! This module turns that cost into a pluggable engine:
 //!
-//! * [`FullBfsOracle`] — the baseline: every evaluation is a fresh BFS over a
-//!   [`CsrAdjacency`] snapshot patched with the candidate's edge deltas.
-//! * [`IncrementalOracle`] — keeps the source's exact distance vector for the
+//! * [`FullBfsOracle`] — the reference: every evaluation is a fresh BFS over
+//!   a [`CsrAdjacency`] snapshot patched with the candidate's edge deltas.
+//! * [`PersistentOracle`] — keeps the source's exact distance vector for the
 //!   *base* graph and repairs it under each candidate's [`EdgeDelta`]s with
 //!   truncated BFS: inserts run a decrease-only relaxation from the improved
 //!   endpoint, deletions find the orphaned region (the vertices whose every
 //!   shortest path used the deleted edge) and re-settle it with a bucket
 //!   Dijkstra seeded from its unaffected boundary. All repairs are journaled
 //!   and rolled back after scoring, so hundreds of candidates are evaluated
-//!   against one base vector without re-running a single full BFS.
-//!
-//! Both oracles maintain the SUM / MAX aggregates incrementally (a running sum
-//! plus per-level counters), so a candidate evaluation touching `k` vertices
-//! costs `O(k + affected edges)` rather than `O(n)`.
+//!   against one base vector without re-running a single full BFS. The
+//!   SUM / MAX aggregates are maintained incrementally (a running sum plus
+//!   per-level counters), so a candidate evaluation touching `k` vertices
+//!   costs `O(k + affected edges)` rather than `O(n)`.
 //!
 //! The oracles are deliberately *what-if* engines: [`DistanceOracle::begin`]
 //! pins the base state and [`DistanceOracle::evaluate`] answers one candidate
-//! against it. The incremental backend additionally keeps the previous
+//! against it. The persistent backend additionally keeps the previous
 //! candidate's deltas applied and only rolls back to the longest common delta
 //! prefix, so candidate enumerations of the form `(from, to₁), (from, to₂), …`
 //! pay the expensive removal repair once per `from`. Correctness of the
-//! incremental repairs against from-scratch BFS is enforced by the randomized
+//! repairs against from-scratch BFS is enforced by the randomized
 //! equivalence tests in the facade crate.
 //!
-//! The **persistent** backend synchronizes its parked per-source vectors
-//! *lazily*: each vector carries its own [`GraphVersion`] stamp and is only
+//! Distance vectors are carried **across** `begin` calls in a per-source
+//! cache, synchronized *lazily*: each vector carries its own [`GraphVersion`]
+//! stamp and is only
 //! repaired — by replaying the journal window between its stamp and the
 //! current version — when it is next needed (`begin`, `pin_sources`, the
 //! cache-arithmetic path) or when the caller bulk-warms it
@@ -71,18 +71,16 @@ pub enum EdgeDelta {
 /// Which distance-oracle backend a workspace uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OracleKind {
-    /// Full BFS per candidate evaluation (the historical behaviour).
+    /// Full BFS per candidate evaluation: the reference the fast backend is
+    /// checked against.
     FullBfs,
-    /// Journaled truncated-BFS repair per candidate evaluation; every
-    /// [`DistanceOracle::begin`] re-pins with a fresh full BFS.
+    /// Journaled truncated-BFS repair per candidate evaluation, with distance
+    /// vectors carried **across** `begin` calls: each source's vector is
+    /// cached together with the graph's [`GraphVersion`], and the next
+    /// `begin` for that source replays the applied [`EdgeChange`]s from the
+    /// graph's change journal instead of re-running the full BFS (with a
+    /// staleness fallback when too many changes accumulated).
     #[default]
-    Incremental,
-    /// Like [`OracleKind::Incremental`], but distance vectors are additionally
-    /// carried **across** `begin` calls: each source's vector is cached
-    /// together with the graph's [`GraphVersion`], and the next `begin` for
-    /// that source replays the applied [`EdgeChange`]s from the graph's change
-    /// journal instead of re-running the full BFS (with a staleness fallback
-    /// when too many changes accumulated).
     Persistent,
 }
 
@@ -91,7 +89,6 @@ impl OracleKind {
     pub fn label(&self) -> &'static str {
         match self {
             OracleKind::FullBfs => "full-bfs",
-            OracleKind::Incremental => "incremental",
             OracleKind::Persistent => "persistent",
         }
     }
@@ -100,7 +97,6 @@ impl OracleKind {
     pub fn parse(s: &str) -> Option<OracleKind> {
         match s {
             "full-bfs" => Some(OracleKind::FullBfs),
-            "incremental" => Some(OracleKind::Incremental),
             "persistent" => Some(OracleKind::Persistent),
             _ => None,
         }
@@ -150,26 +146,12 @@ pub struct OracleStats {
     /// traversal each: cold bulk pins and vectors whose journal window grew
     /// past the replay limit.
     pub batched_repins: u64,
-    /// High-water mark of the parked per-source cache, in bytes. Dense slots
-    /// cost `4n + 4` bytes (`u16` distance vector + level counters; the
-    /// former `u32` layout cost exactly twice as much); ball-sparse slots
-    /// cost `4` bytes per stored ball entry, so the mark reflects the actual
-    /// mixed-representation footprint, not the dense envelope.
+    /// High-water mark of the parked per-source cache, in bytes: the peak
+    /// number of occupied slots times `2·(2n + 2)` bytes per slot (a `u16`
+    /// distance vector plus `n + 2` `u16` level counters).
     pub peak_parked_bytes: u64,
-    /// Stale journal windows longer than the per-vector replay limit that
-    /// were nonetheless served incrementally, by replaying the window's
-    /// *net* edge diff (touching only the region whose distances actually
-    /// changed) instead of joining a full `O(n)` recompute wave.
-    pub bounded_repairs: u64,
-    /// Dense parked vectors demoted to the ball-sparse representation under
-    /// byte-budget pressure.
-    pub sparse_demotions: u64,
-    /// Cache-arithmetic insertion queries served from a ball-sparse parked
-    /// vector (`O(|ball|)` instead of the dense kernel's `O(n)` pass).
-    pub sparse_hits: u64,
-    /// Insertion kernels run by [`DistanceOracle::evaluate_insert_via_cache`]:
-    /// the dense fused `O(n)` pass, or its ball-sparse twin (those are also
-    /// counted in `sparse_hits`).
+    /// Fused `O(n)` insertion kernels run by
+    /// [`DistanceOracle::evaluate_insert_via_cache`].
     pub kernel_calls: u64,
     /// `O(D)` level-histogram lower bounds answered by
     /// [`DistanceOracle::insert_level_bound`] (`D` = number of distance
@@ -211,15 +193,12 @@ impl OracleStats {
     ///   passes count toward `warm_batches` but have width 0);
     /// * a `lazy_hits` query first lazily replayed the target's parked
     ///   vector, so each one is covered by a `lazy_replays` increment;
-    /// * every bounded net-diff repair served either a `begin` (counted in
-    ///   `replayed_begins`) or a lazy warm (counted in `lazy_replays`);
     /// * a candidate is pruned by its level-histogram bound only after that
     ///   bound was answered.
     pub fn consistent(&self) -> bool {
         let width_passes: u64 = self.warm_batch_width.iter().sum();
         width_passes <= self.warm_batches
             && self.lazy_hits <= self.lazy_replays
-            && self.bounded_repairs <= self.replayed_begins + self.lazy_replays
             && self.bound_pruned <= self.bound_queries
     }
 
@@ -242,9 +221,6 @@ impl OracleStats {
         self.warm_batches += other.warm_batches;
         self.lazy_hits += other.lazy_hits;
         self.batched_repins += other.batched_repins;
-        self.bounded_repairs += other.bounded_repairs;
-        self.sparse_demotions += other.sparse_demotions;
-        self.sparse_hits += other.sparse_hits;
         self.kernel_calls += other.kernel_calls;
         self.bound_queries += other.bound_queries;
         self.bound_pruned += other.bound_pruned;
@@ -421,8 +397,8 @@ pub trait DistanceOracle: Send {
     /// kernel's, and hence `≤` the exact post-move summary.
     ///
     /// `None` whenever the backend cannot serve the query: every case where
-    /// the kernel returns `None`, plus a ball-sparse or disconnected parked
-    /// vector of `v`. Callers then take the kernel path.
+    /// the kernel returns `None`, plus a disconnected parked vector of `v`.
+    /// Callers then take the kernel path.
     fn insert_level_bound(
         &mut self,
         _g: &OwnedGraph,
@@ -433,40 +409,12 @@ pub trait DistanceOracle: Send {
         None
     }
 
-    /// After a [`DistanceOracle::begin`] served by cross-step journal replay,
-    /// the **exact** set of vertices whose base distance from the source
-    /// differs from the previously pinned base vector of the same source
-    /// (order unspecified). Returns `None` whenever the last `begin` fell
-    /// back to a full BFS or the backend does not persist state — callers
-    /// must then invalidate conservatively.
-    fn changed_since_begin(&self) -> Option<&[u32]> {
-        None
-    }
-
     /// Like [`DistanceOracle::evaluate`], additionally copying the full
     /// modified distance vector into `out` (used by equivalence tests).
     fn evaluate_into(&mut self, deltas: &[EdgeDelta], out: &mut Vec<u16>) -> DistanceSummary;
 
     /// The base distance vector pinned by the last [`DistanceOracle::begin`].
     fn base_distances(&mut self) -> &[u16];
-
-    /// Enables or disables the word-parallel bulk (re)pin waves of the
-    /// persistent backend (on by default). Purely a performance knob: the
-    /// batched and scalar paths compute identical exact distances, so every
-    /// score — and therefore every dynamics trajectory — is bit-identical
-    /// either way; the scalar path remains as the verification baseline and
-    /// the fallback for single-source lazy replays. No-op for the stateless
-    /// backends.
-    fn set_warm_batching(&mut self, _on: bool) {}
-
-    /// Number of parked vectors currently held in the demoted ball-sparse
-    /// representation (0 for stateless backends and unbudgeted caches). A
-    /// scan loop that is about to activate many sources one by one can use
-    /// this to decide whether a bulk [`DistanceOracle::pin_sources`]
-    /// re-promotion pays for itself.
-    fn sparse_parked(&self) -> usize {
-        0
-    }
 
     /// Work counters accumulated since the last reset.
     fn stats(&self) -> OracleStats;
@@ -477,43 +425,9 @@ pub trait DistanceOracle: Send {
 
 /// Creates a boxed oracle of the requested backend for graphs on `n` vertices.
 pub fn make_oracle(kind: OracleKind, n: usize) -> Box<dyn DistanceOracle> {
-    make_oracle_budgeted(kind, n, None)
-}
-
-/// Like [`make_oracle`], with an explicit budget on the number of per-source
-/// distance vectors the persistent backend may keep cached (`None` applies
-/// the default rule: unlimited at `n ≤ 8192`, capped at 8192 sources beyond).
-/// The budget is ignored by the stateless backends.
-pub fn make_oracle_budgeted(
-    kind: OracleKind,
-    n: usize,
-    cache_budget: Option<usize>,
-) -> Box<dyn DistanceOracle> {
-    make_oracle_with_budgets(kind, n, cache_budget, None)
-}
-
-/// Like [`make_oracle_budgeted`], additionally capping the persistent
-/// backend's parked cache in **bytes**: when the mixed dense/sparse footprint
-/// exceeds `byte_budget` (`None` = the 128 MiB default), the stalest cold
-/// dense vectors are demoted to the ball-sparse representation, and sparse
-/// vectors are evicted outright under further pressure. Purely a memory
-/// knob: every representation switch preserves exact summaries, so
-/// trajectories are bit-identical across budgets. Ignored by the stateless
-/// backends.
-pub fn make_oracle_with_budgets(
-    kind: OracleKind,
-    n: usize,
-    cache_budget: Option<usize>,
-    byte_budget: Option<u64>,
-) -> Box<dyn DistanceOracle> {
     match kind {
         OracleKind::FullBfs => Box::new(FullBfsOracle::new(n)),
-        OracleKind::Incremental => Box::new(IncrementalOracle::new(n)),
-        OracleKind::Persistent => Box::new(IncrementalOracle::persistent_with_budgets(
-            n,
-            cache_budget,
-            byte_budget,
-        )),
+        OracleKind::Persistent => Box::new(PersistentOracle::new(n)),
     }
 }
 
@@ -753,7 +667,7 @@ struct DistState {
     journal: Vec<(u32, u16)>,
     /// When `true`, assignments are applied *permanently*: the undo journal is
     /// bypassed even when the caller requests journaling. Used while replaying
-    /// applied graph changes in persistent mode.
+    /// applied graph changes.
     replaying: bool,
     /// While `replaying`, every touched vertex is recorded once together with
     /// its pre-replay distance, for the exact changed-vertex export.
@@ -888,30 +802,11 @@ struct SourceCache {
     version: Option<GraphVersion>,
     /// Monotonic recency stamp of the last park/activate, for LRU eviction.
     last_used: u64,
-    /// Ball-sparse representation, populated when the slot is demoted under
-    /// byte-budget pressure: the vertices within `ball_radius` of the source
-    /// (as `u16` ids — `MAX_NODES` fits) paired with their distances in
-    /// `ball_dist`. The dense buffers are freed on demotion; the frozen
-    /// aggregates (`sum` / `reached` / `max_hint`, with the max tightened at
-    /// demotion time) keep serving `cached_summary` in `O(1)`, and the
-    /// insertion kernel reads the ball directly whenever the pinned source's
-    /// eccentricity proves every out-of-ball vertex irrelevant.
-    ball_verts: Vec<u16>,
-    ball_dist: Vec<u16>,
-    ball_radius: u16,
 }
 
-impl SourceCache {
-    /// True when the slot holds a demoted ball-sparse vector: no dense buffer
-    /// to replay or activate — only `cached_summary` and the insertion kernel
-    /// read it until a bulk wave re-promotes it to dense.
-    #[inline]
-    fn is_sparse(&self) -> bool {
-        !self.ball_verts.is_empty()
-    }
-}
-
-/// Incremental backend: journaled truncated-BFS repair of the base vector.
+/// Persistent backend ([`OracleKind::Persistent`]): journaled truncated-BFS
+/// repair of the base vector, with per-source vectors carried across
+/// `begin` calls.
 ///
 /// Consecutive evaluations share work through the *delta stack*: the deltas of
 /// the previous evaluation stay applied, and the next evaluation only rolls
@@ -920,16 +815,14 @@ impl SourceCache {
 /// pays the expensive `Remove {u, from}` repair once per `from`, not once per
 /// candidate.
 ///
-/// In *persistent* mode ([`IncrementalOracle::persistent`], the
-/// [`OracleKind::Persistent`] backend), `begin` additionally carries each
-/// source's distance vector **across** calls: the vector is cached together
-/// with the graph's [`GraphVersion`], and the next `begin` for that source
-/// replays the edge changes recorded in the graph's journal through the same
-/// repair machinery instead of re-running the full BFS. A staleness heuristic
-/// (too many accumulated changes, a foreign lineage, or a discarded journal
-/// window) falls back to the full BFS, so the backend is never slower than
-/// re-pinning asymptotically and is exact in all cases.
-pub struct IncrementalOracle {
+/// `begin` carries each source's distance vector **across** calls: the vector
+/// is cached together with the graph's [`GraphVersion`], and the next `begin`
+/// for that source replays the edge changes recorded in the graph's journal
+/// through the same repair machinery instead of re-running the full BFS. A
+/// staleness heuristic (too many accumulated changes, a foreign lineage, or a
+/// discarded journal window) falls back to the full BFS, so the backend is
+/// never slower than re-pinning asymptotically and is exact in all cases.
+pub struct PersistentOracle {
     csr: CsrAdjacency,
     src: u32,
     state: DistState,
@@ -956,53 +849,20 @@ pub struct IncrementalOracle {
     epoch: u32,
     overlay: DeltaOverlay,
     stats: OracleStats,
-    /// Cross-`begin` persistence enabled ([`OracleKind::Persistent`]).
-    persistent: bool,
-    /// Per-source cached vectors (persistent mode; lazily populated).
+    /// Per-source cached vectors (lazily populated).
     cache: Vec<SourceCache>,
     /// Requested cap on the number of occupied cache slots (`None` = the
     /// default rule: unlimited at `n ≤ 8192`, capped at 8192 beyond).
-    requested_cache_budget: Option<usize>,
-    /// Requested cap on the parked cache's total footprint in **bytes**
-    /// (`None` = the 128 MiB default). Enforced after every park: cold dense
-    /// vectors are demoted to the ball-sparse representation first, and slots
-    /// are evicted outright only under further pressure.
-    requested_byte_budget: Option<u64>,
-    /// Current footprint of the parked cache in bytes, maintained
-    /// incrementally across every park / activate / demote / evict (an `O(n)`
-    /// rescan per transition would dwarf the `O(1)` park it accounts for).
-    parked_bytes: u64,
-    /// Monotone record of the largest ball radius the insertion kernel has
-    /// actually needed so far (the pinned source's tightened eccentricity
-    /// minus 2); demotions keep at least this radius so sparse slots keep
-    /// serving the kernel. Purely a hit-rate heuristic — the kernel re-checks
-    /// the exactness condition against the slot's own radius on every query.
-    demand_radius: u16,
-    /// Scratch of the sparse insertion kernel: per-level count deltas and the
-    /// touched levels, so recomputing the post-insert max costs
-    /// `O(levels touched)` instead of `O(n)`.
-    level_delta: Vec<i32>,
-    level_touched: Vec<u16>,
-    /// Memoized parity-compressed *net* journal window for the
-    /// bounded-incremental staleness repair, keyed by `(net_from, net_cur)`
-    /// so the many per-vector repairs of one warming pass share a single
-    /// compression.
-    net_window: Vec<EdgeChange>,
-    net_scratch: Vec<(u32, u32, u32)>,
-    net_from: Option<GraphVersion>,
-    net_cur: Option<GraphVersion>,
+    slot_cap: Option<usize>,
     /// Number of cache slots currently holding a parked vector.
     cached_count: usize,
     /// Monotonic clock driving the LRU recency stamps.
     lru_tick: u64,
     /// Version the working [`DistState`] reflects; `None` until the first
-    /// successful `begin` (persistent mode only).
+    /// successful `begin`.
     pinned_version: Option<GraphVersion>,
-    /// Version the CSR snapshot was built at (persistent mode only).
+    /// Version the CSR snapshot was built at.
     csr_version: Option<GraphVersion>,
-    /// `true` iff the last `begin` was served by replay, making
-    /// [`DistanceOracle::changed_since_begin`] meaningful.
-    changed_valid: bool,
     /// Spare [`DistState`] the lazy-warm path swaps in so a parked vector can
     /// be repaired without disturbing the pinned working vector (or its
     /// active candidate deltas).
@@ -1020,23 +880,33 @@ pub struct IncrementalOracle {
     /// set (`dirty_stamp[x] == dirty_epoch`).
     dirty_stamp: Vec<u32>,
     dirty_epoch: u32,
-    /// Word-parallel bulk waves enabled (the default; see
-    /// [`DistanceOracle::set_warm_batching`]).
-    warm_batching: bool,
     /// Shared bitset-frontier workspace of the bulk waves.
     wave: MultiSourceBfs,
     /// Sources queued for the next bulk wave (cold or past the replay limit).
     batch_pending: Vec<u32>,
 }
 
-impl IncrementalOracle {
-    /// Creates an incremental oracle for graphs on `n` vertices.
+impl PersistentOracle {
+    /// Creates a persistent oracle for graphs on `n` vertices under the
+    /// default slot cap: unlimited at `n ≤ 8192`, capped at 8192 sources
+    /// beyond.
     pub fn new(n: usize) -> Self {
+        PersistentOracle::with_slot_cap(n, None)
+    }
+
+    /// Like [`PersistentOracle::new`], with an explicit cap on the number of
+    /// sources whose vectors may stay parked in the per-source cache at once
+    /// (`None` = the default rule). Each parked vector costs `2·(2n + 2)`
+    /// bytes (distances + level counters). Over the cap the stalest, then
+    /// least recently used, vector is evicted; evicted sources return through
+    /// the 64-wide batch waves or a full re-pin. Purely a memory knob:
+    /// summaries are exact under any cap.
+    pub fn with_slot_cap(n: usize, slot_cap: Option<usize>) -> Self {
         assert!(
             n <= MAX_NODES,
             "u16 distances support at most {MAX_NODES} vertices (got {n})"
         );
-        let mut oracle = IncrementalOracle {
+        let mut oracle = PersistentOracle {
             csr: CsrAdjacency::new(),
             src: 0,
             state: DistState::default(),
@@ -1052,79 +922,29 @@ impl IncrementalOracle {
             epoch: 0,
             overlay: DeltaOverlay::default(),
             stats: OracleStats::default(),
-            persistent: false,
             cache: Vec::new(),
-            requested_cache_budget: None,
-            requested_byte_budget: None,
-            parked_bytes: 0,
-            demand_radius: 2,
-            level_delta: Vec::new(),
-            level_touched: Vec::new(),
-            net_window: Vec::new(),
-            net_scratch: Vec::new(),
-            net_from: None,
-            net_cur: None,
+            slot_cap,
             cached_count: 0,
             lru_tick: 0,
             pinned_version: None,
             csr_version: None,
-            changed_valid: false,
             warm_state: DistState::default(),
             warm_overlay: DeltaOverlay::default(),
             warm_floor: None,
             dirty_stamp: Vec::new(),
             dirty_epoch: 0,
-            warm_batching: true,
             wave: MultiSourceBfs::new(),
             batch_pending: Vec::new(),
         };
         oracle.resize_scratch(n);
-        oracle
-    }
-
-    /// Creates a *persistent* incremental oracle for graphs on `n` vertices:
-    /// distance vectors are carried across [`DistanceOracle::begin`] calls by
-    /// replaying the pinned graph's change journal.
-    pub fn persistent(n: usize) -> Self {
-        IncrementalOracle::persistent_budgeted(n, None)
-    }
-
-    /// Like [`IncrementalOracle::persistent`], with an explicit LRU budget on
-    /// the number of sources whose vectors may stay parked in the per-source
-    /// cache at once. Each parked vector costs `O(n)` u16s (distances + level
-    /// counters, so `O(n²)` over an unbounded cache — half the memory of the
-    /// former u32 layout); `None` applies the default rule — unlimited at
-    /// `n ≤ 8192`, capped at 8192 sources beyond, bounding the cache at the
-    /// bytes the u32 layout spent on one `n = 4096` workspace.
-    pub fn persistent_budgeted(n: usize, cache_budget: Option<usize>) -> Self {
-        let mut oracle = IncrementalOracle::new(n);
-        oracle.persistent = true;
-        oracle.requested_cache_budget = cache_budget;
         oracle.cache.resize_with(n, SourceCache::default);
         oracle
     }
 
-    /// Like [`IncrementalOracle::persistent_budgeted`], additionally capping
-    /// the parked cache in bytes (`None` = the 128 MiB default): over the
-    /// cap, the stalest cold dense vectors are demoted to ball-sparse, then
-    /// evicted outright. Purely a memory knob — summaries and trajectories
-    /// are bit-identical across byte budgets.
-    pub fn persistent_with_budgets(
-        n: usize,
-        cache_budget: Option<usize>,
-        byte_budget: Option<u64>,
-    ) -> Self {
-        let mut oracle = IncrementalOracle::persistent_budgeted(n, cache_budget);
-        oracle.requested_byte_budget = byte_budget;
-        oracle
-    }
-
-    /// The effective cache budget for the current graph size. The u16 layout
-    /// halves the per-slot bytes, so the default unlimited range doubles
-    /// relative to the old u32 layout at the same memory ceiling.
-    fn cache_budget(&self) -> usize {
+    /// The effective slot cap for the current graph size.
+    fn slot_cap(&self) -> usize {
         const DEFAULT_UNLIMITED_UP_TO: usize = 8192;
-        self.requested_cache_budget.unwrap_or({
+        self.slot_cap.unwrap_or({
             if self.cache.len() <= DEFAULT_UNLIMITED_UP_TO {
                 usize::MAX
             } else {
@@ -1133,39 +953,8 @@ impl IncrementalOracle {
         })
     }
 
-    /// Default parked-cache byte ceiling. 128 MiB keeps every configuration
-    /// up to `n = 4096` all-dense (≈ 67 MB, the historical behaviour,
-    /// bit-for-bit) while forcing the sparse demotion path at `n = 8192`
-    /// (all-dense would be ≈ 268 MB) and beyond.
-    const DEFAULT_BYTE_BUDGET: u64 = 128 * 1024 * 1024;
-
-    /// The effective byte budget of the parked cache.
-    fn byte_budget(&self) -> u64 {
-        self.requested_byte_budget
-            .unwrap_or(Self::DEFAULT_BYTE_BUDGET)
-    }
-
-    /// Bytes one dense parked slot occupies: `n` u16 distances plus `n + 2`
-    /// u16 level counters.
-    fn dense_slot_bytes(&self) -> u64 {
-        let n = self.cache.len() as u64;
-        2 * (2 * n + 2)
-    }
-
-    /// Bytes the parked slot of `src` currently occupies (0 when empty,
-    /// 4 per ball entry when demoted).
-    fn slot_parked_bytes(&self, src: usize) -> u64 {
-        let slot = &self.cache[src];
-        if slot.version.is_none() {
-            0
-        } else if slot.is_sparse() {
-            4 * slot.ball_verts.len() as u64
-        } else {
-            self.dense_slot_bytes()
-        }
-    }
-
-    /// Evicts one parked vector, freeing its buffers.
+    /// Evicts parked vectors until the occupied slots fit the cap, then
+    /// updates the parked-cache high-water mark.
     ///
     /// Victim selection is *staleness-aware*: vectors that have drifted the
     /// furthest behind `current` (measured in journal changes; a foreign
@@ -1174,140 +963,31 @@ impl IncrementalOracle {
     /// them buys the least. Among equally stale vectors the least recently
     /// used one loses, which reduces to plain LRU when the cache is kept warm
     /// (every stamp current).
-    fn evict_lru(&mut self, current: Option<GraphVersion>) {
+    fn enforce_slot_cap(&mut self, current: Option<GraphVersion>) {
         let staleness = |slot: &SourceCache| -> u64 {
             match (current, slot.version) {
                 (Some(cur), Some(v)) => cur.changes_since(v).unwrap_or(u64::MAX),
                 _ => u64::MAX,
             }
         };
-        let victim = self
-            .cache
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.version.is_some())
-            .max_by_key(|(_, slot)| (staleness(slot), std::cmp::Reverse(slot.last_used)))
-            .map(|(i, _)| i);
-        if let Some(i) = victim {
-            self.evict_at(i);
-        }
-    }
-
-    /// Drops the parked payload of slot `i` (dense or sparse), keeping the
-    /// byte accounting and occupancy count in step.
-    fn evict_at(&mut self, i: usize) {
-        self.parked_bytes -= self.slot_parked_bytes(i);
-        let slot = &mut self.cache[i];
-        slot.version = None;
-        slot.dist = Vec::new();
-        slot.level_counts = Vec::new();
-        slot.ball_verts = Vec::new();
-        slot.ball_dist = Vec::new();
-        slot.ball_radius = 0;
-        self.cached_count -= 1;
-    }
-
-    /// Demotes one parked dense vector to the ball-sparse representation,
-    /// preferring the stalest, then least recently used, victim (the same
-    /// order as eviction, so the byte budget degrades the cache gracefully:
-    /// shrink first, drop only under further pressure). The kept radius is
-    /// the demand radius when the deficit allows it, and is otherwise cut to
-    /// the largest one whose ball frees `need` bytes — down to radius 0
-    /// (just the source, 4 bytes) under heavy pressure; on small-diameter
-    /// graphs the demand ball is most of the vertex set, so this adaptive
-    /// cut is what makes demotion free memory at all there. A shrunken ball
-    /// only makes the insertion kernel fall back to an exact evaluation more
-    /// often; the frozen aggregates and version stamp survive, so
-    /// `cached_summary` stays `O(1)` and stamp-bump warming keeps the slot
-    /// current. Evicting here instead would cold the slot and turn every
-    /// later summary read into a scalar full BFS — the budget would destroy
-    /// the cache it was meant to bound. Returns `false` when no dense slot
-    /// is parked.
-    fn demote_one(&mut self, current: Option<GraphVersion>, need: u64) -> bool {
-        let _sp = trace::span(trace::Phase::Demotion);
-        let staleness = |slot: &SourceCache| -> u64 {
-            match (current, slot.version) {
-                (Some(cur), Some(v)) => cur.changes_since(v).unwrap_or(u64::MAX),
-                _ => u64::MAX,
-            }
-        };
-        let victim = self
-            .cache
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.version.is_some() && !slot.is_sparse())
-            .max_by_key(|(_, slot)| (staleness(slot), std::cmp::Reverse(slot.last_used)))
-            .map(|(i, _)| i);
-        let Some(i) = victim else {
-            return false;
-        };
-        let dense_bytes = self.dense_slot_bytes();
-        let demand = self.demand_radius;
-        let slot = &mut self.cache[i];
-        // Tighten the parked max bound so the kept radius is as small as the
-        // data allows; the frozen aggregates serve `cached_summary` as-is.
-        let mut m = slot.max_hint;
-        while m > 0 && slot.level_counts[m as usize] == 0 {
-            m -= 1;
-        }
-        slot.max_hint = m;
-        // Keep the levels the insertion kernel can ever read: a pinned source
-        // of eccentricity `mu` never distinguishes vertices past `mu - 2`
-        // hops from the inserted endpoint (`1 + d_v ≥ mu` there already), and
-        // `demand` records the largest such `mu - 2` observed so far.
-        let mut radius = demand.max(m.saturating_sub(2));
-        let ball_at = |r: u16| -> usize {
-            slot.level_counts
+        while self.cached_count > self.slot_cap() {
+            let victim = self
+                .cache
                 .iter()
-                .take(r as usize + 1)
-                .map(|&c| usize::from(c))
-                .sum()
-        };
-        let mut ball = ball_at(radius);
-        // Free what the deficit asks for, no more: cut the radius (4 bytes
-        // per kept entry) only while this victim still falls short of `need`.
-        // Radius 0 keeps one entry — the source itself — so the floor frees
-        // all but 4 of the dense footprint.
-        let goal = need.min(dense_bytes - 4);
-        while radius > 0 && dense_bytes.saturating_sub(4 * ball as u64) < goal {
-            radius -= 1;
-            ball = ball_at(radius);
+                .enumerate()
+                .filter(|(_, slot)| slot.version.is_some())
+                .max_by_key(|(_, slot)| (staleness(slot), std::cmp::Reverse(slot.last_used)))
+                .map(|(i, _)| i)
+                .expect("an occupied slot exists while the count is positive");
+            let slot = &mut self.cache[victim];
+            slot.version = None;
+            slot.dist = Vec::new();
+            slot.level_counts = Vec::new();
+            self.cached_count -= 1;
         }
-        let mut verts = Vec::with_capacity(ball);
-        let mut dists = Vec::with_capacity(ball);
-        for (x, &d) in slot.dist.iter().enumerate() {
-            if d <= radius {
-                verts.push(x as u16);
-                dists.push(d);
-            }
-        }
-        slot.dist = Vec::new();
-        slot.level_counts = Vec::new();
-        slot.ball_verts = verts;
-        slot.ball_dist = dists;
-        slot.ball_radius = radius;
-        self.parked_bytes -= dense_bytes;
-        self.parked_bytes += 4 * ball as u64;
-        self.stats.sparse_demotions += 1;
-        true
-    }
-
-    /// Brings the parked cache under both budgets after a park: the
-    /// slot-count budget by eviction (the legacy knob, semantics unchanged),
-    /// the byte budget by demoting dense vectors to ball-sparse first and
-    /// evicting only when even the sparse footprint is too large. Each
-    /// iteration strictly shrinks `parked_bytes` or empties a slot, so both
-    /// loops terminate.
-    fn enforce_budgets(&mut self, current: Option<GraphVersion>) {
-        while self.cached_count > self.cache_budget() {
-            self.evict_lru(current);
-        }
-        let budget = self.byte_budget();
-        while self.parked_bytes > budget && self.demote_one(current, self.parked_bytes - budget) {}
-        while self.parked_bytes > budget && self.cached_count > 0 {
-            self.evict_lru(current);
-        }
-        self.note_parked_peak();
+        let n = self.cache.len() as u64;
+        let bytes = self.cached_count as u64 * 2 * (2 * n + 2);
+        self.stats.peak_parked_bytes = self.stats.peak_parked_bytes.max(bytes);
     }
 
     /// Maximum number of journal entries worth replaying before a full BFS is
@@ -1531,7 +1211,7 @@ impl IncrementalOracle {
         self.seat_deltas(deltas);
     }
 
-    /// [`IncrementalOracle::run_deltas`] without the evaluation count: the
+    /// [`PersistentOracle::run_deltas`] without the evaluation count: the
     /// level-histogram bound reads the state after a candidate's prefix
     /// but answers no evaluation.
     fn seat_deltas(&mut self, deltas: &[EdgeDelta]) {
@@ -1548,9 +1228,9 @@ impl IncrementalOracle {
         }
     }
 
-    /// Brings the CSR snapshot to the pinned graph's current version
-    /// (persistent mode): within one dynamics step the graph is immutable, so
-    /// the `n` per-agent re-pins of a scan share a single sync. When the
+    /// Brings the CSR snapshot to the pinned graph's current version: within
+    /// one dynamics step the graph is immutable, so the `n` per-agent re-pins
+    /// of a scan share a single sync. When the
     /// version moved, the sync is served by patching the journal's exact edge
     /// deltas into the flat buffers in place — the `O(n + m)` per-step rebuild
     /// becomes `O(changes)` — with the patcher's own rebuild fallback covering
@@ -1581,15 +1261,9 @@ impl IncrementalOracle {
         self.csr_version = Some(v);
     }
 
-    /// Re-pins `(g, src)` with one full BFS (and, in non-persistent mode, an
-    /// unconditional CSR rebuild — the historical per-scan behaviour).
+    /// Re-pins `(g, src)` with one full BFS.
     fn full_repin(&mut self, g: &OwnedGraph, src: NodeId) {
-        if self.persistent {
-            self.sync_csr(g);
-        } else {
-            self.csr.rebuild_from(g);
-            self.stats.csr_rebuilds += 1;
-        }
+        self.sync_csr(g);
         let n = g.num_nodes();
         self.src = src as u32;
         self.state.reset(n);
@@ -1629,36 +1303,22 @@ impl IncrementalOracle {
         if src >= self.cache.len() {
             return;
         }
-        let dense_bytes = self.dense_slot_bytes();
         let slot = &mut self.cache[src];
         // The pinned source's slot is always empty: activating it cleared the
-        // slot (dense) or dropped it (sparse), and no warming path re-parks
-        // the pinned source.
+        // slot, and no warming path re-parks the pinned source.
         debug_assert!(slot.version.is_none(), "parking over an occupied slot");
         std::mem::swap(&mut slot.dist, &mut self.state.dist);
         std::mem::swap(&mut slot.level_counts, &mut self.state.level_counts);
         slot.sum = self.state.sum;
         slot.reached = self.state.reached;
         slot.max_hint = self.state.max_hint;
-        if slot.version.is_none() {
-            self.cached_count += 1;
-            self.parked_bytes += dense_bytes;
-        }
         slot.version = Some(version);
         slot.last_used = self.lru_tick;
         self.lru_tick += 1;
+        self.cached_count += 1;
         // The just-parked slot carries the newest stamp and recency, so it is
-        // never the victim unless the budget is zero (cache disabled) or it
-        // is the only slot left over the byte budget.
-        self.enforce_budgets(Some(version));
-    }
-
-    /// Updates the parked-cache high-water mark from the incrementally
-    /// maintained mixed-representation byte count.
-    fn note_parked_peak(&mut self) {
-        if self.parked_bytes > self.stats.peak_parked_bytes {
-            self.stats.peak_parked_bytes = self.parked_bytes;
-        }
+        // never the victim unless the cap is zero (cache disabled).
+        self.enforce_slot_cap(Some(version));
     }
 
     /// Recomputes the parked vectors of `pending` (distinct, not-currently-
@@ -1673,24 +1333,15 @@ impl IncrementalOracle {
         debug_assert_eq!(self.csr_version, Some(g.version()));
         let n = g.num_nodes();
         let cur = g.version();
-        let dense_bytes = self.dense_slot_bytes();
         for chunk in pending.chunks(BATCH_WIDTH) {
             let mut rows: Vec<Vec<u16>> = Vec::with_capacity(chunk.len());
             let mut counts: Vec<Vec<u16>> = Vec::with_capacity(chunk.len());
             for &src in chunk {
                 debug_assert!(
-                    self.cache[src as usize].version != Some(cur)
-                        || self.cache[src as usize].is_sparse(),
-                    "batching a dense source that is already current"
+                    self.cache[src as usize].version != Some(cur),
+                    "batching a source that is already current"
                 );
-                // Release whatever representation the slot held (a stale
-                // dense vector, or a sparse ball being re-promoted); the
-                // restore below re-adds the dense footprint.
-                self.parked_bytes -= self.slot_parked_bytes(src as usize);
                 let slot = &mut self.cache[src as usize];
-                slot.ball_verts = Vec::new();
-                slot.ball_dist = Vec::new();
-                slot.ball_radius = 0;
                 let mut row = std::mem::take(&mut slot.dist);
                 let mut lc = std::mem::take(&mut slot.level_counts);
                 MultiSourceBfs::prepare_row(&mut row, &mut lc, n);
@@ -1728,19 +1379,15 @@ impl IncrementalOracle {
                 slot.version = Some(cur);
                 slot.last_used = self.lru_tick;
                 self.lru_tick += 1;
-                self.parked_bytes += dense_bytes;
             }
-            self.enforce_budgets(Some(cur));
+            self.enforce_slot_cap(Some(cur));
         }
     }
 
     /// Activates the cached vector of `src` as the working state — two buffer
     /// swaps and three scalar copies, no per-vertex work at all.
     fn load_cached(&mut self, src: usize, n: usize) {
-        let dense_bytes = self.dense_slot_bytes();
-        self.parked_bytes -= dense_bytes;
         let slot = &mut self.cache[src];
-        debug_assert!(!slot.is_sparse(), "a demoted slot cannot be activated");
         debug_assert_eq!(slot.dist.len(), n, "cached vectors track the graph size");
         debug_assert_eq!(slot.level_counts.len(), n + 2);
         std::mem::swap(&mut slot.dist, &mut self.state.dist);
@@ -1767,71 +1414,11 @@ impl IncrementalOracle {
         let Some(changes) = g.changes_since(from) else {
             return false;
         };
-        let limit = self.stale_limit();
-        if changes.len() <= limit {
-            self.sync_csr(g);
-            self.replay_changes(changes);
-            return true;
-        }
-        // Bounded-incremental staleness repair: a long raw window often nets
-        // to a handful of distinct edges (best-response dynamics flips the
-        // same edges back and forth), and replaying the parity-compressed
-        // net diff touches only the region whose distances actually changed
-        // — instead of dragging the vector through a full recompute wave.
-        if !self.net_window_for(g, from) || self.net_window.len() > limit {
+        if changes.len() > self.stale_limit() {
             return false;
         }
         self.sync_csr(g);
-        let net = std::mem::take(&mut self.net_window);
-        self.replay_changes(&net);
-        self.net_window = net;
-        self.stats.bounded_repairs += 1;
-        true
-    }
-
-    /// Computes (and memoizes, keyed on the version pair) the
-    /// parity-compressed **net** edge diff of the journal window
-    /// `from → g.version()`: on an undirected edge the journal must
-    /// alternate `Added` / `Removed`, so an edge toggled an even number of
-    /// times cancels out entirely and an odd count nets to its *last*
-    /// toggle. The result is the exact edge-set difference between the two
-    /// graph versions, so replaying it through the ordinary repair machinery
-    /// is equivalent to replaying the raw window. Returns `false` when the
-    /// journal no longer serves the window.
-    fn net_window_for(&mut self, g: &OwnedGraph, from: GraphVersion) -> bool {
-        let cur = g.version();
-        if self.net_from == Some(from) && self.net_cur == Some(cur) {
-            return true;
-        }
-        let Some(changes) = g.changes_since(from) else {
-            return false;
-        };
-        let mut keyed = std::mem::take(&mut self.net_scratch);
-        keyed.clear();
-        keyed.extend(changes.iter().enumerate().map(|(i, c)| {
-            let (u, v) = match *c {
-                EdgeChange::Added { u, v } | EdgeChange::Removed { u, v } => (u as u32, v as u32),
-            };
-            (u.min(v), u.max(v), i as u32)
-        }));
-        keyed.sort_unstable();
-        self.net_window.clear();
-        let mut i = 0;
-        while i < keyed.len() {
-            let mut j = i + 1;
-            while j < keyed.len() && (keyed[j].0, keyed[j].1) == (keyed[i].0, keyed[i].1) {
-                j += 1;
-            }
-            if (j - i) % 2 == 1 {
-                // Sorted groups keep the original order, so `j - 1` is the
-                // edge's last toggle — the one that decides its final state.
-                self.net_window.push(changes[keyed[j - 1].2 as usize]);
-            }
-            i = j;
-        }
-        self.net_scratch = keyed;
-        self.net_from = Some(from);
-        self.net_cur = Some(cur);
+        self.replay_changes(changes);
         true
     }
 
@@ -1874,7 +1461,7 @@ impl IncrementalOracle {
         self.warm_slot_collect(g, src, None)
     }
 
-    /// [`IncrementalOracle::warm_slot`] with an optional export of the exact
+    /// [`PersistentOracle::warm_slot`] with an optional export of the exact
     /// net-changed vertex set of the replay (the per-seed diff of
     /// [`DistanceOracle::warm_after_move`]).
     fn warm_slot_collect(
@@ -1886,11 +1473,6 @@ impl IncrementalOracle {
         let Some(from) = self.cache[src].version else {
             return false;
         };
-        if self.cache[src].is_sparse() {
-            // A demoted slot has no dense vector to repair; the bulk waves
-            // re-promote it instead.
-            return false;
-        }
         let cur = g.version();
         if from == cur {
             return collect.is_none();
@@ -1898,9 +1480,7 @@ impl IncrementalOracle {
         let Some(changes) = g.changes_since(from) else {
             return false;
         };
-        let limit = self.stale_limit();
-        let use_net = changes.len() > limit;
-        if use_net && (!self.net_window_for(g, from) || self.net_window.len() > limit) {
+        if changes.len() > self.stale_limit() {
             return false;
         }
         self.sync_csr(g);
@@ -1915,15 +1495,7 @@ impl IncrementalOracle {
         self.state.reached = slot.reached;
         self.state.max_hint = slot.max_hint;
         self.state.journal.clear();
-        if use_net {
-            // Same exactness, bounded work: the net diff of the long window.
-            let net = std::mem::take(&mut self.net_window);
-            self.replay_changes(&net);
-            self.net_window = net;
-            self.stats.bounded_repairs += 1;
-        } else {
-            self.replay_changes(changes);
-        }
+        self.replay_changes(changes);
         if let Some(out) = collect {
             out.extend(self.state.touched.iter().map(|&x| x as NodeId));
         }
@@ -1946,13 +1518,13 @@ impl IncrementalOracle {
     /// replay each seed's vector over the move's window collecting the exact
     /// per-seed diffs, then run the ordinary warming pass with the collected
     /// union as the dirty set.
-    fn warm_after_move_persistent(
+    fn warm_after_move_collect(
         &mut self,
         g: &OwnedGraph,
         seeds: &[NodeId],
         changed: &mut Vec<NodeId>,
     ) -> bool {
-        if !self.persistent || g.num_nodes() != self.cache.len() {
+        if g.num_nodes() != self.cache.len() {
             return false;
         }
         let cur = g.version();
@@ -1967,7 +1539,6 @@ impl IncrementalOracle {
                     return false;
                 }
                 self.rollback_to_prefix(0);
-                self.changed_valid = false;
                 if !self.try_replay(g, from) {
                     self.pinned_version = None;
                     return false;
@@ -1979,7 +1550,7 @@ impl IncrementalOracle {
                 return false;
             }
         }
-        self.warm_sources_persistent(g, changed);
+        self.warm_all(g, changed);
         true
     }
 
@@ -2003,7 +1574,7 @@ impl IncrementalOracle {
 
     /// The bulk warming pass behind [`DistanceOracle::warm_sources`]: see the
     /// trait documentation for the caller contract on `dirty`.
-    fn warm_sources_persistent(&mut self, g: &OwnedGraph, dirty: &[NodeId]) {
+    fn warm_all(&mut self, g: &OwnedGraph, dirty: &[NodeId]) {
         let _sp = trace::span(trace::Phase::WarmPass);
         let n = g.num_nodes();
         if n != self.cache.len() || n != self.mark.len() {
@@ -2030,7 +1601,6 @@ impl IncrementalOracle {
                     worked = true;
                 } else {
                     self.rollback_to_prefix(0);
-                    self.changed_valid = false;
                     if self.try_replay(g, pv) {
                         self.pinned_version = Some(cur);
                         self.stats.lazy_replays += 1;
@@ -2060,15 +1630,11 @@ impl IncrementalOracle {
             } else if self.warm_slot(g, src) {
                 worked = true;
                 width += 1;
-            } else if self.warm_batching {
+            } else {
                 // Unreplayable window: queue the slot for the shared bitset
                 // wave instead of leaving it stale.
                 pending.push(src as u32);
             }
-            // With batching off, a slot `warm_slot` could not serve keeps its
-            // old stamp; it can never match a future floor, so it is excluded
-            // from stamp bumps for good and re-pins with one full BFS when
-            // next needed.
         }
         if !pending.is_empty() {
             self.sync_csr(g);
@@ -2086,57 +1652,6 @@ impl IncrementalOracle {
         }
     }
 
-    /// The persistent `begin`: serve from the per-source cache + journal
-    /// replay when possible, fall back to [`IncrementalOracle::full_repin`].
-    fn begin_persistent(&mut self, g: &OwnedGraph, src: NodeId) -> DistanceSummary {
-        let _sp = trace::span(trace::Phase::OracleBegin);
-        let n = g.num_nodes();
-        if n != self.mark.len() || self.cache.len() != n {
-            // The graph size changed: every cached vector is meaningless.
-            self.resize_scratch(n);
-            self.cache.clear();
-            self.cache.resize_with(n, SourceCache::default);
-            self.cached_count = 0;
-            self.parked_bytes = 0;
-            self.demand_radius = 2;
-            self.net_from = None;
-            self.net_cur = None;
-            self.net_window.clear();
-            self.pinned_version = None;
-            self.csr_version = None;
-            self.warm_floor = None;
-        }
-        self.rollback_to_prefix(0);
-        self.changed_valid = false;
-        let mut base_version = None;
-        if self.pinned_version.is_some() && self.src == src as u32 {
-            base_version = self.pinned_version;
-        } else {
-            self.save_working();
-            self.src = src as u32;
-            if let Some(v) = self.cache[src].version {
-                if self.cache[src].is_sparse() {
-                    // A demoted slot cannot seed a working vector — its ball
-                    // is a read-only summary surface. Drop it and pay the
-                    // full re-pin below.
-                    self.evict_at(src);
-                } else {
-                    self.load_cached(src, n);
-                    base_version = Some(v);
-                }
-            }
-        }
-        let replayed = base_version.is_some_and(|v| self.try_replay(g, v));
-        if replayed {
-            self.changed_valid = true;
-            self.stats.replayed_begins += 1;
-        } else {
-            self.full_repin(g, src);
-        }
-        self.pinned_version = Some(g.version());
-        self.state.summary(n)
-    }
-
     /// Shared front half of the cache-arithmetic insertion queries
     /// ([`DistanceOracle::evaluate_insert_via_cache`] and
     /// [`DistanceOracle::insert_level_bound`]): `true` iff the query is
@@ -2152,8 +1667,7 @@ impl IncrementalOracle {
         u: NodeId,
         v: NodeId,
     ) -> bool {
-        if !self.persistent
-            || u as u32 != self.src
+        if u as u32 != self.src
             || self.pinned_version.is_none()
             || v >= self.cache.len()
             || prefix.iter().any(|d| matches!(d, EdgeDelta::Insert { .. }))
@@ -2171,70 +1685,6 @@ impl IncrementalOracle {
             self.stats.lazy_hits += 1;
         }
         true
-    }
-
-    /// The ball-sparse twin of [`fused_insert_summary`]: the post-insertion
-    /// summary of the pinned source when the inserted endpoint `v`'s parked
-    /// vector is demoted, computed in `O(|ball| + levels touched)` from the
-    /// slot's frozen aggregates and ball entries alone.
-    ///
-    /// Exactness: with `d_u` the pinned working vector (tightened maximum
-    /// `mu`, all `n` reached) and `r` the slot's ball radius, every vertex
-    /// outside the ball has `d_v ≥ r + 1`, so whenever `mu ≤ r + 2` its
-    /// fused value `min(d_u, 1 + d_v)` is `d_u` unchanged — only ball
-    /// entries can move. The sum shrinks by each ball entry's improvement,
-    /// and the maximum is rescanned over the per-level count deltas.
-    /// Returns `None` — the caller then falls back to an exact full
-    /// evaluation — when the condition cannot be proven; the fallback is
-    /// exact, so scores and trajectories are bit-identical to the dense
-    /// kernel's either way.
-    fn sparse_insert_ball_summary(&mut self, v: usize) -> Option<DistanceSummary> {
-        let n = self.cache.len();
-        if self.state.reached < n {
-            // An unreached vertex outside the ball has an unknown fused
-            // value; no radius can prove the query away.
-            return None;
-        }
-        // `evaluate_insert_via_cache` tightened the working max already.
-        let mu = self.state.max_hint;
-        let slot = &self.cache[v];
-        if mu > slot.ball_radius.saturating_add(2) {
-            return None;
-        }
-        let mut delta = std::mem::take(&mut self.level_delta);
-        let mut touched = std::mem::take(&mut self.level_touched);
-        if delta.len() < n + 2 {
-            delta.resize(n + 2, 0);
-        }
-        let mut sum = self.state.sum;
-        let slot = &self.cache[v];
-        for (&x, &dv) in slot.ball_verts.iter().zip(&slot.ball_dist) {
-            let du = self.state.dist[x as usize];
-            let nd = dv + 1; // dv ≤ radius < u16::MAX: no overflow
-            if nd < du {
-                sum -= u64::from(du - nd);
-                delta[du as usize] -= 1;
-                delta[nd as usize] += 1;
-                touched.push(du);
-                touched.push(nd);
-            }
-        }
-        let mut m = mu;
-        while m > 0
-            && i64::from(self.state.level_counts[m as usize]) + i64::from(delta[m as usize]) <= 0
-        {
-            m -= 1;
-        }
-        for &l in &touched {
-            delta[l as usize] = 0;
-        }
-        touched.clear();
-        self.level_delta = delta;
-        self.level_touched = touched;
-        Some(DistanceSummary {
-            sum: Some(sum),
-            max: Some(u32::from(m)),
-        })
     }
 }
 
@@ -2327,33 +1777,50 @@ fn level_pair_bound(n: usize, src_levels: &[u16], far_levels: &[u16]) -> Distanc
     }
 }
 
-impl DistanceOracle for IncrementalOracle {
+impl DistanceOracle for PersistentOracle {
     fn kind(&self) -> OracleKind {
-        if self.persistent {
-            OracleKind::Persistent
-        } else {
-            OracleKind::Incremental
-        }
+        OracleKind::Persistent
     }
 
     fn begin(&mut self, g: &OwnedGraph, src: NodeId) -> DistanceSummary {
-        if self.persistent {
-            return self.begin_persistent(g, src);
+        // Serve from the per-source cache + journal replay when possible,
+        // falling back to one full BFS.
+        let _sp = trace::span(trace::Phase::OracleBegin);
+        let n = g.num_nodes();
+        if n != self.mark.len() || self.cache.len() != n {
+            // The graph size changed: every cached vector is meaningless.
+            self.resize_scratch(n);
+            self.cache.clear();
+            self.cache.resize_with(n, SourceCache::default);
+            self.cached_count = 0;
+            self.pinned_version = None;
+            self.csr_version = None;
+            self.warm_floor = None;
         }
-        self.full_repin(g, src);
-        self.state.summary(g.num_nodes())
-    }
-
-    fn changed_since_begin(&self) -> Option<&[u32]> {
-        if self.changed_valid {
-            Some(&self.state.touched)
+        self.rollback_to_prefix(0);
+        let mut base_version = None;
+        if self.pinned_version.is_some() && self.src == src as u32 {
+            base_version = self.pinned_version;
         } else {
-            None
+            self.save_working();
+            self.src = src as u32;
+            if let Some(v) = self.cache[src].version {
+                self.load_cached(src, n);
+                base_version = Some(v);
+            }
         }
+        let replayed = base_version.is_some_and(|v| self.try_replay(g, v));
+        if replayed {
+            self.stats.replayed_begins += 1;
+        } else {
+            self.full_repin(g, src);
+        }
+        self.pinned_version = Some(g.version());
+        self.state.summary(n)
     }
 
     fn cached_summary(&mut self, g: &OwnedGraph, src: NodeId) -> Option<DistanceSummary> {
-        if !self.persistent || g.num_nodes() != self.cache.len() || src >= self.cache.len() {
+        if g.num_nodes() != self.cache.len() || src >= self.cache.len() {
             return None;
         }
         let n = self.cache.len();
@@ -2374,15 +1841,6 @@ impl DistanceOracle for IncrementalOracle {
         if slot.reached < n {
             return Some(DistanceSummary::DISCONNECTED);
         }
-        if slot.is_sparse() {
-            // The aggregates were frozen — and the max bound tightened — at
-            // demotion time, so the answer is O(1) (the empty level counters
-            // must not be consulted).
-            return Some(DistanceSummary {
-                sum: Some(slot.sum),
-                max: Some(u32::from(slot.max_hint)),
-            });
-        }
         // Tighten the parked max bound exactly like `DistState::summary`.
         let mut m = slot.max_hint;
         while m > 0 && slot.level_counts[m as usize] == 0 {
@@ -2397,7 +1855,7 @@ impl DistanceOracle for IncrementalOracle {
 
     fn pin_sources(&mut self, g: &OwnedGraph, sources: &[NodeId]) {
         let _sp = trace::span(trace::Phase::PinSources);
-        if !self.persistent || g.num_nodes() != self.cache.len() {
+        if g.num_nodes() != self.cache.len() {
             for &src in sources {
                 self.begin(g, src);
             }
@@ -2407,18 +1865,12 @@ impl DistanceOracle for IncrementalOracle {
         let mut pending = std::mem::take(&mut self.batch_pending);
         pending.clear();
         for &src in sources {
-            // Already current — parked dense or pinned — costs nothing; a
-            // dense vector at an older stamp is repaired in place by scalar
-            // lazy replay (raw window or parity-compressed net diff). Cold
-            // or unreplayable sources are queued for the shared 64-wide
-            // bitset waves — as are *sparse* slots, even current ones: an
-            // explicitly requested source is about to be read as a seed or
-            // working vector, so the wave re-promotes its ball to a full
-            // dense vector rather than leaving the dirty-engine machinery to
-            // fall back conservatively. With batching off they pay the
-            // scalar `begin` (and always for the currently pinned source,
-            // whose working vector `begin` reuses).
-            if (self.cache[src].version == Some(cur) && !self.cache[src].is_sparse())
+            // Already current — parked or pinned — costs nothing; a vector
+            // at an older stamp is repaired in place by scalar lazy replay.
+            // Cold or unreplayable sources are queued for the shared 64-wide
+            // bitset waves, except the currently pinned source, whose working
+            // vector `begin` reuses.
+            if self.cache[src].version == Some(cur)
                 || (self.pinned_version == Some(cur) && self.src == src as u32)
             {
                 continue;
@@ -2426,7 +1878,7 @@ impl DistanceOracle for IncrementalOracle {
             if self.warm_slot(g, src) {
                 continue;
             }
-            if self.warm_batching && !(self.pinned_version.is_some() && self.src == src as u32) {
+            if !(self.pinned_version.is_some() && self.src == src as u32) {
                 pending.push(src as u32);
             } else {
                 self.begin(g, src);
@@ -2441,21 +1893,8 @@ impl DistanceOracle for IncrementalOracle {
         self.batch_pending = pending;
     }
 
-    fn set_warm_batching(&mut self, on: bool) {
-        self.warm_batching = on;
-    }
-
-    fn sparse_parked(&self) -> usize {
-        self.cache
-            .iter()
-            .filter(|s| s.version.is_some() && s.is_sparse())
-            .count()
-    }
-
     fn warm_sources(&mut self, g: &OwnedGraph, dirty: &[NodeId]) {
-        if self.persistent {
-            self.warm_sources_persistent(g, dirty);
-        }
+        self.warm_all(g, dirty);
     }
 
     fn warm_after_move(
@@ -2464,7 +1903,7 @@ impl DistanceOracle for IncrementalOracle {
         seeds: &[NodeId],
         changed: &mut Vec<NodeId>,
     ) -> bool {
-        self.warm_after_move_persistent(g, seeds, changed)
+        self.warm_after_move_collect(g, seeds, changed)
     }
 
     fn evaluate(&mut self, deltas: &[EdgeDelta]) -> DistanceSummary {
@@ -2490,26 +1929,6 @@ impl DistanceOracle for IncrementalOracle {
         // ever pushed or rolled back).
         self.run_deltas(prefix);
         let n = self.csr.num_nodes();
-        if self.state.reached == n {
-            // Record the ball radius a query from this state would need, so
-            // later demotions keep enough of their vector to stay servable.
-            let mut mu = self.state.max_hint;
-            while mu > 0 && self.state.level_counts[mu as usize] == 0 {
-                mu -= 1;
-            }
-            self.state.max_hint = mu;
-            self.demand_radius = self.demand_radius.max(mu.saturating_sub(2));
-        }
-        if self.cache[v].is_sparse() {
-            let summary = self.sparse_insert_ball_summary(v)?;
-            self.stats.sparse_hits += 1;
-            self.stats.kernel_calls += 1;
-            self.stats.nodes_expanded += self.cache[v].ball_verts.len() as u64;
-            let tick = self.lru_tick;
-            self.cache[v].last_used = tick;
-            self.lru_tick += 1;
-            return Some((summary, prefix.is_empty()));
-        }
         let summary = fused_insert_summary(&self.state.dist[..n], &self.cache[v].dist[..n]);
         self.stats.kernel_calls += 1;
         self.stats.nodes_expanded += n as u64;
@@ -2527,7 +1946,7 @@ impl DistanceOracle for IncrementalOracle {
             return None;
         }
         let n = self.csr.num_nodes();
-        if self.cache[v].is_sparse() || self.cache[v].reached < n {
+        if self.cache[v].reached < n {
             return None;
         }
         if self.active.as_slice() != prefix {
@@ -2597,11 +2016,7 @@ mod tests {
 
     fn check_both(g: &OwnedGraph, src: NodeId, deltas: &[EdgeDelta]) {
         let (expect_dist, expect_summary) = truth(g, src, deltas);
-        for kind in [
-            OracleKind::FullBfs,
-            OracleKind::Incremental,
-            OracleKind::Persistent,
-        ] {
+        for kind in [OracleKind::FullBfs, OracleKind::Persistent] {
             let mut oracle = make_oracle(kind, g.num_nodes());
             let base = oracle.begin(g, src);
             let mut buf = BfsBuffer::new(g.num_nodes());
@@ -2701,9 +2116,6 @@ mod tests {
         bad.lazy_hits = bad.lazy_replays + 1;
         assert!(!bad.consistent(), "lazy hit without a lazy replay");
         let mut bad = stats;
-        bad.bounded_repairs = bad.replayed_begins + bad.lazy_replays + 1;
-        assert!(!bad.consistent(), "bounded repair without a replay");
-        let mut bad = stats;
         bad.bound_pruned = bad.bound_queries + 1;
         assert!(!bad.consistent(), "prune without an answered bound");
     }
@@ -2759,7 +2171,7 @@ mod tests {
         let src = 32;
         let deltas = [EdgeDelta::Insert { u: 31, v: 33 }];
         let mut full = FullBfsOracle::new(65);
-        let mut inc = IncrementalOracle::new(65);
+        let mut inc = PersistentOracle::new(65);
         full.begin(&g, src);
         inc.begin(&g, src);
         full.reset_stats();
@@ -2781,15 +2193,17 @@ mod tests {
     #[test]
     fn oracle_kind_labels() {
         assert_eq!(OracleKind::FullBfs.label(), "full-bfs");
-        assert_eq!(OracleKind::Incremental.label(), "incremental");
         assert_eq!(OracleKind::Persistent.label(), "persistent");
-        assert_eq!(OracleKind::default(), OracleKind::Incremental);
+        assert_eq!(OracleKind::default(), OracleKind::Persistent);
+        for kind in [OracleKind::FullBfs, OracleKind::Persistent] {
+            assert_eq!(OracleKind::parse(kind.label()), Some(kind));
+        }
     }
 
     #[test]
     fn persistent_begin_replays_instead_of_re_running_bfs() {
         let mut g = generators::cycle(16);
-        let mut oracle = IncrementalOracle::persistent(16);
+        let mut oracle = PersistentOracle::new(16);
         assert_eq!(oracle.kind(), OracleKind::Persistent);
         let mut buf = BfsBuffer::new(16);
         oracle.begin(&g, 3);
@@ -2820,7 +2234,7 @@ mod tests {
     #[test]
     fn persistent_cache_survives_source_switches() {
         let mut g = generators::path(20);
-        let mut oracle = IncrementalOracle::persistent(20);
+        let mut oracle = PersistentOracle::new(20);
         let mut buf = BfsBuffer::new(20);
         // Pin a handful of sources, then interleave mutations with re-pins of
         // the same sources: every re-pin should be a replay.
@@ -2850,40 +2264,126 @@ mod tests {
         assert_eq!(stats.replayed_begins, 18);
     }
 
+    /// The exact change-set export of `warm_after_move`, which is all the
+    /// dirty engine's invalidation rests on: after each random single-edge
+    /// move, `changed` must hold exactly the seeds plus every vertex whose
+    /// BFS distance to a seed differs before and after the move.
     #[test]
     fn persistent_exports_the_exact_changed_vertex_set() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        fn as_set(mut v: Vec<NodeId>) -> Vec<NodeId> {
+            v.sort_unstable();
+            v.dedup();
+            v
+        }
+        // Deterministic case: a chord on a path, seeded at its endpoints.
         let mut g = generators::path(12);
-        let mut oracle = IncrementalOracle::persistent(12);
+        let mut oracle = PersistentOracle::new(12);
         let mut buf = BfsBuffer::new(12);
+        oracle.pin_sources(&g, &[0, 8]);
         oracle.begin(&g, 0);
-        assert_eq!(
-            oracle.changed_since_begin(),
-            None,
-            "a full BFS pin has no diff"
-        );
-        let before = buf.run(&g, 0).to_vec();
+        let before: Vec<Vec<u16>> = [0, 8].iter().map(|&s| buf.run(&g, s).to_vec()).collect();
         g.add_edge(0, 8);
-        oracle.begin(&g, 0);
-        let after = buf.run(&g, 0).to_vec();
-        let mut expect: Vec<u32> = (0..12u32)
-            .filter(|&x| before[x as usize] != after[x as usize])
-            .collect();
-        expect.sort_unstable();
-        let mut got = oracle
-            .changed_since_begin()
-            .expect("replayed begin exports a diff")
-            .to_vec();
-        got.sort_unstable();
-        assert_eq!(got, expect);
-        // A no-op window reports an empty diff.
-        oracle.begin(&g, 0);
-        assert_eq!(oracle.changed_since_begin(), Some(&[][..]));
+        let mut changed = Vec::new();
+        assert!(oracle.warm_after_move(&g, &[0, 8], &mut changed));
+        let mut expect = vec![0, 8];
+        for (i, &seed) in [0usize, 8].iter().enumerate() {
+            let after = buf.run(&g, seed);
+            expect.extend((0..12).filter(|&x| before[i][x] != after[x]));
+        }
+        assert_eq!(as_set(changed.clone()), as_set(expect));
+        // The diff of a window is exported once: a second call for the same
+        // move finds the seeds already current and refuses.
+        assert!(!oracle.warm_after_move(&g, &[0, 8], &mut changed));
+
+        let mut rng = StdRng::seed_from_u64(0xc4a9);
+        let (mut moves, mut nonempty) = (0usize, 0usize);
+        for case in 0..40 {
+            let n = rng.gen_range(4usize..30);
+            let mut g = if case % 2 == 0 {
+                generators::random_spanning_tree(n, None, &mut rng)
+            } else {
+                generators::random_with_m_edges(n, rng.gen_range(n..2 * n), &mut rng)
+            };
+            let mut oracle = PersistentOracle::new(n);
+            let mut buf = BfsBuffer::new(n);
+            let all: Vec<NodeId> = (0..n).collect();
+            oracle.pin_sources(&g, &all);
+            for step in 0..12 {
+                // One random single-edge move: drop an edge or add a missing
+                // one. The seeds are its endpoints, sometimes with a third
+                // vertex (a swap's other endpoint).
+                let u = rng.gen_range(0..n);
+                let v = (u + rng.gen_range(1..n)) % n;
+                let mut seeds = vec![u, v];
+                let w = rng.gen_range(0..n);
+                if rng.gen_bool(0.3) && !seeds.contains(&w) {
+                    seeds.push(w);
+                }
+                // The engine pins the seeds at the pre-move version, often
+                // with the mover as the working vector.
+                oracle.pin_sources(&g, &seeds);
+                if rng.gen_bool(0.5) {
+                    oracle.begin(&g, u);
+                }
+                let before: Vec<Vec<u16>> =
+                    seeds.iter().map(|&s| buf.run(&g, s).to_vec()).collect();
+                if g.has_edge(u, v) {
+                    g.remove_edge(u, v);
+                } else {
+                    g.add_edge(u, v);
+                }
+                let mut changed = Vec::new();
+                let ctx = format!("case {case} step {step} seeds {seeds:?}");
+                assert!(oracle.warm_after_move(&g, &seeds, &mut changed), "{ctx}");
+                let mut expect = seeds.clone();
+                for (i, &seed) in seeds.iter().enumerate() {
+                    let after = buf.run(&g, seed);
+                    expect.extend((0..n).filter(|&x| before[i][x] != after[x]));
+                }
+                let expect = as_set(expect);
+                nonempty += usize::from(expect.len() > seeds.len());
+                assert_eq!(as_set(changed), expect, "{ctx}");
+                // The same pass warmed every parked vector to the new state.
+                for x in 0..n {
+                    assert_eq!(
+                        oracle.cached_summary(&g, x),
+                        Some(buf.summary(&g, x)),
+                        "{ctx}"
+                    );
+                }
+                moves += 1;
+            }
+            // A seed whose slot is cold has no pre-move vector to diff: the
+            // call must refuse rather than under-report.
+            let mut cold = PersistentOracle::new(n);
+            let cold_seed = rng.gen_range(0..n);
+            let warm: Vec<NodeId> = (0..n).filter(|&x| x != cold_seed).collect();
+            cold.pin_sources(&g, &warm);
+            let other = (cold_seed + 1) % n;
+            if g.has_edge(cold_seed, other) {
+                g.remove_edge(cold_seed, other);
+            } else {
+                g.add_edge(cold_seed, other);
+            }
+            let mut changed = Vec::new();
+            assert!(
+                !cold.warm_after_move(&g, &[other, cold_seed], &mut changed),
+                "case {case}: cold seed {cold_seed}"
+            );
+        }
+        assert_eq!(moves, 40 * 12);
+        assert!(
+            nonempty > moves / 2,
+            "only {nonempty} moves changed a distance"
+        );
     }
 
     #[test]
     fn persistent_falls_back_on_stale_or_foreign_histories() {
         let mut g = generators::path(32);
-        let mut oracle = IncrementalOracle::persistent(32);
+        let mut oracle = PersistentOracle::new(32);
         oracle.begin(&g, 0);
         let bfs_before = oracle.stats().full_bfs_runs;
         // Far more changes than the staleness limit: replay would be slower
@@ -2897,7 +2397,6 @@ mod tests {
             oracle.stats().full_bfs_runs > bfs_before,
             "stale → full BFS"
         );
-        assert_eq!(oracle.changed_since_begin(), None);
         // A clone has a fresh lineage: its journal can never serve a version
         // taken on the original, so the oracle re-pins rather than replaying
         // against an unrelated history.
@@ -2906,7 +2405,6 @@ mod tests {
         let bfs_mid = oracle.stats().full_bfs_runs;
         assert_eq!(oracle.begin(&clone, 0), buf.summary(&clone, 0));
         assert!(oracle.stats().full_bfs_runs > bfs_mid);
-        assert_eq!(oracle.changed_since_begin(), None);
     }
 
     #[test]
@@ -2915,8 +2413,8 @@ mod tests {
         // evicted source must fall back to a full BFS, and every summary must
         // stay exact. An unbounded twin oracle replays everything.
         let mut g = generators::cycle(18);
-        let mut capped = IncrementalOracle::persistent_budgeted(18, Some(2));
-        let mut unbounded = IncrementalOracle::persistent(18);
+        let mut capped = PersistentOracle::with_slot_cap(18, Some(2));
+        let mut unbounded = PersistentOracle::new(18);
         let mut buf = BfsBuffer::new(18);
         let sources = [0usize, 6, 12];
         for &src in &sources {
@@ -2955,7 +2453,7 @@ mod tests {
     #[test]
     fn zero_budget_disables_the_cache_without_losing_exactness() {
         let mut g = generators::path(12);
-        let mut oracle = IncrementalOracle::persistent_budgeted(12, Some(0));
+        let mut oracle = PersistentOracle::with_slot_cap(12, Some(0));
         let mut buf = BfsBuffer::new(12);
         oracle.begin(&g, 0);
         g.add_edge(0, 7);
@@ -2974,7 +2472,7 @@ mod tests {
     #[test]
     fn persistent_csr_syncs_by_patching_not_rebuilding() {
         let mut g = generators::cycle(32);
-        let mut oracle = IncrementalOracle::persistent(32);
+        let mut oracle = PersistentOracle::new(32);
         let mut buf = BfsBuffer::new(32);
         oracle.begin(&g, 0);
         for step in 0..10 {
@@ -3009,11 +2507,7 @@ mod tests {
             EdgeDelta::Insert { u: 0, v: 6 },
         ];
         let mut buf = BfsBuffer::new(11);
-        for kind in [
-            OracleKind::FullBfs,
-            OracleKind::Incremental,
-            OracleKind::Persistent,
-        ] {
+        for kind in [OracleKind::FullBfs, OracleKind::Persistent] {
             let mut oracle = make_oracle(kind, 11);
             oracle.pin_sources(&g, &[0, 4, 9]);
             for src in [4usize, 9, 0, 7] {
@@ -3025,7 +2519,7 @@ mod tests {
         }
         // Persistent: pinned sources answer later what-ifs by replay, and the
         // answers stay exact after the graph moved on.
-        let mut oracle = IncrementalOracle::persistent(11);
+        let mut oracle = PersistentOracle::new(11);
         oracle.pin_sources(&g, &[0, 4, 9]);
         let cold_bfs = oracle.stats().full_bfs_runs;
         g.add_edge(1, 10);
@@ -3054,7 +2548,7 @@ mod tests {
         for v in 7..12 {
             g.add_edge(6, v); // second component: a star on {6..11}
         }
-        let mut oracle = IncrementalOracle::persistent(12);
+        let mut oracle = PersistentOracle::new(12);
         let mut buf = BfsBuffer::new(12);
         let all: Vec<usize> = (0..12).collect();
         oracle.pin_sources(&g, &all);
@@ -3090,7 +2584,7 @@ mod tests {
     #[test]
     fn cached_summary_answers_without_pinning() {
         let mut g = generators::cycle(14);
-        let mut oracle = IncrementalOracle::persistent(14);
+        let mut oracle = PersistentOracle::new(14);
         let mut buf = BfsBuffer::new(14);
         let all: Vec<usize> = (0..14).collect();
         oracle.pin_sources(&g, &all);
@@ -3121,7 +2615,7 @@ mod tests {
         // The first warming call has no floor: nothing may be stamp-bumped;
         // every parked vector must be repaired from its own stamp instead.
         let mut g = generators::cycle(10);
-        let mut oracle = IncrementalOracle::persistent(10);
+        let mut oracle = PersistentOracle::new(10);
         let mut buf = BfsBuffer::new(10);
         oracle.pin_sources(&g, &[0, 3, 7]);
         g.add_edge(0, 5);
@@ -3137,59 +2631,26 @@ mod tests {
 
     #[test]
     fn eviction_prefers_stale_vectors_over_plain_lru() {
-        // Components {0,1}, {2,3} and a burst area {4..11}. Source 0 is
-        // parked *first* (oldest recency) but kept current by stamp bumps;
-        // source 2 is parked later (newer recency) but left behind by a
-        // burst longer than the staleness limit. Budget pressure must evict
-        // the stale vector 2, not the least-recently-used 0.
+        // Source 0 is parked *first* (oldest recency) but at the current
+        // version; source 2 is parked later (newer recency) but at an older
+        // version. Cap pressure must evict the stale vector 2, not the
+        // least-recently-used 0.
         let mut g = OwnedGraph::new(12);
         g.add_edge(0, 1);
         g.add_edge(2, 3);
         for v in 5..12 {
             g.add_edge(4, v);
         }
-        let mut oracle = IncrementalOracle::persistent_budgeted(12, Some(2));
-        // This test pins down the *scalar* stale-slot behaviour (an
-        // unreplayable slot keeps its old stamp); with batching on the slot
-        // would be recomputed by a bulk wave instead — see
-        // `batched_warm_recomputes_unreplayable_slots`.
-        oracle.set_warm_batching(false);
-        oracle.begin(&g, 0);
-        oracle.begin(&g, 2); // parks 0
-        oracle.begin(&g, 4); // parks 2; cache = {0, 2}, working 4
-        oracle.warm_sources(&g, &[]); // establish the floor
-                                      // One small window: both parked vectors are clean → bumped.
+        let mut oracle = PersistentOracle::with_slot_cap(12, Some(2));
+        oracle.begin(&g, 2); // working vector 2, pinned at this version
         g.add_edge(5, 6);
-        oracle.warm_sources(&g, &[4, 5, 6]);
-        assert!(oracle.stats().warm_bumps >= 2);
-        // A burst past max(8, n/8) = 8 changes, all inside the star; claim 2
-        // dirty (a legal over-approximation) so its replay is attempted and
-        // fails on the window length, leaving it stale — while 0 (clean,
-        // stamped at the floor) is bumped for free.
-        for (a, b) in [
-            (5, 7),
-            (6, 8),
-            (7, 9),
-            (8, 10),
-            (9, 11),
-            (5, 8),
-            (6, 9),
-            (7, 10),
-            (8, 11),
-        ] {
-            g.add_edge(a, b);
-        }
-        let mut dirty: Vec<usize> = (4..12).collect();
-        dirty.push(2);
-        oracle.warm_sources(&g, &dirty);
-        assert!(oracle.cache[0].version == Some(g.version()), "0 bumped");
-        assert!(
-            oracle.cache[2].version.is_some() && oracle.cache[2].version != Some(g.version()),
-            "2 left stale (window too long to replay)"
-        );
-        // Now force an eviction: park a third vector.
-        oracle.begin(&g, 5);
-        oracle.begin(&g, 6); // parks 5 → budget 2 exceeded → evict
+        // A bulk pin parks 0 at the new version without touching the pin.
+        oracle.pin_sources(&g, &[0]);
+        oracle.begin(&g, 4); // parks 2 at its old version; cache = {0, 2}
+        assert_eq!(oracle.cache[0].version, Some(g.version()));
+        assert!(oracle.cache[0].last_used < oracle.cache[2].last_used);
+        assert_ne!(oracle.cache[2].version, Some(g.version()), "2 is stale");
+        oracle.begin(&g, 5); // parks 4 → cap 2 exceeded → evict
         assert!(
             oracle.cache[0].version.is_some(),
             "the least-recently-used but *current* vector survives"
@@ -3198,6 +2659,7 @@ mod tests {
             oracle.cache[2].version.is_none(),
             "the stale vector is the eviction victim"
         );
+        assert_eq!(oracle.cached_count, 2);
     }
 
     #[test]
@@ -3213,7 +2675,7 @@ mod tests {
         for v in 5..12 {
             g.add_edge(4, v);
         }
-        let mut oracle = IncrementalOracle::persistent_budgeted(12, None);
+        let mut oracle = PersistentOracle::new(12);
         oracle.begin(&g, 0);
         oracle.begin(&g, 2);
         oracle.begin(&g, 4);
@@ -3249,27 +2711,36 @@ mod tests {
 
     #[test]
     fn batched_bulk_pin_matches_scalar_bulk_pin() {
-        // Cold bulk pin: every source recomputed. The batched waves and the
-        // scalar begins must park identical vectors and identical summaries,
-        // and the batched oracle must report the wave work in its counters.
+        // Cold bulk pin: every source recomputed. The batched waves and one
+        // scalar `begin` per source must park the BFS-exact vectors and
+        // summaries, and the batched oracle must report the wave work in its
+        // counters.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(11);
         let g = generators::random_with_m_edges(100, 180, &mut rng);
         let all: Vec<NodeId> = (0..100).collect();
-        let mut batched = IncrementalOracle::persistent_budgeted(100, None);
-        let mut scalar = IncrementalOracle::persistent_budgeted(100, None);
-        scalar.set_warm_batching(false);
+        let mut batched = PersistentOracle::new(100);
+        let mut scalar = PersistentOracle::new(100);
         batched.pin_sources(&g, &all);
-        scalar.pin_sources(&g, &all);
+        for &src in &all {
+            scalar.begin(&g, src);
+        }
         assert!(batched.stats().batched_repins >= 100 - 1);
         assert_eq!(batched.stats().full_bfs_runs, 0, "no scalar traversals");
-        assert!(scalar.stats().batched_repins == 0);
+        assert_eq!(scalar.stats().batched_repins, 0);
         let mut buf = BfsBuffer::new(100);
         for &src in &all {
             let expect = buf.summary(&g, src);
             assert_eq!(batched.cached_summary(&g, src), Some(expect), "src {src}");
             assert_eq!(scalar.cached_summary(&g, src), Some(expect), "src {src}");
+            let dist = &buf.run(&g, src)[..100];
+            assert_eq!(&batched.cache[src].dist[..], dist, "src {src}");
+            if src != 99 {
+                // Every source but the last (still the working vector) is
+                // parked on the scalar oracle too.
+                assert_eq!(&scalar.cache[src].dist[..], dist, "src {src}");
+            }
         }
     }
 
@@ -3278,7 +2749,7 @@ mod tests {
         // Replay and candidate scoring compose: pin, mutate, re-pin (replay),
         // then evaluate what-if deltas — everything must match fresh BFS.
         let mut g = generators::cycle(10);
-        let mut oracle = IncrementalOracle::persistent(10);
+        let mut oracle = PersistentOracle::new(10);
         oracle.begin(&g, 2);
         g.add_edge(2, 7);
         oracle.begin(&g, 2);
@@ -3403,160 +2874,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn toggle_heavy_windows_replay_via_the_net_diff() {
-        // Flip the same edge back and forth far past the stale limit
-        // (max(8, 24/8) = 8): the raw window is long but parity-cancels to
-        // nothing (or to one real change), so the re-pin must stay
-        // incremental instead of falling back to a full BFS.
-        let mut g = generators::cycle(24);
-        let mut oracle = IncrementalOracle::persistent(24);
-        let mut buf = BfsBuffer::new(24);
-        oracle.begin(&g, 0);
-        assert_eq!(oracle.stats().full_bfs_runs, 1);
-        for _ in 0..10 {
-            g.add_edge(0, 12);
-            g.remove_edge(0, 12);
-        }
-        assert_eq!(oracle.begin(&g, 0), buf.summary(&g, 0));
-        let stats = oracle.stats();
-        assert_eq!(stats.full_bfs_runs, 1, "a net-empty window advances free");
-        assert!(stats.bounded_repairs >= 1);
-        // One real change buried in 12 cancelling toggles nets to itself.
-        for _ in 0..6 {
-            g.add_edge(3, 17);
-            g.remove_edge(3, 17);
-        }
-        g.add_edge(5, 19);
-        assert_eq!(oracle.begin(&g, 0), buf.summary(&g, 0));
-        assert_eq!(oracle.base_distances(), &buf.run(&g, 0)[..24]);
-        assert_eq!(oracle.stats().full_bfs_runs, 1, "net diff of 1 replays");
-        assert!(oracle.changed_since_begin().is_some());
-    }
-
-    #[test]
-    fn warming_serves_toggle_storms_via_bounded_repair() {
-        // The same bounded repair must light up the lazy-warming path: three
-        // parked vectors behind a 19-change window that nets to one edge.
-        let mut g = generators::cycle(20);
-        let mut oracle = IncrementalOracle::persistent(20);
-        let mut buf = BfsBuffer::new(20);
-        oracle.pin_sources(&g, &[0, 7, 14]);
-        let cold = oracle.stats();
-        for _ in 0..9 {
-            g.add_edge(2, 11);
-            g.remove_edge(2, 11);
-        }
-        g.add_edge(4, 15);
-        let all: Vec<usize> = (0..20).collect();
-        oracle.warm_sources(&g, &all);
-        let stats = oracle.stats();
-        assert!(
-            stats.bounded_repairs >= 3,
-            "every parked vector repairs via the net window: {stats:?}"
-        );
-        assert_eq!(stats.full_bfs_runs, cold.full_bfs_runs);
-        assert_eq!(
-            stats.batched_repins, cold.batched_repins,
-            "no recompute wave for a storm that nets to one change"
-        );
-        for &src in &[0usize, 7, 14] {
-            assert_eq!(
-                oracle.cached_summary(&g, src),
-                Some(buf.summary(&g, src)),
-                "src {src}"
-            );
-        }
-    }
-
-    #[test]
-    fn byte_budget_demotes_then_evicts_and_stays_exact() {
-        // Budget below one dense slot (2·(2·16+2) = 68 bytes at n = 16):
-        // every park demotes to the ball representation, cutting the radius
-        // until the ball fits; only a budget below even the shrunken balls
-        // evicts. Exactness must survive both.
-        let g = generators::cycle(16);
-        let mut oracle = IncrementalOracle::persistent_with_budgets(16, None, Some(60));
-        let mut buf = BfsBuffer::new(16);
-        oracle.begin(&g, 0);
-        oracle.begin(&g, 5); // parks 0: 68 > 60 → demoted to its ball
-        let stats = oracle.stats();
-        assert!(stats.sparse_demotions >= 1, "{stats:?}");
-        assert!(
-            stats.peak_parked_bytes <= 60,
-            "the recorded peak respects the byte budget: {stats:?}"
-        );
-        assert_eq!(oracle.cached_summary(&g, 0), Some(buf.summary(&g, 0)));
-        oracle.begin(&g, 9); // parks 5 → over budget again → demote/evict
-        for src in 0..16 {
-            assert_eq!(oracle.begin(&g, src), buf.summary(&g, src), "src {src}");
-            assert_eq!(oracle.base_distances(), &buf.run(&g, src)[..16]);
-        }
-    }
-
-    #[test]
-    fn sparse_slot_serves_the_insert_kernel_exactly() {
-        // 130 bytes fit one dense slot (68) plus one ball but not two dense
-        // slots, so the third pin demotes the oldest slot. The demoted ball
-        // must serve the cache-arithmetic insertion kernel with the exact
-        // summary (on a 16-cycle every eccentricity is 8 and the kept radius
-        // is 8 - 2 = 6, so the exactness condition mu ≤ r + 2 is tight).
-        let g = generators::cycle(16);
-        let mut oracle = IncrementalOracle::persistent_with_budgets(16, None, Some(130));
-        oracle.set_warm_batching(false);
-        oracle.begin(&g, 5);
-        oracle.begin(&g, 0); // parks 5 (dense, 68 ≤ 130)
-        oracle.begin(&g, 9); // parks 0 → 136 > 130 → demotes 5 (oldest)
-        assert!(oracle.cache[5].is_sparse(), "oldest slot demoted");
-        assert!(!oracle.cache[0].is_sparse(), "newer slot stays dense");
-        let (_, expect5) = truth(&g, 9, &[EdgeDelta::Insert { u: 9, v: 5 }]);
-        assert_eq!(
-            oracle.evaluate_insert_via_cache(&g, &[], 9, 5),
-            Some((expect5, true)),
-            "sparse slot serves the kernel exactly"
-        );
-        assert!(oracle.stats().sparse_hits >= 1);
-        let (_, expect0) = truth(&g, 9, &[EdgeDelta::Insert { u: 9, v: 0 }]);
-        assert_eq!(
-            oracle.evaluate_insert_via_cache(&g, &[], 9, 0),
-            Some((expect0, true)),
-            "the dense twin answers identically"
-        );
-        let mut buf = BfsBuffer::new(16);
-        assert_eq!(oracle.cached_summary(&g, 5), Some(buf.summary(&g, 5)));
-        // Re-pinning the demoted source stays exact (the ball cannot seed a
-        // working vector, so this pays a fresh BFS).
-        assert_eq!(oracle.begin(&g, 5), buf.summary(&g, 5));
-        assert_eq!(oracle.base_distances(), &buf.run(&g, 5)[..16]);
-    }
-
-    #[test]
-    fn out_of_ball_reads_fall_back_without_losing_exactness() {
-        // On a path the eccentricities diverge: the demoted middle vertex
-        // keeps radius 12 - 2 = 10, and a query from the path's end
-        // (eccentricity 23 > 10 + 2) cannot be proven away from the ball —
-        // the kernel must refuse, and the caller's exact fallback answers.
-        let g = generators::path(24);
-        let mut oracle = IncrementalOracle::persistent_with_budgets(24, None, Some(190));
-        oracle.set_warm_batching(false);
-        oracle.begin(&g, 12);
-        oracle.begin(&g, 0); // parks 12 (dense, 100 ≤ 190)
-        oracle.begin(&g, 23); // parks 0 → 200 > 190 → demotes 12
-        assert!(oracle.cache[12].is_sparse());
-        assert_eq!(
-            oracle.evaluate_insert_via_cache(&g, &[], 23, 12),
-            None,
-            "an out-of-ball query refuses instead of guessing"
-        );
-        assert!(
-            oracle.evaluate_insert_via_cache(&g, &[], 23, 0).is_some(),
-            "the dense slot serves any source"
-        );
-        // The ordinary evaluation path remains exact for the same candidate.
-        let deltas = [EdgeDelta::Insert { u: 23, v: 12 }];
-        let (_, expect) = truth(&g, 23, &deltas);
-        assert_eq!(oracle.evaluate(&deltas), expect);
-    }
     /// Reference for [`level_pair_bound`]: expand both level histograms into
     /// value lists, pair them in opposite order, and sum/max
     /// `min(a, 1 + b)` explicitly (`None` marks an unreached `a`).
@@ -3626,7 +2943,7 @@ mod tests {
             } else {
                 generators::random_with_m_edges(n, rng.gen_range(n..2 * n), &mut rng)
             };
-            let mut oracle = IncrementalOracle::persistent(n);
+            let mut oracle = PersistentOracle::new(n);
             let all: Vec<NodeId> = (0..n).collect();
             oracle.pin_sources(&g, &all);
             for _ in 0..6 {
@@ -3671,10 +2988,10 @@ mod tests {
     }
 
     #[test]
-    fn level_bound_refuses_disconnected_and_sparse_slots() {
+    fn level_bound_refuses_disconnected_and_cold_slots() {
         // Two components: every parked vector misses the other one.
         let g = OwnedGraph::from_owned_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
-        let mut oracle = IncrementalOracle::persistent(6);
+        let mut oracle = PersistentOracle::new(6);
         oracle.pin_sources(&g, &[0, 1, 2, 3, 4, 5]);
         oracle.begin(&g, 0);
         assert_eq!(oracle.insert_level_bound(&g, &[], 0, 2), None);
@@ -3683,18 +3000,17 @@ mod tests {
             oracle.evaluate_insert_via_cache(&g, &[], 0, 4).is_some(),
             "the kernel still serves the candidate"
         );
-        // A demoted ball-sparse slot has no level counts to pair.
+        // A slot evicted under the cap has no level counts to pair.
         let g = generators::cycle(16);
-        let mut oracle = IncrementalOracle::persistent_with_budgets(16, None, Some(130));
-        oracle.set_warm_batching(false);
+        let mut oracle = PersistentOracle::with_slot_cap(16, Some(1));
         oracle.begin(&g, 5);
         oracle.begin(&g, 0);
-        oracle.begin(&g, 9);
-        assert!(oracle.cache[5].is_sparse() && !oracle.cache[0].is_sparse());
+        oracle.begin(&g, 9); // parks 0 → over the cap → evicts 5 (LRU)
+        assert!(oracle.cache[5].version.is_none() && oracle.cache[0].version.is_some());
         assert_eq!(oracle.insert_level_bound(&g, &[], 9, 5), None);
         let dense = oracle
             .insert_level_bound(&g, &[], 9, 0)
-            .expect("a dense connected slot is served");
+            .expect("a parked connected slot is served");
         let (_, exact) = truth(&g, 9, &[EdgeDelta::Insert { u: 9, v: 0 }]);
         assert!(dense.sum <= exact.sum && dense.max <= exact.max);
         assert_eq!(

@@ -292,13 +292,9 @@ pub fn run_dynamics_trial_probed(
         record_trajectory: false,
         ownership_in_state: true,
         oracle: engine.oracle,
-        oracle_cache_budget: engine.oracle_cache_budget,
-        oracle_byte_budget: engine.oracle_byte_budget,
         // The parallel scan is a full rescan; maintaining the dirty set next
         // to it would only burn endpoint BFS runs nobody reads.
         dirty_agents: engine.dirty_agents && engine.parallel_scan.is_none(),
-        warm_parked: engine.warm_parked,
-        warm_batching: engine.warm_batching,
     };
     let mut dynamics = Dynamics::new(game, initial, config);
     let mut kinds = MoveKindCounts::default();

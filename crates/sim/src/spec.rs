@@ -11,13 +11,13 @@ use rand::Rng;
 /// candidate moves, whether the dynamics keeps a dirty-agent set, and whether
 /// the per-step unhappiness scan is distributed over worker threads.
 ///
-/// The default is the incremental oracle with an eager (exact-policy) scan;
-/// dirty-agent tracking is opt-in via [`EngineSpec::fast`] because its lazy
-/// re-examination can occasionally pick a different (non-maximal-cost) mover
-/// than the strict max-cost policy the paper's experiments specify. The
-/// ablation benchmarks pin explicit engines to measure each choice in
-/// isolation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The default is the persistent oracle with an eager (exact-policy) scan,
+/// i.e. [`EngineSpec::persistent`]; [`EngineSpec::baseline`] is the full-BFS
+/// reference it is checked against. Dirty-agent tracking is opt-in
+/// ([`EngineSpec::fastest`]) because its lazy re-examination can
+/// occasionally pick a different (non-maximal-cost) mover than the strict
+/// max-cost policy the paper's experiments specify.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineSpec {
     /// Distance-oracle backend scoring candidate moves.
     pub oracle: OracleKind,
@@ -28,46 +28,10 @@ pub struct EngineSpec {
     /// `Some(threads)` scans agents for unhappiness across worker threads
     /// (useful for large `n`); `None` scans sequentially.
     pub parallel_scan: Option<usize>,
-    /// Cap on the persistent oracle's per-source distance cache (number of
-    /// parked vectors, each `O(n)` u16s). `None` applies the backend default:
-    /// unlimited at `n ≤ 8192`, capped at 8192 sources beyond. Ignored by the
-    /// stateless backends.
-    pub oracle_cache_budget: Option<usize>,
-    /// Cap on the persistent oracle's parked-vector **bytes** (`None` = the
-    /// backend's 128 MiB default). Over budget, parked vectors are demoted to
-    /// their ball-sparse representation and then evicted. Purely a memory
-    /// knob — trajectories are bit-identical under any budget. Ignored by the
-    /// stateless backends.
-    pub oracle_byte_budget: Option<u64>,
-    /// Post-move bulk warming of the persistent oracle's parked vectors
-    /// under dirty-agent tracking (on by default; warming never changes
-    /// trajectories). `false` is the "cold" ablation mode that reproduces
-    /// the pre-warming dirty engine. Only meaningful with `dirty_agents` on
-    /// the persistent backend.
-    pub warm_parked: bool,
-    /// Word-parallel 64-wide bitset BFS waves for the persistent oracle's
-    /// bulk (re)pins (on by default). Purely a performance knob — batched and
-    /// scalar runs produce bit-identical trajectories; `false` is the scalar
-    /// verification baseline (label suffix `+scalar`).
-    pub warm_batching: bool,
-}
-
-impl Default for EngineSpec {
-    fn default() -> Self {
-        EngineSpec {
-            oracle: OracleKind::Incremental,
-            dirty_agents: false,
-            parallel_scan: None,
-            oracle_cache_budget: None,
-            oracle_byte_budget: None,
-            warm_parked: true,
-            warm_batching: true,
-        }
-    }
 }
 
 impl EngineSpec {
-    /// The historical engine: full BFS per candidate, eager full rescans.
+    /// The reference engine: full BFS per candidate, eager full rescans.
     pub fn baseline() -> Self {
         EngineSpec {
             oracle: OracleKind::FullBfs,
@@ -75,26 +39,13 @@ impl EngineSpec {
         }
     }
 
-    /// The fastest sequential engine: incremental oracle plus dirty-agent
-    /// tracking. Termination is exact, but mover selection may deviate from
-    /// the strict policy order when the dirty heuristic under-approximates.
-    pub fn fast() -> Self {
-        EngineSpec {
-            oracle: OracleKind::Incremental,
-            dirty_agents: true,
-            ..EngineSpec::default()
-        }
-    }
-
-    /// The persistent engine: distance vectors are carried *across* dynamics
-    /// steps (per-source cache + graph change-journal replay) instead of
-    /// being re-pinned with a fresh BFS per `(agent, state)` scan, the CSR
-    /// snapshot is journal-patched in place, and insertion candidates are
-    /// scored arithmetically from the parked vectors. Scans stay eager —
-    /// mover selection follows the exact policy order — and the eager re-pin
-    /// of every source per step keeps the whole cache fresh for the
-    /// arithmetic scoring path, which makes this the fastest engine on most
-    /// workloads (see `crates/README.md`).
+    /// The persistent engine (the default): distance vectors are carried
+    /// *across* dynamics steps (per-source cache + graph change-journal
+    /// replay) instead of being re-pinned with a fresh BFS per
+    /// `(agent, state)` scan, the CSR snapshot is journal-patched in place,
+    /// and insertion candidates are bounded from level histograms and scored
+    /// arithmetically from the parked vectors. Scans stay eager — mover
+    /// selection follows the exact policy order (see `crates/README.md`).
     pub fn persistent() -> Self {
         EngineSpec {
             oracle: OracleKind::Persistent,
@@ -105,10 +56,9 @@ impl EngineSpec {
     /// The persistent oracle feeding its exact changed-vertex export into
     /// dirty-agent tracking, so a step re-examines only agents the applied
     /// move actually affected, while post-move bulk warming keeps every
-    /// parked vector at the current version — the dirty engine gets the
-    /// same cache-arithmetic scoring fast path as the eager scan on top of
-    /// the skipped re-scans. Termination is exact (final confirmation
-    /// sweep); mover order may deviate like [`EngineSpec::fast`].
+    /// parked vector at the current version. Termination is exact (final
+    /// confirmation sweep), but mover selection may deviate from the strict
+    /// policy order when the dirty heuristic under-approximates.
     pub fn fastest() -> Self {
         EngineSpec {
             oracle: OracleKind::Persistent,
@@ -117,47 +67,14 @@ impl EngineSpec {
         }
     }
 
-    /// [`EngineSpec::fastest`] with warming disabled — the pre-warming dirty
-    /// engine, kept as an ablation reference (label suffix `+cold`).
-    pub fn fastest_cold() -> Self {
-        EngineSpec {
-            warm_parked: false,
-            ..EngineSpec::fastest()
-        }
-    }
-
-    /// Sets the warming knob (see [`EngineSpec::warm_parked`]).
-    pub fn with_warm_parked(mut self, warm_parked: bool) -> Self {
-        self.warm_parked = warm_parked;
-        self
-    }
-
-    /// Sets the word-parallel wave knob (see [`EngineSpec::warm_batching`]).
-    pub fn with_warm_batching(mut self, warm_batching: bool) -> Self {
-        self.warm_batching = warm_batching;
-        self
-    }
-
-    /// Sets the persistent-cache budget (see [`EngineSpec::oracle_cache_budget`]).
-    pub fn with_cache_budget(mut self, budget: Option<usize>) -> Self {
-        self.oracle_cache_budget = budget;
-        self
-    }
-
-    /// Sets the parked-vector byte budget (see
-    /// [`EngineSpec::oracle_byte_budget`]).
-    pub fn with_byte_budget(mut self, budget: Option<u64>) -> Self {
-        self.oracle_byte_budget = budget;
-        self
-    }
-
     /// Sets the parallel-scan width (`None` = sequential scan).
     pub fn with_parallel_scan(mut self, threads: Option<usize>) -> Self {
         self.parallel_scan = threads;
         self
     }
 
-    /// Short label such as `"incremental+dirty"` used in ablation reports.
+    /// Short label such as `"persistent+dirty"` used in reports and hashed
+    /// into every sweep point's identity and trial seeds.
     pub fn label(&self) -> String {
         let mut parts = vec![self.oracle.label().to_string()];
         if self.dirty_agents {
@@ -165,18 +82,6 @@ impl EngineSpec {
         }
         if let Some(t) = self.parallel_scan {
             parts.push(format!("par{t}"));
-        }
-        if let Some(b) = self.oracle_cache_budget {
-            parts.push(format!("lru{b}"));
-        }
-        if let Some(b) = self.oracle_byte_budget {
-            parts.push(format!("mem{b}"));
-        }
-        if self.dirty_agents && self.oracle == OracleKind::Persistent && !self.warm_parked {
-            parts.push("cold".to_string());
-        }
-        if self.oracle == OracleKind::Persistent && !self.warm_batching {
-            parts.push("scalar".to_string());
         }
         parts.join("+")
     }
@@ -453,21 +358,17 @@ mod tests {
     #[test]
     fn engine_spec_labels_cover_all_backends() {
         assert_eq!(EngineSpec::baseline().label(), "full-bfs");
-        assert_eq!(EngineSpec::default().label(), "incremental");
-        assert_eq!(EngineSpec::fast().label(), "incremental+dirty");
+        assert_eq!(EngineSpec::default(), EngineSpec::persistent());
         assert_eq!(EngineSpec::persistent().label(), "persistent");
         assert_eq!(EngineSpec::fastest().label(), "persistent+dirty");
-        assert!(EngineSpec::fastest().warm_parked, "warming is the default");
-        assert_eq!(EngineSpec::fastest_cold().label(), "persistent+dirty+cold");
-        // The cold suffix only marks configurations where warming would have
-        // been active: eager or non-persistent engines never show it.
+        let reference_dirty = EngineSpec {
+            dirty_agents: true,
+            ..EngineSpec::baseline()
+        };
+        assert_eq!(reference_dirty.label(), "full-bfs+dirty");
         assert_eq!(
-            EngineSpec::persistent().with_warm_parked(false).label(),
-            "persistent"
-        );
-        assert_eq!(
-            EngineSpec::fast().with_warm_parked(false).label(),
-            "incremental+dirty"
+            EngineSpec::fastest().with_parallel_scan(Some(4)).label(),
+            "persistent+dirty+par4"
         );
     }
 

@@ -74,8 +74,6 @@ pub enum Phase {
     Consent,
     /// Post-move bulk warming pass over all parked vectors.
     WarmPass,
-    /// Demotion of a parked vector to its ball-sparse form (byte budget).
-    Demotion,
     /// One (point, chunk) job executed by an orchestrator worker.
     ChunkRun,
     /// Appending one chunk record to the sweep journal.
@@ -83,7 +81,7 @@ pub enum Phase {
 }
 
 /// All phases, in rendering/serialization order.
-pub const PHASES: [Phase; 21] = [
+pub const PHASES: [Phase; 20] = [
     Phase::Trial,
     Phase::Setup,
     Phase::Scan,
@@ -102,7 +100,6 @@ pub const PHASES: [Phase; 21] = [
     Phase::DeltaRepair,
     Phase::Consent,
     Phase::WarmPass,
-    Phase::Demotion,
     Phase::ChunkRun,
     Phase::JournalAppend,
 ];
@@ -129,7 +126,6 @@ impl Phase {
             Phase::DeltaRepair => "delta-repair",
             Phase::Consent => "consent",
             Phase::WarmPass => "warm-pass",
-            Phase::Demotion => "demotion",
             Phase::ChunkRun => "chunk-run",
             Phase::JournalAppend => "journal-append",
         }

@@ -15,7 +15,7 @@ use selfish_ncg::core::{GreedyBuyGame, OracleKind};
 use selfish_ncg::graph::generators;
 use selfish_ncg::trace;
 
-fn run(n: usize, family: &str, oracle: OracleKind, dirty: bool, warm: bool, batch: bool) {
+fn run(n: usize, family: &str, oracle: OracleKind, dirty: bool) {
     use selfish_ncg::core::{AsymSwapGame, Game};
     let mut rng = StdRng::seed_from_u64(42);
     let (game, g): (Box<dyn Game>, _) = match family {
@@ -38,11 +38,7 @@ fn run(n: usize, family: &str, oracle: OracleKind, dirty: bool, warm: bool, batc
         record_trajectory: false,
         ownership_in_state: true,
         oracle,
-        oracle_cache_budget: None,
-        oracle_byte_budget: None,
         dirty_agents: dirty,
-        warm_parked: warm,
-        warm_batching: batch,
     };
     let mut dynamics = Dynamics::new(game, g, config);
     let watch = trace::Stopwatch::start();
@@ -53,7 +49,7 @@ fn run(n: usize, family: &str, oracle: OracleKind, dirty: bool, warm: bool, batc
     let secs = watch.elapsed_secs();
     let stats = dynamics.oracle_stats();
     println!(
-        "n={n:>4} {family} {:<12} dirty={dirty:<5} warm={warm:<5} batch={batch:<5} {secs:>8.3}s steps={steps:>5} bfs={:>7} replays={:>7} lazy={:>7} bumps={:>8} hits={:>7} evals={:>8} expanded={:>10} csr_patch={:>6} csr_rebuild={:>6} batched={:>6} peak_parked={:>9}B widths={:?}",
+        "n={n:>4} {family} {:<12} dirty={dirty:<5} {secs:>8.3}s steps={steps:>5} bfs={:>7} replays={:>7} lazy={:>7} bumps={:>8} hits={:>7} evals={:>8} expanded={:>10} csr_patch={:>6} csr_rebuild={:>6} batched={:>6} peak_parked={:>9}B widths={:?}",
         oracle.label(),
         stats.full_bfs_runs,
         stats.replayed_begins,
@@ -135,14 +131,12 @@ fn main() {
     let ns = if ns.is_empty() { vec![64] } else { ns };
     for &n in &ns {
         for family in ["gbg", "asg"] {
-            for (oracle, dirty, warm, batch) in [
-                (OracleKind::Incremental, true, false, true),
-                (OracleKind::Persistent, false, false, true),
-                (OracleKind::Persistent, true, false, true),
-                (OracleKind::Persistent, true, true, false),
-                (OracleKind::Persistent, true, true, true),
+            for (oracle, dirty) in [
+                (OracleKind::FullBfs, true),
+                (OracleKind::Persistent, false),
+                (OracleKind::Persistent, true),
             ] {
-                run(n, family, oracle, dirty, warm, batch);
+                run(n, family, oracle, dirty);
             }
         }
         phases(n, "gbg");

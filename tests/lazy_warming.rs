@@ -13,7 +13,7 @@
 //!
 //! All three must agree on every distance vector and summary after every
 //! window, including windows longer than the staleness limit (per-vector
-//! fallback), under LRU budget pressure (eviction), and across the
+//! fallback), under slot-cap pressure (eviction), and across the
 //! cache-arithmetic scoring path (`lazy_hits`). Iteration counts scale up in
 //! `--release` like the other randomized suites.
 
@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selfish_ncg::core::dynamics::DynamicsConfig;
 use selfish_ncg::core::{Game, GreedyBuyGame, OracleKind, Workspace};
-use selfish_ncg::graph::oracle::{DistanceOracle, IncrementalOracle};
+use selfish_ncg::graph::oracle::{DistanceOracle, FullBfsOracle, PersistentOracle};
 use selfish_ncg::graph::{generators, BfsBuffer, OwnedGraph};
 use selfish_ncg::prelude::*;
 
@@ -77,8 +77,8 @@ fn changed_vectors(g: &OwnedGraph, pre: &mut [Vec<u16>], buf: &mut BfsBuffer) ->
 
 /// Tentpole property: lazy per-source version replay ≡ eager per-version
 /// sync ≡ full BFS over long random move sequences, with bursts past the
-/// staleness limit (per-vector fallback), an LRU-budgeted twin (eviction)
-/// and a byte-budgeted twin (ball-sparse demotion) riding along.
+/// staleness limit (per-vector fallback) and a slot-capped twin (eviction)
+/// riding along.
 #[test]
 fn lazy_warming_matches_eager_sync_and_full_bfs() {
     let mut rng = StdRng::seed_from_u64(0x1a2f);
@@ -86,22 +86,16 @@ fn lazy_warming_matches_eager_sync_and_full_bfs() {
     let mut warm_batches = 0u64;
     let mut warm_bumps = 0u64;
     let mut lazy_replays = 0u64;
-    let mut sparse_demotions = 0u64;
     for case in 0..cases {
         let mut g = random_graph(&mut rng);
         let n = g.num_nodes();
         let all: Vec<usize> = (0..n).collect();
-        let mut lazy = IncrementalOracle::persistent(n);
-        let mut capped = IncrementalOracle::persistent_budgeted(n, Some(3));
-        // Room for about three dense slots: every park past that demotes the
-        // stalest parked vector to its ball-sparse form.
-        let byte_cap = 3 * 2 * (2 * n as u64 + 2);
-        let mut sparse = IncrementalOracle::persistent_with_budgets(n, None, Some(byte_cap));
-        let mut eager = IncrementalOracle::persistent(n);
+        let mut lazy = PersistentOracle::new(n);
+        let mut capped = PersistentOracle::with_slot_cap(n, Some(3));
+        let mut eager = PersistentOracle::new(n);
         let mut buf = BfsBuffer::new(n);
         lazy.pin_sources(&g, &all);
         capped.pin_sources(&g, &all);
-        sparse.pin_sources(&g, &all);
         eager.pin_sources(&g, &all);
         let mut pre: Vec<Vec<u16>> = (0..n).map(|x| buf.run(&g, x)[..n].to_vec()).collect();
         for step in 0..18 {
@@ -119,7 +113,6 @@ fn lazy_warming_matches_eager_sync_and_full_bfs() {
             let dirty = changed_vectors(&g, &mut pre, &mut buf);
             lazy.warm_sources(&g, &dirty);
             capped.warm_sources(&g, &dirty);
-            sparse.warm_sources(&g, &dirty);
             eager.pin_sources(&g, &all);
             for probe in 0..4 {
                 let src = rng.gen_range(0..n);
@@ -133,12 +126,6 @@ fn lazy_warming_matches_eager_sync_and_full_bfs() {
                     &buf.run(&g, src)[..n],
                     "capped {ctx}"
                 );
-                assert_eq!(sparse.begin(&g, src), expect, "sparse {ctx}");
-                assert_eq!(
-                    sparse.base_distances(),
-                    &buf.run(&g, src)[..n],
-                    "sparse {ctx}"
-                );
                 assert_eq!(eager.begin(&g, src), expect, "eager {ctx}");
             }
         }
@@ -146,11 +133,10 @@ fn lazy_warming_matches_eager_sync_and_full_bfs() {
         warm_batches += stats.warm_batches;
         warm_bumps += stats.warm_bumps;
         lazy_replays += stats.lazy_replays;
-        let sparse_stats = sparse.stats();
-        sparse_demotions += sparse_stats.sparse_demotions;
+        let slot_bytes = 2 * (2 * n as u64 + 2);
         assert!(
-            sparse_stats.peak_parked_bytes <= byte_cap,
-            "case {case}: the recorded peak must respect the byte budget"
+            capped.stats().peak_parked_bytes <= 3 * slot_bytes,
+            "case {case}: the recorded peak must respect the slot cap"
         );
     }
     // The lazy discipline must actually have taken its fast paths, not fallen
@@ -158,18 +144,14 @@ fn lazy_warming_matches_eager_sync_and_full_bfs() {
     assert!(warm_batches > 0, "bulk warming never ran");
     assert!(warm_bumps > 0, "no clean vector was stamp-bumped");
     assert!(lazy_replays > 0, "no dirty vector was lazily replayed");
-    assert!(
-        sparse_demotions > 0,
-        "the byte budget never forced a demotion"
-    );
 }
 
-/// Tentpole property of the word-parallel waves: a batched oracle (64-wide
-/// bitset BFS bulk repins, the default), a scalar twin (batching off) and
+/// Tentpole property of the word-parallel waves: the persistent oracle's
+/// 64-wide bitset BFS bulk repins, the scalar full-BFS reference oracle and
 /// fresh BFS must agree on every distance vector and summary over random
 /// move sequences — including burst windows past the replay limit, which is
 /// exactly when the batched path recomputes whole slot groups in shared
-/// waves while the scalar twin leaves them for per-source full-BFS re-pins.
+/// waves.
 #[test]
 fn batched_warm_replay_matches_scalar_and_full_bfs() {
     let mut rng = StdRng::seed_from_u64(0xb175);
@@ -178,12 +160,10 @@ fn batched_warm_replay_matches_scalar_and_full_bfs() {
         let mut g = random_graph(&mut rng);
         let n = g.num_nodes();
         let all: Vec<usize> = (0..n).collect();
-        let mut batched = IncrementalOracle::persistent(n);
-        let mut scalar = IncrementalOracle::persistent(n);
-        scalar.set_warm_batching(false);
+        let mut batched = PersistentOracle::new(n);
+        let mut scalar = FullBfsOracle::new(n);
         let mut buf = BfsBuffer::new(n);
         batched.pin_sources(&g, &all);
-        scalar.pin_sources(&g, &all);
         let mut pre: Vec<Vec<u16>> = (0..n).map(|x| buf.run(&g, x)[..n].to_vec()).collect();
         for step in 0..14 {
             // Mostly small windows; frequent bursts past the replay limit
@@ -198,12 +178,10 @@ fn batched_warm_replay_matches_scalar_and_full_bfs() {
             }
             let dirty = changed_vectors(&g, &mut pre, &mut buf);
             batched.warm_sources(&g, &dirty);
-            scalar.warm_sources(&g, &dirty);
             if step % 4 == 3 {
                 // Periodic bulk re-pin: cold and unreplayable sources go
                 // through the shared waves on the batched oracle.
                 batched.pin_sources(&g, &all);
-                scalar.pin_sources(&g, &all);
                 for &src in &all {
                     let expect = buf.summary(&g, src);
                     let ctx = format!("case {case} step {step} src {src}");
@@ -212,7 +190,6 @@ fn batched_warm_replay_matches_scalar_and_full_bfs() {
                         Some(expect),
                         "batched {ctx}"
                     );
-                    assert_eq!(scalar.cached_summary(&g, src), Some(expect), "scalar {ctx}");
                 }
             }
             for probe in 0..4 {
@@ -228,125 +205,14 @@ fn batched_warm_replay_matches_scalar_and_full_bfs() {
                 assert_eq!(scalar.begin(&g, src), expect, "scalar {ctx}");
                 assert_eq!(
                     scalar.base_distances(),
-                    &buf.run(&g, src)[..n],
+                    batched.base_distances(),
                     "scalar {ctx}"
                 );
             }
         }
         batched_repins += batched.stats().batched_repins;
-        assert_eq!(
-            scalar.stats().batched_repins,
-            0,
-            "case {case}: the scalar twin must never batch"
-        );
     }
     assert!(batched_repins > 0, "the word-parallel waves never ran");
-}
-
-/// Staleness bursts crossing the dense/sparse boundary: a byte-budgeted
-/// oracle rides windows that alternate between per-move dribbles and bursts
-/// past the staleness limit `max(8, n/8)`. A dirty demoted slot cannot
-/// replay (its ball is a read-only summary surface), so the warm pass
-/// re-promotes it through the shared recompute waves, and the budget then
-/// demotes the stalest survivors again — vectors cross the boundary in both
-/// directions all run long. Every current summary and every activation must
-/// match fresh BFS throughout.
-#[test]
-fn staleness_bursts_cross_the_sparse_boundary_exactly() {
-    let mut rng = StdRng::seed_from_u64(0xba11);
-    let mut demotions = 0u64;
-    let mut waves = 0u64;
-    let mut sparse_now = 0u64;
-    for case in 0..5 * SCALE {
-        let mut g = random_graph(&mut rng);
-        let n = g.num_nodes();
-        let all: Vec<usize> = (0..n).collect();
-        // Room for about a third of the slots dense: the rest live in balls.
-        let byte_cap = (n as u64 / 3).max(2) * 2 * (2 * n as u64 + 2);
-        let mut oracle = IncrementalOracle::persistent_with_budgets(n, None, Some(byte_cap));
-        let mut buf = BfsBuffer::new(n);
-        oracle.pin_sources(&g, &all);
-        let mut pre: Vec<Vec<u16>> = (0..n).map(|x| buf.run(&g, x)[..n].to_vec()).collect();
-        for step in 0..12 {
-            let window = if step % 3 == 2 {
-                (n / 8).max(8) + 2
-            } else {
-                rng.gen_range(1usize..3)
-            };
-            for _ in 0..window {
-                apply_random_change(&mut g, &mut rng);
-            }
-            let dirty = changed_vectors(&g, &mut pre, &mut buf);
-            oracle.warm_sources(&g, &dirty);
-            // After warming over the exact dirty set, every slot the budget
-            // kept — dense or demoted — serves the fresh-BFS summary; only
-            // evicted slots may answer `None`.
-            for &src in &all {
-                if let Some(summary) = oracle.cached_summary(&g, src) {
-                    assert_eq!(
-                        summary,
-                        buf.summary(&g, src),
-                        "case {case} step {step} src {src}"
-                    );
-                }
-            }
-            sparse_now += oracle.sparse_parked() as u64;
-            for probe in 0..3 {
-                let src = rng.gen_range(0..n);
-                let ctx = format!("case {case} step {step} probe {probe} src {src}");
-                assert_eq!(oracle.begin(&g, src), buf.summary(&g, src), "{ctx}");
-                assert_eq!(oracle.base_distances(), &buf.run(&g, src)[..n], "{ctx}");
-            }
-        }
-        let stats = oracle.stats();
-        demotions += stats.sparse_demotions;
-        waves += stats.batched_repins;
-    }
-    assert!(demotions > 0, "the byte budget never forced a demotion");
-    assert!(waves > 0, "no demoted slot was re-promoted through a wave");
-    assert!(sparse_now > 0, "no slot was ever held in ball-sparse form");
-}
-
-/// Out-of-ball reads at the game level: a byte-starved persistent workspace
-/// must score buy scans exactly like the full-BFS workspace even when every
-/// parked vector lives in a shrunken ball (down to the source alone), so
-/// insert-kernel reads routinely refuse — out of ball, or radius cut below
-/// the demand — and fall back to an exact delta evaluation.
-#[test]
-fn byte_starved_buy_scans_fall_back_exactly() {
-    let mut rng = StdRng::seed_from_u64(0x0ba1);
-    let mut demotions = 0u64;
-    for case in 0..5 * SCALE {
-        let n = rng.gen_range(10usize..24);
-        let mut g = generators::random_with_m_edges(n, 2 * n, &mut rng);
-        let game = GreedyBuyGame::sum(n as f64 / 4.0);
-        // Two dense slots' worth: the working vector's park plus one more;
-        // everything else demotes to near-point balls.
-        let byte_cap = 2 * 2 * (2 * n as u64 + 2);
-        let mut ws_pers =
-            Workspace::with_engine_budgets(n, OracleKind::Persistent, None, Some(byte_cap));
-        let mut ws_full = Workspace::with_oracle(n, OracleKind::FullBfs);
-        for u in 0..n {
-            let _ = game.improving_moves(&g, u, &mut ws_pers);
-        }
-        for _ in 0..2 {
-            apply_random_change(&mut g, &mut rng);
-        }
-        for u in 0..n {
-            assert_eq!(
-                game.improving_moves(&g, u, &mut ws_pers),
-                game.improving_moves(&g, u, &mut ws_full),
-                "case {case} agent {u}"
-            );
-            assert_eq!(
-                game.best_response(&g, u, &mut ws_pers),
-                game.best_response(&g, u, &mut ws_full),
-                "case {case} agent {u}"
-            );
-        }
-        demotions += ws_pers.oracle_stats().sparse_demotions;
-    }
-    assert!(demotions > 0, "the byte budget never forced a demotion");
 }
 
 /// The warming contract tolerates gaps: when several windows pass between
@@ -359,7 +225,7 @@ fn warming_with_gaps_and_unions_stays_exact() {
         let mut g = random_graph(&mut rng);
         let n = g.num_nodes();
         let all: Vec<usize> = (0..n).collect();
-        let mut oracle = IncrementalOracle::persistent(n);
+        let mut oracle = PersistentOracle::new(n);
         let mut buf = BfsBuffer::new(n);
         oracle.pin_sources(&g, &all);
         let mut pre: Vec<Vec<u16>> = (0..n).map(|x| buf.run(&g, x)[..n].to_vec()).collect();
@@ -427,11 +293,11 @@ fn on_demand_warming_keeps_buy_scans_exact() {
     );
 }
 
-/// Regression at the old crossover point (SUM-GBG, where PR 4's dirty engine
-/// lost to the eager persistent engine at n ≥ 128): the dirty engines form
-/// one trajectory class — incremental+dirty, persistent+dirty (warm) and
-/// persistent+dirty (cold) must replay the *identical* move sequence for the
-/// same seed. Warming is invisible to everything but the clock.
+/// Regression at the old crossover point (SUM-GBG, n ≥ 128): the dirty
+/// engines form one trajectory class — `full-bfs+dirty` (pre-move endpoint
+/// BFS diffs) and the warmed `persistent+dirty` (the oracle's exported
+/// change sets) must replay the *identical* move sequence for the same
+/// seed. Warming is invisible to everything but the clock.
 #[test]
 fn dirty_trajectory_identity_at_the_old_crossover() {
     let ns: &[usize] = if cfg!(debug_assertions) {
@@ -443,32 +309,22 @@ fn dirty_trajectory_identity_at_the_old_crossover() {
         let mut seed_rng = StdRng::seed_from_u64(0xc055);
         let g = generators::random_with_m_edges(n, 2 * n, &mut seed_rng);
         let game = GreedyBuyGame::sum(n as f64 / 4.0);
-        let run = |oracle: OracleKind, warm: bool, batch: bool| {
+        let run = |oracle: OracleKind| {
             let mut rng = StdRng::seed_from_u64(0x7ea5);
             let mut cfg = DynamicsConfig::simulation(400 * n)
                 .with_oracle(oracle)
-                .with_dirty_agents(true)
-                .with_warm_parked(warm)
-                .with_warm_batching(batch);
+                .with_dirty_agents(true);
             cfg.record_trajectory = true;
             run_dynamics(&game, &g, &cfg, &mut rng)
         };
-        let reference = run(OracleKind::Incremental, false, true);
+        let reference = run(OracleKind::FullBfs);
         assert!(reference.converged(), "n={n}: reference must converge");
-        for (oracle, warm, batch) in [
-            (OracleKind::Persistent, true, true),
-            (OracleKind::Persistent, true, false),
-            (OracleKind::Persistent, false, true),
-        ] {
-            let out = run(oracle, warm, batch);
-            assert_eq!(
-                out.trajectory,
-                reference.trajectory,
-                "n={n} {} warm={warm} batch={batch}: dirty trajectory diverged",
-                oracle.label()
-            );
-            assert_eq!(out.final_graph, reference.final_graph, "n={n}");
-            assert_eq!(out.termination, reference.termination, "n={n}");
-        }
+        let out = run(OracleKind::Persistent);
+        assert_eq!(
+            out.trajectory, reference.trajectory,
+            "n={n}: dirty trajectory diverged"
+        );
+        assert_eq!(out.final_graph, reference.final_graph, "n={n}");
+        assert_eq!(out.termination, reference.termination, "n={n}");
     }
 }

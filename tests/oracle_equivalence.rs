@@ -1,7 +1,7 @@
-//! Randomized equivalence of the incremental and persistent distance oracles
-//! against from-scratch BFS: on random graphs, under random edge-delta
-//! candidates, random applied move sequences carried across [`begin`] calls
-//! (persistent mode), and random whole-strategy (`SetOwned` /
+//! Randomized equivalence of the persistent distance oracle against the
+//! full-BFS reference and from-scratch BFS: on random graphs, under random
+//! edge-delta candidates, random applied move sequences carried across
+//! [`begin`] calls, and random whole-strategy (`SetOwned` /
 //! `SetNeighbors`) candidates, every backend must report exactly the same
 //! distance vector, SUM and MAX as a fresh BFS.
 //!
@@ -18,7 +18,7 @@ use selfish_ncg::core::{
     agent_cost_total, apply_move, edge_cost_after, CostEvaluator, DeltaScore, DistanceMetric,
     EdgeCostMode, Game, Move, OracleKind, Workspace,
 };
-use selfish_ncg::graph::oracle::{DistanceOracle, EdgeDelta, FullBfsOracle, IncrementalOracle};
+use selfish_ncg::graph::oracle::{DistanceOracle, EdgeDelta, FullBfsOracle, PersistentOracle};
 use selfish_ncg::graph::{generators, BfsBuffer, DistanceSummary, OwnedGraph};
 use selfish_ncg::prelude::*;
 
@@ -97,12 +97,12 @@ fn oracle_matches_bfs_on_random_delta_candidates() {
         let g = random_graph(&mut rng);
         let n = g.num_nodes();
         let src = rng.gen_range(0..n);
-        let mut inc = IncrementalOracle::new(n);
+        let mut inc = PersistentOracle::new(n);
         let mut full = FullBfsOracle::new(n);
         inc.begin(&g, src);
         full.begin(&g, src);
         // Several evaluations against the same base state: consecutive
-        // candidates often share delta prefixes, stressing the incremental
+        // candidates often share delta prefixes, stressing the persistent
         // backend's prefix reuse.
         for round in 0..12 {
             let deltas = random_deltas(&g, &mut rng);
@@ -131,7 +131,7 @@ fn oracle_stays_exact_along_random_move_sequences() {
     for case in 0..25 {
         let mut g = random_graph(&mut rng);
         let n = g.num_nodes();
-        let mut inc = IncrementalOracle::new(n);
+        let mut inc = PersistentOracle::new(n);
         let mut buf = BfsBuffer::new(n);
         for step in 0..10 {
             // Mutate the graph by one random valid single-edge move.
@@ -180,10 +180,9 @@ fn assert_bounded_scans_agree(
 }
 
 /// End-to-end equivalence at the game layer: for every scanned agent, the
-/// full-BFS, incremental and persistent workspaces must produce the
-/// *identical* list of improving moves and the identical best response,
-/// and the full-BFS and persistent ones the identical best-response tie set
-/// and unhappiness verdict.
+/// full-BFS and persistent workspaces must produce the *identical* list of
+/// improving moves, the identical best response, the identical
+/// best-response tie set and the identical unhappiness verdict.
 #[test]
 fn best_responses_identical_across_backends() {
     let mut rng = StdRng::seed_from_u64(0xbe57);
@@ -198,19 +197,14 @@ fn best_responses_identical_across_backends() {
             Box::new(GreedyBuyGame::max(2.5)),
         ];
         let mut ws_full = Workspace::with_oracle(n, OracleKind::FullBfs);
-        let mut ws_inc = Workspace::with_oracle(n, OracleKind::Incremental);
         let mut ws_pers = Workspace::with_oracle(n, OracleKind::Persistent);
         for game in &games {
             for u in 0..n {
                 let full = game.improving_moves(&g, u, &mut ws_full);
-                let inc = game.improving_moves(&g, u, &mut ws_inc);
                 let pers = game.improving_moves(&g, u, &mut ws_pers);
-                assert_eq!(full, inc, "case {case}: {} agent {u}", game.name());
                 assert_eq!(full, pers, "case {case}: {} agent {u}", game.name());
                 let bf = game.best_response(&g, u, &mut ws_full);
-                let bi = game.best_response(&g, u, &mut ws_inc);
                 let bp = game.best_response(&g, u, &mut ws_pers);
-                assert_eq!(bf, bi, "case {case}: {} agent {u}", game.name());
                 assert_eq!(bf, bp, "case {case}: {} agent {u}", game.name());
                 let ctx = format!("case {case}: {} agent {u}", game.name());
                 assert_bounded_scans_agree(game.as_ref(), &g, u, &mut ws_full, &mut ws_pers, &ctx);
@@ -243,7 +237,7 @@ fn persistent_oracle_exact_along_long_random_move_sequences() {
     for case in 0..cases {
         let mut g = random_graph(&mut rng);
         let n = g.num_nodes();
-        let mut oracle = IncrementalOracle::persistent(n);
+        let mut oracle = PersistentOracle::new(n);
         let mut buf = BfsBuffer::new(n);
         // A small rotating set of sources, so re-pins hit warm cache entries.
         let sources: Vec<usize> = (0..3).map(|_| rng.gen_range(0..n)).collect();
@@ -291,11 +285,7 @@ fn whole_strategy_delta_scoring_matches_apply_bfs_undo() {
     for case in 0..cases {
         let g = random_graph(&mut rng);
         let n = g.num_nodes();
-        for kind in [
-            OracleKind::FullBfs,
-            OracleKind::Incremental,
-            OracleKind::Persistent,
-        ] {
+        for kind in [OracleKind::FullBfs, OracleKind::Persistent] {
             let mut evaluator = CostEvaluator::new(kind, n);
             for _ in 0..5 {
                 let u = rng.gen_range(0..n);
@@ -347,19 +337,14 @@ fn whole_strategy_delta_scoring_matches_apply_bfs_undo() {
             }
         }
     }
-    assert_eq!(sequences, cases * 3 * 5 * 6);
+    assert_eq!(sequences, cases * 2 * 5 * 6);
 }
 
-/// Satellite property: along random improving-move playouts of every game
-/// type, the three backends agree on the full improving-move list and the
-/// best response at every visited `(state, agent)` — the graph is mutated in
-/// place, so the persistent workspaces replay the applied moves' deltas
-/// between scans.
-#[test]
-fn scans_identical_across_engines_along_random_playouts() {
-    let target = 120 * SCALE; // scans per game type; ≥ 1200 in release
-    type GameFactory = fn(usize) -> Box<dyn Game>;
-    let game_types: Vec<(&str, GameFactory)> = vec![
+type GameFactory = fn(usize) -> Box<dyn Game>;
+
+/// Every game type the playouts drive, with its α rule.
+fn playout_games() -> Vec<(&'static str, GameFactory)> {
+    vec![
         ("SUM-SG", |_| Box::new(SwapGame::sum())),
         ("MAX-SG", |_| Box::new(SwapGame::max())),
         ("SUM-ASG", |_| Box::new(AsymSwapGame::sum())),
@@ -367,8 +352,18 @@ fn scans_identical_across_engines_along_random_playouts() {
         ("SUM-GBG", |n| Box::new(GreedyBuyGame::sum(n as f64 / 4.0))),
         ("MAX-GBG", |_| Box::new(GreedyBuyGame::max(2.5))),
         ("SUM-BG", |n| Box::new(BuyGame::sum(n as f64 / 4.0))),
-    ];
-    for (label, make) in game_types {
+    ]
+}
+
+/// Satellite property: along random improving-move playouts of every game
+/// type, the full-BFS and persistent backends agree on the full
+/// improving-move list and the best response at every visited
+/// `(state, agent)` — the graph is mutated in place, so the persistent
+/// workspace replays the applied moves' deltas between scans.
+#[test]
+fn scans_identical_across_engines_along_random_playouts() {
+    let target = 120 * SCALE; // scans per game type; ≥ 1200 in release
+    for (label, make) in playout_games() {
         let mut rng = StdRng::seed_from_u64(0x91a7);
         let mut scans = 0usize;
         while scans < target {
@@ -377,14 +372,11 @@ fn scans_identical_across_engines_along_random_playouts() {
             let mut g = generators::random_with_m_edges(n, rng.gen_range(n..2 * n), &mut rng);
             let game = make(n);
             let mut ws_full = Workspace::with_oracle(n, OracleKind::FullBfs);
-            let mut ws_inc = Workspace::with_oracle(n, OracleKind::Incremental);
             let mut ws_pers = Workspace::with_oracle(n, OracleKind::Persistent);
             for _step in 0..12 {
                 let u = rng.gen_range(0..n);
                 let full = game.improving_moves(&g, u, &mut ws_full);
-                let inc = game.improving_moves(&g, u, &mut ws_inc);
                 let pers = game.improving_moves(&g, u, &mut ws_pers);
-                assert_eq!(full, inc, "{label} agent {u}");
                 assert_eq!(full, pers, "{label} agent {u}");
                 let bf = game.best_response(&g, u, &mut ws_full);
                 let bp = game.best_response(&g, u, &mut ws_pers);
@@ -402,6 +394,59 @@ fn scans_identical_across_engines_along_random_playouts() {
                         apply_random_change(&mut g, &mut rng);
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The slot cap only trades speed for memory: along the same random
+/// playouts, persistent workspaces whose oracle keeps at most 0, 1 or 4
+/// parked vectors (so every scan evicts and re-pins) must return the
+/// full-BFS reference's best-response tie sets, in order, and its
+/// unhappiness verdicts.
+#[test]
+fn slot_capped_oracles_scan_identically_to_full_bfs() {
+    let target = 40 * SCALE; // scans per game type
+    for (label, make) in playout_games() {
+        let mut rng = StdRng::seed_from_u64(0x5107);
+        let mut scans = 0usize;
+        while scans < target {
+            let n = rng.gen_range(6usize..11);
+            let mut g = generators::random_with_m_edges(n, rng.gen_range(n..2 * n), &mut rng);
+            let game = make(n);
+            let mut ws_full = Workspace::with_oracle(n, OracleKind::FullBfs);
+            let mut capped: Vec<(usize, Workspace)> = [0usize, 1, 4]
+                .into_iter()
+                .map(|cap| {
+                    let mut ws = Workspace::with_oracle(n, OracleKind::Persistent);
+                    let oracle = PersistentOracle::with_slot_cap(n, Some(cap));
+                    ws.evaluator = CostEvaluator::from_oracle(Box::new(oracle));
+                    (cap, ws)
+                })
+                .collect();
+            for _step in 0..12 {
+                let u = rng.gen_range(0..n);
+                for (cap, ws) in &mut capped {
+                    let ctx = format!("{label} cap {cap} agent {u}");
+                    assert_bounded_scans_agree(game.as_ref(), &g, u, &mut ws_full, ws, &ctx);
+                }
+                scans += 1;
+                match game.best_response(&g, u, &mut ws_full) {
+                    Some(scored) => {
+                        apply_move(&mut g, u, &scored.mv).expect("best response applies");
+                    }
+                    None => {
+                        apply_random_change(&mut g, &mut rng);
+                    }
+                }
+            }
+            let slot_bytes = 2 * (2 * n as u64 + 2);
+            for (cap, ws) in &capped {
+                let peak = ws.oracle_stats().peak_parked_bytes;
+                assert!(
+                    peak <= *cap as u64 * slot_bytes,
+                    "{label} cap {cap}: {peak}"
+                );
             }
         }
     }
@@ -463,7 +508,7 @@ fn u16_boundary_distances_at_unreachable_minus_one() {
     // `far.saturating_add(1)` saturates to exactly `UNREACHABLE` there — the
     // vertex must still be served by the source side (distance 0), not
     // counted unreachable.
-    let mut oracle = IncrementalOracle::persistent(n);
+    let mut oracle = PersistentOracle::new(n);
     oracle.pin_sources(&g, &[n - 1]);
     oracle.begin(&g, 0);
     let (got, exact) = oracle
@@ -479,7 +524,7 @@ fn u16_boundary_distances_at_unreachable_minus_one() {
     for i in 0..n - 2 {
         g2.add_edge(i, i + 1);
     }
-    let mut oracle2 = IncrementalOracle::persistent(n);
+    let mut oracle2 = PersistentOracle::new(n);
     oracle2.pin_sources(&g2, &[n - 2]);
     oracle2.begin(&g2, 0);
     let (got2, _) = oracle2

@@ -112,7 +112,7 @@ fn csr_patch_matches_rebuild_over_random_journals() {
 }
 
 /// One random bilateral move sequence: at every state compare the persistent
-/// (delta consent) and incremental (apply → BFS → undo) scans for a sampled
+/// (delta consent) and full-BFS (apply → BFS → undo) scans for a sampled
 /// agent, then advance with a random feasible improving move.
 fn bilateral_sequence(metric_max: bool, case: u64) {
     let mut rng = StdRng::seed_from_u64(0xB11A + case);
@@ -125,7 +125,7 @@ fn bilateral_sequence(metric_max: bool, case: u64) {
     };
     let mut g = generators::random_with_m_edges(n, rng.gen_range(n - 1..2 * n), &mut rng);
     let mut fast = Workspace::with_oracle(n, OracleKind::Persistent);
-    let mut slow = Workspace::with_oracle(n, OracleKind::Incremental);
+    let mut slow = Workspace::with_oracle(n, OracleKind::FullBfs);
     for step in 0..6 {
         let probe = rng.gen_range(0..n);
         let a = game.improving_moves(&g, probe, &mut fast);

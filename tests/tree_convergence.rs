@@ -146,8 +146,8 @@ fn sum_asg_max_cost_policy_linear_convergence() {
 }
 
 /// Convergence regression: swap-game dynamics on trees must produce the
-/// *identical* move sequence under the full-BFS, incremental and persistent
-/// engines for a fixed seed — candidate scoring is exact in all three, so the
+/// *identical* move sequence under the full-BFS and persistent engines for
+/// a fixed seed — candidate scoring is exact in both, so the
 /// policy decisions and the RNG stream must coincide step by step.
 #[test]
 fn engines_produce_identical_move_sequences_on_trees() {
@@ -176,18 +176,11 @@ fn engines_produce_identical_move_sequences_on_trees() {
                 };
                 let reference = run(OracleKind::FullBfs);
                 assert!(reference.converged(), "{} {}", game.name(), policy.label());
-                for oracle in [OracleKind::Incremental, OracleKind::Persistent] {
-                    let out = run(oracle);
-                    let ctx = format!(
-                        "n={n} {} {} {}",
-                        game.name(),
-                        policy.label(),
-                        oracle.label()
-                    );
-                    assert_eq!(out.termination, reference.termination, "{ctx}");
-                    assert_eq!(out.trajectory, reference.trajectory, "{ctx}");
-                    assert_eq!(out.final_graph, reference.final_graph, "{ctx}");
-                }
+                let out = run(OracleKind::Persistent);
+                let ctx = format!("n={n} {} {}", game.name(), policy.label());
+                assert_eq!(out.termination, reference.termination, "{ctx}");
+                assert_eq!(out.trajectory, reference.trajectory, "{ctx}");
+                assert_eq!(out.final_graph, reference.final_graph, "{ctx}");
             }
         }
     }
