@@ -1,6 +1,5 @@
 //! Ablation of the pluggable cost-evaluation engine: the full-BFS reference
-//! vs. the cross-step persistent oracle, with and without dirty-agent
-//! tracking, on the swap-game dynamics hot path
+//! vs. the cross-step persistent oracle on the swap-game dynamics hot path
 //! (plus the GBG for the buy-move mix and the Buy-Game `SetOwned`
 //! enumeration for the whole-strategy delta path).
 //!
@@ -102,16 +101,7 @@ fn bench_swap_dynamics_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("oracle_swap_dynamics");
     group.sample_size(10);
     for &n in &[128usize, 256] {
-        let full_dirty = EngineSpec {
-            dirty_agents: true,
-            ..EngineSpec::baseline()
-        };
-        for engine in [
-            EngineSpec::baseline(),
-            EngineSpec::persistent(),
-            full_dirty,
-            EngineSpec::fastest(),
-        ] {
+        for engine in [EngineSpec::baseline(), EngineSpec::persistent()] {
             let point = engine_point(n, engine);
             let game = point.make_game();
             let id = format!("n{n}_{}", engine.label());

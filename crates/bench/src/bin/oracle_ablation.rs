@@ -1,6 +1,6 @@
 //! Ablation report: the full-BFS reference engine vs. the cross-step
-//! **persistent** oracle (each with and without dirty-agent tracking) on the
-//! swap-game and greedy-buy-game dynamics hot paths, plus a Buy-Game
+//! **persistent** oracle on the swap-game and greedy-buy-game dynamics hot
+//! paths, plus a Buy-Game
 //! `SetOwned` series comparing whole-strategy delta scoring against the
 //! historical apply → BFS → undo cycle and a bilateral series doing the same
 //! for delta-scored consent.
@@ -12,12 +12,11 @@
 //! ```
 //!
 //! Prints, per `(family, n)`, the wall-clock per engine together with the
-//! speedups of the persistent engines over their full-BFS references.
-//! Before any timing it asserts the identities the fast engines rest on:
-//! `persistent` ≡ `full-bfs` and `persistent+dirty` ≡ `full-bfs+dirty`
-//! trajectories, and traced ≡ untraced runs. `smoke=1` shrinks everything
-//! for CI; `json=PATH` additionally writes the measurements as a JSON
-//! snapshot.
+//! speedup of the persistent engine over the full-BFS reference. It asserts
+//! the identities the fast engine rests on: traced ≡ untraced runs before
+//! any timing, and `persistent` ≡ `full-bfs` step counts in every cell both
+//! engines run. `smoke=1` shrinks everything for CI; `json=PATH` additionally
+//! writes the measurements as a JSON snapshot.
 
 use ncg_bench::ConsentForced;
 use ncg_core::policy::Policy;
@@ -34,15 +33,10 @@ use std::fmt::Write as _;
 
 struct Scale {
     max_n: usize,
-    /// Largest `n` the full-BFS reference engines still run at; beyond it
-    /// only the persistent engines are measured, which is what lets the
-    /// sweep reach n = 1024 on one core.
+    /// Largest `n` the full-BFS reference engine still runs at; beyond it
+    /// only the persistent engine is measured, which is what lets the sweep
+    /// reach n = 2048 on one core.
     full_max_n: usize,
-    /// Largest `n` the *eager* persistent engine still runs at; beyond it
-    /// only `persistent+dirty` is measured — the eager engine rescans all
-    /// agents per step and falls behind by an order of magnitude at
-    /// n ≥ 2048, while the dirty engine carries the sweep to n = 4096.
-    pers_max_n: usize,
     trials: usize,
     smoke: bool,
     /// `trace=1`: keep the global trace switch on for the whole run — the CI
@@ -56,7 +50,6 @@ fn parse_scale() -> Scale {
     let mut scale = Scale {
         max_n: 256,
         full_max_n: 256,
-        pers_max_n: 1024,
         trials: 3,
         smoke: false,
         trace: false,
@@ -69,7 +62,6 @@ fn parse_scale() -> Scale {
         match key {
             "max_n" => scale.max_n = value.parse().unwrap_or(scale.max_n),
             "full_max_n" => scale.full_max_n = value.parse().unwrap_or(scale.full_max_n),
-            "pers_max_n" => scale.pers_max_n = value.parse().unwrap_or(scale.pers_max_n),
             "trials" => scale.trials = value.parse().unwrap_or(scale.trials),
             "smoke" => scale.smoke = value == "1" || value == "true",
             "trace" => scale.trace = value == "1" || value == "true",
@@ -81,7 +73,6 @@ fn parse_scale() -> Scale {
         scale.max_n = scale.max_n.min(64);
         scale.trials = 1;
     }
-    scale.pers_max_n = scale.pers_max_n.max(scale.full_max_n);
     scale
 }
 
@@ -145,82 +136,16 @@ fn measure(point: &ExperimentPoint, repeats: usize) -> (f64, usize, OracleStats)
     (best, steps, stats)
 }
 
-/// Measures the `persistent` / `persistent+dirty` pair with their repeat
-/// blocks *interleaved* (p, pd, p, pd, …), taking the fastest block of each.
-/// The snapshot's headline claim is the *ratio* of exactly these two cells,
-/// and adjacent-in-time blocks cancel the slow drift a one-core box shows
-/// over a multi-minute sweep far better than measuring the two engines
-/// minutes apart.
-type Cell = (f64, usize, OracleStats);
-fn measure_pair(p2: &ExperimentPoint, p4: &ExperimentPoint, repeats: usize) -> (Cell, Cell) {
-    let mut r2 = measure(p2, 1);
-    let mut r4 = measure(p4, 1);
-    for rep in 1..repeats.max(1) {
-        // Alternate which engine runs first within a rep — the first block
-        // after an idle gap systematically runs a hair faster, and that bias
-        // must not always land on the same side of the ratio.
-        let (n2, n4) = if rep % 2 == 1 {
-            let n4 = measure(p4, 1);
-            (measure(p2, 1), n4)
-        } else {
-            (measure(p2, 1), measure(p4, 1))
-        };
-        assert_eq!(n2.1, r2.1, "{}: trials are deterministic", p2.label());
-        assert_eq!(n4.1, r4.1, "{}: trials are deterministic", p4.label());
-        r2.0 = r2.0.min(n2.0);
-        r4.0 = r4.0.min(n4.0);
-    }
-    (r2, r4)
-}
-
-/// The dirty-engine trajectory-identity assertion of the CI smoke job: with
-/// the same seed, `full-bfs+dirty` and the warmed `persistent+dirty` engine
-/// must walk **identical** move sequences — the dirty set is computed from
-/// the same exact distance diffs in both, and warming/replay never change a
-/// score. Asserted on both headline families.
-fn assert_dirty_trajectories_match_full_bfs(n: usize) {
-    use ncg_core::dynamics::{run_dynamics, DynamicsConfig};
-    for family in [GameFamily::AsgSum, GameFamily::GbgSum] {
-        let p = point(family, n, EngineSpec::baseline(), 1);
-        let game = p.make_game();
-        let mut seed_rng = StdRng::seed_from_u64(p.base_seed);
-        let initial = p.topology.generate(n, &mut seed_rng);
-        let run = |oracle: OracleKind| {
-            let mut rng = StdRng::seed_from_u64(0xd1b7);
-            let mut cfg = DynamicsConfig::simulation(p.max_steps())
-                .with_oracle(oracle)
-                .with_dirty_agents(true);
-            cfg.record_trajectory = true;
-            run_dynamics(game.as_ref(), &initial, &cfg, &mut rng)
-        };
-        let reference = run(OracleKind::FullBfs);
-        assert!(reference.converged(), "{} n={n}", family.label());
-        let out = run(OracleKind::Persistent);
-        assert_eq!(
-            out.trajectory,
-            reference.trajectory,
-            "{} n={n}: persistent+dirty trajectory diverged from full-bfs+dirty",
-            family.label()
-        );
-        assert_eq!(out.final_graph, reference.final_graph);
-        println!(
-            "dirty trajectory identity OK: {} n={n} ({} steps, persistent+dirty ≡ full-bfs+dirty)",
-            family.label(),
-            reference.steps
-        );
-    }
-}
-
 /// The observability contract of `ncg-trace`: flipping the global switch must
 /// be invisible to the simulation. The same seeded trial with tracing on and
 /// tracing off must take the same number of steps, walk the identical move
 /// sequence and land on the same final graph — spans and counters observe,
-/// they never steer. Asserted on both headline families with the fastest
-/// engine (the most instrumented code path).
+/// they never steer. Asserted on both headline families with the persistent
+/// engine (the most instrumented code path, and the one the benchmark runs).
 fn assert_trace_identity(n: usize) {
     use ncg_core::dynamics::{run_dynamics, DynamicsConfig};
     for family in [GameFamily::AsgSum, GameFamily::GbgSum] {
-        let p = point(family, n, EngineSpec::fastest(), 1);
+        let p = point(family, n, EngineSpec::persistent(), 1);
         let game = p.make_game();
         let mut seed_rng = StdRng::seed_from_u64(p.base_seed);
         let initial = p.topology.generate(n, &mut seed_rng);
@@ -228,9 +153,8 @@ fn assert_trace_identity(n: usize) {
         let run = |traced: bool| {
             trace::set_enabled(traced);
             let mut rng = StdRng::seed_from_u64(0x7ace);
-            let mut cfg = DynamicsConfig::simulation(p.max_steps())
-                .with_oracle(OracleKind::Persistent)
-                .with_dirty_agents(true);
+            let mut cfg =
+                DynamicsConfig::simulation(p.max_steps()).with_oracle(OracleKind::Persistent);
             cfg.record_trajectory = true;
             let out = run_dynamics(game.as_ref(), &initial, &cfg, &mut rng);
             trace::set_enabled(false);
@@ -381,46 +305,28 @@ struct SweepRow {
     family: &'static str,
     n: usize,
     /// Wall-clock per engine; `None` when the engine was skipped at this `n`
-    /// (reference engines past `full_max_n`).
+    /// (the reference engine past `full_max_n`).
     times: Vec<Option<f64>>,
     /// Summed oracle work counters per engine (same indexing as `times`).
     stats: Vec<Option<OracleStats>>,
     /// Phase profile of one extra tracing-enabled rep (same indexing as
-    /// `times`); only the persistent pair is traced — the cells the
-    /// snapshot's headline ratios rest on.
+    /// `times`); only the persistent engine is traced.
     profiles: Vec<Option<trace::TraceReport>>,
     steps: usize,
 }
 
 fn main() {
     let scale = parse_scale();
-    // Trajectory-identity guards first: the dirty engines must replay the
-    // full-BFS dirty engine's exact move sequence, and the trace switch must
-    // be observationally invisible, before any timing runs.
-    assert_dirty_trajectories_match_full_bfs(if scale.smoke { 32 } else { 48 });
+    // The trace switch must be observationally invisible before any timing
+    // runs.
     assert_trace_identity(if scale.smoke { 32 } else { 48 });
     if scale.trace {
         trace::set_enabled(true);
     }
-    // Reference and fast engine of each scan discipline: the eager pair
-    // (indices 0, 1) follows the exact policy order, the dirty pair (2, 3)
-    // re-examines only invalidated agents.
-    let full_dirty = EngineSpec {
-        dirty_agents: true,
-        ..EngineSpec::baseline()
-    };
-    let engines = [
-        EngineSpec::baseline(),
-        EngineSpec::persistent(),
-        full_dirty,
-        EngineSpec::fastest(),
-    ];
-    // Which engines still run at a given n: `persistent+dirty` always, the
-    // eager persistent engine up to `pers_max_n`, the full-BFS references
-    // only up to `full_max_n`.
-    let engine_runs_at = |idx: usize, n: usize| -> bool {
-        idx == 3 || (idx == 1 && n <= scale.pers_max_n) || n <= scale.full_max_n
-    };
+    // The reference (index 0) and the fast engine (index 1); the full-BFS
+    // reference only runs up to `full_max_n`.
+    let engines = [EngineSpec::baseline(), EngineSpec::persistent()];
+    let engine_runs_at = |idx: usize, n: usize| -> bool { idx == 1 || n <= scale.full_max_n };
     let mut ns = Vec::new();
     let mut n = 64usize;
     while n <= scale.max_n {
@@ -444,16 +350,8 @@ fn main() {
     for family in [GameFamily::AsgSum, GameFamily::GbgSum] {
         println!("\nfamily {}", family.label());
         println!(
-            "{:>6} {:>13} {:>13} {:>13} {:>13} {:>9} {:>9} {:>9} {:>9}",
-            "n",
-            "full-bfs [s]",
-            "persist [s]",
-            "fb+dirty [s]",
-            "pers+dirty[s]",
-            "full/p",
-            "p/pd",
-            "pd/full",
-            "steps e/d"
+            "{:>6} {:>13} {:>13} {:>9} {:>9}",
+            "n", "full-bfs [s]", "persist [s]", "full/p", "steps"
         );
         for &n in &ns {
             // The big-n extension cells run one trial (a single n = 4096
@@ -463,14 +361,7 @@ fn main() {
             let mut times: Vec<Option<f64>> = Vec::new();
             let mut stats: Vec<Option<OracleStats>> = Vec::new();
             let mut profiles: Vec<Option<trace::TraceReport>> = Vec::new();
-            let mut steps = 0usize;
-            let mut eager_steps: Option<usize> = None;
-            let mut dirty_steps: Option<usize> = None;
-            // The persistent pair carries the snapshot's headline ratio
-            // (`persistent+dirty` ≥ plain `persistent` everywhere), so those
-            // two cells are measured interleaved, best-of-k; the baselines
-            // are context and run once.
-            let mut stashed_pd: Option<Cell> = None;
+            let mut steps: Option<usize> = None;
             for (idx, engine) in engines.into_iter().enumerate() {
                 if !engine_runs_at(idx, n) {
                     times.push(None);
@@ -479,97 +370,51 @@ fn main() {
                     continue;
                 }
                 let p = point(family, n, engine, cell_trials);
-                let (secs, s, st) = if scale.smoke {
-                    measure(&p, 1)
-                } else if idx == 1 {
-                    let p4 = point(family, n, engines[3], cell_trials);
-                    // The swap-game cells sit at true parity (a swap dirties
-                    // ~90% of all vectors, so there is little for the dirty
-                    // engine to skip); they need more repeats than the
-                    // clearly-separated buy-game cells for the minima to
-                    // stabilise.
-                    let repeats = match family {
-                        GameFamily::AsgSum | GameFamily::AsgMax => {
-                            if n <= 256 {
-                                7
-                            } else {
-                                6
-                            }
-                        }
-                        _ => 3,
-                    };
-                    let (r2, r4) = measure_pair(&p, &p4, repeats);
-                    stashed_pd = Some(r4);
-                    r2
-                } else if idx == 3 {
-                    // Past `pers_max_n` the pair partner is skipped and
-                    // `persistent+dirty` is measured on its own.
-                    match stashed_pd.take() {
-                        Some(cell) => cell,
-                        None => measure(&p, if n >= 2048 { 1 } else { 3 }),
-                    }
+                // The persistent cell carries the snapshot's headline ratio,
+                // so it takes the fastest of three blocks below n = 2048; the
+                // reference is context and runs once.
+                let repeats = if idx == 1 && !scale.smoke && n < 2048 {
+                    3
                 } else {
-                    measure(&p, 1)
+                    1
                 };
+                let (secs, s, st) = measure(&p, repeats);
                 times.push(Some(secs));
                 stats.push(Some(st));
                 // Phase profile + wasted-scan counters for the persistent
-                // pair, each from one extra traced rep of the same cell.
-                profiles.push(if (idx == 1 || idx == 3) && scale.json.is_some() {
+                // engine, from one extra traced rep of the same cell.
+                profiles.push(if idx == 1 && scale.json.is_some() {
                     Some(trace_cell(&p))
                 } else {
                     None
                 });
-                steps = s;
-                // The eager engines follow the exact policy order, so their
-                // trajectories (and hence step counts) must coincide — this
-                // is the patched-CSR ≡ full-BFS trajectory assertion of the
-                // CI smoke run. The dirty engines form a second equivalence
-                // class: their invalidation sets are identical across
-                // oracles (exact diffs either way) and warming never touches
-                // a score, so full-bfs+dirty and persistent+dirty must also
-                // agree step for step (with each other, not with the eager
-                // class — mover order legally differs between classes).
-                if idx <= 1 {
-                    match eager_steps {
-                        None => eager_steps = Some(s),
-                        Some(expect) => assert_eq!(
-                            s,
-                            expect,
-                            "{} n={n}: engine {} step count diverged from the eager reference",
-                            family.label(),
-                            engine.label()
-                        ),
-                    }
-                } else {
-                    match dirty_steps {
-                        None => dirty_steps = Some(s),
-                        Some(expect) => assert_eq!(
-                            s,
-                            expect,
-                            "{} n={n}: engine {} step count diverged from the dirty reference",
-                            family.label(),
-                            engine.label()
-                        ),
-                    }
+                // Both engines follow the exact policy order and score
+                // exactly, so their trajectories (and hence step counts)
+                // must coincide — the persistent ≡ full-BFS trajectory
+                // assertion of the CI smoke run.
+                match steps {
+                    None => steps = Some(s),
+                    Some(expect) => assert_eq!(
+                        s,
+                        expect,
+                        "{} n={n}: engine {} step count diverged from the reference",
+                        family.label(),
+                        engine.label()
+                    ),
                 }
             }
             let ratio = |a: Option<f64>, b: Option<f64>| match (a, b) {
                 (Some(a), Some(b)) => format!("{:>8.2}x", a / b.max(1e-9)),
                 _ => format!("{:>9}", "-"),
             };
+            let steps = steps.unwrap_or(0);
             println!(
-                "{:>6} {} {} {} {} {} {} {} {:>5}/{}",
+                "{:>6} {} {} {} {:>9}",
                 n,
                 fmt_time(times[0]),
                 fmt_time(times[1]),
-                fmt_time(times[2]),
-                fmt_time(times[3]),
                 ratio(times[0], times[1]),
-                ratio(times[1], times[3]),
-                ratio(times[0], times[3]),
-                eager_steps.unwrap_or(0),
-                dirty_steps.unwrap_or(0)
+                steps
             );
             sweep_rows.push(SweepRow {
                 family: family.label(),
@@ -644,25 +489,19 @@ fn main() {
                 .zip(&row.stats)
                 .filter_map(|(l, st)| {
                     st.map(|st| {
-                        let widths: Vec<String> =
-                            st.warm_batch_width.iter().map(|w| w.to_string()).collect();
                         format!(
                             "\"{l}\": {{\"full_bfs_runs\": {}, \"replayed_begins\": {}, \
-                             \"lazy_replays\": {}, \"warm_bumps\": {}, \"warm_batches\": {}, \
-                             \"lazy_hits\": {}, \"csr_patches\": {}, \"csr_rebuilds\": {}, \
-                             \"batched_repins\": {}, \"peak_parked_bytes\": {}, \
-                             \"warm_batch_width\": [{}]}}",
+                             \"lazy_replays\": {}, \"lazy_hits\": {}, \"csr_patches\": {}, \
+                             \"csr_rebuilds\": {}, \"batched_repins\": {}, \
+                             \"peak_parked_bytes\": {}}}",
                             st.full_bfs_runs,
                             st.replayed_begins,
                             st.lazy_replays,
-                            st.warm_bumps,
-                            st.warm_batches,
                             st.lazy_hits,
                             st.csr_patches,
                             st.csr_rebuilds,
                             st.batched_repins,
-                            st.peak_parked_bytes,
-                            widths.join(", ")
+                            st.peak_parked_bytes
                         )
                     })
                 })

@@ -26,6 +26,13 @@ pub enum ResponseMode {
 }
 
 /// Configuration of a dynamics run.
+///
+/// The engine has one way of choosing movers: every step scans the agents in
+/// the policy's exact order (for [`Policy::MaxCost`], an unhappy agent of
+/// maximum cost moves), sequentially through [`Dynamics::step`] or across
+/// threads through [`Dynamics::step_parallel`]. `oracle` only decides how
+/// candidate moves are scored, never which agent moves or which move it
+/// makes.
 #[derive(Debug, Clone)]
 pub struct DynamicsConfig {
     /// Who moves.
@@ -47,21 +54,6 @@ pub struct DynamicsConfig {
     pub ownership_in_state: bool,
     /// Which distance-oracle backend scores candidate moves.
     pub oracle: OracleKind,
-    /// If `true`, the engine keeps a dirty-agent set: after a move only agents
-    /// whose distance vectors could have changed are re-examined, instead of
-    /// re-scanning all `n` agents per step. Termination stays exact — before
-    /// declaring convergence the engine re-verifies every agent against the
-    /// final state — but the *order* in which unhappy agents are discovered
-    /// can differ from the eager scan, so trajectories may differ from the
-    /// `dirty_agents: false` runs (both are valid sequential-move processes).
-    ///
-    /// On the persistent oracle, each committed move's exact change union is
-    /// handed to the oracle so every parked distance vector is advanced to
-    /// the new version in one grouped pass (replay for changed vectors, a
-    /// trusted stamp bump for the rest). This keeps the cache-arithmetic
-    /// insertion scoring and the bounded best-response scans lit even though
-    /// the dirty engine re-pins only a few sources per step.
-    pub dirty_agents: bool,
 }
 
 impl DynamicsConfig {
@@ -77,7 +69,6 @@ impl DynamicsConfig {
             record_trajectory: false,
             ownership_in_state: true,
             oracle: OracleKind::default(),
-            dirty_agents: false,
         }
     }
 
@@ -93,7 +84,6 @@ impl DynamicsConfig {
             record_trajectory: true,
             ownership_in_state: true,
             oracle: OracleKind::default(),
-            dirty_agents: false,
         }
     }
 
@@ -118,12 +108,6 @@ impl DynamicsConfig {
     /// Sets the distance-oracle backend.
     pub fn with_oracle(mut self, oracle: OracleKind) -> Self {
         self.oracle = oracle;
-        self
-    }
-
-    /// Enables or disables dirty-agent tracking.
-    pub fn with_dirty_agents(mut self, dirty_agents: bool) -> Self {
-        self.dirty_agents = dirty_agents;
         self
     }
 }
@@ -193,37 +177,6 @@ pub struct Dynamics<'a, G: Game + ?Sized> {
     last_mover: Option<NodeId>,
     seen: HashMap<StateKey, usize>,
     trajectory: Vec<MoveRecord>,
-    /// Dirty-agent bookkeeping (only maintained when `config.dirty_agents`).
-    ///
-    /// `verified_happy[u]` means `u` was found to have no improving move and no
-    /// later move is suspected to have changed `u`'s distance vector.
-    verified_happy: Vec<bool>,
-    /// Which [`Dynamics::select_mover_dirty`] call verified `u`
-    /// (`verified_call[u]` vs `select_call`): scans are deterministic and no
-    /// move applies between the passes of one call, so the final confirmation
-    /// sweep can skip everything verified *in the current call* — re-scanning
-    /// those agents against the identical state would reproduce "happy"
-    /// verbatim. Only verifications surviving from earlier calls (which the
-    /// invalidation heuristic preserved across moves) are re-examined.
-    verified_call: Vec<u64>,
-    select_call: u64,
-    /// `cached_cost[u]` is `u`'s cost when `cost_fresh[u]`; used by the
-    /// max-cost policy so that only invalidated agents are re-measured.
-    cached_cost: Vec<f64>,
-    cost_fresh: Vec<bool>,
-    /// Set after every performed move: before declaring convergence, one full
-    /// re-verification sweep runs so termination is exact even if the dirty
-    /// heuristic under-approximated.
-    confirm_pending: bool,
-    /// Scratch distance vectors of the move endpoints (pre-move state; only
-    /// used with the full-BFS oracle, which cannot export a diff).
-    pre_dists: Vec<Vec<u16>>,
-    /// Scratch for the per-move change union handed to the oracle's bulk
-    /// warming pass (endpoints + mover + every exported changed vertex).
-    warm_scratch: Vec<NodeId>,
-    /// Scratch for the dirty mover-selection scan order (reused across
-    /// steps so the per-pass ordering allocates nothing).
-    order_scratch: Vec<NodeId>,
     /// Reusable per-thread workspaces of the parallel scan (empty until the
     /// first [`Dynamics::step_parallel`] call).
     par_pool: Vec<Workspace>,
@@ -250,15 +203,6 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
             last_mover: None,
             seen: HashMap::new(),
             trajectory: Vec::new(),
-            verified_happy: vec![false; n],
-            verified_call: vec![0; n],
-            select_call: 0,
-            cached_cost: vec![f64::INFINITY; n],
-            cost_fresh: vec![false; n],
-            confirm_pending: false,
-            pre_dists: Vec::new(),
-            warm_scratch: Vec::new(),
-            order_scratch: Vec::new(),
             par_pool: Vec::new(),
         };
         if dyn_.config.detect_cycles {
@@ -302,9 +246,7 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
     /// Performs one step with the configured policy. Returns `None` if the state is
     /// stable (and the process therefore stops).
     pub fn step<R: Rng>(&mut self, rng: &mut R) -> Option<MoveRecord> {
-        let mover = if self.config.dirty_agents {
-            self.select_mover_dirty(rng)?
-        } else {
+        let mover = {
             let _sp = trace::span(trace::Phase::Scan);
             self.config.policy.select_mover(
                 self.game,
@@ -321,22 +263,13 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
     /// Performs one step with a caller-chosen moving agent (the "adversarial"
     /// policy of the proofs). Returns `None` if the agent has no improving move.
     pub fn step_with_agent<R: Rng>(&mut self, agent: NodeId, rng: &mut R) -> Option<MoveRecord> {
-        let (chosen, endpoints) = {
+        let chosen = {
             let _sp = trace::span(trace::Phase::Apply);
             let chosen = self.choose_response(agent, rng)?;
-            let endpoints = if self.config.dirty_agents {
-                self.snapshot_endpoints(agent, &chosen.mv)
-            } else {
-                None
-            };
             let undo = apply_move(&mut self.graph, agent, &chosen.mv);
             debug_assert!(undo.is_some(), "selected move must be applicable");
-            (chosen, endpoints)
+            chosen
         };
-        if self.config.dirty_agents {
-            let _sp = trace::span(trace::Phase::Warm);
-            self.invalidate_after_move(agent, endpoints);
-        }
         let record = MoveRecord {
             step: self.steps,
             agent,
@@ -355,214 +288,6 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
     /// Work counters of the workspace's distance oracle.
     pub fn oracle_stats(&self) -> OracleStats {
         self.ws.oracle_stats()
-    }
-
-    /// True iff the workspace's oracle carries distance vectors across steps
-    /// and can export exact change sets.
-    fn persistent_oracle(&self) -> bool {
-        self.ws.oracle_kind() == OracleKind::Persistent
-    }
-
-    /// The vertices whose distance vectors a single-edge move by `agent` can
-    /// touch. `None` means the move is a whole-strategy change and everything
-    /// must be invalidated.
-    ///
-    /// With the full-BFS oracle the endpoints' pre-move distance vectors
-    /// are snapshotted (one BFS each) so the post-move diff can be computed.
-    /// With the persistent oracle the endpoints are instead pinned into the
-    /// oracle's per-source cache at the pre-move version: the post-move
-    /// `warm_after_move` pass then replays exactly this move's deltas and
-    /// exports the exact changed-vertex set for free — no endpoint BFS at
-    /// all.
-    fn snapshot_endpoints(&mut self, agent: NodeId, mv: &Move) -> Option<Vec<NodeId>> {
-        let endpoints: Vec<NodeId> = match *mv {
-            Move::Swap { from, to } => vec![agent, from, to],
-            Move::Buy { to } | Move::Delete { to } => vec![agent, to],
-            Move::SetOwned { .. } | Move::SetNeighbors { .. } => return None,
-        };
-        if self.persistent_oracle() {
-            // Lazy pin: under post-move warming every endpoint vector is
-            // already parked at the current version, so this is free; only
-            // cold or stale endpoints pay a repair or a BFS.
-            self.ws.evaluator.pin_sources(&self.graph, &endpoints);
-        } else {
-            self.pre_dists.resize(endpoints.len(), Vec::new());
-            for (i, &e) in endpoints.iter().enumerate() {
-                let dist = self.ws.bfs.run(&self.graph, e);
-                self.pre_dists[i].clear();
-                self.pre_dists[i].extend_from_slice(dist);
-            }
-        }
-        Some(endpoints)
-    }
-
-    /// Invalidates the happiness / cost caches of every agent whose distance
-    /// vector may have changed: for single-edge moves, exactly the agents whose
-    /// distance to one of the move's endpoints differs between the pre- and
-    /// post-move states (plus the endpoints themselves).
-    fn invalidate_after_move(&mut self, agent: NodeId, endpoints: Option<Vec<NodeId>>) {
-        let n = self.graph.num_nodes();
-        match endpoints {
-            None => self.invalidate_all(),
-            Some(endpoints) if self.persistent_oracle() => {
-                // Fused path: one oracle pass replays the endpoint vectors
-                // (exporting the exact invalidation union) and warms every
-                // other parked vector — no per-endpoint re-pins at all.
-                let mut union = std::mem::take(&mut self.warm_scratch);
-                if self
-                    .ws
-                    .evaluator
-                    .warm_after_move(&self.graph, &endpoints, &mut union)
-                {
-                    for &x in &union {
-                        self.verified_happy[x] = false;
-                        self.cost_fresh[x] = false;
-                    }
-                    self.verified_happy[agent] = false;
-                    self.cost_fresh[agent] = false;
-                    self.warm_scratch = union;
-                    self.confirm_pending = true;
-                    return;
-                }
-                // An endpoint window was unreplayable (cold or stale
-                // vector): no diff available — be conservative; the
-                // post-match block warms everything from its own stamp.
-                self.warm_scratch = union;
-                self.invalidate_all();
-            }
-            Some(endpoints) => {
-                for (i, &e) in endpoints.iter().enumerate() {
-                    let post = self.ws.bfs.run(&self.graph, e);
-                    let pre = &self.pre_dists[i];
-                    debug_assert_eq!(post.len(), pre.len());
-                    for x in 0..n {
-                        if pre[x] != post[x] {
-                            self.verified_happy[x] = false;
-                            self.cost_fresh[x] = false;
-                        }
-                    }
-                    self.verified_happy[e] = false;
-                    self.cost_fresh[e] = false;
-                }
-                self.verified_happy[agent] = false;
-                self.cost_fresh[agent] = false;
-            }
-        }
-        self.confirm_pending = true;
-        if self.persistent_oracle() {
-            // Unknown change set (whole-strategy move or an unreplayable
-            // endpoint): every parked vector is suspect, so the oracle must
-            // repair each from its own stamp rather than trust a bump.
-            let mut all = std::mem::take(&mut self.warm_scratch);
-            all.clear();
-            all.extend(0..n);
-            self.ws.evaluator.warm_sources(&self.graph, &all);
-            self.warm_scratch = all;
-        }
-    }
-
-    fn invalidate_all(&mut self) {
-        self.verified_happy.iter_mut().for_each(|f| *f = false);
-        self.cost_fresh.iter_mut().for_each(|f| *f = false);
-    }
-
-    /// Lazy mover selection: agents verified happy since their last
-    /// invalidation are skipped; before concluding that the state is stable,
-    /// one full re-verification sweep runs against the final graph.
-    fn select_mover_dirty<R: Rng>(&mut self, rng: &mut R) -> Option<NodeId> {
-        let n = self.graph.num_nodes();
-        self.select_call += 1;
-        // Iterations entered after the `confirm_pending` reset below *are*
-        // the final confirmation sweep; the phase split makes its cost (and
-        // the wasted-scan ratio) directly measurable.
-        let mut confirming = false;
-        loop {
-            let _sp = trace::span(if confirming {
-                trace::Phase::ConfirmSweep
-            } else {
-                trace::Phase::Scan
-            });
-            let mut order = std::mem::take(&mut self.order_scratch);
-            order.clear();
-            order.extend(0..n);
-            match self.config.policy {
-                Policy::MaxCost => {
-                    // `workspace_cost` refreshes an invalidated cost through
-                    // the persistent oracle's cross-step cache when available
-                    // (a cheap journal replay instead of a BFS).
-                    let _sp = trace::span(trace::Phase::CostRefresh);
-                    for u in 0..n {
-                        if !self.cost_fresh[u] && !self.verified_happy[u] {
-                            self.cached_cost[u] = crate::game::workspace_cost(
-                                self.game,
-                                &self.graph,
-                                u,
-                                &mut self.ws,
-                            );
-                            self.cost_fresh[u] = true;
-                        }
-                    }
-                    if self.config.tie_break == TieBreak::Random {
-                        order.shuffle(rng);
-                    }
-                    let costs = &self.cached_cost;
-                    order.sort_by(|&a, &b| {
-                        costs[b]
-                            .partial_cmp(&costs[a])
-                            .expect("costs are never NaN")
-                    });
-                }
-                Policy::Random => order.shuffle(rng),
-                Policy::MinIndex => {}
-                Policy::RoundRobin => {
-                    let start = self.last_mover.map_or(0, |m| (m + 1) % n.max(1));
-                    order.clear();
-                    order.extend((0..n).map(|i| (start + i) % n));
-                }
-            }
-            let mut found = None;
-            let mut scanned = 0u64;
-            for &u in &order {
-                if self.verified_happy[u] {
-                    continue;
-                }
-                scanned += 1;
-                if self.game.has_improving_move(&self.graph, u, &mut self.ws) {
-                    found = Some(u);
-                    break;
-                }
-                self.verified_happy[u] = true;
-                self.verified_call[u] = self.select_call;
-            }
-            trace::add(trace::Counter::AgentsScanned, scanned);
-            trace::record(trace::HistId::ScanWidth, scanned);
-            if confirming {
-                trace::add(trace::Counter::ConfirmScans, scanned);
-            }
-            self.order_scratch = order;
-            if found.is_some() {
-                trace::add(trace::Counter::ImprovingMoves, 1);
-                return found;
-            }
-            if self.confirm_pending {
-                // The dirty heuristic found nobody; before declaring
-                // convergence, re-verify every agent whose "happy" status
-                // survived from an *earlier* call — a move has happened since,
-                // and an unchanged own distance vector does not pin down the
-                // values of a candidate scan. Agents verified in the current
-                // call were scanned against this exact state already; the
-                // deterministic scan would repeat itself, so they are exempt.
-                self.confirm_pending = false;
-                for u in 0..n {
-                    if self.verified_call[u] != self.select_call {
-                        self.verified_happy[u] = false;
-                    }
-                }
-                confirming = true;
-                continue;
-            }
-            return None;
-        }
     }
 
     fn choose_response<R: Rng>(&mut self, agent: NodeId, rng: &mut R) -> Option<ScoredMove> {
@@ -637,12 +362,10 @@ impl<'a, G: Game + Sync + ?Sized> Dynamics<'a, G> {
     /// the max-cost policy, the cost measurements) run across `threads`
     /// scoped worker threads, each with its own workspace.
     ///
-    /// This is a *full* scan — it neither consults nor needs the dirty-agent
-    /// set — so it suits the large-`n` regime where one step's scan dominates
-    /// and a rescan per step is acceptable when spread over cores. The
-    /// selected mover follows the configured policy and tie-break exactly as
-    /// in the sequential scan (the RNG stream differs, so trajectories are
-    /// reproducible per `(seed, threads)` but not across scan modes).
+    /// The selected mover follows the configured policy and tie-break
+    /// exactly as in the sequential scan, and both draw from the RNG in the
+    /// same order, so for a given seed `step_parallel` walks the same
+    /// trajectory as [`Dynamics::step`] for every `threads`.
     pub fn step_parallel<R: Rng>(&mut self, rng: &mut R, threads: usize) -> Option<MoveRecord> {
         let mover = self.select_mover_parallel(rng, threads)?;
         self.step_with_agent(mover, rng)
@@ -805,50 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_agent_tracking_reaches_stable_states() {
-        // The dirty-agent engine may pick different movers than the eager
-        // scan, but every run must still end in a genuinely stable network
-        // (the final confirmation sweep makes termination exact).
-        use crate::equilibrium::is_stable;
-        for kind in [OracleKind::FullBfs, OracleKind::Persistent] {
-            let mut rng = StdRng::seed_from_u64(17);
-            let n = 18;
-            let g = generators::random_with_m_edges(n, 2 * n, &mut rng);
-            let game = GreedyBuyGame::sum(n as f64 / 4.0);
-            let mut cfg = DynamicsConfig::simulation(400 * n)
-                .with_oracle(kind)
-                .with_dirty_agents(true);
-            cfg.record_trajectory = true;
-            let out = run_dynamics(&game, &g, &cfg, &mut rng);
-            assert!(out.converged(), "{}", kind.label());
-            let mut ws = Workspace::new(n);
-            assert!(
-                is_stable(&game, &out.final_graph, &mut ws),
-                "{}: final state must be a pure Nash equilibrium",
-                kind.label()
-            );
-            for rec in &out.trajectory {
-                assert!(rec.new_cost < rec.old_cost, "{}", kind.label());
-            }
-        }
-    }
-
-    #[test]
-    fn dirty_agent_swap_dynamics_match_convergence_regime() {
-        // SUM-ASG on trees under the max-cost policy: the Corollary 3.2 regime
-        // (≈ 1.5 n moves) must hold with dirty tracking too.
-        let mut rng = StdRng::seed_from_u64(31);
-        for &n in &[16usize, 25] {
-            let tree = generators::random_spanning_tree(n, Some(1), &mut rng);
-            let cfg = DynamicsConfig::simulation(10 * n).with_dirty_agents(true);
-            let out = run_dynamics(&AsymSwapGame::sum(), &tree, &cfg, &mut rng);
-            assert!(out.converged(), "n={n}");
-            assert!(is_tree(&out.final_graph));
-            assert!(out.steps <= 2 * n, "n={n}: {} steps", out.steps);
-        }
-    }
-
-    #[test]
     fn persistent_engine_matches_full_bfs_trajectories() {
         // Same seed, same config, different oracle backend: the scoring is
         // exact in both, so the recorded move sequences must be identical.
@@ -867,29 +546,6 @@ mod tests {
         assert_eq!(out.termination, reference.termination);
         assert_eq!(out.trajectory, reference.trajectory);
         assert_eq!(out.final_graph, reference.final_graph);
-    }
-
-    #[test]
-    fn persistent_dirty_engine_certifies_exact_equilibria() {
-        // The oracle-exported changed-vertex invalidation plus the final
-        // confirmation sweep must still end in a genuine pure Nash
-        // equilibrium, with every recorded move strictly improving.
-        use crate::equilibrium::is_stable;
-        let mut rng = StdRng::seed_from_u64(53);
-        let n = 20;
-        let g = generators::random_with_m_edges(n, 2 * n, &mut rng);
-        let game = GreedyBuyGame::sum(n as f64 / 4.0);
-        let mut cfg = DynamicsConfig::simulation(400 * n)
-            .with_oracle(OracleKind::Persistent)
-            .with_dirty_agents(true);
-        cfg.record_trajectory = true;
-        let out = run_dynamics(&game, &g, &cfg, &mut rng);
-        assert!(out.converged());
-        let mut ws = Workspace::new(n);
-        assert!(is_stable(&game, &out.final_graph, &mut ws));
-        for rec in &out.trajectory {
-            assert!(rec.new_cost < rec.old_cost, "step {}", rec.step);
-        }
     }
 
     #[test]
@@ -968,6 +624,113 @@ mod tests {
             dynamics.graph(),
             &mut ws
         ));
+    }
+
+    /// The four empirical families on random initial networks: the ASG on
+    /// budgeted networks, the GBG on random ones (α = n/4 for SUM, 2.5 for
+    /// MAX).
+    fn empirical_families(n: usize, rng: &mut StdRng) -> Vec<(Box<dyn Game + Sync>, OwnedGraph)> {
+        let asg = |rng: &mut StdRng| generators::budgeted_random(n, 2, rng);
+        let gbg = |rng: &mut StdRng| generators::random_with_m_edges(n, 2 * n, rng);
+        vec![
+            (Box::new(AsymSwapGame::sum()), asg(rng)),
+            (Box::new(AsymSwapGame::max()), asg(rng)),
+            (Box::new(GreedyBuyGame::sum(n as f64 / 4.0)), gbg(rng)),
+            (Box::new(GreedyBuyGame::max(2.5)), gbg(rng)),
+        ]
+    }
+
+    #[test]
+    fn max_cost_policy_moves_an_unhappy_agent_of_maximum_cost() {
+        // The paper's max-cost policy on non-trees: before every step, a
+        // separate full-BFS workspace finds the unhappy agents and their
+        // costs by brute force; the mover `step` picks must be one of them
+        // and no unhappy agent may cost more.
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x3a5c);
+        let mut moves = 0usize;
+        for case in 0..3 {
+            let n = rng.gen_range(12usize..25);
+            for (game, initial) in empirical_families(n, &mut rng) {
+                let game = game.as_ref();
+                let mut brute = Workspace::with_oracle(n, OracleKind::FullBfs);
+                for kind in [OracleKind::FullBfs, OracleKind::Persistent] {
+                    let cfg = DynamicsConfig::simulation(400 * n).with_oracle(kind);
+                    let mut dynamics = Dynamics::new(game, initial.clone(), cfg);
+                    let mut play_rng = StdRng::seed_from_u64(case);
+                    loop {
+                        let g = dynamics.graph().clone();
+                        let unhappy: Vec<NodeId> = (0..n)
+                            .filter(|&u| game.has_improving_move(&g, u, &mut brute))
+                            .collect();
+                        let ctx = format!("case {case} {} {}", game.name(), kind.label());
+                        let Some(record) = dynamics.step(&mut play_rng) else {
+                            assert!(
+                                unhappy.is_empty(),
+                                "{ctx}: stopped with {unhappy:?} unhappy"
+                            );
+                            break;
+                        };
+                        assert!(unhappy.contains(&record.agent), "{ctx}: happy mover");
+                        let max = unhappy
+                            .iter()
+                            .map(|&u| game.cost(&g, u, &mut brute.bfs))
+                            .fold(f64::NEG_INFINITY, f64::max);
+                        assert_eq!(
+                            game.cost(&g, record.agent, &mut brute.bfs),
+                            max,
+                            "{ctx}: mover {} is not of maximum cost",
+                            record.agent
+                        );
+                        moves += 1;
+                    }
+                }
+            }
+        }
+        assert!(moves > 100, "only {moves} moves checked");
+    }
+
+    #[test]
+    fn parallel_scan_walks_the_sequential_trajectory() {
+        // Both scan modes draw from the RNG in the same order, so any number
+        // of scan threads must reproduce the sequential trajectory.
+        let mut rng = StdRng::seed_from_u64(0x9a2a);
+        let n = 16;
+        for (game, initial) in empirical_families(n, &mut rng) {
+            let game = game.as_ref();
+            for kind in [OracleKind::FullBfs, OracleKind::Persistent] {
+                for policy in [Policy::MaxCost, Policy::Random, Policy::RoundRobin] {
+                    let run = |threads: Option<usize>| {
+                        let mut cfg = DynamicsConfig::simulation(400 * n)
+                            .with_oracle(kind)
+                            .with_policy(policy);
+                        cfg.record_trajectory = true;
+                        let mut dynamics = Dynamics::new(game, initial.clone(), cfg);
+                        let mut rng = StdRng::seed_from_u64(5);
+                        let step = |d: &mut Dynamics<'_, _>, rng: &mut StdRng| match threads {
+                            Some(t) => d.step_parallel(rng, t),
+                            None => d.step(rng),
+                        };
+                        while step(&mut dynamics, &mut rng).is_some() {
+                            assert!(dynamics.steps() <= 400 * n, "did not converge");
+                        }
+                        dynamics.trajectory().to_vec()
+                    };
+                    let sequential = run(None);
+                    assert!(!sequential.is_empty());
+                    for threads in [2, 3] {
+                        assert_eq!(
+                            run(Some(threads)),
+                            sequential,
+                            "{} {} {} threads={threads}",
+                            game.name(),
+                            kind.label(),
+                            policy.label()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! classic apply → BFS → undo cycle in [`crate::game`].
 //!
 //! Observability: the oracle layer beneath emits the `oracle-begin`,
-//! `fused-kernel`, `delta-repair`, `warm-pass` and `pin-sources` trace phases,
+//! `fused-kernel`, `delta-repair` and `pin-sources` trace phases,
 //! so every evaluator entry point is attributed for free. The evaluator adds
 //! only the [`ncg_trace::Phase::Consent`] span around consent-oracle work,
 //! separating counterpart time from mover time in the profile.
@@ -267,51 +267,12 @@ impl CostEvaluator {
     }
 
     /// Parks the distance vectors of `sources` in the **main** oracle at the
-    /// current version of `g`, so a later
-    /// [`CostEvaluator::warm_after_move`] seeded with them can export an
-    /// exact change diff. Lazy on the persistent backend: sources whose
+    /// current version of `g`. Lazy on the persistent backend: sources whose
     /// vector is already parked (or pinned) at the current version cost
     /// nothing, and stale parked vectors are repaired in place without
     /// churning the working pin.
     pub fn pin_sources(&mut self, g: &OwnedGraph, sources: &[NodeId]) {
         self.oracle.pin_sources(g, sources);
-    }
-
-    /// The fused post-move pass: replays the move endpoints' vectors on the
-    /// main oracle collecting the exact invalidation union into `changed`,
-    /// then warms every other parked vector (and the consent oracle) in the
-    /// same sweep. `false` = some endpoint window was unreplayable; the
-    /// caller must invalidate conservatively and warm with an all-dirty set.
-    /// See [`DistanceOracle::warm_after_move`].
-    pub fn warm_after_move(
-        &mut self,
-        g: &OwnedGraph,
-        seeds: &[NodeId],
-        changed: &mut Vec<NodeId>,
-    ) -> bool {
-        let ok = self.oracle.warm_after_move(g, seeds, changed);
-        if ok {
-            if let Some(consent) = self.consent.as_mut() {
-                let _sp = ncg_trace::span(ncg_trace::Phase::Consent);
-                consent.warm_sources(g, changed);
-            }
-        }
-        ok
-    }
-
-    /// Bulk-warms the parked per-source vectors of the main oracle (and the
-    /// consent oracle, when one exists) to the current version of `g` — see
-    /// [`DistanceOracle::warm_sources`] for the contract on `dirty` (every
-    /// source whose distance vector may have changed since the previous
-    /// warming call). The dirty engine calls this once per committed move
-    /// with the move's exact change union, which is what keeps the
-    /// cache-arithmetic scoring path lit under sparse dirty-agent re-pins.
-    pub fn warm_sources(&mut self, g: &OwnedGraph, dirty: &[NodeId]) {
-        self.oracle.warm_sources(g, dirty);
-        if let Some(consent) = self.consent.as_mut() {
-            let _sp = ncg_trace::span(ncg_trace::Phase::Consent);
-            consent.warm_sources(g, dirty);
-        }
     }
 
     /// Warms the consent oracle's per-source cache for `sources` at the

@@ -23,9 +23,9 @@
 //!
 //! The patch window is **shared** across everything the persistent oracle
 //! does at one graph version: one `patch_from_journal` brings the snapshot
-//! current, after which any number of per-source vector repairs — the eager
-//! re-pins of a policy scan as much as the lazy replays and bulk warming
-//! passes of the dirty engine — traverse the same flat buffers. Keeping the
+//! current, after which any number of per-source vector repairs — the
+//! re-pins of a policy scan as much as the lazy replays of parked vectors —
+//! traverse the same flat buffers. Keeping the
 //! snapshot a pure function of the graph (never of which vectors were
 //! warmed) is what lets vectors at *different* stamps be repaired against
 //! one snapshot via the overlay-rewind trick in `ncg_graph::oracle`.

@@ -30,14 +30,12 @@
 //!
 //! Distance vectors are carried **across** `begin` calls in a per-source
 //! cache, synchronized *lazily*: each vector carries its own [`GraphVersion`]
-//! stamp and is only
-//! repaired — by replaying the journal window between its stamp and the
-//! current version — when it is next needed (`begin`, `pin_sources`, the
-//! cache-arithmetic path) or when the caller bulk-warms it
-//! ([`DistanceOracle::warm_sources`], which also advances provably-unchanged
-//! vectors by a stamp bump alone). The staleness fallback is per-vector: a
-//! window longer than `max(8, n/8)` changes makes *that* vector re-pin with
-//! one full BFS, without touching its neighbours in the cache.
+//! stamp and is only repaired — by replaying the journal window between its
+//! stamp and the current version — when it is next needed (`begin`,
+//! `pin_sources`, the cache-arithmetic path). The staleness fallback is
+//! per-vector: a window longer than `max(8, n/8)` changes makes *that*
+//! vector re-pin with one full BFS, without touching its neighbours in the
+//! cache.
 
 use crate::batch::{BatchSummary, MultiSourceBfs, BATCH_WIDTH};
 use crate::csr::{CsrAdjacency, PatchOutcome};
@@ -126,17 +124,9 @@ pub struct OracleStats {
     pub csr_rebuilds: u64,
     /// Parked vectors advanced to the current graph version by replaying
     /// their own journal window *outside* a [`DistanceOracle::begin`] — the
-    /// lazy path: bulk warming ([`DistanceOracle::warm_sources`]) and
-    /// on-demand warming inside
+    /// lazy path: on-demand warming inside
     /// [`DistanceOracle::evaluate_insert_via_cache`] / `pin_sources`.
     pub lazy_replays: u64,
-    /// Parked vectors advanced by a trusted *stamp bump* alone: the caller's
-    /// dirty set excluded the source, so the vector is provably unchanged
-    /// over the window and no repair ran at all.
-    pub warm_bumps: u64,
-    /// [`DistanceOracle::warm_sources`] passes that advanced at least one
-    /// vector (one shared CSR sync, many per-vector repairs).
-    pub warm_batches: u64,
     /// Cache-arithmetic what-if queries that were served only because an
     /// on-demand lazy warm first brought the target's parked vector to the
     /// pinned version — queries the eager-sync model would have missed.
@@ -164,23 +154,6 @@ pub struct OracleStats {
     /// (`ncg_core::evaluator::CostEvaluator::stats`) fills this field in;
     /// an oracle's own counters always report 0 here.
     pub bound_pruned: u64,
-    /// Histogram of warm-pass widths: how many parked vectors each
-    /// [`DistanceOracle::warm_sources`] pass had to *repair* (scalar replays
-    /// plus batched recomputes; trusted stamp bumps are free and excluded).
-    /// Bucket `i` counts passes of width `w` with `ceil(log2(w)) == i`
-    /// (bucket 0: `w == 1`, bucket 1: `w == 2`, bucket 2: `3..=4`, …,
-    /// bucket 6: `33..=64`, bucket 7: `w > 64`).
-    pub warm_batch_width: [u64; 8],
-}
-
-/// Histogram bucket of a warm-pass width (see
-/// [`OracleStats::warm_batch_width`]).
-fn width_bucket(w: usize) -> usize {
-    if w <= 1 {
-        0
-    } else {
-        ((usize::BITS - (w - 1).leading_zeros()) as usize).min(7)
-    }
 }
 
 impl OracleStats {
@@ -188,18 +161,12 @@ impl OracleStats {
     /// oracle code can produce — and, because each is a linear inequality
     /// over summed fields, for any [`OracleStats::merge`] of such states:
     ///
-    /// * every warm pass tallied in the width histogram repaired at least
-    ///   one vector, so it also counted as a `warm_batches` pass (bump-only
-    ///   passes count toward `warm_batches` but have width 0);
     /// * a `lazy_hits` query first lazily replayed the target's parked
     ///   vector, so each one is covered by a `lazy_replays` increment;
     /// * a candidate is pruned by its level-histogram bound only after that
     ///   bound was answered.
     pub fn consistent(&self) -> bool {
-        let width_passes: u64 = self.warm_batch_width.iter().sum();
-        width_passes <= self.warm_batches
-            && self.lazy_hits <= self.lazy_replays
-            && self.bound_pruned <= self.bound_queries
+        self.lazy_hits <= self.lazy_replays && self.bound_pruned <= self.bound_queries
     }
 
     /// Debug assertion of [`OracleStats::consistent`]; free in release
@@ -217,21 +184,12 @@ impl OracleStats {
         self.csr_patches += other.csr_patches;
         self.csr_rebuilds += other.csr_rebuilds;
         self.lazy_replays += other.lazy_replays;
-        self.warm_bumps += other.warm_bumps;
-        self.warm_batches += other.warm_batches;
         self.lazy_hits += other.lazy_hits;
         self.batched_repins += other.batched_repins;
         self.kernel_calls += other.kernel_calls;
         self.bound_queries += other.bound_queries;
         self.bound_pruned += other.bound_pruned;
         self.peak_parked_bytes = self.peak_parked_bytes.max(other.peak_parked_bytes);
-        for (a, b) in self
-            .warm_batch_width
-            .iter_mut()
-            .zip(&other.warm_batch_width)
-        {
-            *a += b;
-        }
     }
 }
 
@@ -273,56 +231,10 @@ pub trait DistanceOracle: Send {
     /// parked vector when that is stamped at the current version of `g` (or
     /// from the working vector when `src` is pinned there). `None` whenever
     /// answering would require any repair or BFS — the caller then falls
-    /// back to a full [`DistanceOracle::begin`]. Under post-move warming
-    /// this turns the dirty engine's per-step cost refresh into `O(1)` reads
-    /// instead of source-switching re-pins.
+    /// back to a full [`DistanceOracle::begin`].
     fn cached_summary(&mut self, _g: &OwnedGraph, _src: NodeId) -> Option<DistanceSummary> {
         None
     }
-
-    /// The fused post-move pass of the persistent backend: replays the
-    /// vectors of `seeds` (a committed move's endpoints, which the caller
-    /// pinned at the *pre-move* version) over the move's journal window,
-    /// collecting into `changed` the exact union of the seeds and every
-    /// vertex whose distance to a seed net-changed — precisely the
-    /// invalidation set of the dirty engine — and then advances every other
-    /// parked vector like [`DistanceOracle::warm_sources`] with that union
-    /// as the dirty set, all in one pass over the shared delta window.
-    ///
-    /// Returns `false` (with `changed` unspecified and no warming chain
-    /// advanced past what was already done) when any seed's window cannot be
-    /// replayed — the caller must then invalidate conservatively and call
-    /// `warm_sources` with an all-dirty set. Stateless backends always
-    /// return `false`.
-    fn warm_after_move(
-        &mut self,
-        _g: &OwnedGraph,
-        _seeds: &[NodeId],
-        _changed: &mut Vec<NodeId>,
-    ) -> bool {
-        false
-    }
-
-    /// Bulk warming hook of the persistent backend: advances every parked
-    /// vector to the current version of `g` in one grouped pass over the
-    /// shared delta window (one CSR patch, many per-vector repairs). A no-op
-    /// for the stateless backends.
-    ///
-    /// `dirty` is the caller's promise about what actually moved: it must
-    /// contain **every vertex whose distance vector may have changed** since
-    /// the previous `warm_sources` call on the same graph (for the dynamics
-    /// engine: since the last committed move, whose change union the
-    /// dirty-agent machinery computes anyway). Vectors of dirty sources are
-    /// repaired by replaying their journal window; vectors of sources *not*
-    /// listed are — when the oracle can prove the warming chain is unbroken —
-    /// advanced by a stamp bump alone, which is what keeps the pass
-    /// `O(changes + |dirty| · repair)` instead of `O(parked · changes)`.
-    /// When the chain cannot be trusted (first call, a version gap, a foreign
-    /// graph) every parked vector is repaired from its own stamp instead, so
-    /// a wrong *gap* degrades to extra work, never to wrong distances; a
-    /// dirty set that under-reports the changes of its own window is a
-    /// caller bug the randomized warming tests guard against.
-    fn warm_sources(&mut self, _g: &OwnedGraph, _dirty: &[NodeId]) {}
 
     /// Multi-source what-if query: re-pins `(g, src)` and scores `deltas`
     /// against it, returning the source's `(base, modified)` summaries.
@@ -669,12 +581,6 @@ struct DistState {
     /// bypassed even when the caller requests journaling. Used while replaying
     /// applied graph changes.
     replaying: bool,
-    /// While `replaying`, every touched vertex is recorded once together with
-    /// its pre-replay distance, for the exact changed-vertex export.
-    touched: Vec<u32>,
-    touch_stamp: Vec<u32>,
-    touch_old: Vec<u16>,
-    touch_epoch: u32,
 }
 
 impl DistState {
@@ -689,35 +595,6 @@ impl DistState {
         self.journal.clear();
     }
 
-    /// Enters replay mode: journaling off, change tracking on.
-    fn begin_replay(&mut self, n: usize) {
-        debug_assert!(self.journal.is_empty(), "replay on top of candidate deltas");
-        self.replaying = true;
-        self.touched.clear();
-        if self.touch_stamp.len() < n {
-            self.touch_stamp.resize(n, 0);
-            self.touch_old.resize(n, 0);
-        }
-        self.touch_epoch = self.touch_epoch.wrapping_add(1);
-        if self.touch_epoch == 0 {
-            self.touch_stamp.fill(0);
-            self.touch_epoch = 1;
-        }
-    }
-
-    /// Leaves replay mode, retaining only the vertices whose distance really
-    /// differs from its pre-replay value (touch-and-restore cancels out).
-    fn end_replay(&mut self) {
-        self.replaying = false;
-        let DistState {
-            touched,
-            dist,
-            touch_old,
-            ..
-        } = self;
-        touched.retain(|&x| dist[x as usize] != touch_old[x as usize]);
-    }
-
     #[inline]
     fn get(&self, x: u32) -> u16 {
         self.dist[x as usize]
@@ -725,18 +602,11 @@ impl DistState {
 
     /// Sets `dist[x] = new`, keeping the aggregates in sync; `journal = true`
     /// records the old value for rollback (unless a replay is in progress, in
-    /// which case the assignment is permanent and the vertex is tracked as
-    /// touched instead).
+    /// which case the assignment is permanent).
     #[inline]
     fn assign(&mut self, x: u32, new: u16, journal: bool) {
         let old = self.dist[x as usize];
-        if self.replaying {
-            if self.touch_stamp[x as usize] != self.touch_epoch {
-                self.touch_stamp[x as usize] = self.touch_epoch;
-                self.touch_old[x as usize] = old;
-                self.touched.push(x);
-            }
-        } else if journal {
+        if journal && !self.replaying {
             self.journal.push((x, old));
         }
         if old != UNREACHABLE {
@@ -870,16 +740,6 @@ pub struct PersistentOracle {
     /// Spare overlay of the lazy-warm path (the working overlay may hold the
     /// pinned source's candidate deltas mid-scan).
     warm_overlay: DeltaOverlay,
-    /// Version up to which the trusted warming chain is unbroken: every
-    /// parked vector was advanced (bump or replay) by the `warm_sources`
-    /// call that stamped this version, so the *next* call's dirty set fully
-    /// describes the window from here to its own version. `None` until the
-    /// first warming pass (and after any cache reset).
-    warm_floor: Option<GraphVersion>,
-    /// Epoch stamps marking membership in the current warming call's dirty
-    /// set (`dirty_stamp[x] == dirty_epoch`).
-    dirty_stamp: Vec<u32>,
-    dirty_epoch: u32,
     /// Shared bitset-frontier workspace of the bulk waves.
     wave: MultiSourceBfs,
     /// Sources queued for the next bulk wave (cold or past the replay limit).
@@ -930,9 +790,6 @@ impl PersistentOracle {
             csr_version: None,
             warm_state: DistState::default(),
             warm_overlay: DeltaOverlay::default(),
-            warm_floor: None,
-            dirty_stamp: Vec::new(),
-            dirty_epoch: 0,
             wave: MultiSourceBfs::new(),
             batch_pending: Vec::new(),
         };
@@ -1428,10 +1285,14 @@ impl PersistentOracle {
     fn replay_changes(&mut self, changes: &[EdgeChange]) {
         let _sp = trace::span(trace::Phase::ScalarReplay);
         debug_assert!(self.overlay.is_empty());
+        debug_assert!(
+            self.state.journal.is_empty(),
+            "replay on top of candidate deltas"
+        );
         for change in changes.iter().rev() {
             self.overlay.activate(&invert(change));
         }
-        self.state.begin_replay(self.csr.num_nodes());
+        self.state.replaying = true;
         for change in changes {
             match *change {
                 EdgeChange::Added { u, v } => {
@@ -1444,7 +1305,7 @@ impl PersistentOracle {
                 }
             }
         }
-        self.state.end_replay();
+        self.state.replaying = false;
         debug_assert!(self.overlay.is_empty(), "replay must cancel the rewind");
     }
 
@@ -1458,24 +1319,12 @@ impl PersistentOracle {
     /// limit, in which case the vector's next activation pays the usual full
     /// BFS.
     fn warm_slot(&mut self, g: &OwnedGraph, src: usize) -> bool {
-        self.warm_slot_collect(g, src, None)
-    }
-
-    /// [`PersistentOracle::warm_slot`] with an optional export of the exact
-    /// net-changed vertex set of the replay (the per-seed diff of
-    /// [`DistanceOracle::warm_after_move`]).
-    fn warm_slot_collect(
-        &mut self,
-        g: &OwnedGraph,
-        src: usize,
-        collect: Option<&mut Vec<NodeId>>,
-    ) -> bool {
         let Some(from) = self.cache[src].version else {
             return false;
         };
         let cur = g.version();
         if from == cur {
-            return collect.is_none();
+            return true;
         }
         let Some(changes) = g.changes_since(from) else {
             return false;
@@ -1496,9 +1345,6 @@ impl PersistentOracle {
         self.state.max_hint = slot.max_hint;
         self.state.journal.clear();
         self.replay_changes(changes);
-        if let Some(out) = collect {
-            out.extend(self.state.touched.iter().map(|&x| x as NodeId));
-        }
         let slot = &mut self.cache[src];
         std::mem::swap(&mut slot.dist, &mut self.state.dist);
         std::mem::swap(&mut slot.level_counts, &mut self.state.level_counts);
@@ -1512,144 +1358,6 @@ impl PersistentOracle {
         std::mem::swap(&mut self.state, &mut self.warm_state);
         self.stats.lazy_replays += 1;
         true
-    }
-
-    /// The fused post-move pass behind [`DistanceOracle::warm_after_move`]:
-    /// replay each seed's vector over the move's window collecting the exact
-    /// per-seed diffs, then run the ordinary warming pass with the collected
-    /// union as the dirty set.
-    fn warm_after_move_collect(
-        &mut self,
-        g: &OwnedGraph,
-        seeds: &[NodeId],
-        changed: &mut Vec<NodeId>,
-    ) -> bool {
-        if g.num_nodes() != self.cache.len() {
-            return false;
-        }
-        let cur = g.version();
-        changed.clear();
-        changed.extend_from_slice(seeds);
-        for &e in seeds {
-            if self.pinned_version.is_some() && self.src == e as u32 {
-                let from = self.pinned_version.expect("just checked");
-                if from == cur {
-                    // Someone already advanced the working vector past the
-                    // move: its diff is gone, the caller must be conservative.
-                    return false;
-                }
-                self.rollback_to_prefix(0);
-                if !self.try_replay(g, from) {
-                    self.pinned_version = None;
-                    return false;
-                }
-                self.pinned_version = Some(cur);
-                self.stats.lazy_replays += 1;
-                changed.extend(self.state.touched.iter().map(|&x| x as NodeId));
-            } else if e >= self.cache.len() || !self.warm_slot_collect(g, e, Some(changed)) {
-                return false;
-            }
-        }
-        self.warm_all(g, changed);
-        true
-    }
-
-    /// Marks `dirty` in the epoch-stamped membership scratch.
-    fn mark_dirty_set(&mut self, dirty: &[NodeId]) {
-        let n = self.cache.len();
-        if self.dirty_stamp.len() < n {
-            self.dirty_stamp.resize(n, 0);
-        }
-        self.dirty_epoch = self.dirty_epoch.wrapping_add(1);
-        if self.dirty_epoch == 0 {
-            self.dirty_stamp.fill(0);
-            self.dirty_epoch = 1;
-        }
-        for &d in dirty {
-            if d < n {
-                self.dirty_stamp[d] = self.dirty_epoch;
-            }
-        }
-    }
-
-    /// The bulk warming pass behind [`DistanceOracle::warm_sources`]: see the
-    /// trait documentation for the caller contract on `dirty`.
-    fn warm_all(&mut self, g: &OwnedGraph, dirty: &[NodeId]) {
-        let _sp = trace::span(trace::Phase::WarmPass);
-        let n = g.num_nodes();
-        if n != self.cache.len() || n != self.mark.len() {
-            // A mismatched graph: the next `begin` resets the cache anyway.
-            self.warm_floor = None;
-            return;
-        }
-        let cur = g.version();
-        self.mark_dirty_set(dirty);
-        // Stamp bumps are only sound while the warming chain is unbroken:
-        // a vector stamped exactly at the previous pass's version is covered
-        // by this pass's dirty set. Anything else is repaired from its own
-        // stamp (or left for the full-BFS fallback on demand).
-        let trusted_floor = self.warm_floor.filter(|&f| g.changes_since(f).is_some());
-        let mut worked = false;
-        let mut width = 0usize;
-        // The pinned working vector gets the same treatment as the slots.
-        if let Some(pv) = self.pinned_version {
-            if pv != cur {
-                let src = self.src as usize;
-                if self.dirty_stamp[src] != self.dirty_epoch && Some(pv) == trusted_floor {
-                    self.pinned_version = Some(cur);
-                    self.stats.warm_bumps += 1;
-                    worked = true;
-                } else {
-                    self.rollback_to_prefix(0);
-                    if self.try_replay(g, pv) {
-                        self.pinned_version = Some(cur);
-                        self.stats.lazy_replays += 1;
-                        worked = true;
-                        width += 1;
-                    } else {
-                        // Unreplayable: drop the pin so the stale working
-                        // vector can never be mistaken for current state.
-                        self.pinned_version = None;
-                    }
-                }
-            }
-        }
-        let mut pending = std::mem::take(&mut self.batch_pending);
-        pending.clear();
-        for src in 0..n {
-            let Some(sv) = self.cache[src].version else {
-                continue;
-            };
-            if sv == cur {
-                continue;
-            }
-            if self.dirty_stamp[src] != self.dirty_epoch && Some(sv) == trusted_floor {
-                self.cache[src].version = Some(cur);
-                self.stats.warm_bumps += 1;
-                worked = true;
-            } else if self.warm_slot(g, src) {
-                worked = true;
-                width += 1;
-            } else {
-                // Unreplayable window: queue the slot for the shared bitset
-                // wave instead of leaving it stale.
-                pending.push(src as u32);
-            }
-        }
-        if !pending.is_empty() {
-            self.sync_csr(g);
-            self.batch_repin(g, &pending);
-            worked = true;
-            width += pending.len();
-        }
-        self.batch_pending = pending;
-        self.warm_floor = Some(cur);
-        if worked {
-            self.stats.warm_batches += 1;
-        }
-        if width > 0 {
-            self.stats.warm_batch_width[width_bucket(width)] += 1;
-        }
     }
 
     /// Shared front half of the cache-arithmetic insertion queries
@@ -1795,7 +1503,6 @@ impl DistanceOracle for PersistentOracle {
             self.cached_count = 0;
             self.pinned_version = None;
             self.csr_version = None;
-            self.warm_floor = None;
         }
         self.rollback_to_prefix(0);
         let mut base_version = None;
@@ -1891,19 +1598,6 @@ impl DistanceOracle for PersistentOracle {
             self.batch_repin(g, &pending);
         }
         self.batch_pending = pending;
-    }
-
-    fn warm_sources(&mut self, g: &OwnedGraph, dirty: &[NodeId]) {
-        self.warm_all(g, dirty);
-    }
-
-    fn warm_after_move(
-        &mut self,
-        g: &OwnedGraph,
-        seeds: &[NodeId],
-        changed: &mut Vec<NodeId>,
-    ) -> bool {
-        self.warm_after_move_collect(g, seeds, changed)
     }
 
     fn evaluate(&mut self, deltas: &[EdgeDelta]) -> DistanceSummary {
@@ -2073,8 +1767,9 @@ mod tests {
 
     #[test]
     fn stats_consistency_invariants_hold_and_detect_corruption() {
-        // A real persistent workload: bulk pin, mutate, warm, score — every
-        // counter class fires, and the invariants must hold throughout.
+        // A real persistent workload: bulk pin, mutate, lazily re-pin, score
+        // — every counter class fires, and the invariants must hold
+        // throughout.
         let mut g = generators::cycle(24);
         let mut oracle = make_oracle(OracleKind::Persistent, g.num_nodes());
         let sources: Vec<NodeId> = (0..g.num_nodes()).collect();
@@ -2083,7 +1778,7 @@ mod tests {
             let u = step % 24;
             let v = (u + 7) % 24;
             if g.add_edge(u, v) {
-                oracle.warm_sources(&g, &[u, v]);
+                oracle.pin_sources(&g, &[u, v]);
             }
             oracle.begin(&g, u);
             let _ = oracle.insert_level_bound(&g, &[], u, (u + 11) % 24);
@@ -2095,7 +1790,7 @@ mod tests {
             );
         }
         let mut stats = oracle.stats();
-        assert!(stats.warm_batches > 0 && stats.replayed_begins > 0);
+        assert!(stats.lazy_replays > 0 && stats.replayed_begins > 0);
         assert!(stats.kernel_calls > 0 && stats.bound_queries > 0);
         // The prune count comes from the scoring layer; any count up to the
         // answered bounds is consistent.
@@ -2109,9 +1804,6 @@ mod tests {
         assert_eq!(merged.bound_queries, 2 * stats.bound_queries);
         assert_eq!(merged.bound_pruned, 2 * stats.bound_pruned);
         // And each invariant actually bites on corrupted counters.
-        let mut bad = stats;
-        bad.warm_batch_width[0] = bad.warm_batches + 1;
-        assert!(!bad.consistent(), "width histogram over warm_batches");
         let mut bad = stats;
         bad.lazy_hits = bad.lazy_replays + 1;
         assert!(!bad.consistent(), "lazy hit without a lazy replay");
@@ -2262,122 +1954,6 @@ mod tests {
         let stats = oracle.stats();
         assert_eq!(stats.full_bfs_runs, baseline_bfs, "all re-pins replayed");
         assert_eq!(stats.replayed_begins, 18);
-    }
-
-    /// The exact change-set export of `warm_after_move`, which is all the
-    /// dirty engine's invalidation rests on: after each random single-edge
-    /// move, `changed` must hold exactly the seeds plus every vertex whose
-    /// BFS distance to a seed differs before and after the move.
-    #[test]
-    fn persistent_exports_the_exact_changed_vertex_set() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        fn as_set(mut v: Vec<NodeId>) -> Vec<NodeId> {
-            v.sort_unstable();
-            v.dedup();
-            v
-        }
-        // Deterministic case: a chord on a path, seeded at its endpoints.
-        let mut g = generators::path(12);
-        let mut oracle = PersistentOracle::new(12);
-        let mut buf = BfsBuffer::new(12);
-        oracle.pin_sources(&g, &[0, 8]);
-        oracle.begin(&g, 0);
-        let before: Vec<Vec<u16>> = [0, 8].iter().map(|&s| buf.run(&g, s).to_vec()).collect();
-        g.add_edge(0, 8);
-        let mut changed = Vec::new();
-        assert!(oracle.warm_after_move(&g, &[0, 8], &mut changed));
-        let mut expect = vec![0, 8];
-        for (i, &seed) in [0usize, 8].iter().enumerate() {
-            let after = buf.run(&g, seed);
-            expect.extend((0..12).filter(|&x| before[i][x] != after[x]));
-        }
-        assert_eq!(as_set(changed.clone()), as_set(expect));
-        // The diff of a window is exported once: a second call for the same
-        // move finds the seeds already current and refuses.
-        assert!(!oracle.warm_after_move(&g, &[0, 8], &mut changed));
-
-        let mut rng = StdRng::seed_from_u64(0xc4a9);
-        let (mut moves, mut nonempty) = (0usize, 0usize);
-        for case in 0..40 {
-            let n = rng.gen_range(4usize..30);
-            let mut g = if case % 2 == 0 {
-                generators::random_spanning_tree(n, None, &mut rng)
-            } else {
-                generators::random_with_m_edges(n, rng.gen_range(n..2 * n), &mut rng)
-            };
-            let mut oracle = PersistentOracle::new(n);
-            let mut buf = BfsBuffer::new(n);
-            let all: Vec<NodeId> = (0..n).collect();
-            oracle.pin_sources(&g, &all);
-            for step in 0..12 {
-                // One random single-edge move: drop an edge or add a missing
-                // one. The seeds are its endpoints, sometimes with a third
-                // vertex (a swap's other endpoint).
-                let u = rng.gen_range(0..n);
-                let v = (u + rng.gen_range(1..n)) % n;
-                let mut seeds = vec![u, v];
-                let w = rng.gen_range(0..n);
-                if rng.gen_bool(0.3) && !seeds.contains(&w) {
-                    seeds.push(w);
-                }
-                // The engine pins the seeds at the pre-move version, often
-                // with the mover as the working vector.
-                oracle.pin_sources(&g, &seeds);
-                if rng.gen_bool(0.5) {
-                    oracle.begin(&g, u);
-                }
-                let before: Vec<Vec<u16>> =
-                    seeds.iter().map(|&s| buf.run(&g, s).to_vec()).collect();
-                if g.has_edge(u, v) {
-                    g.remove_edge(u, v);
-                } else {
-                    g.add_edge(u, v);
-                }
-                let mut changed = Vec::new();
-                let ctx = format!("case {case} step {step} seeds {seeds:?}");
-                assert!(oracle.warm_after_move(&g, &seeds, &mut changed), "{ctx}");
-                let mut expect = seeds.clone();
-                for (i, &seed) in seeds.iter().enumerate() {
-                    let after = buf.run(&g, seed);
-                    expect.extend((0..n).filter(|&x| before[i][x] != after[x]));
-                }
-                let expect = as_set(expect);
-                nonempty += usize::from(expect.len() > seeds.len());
-                assert_eq!(as_set(changed), expect, "{ctx}");
-                // The same pass warmed every parked vector to the new state.
-                for x in 0..n {
-                    assert_eq!(
-                        oracle.cached_summary(&g, x),
-                        Some(buf.summary(&g, x)),
-                        "{ctx}"
-                    );
-                }
-                moves += 1;
-            }
-            // A seed whose slot is cold has no pre-move vector to diff: the
-            // call must refuse rather than under-report.
-            let mut cold = PersistentOracle::new(n);
-            let cold_seed = rng.gen_range(0..n);
-            let warm: Vec<NodeId> = (0..n).filter(|&x| x != cold_seed).collect();
-            cold.pin_sources(&g, &warm);
-            let other = (cold_seed + 1) % n;
-            if g.has_edge(cold_seed, other) {
-                g.remove_edge(cold_seed, other);
-            } else {
-                g.add_edge(cold_seed, other);
-            }
-            let mut changed = Vec::new();
-            assert!(
-                !cold.warm_after_move(&g, &[other, cold_seed], &mut changed),
-                "case {case}: cold seed {cold_seed}"
-            );
-        }
-        assert_eq!(moves, 40 * 12);
-        assert!(
-            nonempty > moves / 2,
-            "only {nonempty} moves changed a distance"
-        );
     }
 
     #[test]
@@ -2537,51 +2113,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_sources_bumps_clean_vectors_and_replays_dirty_ones() {
-        // Two components: moves inside one leave the other's vectors
-        // untouched, so the warming pass must stamp-bump the clean side and
-        // replay only the dirty side.
-        let mut g = OwnedGraph::new(12);
-        for u in 0..5 {
-            g.add_edge(u, u + 1); // first component: a path on {0..5}
-        }
-        for v in 7..12 {
-            g.add_edge(6, v); // second component: a star on {6..11}
-        }
-        let mut oracle = PersistentOracle::new(12);
-        let mut buf = BfsBuffer::new(12);
-        let all: Vec<usize> = (0..12).collect();
-        oracle.pin_sources(&g, &all);
-        // First move + warm establishes the trusted floor.
-        g.add_edge(7, 8);
-        oracle.warm_sources(&g, &[6, 7, 8, 9, 10, 11]);
-        let before = oracle.stats();
-        // Second move inside the star: path vectors are clean.
-        g.add_edge(9, 10);
-        oracle.warm_sources(&g, &[6, 7, 8, 9, 10, 11]);
-        let after = oracle.stats();
-        assert!(after.warm_batches > before.warm_batches);
-        assert!(
-            after.warm_bumps >= before.warm_bumps + 6,
-            "the six path vectors must be stamp-bumped: {after:?}"
-        );
-        assert!(
-            after.lazy_replays > before.lazy_replays,
-            "the star vectors must be replayed: {after:?}"
-        );
-        let bfs_before = after.full_bfs_runs;
-        for src in 0..12 {
-            assert_eq!(oracle.begin(&g, src), buf.summary(&g, src), "src {src}");
-            assert_eq!(oracle.base_distances(), &buf.run(&g, src)[..12]);
-        }
-        assert_eq!(
-            oracle.stats().full_bfs_runs,
-            bfs_before,
-            "every re-pin after warming must be an (empty) replay"
-        );
-    }
-
-    #[test]
     fn cached_summary_answers_without_pinning() {
         let mut g = generators::cycle(14);
         let mut oracle = PersistentOracle::new(14);
@@ -2605,28 +2136,11 @@ mod tests {
         // A stale vector refuses — answering would need repair work…
         g.add_edge(0, 7);
         assert_eq!(oracle.cached_summary(&g, 3), None);
-        // …and warming restores the O(1) answers.
-        oracle.warm_sources(&g, &all);
+        // …and a lazy re-pin, which replays the window in place, restores
+        // the O(1) answers.
+        oracle.pin_sources(&g, &all);
+        assert!(oracle.stats().lazy_replays > after.lazy_replays);
         assert_eq!(oracle.cached_summary(&g, 3), Some(buf.summary(&g, 3)));
-    }
-
-    #[test]
-    fn warm_sources_is_sound_without_a_trusted_floor() {
-        // The first warming call has no floor: nothing may be stamp-bumped;
-        // every parked vector must be repaired from its own stamp instead.
-        let mut g = generators::cycle(10);
-        let mut oracle = PersistentOracle::new(10);
-        let mut buf = BfsBuffer::new(10);
-        oracle.pin_sources(&g, &[0, 3, 7]);
-        g.add_edge(0, 5);
-        // Deliberately empty dirty set — still exact, because an untrusted
-        // pass never bumps, it replays.
-        oracle.warm_sources(&g, &[]);
-        assert_eq!(oracle.stats().warm_bumps, 0, "no floor, no bumps");
-        assert!(oracle.stats().lazy_replays >= 3);
-        for src in [0usize, 3, 7] {
-            assert_eq!(oracle.begin(&g, src), buf.summary(&g, src), "src {src}");
-        }
     }
 
     #[test]
@@ -2664,11 +2178,10 @@ mod tests {
 
     #[test]
     fn batched_warm_recomputes_unreplayable_slots() {
-        // Same shape as `eviction_prefers_stale_vectors_over_plain_lru`, but
-        // with batching on (the default): the slot whose journal window grew
-        // past the replay limit is recomputed by a shared bitset wave and
-        // lands on the current version with exact contents, instead of being
-        // left behind stale.
+        // Same shape as `eviction_prefers_stale_vectors_over_plain_lru`: a
+        // re-pin of the slot whose journal window grew past the replay limit
+        // recomputes it in a shared bitset wave, landing on the current
+        // version with exact contents instead of being left behind stale.
         let mut g = OwnedGraph::new(12);
         g.add_edge(0, 1);
         g.add_edge(2, 3);
@@ -2679,7 +2192,6 @@ mod tests {
         oracle.begin(&g, 0);
         oracle.begin(&g, 2);
         oracle.begin(&g, 4);
-        oracle.warm_sources(&g, &[]);
         for (a, b) in [
             (5, 7),
             (6, 8),
@@ -2693,15 +2205,14 @@ mod tests {
         ] {
             g.add_edge(a, b);
         }
-        let mut dirty: Vec<usize> = (4..12).collect();
-        dirty.push(2);
-        oracle.warm_sources(&g, &dirty);
+        assert!(!oracle.warm_slot(&g, 2), "nine changes exceed the limit");
+        oracle.pin_sources(&g, &[0, 2]);
         assert_eq!(
             oracle.cache[2].version,
             Some(g.version()),
             "unreplayable slot recomputed by the bulk wave"
         );
-        assert!(oracle.stats().batched_repins >= 1);
+        assert_eq!(oracle.stats().batched_repins, 2, "slots 0 and 2, one wave");
         assert!(oracle.stats().peak_parked_bytes > 0);
         let mut buf = BfsBuffer::new(12);
         let expect = buf.run(&g, 2).to_vec();
@@ -2765,28 +2276,6 @@ mod tests {
         // The replayed base is restored after the what-if query.
         let mut buf = BfsBuffer::new(10);
         assert_eq!(oracle.evaluate(&[]), buf.summary(&g, 2));
-    }
-
-    #[test]
-    fn width_bucket_pins_the_histogram_mapping() {
-        // Bucket i covers widths with ceil(log2(w)) == i; a full 64-source
-        // wave must land in the top *in-range* bucket 6, with bucket 7
-        // reserved for the >64 overflow — no off-by-one at powers of two.
-        assert_eq!(width_bucket(0), 0);
-        assert_eq!(width_bucket(1), 0);
-        assert_eq!(width_bucket(2), 1);
-        assert_eq!(width_bucket(3), 2);
-        assert_eq!(width_bucket(4), 2);
-        assert_eq!(width_bucket(5), 3);
-        assert_eq!(width_bucket(8), 3);
-        assert_eq!(width_bucket(9), 4);
-        assert_eq!(width_bucket(16), 4);
-        assert_eq!(width_bucket(17), 5);
-        assert_eq!(width_bucket(32), 5);
-        assert_eq!(width_bucket(33), 6);
-        assert_eq!(width_bucket(BATCH_WIDTH), 6, "full wave in the top bucket");
-        assert_eq!(width_bucket(BATCH_WIDTH + 1), 7);
-        assert_eq!(width_bucket(10_000), 7);
     }
 
     #[test]

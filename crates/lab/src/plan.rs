@@ -273,7 +273,6 @@ impl SweepPlan {
         let _ = writeln!(s, "base_seed={:016x}", self.base_seed);
         let _ = writeln!(s, "max_steps_factor={}", self.max_steps_factor);
         let _ = writeln!(s, "engine.oracle={}", self.engine.oracle.label());
-        let _ = writeln!(s, "engine.dirty={}", u8::from(self.engine.dirty_agents));
         let _ = writeln!(s, "engine.par={}", opt_str(self.engine.parallel_scan));
         let _ = writeln!(s, "split.scan_min_n={}", self.split.scan_min_n);
         let _ = writeln!(s, "split.scan_max_trials={}", self.split.scan_max_trials);
@@ -338,7 +337,6 @@ impl SweepPlan {
                     plan.engine.oracle =
                         ncg_graph::OracleKind::parse(val).ok_or_else(|| bad(key, val))?;
                 }
-                "engine.dirty" => plan.engine.dirty_agents = parse_flag(key, val)?,
                 "engine.par" => plan.engine.parallel_scan = parse_opt(key, val)?,
                 "split.scan_min_n" => plan.split.scan_min_n = uint(key, val)?,
                 "split.scan_max_trials" => plan.split.scan_max_trials = uint(key, val)?,
@@ -364,14 +362,6 @@ fn parse_opt<T: std::str::FromStr>(key: &str, val: &str) -> Result<Option<T>, St
     val.parse()
         .map(Some)
         .map_err(|_| format!("bad value for {key}: {val:?}"))
-}
-
-fn parse_flag(key: &str, val: &str) -> Result<bool, String> {
-    match val {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        _ => Err(format!("bad value for {key}: {val:?}")),
-    }
 }
 
 /// One cell of the sweep grid, ready to execute.
@@ -548,7 +538,7 @@ mod tests {
         plan.chunk_size = 3;
         plan.base_seed = 0xdead_beef;
         plan.alphas = vec![AlphaSpec::Fixed(2.5), AlphaSpec::FractionOfN(1.0 / 3.0)];
-        plan.engine = EngineSpec::fastest().with_parallel_scan(Some(3));
+        plan.engine = EngineSpec::persistent().with_parallel_scan(Some(3));
         plan.split = AutoSplit {
             scan_min_n: 100,
             scan_max_trials: 9,
@@ -589,14 +579,16 @@ mod tests {
         let broken = spec.replace("policy=max cost", "policy=psychic");
         assert!(SweepPlan::parse_spec(&broken).is_err());
         // Engine keys and values this build does not know (an older
-        // coordinator's oracle kind or memory/warming knobs) must be
-        // refused, not half-applied.
+        // coordinator's oracle kind, memory/warming knobs or dirty-agent
+        // flag) must be refused, not half-applied.
         for line in [
             "engine.oracle=incremental",
             "engine.cache=4",
             "engine.bytes=1048576",
             "engine.warm=0",
             "engine.batch=0",
+            "engine.dirty=0",
+            "engine.dirty=1",
         ] {
             let (key, val) = line.split_once('=').expect("key=value");
             let err = SweepPlan::parse_spec(&format!("{spec}{line}\n"))
@@ -704,43 +696,24 @@ mod tests {
     /// Literal point identities of a small plan. `SweepPoint::descriptor`
     /// hashes `EngineSpec::label()` into every point's hash *and* trial
     /// seed, so any drift in the label (or the descriptor) reseeds every
-    /// sweep; this pins both for the two engines the published sweeps run.
+    /// sweep; this pins both for the engine the published sweeps run.
     #[test]
     fn point_identities_are_pinned() {
-        // (engine, plan hash, per-point (hash, base seed)).
-        type Pinned = (EngineSpec, u64, [(u64, u64); 4]);
-        let cases: [Pinned; 2] = [
-            (
-                EngineSpec::persistent(),
-                0x87d9_ccb3_cb7e_0048,
-                [
-                    (0x6ab2_a590_bed5_cd4a, 0xde9d_361e_e69b_05e1),
-                    (0x125c_c4d3_e8f1_188e, 0x5991_c9ef_9c52_411e),
-                    (0xb77e_1f1f_5d9c_13f5, 0x5197_e77a_028f_464b),
-                    (0x41f4_32d2_eb6e_7ec2, 0x99dc_c01d_603b_e2ec),
-                ],
-            ),
-            (
-                EngineSpec::fastest(),
-                0xd47a_ebf8_fa9e_4702,
-                [
-                    (0x48bb_1fc6_a206_fbf5, 0xf43d_2a4a_218b_a900),
-                    (0x70b2_5f45_1853_5278, 0x89b9_608c_e628_d67b),
-                    (0x9f5f_0934_b785_ea82, 0xdbc1_ce75_84e4_f272),
-                    (0xed84_7c50_09ea_5889, 0xd29c_8b85_612e_9321),
-                ],
-            ),
+        let mut plan = SweepPlan::new("identity");
+        plan.families = vec![GameFamily::AsgSum, GameFamily::GbgSum];
+        plan.ns = vec![32, 64];
+        plan.engine = EngineSpec::persistent();
+        plan.split = AutoSplit::never();
+        let points = plan.flatten_with_cores(1);
+        let got: Vec<(u64, u64)> = points.iter().map(|p| (p.hash, p.base_seed)).collect();
+        // Per-point (hash, base seed).
+        let expected = [
+            (0x6ab2_a590_bed5_cd4a, 0xde9d_361e_e69b_05e1),
+            (0x125c_c4d3_e8f1_188e, 0x5991_c9ef_9c52_411e),
+            (0xb77e_1f1f_5d9c_13f5, 0x5197_e77a_028f_464b),
+            (0x41f4_32d2_eb6e_7ec2, 0x99dc_c01d_603b_e2ec),
         ];
-        for (engine, plan_hash, expected) in cases {
-            let mut plan = SweepPlan::new("identity");
-            plan.families = vec![GameFamily::AsgSum, GameFamily::GbgSum];
-            plan.ns = vec![32, 64];
-            plan.engine = engine;
-            plan.split = AutoSplit::never();
-            let points = plan.flatten_with_cores(1);
-            let got: Vec<(u64, u64)> = points.iter().map(|p| (p.hash, p.base_seed)).collect();
-            assert_eq!(got, expected, "{}", engine.label());
-            assert_eq!(plan.plan_hash(), plan_hash, "{}", engine.label());
-        }
+        assert_eq!(got, expected);
+        assert_eq!(plan.plan_hash(), 0x87d9_ccb3_cb7e_0048);
     }
 }

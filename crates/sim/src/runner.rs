@@ -279,9 +279,9 @@ pub fn run_dynamics_trial_probed(
     max_steps: usize,
     rng: &mut StdRng,
 ) -> (TrialResult, OracleStats) {
-    // One span per trial: the dynamics' scan/confirmation-sweep/apply/warm
-    // spans and the oracle's phases all nest beneath it, so a harvested
-    // `TraceReport` reads as a per-trial phase tree.
+    // One span per trial: the dynamics' scan/apply spans and the oracle's
+    // phases all nest beneath it, so a harvested `TraceReport` reads as a
+    // per-trial phase tree.
     let _sp = ncg_trace::span(ncg_trace::Phase::Trial);
     let config = DynamicsConfig {
         policy,
@@ -292,9 +292,6 @@ pub fn run_dynamics_trial_probed(
         record_trajectory: false,
         ownership_in_state: true,
         oracle: engine.oracle,
-        // The parallel scan is a full rescan; maintaining the dirty set next
-        // to it would only burn endpoint BFS runs nobody reads.
-        dirty_agents: engine.dirty_agents && engine.parallel_scan.is_none(),
     };
     let mut dynamics = Dynamics::new(game, initial, config);
     let mut kinds = MoveKindCounts::default();

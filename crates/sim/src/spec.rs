@@ -8,30 +8,26 @@ use ncg_graph::{generators, OwnedGraph};
 use rand::Rng;
 
 /// Execution-engine options of a trial: which distance-oracle backend scores
-/// candidate moves, whether the dynamics keeps a dirty-agent set, and whether
-/// the per-step unhappiness scan is distributed over worker threads.
+/// candidate moves, and whether the per-step unhappiness scan is distributed
+/// over worker threads.
 ///
-/// The default is the persistent oracle with an eager (exact-policy) scan,
-/// i.e. [`EngineSpec::persistent`]; [`EngineSpec::baseline`] is the full-BFS
-/// reference it is checked against. Dirty-agent tracking is opt-in
-/// ([`EngineSpec::fastest`]) because its lazy re-examination can
-/// occasionally pick a different (non-maximal-cost) mover than the strict
-/// max-cost policy the paper's experiments specify.
+/// Neither option changes a trajectory: every engine moves agents in the
+/// policy's exact order (for the max-cost policy the paper's experiments
+/// specify, an unhappy agent of maximum cost), and the parallel scan draws
+/// from the RNG exactly like the sequential one. The default is
+/// [`EngineSpec::persistent`]; [`EngineSpec::baseline`] is the full-BFS
+/// reference it is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineSpec {
     /// Distance-oracle backend scoring candidate moves.
     pub oracle: OracleKind,
-    /// Keep a dirty-agent set instead of re-scanning all agents per step.
-    /// Ignored while `parallel_scan` is active (the parallel scan is a full
-    /// rescan and never consults the dirty set).
-    pub dirty_agents: bool,
     /// `Some(threads)` scans agents for unhappiness across worker threads
     /// (useful for large `n`); `None` scans sequentially.
     pub parallel_scan: Option<usize>,
 }
 
 impl EngineSpec {
-    /// The reference engine: full BFS per candidate, eager full rescans.
+    /// The reference engine: full BFS per candidate.
     pub fn baseline() -> Self {
         EngineSpec {
             oracle: OracleKind::FullBfs,
@@ -44,25 +40,10 @@ impl EngineSpec {
     /// replay) instead of being re-pinned with a fresh BFS per
     /// `(agent, state)` scan, the CSR snapshot is journal-patched in place,
     /// and insertion candidates are bounded from level histograms and scored
-    /// arithmetically from the parked vectors. Scans stay eager — mover
-    /// selection follows the exact policy order (see `crates/README.md`).
+    /// arithmetically from the parked vectors.
     pub fn persistent() -> Self {
         EngineSpec {
             oracle: OracleKind::Persistent,
-            ..EngineSpec::default()
-        }
-    }
-
-    /// The persistent oracle feeding its exact changed-vertex export into
-    /// dirty-agent tracking, so a step re-examines only agents the applied
-    /// move actually affected, while post-move bulk warming keeps every
-    /// parked vector at the current version. Termination is exact (final
-    /// confirmation sweep), but mover selection may deviate from the strict
-    /// policy order when the dirty heuristic under-approximates.
-    pub fn fastest() -> Self {
-        EngineSpec {
-            oracle: OracleKind::Persistent,
-            dirty_agents: true,
             ..EngineSpec::default()
         }
     }
@@ -73,17 +54,13 @@ impl EngineSpec {
         self
     }
 
-    /// Short label such as `"persistent+dirty"` used in reports and hashed
+    /// Short label such as `"persistent+par4"` used in reports and hashed
     /// into every sweep point's identity and trial seeds.
     pub fn label(&self) -> String {
-        let mut parts = vec![self.oracle.label().to_string()];
-        if self.dirty_agents {
-            parts.push("dirty".to_string());
+        match self.parallel_scan {
+            Some(t) => format!("{}+par{t}", self.oracle.label()),
+            None => self.oracle.label().to_string(),
         }
-        if let Some(t) = self.parallel_scan {
-            parts.push(format!("par{t}"));
-        }
-        parts.join("+")
     }
 }
 
@@ -323,7 +300,7 @@ pub struct ExperimentPoint {
     /// within a small constant times `n`; the limit only guards against the —
     /// never observed — non-convergent case).
     pub max_steps_factor: usize,
-    /// Execution-engine options (oracle backend, dirty-agent set, parallel scan).
+    /// Execution-engine options (oracle backend, parallel scan).
     pub engine: EngineSpec,
 }
 
@@ -360,15 +337,13 @@ mod tests {
         assert_eq!(EngineSpec::baseline().label(), "full-bfs");
         assert_eq!(EngineSpec::default(), EngineSpec::persistent());
         assert_eq!(EngineSpec::persistent().label(), "persistent");
-        assert_eq!(EngineSpec::fastest().label(), "persistent+dirty");
-        let reference_dirty = EngineSpec {
-            dirty_agents: true,
-            ..EngineSpec::baseline()
-        };
-        assert_eq!(reference_dirty.label(), "full-bfs+dirty");
         assert_eq!(
-            EngineSpec::fastest().with_parallel_scan(Some(4)).label(),
-            "persistent+dirty+par4"
+            EngineSpec::persistent().with_parallel_scan(Some(4)).label(),
+            "persistent+par4"
+        );
+        assert_eq!(
+            EngineSpec::baseline().with_parallel_scan(Some(0)).label(),
+            "full-bfs+par0"
         );
     }
 

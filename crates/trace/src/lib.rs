@@ -38,12 +38,8 @@ pub enum Phase {
     Setup,
     /// Mover selection: scanning agents for an improving move.
     Scan,
-    /// Re-scan iterations of the dirty engine's final confirmation sweep.
-    ConfirmSweep,
     /// Choosing the mover's best response and applying it to the graph.
     Apply,
-    /// Post-move invalidation and bulk warming of parked vectors.
-    Warm,
     /// Per-agent cost refresh feeding the max-cost policy order.
     CostRefresh,
     /// One agent's candidate enumeration + scoring loop (`scan_moves`): move
@@ -72,8 +68,6 @@ pub enum Phase {
     /// and consent-source pins/warms. Oracle phases nest beneath it, so
     /// consent time is separable from mover time in the profile.
     Consent,
-    /// Post-move bulk warming pass over all parked vectors.
-    WarmPass,
     /// One (point, chunk) job executed by an orchestrator worker.
     ChunkRun,
     /// Appending one chunk record to the sweep journal.
@@ -81,13 +75,11 @@ pub enum Phase {
 }
 
 /// All phases, in rendering/serialization order.
-pub const PHASES: [Phase; 20] = [
+pub const PHASES: [Phase; 17] = [
     Phase::Trial,
     Phase::Setup,
     Phase::Scan,
-    Phase::ConfirmSweep,
     Phase::Apply,
-    Phase::Warm,
     Phase::CostRefresh,
     Phase::Enumerate,
     Phase::OracleBegin,
@@ -99,7 +91,6 @@ pub const PHASES: [Phase; 20] = [
     Phase::FusedKernel,
     Phase::DeltaRepair,
     Phase::Consent,
-    Phase::WarmPass,
     Phase::ChunkRun,
     Phase::JournalAppend,
 ];
@@ -111,9 +102,7 @@ impl Phase {
             Phase::Trial => "trial",
             Phase::Setup => "setup",
             Phase::Scan => "scan",
-            Phase::ConfirmSweep => "confirmation-sweep",
             Phase::Apply => "apply",
-            Phase::Warm => "warm",
             Phase::CostRefresh => "cost-refresh",
             Phase::Enumerate => "enumerate",
             Phase::OracleBegin => "oracle-begin",
@@ -125,7 +114,6 @@ impl Phase {
             Phase::FusedKernel => "fused-kernel",
             Phase::DeltaRepair => "delta-repair",
             Phase::Consent => "consent",
-            Phase::WarmPass => "warm-pass",
             Phase::ChunkRun => "chunk-run",
             Phase::JournalAppend => "journal-append",
         }
@@ -146,9 +134,7 @@ impl Phase {
             self,
             Phase::Trial
                 | Phase::Scan
-                | Phase::ConfirmSweep
                 | Phase::Apply
-                | Phase::Warm
                 | Phase::PinSources
                 | Phase::Consent
                 | Phase::ChunkRun
@@ -163,8 +149,6 @@ pub enum Counter {
     AgentsScanned,
     /// Selections that actually found an improving move (≈ applied steps).
     ImprovingMoves,
-    /// Agents re-examined by confirmation-sweep iterations only.
-    ConfirmScans,
     /// Candidate scans that ended with no improving move and ran no
     /// insertion kernel: agents certified happy by exact deletion scores
     /// and level-histogram bounds alone.
@@ -176,10 +160,9 @@ pub enum Counter {
 }
 
 /// All counters, in serialization order.
-pub const COUNTERS: [Counter; 6] = [
+pub const COUNTERS: [Counter; 5] = [
     Counter::AgentsScanned,
     Counter::ImprovingMoves,
-    Counter::ConfirmScans,
     Counter::CertifiedHappy,
     Counter::ChunkClaims,
     Counter::JournalAppends,
@@ -191,7 +174,6 @@ impl Counter {
         match self {
             Counter::AgentsScanned => "agents_scanned",
             Counter::ImprovingMoves => "improving_moves",
-            Counter::ConfirmScans => "confirm_scans",
             Counter::CertifiedHappy => "certified_happy",
             Counter::ChunkClaims => "chunk_claims",
             Counter::JournalAppends => "journal_appends",
@@ -208,7 +190,7 @@ pub const HIST_BUCKETS: usize = 16;
 pub enum HistId {
     /// Agents examined per mover selection (scan width).
     ScanWidth,
-    /// Sources repaired per warm pass (wave width).
+    /// Sources per 64-wide bitset BFS wave (wave width).
     WaveWidth,
 }
 
@@ -903,7 +885,7 @@ mod tests {
             "{\"phase\":\"apply\",\"total_ns\":250,\"count\":4,\"children\":[]}",
             "]}",
             "],\"counters\":{\"agents_scanned\":40,\"improving_moves\":4,",
-            "\"confirm_scans\":0,\"certified_happy\":0,\"chunk_claims\":0,",
+            "\"certified_happy\":0,\"chunk_claims\":0,",
             "\"journal_appends\":0},",
             "\"hists\":{\"scan_width\":[0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0],",
             "\"wave_width\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}",

@@ -1,7 +1,7 @@
-//! Probe: per-engine oracle work counters on the SUM-GBG ablation workload,
-//! for diagnosing where the persistent+dirty engine spends its time at small
-//! `n` (the `BENCH_oracle.json` n = 64 anomaly), plus a traced trial per
-//! family rendered as a text flame profile (`ncg-trace` phase tree).
+//! Probe: per-engine oracle work counters on the SUM-GBG and SUM-ASG
+//! ablation workloads, for diagnosing where each engine spends its time,
+//! plus a traced trial per family rendered as a text flame profile
+//! (`ncg-trace` phase tree).
 //!
 //! ```text
 //! cargo run --release --example oracle_probe -- 64 128
@@ -15,7 +15,7 @@ use selfish_ncg::core::{GreedyBuyGame, OracleKind};
 use selfish_ncg::graph::generators;
 use selfish_ncg::trace;
 
-fn run(n: usize, family: &str, oracle: OracleKind, dirty: bool) {
+fn run(n: usize, family: &str, oracle: OracleKind) {
     use selfish_ncg::core::{AsymSwapGame, Game};
     let mut rng = StdRng::seed_from_u64(42);
     let (game, g): (Box<dyn Game>, _) = match family {
@@ -38,7 +38,6 @@ fn run(n: usize, family: &str, oracle: OracleKind, dirty: bool) {
         record_trajectory: false,
         ownership_in_state: true,
         oracle,
-        dirty_agents: dirty,
     };
     let mut dynamics = Dynamics::new(game, g, config);
     let watch = trace::Stopwatch::start();
@@ -49,12 +48,11 @@ fn run(n: usize, family: &str, oracle: OracleKind, dirty: bool) {
     let secs = watch.elapsed_secs();
     let stats = dynamics.oracle_stats();
     println!(
-        "n={n:>4} {family} {:<12} dirty={dirty:<5} {secs:>8.3}s steps={steps:>5} bfs={:>7} replays={:>7} lazy={:>7} bumps={:>8} hits={:>7} evals={:>8} expanded={:>10} csr_patch={:>6} csr_rebuild={:>6} batched={:>6} peak_parked={:>9}B widths={:?}",
+        "n={n:>4} {family} {:<12} {secs:>8.3}s steps={steps:>5} bfs={:>7} replays={:>7} lazy={:>7} hits={:>7} evals={:>8} expanded={:>10} csr_patch={:>6} csr_rebuild={:>6} batched={:>6} peak_parked={:>9}B",
         oracle.label(),
         stats.full_bfs_runs,
         stats.replayed_begins,
         stats.lazy_replays,
-        stats.warm_bumps,
         stats.lazy_hits,
         stats.evaluations,
         stats.nodes_expanded,
@@ -62,7 +60,6 @@ fn run(n: usize, family: &str, oracle: OracleKind, dirty: bool) {
         stats.csr_rebuilds,
         stats.batched_repins,
         stats.peak_parked_bytes,
-        stats.warm_batch_width,
     );
 }
 
@@ -131,12 +128,8 @@ fn main() {
     let ns = if ns.is_empty() { vec![64] } else { ns };
     for &n in &ns {
         for family in ["gbg", "asg"] {
-            for (oracle, dirty) in [
-                (OracleKind::FullBfs, true),
-                (OracleKind::Persistent, false),
-                (OracleKind::Persistent, true),
-            ] {
-                run(n, family, oracle, dirty);
+            for oracle in [OracleKind::FullBfs, OracleKind::Persistent] {
+                run(n, family, oracle);
             }
         }
         phases(n, "gbg");

@@ -532,36 +532,3 @@ fn u16_boundary_distances_at_unreachable_minus_one() {
         .expect("cache-arithmetic path");
     assert_eq!(got2, DistanceSummary::DISCONNECTED);
 }
-
-/// Satellite property: dirty-agent tracking fed by the persistent oracle's
-/// exact changed-vertex export still ends in certified pure Nash equilibria —
-/// the final confirmation sweep keeps termination exact even though distance
-/// vectors are carried across steps.
-#[test]
-fn dirty_tracking_with_persistent_oracle_certifies_equilibria() {
-    let trials = 3 * SCALE;
-    for trial in 0..trials {
-        let mut rng = StdRng::seed_from_u64(0xd1b7 + trial as u64);
-        let n = 12 + (trial % 5) * 3;
-        let initial = generators::random_with_m_edges(n, 2 * n, &mut rng);
-        let games: Vec<Box<dyn Game + Send + Sync>> = vec![
-            Box::new(AsymSwapGame::sum()),
-            Box::new(GreedyBuyGame::sum(n as f64 / 4.0)),
-            Box::new(GreedyBuyGame::max(2.5)),
-        ];
-        for game in &games {
-            let mut cfg = DynamicsConfig::simulation(400 * n);
-            cfg.oracle = OracleKind::Persistent;
-            cfg.dirty_agents = true;
-            let out = run_dynamics(game.as_ref(), &initial, &cfg, &mut rng);
-            assert!(out.converged(), "trial {trial}: {}", game.name());
-            // Certify with an untouched workspace: no cached state involved.
-            let mut ws = Workspace::new(n);
-            assert!(
-                selfish_ncg::core::equilibrium::is_stable(game.as_ref(), &out.final_graph, &mut ws),
-                "trial {trial}: {} final state must be stable",
-                game.name()
-            );
-        }
-    }
-}
