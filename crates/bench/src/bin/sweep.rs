@@ -114,14 +114,14 @@ fn print_outcome(plan: &SweepPlan, outcome: &SweepOutcome) {
         outcome.resumed_chunks,
     );
     println!(
-        "{:>42} {:>6} {:>10} {:>8} {:>8} {:>8} {:>9} {:>6}",
-        "point", "n", "avg steps", "max", "std", "nonconv", "steps/n", "scan"
+        "{:>42} {:>6} {:>10} {:>8} {:>8} {:>8} {:>9}",
+        "point", "n", "avg steps", "max", "std", "nonconv", "steps/n"
     );
     for p in &outcome.points {
         let s = &p.stats;
         let summary = s.summary(p.point.n);
         println!(
-            "{:>42} {:>6} {:>10.2} {:>8} {:>8.2} {:>8} {:>9.3} {:>6}",
+            "{:>42} {:>6} {:>10.2} {:>8} {:>8.2} {:>8} {:>9.3}",
             p.point.label(),
             p.point.n,
             summary.avg_steps,
@@ -129,11 +129,6 @@ fn print_outcome(plan: &SweepPlan, outcome: &SweepOutcome) {
             s.std_dev(),
             s.non_converged,
             s.max_steps as f64 / p.point.n as f64,
-            if p.point.engine.parallel_scan.is_some() {
-                "par"
-            } else {
-                "seq"
-            },
         );
     }
     if outcome.journal_skipped_lines > 0 {

@@ -294,7 +294,7 @@ pub mod sweeps {
                      \"avg_steps\": {:.3}, \"max_steps\": {}, \"min_steps\": {}, \
                      \"std_dev\": {:.3}, \"non_converged\": {}, \
                      \"avg_steps_per_agent\": {:.4}, \"max_steps_per_agent\": {:.4}, \
-                     \"scan_mode\": {}, \"hist_steps_per_agent\": {{{}}}}}",
+                     \"hist_steps_per_agent\": {{{}}}}}",
                     p.point.label().replace(',', ";"),
                     p.point.n,
                     s.count,
@@ -305,7 +305,6 @@ pub mod sweeps {
                     s.non_converged,
                     s.summary(p.point.n).avg_steps_per_agent(),
                     s.max_steps as f64 / p.point.n as f64,
-                    p.point.engine.parallel_scan.is_some(),
                     hist_json(p)
                 );
                 out.push_str(if i + 1 < outcome.points.len() {

@@ -27,12 +27,10 @@ pub enum ResponseMode {
 
 /// Configuration of a dynamics run.
 ///
-/// The engine has one way of choosing movers: every step scans the agents in
-/// the policy's exact order (for [`Policy::MaxCost`], an unhappy agent of
-/// maximum cost moves), sequentially through [`Dynamics::step`] or across
-/// threads through [`Dynamics::step_parallel`]. `oracle` only decides how
-/// candidate moves are scored, never which agent moves or which move it
-/// makes.
+/// The engine has one way of choosing movers: every step, [`Dynamics::step`]
+/// scans the agents in the policy's exact order (for [`Policy::MaxCost`], an
+/// unhappy agent of maximum cost moves). `oracle` only decides how candidate
+/// moves are scored, never which agent moves or which move it makes.
 #[derive(Debug, Clone)]
 pub struct DynamicsConfig {
     /// Who moves.
@@ -177,9 +175,6 @@ pub struct Dynamics<'a, G: Game + ?Sized> {
     last_mover: Option<NodeId>,
     seen: HashMap<StateKey, usize>,
     trajectory: Vec<MoveRecord>,
-    /// Reusable per-thread workspaces of the parallel scan (empty until the
-    /// first [`Dynamics::step_parallel`] call).
-    par_pool: Vec<Workspace>,
 }
 
 impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
@@ -203,7 +198,6 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
             last_mover: None,
             seen: HashMap::new(),
             trajectory: Vec::new(),
-            par_pool: Vec::new(),
         };
         if dyn_.config.detect_cycles {
             let key = dyn_.state_key();
@@ -237,10 +231,7 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
 
     /// All currently unhappy agents (agents with at least one feasible improving move).
     pub fn unhappy_agents(&mut self) -> Vec<NodeId> {
-        let g = &self.graph;
-        (0..g.num_nodes())
-            .filter(|&u| self.game.has_improving_move(g, u, &mut self.ws))
-            .collect()
+        crate::equilibrium::unhappy_agents(self.game, &self.graph, &mut self.ws)
     }
 
     /// Performs one step with the configured policy. Returns `None` if the state is
@@ -313,7 +304,7 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
     }
 
     /// Checks the current termination/cycle bookkeeping after a successful
-    /// step; shared by the sequential and parallel run loops.
+    /// step.
     fn post_step_cycle_check(&mut self) -> Option<Termination> {
         if self.config.detect_cycles {
             let key = self.state_key();
@@ -354,67 +345,6 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
             final_graph: self.graph,
             trajectory: self.trajectory,
         }
-    }
-}
-
-impl<'a, G: Game + Sync + ?Sized> Dynamics<'a, G> {
-    /// Like [`Dynamics::step`], but the per-agent unhappiness scan (and, for
-    /// the max-cost policy, the cost measurements) run across `threads`
-    /// scoped worker threads, each with its own workspace.
-    ///
-    /// The selected mover follows the configured policy and tie-break
-    /// exactly as in the sequential scan, and both draw from the RNG in the
-    /// same order, so for a given seed `step_parallel` walks the same
-    /// trajectory as [`Dynamics::step`] for every `threads`.
-    pub fn step_parallel<R: Rng>(&mut self, rng: &mut R, threads: usize) -> Option<MoveRecord> {
-        let mover = self.select_mover_parallel(rng, threads)?;
-        self.step_with_agent(mover, rng)
-    }
-
-    fn select_mover_parallel<R: Rng>(&mut self, rng: &mut R, threads: usize) -> Option<NodeId> {
-        let n = self.graph.num_nodes();
-        if n == 0 {
-            return None;
-        }
-        let need_cost = self.config.policy == Policy::MaxCost;
-        let kind = self.ws.oracle_kind();
-        let results: Vec<(bool, f64)> = crate::equilibrium::scan_agents_parallel(
-            self.game,
-            &self.graph,
-            kind,
-            threads,
-            &mut self.par_pool,
-            |game, g, u, ws| {
-                let unhappy = game.has_improving_move(g, u, ws);
-                let cost = if need_cost {
-                    crate::game::workspace_cost(game, g, u, ws)
-                } else {
-                    0.0
-                };
-                (unhappy, cost)
-            },
-        );
-        let mut order: Vec<NodeId> = (0..n).collect();
-        match self.config.policy {
-            Policy::MaxCost => {
-                if self.config.tie_break == TieBreak::Random {
-                    order.shuffle(rng);
-                }
-                order.sort_by(|&a, &b| {
-                    results[b]
-                        .1
-                        .partial_cmp(&results[a].1)
-                        .expect("costs are never NaN")
-                });
-            }
-            Policy::Random => order.shuffle(rng),
-            Policy::MinIndex => {}
-            Policy::RoundRobin => {
-                let start = self.last_mover.map_or(0, |m| (m + 1) % n);
-                order = (0..n).map(|i| (start + i) % n).collect();
-            }
-        }
-        order.into_iter().find(|&u| results[u].0)
     }
 }
 
@@ -604,32 +534,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_scan_selects_valid_movers_and_converges() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let n = 16;
-        let g = generators::random_with_m_edges(n, 2 * n, &mut rng);
-        let game = GreedyBuyGame::sum(n as f64 / 4.0);
-        let cfg = DynamicsConfig::simulation(400 * n);
-        let mut dynamics = Dynamics::new(&game, g, cfg);
-        let mut steps = 0usize;
-        while let Some(record) = dynamics.step_parallel(&mut rng, 3) {
-            assert!(record.new_cost < record.old_cost);
-            steps += 1;
-            assert!(steps <= 400 * n, "did not converge");
-        }
-        let mut ws = Workspace::new(n);
-        assert!(crate::equilibrium::is_stable(
-            &game,
-            dynamics.graph(),
-            &mut ws
-        ));
-    }
-
     /// The four empirical families on random initial networks: the ASG on
     /// budgeted networks, the GBG on random ones (α = n/4 for SUM, 2.5 for
     /// MAX).
-    fn empirical_families(n: usize, rng: &mut StdRng) -> Vec<(Box<dyn Game + Sync>, OwnedGraph)> {
+    fn empirical_families(n: usize, rng: &mut StdRng) -> Vec<(Box<dyn Game>, OwnedGraph)> {
         let asg = |rng: &mut StdRng| generators::budgeted_random(n, 2, rng);
         let gbg = |rng: &mut StdRng| generators::random_with_m_edges(n, 2 * n, rng);
         vec![
@@ -688,49 +596,6 @@ mod tests {
             }
         }
         assert!(moves > 100, "only {moves} moves checked");
-    }
-
-    #[test]
-    fn parallel_scan_walks_the_sequential_trajectory() {
-        // Both scan modes draw from the RNG in the same order, so any number
-        // of scan threads must reproduce the sequential trajectory.
-        let mut rng = StdRng::seed_from_u64(0x9a2a);
-        let n = 16;
-        for (game, initial) in empirical_families(n, &mut rng) {
-            let game = game.as_ref();
-            for kind in [OracleKind::FullBfs, OracleKind::Persistent] {
-                for policy in [Policy::MaxCost, Policy::Random, Policy::RoundRobin] {
-                    let run = |threads: Option<usize>| {
-                        let mut cfg = DynamicsConfig::simulation(400 * n)
-                            .with_oracle(kind)
-                            .with_policy(policy);
-                        cfg.record_trajectory = true;
-                        let mut dynamics = Dynamics::new(game, initial.clone(), cfg);
-                        let mut rng = StdRng::seed_from_u64(5);
-                        let step = |d: &mut Dynamics<'_, _>, rng: &mut StdRng| match threads {
-                            Some(t) => d.step_parallel(rng, t),
-                            None => d.step(rng),
-                        };
-                        while step(&mut dynamics, &mut rng).is_some() {
-                            assert!(dynamics.steps() <= 400 * n, "did not converge");
-                        }
-                        dynamics.trajectory().to_vec()
-                    };
-                    let sequential = run(None);
-                    assert!(!sequential.is_empty());
-                    for threads in [2, 3] {
-                        assert_eq!(
-                            run(Some(threads)),
-                            sequential,
-                            "{} {} {} threads={threads}",
-                            game.name(),
-                            kind.label(),
-                            policy.label()
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -55,9 +55,7 @@ pub use cost::{agent_cost, agent_cost_total, AgentCost, DistanceMetric, EdgeCost
 pub use dynamics::{
     run_dynamics, Dynamics, DynamicsConfig, DynamicsOutcome, MoveRecord, ResponseMode, Termination,
 };
-pub use equilibrium::{
-    cost_vector, is_stable, social_cost, unhappy_agents, unhappy_agents_parallel,
-};
+pub use equilibrium::{cost_vector, is_stable, social_cost, unhappy_agents};
 pub use evaluator::{edge_cost_after, party_edge_cost_after, CostEvaluator, DeltaScore};
 pub use game::{Game, ScoredMove, Workspace};
 pub use games::{AsymSwapGame, BilateralBuyGame, BuyGame, GreedyBuyGame, SwapGame};

@@ -12,8 +12,8 @@
 //!   and structurally property-tested.
 //! * [`plan`] — declarative [`SweepPlan`] grids (scenario × game family ×
 //!   policy × α × `n`), flattened into stably-hashed [`SweepPoint`]s and
-//!   fixed trial chunks; resolves the trial-level vs. scan-level parallelism
-//!   split from `n`, the trial count and the machine's core count.
+//!   fixed trial chunks; point identities and trial seeds are pure functions
+//!   of the plan, the same on every host.
 //! * [`orchestrator`] — the shared work queue: workers steal `(point,
 //!   trial-chunk)` jobs round-robin across points, aggregates stream through
 //!   [`ncg_sim::StreamingStats`] (memory `O(points)`, not `O(trials)`), and

@@ -8,12 +8,10 @@
 //! `O(points × chunks)` small aggregates; no `TrialResult` is ever retained.
 //!
 //! Reproducibility contract: the aggregates of a completed sweep are
-//! **bit-identical** regardless of worker count, scan width, and kill/resume
+//! **bit-identical** regardless of worker count, host and kill/resume
 //! splits — chunk contents are pure functions of `(point, start, len)` and
-//! per-point aggregates merge chunk-ordered. The machine's core count enters
-//! only through the plan's scan-mode decision, which is baked into the point
-//! hashes; the journal's plan-hash guard turns any cross-machine flip of
-//! that decision into a hard error instead of a silent mix.
+//! per-point aggregates merge chunk-ordered. The host enters only through the
+//! default worker count, which never influences a result.
 
 use crate::journal::{header_is_damaged, load_journal, ChunkRecord, JournalWriter};
 use crate::plan::{SweepPlan, SweepPoint};
@@ -110,20 +108,14 @@ struct Job {
 /// by the shared [`run_seeded_trial`] convention (the same one the figure
 /// runner uses, so chunk contents stay a pure function of the point), and
 /// streamed into a fresh [`StreamingStats`].
-fn run_chunk(point: &SweepPoint, start: usize, len: usize, scan_width: usize) -> StreamingStats {
+fn run_chunk(point: &SweepPoint, start: usize, len: usize) -> StreamingStats {
     let game = point.make_game();
-    let mut engine = point.engine;
-    if engine.parallel_scan.is_some() {
-        // The plan only fixes the *mode*; the width is machine-local and
-        // cannot influence trajectories (workers consume no randomness).
-        engine.parallel_scan = Some(scan_width.max(1));
-    }
     let mut stats = StreamingStats::new();
     for t in start..start + len {
         let result = run_seeded_trial(
             game.as_ref(),
             point.policy,
-            engine,
+            point.engine,
             point.max_steps(),
             point.base_seed,
             t,
@@ -242,12 +234,15 @@ pub fn run_sweep(plan: &SweepPlan, opts: &RunOptions) -> std::io::Result<SweepOu
         None => None,
     };
 
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let workers = opts.threads.unwrap_or(cores).max(1).min(jobs.len().max(1));
-    // Cores left over per worker feed the parallel scan of scan-mode points.
-    let scan_width = (cores / workers).max(1);
+    let workers = opts
+        .threads
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1)
+        })
+        .max(1)
+        .min(jobs.len().max(1));
 
     // This run's chunk target (the claim cap may trim the job list) and the
     // per-point pending counters feeding the heartbeat's points-done count.
@@ -324,7 +319,7 @@ pub fn run_sweep(plan: &SweepPlan, opts: &RunOptions) -> std::io::Result<SweepOu
                     let chunk_clock = trace::Stopwatch::start();
                     let stats = {
                         let _sp = trace::span(trace::Phase::ChunkRun);
-                        run_chunk(point, job.start, job.len, scan_width)
+                        run_chunk(point, job.start, job.len)
                     };
                     let chunk_ns = chunk_clock.elapsed_ns();
                     busy_ns += chunk_ns;
@@ -434,7 +429,6 @@ pub fn run_sweep(plan: &SweepPlan, opts: &RunOptions) -> std::io::Result<SweepOu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::AutoSplit;
     use crate::scenario::Scenario;
     use ncg_core::policy::Policy;
     use ncg_sim::{GameFamily, InitialTopology};
@@ -450,7 +444,6 @@ mod tests {
         plan.ns = vec![10, 13];
         plan.trials = 6;
         plan.chunk_size = 2;
-        plan.split = AutoSplit::never();
         plan
     }
 

@@ -7,15 +7,9 @@
 //! from its full configuration, so journal entries survive process restarts
 //! and plan re-construction.
 //!
-//! The plan also resolves the **trial-level vs. scan-level parallelism
-//! split** the ROADMAP flagged: whether a point's trials run with the
-//! parallel unhappiness scan is decided *here*, from `n`, the trial count and
-//! the machine's core count — never from the `threads` run option — so on a
-//! given machine the aggregates are bit-identical across worker counts and
-//! kill/resume splits. (A resume on a machine with a different core count
-//! that would flip the split is caught by the journal's plan-hash guard and
-//! refused rather than silently mixed.) The scan *width*, which cannot
-//! influence trajectories, is the only knob resolved at run time.
+//! Flattening and hashing read nothing from the host: points, trial seeds
+//! and the plan hash are pure functions of the plan, so the aggregates are
+//! bit-identical across worker counts, kill/resume splits and machines.
 
 use crate::scenario::Scenario;
 use ncg_core::policy::Policy;
@@ -33,62 +27,20 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Thresholds of the automatic trial-vs-scan parallelism split.
+/// Retired: the trial-vs-scan parallelism split.
 ///
-/// A point switches its trials to the parallel unhappiness scan when its `n`
-/// is at least `scan_min_n`, the plan runs at most `scan_max_trials` trials
-/// per point, **and** the machine has at least `scan_min_cores` cores: many
-/// trials saturate the workers on their own, few trials of a huge `n` leave
-/// cores idle that the scan can use, and on a single core the full rescan
-/// only forfeits the sequential policy's short-circuit (the max-cost scan
-/// stops at the first unhappy agent; the parallel scan examines all `n`).
-///
-/// The decision consumes the *core count*, never the `threads` run option,
-/// so on one machine the aggregates are identical for every worker count and
-/// resume split.
+/// Every trial picks its movers through the sequential scan, so nothing about
+/// a point depends on the host. The type and its one value,
+/// [`AutoSplit::never`], remain so that code assigning
+/// `plan.split = AutoSplit::never()` keeps compiling; it has no effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AutoSplit {
-    /// Minimum `n` for the per-step scan to be worth distributing.
-    pub scan_min_n: usize,
-    /// Maximum trials per point at which trial-level parallelism alone is
-    /// considered insufficient.
-    pub scan_max_trials: usize,
-    /// Minimum machine cores for the parallel scan to pay for itself.
-    pub scan_min_cores: usize,
-}
-
-impl Default for AutoSplit {
-    fn default() -> Self {
-        AutoSplit {
-            scan_min_n: 256,
-            scan_max_trials: 4,
-            scan_min_cores: 2,
-        }
-    }
-}
+pub struct AutoSplit;
 
 impl AutoSplit {
-    /// Never use the parallel scan (every trial is sequential).
+    /// The only value: every trial runs the sequential scan.
     pub fn never() -> Self {
-        AutoSplit {
-            scan_min_n: usize::MAX,
-            scan_max_trials: 0,
-            scan_min_cores: usize::MAX,
-        }
+        AutoSplit
     }
-
-    /// True if a point with `n` agents and `trials` trials should run its
-    /// per-step scans in parallel on a machine with `cores` cores.
-    pub fn scan_mode(&self, n: usize, trials: usize, cores: usize) -> bool {
-        n >= self.scan_min_n && trials <= self.scan_max_trials && cores >= self.scan_min_cores
-    }
-}
-
-/// The machine's core count as seen by the split decision.
-pub fn detected_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
 }
 
 /// A declarative sweep: the cartesian grid and its execution parameters.
@@ -115,10 +67,9 @@ pub struct SweepPlan {
     pub base_seed: u64,
     /// Step limit per trial as a multiple of `n`.
     pub max_steps_factor: usize,
-    /// Execution engine of every trial (`parallel_scan` is overridden per
-    /// point by the [`AutoSplit`] decision).
+    /// Execution engine of every trial.
     pub engine: EngineSpec,
-    /// Automatic trial-vs-scan parallelism split.
+    /// Retired; has no effect (see [`AutoSplit`]).
     pub split: AutoSplit,
 }
 
@@ -138,20 +89,13 @@ impl SweepPlan {
             base_seed: 0x5eed,
             max_steps_factor: 400,
             engine: EngineSpec::persistent(),
-            split: AutoSplit::default(),
+            split: AutoSplit::never(),
         }
     }
 
     /// Expands the grid into concrete sweep points (alpha collapsed for
-    /// α-free families, scan mode resolved per point against this machine's
-    /// core count).
+    /// α-free families). Reads nothing from the host.
     pub fn flatten(&self) -> Vec<SweepPoint> {
-        self.flatten_with_cores(detected_cores())
-    }
-
-    /// Like [`SweepPlan::flatten`], with an explicit core count for the
-    /// scan-mode decision (tests and cross-machine tooling).
-    pub fn flatten_with_cores(&self, cores: usize) -> Vec<SweepPoint> {
         let mut points = Vec::new();
         let no_alpha = [AlphaSpec::Fixed(0.0)];
         for &scenario in &self.scenarios {
@@ -164,7 +108,7 @@ impl SweepPlan {
                 for &alpha in alphas {
                     for &policy in &self.policies {
                         for &n in &self.ns {
-                            points.push(self.point(scenario, family, alpha, policy, n, cores));
+                            points.push(self.point(scenario, family, alpha, policy, n));
                         }
                     }
                 }
@@ -180,17 +124,7 @@ impl SweepPlan {
         alpha: AlphaSpec,
         policy: Policy,
         n: usize,
-        cores: usize,
     ) -> SweepPoint {
-        let mut engine = self.engine;
-        engine.parallel_scan = if self.split.scan_mode(n, self.trials, cores) {
-            // Width 0 is the "resolve from the machine at run time" marker;
-            // the orchestrator replaces it before execution. The *mode* is
-            // part of the point identity, the width never is.
-            Some(0)
-        } else {
-            None
-        };
         let mut point = SweepPoint {
             scenario,
             family,
@@ -200,7 +134,7 @@ impl SweepPlan {
             trials: self.trials,
             base_seed: 0,
             max_steps_factor: self.max_steps_factor,
-            engine,
+            engine: self.engine,
             hash: 0,
         };
         // Per-point trial seed: decorrelates the grid cells while staying a
@@ -226,10 +160,9 @@ impl SweepPlan {
         out
     }
 
-    /// Stable identity of the whole plan (grid + chunk layout, including the
-    /// per-point scan modes); journals are only resumable into a plan with
-    /// the same hash — a resume on a machine whose core count would flip a
-    /// scan mode is therefore refused instead of silently mixing engines.
+    /// Stable identity of the whole plan (grid + chunk layout); journals are
+    /// only resumable into a plan with the same hash, so a resume under an
+    /// altered plan is refused instead of silently mixing grids.
     pub fn plan_hash(&self) -> u64 {
         let mut desc = format!("{}|chunk={}|", self.name, self.chunk_size.max(1));
         for p in self.flatten() {
@@ -240,11 +173,9 @@ impl SweepPlan {
 
     /// Serializes the plan as a line-based `key=value` spec — the transport
     /// format handed to supervised shard-worker processes. Lossless: α values
-    /// and every engine field are encoded exactly (α via IEEE bit patterns),
+    /// and the engine are encoded exactly (α via IEEE bit patterns),
     /// so [`SweepPlan::parse_spec`] reconstructs a plan with the identical
-    /// [`SweepPlan::plan_hash`] *on the same machine* (the scan-mode split
-    /// consults the core count; a cross-machine flip is still caught by the
-    /// worker's plan-hash check).
+    /// [`SweepPlan::plan_hash`] on any machine.
     pub fn to_spec_string(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::from("ncg_sweep_plan=1\n");
@@ -273,10 +204,6 @@ impl SweepPlan {
         let _ = writeln!(s, "base_seed={:016x}", self.base_seed);
         let _ = writeln!(s, "max_steps_factor={}", self.max_steps_factor);
         let _ = writeln!(s, "engine.oracle={}", self.engine.oracle.label());
-        let _ = writeln!(s, "engine.par={}", opt_str(self.engine.parallel_scan));
-        let _ = writeln!(s, "split.scan_min_n={}", self.split.scan_min_n);
-        let _ = writeln!(s, "split.scan_max_trials={}", self.split.scan_max_trials);
-        let _ = writeln!(s, "split.scan_min_cores={}", self.split.scan_min_cores);
         s
     }
 
@@ -337,31 +264,11 @@ impl SweepPlan {
                     plan.engine.oracle =
                         ncg_graph::OracleKind::parse(val).ok_or_else(|| bad(key, val))?;
                 }
-                "engine.par" => plan.engine.parallel_scan = parse_opt(key, val)?,
-                "split.scan_min_n" => plan.split.scan_min_n = uint(key, val)?,
-                "split.scan_max_trials" => plan.split.scan_max_trials = uint(key, val)?,
-                "split.scan_min_cores" => plan.split.scan_min_cores = uint(key, val)?,
                 _ => return Err(format!("unknown spec key: {key:?}")),
             }
         }
         Ok(plan)
     }
-}
-
-fn opt_str<T: std::fmt::Display>(v: Option<T>) -> String {
-    match v {
-        Some(v) => v.to_string(),
-        None => "none".to_string(),
-    }
-}
-
-fn parse_opt<T: std::str::FromStr>(key: &str, val: &str) -> Result<Option<T>, String> {
-    if val == "none" {
-        return Ok(None);
-    }
-    val.parse()
-        .map(Some)
-        .map_err(|_| format!("bad value for {key}: {val:?}"))
 }
 
 /// One cell of the sweep grid, ready to execute.
@@ -383,8 +290,7 @@ pub struct SweepPoint {
     pub base_seed: u64,
     /// Step limit as a multiple of `n`.
     pub max_steps_factor: usize,
-    /// Execution engine; `parallel_scan == Some(0)` means "parallel scan
-    /// with a machine-resolved width".
+    /// Execution engine (part of the point identity).
     pub engine: EngineSpec,
     /// Stable 64-bit identity (journal key).
     pub hash: u64,
@@ -497,53 +403,13 @@ mod tests {
     }
 
     #[test]
-    fn autosplit_weighs_n_trials_and_cores() {
-        let split = AutoSplit::default();
-        assert!(split.scan_mode(512, 3, 8), "big n, few trials, cores free");
-        assert!(!split.scan_mode(512, 100, 8), "many trials fill workers");
-        assert!(!split.scan_mode(64, 3, 8), "small n scans are cheap");
-        assert!(
-            !split.scan_mode(512, 3, 1),
-            "a single core gains nothing from a full rescan"
-        );
-        assert!(!AutoSplit::never().scan_mode(1 << 30, 1, 64));
-        let mut plan = grid_plan();
-        plan.ns = vec![16, 300];
-        plan.trials = 2;
-        for p in plan.flatten_with_cores(8) {
-            assert_eq!(p.engine.parallel_scan.is_some(), p.n >= 256, "n={}", p.n);
-        }
-        for p in plan.flatten_with_cores(1) {
-            assert_eq!(p.engine.parallel_scan, None, "n={}", p.n);
-        }
-    }
-
-    #[test]
-    fn scan_mode_is_part_of_the_point_identity() {
-        let mut plan = grid_plan();
-        plan.ns = vec![300];
-        plan.trials = 2;
-        let seq = &plan.flatten_with_cores(1)[0];
-        let par = &plan.flatten_with_cores(8)[0];
-        assert_ne!(
-            seq.hash, par.hash,
-            "flipping the scan mode must change the journal key"
-        );
-    }
-
-    #[test]
     fn spec_string_round_trips_the_full_plan() {
         let mut plan = grid_plan();
         plan.trials = 7;
         plan.chunk_size = 3;
         plan.base_seed = 0xdead_beef;
         plan.alphas = vec![AlphaSpec::Fixed(2.5), AlphaSpec::FractionOfN(1.0 / 3.0)];
-        plan.engine = EngineSpec::persistent().with_parallel_scan(Some(3));
-        plan.split = AutoSplit {
-            scan_min_n: 100,
-            scan_max_trials: 9,
-            scan_min_cores: 3,
-        };
+        plan.engine = EngineSpec::baseline();
         let spec = plan.to_spec_string();
         let back = SweepPlan::parse_spec(&spec).expect("parses");
         assert_eq!(back.name, plan.name);
@@ -553,11 +419,10 @@ mod tests {
         assert_eq!(back.alphas, plan.alphas);
         assert_eq!(back.ns, plan.ns);
         assert_eq!(back.engine, plan.engine);
-        assert_eq!(back.split, plan.split);
         assert_eq!(
             back.plan_hash(),
             plan.plan_hash(),
-            "the spec reconstructs the identical grid on this machine"
+            "the spec reconstructs the identical grid"
         );
         // Exact α bits survive even for values with no finite decimal form.
         let AlphaSpec::FractionOfN(f) = back.alphas[1] else {
@@ -579,8 +444,9 @@ mod tests {
         let broken = spec.replace("policy=max cost", "policy=psychic");
         assert!(SweepPlan::parse_spec(&broken).is_err());
         // Engine keys and values this build does not know (an older
-        // coordinator's oracle kind, memory/warming knobs or dirty-agent
-        // flag) must be refused, not half-applied.
+        // coordinator's oracle kind, memory/warming knobs, dirty-agent flag,
+        // parallel-scan width or scan-split thresholds) must be refused, not
+        // half-applied.
         for line in [
             "engine.oracle=incremental",
             "engine.cache=4",
@@ -589,6 +455,11 @@ mod tests {
             "engine.batch=0",
             "engine.dirty=0",
             "engine.dirty=1",
+            "engine.par=none",
+            "engine.par=0",
+            "split.scan_min_n=256",
+            "split.scan_max_trials=4",
+            "split.scan_min_cores=2",
         ] {
             let (key, val) = line.split_once('=').expect("key=value");
             let err = SweepPlan::parse_spec(&format!("{spec}{line}\n"))
@@ -703,8 +574,7 @@ mod tests {
         plan.families = vec![GameFamily::AsgSum, GameFamily::GbgSum];
         plan.ns = vec![32, 64];
         plan.engine = EngineSpec::persistent();
-        plan.split = AutoSplit::never();
-        let points = plan.flatten_with_cores(1);
+        let points = plan.flatten();
         let got: Vec<(u64, u64)> = points.iter().map(|p| (p.hash, p.base_seed)).collect();
         // Per-point (hash, base seed).
         let expected = [
@@ -715,5 +585,26 @@ mod tests {
         ];
         assert_eq!(got, expected);
         assert_eq!(plan.plan_hash(), 0x87d9_ccb3_cb7e_0048);
+    }
+
+    /// Large `n` with few trials: the shape whose points once switched to a
+    /// host-dependent scan mode. Their identities must be the same on every
+    /// host.
+    #[test]
+    fn point_identities_do_not_depend_on_the_host() {
+        let mut plan = SweepPlan::new("identity-any-host");
+        plan.families = vec![GameFamily::AsgSum, GameFamily::GbgSum];
+        plan.ns = vec![256, 512];
+        plan.trials = 3;
+        let points = plan.flatten();
+        let got: Vec<(u64, u64)> = points.iter().map(|p| (p.hash, p.base_seed)).collect();
+        let expected = [
+            (0x89ca_fd65_46f4_4f2b, 0xac04_2d1e_5161_ac94),
+            (0xc0b8_77d8_3f26_bb3d, 0x1c8a_c262_4199_1799),
+            (0x36b6_3396_6e26_5e7f, 0xc739_6cce_d660_657e),
+            (0x5c79_c09a_2be3_785d, 0x4fa5_95f7_0472_7c87),
+        ];
+        assert_eq!(got, expected);
+        assert_eq!(plan.plan_hash(), 0xc16c_a376_8f77_923d);
     }
 }

@@ -254,7 +254,6 @@ fn fold_records(
 mod tests {
     use super::*;
     use crate::journal::JournalWriter;
-    use crate::plan::AutoSplit;
     use crate::scenario::Scenario;
     use ncg_core::policy::Policy;
     use ncg_sim::GameFamily;
@@ -268,7 +267,6 @@ mod tests {
         plan.ns = vec![8, 10];
         plan.trials = 4;
         plan.chunk_size = 2;
-        plan.split = AutoSplit::never();
         plan
     }
 

@@ -10,8 +10,8 @@
 //! identity, journal/telemetry paths and the expected plan hash via
 //! `NCG_SHARD_*` variables (see [`ShardRuntime::configure`]); the child
 //! calls [`worker_main`], which re-derives the plan, *verifies the plan
-//! hash* (a cross-machine scan-mode flip dies here instead of corrupting the
-//! merge), arms any `NCG_FAULT` specs, and runs its shard of the sweep
+//! hash* (a different build or an altered spec dies here instead of
+//! corrupting the merge), arms any `NCG_FAULT` specs, and runs its shard of the sweep
 //! through the ordinary orchestrator. Crash recovery is nothing special:
 //! a retried worker simply resumes its own shard journal, exactly like a
 //! single-process kill/resume.
@@ -372,8 +372,9 @@ pub fn supervise(
 /// the process exit code.
 ///
 /// Exit codes: `0` — shard complete; `1` — sweep I/O error (retryable);
-/// `2` — protocol/configuration error; `3` — plan-hash mismatch (this
-/// machine re-derives a different grid: *not* retryable on this host).
+/// `2` — protocol/configuration error; `3` — plan-hash mismatch (the spec
+/// re-derives a different grid — a different build or an altered spec —
+/// so a retry cannot help).
 pub fn worker_main() -> i32 {
     if let Err(e) = crate::faultpoint::arm_from_env() {
         eprintln!("shard worker: {e}");
@@ -412,7 +413,7 @@ pub fn worker_main() -> i32 {
         if actual_hash != expected_hash {
             eprintln!(
                 "shard worker: plan hash mismatch — supervisor expects {expected_hash}, this \
-                 machine derives {actual_hash} (core count flipped a scan mode?); refusing"
+                 worker derives {actual_hash} (different build or altered spec?); refusing"
             );
             return Ok(3);
         }

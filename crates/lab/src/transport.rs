@@ -6,8 +6,8 @@
 //! the plan as a [`SweepPlan::to_spec_string`] spec plus shard index/of and
 //! the expected plan hash — to remote accept-loop **workers** ([`serve`]).
 //! Each worker re-derives the plan from the spec, *refuses on plan-hash
-//! mismatch* (the same cross-machine scan-mode guard as the local worker
-//! protocol), runs its shard through the ordinary orchestrator into a local
+//! mismatch* (a different build or an altered spec; the same guard as the
+//! local worker protocol), runs its shard through the ordinary orchestrator into a local
 //! shard journal, and streams the raw journal bytes back as they are
 //! appended. The coordinator persists each attempt's stream into its own
 //! per-shard journal file and feeds every file to the existing
@@ -93,7 +93,7 @@ pub enum Frame {
     /// Coordinator → worker: run this shard of this plan.
     Assign {
         /// The plan hash the worker must re-derive from `spec` (a mismatch —
-        /// e.g. a core count flipping a scan mode — is refused, not run).
+        /// a different build or an altered spec — is refused, not run).
         plan_hash: u64,
         /// Shard index, `0 ..= shard_count - 1`.
         shard_index: u32,
@@ -423,8 +423,8 @@ fn handle_assignment(stream: TcpStream, opts: &ServeOptions) -> io::Result<()> {
         return refuse(
             &mut writer,
             format!(
-                "plan hash mismatch — coordinator expects {plan_hash:016x}, this machine \
-                 derives {derived:016x} (core count flipped a scan mode?)"
+                "plan hash mismatch — coordinator expects {plan_hash:016x}, this worker \
+                 derives {derived:016x} (different build or altered spec?)"
             ),
         );
     }
@@ -1028,7 +1028,6 @@ fn connect_with_retry(addr: &str, cfg: &TransportConfig, salt: u64) -> Option<Tc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::AutoSplit;
     use crate::scenario::Scenario;
     use ncg_core::policy::Policy;
     use ncg_sim::GameFamily;
@@ -1041,7 +1040,6 @@ mod tests {
         plan.ns = vec![8, 10];
         plan.trials = 4;
         plan.chunk_size = 2;
-        plan.split = AutoSplit::never();
         plan
     }
 

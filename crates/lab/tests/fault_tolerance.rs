@@ -13,7 +13,7 @@
 //! live in the children's environments).
 
 use ncg_lab::orchestrator::{run_sweep, PointOutcome, RunOptions};
-use ncg_lab::plan::{AutoSplit, SweepPlan};
+use ncg_lab::plan::SweepPlan;
 use ncg_lab::scenario::Scenario;
 use ncg_lab::supervisor::{supervise, ShardRuntime, SupervisedOutcome, SupervisorConfig};
 use ncg_lab::{load_journal, ShardSpec};
@@ -28,7 +28,6 @@ fn tiny_plan() -> SweepPlan {
     plan.ns = vec![8, 10];
     plan.trials = 4;
     plan.chunk_size = 2;
-    plan.split = AutoSplit::never();
     plan // 4 points × 2 chunks = 8 jobs
 }
 

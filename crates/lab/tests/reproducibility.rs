@@ -3,7 +3,7 @@
 //! workers, and when killed mid-sweep and resumed from its journal.
 
 use ncg_core::policy::Policy;
-use ncg_lab::{run_sweep, AutoSplit, RunOptions, Scenario, SweepPlan};
+use ncg_lab::{run_sweep, RunOptions, Scenario, SweepPlan};
 use ncg_sim::{GameFamily, InitialTopology, StreamingStats};
 use std::path::PathBuf;
 
@@ -20,7 +20,6 @@ fn plan() -> SweepPlan {
     plan.trials = 6;
     plan.chunk_size = 2;
     plan.base_seed = 2024;
-    plan.split = AutoSplit::never();
     plan
 }
 

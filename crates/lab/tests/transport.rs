@@ -9,7 +9,7 @@
 //! keeps its own fault table empty, so the tests parallelize freely.
 
 use ncg_lab::orchestrator::{run_sweep, PointOutcome, RunOptions};
-use ncg_lab::plan::{AutoSplit, SweepPlan};
+use ncg_lab::plan::SweepPlan;
 use ncg_lab::scenario::Scenario;
 use ncg_lab::transport::{run_distributed, TransportConfig, TransportOutcome};
 use std::io::{BufRead, BufReader};
@@ -24,7 +24,6 @@ fn tiny_plan() -> SweepPlan {
     plan.ns = vec![8, 10];
     plan.trials = 4;
     plan.chunk_size = 2;
-    plan.split = AutoSplit::never();
     plan // 4 points × 2 chunks = 8 jobs
 }
 

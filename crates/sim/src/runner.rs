@@ -254,9 +254,8 @@ impl PointSummary {
 /// generates initial networks from its own catalog.
 ///
 /// `rng` must be the trial's seeded stream, already advanced past topology
-/// generation. The parallel-scan *width* in `engine` never influences the
-/// trajectory (worker threads consume no randomness); whether the scan is
-/// parallel at all does, because mover selection draws from `rng` differently.
+/// generation. The oracle backend in `engine` never influences the
+/// trajectory: it only decides how candidate moves are scored.
 pub fn run_dynamics_trial(
     game: &(dyn Game + Send + Sync),
     initial: OwnedGraph,
@@ -300,11 +299,7 @@ pub fn run_dynamics_trial_probed(
         if steps >= max_steps {
             break false;
         }
-        let record = match engine.parallel_scan {
-            Some(threads) => dynamics.step_parallel(rng, threads),
-            None => dynamics.step(rng),
-        };
-        match record {
+        match dynamics.step(rng) {
             Some(record) => {
                 kinds.record(&record.mv);
                 steps += 1;

@@ -7,23 +7,18 @@ use ncg_core::{
 use ncg_graph::{generators, OwnedGraph};
 use rand::Rng;
 
-/// Execution-engine options of a trial: which distance-oracle backend scores
-/// candidate moves, and whether the per-step unhappiness scan is distributed
-/// over worker threads.
+/// Execution engine of a trial: which distance-oracle backend scores
+/// candidate moves.
 ///
-/// Neither option changes a trajectory: every engine moves agents in the
+/// The backend never changes a trajectory: every engine moves agents in the
 /// policy's exact order (for the max-cost policy the paper's experiments
-/// specify, an unhappy agent of maximum cost), and the parallel scan draws
-/// from the RNG exactly like the sequential one. The default is
+/// specify, an unhappy agent of maximum cost). The default is
 /// [`EngineSpec::persistent`]; [`EngineSpec::baseline`] is the full-BFS
 /// reference it is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineSpec {
     /// Distance-oracle backend scoring candidate moves.
     pub oracle: OracleKind,
-    /// `Some(threads)` scans agents for unhappiness across worker threads
-    /// (useful for large `n`); `None` scans sequentially.
-    pub parallel_scan: Option<usize>,
 }
 
 impl EngineSpec {
@@ -31,7 +26,6 @@ impl EngineSpec {
     pub fn baseline() -> Self {
         EngineSpec {
             oracle: OracleKind::FullBfs,
-            ..EngineSpec::default()
         }
     }
 
@@ -44,23 +38,13 @@ impl EngineSpec {
     pub fn persistent() -> Self {
         EngineSpec {
             oracle: OracleKind::Persistent,
-            ..EngineSpec::default()
         }
     }
 
-    /// Sets the parallel-scan width (`None` = sequential scan).
-    pub fn with_parallel_scan(mut self, threads: Option<usize>) -> Self {
-        self.parallel_scan = threads;
-        self
-    }
-
-    /// Short label such as `"persistent+par4"` used in reports and hashed
-    /// into every sweep point's identity and trial seeds.
+    /// Short label (`"full-bfs"` or `"persistent"`) used in reports and
+    /// hashed into every sweep point's identity and trial seeds.
     pub fn label(&self) -> String {
-        match self.parallel_scan {
-            Some(t) => format!("{}+par{t}", self.oracle.label()),
-            None => self.oracle.label().to_string(),
-        }
+        self.oracle.label().to_string()
     }
 }
 
@@ -300,7 +284,7 @@ pub struct ExperimentPoint {
     /// within a small constant times `n`; the limit only guards against the —
     /// never observed — non-convergent case).
     pub max_steps_factor: usize,
-    /// Execution-engine options (oracle backend, parallel scan).
+    /// Execution engine (the oracle backend scoring candidate moves).
     pub engine: EngineSpec,
 }
 
@@ -337,14 +321,6 @@ mod tests {
         assert_eq!(EngineSpec::baseline().label(), "full-bfs");
         assert_eq!(EngineSpec::default(), EngineSpec::persistent());
         assert_eq!(EngineSpec::persistent().label(), "persistent");
-        assert_eq!(
-            EngineSpec::persistent().with_parallel_scan(Some(4)).label(),
-            "persistent+par4"
-        );
-        assert_eq!(
-            EngineSpec::baseline().with_parallel_scan(Some(0)).label(),
-            "full-bfs+par0"
-        );
     }
 
     #[test]
