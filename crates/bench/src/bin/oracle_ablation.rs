@@ -8,15 +8,19 @@
 //! ```text
 //! cargo run -p ncg-bench --release --bin oracle_ablation -- max_n=512 trials=5
 //! cargo run -p ncg-bench --release --bin oracle_ablation -- smoke=1
-//! cargo run -p ncg-bench --release --bin oracle_ablation -- json=BENCH_oracle.json
+//! cargo run -p ncg-bench --release --bin oracle_ablation -- smoke=1 bless=1
+//! cargo run -p ncg-bench --release --bin oracle_ablation -- json=BENCH_oracle.json max_n=2048
 //! ```
 //!
 //! Prints, per `(family, n)`, the wall-clock per engine together with the
 //! speedup of the persistent engine over the full-BFS reference. It asserts
 //! the identities the fast engine rests on: traced ≡ untraced runs before
 //! any timing, and `persistent` ≡ `full-bfs` step counts in every cell both
-//! engines run. `smoke=1` shrinks everything for CI; `json=PATH` additionally
-//! writes the measurements as a JSON snapshot.
+//! engines run. `smoke=1` shrinks everything for CI and checks each cell's
+//! work counters against the golden file [`GOLDEN_PATH`]: a counter that
+//! grows fails the run, one that shrinks is printed, and `smoke=1 bless=1`
+//! rewrites the file. `json=PATH` additionally writes the measurements as a
+//! JSON snapshot, stamped with the commit, toolchain and host.
 
 use ncg_bench::ConsentForced;
 use ncg_core::policy::Policy;
@@ -29,7 +33,51 @@ use ncg_sim::{
 use ncg_trace as trace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 use std::fmt::Write as _;
+
+/// Work counters of the `smoke=1` cells, one line per cell and engine.
+const GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/golden/oracle_smoke_counters.txt"
+);
+
+/// The [`OracleStats`] fields a seed fixes, pinned in [`GOLDEN_PATH`]. They
+/// count algorithmic work, so they catch a regression that wall-clock on a
+/// noisy host cannot.
+const PINNED_COUNTERS: [&str; 11] = [
+    "evaluations",
+    "nodes_expanded",
+    "kernel_calls",
+    "bound_queries",
+    "bound_pruned",
+    "row_bounds",
+    "replayed_begins",
+    "lazy_replays",
+    "batched_repins",
+    "csr_patches",
+    "csr_rebuilds",
+];
+
+/// Every [`OracleStats`] field by name.
+fn counter_fields(st: &OracleStats) -> [(&'static str, u64); 14] {
+    [
+        ("full_bfs_runs", st.full_bfs_runs),
+        ("evaluations", st.evaluations),
+        ("nodes_expanded", st.nodes_expanded),
+        ("replayed_begins", st.replayed_begins),
+        ("csr_patches", st.csr_patches),
+        ("csr_rebuilds", st.csr_rebuilds),
+        ("lazy_replays", st.lazy_replays),
+        ("lazy_hits", st.lazy_hits),
+        ("batched_repins", st.batched_repins),
+        ("peak_parked_bytes", st.peak_parked_bytes),
+        ("kernel_calls", st.kernel_calls),
+        ("bound_queries", st.bound_queries),
+        ("bound_pruned", st.bound_pruned),
+        ("row_bounds", st.row_bounds),
+    ]
+}
 
 struct Scale {
     max_n: usize,
@@ -43,6 +91,9 @@ struct Scale {
     /// smoke mode that exercises every instrumented code path and the
     /// tracing-on ≡ tracing-off trajectory assertion.
     trace: bool,
+    /// `bless=1` (with `smoke=1`): rewrite [`GOLDEN_PATH`] from this run
+    /// instead of checking against it.
+    bless: bool,
     json: Option<String>,
 }
 
@@ -53,6 +104,7 @@ fn parse_scale() -> Scale {
         trials: 3,
         smoke: false,
         trace: false,
+        bless: false,
         json: None,
     };
     for arg in std::env::args().skip(1) {
@@ -65,9 +117,14 @@ fn parse_scale() -> Scale {
             "trials" => scale.trials = value.parse().unwrap_or(scale.trials),
             "smoke" => scale.smoke = value == "1" || value == "true",
             "trace" => scale.trace = value == "1" || value == "true",
+            "bless" => scale.bless = value == "1" || value == "true",
             "json" => scale.json = Some(value.to_string()),
             _ => eprintln!("ignoring unknown argument {key}={value}"),
         }
+    }
+    if scale.bless && !scale.smoke {
+        eprintln!("bless=1 rewrites the smoke-cell golden file and needs smoke=1");
+        std::process::exit(2);
     }
     if scale.smoke {
         scale.max_n = scale.max_n.min(64);
@@ -315,6 +372,136 @@ struct SweepRow {
     steps: usize,
 }
 
+/// Checks the pinned counters of every cell that ran against
+/// [`GOLDEN_PATH`], or rewrites the file with `bless`. Exits non-zero,
+/// naming the cell and counter, when a counter grew or a cell has no line.
+fn check_smoke_counters(rows: &[SweepRow], labels: &[String], bless: bool) {
+    let mut current: Vec<(String, Vec<(&'static str, u64)>)> = Vec::new();
+    for row in rows {
+        for (label, st) in labels.iter().zip(&row.stats) {
+            let Some(st) = st else { continue };
+            let pinned = counter_fields(st)
+                .into_iter()
+                .filter(|(name, _)| PINNED_COUNTERS.contains(name))
+                .collect();
+            current.push((format!("{} n={} {label}", row.family, row.n), pinned));
+        }
+    }
+    let render = |cell: &str, counters: &[(&str, u64)]| {
+        let values: Vec<String> = counters.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        format!("{cell} {}", values.join(" "))
+    };
+    if bless {
+        let mut out = String::from(
+            "# Work counters of the `oracle_ablation smoke=1` cells, fixed by their seeds:\n\
+             # <family> n=<n> <engine> <counter>=<value>...\n\
+             # `smoke=1` fails when a counter grows; `smoke=1 bless=1` rewrites this file.\n",
+        );
+        for (cell, counters) in &current {
+            out.push_str(&render(cell, counters));
+            out.push('\n');
+        }
+        std::fs::write(GOLDEN_PATH, out).expect("write the smoke-counter golden file");
+        println!("\nblessed {GOLDEN_PATH}");
+        return;
+    }
+    let text = std::fs::read_to_string(GOLDEN_PATH)
+        .unwrap_or_else(|e| panic!("read {GOLDEN_PATH}: {e} (create it with smoke=1 bless=1)"));
+    let golden: HashMap<String, HashMap<String, u64>> = text
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let tokens: Vec<&str> = l.split_whitespace().collect();
+            let counters = tokens
+                .iter()
+                .skip(3)
+                .filter_map(|t| t.split_once('='))
+                .map(|(k, v)| (k.to_string(), v.parse().expect("golden counter value")))
+                .collect();
+            (tokens[..3.min(tokens.len())].join(" "), counters)
+        })
+        .collect();
+    let mut failures = Vec::new();
+    let mut shrunk = Vec::new();
+    for (cell, counters) in &current {
+        let Some(pinned) = golden.get(cell) else {
+            failures.push(format!("{cell}: no line in the golden file"));
+            continue;
+        };
+        let mut cell_shrunk = false;
+        for &(name, value) in counters {
+            match pinned.get(name) {
+                None => failures.push(format!("{cell}: {name} is not pinned")),
+                Some(&expect) if value > expect => {
+                    failures.push(format!("{cell}: {name} grew from {expect} to {value}"));
+                }
+                Some(&expect) => cell_shrunk |= value < expect,
+            }
+        }
+        if cell_shrunk {
+            shrunk.push(render(cell, counters));
+        }
+    }
+    if !shrunk.is_empty() {
+        println!("\nwork counters shrank below {GOLDEN_PATH} (smoke=1 bless=1 pins them):");
+        for line in &shrunk {
+            println!("  {line}");
+        }
+    }
+    if !failures.is_empty() {
+        eprintln!("\nwork counters above {GOLDEN_PATH}:");
+        for failure in &failures {
+            eprintln!("  {failure}");
+        }
+        std::process::exit(1);
+    }
+    println!(
+        "\nwork counters OK: {} cells within {GOLDEN_PATH}",
+        current.len()
+    );
+}
+
+/// The snapshot's `provenance` object: where and with what the numbers
+/// were measured.
+fn provenance_json() -> String {
+    let run = |program: &str, args: &[&str]| -> Option<String> {
+        let out = std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()?;
+        out.status
+            .success()
+            .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    // A tree with uncommitted edits to tracked files is marked, as
+    // `git describe --dirty` does.
+    let commit = run("git", &["rev-parse", "--short", "HEAD"]).map_or_else(
+        || "unknown".to_string(),
+        |hash| match run("git", &["status", "--porcelain", "--untracked-files=no"]) {
+            Some(status) if !status.is_empty() => format!("{hash}-dirty"),
+            _ => hash,
+        },
+    );
+    let rustc = run("rustc", &["-V"]).unwrap_or_else(|| "unknown".to_string());
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let quote = |s: &str| format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
+    format!(
+        "{{\"commit\": {}, \"rustc\": {}, \"available_parallelism\": {cores}, \"cpu\": {}}}",
+        quote(&commit),
+        quote(&rustc),
+        quote(&cpu)
+    )
+}
+
 fn main() {
     let scale = parse_scale();
     // The trace switch must be observationally invisible before any timing
@@ -326,6 +513,7 @@ fn main() {
     // The reference (index 0) and the fast engine (index 1); the full-BFS
     // reference only runs up to `full_max_n`.
     let engines = [EngineSpec::baseline(), EngineSpec::persistent()];
+    let labels: Vec<String> = engines.iter().map(|e| e.label()).collect();
     let engine_runs_at = |idx: usize, n: usize| -> bool { idx == 1 || n <= scale.full_max_n };
     let mut ns = Vec::new();
     let mut n = 64usize;
@@ -336,11 +524,7 @@ fn main() {
     println!(
         "oracle ablation (trials per cell: {}; engines: {})",
         scale.trials,
-        engines
-            .iter()
-            .map(|e| e.label())
-            .collect::<Vec<_>>()
-            .join(", ")
+        labels.join(", ")
     );
     let fmt_time = |t: Option<f64>| match t {
         Some(t) => format!("{t:>13.4}"),
@@ -427,6 +611,10 @@ fn main() {
         }
     }
 
+    if scale.smoke {
+        check_smoke_counters(&sweep_rows, &labels, scale.bless);
+    }
+
     // Buy-Game SetOwned series: delta scoring vs apply → BFS → undo.
     let bg_ns: &[usize] = if scale.smoke { &[10] } else { &[10, 12, 14] };
     let reps = if scale.smoke { 2 } else { 6 };
@@ -476,7 +664,7 @@ fn main() {
         out.push_str("{\n");
         let _ = writeln!(out, "  \"smoke\": {},", scale.smoke);
         let _ = writeln!(out, "  \"trials\": {},", scale.trials);
-        let labels: Vec<String> = engines.iter().map(|e| e.label()).collect();
+        let _ = writeln!(out, "  \"provenance\": {},", provenance_json());
         out.push_str("  \"sweep\": [\n");
         for (i, row) in sweep_rows.iter().enumerate() {
             let engines_json: Vec<String> = labels
@@ -489,20 +677,11 @@ fn main() {
                 .zip(&row.stats)
                 .filter_map(|(l, st)| {
                     st.map(|st| {
-                        format!(
-                            "\"{l}\": {{\"full_bfs_runs\": {}, \"replayed_begins\": {}, \
-                             \"lazy_replays\": {}, \"lazy_hits\": {}, \"csr_patches\": {}, \
-                             \"csr_rebuilds\": {}, \"batched_repins\": {}, \
-                             \"peak_parked_bytes\": {}}}",
-                            st.full_bfs_runs,
-                            st.replayed_begins,
-                            st.lazy_replays,
-                            st.lazy_hits,
-                            st.csr_patches,
-                            st.csr_rebuilds,
-                            st.batched_repins,
-                            st.peak_parked_bytes
-                        )
+                        let fields: Vec<String> = counter_fields(&st)
+                            .iter()
+                            .map(|(name, value)| format!("\"{name}\": {value}"))
+                            .collect();
+                        format!("\"{l}\": {{{}}}", fields.join(", "))
                     })
                 })
                 .collect();

@@ -172,22 +172,30 @@ impl CostEvaluator {
         DeltaScore::Summary(summary)
     }
 
-    /// The `O(D)` tier in front of [`CostEvaluator::try_score_bounded`]: a
-    /// lower bound on the post-move summary of a candidate that ends in an
-    /// insertion `{u, v}` at the pinned source on a removal-only prefix
-    /// (every `Buy` and `Swap`), from level histograms alone (see
-    /// [`DistanceOracle::insert_level_bound`]). Both fields are `≤` those of
-    /// the fused kernel's answer for the same candidate, and so `≤` the
-    /// exact summary. `None` for other candidate shapes and whenever the
-    /// backend cannot serve the bound; the caller then scores the candidate
-    /// with `try_score_bounded` as usual. The candidate's deltas stay
-    /// buffered, like after `try_score`.
+    /// The tier in front of [`CostEvaluator::try_score_bounded`]: a lower
+    /// bound on the post-move summary that repairs nothing. Both fields are
+    /// `≤` the exact summary's.
+    ///
+    /// * A candidate that ends in an insertion `{u, v}` at the pinned source
+    ///   on a removal-only prefix (every `Buy` and `Swap`) is bounded from
+    ///   level histograms alone, in `O(D)` (see
+    ///   [`DistanceOracle::insert_level_bound`]). The bound is `≤` the fused
+    ///   kernel's answer for the same candidate.
+    /// * A `Delete` is bounded by the summary of the neighbour-row vector
+    ///   `c_f` (see [`DistanceOracle::removal_bound`]). A disconnected
+    ///   bound is exact.
+    ///
+    /// `None` for other candidate shapes and whenever the backend cannot
+    /// serve the bound; the caller then scores the candidate with
+    /// `try_score_bounded` as usual. The candidate's deltas stay buffered,
+    /// like after `try_score`.
     pub fn level_bound(&mut self, g: &OwnedGraph, u: NodeId, mv: &Move) -> Option<DistanceSummary> {
         self.buffer_deltas(g, u, mv).ok()?;
-        match self.deltas.split_last() {
-            Some((&EdgeDelta::Insert { u: a, v: b }, prefix)) if a == u => {
+        match (self.deltas.split_last(), mv) {
+            (Some((&EdgeDelta::Insert { u: a, v: b }, prefix)), _) if a == u => {
                 self.oracle.insert_level_bound(g, prefix, a, b)
             }
+            (_, &Move::Delete { to }) => self.oracle.removal_bound(g, u, to),
             _ => None,
         }
     }

@@ -323,13 +323,16 @@ fn scan_moves<G: Game + ?Sized>(
     let defer_consent = consent_delta && mode == ScanMode::BestOnly;
     // Candidates ending in an insertion at `u` are bounded before they are
     // scored: first by the O(D) level-histogram bound, then by the O(n)
-    // kernel's (exact for a purchase). A candidate whose bound cost is not an
-    // improvement is dropped. In best-only mode without consent, survivors
-    // are not re-scored inline either: they queue up in `pending` and are
-    // evaluated in ascending-bound order, stopping once no bound can beat
-    // the best exact cost found (an A*-style cutoff). All-improving scans
-    // disable the bound path entirely — every improving candidate needs an
-    // exact score, so the bound would be a pure detour.
+    // kernel's (exact for a purchase). A deletion is bounded by its
+    // neighbour-row summary. A candidate whose bound cost is not an
+    // improvement is dropped. In best-only mode without consent, surviving
+    // insertions are not re-scored inline either: they queue up in `pending`
+    // and are evaluated in ascending-bound order, stopping once no bound can
+    // beat the best exact cost found (an A*-style cutoff). A surviving
+    // deletion has no kernel tier and is scored exactly in place, so `best`
+    // is known as early as without its bound. All-improving scans disable
+    // the bound path entirely — every improving candidate needs an exact
+    // score, so the bound would be a pure detour.
     let order_by_bound = delta_path && !consent_delta && mode == ScanMode::BestOnly;
     let allow_bound = delta_path && mode != ScanMode::AllImproving;
     let kernel_calls_before = ncg_trace::enabled().then(|| ws.evaluator.stats().kernel_calls);
@@ -357,7 +360,7 @@ fn scan_moves<G: Game + ?Sized>(
                         pruned += 1;
                         continue;
                     }
-                    if order_by_bound {
+                    if order_by_bound && !matches!(mv, Move::Delete { .. }) {
                         pending.push(Pending {
                             lb_cost,
                             ci,
@@ -718,8 +721,10 @@ mod tests {
     fn kernel_free_happy_verdicts_count_as_certified() {
         // Leaves of a star that own their edge, in SUM-GBG with α = 2: every
         // swap and purchase fails on its level-histogram bound alone (the
-        // bound is tight here), so each leaf is certified happy without a
-        // kernel call. The centre owns nothing and has no candidates.
+        // bound is tight here), and the deletion on its neighbour-row bound,
+        // which proves the leaf cut off. So each leaf is certified happy
+        // without a kernel call or a repair. The centre owns nothing and has
+        // no candidates.
         let n = 9;
         let edges: Vec<(NodeId, NodeId)> = (1..n).map(|leaf| (leaf, 0)).collect();
         let g = OwnedGraph::from_owned_edges(n, &edges);
@@ -741,6 +746,8 @@ mod tests {
         );
         let stats = ws.oracle_stats();
         assert_eq!(stats.kernel_calls, 0);
+        assert_eq!(stats.evaluations, 0, "no candidate needs a repair");
+        assert!(stats.row_bounds > 0);
         assert!(stats.bound_queries > 0);
         assert_eq!(stats.bound_pruned, stats.bound_queries);
     }

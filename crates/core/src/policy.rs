@@ -10,6 +10,8 @@ use crate::game::{Game, Workspace};
 use ncg_graph::{NodeId, OwnedGraph};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Which unhappy agent is selected to move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,6 +77,9 @@ impl Policy {
     ) -> Option<NodeId> {
         let n = g.num_nodes();
         let mut order: Vec<NodeId> = (0..n).collect();
+        // The max-cost scan usually stops after a few agents, so it pops
+        // them from a heap instead of sorting all `n`.
+        let mut by_cost = BinaryHeap::new();
         match self {
             Policy::MaxCost => {
                 if tie_break == TieBreak::Random {
@@ -88,12 +93,15 @@ impl Policy {
                 let costs: Vec<f64> = (0..n)
                     .map(|u| crate::game::workspace_cost(game, g, u, ws))
                     .collect();
-                // Stable sort: the shuffled order implements random tie-breaking.
-                order.sort_by(|&a, &b| {
-                    costs[b]
-                        .partial_cmp(&costs[a])
-                        .expect("costs are never NaN")
-                });
+                by_cost = order
+                    .drain(..)
+                    .enumerate()
+                    .map(|(position, agent)| Ranked {
+                        cost: costs[agent],
+                        position,
+                        agent,
+                    })
+                    .collect();
             }
             Policy::Random => {
                 order.shuffle(rng);
@@ -105,7 +113,8 @@ impl Policy {
             }
         }
         let mut scanned = 0u64;
-        let found = order.into_iter().find(|&u| {
+        let popped = std::iter::from_fn(|| by_cost.pop().map(|r| r.agent));
+        let found = popped.chain(order).find(|&u| {
             scanned += 1;
             game.has_improving_move(g, u, ws)
         });
@@ -117,6 +126,40 @@ impl Policy {
         found
     }
 }
+
+/// An agent in the max-cost scan order: the heap pops the highest cost
+/// first, ties in shuffled position order — the order a stable sort by
+/// descending cost gives, so the shuffle implements random tie-breaking.
+#[derive(Debug)]
+struct Ranked {
+    cost: f64,
+    /// Position in the (possibly shuffled) agent order.
+    position: usize,
+    agent: NodeId,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.cost
+            .partial_cmp(&other.cost)
+            .expect("costs are never NaN")
+            .then(other.position.cmp(&self.position))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
 
 #[cfg(test)]
 mod tests {
@@ -148,6 +191,33 @@ mod tests {
         );
         // Deterministic tie-break picks the lowest-index endpoint.
         assert_eq!(mover, 0);
+    }
+
+    #[test]
+    fn ranked_heap_pops_in_stable_sort_order() {
+        // Few distinct costs (ties everywhere, infinite costs included) in a
+        // shuffled agent order: popping the heap must reproduce the stable
+        // descending sort the max-cost scan order is defined by.
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in [0usize, 1, 2, 7, 40] {
+            let costs: Vec<f64> = (0..n)
+                .map(|_| [1.0, 2.5, 2.5, f64::INFINITY][rng.gen_range(0..4)])
+                .collect();
+            let mut order: Vec<NodeId> = (0..n).collect();
+            order.shuffle(&mut rng);
+            let mut heap: BinaryHeap<Ranked> = order
+                .iter()
+                .enumerate()
+                .map(|(position, &agent)| Ranked {
+                    cost: costs[agent],
+                    position,
+                    agent,
+                })
+                .collect();
+            let popped: Vec<NodeId> = std::iter::from_fn(|| heap.pop().map(|r| r.agent)).collect();
+            order.sort_by(|&a, &b| costs[b].partial_cmp(&costs[a]).unwrap());
+            assert_eq!(popped, order, "n = {n}");
+        }
     }
 
     #[test]

@@ -24,8 +24,11 @@
 //! against it. The persistent backend additionally keeps the previous
 //! candidate's deltas applied and only rolls back to the longest common delta
 //! prefix, so candidate enumerations of the form `(from, to₁), (from, to₂), …`
-//! pay the expensive removal repair once per `from`. Correctness of the
-//! repairs against from-scratch BFS is enforced by the randomized
+//! pay the expensive removal repair once per `from`. Bounds on a single
+//! removal at the source ([`DistanceOracle::removal_bound`]) skip even that:
+//! they read the parked rows of the source's other neighbours, so the
+//! repair runs only for the candidates the bounds cannot prune. Correctness
+//! of the repairs against from-scratch BFS is enforced by the randomized
 //! equivalence tests in the facade crate.
 //!
 //! Distance vectors are carried **across** `begin` calls in a per-source
@@ -107,7 +110,10 @@ pub struct OracleStats {
     /// Full BFS traversals performed (one per [`DistanceOracle::begin`], plus
     /// one per evaluation for the full-BFS backend).
     pub full_bfs_runs: u64,
-    /// Candidate evaluations answered.
+    /// Candidate evaluations answered by seating their deltas on the
+    /// working vector: every [`DistanceOracle::evaluate`], and every
+    /// [`DistanceOracle::evaluate_insert_via_cache`] whose prefix is not
+    /// served from neighbour rows.
     pub evaluations: u64,
     /// Vertices expanded across all traversals and repairs — the
     /// backend-comparable measure of work done.
@@ -154,6 +160,10 @@ pub struct OracleStats {
     /// (`ncg_core::evaluator::CostEvaluator::stats`) fills this field in;
     /// an oracle's own counters always report 0 here.
     pub bound_pruned: u64,
+    /// One-removal prefixes `Remove {u, f}` at the pinned source bounded
+    /// from the parked rows of `u`'s other neighbours instead of repaired:
+    /// one `O(n)` pass each (see [`DistanceOracle::removal_bound`]).
+    pub row_bounds: u64,
 }
 
 impl OracleStats {
@@ -189,6 +199,7 @@ impl OracleStats {
         self.kernel_calls += other.kernel_calls;
         self.bound_queries += other.bound_queries;
         self.bound_pruned += other.bound_pruned;
+        self.row_bounds += other.row_bounds;
         self.peak_parked_bytes = self.peak_parked_bytes.max(other.peak_parked_bytes);
     }
 }
@@ -270,7 +281,12 @@ pub trait DistanceOracle: Send {
     ///   predates the removals, which can only *lengthen* `v`'s distances, so
     ///   the summary is a **lower bound** on the true one: callers may prune
     ///   candidates whose lower-bound cost is already not an improvement, and
-    ///   must re-score the rest exactly.
+    ///   must re-score the rest exactly. For a one-removal prefix the
+    ///   persistent backend reads the pinned side from the neighbour-row
+    ///   bound `c_f` ([`DistanceOracle::removal_bound`]) instead of
+    ///   repairing, which keeps it a lower bound. A disconnected answer is
+    ///   exact either way: the unreached vertex is unreachable from both
+    ///   `u` and `v`.
     ///
     /// A stale parked vector of `v` does not miss outright: the persistent
     /// backend first tries to *lazily warm* it by replaying `v`'s own journal
@@ -301,12 +317,16 @@ pub trait DistanceOracle: Send {
     /// scores: the trailing insertion `{u, v}` on top of a removal-only
     /// `prefix`. Reads no distance vector. It pairs the pinned source's
     /// per-level vertex counts after `prefix` (unreached vertices at level
-    /// +∞) with `v`'s parked per-level counts in opposite order. With
+    /// +∞; for a one-removal prefix, those of the neighbour-row bound `c_f`
+    /// of [`DistanceOracle::removal_bound`], so the prefix is never
+    /// repaired) with `v`'s parked per-level counts in opposite order. With
     /// `U(k) = #{x : d_u(x) ≥ k}` and `W(k) = #{x : d_v(x) ≥ k − 1}`, that is
     /// `SUM = Σ_{k≥1} max(0, U(k) + W(k) − n)` and `MAX` = the largest `k`
     /// with a positive term. The pairing minimises SUM and MAX of
     /// `min(a, 1 + b)` over all pairings, so both fields are `≤` the
-    /// kernel's, and hence `≤` the exact post-move summary.
+    /// kernel's, and hence `≤` the exact post-move summary. Lowering
+    /// source distances (`c_f` in place of the repaired vector) can only
+    /// lower `min(a, 1 + b)`, so that stays true.
     ///
     /// `None` whenever the backend cannot serve the query: every case where
     /// the kernel returns `None`, plus a disconnected parked vector of `v`.
@@ -317,6 +337,38 @@ pub trait DistanceOracle: Send {
         _prefix: &[EdgeDelta],
         _u: NodeId,
         _v: NodeId,
+    ) -> Option<DistanceSummary> {
+        None
+    }
+
+    /// Lower bound on the summary of the pinned source `u` after removing
+    /// its own edge `{u, f}`, read from the parked rows of `u`'s other
+    /// neighbours without repairing anything: `c_f(u) = 0` and
+    /// `c_f(y) = 1 + min over w ∈ N(u) ∖ {f} of d(w, y)`, saturating at
+    /// `UNREACHABLE`; `c_f(f)` is then raised to `1 + min c_f(x)` over
+    /// `x ∈ N(f) ∖ {u}`. Every `u`–`y` path in `G − {u, f}` leaves `u`
+    /// through such a `w`, and its remainder is a path in `G`; a path to `f`
+    /// enters it from such an `x`. So `c_f` is `≤` the repaired vector
+    /// pointwise: SUM and MAX are `≤` the exact ones, and an unreachable
+    /// entry is exact (a dropped leaf is one), so a disconnected answer is
+    /// exact.
+    ///
+    /// [`DistanceOracle::insert_level_bound`] and
+    /// [`DistanceOracle::evaluate_insert_via_cache`] use the same `c_f` in
+    /// place of the repaired vector for a one-removal prefix. The first
+    /// such query of a pin records, per vertex, the smallest and
+    /// second-smallest neighbour distance and the neighbour giving the
+    /// smallest (`O(deg(u)·n)`); each `c_f` is then one `O(n)` pass.
+    ///
+    /// `None` whenever the backend cannot serve the bound: stateless
+    /// backends, `u` not the pinned source, `g` not the pinned graph, or a
+    /// neighbour row neither parked at the pinned version nor lazily
+    /// warmable to it. `f` must be a neighbour of `u`.
+    fn removal_bound(
+        &mut self,
+        _g: &OwnedGraph,
+        _u: NodeId,
+        _f: NodeId,
     ) -> Option<DistanceSummary> {
         None
     }
@@ -674,6 +726,100 @@ struct SourceCache {
     last_used: u64,
 }
 
+/// The neighbour-row bound of the pinned source `u` (see
+/// [`DistanceOracle::removal_bound`]). Built once per pin from the parked
+/// rows of `N(u)`: per vertex `y`, the smallest and second-smallest
+/// `d(w, y)` over `w ∈ N(u)` and the `w` giving the smallest. From those,
+/// `c_f` for any dropped neighbour `f` is one `O(n)` pass.
+#[derive(Debug, Clone, Default)]
+struct RowBound {
+    /// The pin `(u, version)` the minima were built for, and whether every
+    /// neighbour row was parked there (`false`: fall back to the repair).
+    pin: Option<(u32, GraphVersion, bool)>,
+    best: Vec<u16>,
+    second: Vec<u16>,
+    /// The neighbour giving `best` (vertex ids fit: `n ≤ MAX_NODES`).
+    arg: Vec<u16>,
+    /// The dropped neighbour `f` whose `c_f` the fields below hold.
+    dropped: Option<u32>,
+    dist: Vec<u16>,
+    level_counts: Vec<u16>,
+    sum: u64,
+    reached: usize,
+    max: u16,
+}
+
+impl RowBound {
+    /// Folds neighbour `w`'s row into the minima.
+    fn add_row(&mut self, w: u16, row: &[u16]) {
+        let lanes = self
+            .best
+            .iter_mut()
+            .zip(&mut self.second)
+            .zip(&mut self.arg);
+        for (((b, s), a), &d) in lanes.zip(row) {
+            let closer = d < *b;
+            *s = if closer { *b } else { (*s).min(d) };
+            *a = if closer { w } else { *a };
+            *b = (*b).min(d);
+        }
+    }
+
+    /// Fills `c_f` for source `src` dropping its edge to `f`, whose
+    /// neighbours in `G` are `f_neighbors`: `c_f(src) = 0`, and
+    /// `c_f(y) = 1 + min over w ∈ N(src) ∖ {f} of d(w, y)` otherwise
+    /// (saturating at `UNREACHABLE`), with its level counts and aggregates.
+    /// `c_f(f)` is then raised to `1 + min c_f(x)` over `x ∈ N(f) ∖ {src}`,
+    /// because a path to `f` in `G − {src, f}` enters `f` from such an `x`.
+    /// That makes a dropped leaf unreachable.
+    fn fill(&mut self, src: u32, f: u32, f_neighbors: &[u32]) {
+        let n = self.best.len();
+        let f16 = f as u16;
+        self.dist.clear();
+        self.dist.extend(
+            self.best
+                .iter()
+                .zip(&self.second)
+                .zip(&self.arg)
+                .map(|((&b, &s), &a)| if a == f16 { s } else { b }.saturating_add(1)),
+        );
+        self.dist[src as usize] = 0;
+        let entry = f_neighbors
+            .iter()
+            .filter(|&&x| x != src)
+            .map(|&x| self.dist[x as usize])
+            .min()
+            .unwrap_or(UNREACHABLE);
+        let via = &mut self.dist[f as usize];
+        *via = (*via).max(entry.saturating_add(1));
+        self.level_counts.clear();
+        self.level_counts.resize(n + 2, 0);
+        let (mut sum, mut reached, mut max) = (0u64, 0usize, 0u16);
+        for &c in &self.dist {
+            if c != UNREACHABLE {
+                self.level_counts[c as usize] += 1;
+                sum += u64::from(c);
+                reached += 1;
+                max = max.max(c);
+            }
+        }
+        (self.sum, self.reached, self.max) = (sum, reached, max);
+        self.dropped = Some(f);
+    }
+
+    /// Summary of `c_f`: a lower bound on SUM and MAX, and exact
+    /// disconnection.
+    fn summary(&self) -> DistanceSummary {
+        if self.reached < self.dist.len() {
+            return DistanceSummary::DISCONNECTED;
+        }
+        DistanceSummary {
+            sum: Some(self.sum),
+            max: Some(u32::from(self.max)),
+        }
+    }
+}
+
 /// Persistent backend ([`OracleKind::Persistent`]): journaled truncated-BFS
 /// repair of the base vector, with per-source vectors carried across
 /// `begin` calls.
@@ -744,6 +890,8 @@ pub struct PersistentOracle {
     wave: MultiSourceBfs,
     /// Sources queued for the next bulk wave (cold or past the replay limit).
     batch_pending: Vec<u32>,
+    /// Neighbour-row bound of the pinned source's one-removal prefixes.
+    rows: RowBound,
 }
 
 impl PersistentOracle {
@@ -792,6 +940,7 @@ impl PersistentOracle {
             warm_overlay: DeltaOverlay::default(),
             wave: MultiSourceBfs::new(),
             batch_pending: Vec::new(),
+            rows: RowBound::default(),
         };
         oracle.resize_scratch(n);
         oracle.cache.resize_with(n, SourceCache::default);
@@ -1394,6 +1543,104 @@ impl PersistentOracle {
         }
         true
     }
+
+    /// `true` iff `prefix` is one removal `Remove {u, f}` of the pinned
+    /// source `u`'s own edge (named source first, as the scans emit it) and
+    /// `self.rows` now holds its `c_f`, which then stands in for the
+    /// repaired vector.
+    fn serve_from_rows(&mut self, g: &OwnedGraph, prefix: &[EdgeDelta]) -> bool {
+        match *prefix {
+            [EdgeDelta::Remove { u, v }] if u as u32 == self.src => self.row_bound(g, v as u32),
+            _ => false,
+        }
+    }
+
+    /// Brings `self.rows` to `c_f` of the pinned source dropping its edge to
+    /// neighbour `f`. The minima are built on the pin's first call, after
+    /// lazily warming stale neighbour rows. `false` (take the repair path)
+    /// when `g` is not the pinned graph or some neighbour row cannot be
+    /// brought to the pinned version.
+    fn row_bound(&mut self, g: &OwnedGraph, f: u32) -> bool {
+        let Some(version) = self.pinned_version.filter(|&v| v == g.version()) else {
+            return false;
+        };
+        let src = self.src;
+        match self.rows.pin {
+            Some((pinned, v, ready)) if pinned == src && v == version => {
+                if !ready {
+                    return false;
+                }
+                if self.rows.dropped == Some(f) {
+                    return true;
+                }
+            }
+            _ => {
+                self.rows.dropped = None;
+                let ready = self.build_row_minima(g);
+                self.rows.pin = Some((src, version, ready));
+                if !ready {
+                    return false;
+                }
+            }
+        }
+        let _sp = trace::span(trace::Phase::DeltaRepair);
+        self.sync_csr(g);
+        self.rows.fill(src, f, self.csr.neighbors(f as usize));
+        self.stats.row_bounds += 1;
+        self.stats.nodes_expanded += self.rows.dist.len() as u64;
+        if cfg!(debug_assertions) {
+            // Pointwise soundness against the truly repaired vector, from a
+            // throwaway BFS kept out of the counters.
+            let mut csr = CsrAdjacency::new();
+            csr.rebuild_from(g);
+            let mut overlay = DeltaOverlay::default();
+            overlay.activate(&EdgeDelta::Remove {
+                u: src as NodeId,
+                v: f as NodeId,
+            });
+            let (mut truth, mut queue) = (Vec::new(), Vec::new());
+            let mut scratch = OracleStats::default();
+            FullBfsOracle::bfs(&csr, &overlay, src, &mut truth, &mut queue, &mut scratch);
+            for (y, (&c, &t)) in self.rows.dist.iter().zip(&truth).enumerate() {
+                assert!(
+                    c <= t,
+                    "row bound c_f({y}) = {c} exceeds the repaired distance {t} (src {src}, f {f})"
+                );
+            }
+        }
+        true
+    }
+
+    /// Builds the row minima of the pinned source from the parked rows of
+    /// all its neighbours. `false` when a neighbour row is neither parked at
+    /// the pinned version nor lazily warmable to it.
+    fn build_row_minima(&mut self, g: &OwnedGraph) -> bool {
+        let _sp = trace::span(trace::Phase::DeltaRepair);
+        self.sync_csr(g);
+        let src = self.src as usize;
+        let degree = self.csr.neighbors(src).len();
+        for i in 0..degree {
+            let w = self.csr.neighbors(src)[i] as usize;
+            if self.cache[w].version != self.pinned_version
+                && (self.cache[w].version.is_none() || !self.warm_slot(g, w))
+            {
+                return false;
+            }
+        }
+        let n = g.num_nodes();
+        let rows = &mut self.rows;
+        rows.best.clear();
+        rows.best.resize(n, UNREACHABLE);
+        rows.second.clear();
+        rows.second.resize(n, UNREACHABLE);
+        rows.arg.clear();
+        rows.arg.resize(n, 0);
+        for &w in self.csr.neighbors(src) {
+            rows.add_row(w as u16, &self.cache[w as usize].dist[..n]);
+        }
+        self.stats.nodes_expanded += (degree * n) as u64;
+        true
+    }
 }
 
 /// Chunk length of [`fused_insert_summary`]'s u32 accumulator lanes: the
@@ -1617,13 +1864,21 @@ impl DistanceOracle for PersistentOracle {
         if !self.prepare_insert_query(g, prefix, u, v) {
             return None;
         }
-        // Bring the delta stack to exactly `prefix` (for the swap enumeration
-        // `(from, to₁), (from, to₂), …` this is a no-op after the first
-        // candidate: the shared removal stays applied, and no insertion is
-        // ever pushed or rolled back).
-        self.run_deltas(prefix);
+        let from_rows = self.serve_from_rows(g, prefix);
+        if !from_rows {
+            // Bring the delta stack to exactly `prefix` (for the swap
+            // enumeration `(from, to₁), (from, to₂), …` this is a no-op after
+            // the first candidate: the shared removal stays applied, and no
+            // insertion is ever pushed or rolled back).
+            self.run_deltas(prefix);
+        }
         let n = self.csr.num_nodes();
-        let summary = fused_insert_summary(&self.state.dist[..n], &self.cache[v].dist[..n]);
+        let src = if from_rows {
+            &self.rows.dist
+        } else {
+            &self.state.dist
+        };
+        let summary = fused_insert_summary(&src[..n], &self.cache[v].dist[..n]);
         self.stats.kernel_calls += 1;
         self.stats.nodes_expanded += n as u64;
         Some((summary, prefix.is_empty()))
@@ -1643,20 +1898,26 @@ impl DistanceOracle for PersistentOracle {
         if self.cache[v].reached < n {
             return None;
         }
-        if self.active.as_slice() != prefix {
+        let from_rows = self.serve_from_rows(g, prefix);
+        if !from_rows && self.active.as_slice() != prefix {
             // Only a stack that actually moves (the first swap of each
             // removed edge) pays for a span.
             let _sp = trace::span(trace::Phase::DeltaRepair);
             self.seat_deltas(prefix);
         }
+        let (src_dist, src_levels) = if from_rows {
+            (&self.rows.dist, &self.rows.level_counts)
+        } else {
+            (&self.state.dist, &self.state.level_counts)
+        };
         let slot = &self.cache[v];
-        let bound = level_pair_bound(n, &self.state.level_counts, &slot.level_counts);
+        let bound = level_pair_bound(n, src_levels, &slot.level_counts);
         self.stats.bound_queries += 1;
         if cfg!(debug_assertions) {
             // Soundness cross-check against the kernel on the same prefix
             // state (kept out of the counters, so debug and release builds
             // count the same work).
-            let kernel = fused_insert_summary(&self.state.dist[..n], &slot.dist[..n]);
+            let kernel = fused_insert_summary(&src_dist[..n], &slot.dist[..n]);
             assert!(
                 bound.sum <= kernel.sum && bound.max <= kernel.max,
                 "level bound {bound:?} exceeds the kernel's {kernel:?} \
@@ -1664,6 +1925,14 @@ impl DistanceOracle for PersistentOracle {
             );
         }
         Some(bound)
+    }
+
+    fn removal_bound(&mut self, g: &OwnedGraph, u: NodeId, f: NodeId) -> Option<DistanceSummary> {
+        if u as u32 != self.src || f >= self.cache.len() || !self.row_bound(g, f as u32) {
+            return None;
+        }
+        self.stats.bound_queries += 1;
+        Some(self.rows.summary())
     }
 
     fn evaluate_into(&mut self, deltas: &[EdgeDelta], out: &mut Vec<u16>) -> DistanceSummary {
@@ -2419,36 +2688,62 @@ mod tests {
 
     #[test]
     fn level_bound_never_exceeds_bfs_truth_under_removal_prefixes() {
+        // One-removal prefixes are bounded from the neighbour rows (`c_f`),
+        // longer ones from the repaired vector; a removal alone is a
+        // `Delete`'s bound.
         use rand::rngs::StdRng;
         use rand::seq::SliceRandom;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xb0b0);
-        let (mut answered, mut cut_off) = (0usize, 0usize);
-        for case in 0..60 {
+        let (mut answered, mut cut_off, mut deletes, mut row_bounds) = (0usize, 0usize, 0usize, 0);
+        for case in 0..90 {
             let n = rng.gen_range(4usize..36);
-            // Trees make every removal a cut, leaf edges included.
-            let g = if case % 2 == 0 {
-                generators::random_spanning_tree(n, None, &mut rng)
-            } else {
-                generators::random_with_m_edges(n, rng.gen_range(n..2 * n), &mut rng)
+            // Trees make every removal a cut, leaf edges included. In a star
+            // the hub drops leaves, and each leaf drops its only edge.
+            let star = case % 3 == 2;
+            let g = match case % 3 {
+                0 => generators::random_spanning_tree(n, None, &mut rng),
+                1 => generators::random_with_m_edges(n, rng.gen_range(n..2 * n), &mut rng),
+                _ => generators::star(n),
             };
             let mut oracle = PersistentOracle::new(n);
             let all: Vec<NodeId> = (0..n).collect();
             oracle.pin_sources(&g, &all);
-            for _ in 0..6 {
-                let u = rng.gen_range(0..n);
+            for round in 0..6 {
+                let u = if star && round == 0 {
+                    0
+                } else {
+                    rng.gen_range(0..n)
+                };
                 oracle.begin(&g, u);
                 let mut incident = g.neighbors(u).to_vec();
                 incident.shuffle(&mut rng);
                 let mut h = g.clone();
                 let mut prefix = Vec::new();
-                for &w in incident.iter().take(rng.gen_range(0usize..3)) {
+                let removals = if star { 1 } else { rng.gen_range(0usize..3) };
+                for &w in incident.iter().take(removals) {
                     assert!(h.remove_edge(u, w));
                     prefix.push(EdgeDelta::Remove { u, v: w });
                 }
                 let mut buf = BfsBuffer::new(n);
                 if buf.summary(&h, u).sum.is_none() {
                     cut_off += 1;
+                }
+                if let [EdgeDelta::Remove { v: f, .. }] = prefix[..] {
+                    let bound = oracle
+                        .removal_bound(&g, u, f)
+                        .expect("every neighbour row is parked");
+                    let (_, exact) = truth(&g, u, &prefix);
+                    let ctx = format!("case {case}: src {u} drops {f}");
+                    assert!(
+                        bound.sum.unwrap_or(u64::MAX) <= exact.sum.unwrap_or(u64::MAX),
+                        "{ctx}"
+                    );
+                    assert!(
+                        bound.max.unwrap_or(u32::MAX) <= exact.max.unwrap_or(u32::MAX),
+                        "{ctx}"
+                    );
+                    deletes += 1;
                 }
                 for v in (0..n).filter(|&v| v != u && !h.has_edge(u, v)) {
                     let Some(bound) = oracle.insert_level_bound(&g, &prefix, u, v) else {
@@ -2465,14 +2760,100 @@ mod tests {
                         .evaluate_insert_via_cache(&g, &prefix, u, v)
                         .expect("the kernel serves every bounded candidate");
                     assert!(bound.sum <= kernel.sum && bound.max <= kernel.max, "{ctx}");
+                    assert!(
+                        kernel.sum.unwrap_or(u64::MAX) <= exact.sum.unwrap_or(u64::MAX),
+                        "{ctx}"
+                    );
                     assert_eq!(is_exact, prefix.is_empty());
                 }
             }
+            row_bounds += oracle.stats().row_bounds;
         }
         assert!(answered > 1000, "only {answered} bounds answered");
         assert!(
             cut_off > 10,
             "only {cut_off} prefixes left vertices unreached"
+        );
+        assert!(deletes > 100, "only {deletes} removals bounded");
+        assert!(row_bounds > 0, "no prefix was bounded from rows");
+    }
+
+    #[test]
+    fn row_bound_is_the_direct_minimum_over_the_other_neighbours() {
+        // The best/second-best construction against the definition, for
+        // every source and dropped neighbour: c_f(y) = 1 + min over
+        // w ∈ N(u) ∖ {f} of d(w, y). Random graphs tie neighbours at the
+        // same distance all the time, including ties with `f`. At `f`
+        // itself the row is additionally relaxed through f's other
+        // neighbours.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xc0f);
+        let mut ties_with_f = 0usize;
+        for case in 0..40 {
+            let n = rng.gen_range(3usize..30);
+            let g = if case % 4 == 0 {
+                generators::random_spanning_tree(n, None, &mut rng)
+            } else {
+                generators::random_with_m_edges(n, rng.gen_range(n..3 * n), &mut rng)
+            };
+            let mut buf = BfsBuffer::new(n);
+            let rows: Vec<Vec<u16>> = (0..n).map(|w| buf.run(&g, w)[..n].to_vec()).collect();
+            let mut oracle = PersistentOracle::new(n);
+            let all: Vec<NodeId> = (0..n).collect();
+            oracle.pin_sources(&g, &all);
+            for u in 0..n {
+                oracle.begin(&g, u);
+                for &f in g.neighbors(u) {
+                    assert!(oracle.row_bound(&g, f as u32), "case {case}: {u} drops {f}");
+                    let direct: Vec<u16> = (0..n)
+                        .map(|y| {
+                            let others = g.neighbors(u).iter().filter(|&&w| w != f);
+                            let m = others.map(|&w| rows[w][y]).min().unwrap_or(UNREACHABLE);
+                            if y == u {
+                                0
+                            } else {
+                                m.saturating_add(1)
+                            }
+                        })
+                        .collect();
+                    let entry = g.neighbors(f).iter().filter(|&&x| x != u);
+                    let via = entry.map(|&x| direct[x]).min().unwrap_or(UNREACHABLE);
+                    let mut expect = direct.clone();
+                    expect[f] = expect[f].max(via.saturating_add(1));
+                    assert_eq!(oracle.rows.dist, expect, "case {case}: {u} drops {f}");
+                    let mut levels = vec![0u16; n + 2];
+                    let finite: Vec<u16> = expect
+                        .iter()
+                        .copied()
+                        .filter(|&d| d != UNREACHABLE)
+                        .collect();
+                    for &d in &finite {
+                        levels[d as usize] += 1;
+                    }
+                    assert_eq!(oracle.rows.level_counts, levels);
+                    let summary = if finite.len() < n {
+                        DistanceSummary::DISCONNECTED
+                    } else {
+                        DistanceSummary {
+                            sum: Some(finite.iter().map(|&d| u64::from(d)).sum()),
+                            max: finite.iter().max().map(|&d| u32::from(d)),
+                        }
+                    };
+                    assert_eq!(oracle.rows.summary(), summary, "case {case}: {u} drops {f}");
+                    ties_with_f += (0..n)
+                        .filter(|&y| {
+                            let at = |w: usize| rows[w][y];
+                            g.neighbors(u).iter().any(|&w| w != f && at(w) == at(f))
+                                && g.neighbors(u).iter().all(|&w| at(w) >= at(f))
+                        })
+                        .count();
+                }
+            }
+        }
+        assert!(
+            ties_with_f > 100,
+            "only {ties_with_f} ties with the dropped neighbour"
         );
     }
 
@@ -2508,5 +2889,15 @@ mod tests {
             "only answered bounds count"
         );
         assert_eq!(oracle.stats().kernel_calls, 0, "a bound runs no kernel");
+        // The rows of 9's neighbours were evicted: a removal is not bounded
+        // from rows, and a swap's bound falls back to repairing its prefix.
+        let drop_8 = [EdgeDelta::Remove { u: 9, v: 8 }];
+        assert_eq!(oracle.removal_bound(&g, 9, 8), None);
+        let swap = oracle
+            .insert_level_bound(&g, &drop_8, 9, 0)
+            .expect("the repaired prefix still pairs with 0's row");
+        let (_, exact) = truth(&g, 9, &[drop_8[0], EdgeDelta::Insert { u: 9, v: 0 }]);
+        assert!(swap.sum <= exact.sum && swap.max <= exact.max);
+        assert_eq!(oracle.stats().row_bounds, 0);
     }
 }

@@ -62,7 +62,8 @@ pub enum Phase {
     /// Branchless cache-arithmetic insertion-scoring kernel.
     FusedKernel,
     /// Per-candidate what-if evaluation by incremental repair (or, on the
-    /// full-BFS backend, a fresh BFS) of the pinned vector.
+    /// full-BFS backend, a fresh BFS) of the pinned vector, and the
+    /// neighbour-row passes that bound a one-removal prefix in its place.
     DeltaRepair,
     /// Work on the evaluator's *consent* oracle: counterpart what-if queries
     /// and consent-source pins/warms. Oracle phases nest beneath it, so
