@@ -22,7 +22,7 @@
 //! rewrites the file. `json=PATH` additionally writes the measurements as a
 //! JSON snapshot, stamped with the commit, toolchain and host.
 
-use ncg_bench::ConsentForced;
+use ncg_bench::{provenance_json, ConsentForced};
 use ncg_core::policy::Policy;
 use ncg_core::{BilateralBuyGame, BuyGame, Game, OracleKind, Workspace};
 use ncg_graph::generators;
@@ -459,47 +459,6 @@ fn check_smoke_counters(rows: &[SweepRow], labels: &[String], bless: bool) {
         "\nwork counters OK: {} cells within {GOLDEN_PATH}",
         current.len()
     );
-}
-
-/// The snapshot's `provenance` object: where and with what the numbers
-/// were measured.
-fn provenance_json() -> String {
-    let run = |program: &str, args: &[&str]| -> Option<String> {
-        let out = std::process::Command::new(program)
-            .args(args)
-            .output()
-            .ok()?;
-        out.status
-            .success()
-            .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
-    };
-    // A tree with uncommitted edits to tracked files is marked, as
-    // `git describe --dirty` does.
-    let commit = run("git", &["rev-parse", "--short", "HEAD"]).map_or_else(
-        || "unknown".to_string(),
-        |hash| match run("git", &["status", "--porcelain", "--untracked-files=no"]) {
-            Some(status) if !status.is_empty() => format!("{hash}-dirty"),
-            _ => hash,
-        },
-    );
-    let rustc = run("rustc", &["-V"]).unwrap_or_else(|| "unknown".to_string());
-    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split_once(':'))
-                .map(|(_, model)| model.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    let quote = |s: &str| format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
-    format!(
-        "{{\"commit\": {}, \"rustc\": {}, \"available_parallelism\": {cores}, \"cpu\": {}}}",
-        quote(&commit),
-        quote(&rustc),
-        quote(&cpu)
-    )
 }
 
 fn main() {

@@ -11,37 +11,38 @@
 //! `smoke=1` runs a tiny grid three ways — uninterrupted, killed mid-sweep,
 //! and resumed from the kill's journal — and **asserts** that the resumed
 //! aggregates are bit-identical to the uninterrupted run (the CI resume
-//! check); it then repeats the check through the fault-tolerant path: a
-//! supervised 2-shard run with a worker kill injected mid-sweep must merge
+//! check); it then repeats the check through the sharded runtime: a 2-shard
+//! run on 2 local workers, one killed at its second chunk claim, must merge
 //! bit-identical too. `journal=PATH` checkpoints every completed trial
 //! chunk; with `resume=1` a previous journal is replayed instead of
 //! re-running.
 //!
-//! `shards=K` runs every plan as `K` supervised worker processes (this same
-//! binary re-entered via the `NCG_SHARD_*` environment protocol), each with
-//! its own journal, merged at the end — crashes are retried with backoff,
-//! hangs are killed by the no-progress deadline, and a shard that exhausts
-//! its retry budget degrades the run instead of aborting it. See
-//! `ncg_lab::supervisor`.
+//! Every sharded mode runs on one runtime, the coordinator and shard servers
+//! of `ncg_lab::transport`:
 //!
-//! Cross-machine mode (see `ncg_lab::transport`):
-//!
+//! * `shards=K` starts `K` copies of this binary as shard servers on
+//!   loopback (`ncg_lab::supervisor::LocalWorkers`, each restarted on its own
+//!   address if it exits) and coordinates every plan over them exactly as
+//!   over remote workers. A sharded run starts fresh; the way to resume a
+//!   long run is the unsharded `journal=PATH resume=1`.
 //! * `serve=ADDR` turns this binary into a long-lived shard server: bind
 //!   `ADDR` (port 0 picks an ephemeral port, announced on stdout) and take
-//!   shard assignments from a remote coordinator over TCP.
-//! * `workers=HOST:PORT,HOST:PORT,...` runs every plan as a distributed
-//!   coordinator over that worker pool (`shards=K` controls the shard
-//!   count, default one per worker) — severed connections and heartbeat
-//!   stalls retry with jittered backoff and reassign across the pool, and
-//!   the merge is bit-identical to a local run.
+//!   shard assignments from a coordinator over TCP.
+//! * `workers=HOST:PORT,HOST:PORT,...` runs every plan as a coordinator over
+//!   that worker pool (`shards=K` controls the shard count, default one per
+//!   worker).
+//!
+//! Either way, severed connections and heartbeat stalls retry with jittered
+//! backoff and reassign across the pool, and the merge is bit-identical to a
+//! local run.
 //!
 //! Every mode ends with a `run health:` report naming incomplete points,
 //! discarded journal lines and telemetry degradation, so a degraded batch
 //! is visible at the bottom of the log, not just inline.
 
 use ncg_bench::sweeps;
-use ncg_lab::supervisor::{supervise, ShardRuntime, SupervisorConfig};
-use ncg_lab::transport::{run_distributed, TransportConfig};
+use ncg_lab::supervisor::LocalWorkers;
+use ncg_lab::transport::{run_distributed, serve_main, TransportConfig};
 use ncg_lab::{run_sweep, MergedSweep, PointOutcome, RunOptions, SweepOutcome, SweepPlan};
 use ncg_trace as trace;
 use std::path::PathBuf;
@@ -201,7 +202,7 @@ fn print_health(health: &[RunHealth]) {
     }
 }
 
-/// Adapts a supervised-merge result to the common printing/JSON shape. The
+/// Adapts a sharded-merge result to the common printing/JSON shape. The
 /// executed/resumed split is not observable post-merge, so every present
 /// chunk counts as executed.
 fn merged_to_outcome(merged: MergedSweep) -> SweepOutcome {
@@ -217,22 +218,20 @@ fn merged_to_outcome(merged: MergedSweep) -> SweepOutcome {
     }
 }
 
-/// Launches this same binary as a shard worker (`main` re-enters
-/// [`ncg_lab::supervisor::worker_main`] when `NCG_SHARD_WORKER=1`). `fault`
-/// optionally injects an `NCG_FAULT` spec into one shard's **first** attempt
-/// — the supervised smoke uses it; real runs pass `None`.
-fn worker_launcher(fault: Option<(usize, &'static str)>) -> impl Fn(&ShardRuntime) -> Command {
+/// Starts `k` copies of this binary as loopback shard servers
+/// (`serve=ADDR`). `fault` arms an `NCG_FAULT` spec on worker 0's first
+/// incarnation — the sharded smoke uses it; real runs pass `None`.
+fn local_workers(k: usize, fault: Option<&'static str>) -> LocalWorkers {
     let exe = std::env::current_exe().expect("current executable path");
-    move |rt: &ShardRuntime| {
+    LocalWorkers::spawn(k, move |slot, incarnation, bind| {
         let mut cmd = Command::new(&exe);
-        cmd.env_remove("NCG_FAULT");
-        if let Some((shard, spec)) = fault {
-            if rt.shard.index == shard && rt.attempt == 0 {
-                cmd.env("NCG_FAULT", spec);
-            }
+        cmd.arg(format!("serve={bind}")).env_remove("NCG_FAULT");
+        if let Some(spec) = fault.filter(|_| slot == 0 && incarnation == 0) {
+            cmd.env("NCG_FAULT", spec);
         }
         cmd
-    }
+    })
+    .expect("start local shard workers")
 }
 
 /// Runs one plan as a distributed coordinator over a TCP worker pool and
@@ -279,73 +278,6 @@ fn run_transported(
     if outcome.degraded {
         eprintln!(
             "sweep: {} point(s) incomplete after the transport exhausted its budget: {}",
-            outcome.merged.incomplete_points.len(),
-            outcome.merged.incomplete_points.join(", "),
-        );
-    }
-    let incomplete = outcome.merged.incomplete_points.clone();
-    (merged_to_outcome(outcome.merged), incomplete)
-}
-
-/// The `serve=ADDR` mode: this binary as a long-lived shard server taking
-/// remote assignments. Never returns on success.
-fn serve_forever(bind: &str) -> ! {
-    if let Err(e) = ncg_lab::faultpoint::arm_from_env() {
-        eprintln!("sweep serve: {e}");
-        std::process::exit(2);
-    }
-    let listener = match std::net::TcpListener::bind(bind) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("sweep serve: cannot bind {bind}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let addr = listener
-        .local_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| bind.to_string());
-    println!("ncg-shard-server listening on {addr}");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    let opts = ncg_lab::ServeOptions::default();
-    if let Err(e) = ncg_lab::serve(&listener, &opts) {
-        eprintln!("sweep serve: {e}");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// Runs one plan as `shards` supervised worker processes and reports the
-/// merged outcome plus per-shard supervision summaries.
-fn run_supervised(plan: &SweepPlan, args: &Args, shards: usize) -> (SweepOutcome, Vec<String>) {
-    let dir = match &args.journal {
-        Some(p) => p.with_extension(format!("{}.shards", plan.name)),
-        None => std::env::temp_dir().join(format!(
-            "ncg-sweep-shards-{}-{}",
-            std::process::id(),
-            plan.name
-        )),
-    };
-    let cfg = SupervisorConfig {
-        shards,
-        threads_per_shard: args.threads,
-        ..SupervisorConfig::default()
-    };
-    let outcome = supervise(plan, &dir, &cfg, worker_launcher(None)).expect("supervised sweep");
-    for r in &outcome.shards {
-        println!(
-            "shard {}: {} attempt(s), {} crash(es), {} hang kill(s){}",
-            r.shard,
-            r.attempts,
-            r.crashes,
-            r.hang_kills,
-            if r.completed { "" } else { " — GAVE UP" },
-        );
-    }
-    if outcome.degraded {
-        eprintln!(
-            "sweep: {} point(s) incomplete after a shard exhausted its retry budget: {}",
             outcome.merged.incomplete_points.len(),
             outcome.merged.incomplete_points.join(", "),
         );
@@ -461,10 +393,9 @@ fn smoke(args: &Args) {
     smoke_sharded(args);
 }
 
-/// The CI fault-tolerance check: a supervised 2-shard run with a worker
-/// kill injected mid-sweep (shard 0, second chunk claim of its first
-/// attempt) must retry, resume its own journal, and merge bit-identical to
-/// the unsharded baseline.
+/// The CI fault-tolerance check: a 2-shard run on 2 local workers, worker 0
+/// killed at its second chunk claim, must retry the severed shard and merge
+/// bit-identical to the unsharded baseline.
 fn smoke_sharded(args: &Args) {
     let mut plan = sweeps::fig11_style(0, 4, args.seed);
     plan.ns = vec![12, 16];
@@ -481,52 +412,52 @@ fn smoke_sharded(args: &Args) {
 
     let dir = std::env::temp_dir().join(format!("ncg-sweep-smoke-shards-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = SupervisorConfig {
+    let workers = local_workers(2, Some("chunk-run:kill:hits=2"));
+    let cfg = TransportConfig {
         shards: 2,
         threads_per_shard: args.threads,
         backoff_base_ms: 20,
         poll_ms: 10,
-        ..SupervisorConfig::default()
+        ..TransportConfig::default()
     };
-    let outcome = supervise(
-        &plan,
-        &dir,
-        &cfg,
-        worker_launcher(Some((0, "chunk-run:kill:hits=2"))),
-    )
-    .expect("supervised smoke sweep");
-    assert!(outcome.merged.completed, "supervised smoke must complete");
+    let outcome = run_distributed(&plan, &dir, &cfg, workers.addrs()).expect("sharded smoke sweep");
+    assert!(outcome.merged.completed, "sharded smoke must complete");
     assert!(!outcome.degraded);
     assert!(
-        outcome.shards[0].crashes >= 1,
-        "the injected worker kill must have fired"
+        outcome.shards.iter().any(|r| r.severed >= 1),
+        "the injected worker kill must have fired: {:?}",
+        outcome.shards
     );
     assert_bit_identical(
         &baseline.points,
         &outcome.merged.points,
-        "supervised 2-shard smoke",
+        "2-shard smoke on local workers",
     );
     std::fs::remove_dir_all(&dir).ok();
     println!(
-        "smoke OK: supervised 2-shard sweep with injected worker kill \
+        "smoke OK: 2-shard sweep on local workers with an injected worker kill \
          merges bit-identical to the unsharded run"
     );
 }
 
 fn main() {
-    // Shard-worker re-entry: the supervisor launches this same binary with
-    // the NCG_SHARD_* protocol in the environment.
-    if std::env::var("NCG_SHARD_WORKER").as_deref() == Ok("1") {
-        std::process::exit(ncg_lab::supervisor::worker_main());
-    }
     let args = parse_args();
     if let Some(bind) = &args.serve {
-        serve_forever(bind);
+        std::process::exit(serve_main(bind));
     }
     if args.smoke {
         smoke(&args);
         return;
     }
+    // `shards=K` without `workers=`: one pool of K local workers serves every
+    // plan of this invocation.
+    let local = match args.shards {
+        Some(k) if args.workers.is_empty() => Some(local_workers(k, None)),
+        _ => None,
+    };
+    let workers = local
+        .as_ref()
+        .map_or(&args.workers[..], LocalWorkers::addrs);
 
     let watch = trace::Stopwatch::start();
     let plans = vec![
@@ -539,10 +470,8 @@ fn main() {
     let mut runs = Vec::new();
     let mut health = Vec::new();
     for plan in plans {
-        let (outcome, incomplete) = if !args.workers.is_empty() {
-            run_transported(&plan, &args, &args.workers)
-        } else if let Some(shards) = args.shards {
-            run_supervised(&plan, &args, shards)
+        let (outcome, incomplete) = if !workers.is_empty() {
+            run_transported(&plan, &args, workers)
         } else {
             // One journal per plan when checkpointing is requested; the live
             // telemetry stream (chunk/worker/run events) lands next to it.

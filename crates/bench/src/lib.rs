@@ -274,6 +274,7 @@ pub mod sweeps {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"smoke\": {smoke},");
         let _ = writeln!(out, "  \"wall_seconds\": {seconds:.1},");
+        let _ = writeln!(out, "  \"provenance\": {},", super::provenance_json());
         out.push_str("  \"sweeps\": [\n");
         for (si, (plan, outcome)) in runs.iter().enumerate() {
             let _ = writeln!(out, "    {{\"plan\": \"{}\",", plan.name);
@@ -319,6 +320,47 @@ pub mod sweeps {
         out.push_str("  ]\n}\n");
         out
     }
+}
+
+/// The `provenance` object of a committed snapshot (`BENCH_oracle.json`,
+/// `BENCH_sweeps.json`): where and with what the numbers were measured.
+pub fn provenance_json() -> String {
+    let run = |program: &str, args: &[&str]| -> Option<String> {
+        let out = std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()?;
+        out.status
+            .success()
+            .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    // A tree with uncommitted edits to tracked files is marked, as
+    // `git describe --dirty` does.
+    let commit = run("git", &["rev-parse", "--short", "HEAD"]).map_or_else(
+        || "unknown".to_string(),
+        |hash| match run("git", &["status", "--porcelain", "--untracked-files=no"]) {
+            Some(status) if !status.is_empty() => format!("{hash}-dirty"),
+            _ => hash,
+        },
+    );
+    let rustc = run("rustc", &["-V"]).unwrap_or_else(|| "unknown".to_string());
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let quote = |s: &str| format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
+    format!(
+        "{{\"commit\": {}, \"rustc\": {}, \"available_parallelism\": {cores}, \"cpu\": {}}}",
+        quote(&commit),
+        quote(&rustc),
+        quote(&cpu)
+    )
 }
 
 /// Runs one figure definition at the given scale and prints the table (and

@@ -1,54 +1,16 @@
-//! Dedicated shard-worker binary for supervised sweeps: the integration
-//! test matrix (and any embedder that prefers a separate executable over
-//! re-entering its own `main`) points the supervisor's launcher here.
-//!
-//! Two modes:
-//!
-//! * default — one supervised shard attempt driven by `NCG_SHARD_*` env
-//!   vars; all behaviour lives in [`ncg_lab::supervisor::worker_main`] and
-//!   this wrapper only translates its return value into an exit code.
-//! * `NCG_SERVE=ADDR` — a long-lived shard *server*: bind `ADDR`, announce
-//!   the bound address on stdout (`ncg-shard-server listening on <addr>`,
-//!   so `ADDR` may use port 0), then run the
-//!   [`ncg_lab::transport::serve`] accept loop forever, taking assignments
-//!   from a remote coordinator. `NCG_SERVE_HEARTBEAT_MS` overrides the
-//!   journal-pump tick; `NCG_FAULT` arms the fault table as usual.
-
-use std::io::Write;
+//! Dedicated shard-server binary: `NCG_SERVE=ADDR shard_worker` binds
+//! `ADDR`, announces the bound address on stdout
+//! ([`ncg_lab::transport::ANNOUNCE`], so `ADDR` may use port 0), and takes
+//! shard assignments from a coordinator forever. `NCG_FAULT` arms the fault
+//! table as usual. All behaviour lives in
+//! [`ncg_lab::transport::serve_main`]; the fault matrix starts this binary
+//! through [`ncg_lab::supervisor::LocalWorkers`], and an embedder that
+//! prefers a separate executable over re-entering its own `main` can too.
 
 fn main() {
     let Ok(bind) = std::env::var("NCG_SERVE") else {
-        std::process::exit(ncg_lab::supervisor::worker_main());
-    };
-    if let Err(e) = ncg_lab::faultpoint::arm_from_env() {
-        eprintln!("shard server: {e}");
+        eprintln!("shard server: set NCG_SERVE=ADDR to the address to serve on");
         std::process::exit(2);
-    }
-    let listener = match std::net::TcpListener::bind(&bind) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("shard server: cannot bind {bind}: {e}");
-            std::process::exit(2);
-        }
     };
-    let addr = listener.local_addr().map(|a| a.to_string()).unwrap_or(bind);
-    // The announce line is the contract with whoever spawned us: it carries
-    // the real port when binding port 0. Flush it — the accept loop below
-    // never returns.
-    println!("ncg-shard-server listening on {addr}");
-    let _ = std::io::stdout().flush();
-    let mut opts = ncg_lab::ServeOptions::default();
-    if let Ok(ms) = std::env::var("NCG_SERVE_HEARTBEAT_MS") {
-        match ms.parse::<u64>() {
-            Ok(ms) => opts.heartbeat_ms = ms.max(1),
-            Err(_) => {
-                eprintln!("shard server: $NCG_SERVE_HEARTBEAT_MS: not a number: {ms:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Err(e) = ncg_lab::serve(&listener, &opts) {
-        eprintln!("shard server: {e}");
-        std::process::exit(1);
-    }
+    std::process::exit(ncg_lab::transport::serve_main(&bind));
 }

@@ -6,8 +6,9 @@
 //! hooks stay in the production journal/telemetry/orchestrator paths
 //! permanently. Faults are armed either programmatically ([`arm`], used by
 //! in-process tests) or from the `NCG_FAULT` environment variable
-//! ([`arm_from_env`], used by supervised shard workers — the supervisor's
-//! launcher decides per attempt whether the child inherits a fault).
+//! ([`arm_from_env`], called by every shard-server process at startup — the
+//! launch closure of [`crate::supervisor::LocalWorkers`] picks the spec, if
+//! any, of each incarnation of each worker).
 //!
 //! # Spec grammar
 //!
@@ -29,7 +30,7 @@
 //!   * `corrupt` — flip bits in the buffer about to be written (a corrupted
 //!     record that only integrity checks can catch);
 //!   * `delay@MS` — sleep `MS` milliseconds (heartbeat stall);
-//!   * `hang` — sleep effectively forever, forcing the supervisor's
+//!   * `hang` — sleep effectively forever, forcing the coordinator's
 //!     no-progress deadline to fire.
 //! * `hits=N` — trigger on the `N`-th hit of the point (1-based, default 1);
 //!   the spec fires exactly once. A spec only counts hits at call sites able
@@ -90,8 +91,9 @@ struct Spec {
 static ARMED: AtomicBool = AtomicBool::new(false);
 static TABLE: Mutex<Vec<Spec>> = Mutex::new(Vec::new());
 
-/// Effectively-forever sleep used by `hang` (the supervisor's deadline kill
-/// is expected to arrive first).
+/// Effectively-forever sleep used by `hang` (the coordinator's no-progress
+/// deadline gives up on the assignment first; the hung process lives until
+/// whoever started it kills it).
 const HANG_MS: u64 = 3_600_000;
 
 /// True once a fault table is armed. The off-path of every fault point is

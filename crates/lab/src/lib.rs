@@ -26,22 +26,23 @@
 //! * [`shard`] — deterministic partition of a plan's `(point, chunk)` jobs
 //!   into `k` shards and the merge/fold of per-shard journals back into
 //!   single-process-identical aggregates.
-//! * [`supervisor`] — the fault-tolerant shard runner: child-process shard
-//!   workers, liveness via journal/telemetry growth, retry with exponential
-//!   backoff, timeout-and-kill on hang, graceful degradation when a shard
-//!   exhausts its retry budget.
-//! * [`transport`] — cross-machine shard transport: a tiny length-prefixed,
+//! * [`transport`] — the one shard runtime: a tiny length-prefixed,
 //!   checksummed TCP protocol where a coordinator dispatches shard
-//!   assignments to remote accept-loop workers, with retry/backoff,
-//!   byte-growth heartbeat liveness, reassignment on stall or sever, and
-//!   per-attempt journals fed through the same merge fold.
+//!   assignments to accept-loop workers, with retry/backoff, byte-growth
+//!   heartbeat liveness, reassignment on stall or sever, an audit of every
+//!   `Done`, and per-attempt journals fed through the same merge fold.
+//! * [`supervisor`] — [`supervisor::LocalWorkers`]: a local sharded sweep's
+//!   worker processes on loopback, restarted on their own address when they
+//!   exit and killed on drop; the coordinator drives them like remote
+//!   workers.
 //! * [`faultpoint`] — the kill-anywhere fault-injection harness (env-gated
 //!   named fault points, zero overhead when off) behind the fault matrix.
 //!
-//! The headline guarantee, enforced by the workspace reproducibility test:
-//! a plan run with 1 worker, N workers, killed and resumed mid-sweep, or
-//! sharded across supervised processes (with or without injected faults)
-//! produces **bit-identical** per-point aggregates.
+//! The headline guarantee, enforced by the workspace reproducibility test
+//! and the fault matrix: a plan run with 1 worker, N workers, killed and
+//! resumed mid-sweep, or sharded across local or remote worker processes
+//! (with or without injected faults) produces **bit-identical** per-point
+//! aggregates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,10 +62,8 @@ pub use orchestrator::{run_sweep, PointOutcome, RunOptions, SweepOutcome};
 pub use plan::{fnv1a, AutoSplit, SweepPlan, SweepPoint};
 pub use scenario::Scenario;
 pub use shard::{merge_shard_journals, shard_of, MergedSweep, ShardSpec};
-pub use supervisor::{
-    backoff_with_jitter, supervise, ShardReport, SupervisedOutcome, SupervisorConfig,
-};
 pub use telemetry::{ChunkEvent, TelemetryWriter};
 pub use transport::{
-    run_distributed, serve, ServeOptions, ShardTransportReport, TransportConfig, TransportOutcome,
+    backoff_with_jitter, run_distributed, serve, ServeOptions, ShardTransportReport,
+    TransportConfig, TransportOutcome,
 };

@@ -172,10 +172,10 @@ impl SweepPlan {
     }
 
     /// Serializes the plan as a line-based `key=value` spec — the transport
-    /// format handed to supervised shard-worker processes. Lossless: α values
-    /// and the engine are encoded exactly (α via IEEE bit patterns),
-    /// so [`SweepPlan::parse_spec`] reconstructs a plan with the identical
-    /// [`SweepPlan::plan_hash`] on any machine.
+    /// format a coordinator hands shard workers in an `Assign` frame.
+    /// Lossless: α values and the engine are encoded exactly (α via IEEE bit
+    /// patterns), so [`SweepPlan::parse_spec`] reconstructs a plan with the
+    /// identical [`SweepPlan::plan_hash`] on any machine.
     pub fn to_spec_string(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::from("ncg_sweep_plan=1\n");

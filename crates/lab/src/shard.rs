@@ -53,11 +53,6 @@ impl ShardSpec {
         format!("shard-{}-of-{}.jsonl", self.index, self.count)
     }
 
-    /// The conventional shard telemetry filename inside a run directory.
-    pub fn telemetry_name(&self) -> String {
-        format!("shard-{}-of-{}.telemetry.jsonl", self.index, self.count)
-    }
-
     /// The per-attempt journal filename a transport coordinator persists a
     /// streamed assignment into. Every attempt keeps its own file —
     /// [`merge_shard_journals`] accepts any number of files per shard and

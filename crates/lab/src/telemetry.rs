@@ -113,8 +113,8 @@ impl TelemetryWriter {
         let mut inner = self.file.lock().expect("telemetry mutex poisoned");
         // The `telemetry-append` fault point injects the failure modes a
         // best-effort stream must shrug off: I/O errors (stream degrades,
-        // sweep continues), delays (a stalled heartbeat the supervisor must
-        // not mistake for progress) and kills.
+        // sweep continues), delays and kills. Telemetry is nobody's liveness
+        // signal: shard liveness is journal-byte growth on the transport.
         let result = crate::faultpoint::io_check("telemetry-append")
             .and_then(|()| writeln!(inner.file, "{line}"))
             .and_then(|()| inner.file.flush());

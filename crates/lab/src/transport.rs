@@ -1,20 +1,21 @@
-//! Cross-machine shard transport: a tiny length-prefixed, checksummed TCP
-//! protocol (std-only) that turns the sharded runner into a distributed
-//! sweep service.
+//! Shard transport: a tiny length-prefixed, checksummed TCP protocol
+//! (std-only) and the one runtime every sharded sweep runs on, whether its
+//! workers are remote machines or [`crate::supervisor::LocalWorkers`] on
+//! loopback.
 //!
 //! A **coordinator** ([`run_distributed`]) dispatches shard assignments —
 //! the plan as a [`SweepPlan::to_spec_string`] spec plus shard index/of and
-//! the expected plan hash — to remote accept-loop **workers** ([`serve`]).
+//! the expected plan hash — to accept-loop **workers** ([`serve`]).
 //! Each worker re-derives the plan from the spec, *refuses on plan-hash
-//! mismatch* (a different build or an altered spec; the same guard as the
-//! local worker protocol), runs its shard through the ordinary orchestrator into a local
+//! mismatch* (a different build or an altered spec is caught here, not at
+//! merge time), runs its shard through the ordinary orchestrator into a local
 //! shard journal, and streams the raw journal bytes back as they are
 //! appended. The coordinator persists each attempt's stream into its own
 //! per-shard journal file and feeds every file to the existing
 //! [`merge_shard_journals`] fold **unchanged** — so a distributed run is
 //! proven bit-identical to a single-process run by the same machinery, and
-//! replayed records from reassigned shards are deduplicated by the fold's
-//! equal-payload rule exactly like local retries.
+//! replayed records from retried or reassigned shards are deduplicated by
+//! the fold's equal-payload rule.
 //!
 //! # Wire format
 //!
@@ -32,7 +33,7 @@
 //!
 //! * **Connect**: exponential backoff with decorrelating jitter
 //!   ([`backoff_with_jitter`]) and a bounded retry budget.
-//! * **Liveness**: the supervisor's byte-growth model over the wire — a
+//! * **Liveness**: durable progress, measured as byte growth — a
 //!   connection that delivers no *new* journal bytes (via `Data` or a
 //!   `Heartbeat` high-water mark) within the no-progress deadline is killed
 //!   and the shard is **reassigned**, preferring a different worker.
@@ -44,8 +45,7 @@
 //! * **Degradation**: a worker accumulating consecutive failures is dropped
 //!   from the pool; survivors absorb its shards. A shard that exhausts its
 //!   assignment budget (or outlives every worker) degrades to named
-//!   `incomplete_points` in the merged outcome, exactly like the local
-//!   supervisor.
+//!   `incomplete_points` in the merged outcome; the surviving shards finish.
 //!
 //! The transport paths are threaded through the [`crate::faultpoint`]
 //! harness (`net-accept`, `net-read`, `net-write`, `net-heartbeat`) with the
@@ -57,7 +57,6 @@
 use crate::faultpoint;
 use crate::plan::{fnv1a, SweepPlan};
 use crate::shard::{merge_shard_journals, shard_chunk_keys, MergedSweep, ShardSpec};
-use crate::supervisor::backoff_with_jitter;
 use crate::telemetry::TelemetryWriter;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
@@ -384,6 +383,42 @@ pub fn serve(listener: &TcpListener, opts: &ServeOptions) -> io::Result<()> {
         }
         if let Err(e) = handle_assignment(stream, opts) {
             eprintln!("shard server: assignment from {peer} failed: {e}");
+        }
+    }
+}
+
+/// The line a shard server prints on stdout once it is bound, followed by the
+/// bound address. It carries the real port when the bind address asks for
+/// port 0, which is how whoever spawned the server learns where it listens.
+pub const ANNOUNCE: &str = "ncg-shard-server listening on ";
+
+/// Entry point of a shard-server process: arms `NCG_FAULT`, binds `bind`,
+/// prints [`ANNOUNCE`] followed by the bound address, and runs [`serve`]
+/// with the default [`ServeOptions`]. Returns the process exit code: `2` for
+/// a malformed fault spec or a failed bind, `1` if the accept loop fails.
+pub fn serve_main(bind: &str) -> i32 {
+    if let Err(e) = faultpoint::arm_from_env() {
+        eprintln!("shard server: {e}");
+        return 2;
+    }
+    let listener = match TcpListener::bind(bind) {
+        Ok(l) => l,
+        Err(e) => {
+            eprintln!("shard server: cannot bind {bind}: {e}");
+            return 2;
+        }
+    };
+    let addr = listener
+        .local_addr()
+        .map_or_else(|_| bind.to_string(), |a| a.to_string());
+    // Flush: the accept loop below never returns.
+    println!("{ANNOUNCE}{addr}");
+    let _ = io::stdout().flush();
+    match serve(&listener, &ServeOptions::default()) {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("shard server: {e}");
+            1
         }
     }
 }
@@ -1001,6 +1036,27 @@ impl Coordinator<'_> {
     }
 }
 
+/// Retry backoff for 1-based `attempt`: exponential `base·2^(a−1)` capped at
+/// `cap_ms`, with deterministic decorrelating jitter drawn from an FNV-1a
+/// hash of `(salt, attempt)` into `[exp/2, exp]`. Without the jitter, k
+/// shards failed by the same cause (a yanked volume, a killed worker box)
+/// retry in lockstep and hammer the recovering resource together; salting by
+/// shard index spreads them across half the exponential window while staying
+/// reproducible run-to-run.
+pub fn backoff_with_jitter(base_ms: u64, cap_ms: u64, attempt: usize, salt: u64) -> u64 {
+    let exp = base_ms
+        .saturating_mul(1u64 << attempt.saturating_sub(1).min(20))
+        .min(cap_ms);
+    if exp <= 1 {
+        return exp;
+    }
+    let mut seed = [0u8; 16];
+    seed[..8].copy_from_slice(&salt.to_le_bytes());
+    seed[8..].copy_from_slice(&(attempt as u64).to_le_bytes());
+    let lo = exp / 2;
+    lo + fnv1a(&seed) % (exp - lo + 1)
+}
+
 /// TCP connect with a bounded retry budget and jittered exponential backoff.
 fn connect_with_retry(addr: &str, cfg: &TransportConfig, salt: u64) -> Option<TcpStream> {
     let budget = cfg.connect_attempts.max(1);
@@ -1302,5 +1358,43 @@ mod tests {
         assert!(cfg.connect_attempts >= 1);
         assert!(cfg.backoff_base_ms <= cfg.backoff_cap_ms);
         assert!(cfg.poll_ms < cfg.no_progress_ms);
+    }
+
+    #[test]
+    fn backoff_jitter_stays_inside_the_exponential_window() {
+        for attempt in 1..=10 {
+            let exp = 100u64.saturating_mul(1 << (attempt - 1).min(20)).min(2_000);
+            for salt in 0..32 {
+                let b = backoff_with_jitter(100, 2_000, attempt, salt);
+                assert!(
+                    b >= exp / 2 && b <= exp,
+                    "attempt {attempt} salt {salt}: {b} outside [{}, {exp}]",
+                    exp / 2
+                );
+            }
+        }
+        // Degenerate knobs stay safe.
+        assert_eq!(backoff_with_jitter(0, 2_000, 3, 7), 0);
+        assert!(backoff_with_jitter(100, 50, 10, 1) <= 50, "cap holds");
+        assert!(
+            backoff_with_jitter(100, 2_000, 10_000, 1) <= 2_000,
+            "huge attempt"
+        );
+    }
+
+    #[test]
+    fn backoff_jitter_decorrelates_salts_deterministically() {
+        let spread: std::collections::HashSet<u64> = (0..16)
+            .map(|salt| backoff_with_jitter(100, 2_000, 4, salt))
+            .collect();
+        assert!(
+            spread.len() > 4,
+            "16 shards must not retry in lockstep: {spread:?}"
+        );
+        assert_eq!(
+            backoff_with_jitter(100, 2_000, 4, 9),
+            backoff_with_jitter(100, 2_000, 4, 9),
+            "same inputs, same gate — reproducible retries"
+        );
     }
 }
