@@ -16,10 +16,11 @@
 //! speedup of the persistent engine over the full-BFS reference. It asserts
 //! the identities the fast engine rests on: traced ≡ untraced runs before
 //! any timing, and `persistent` ≡ `full-bfs` step counts in every cell both
-//! engines run. `smoke=1` shrinks everything for CI and checks each cell's
-//! work counters against the golden file [`GOLDEN_PATH`]: a counter that
-//! grows fails the run, one that shrinks is printed, and `smoke=1 bless=1`
-//! rewrites the file. `json=PATH` additionally writes the measurements as a
+//! engines run. `smoke=1` shrinks everything for CI, adds random-policy
+//! cells of both families at n = 64, and checks each cell's work counters
+//! against the golden file [`GOLDEN_PATH`]: a counter that grows fails the
+//! run, one that shrinks is printed, and `smoke=1 bless=1` rewrites the
+//! file. `json=PATH` additionally writes the measurements as a
 //! JSON snapshot, stamped with the commit, toolchain and host.
 
 use ncg_bench::{provenance_json, ConsentForced};
@@ -60,7 +61,7 @@ const PINNED_COUNTERS: [&str; 11] = [
 ];
 
 /// Every [`OracleStats`] field by name.
-fn counter_fields(st: &OracleStats) -> [(&'static str, u64); 14] {
+fn counter_fields(st: &OracleStats) -> [(&'static str, u64); 13] {
     [
         ("full_bfs_runs", st.full_bfs_runs),
         ("evaluations", st.evaluations),
@@ -69,7 +70,6 @@ fn counter_fields(st: &OracleStats) -> [(&'static str, u64); 14] {
         ("csr_patches", st.csr_patches),
         ("csr_rebuilds", st.csr_rebuilds),
         ("lazy_replays", st.lazy_replays),
-        ("lazy_hits", st.lazy_hits),
         ("batched_repins", st.batched_repins),
         ("peak_parked_bytes", st.peak_parked_bytes),
         ("kernel_calls", st.kernel_calls),
@@ -133,7 +133,13 @@ fn parse_scale() -> Scale {
     scale
 }
 
-fn point(family: GameFamily, n: usize, engine: EngineSpec, trials: usize) -> ExperimentPoint {
+fn point(
+    family: GameFamily,
+    policy: Policy,
+    n: usize,
+    engine: EngineSpec,
+    trials: usize,
+) -> ExperimentPoint {
     let topology = match family {
         GameFamily::AsgSum | GameFamily::AsgMax => InitialTopology::Budgeted { k: 2 },
         GameFamily::GbgSum
@@ -148,7 +154,7 @@ fn point(family: GameFamily, n: usize, engine: EngineSpec, trials: usize) -> Exp
         family,
         alpha: AlphaSpec::FractionOfN(0.25),
         topology,
-        policy: Policy::MaxCost,
+        policy,
         trials,
         base_seed: 42,
         max_steps_factor: 400,
@@ -202,7 +208,7 @@ fn measure(point: &ExperimentPoint, repeats: usize) -> (f64, usize, OracleStats)
 fn assert_trace_identity(n: usize) {
     use ncg_core::dynamics::{run_dynamics, DynamicsConfig};
     for family in [GameFamily::AsgSum, GameFamily::GbgSum] {
-        let p = point(family, n, EngineSpec::persistent(), 1);
+        let p = point(family, Policy::MaxCost, n, EngineSpec::persistent(), 1);
         let game = p.make_game();
         let mut seed_rng = StdRng::seed_from_u64(p.base_seed);
         let initial = p.topology.generate(n, &mut seed_rng);
@@ -359,7 +365,8 @@ fn measure_bilateral(n: usize, reps: usize) -> BilateralRow {
 }
 
 struct SweepRow {
-    family: &'static str,
+    /// The family label, suffixed `/random` for the random-policy cells.
+    family: String,
     n: usize,
     /// Wall-clock per engine; `None` when the engine was skipped at this `n`
     /// (the reference engine past `full_max_n`).
@@ -490,8 +497,25 @@ fn main() {
         None => format!("{:>13}", "-"),
     };
     let mut sweep_rows = Vec::new();
-    for family in [GameFamily::AsgSum, GameFamily::GbgSum] {
-        println!("\nfamily {}", family.label());
+    // Smoke mode adds random-policy cells: the max-cost policy re-measures
+    // every agent's cost each step, the random policy does not, so their
+    // counters pin how the parked vectors are kept current between scans.
+    let mut cells = vec![
+        (GameFamily::AsgSum, Policy::MaxCost),
+        (GameFamily::GbgSum, Policy::MaxCost),
+    ];
+    if scale.smoke {
+        cells.extend([
+            (GameFamily::AsgSum, Policy::Random),
+            (GameFamily::GbgSum, Policy::Random),
+        ]);
+    }
+    for (family, policy) in cells {
+        let family_label = match policy {
+            Policy::MaxCost => family.label().to_string(),
+            _ => format!("{}/{}", family.label(), policy.label()),
+        };
+        println!("\nfamily {family_label}");
         println!(
             "{:>6} {:>13} {:>13} {:>9} {:>9}",
             "n", "full-bfs [s]", "persist [s]", "full/p", "steps"
@@ -512,7 +536,7 @@ fn main() {
                     profiles.push(None);
                     continue;
                 }
-                let p = point(family, n, engine, cell_trials);
+                let p = point(family, policy, n, engine, cell_trials);
                 // The persistent cell carries the snapshot's headline ratio,
                 // so it takes the fastest of three blocks below n = 2048; the
                 // reference is context and runs once.
@@ -540,8 +564,7 @@ fn main() {
                     Some(expect) => assert_eq!(
                         s,
                         expect,
-                        "{} n={n}: engine {} step count diverged from the reference",
-                        family.label(),
+                        "{family_label} n={n}: engine {} step count diverged from the reference",
                         engine.label()
                     ),
                 }
@@ -560,7 +583,7 @@ fn main() {
                 steps
             );
             sweep_rows.push(SweepRow {
-                family: family.label(),
+                family: family_label.clone(),
                 n,
                 times,
                 stats,

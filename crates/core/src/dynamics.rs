@@ -1,7 +1,7 @@
 //! The sequential-move network creation process (paper §1.1).
 //!
 //! Starting from an initial network, in every step the move policy selects one
-//! unhappy agent, who then performs an improving move (by default a best response).
+//! unhappy agent, who then performs a best response.
 //! The process stops when no agent is unhappy (a stable network / pure Nash
 //! equilibrium has been reached), when an exact previously-visited state recurs
 //! (a better-response cycle has been detected), or when the step limit is hit.
@@ -16,7 +16,9 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::HashMap;
 
-/// Whether the moving agent plays a best response or any improving move.
+/// Which improving moves a state-space exploration follows
+/// ([`crate::classify::ExploreConfig`]): best responses only, or every
+/// improving move. The dynamics always play best responses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResponseMode {
     /// The moving agent performs a best possible improving move (best response).
@@ -37,8 +39,6 @@ pub struct DynamicsConfig {
     pub policy: Policy,
     /// How ties are broken (both among max-cost agents and among best responses).
     pub tie_break: TieBreak,
-    /// Best responses or arbitrary improving moves.
-    pub response_mode: ResponseMode,
     /// Hard limit on the number of moves.
     pub max_steps: usize,
     /// If `true`, every visited state is remembered and an exact recurrence stops
@@ -61,7 +61,6 @@ impl DynamicsConfig {
         DynamicsConfig {
             policy: Policy::MaxCost,
             tie_break: TieBreak::Random,
-            response_mode: ResponseMode::BestResponse,
             max_steps,
             detect_cycles: false,
             record_trajectory: false,
@@ -76,7 +75,6 @@ impl DynamicsConfig {
         DynamicsConfig {
             policy: Policy::MinIndex,
             tie_break: TieBreak::Deterministic,
-            response_mode: ResponseMode::BestResponse,
             max_steps,
             detect_cycles: true,
             record_trajectory: true,
@@ -94,12 +92,6 @@ impl DynamicsConfig {
     /// Sets the tie-breaking rule.
     pub fn with_tie_break(mut self, tie_break: TieBreak) -> Self {
         self.tie_break = tie_break;
-        self
-    }
-
-    /// Sets the response mode.
-    pub fn with_response_mode(mut self, mode: ResponseMode) -> Self {
-        self.response_mode = mode;
         self
     }
 
@@ -282,14 +274,7 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
     }
 
     fn choose_response<R: Rng>(&mut self, agent: NodeId, rng: &mut R) -> Option<ScoredMove> {
-        let candidates = match self.config.response_mode {
-            ResponseMode::BestResponse => {
-                self.game.best_responses(&self.graph, agent, &mut self.ws)
-            }
-            ResponseMode::FirstImproving => {
-                self.game.improving_moves(&self.graph, agent, &mut self.ws)
-            }
-        };
+        let candidates = self.game.best_responses(&self.graph, agent, &mut self.ws);
         if candidates.is_empty() {
             return None;
         }
@@ -502,35 +487,6 @@ mod tests {
             assert_eq!(out.termination, reference.termination, "α={alpha}");
             assert_eq!(out.trajectory, reference.trajectory, "α={alpha}");
             assert_eq!(out.final_graph, reference.final_graph, "α={alpha}");
-        }
-    }
-
-    #[test]
-    fn oracle_cache_budget_never_changes_trajectories() {
-        // Slot-cap eviction only trades speed for memory: a persistent
-        // engine whose oracle keeps at most 0, 1 or 4 parked vectors must
-        // walk exactly the same move sequence as the uncapped one.
-        use crate::evaluator::CostEvaluator;
-        use ncg_graph::PersistentOracle;
-        let mut seed_rng = StdRng::seed_from_u64(61);
-        let n = 16;
-        let g = generators::random_with_m_edges(n, 2 * n, &mut seed_rng);
-        let game = GreedyBuyGame::sum(n as f64 / 4.0);
-        let run = |cap: Option<usize>| {
-            let mut rng = StdRng::seed_from_u64(7);
-            let mut cfg = DynamicsConfig::simulation(400 * n).with_oracle(OracleKind::Persistent);
-            cfg.record_trajectory = true;
-            let mut dynamics = Dynamics::new(&game, g.clone(), cfg);
-            let oracle = PersistentOracle::with_slot_cap(n, cap);
-            dynamics.ws.evaluator = CostEvaluator::from_oracle(Box::new(oracle));
-            dynamics.run(&mut rng)
-        };
-        let unlimited = run(None);
-        assert!(unlimited.converged());
-        for cap in [Some(0), Some(1), Some(4)] {
-            let capped = run(cap);
-            assert_eq!(capped.trajectory, unlimited.trajectory, "{cap:?}");
-            assert_eq!(capped.final_graph, unlimited.final_graph, "{cap:?}");
         }
     }
 

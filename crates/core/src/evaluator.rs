@@ -60,12 +60,11 @@ pub struct CostEvaluator {
     kind: OracleKind,
     oracle: Box<dyn DistanceOracle>,
     deltas: Vec<EdgeDelta>,
-    /// Second oracle of the same backend (under its default configuration)
-    /// answering *counterpart* queries ("what does agent `v` pay after the
-    /// mover's candidate?") for consent checks. Kept separate from the main
-    /// oracle so consent queries never evict the mover's pinned base vector
-    /// or its delta-stack prefix. Lazily created on the first consent-checked
-    /// scan.
+    /// Second oracle of the same backend answering *counterpart* queries
+    /// ("what does agent `v` pay after the mover's candidate?") for consent
+    /// checks. It keeps its own cache and sync point, so consent queries
+    /// never unpin the mover's base vector or its delta-stack prefix.
+    /// Lazily created on the first consent-checked scan.
     consent: Option<Box<dyn DistanceOracle>>,
     /// Candidates the scans pruned on a [`CostEvaluator::level_bound`]
     /// (reported as [`OracleStats::bound_pruned`]).
@@ -75,15 +74,9 @@ pub struct CostEvaluator {
 impl CostEvaluator {
     /// Creates an evaluator with the given backend for graphs on `n` vertices.
     pub fn new(kind: OracleKind, n: usize) -> Self {
-        CostEvaluator::from_oracle(make_oracle(kind, n))
-    }
-
-    /// Creates an evaluator around an already-built oracle, e.g. a
-    /// slot-capped [`ncg_graph::PersistentOracle`] in scan-level tests.
-    pub fn from_oracle(oracle: Box<dyn DistanceOracle>) -> Self {
         CostEvaluator {
-            kind: oracle.kind(),
-            oracle,
+            kind,
+            oracle: make_oracle(kind, n),
             deltas: Vec::with_capacity(4),
             consent: None,
             bound_pruned: 0,
@@ -268,17 +261,17 @@ impl CostEvaluator {
 
     /// The agent's distance summary served from the main oracle's parked (or
     /// pinned) vector at the current version of `g`, without re-pinning —
-    /// `None` when answering would need repair work. See
-    /// [`DistanceOracle::cached_summary`].
+    /// `None` when the agent's slot is cold and answering would need a BFS.
+    /// See [`DistanceOracle::cached_summary`].
     pub fn cached_summary(&mut self, g: &OwnedGraph, u: NodeId) -> Option<DistanceSummary> {
         self.oracle.cached_summary(g, u)
     }
 
     /// Parks the distance vectors of `sources` in the **main** oracle at the
-    /// current version of `g`. Lazy on the persistent backend: sources whose
-    /// vector is already parked (or pinned) at the current version cost
-    /// nothing, and stale parked vectors are repaired in place without
-    /// churning the working pin.
+    /// current version of `g`. On the persistent backend, sources whose
+    /// vector is already parked (or pinned) cost nothing, since the oracle's
+    /// sync keeps them current; cold ones are recomputed in bitset waves
+    /// without churning the working pin.
     pub fn pin_sources(&mut self, g: &OwnedGraph, sources: &[NodeId]) {
         self.oracle.pin_sources(g, sources);
     }
@@ -297,8 +290,10 @@ impl CostEvaluator {
     /// Counterpart what-if for the **last scored candidate**: re-pins agent
     /// `v` on the consent oracle and scores the candidate's delta sequence
     /// from `v`'s point of view, returning `v`'s `(base, post-move)` distance
-    /// summaries. With the persistent backend both halves are `O(changes)`
-    /// journal replays — no apply/undo, no full BFS.
+    /// summaries. With the persistent backend the re-pin loads `v`'s cached
+    /// vector, which the consent oracle's sync keeps current by journal
+    /// replay, and the what-if is a truncated repair — no apply/undo, no
+    /// full BFS.
     ///
     /// Must follow a [`CostEvaluator::try_score`] that returned
     /// [`DeltaScore::Summary`]; the delta sequence of that candidate is still

@@ -231,14 +231,14 @@ pub trait Game {
 /// With a persistent oracle and a game following the standard
 /// `edge + distance` decomposition (every non-consent game, per the
 /// [`Game::cost`] override contract), the summary is read off `u`'s parked
-/// vector when that is already current, and otherwise the oracle's
-/// cross-step journal replay answers in time proportional to the region the
-/// last moves actually changed instead of one BFS per agent — this is what
-/// makes the max-cost policy's per-step cost refresh of all `n` agents
-/// cheap. The value is *identical* to [`Game::cost`]: both compute
-/// `edge_cost(g, u) + metric(distance summary of u)` on the exact distance
-/// vector. Consent games (which may override `Game::cost`) always take the
-/// honest measurement.
+/// vector. The first read after a move brings every parked vector current
+/// by journal replay, in time proportional to the region the move actually
+/// changed instead of one BFS per agent — this is what makes the max-cost
+/// policy's per-step cost refresh of all `n` agents cheap. A cold vector
+/// falls back to one `begin`. The value is *identical* to [`Game::cost`]:
+/// both compute `edge_cost(g, u) + metric(distance summary of u)` on the
+/// exact distance vector. Consent games (which may override `Game::cost`)
+/// always take the honest measurement.
 pub fn workspace_cost<G: Game + ?Sized>(
     game: &G,
     g: &OwnedGraph,
@@ -247,10 +247,8 @@ pub fn workspace_cost<G: Game + ?Sized>(
 ) -> f64 {
     if ws.oracle_kind() == OracleKind::Persistent && (!game.needs_consent() || game.delta_consent())
     {
-        // A vector already at the current version (every vector right after
-        // the trial-start bulk pin, and any within-step second touch)
-        // answers without re-pinning at all; otherwise one `begin` replays
-        // it current.
+        // A parked vector answers without re-pinning; only a cold one
+        // (after a journal window too long to replay) needs a `begin`.
         let summary = match ws.evaluator.cached_summary(g, u) {
             Some(summary) => summary,
             None => ws.evaluator.begin_agent(g, u),

@@ -22,13 +22,13 @@
 //!   patch path is never asymptotically worse than rebuilding.
 //!
 //! The patch window is **shared** across everything the persistent oracle
-//! does at one graph version: one `patch_from_journal` brings the snapshot
-//! current, after which any number of per-source vector repairs — the
-//! re-pins of a policy scan as much as the lazy replays of parked vectors —
-//! traverse the same flat buffers. Keeping the
-//! snapshot a pure function of the graph (never of which vectors were
-//! warmed) is what lets vectors at *different* stamps be repaired against
-//! one snapshot via the overlay-rewind trick in `ncg_graph::oracle`.
+//! does at one graph version: its sync point runs one `patch_from_journal`
+//! to bring the snapshot current, after which the replay of every parked
+//! vector and every scan of that version traverse the same flat buffers.
+//! Keeping the snapshot a pure function of the graph (never of which
+//! vectors were replayed) is what lets the replays run against the
+//! *post-window* snapshot via the overlay-rewind trick in
+//! `ncg_graph::oracle`.
 
 use crate::graph::{EdgeChange, NodeId, OwnedGraph};
 

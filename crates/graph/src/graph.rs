@@ -50,26 +50,14 @@ pub enum EdgeChange {
 /// Obtained from [`OwnedGraph::version`]; pass it back to
 /// [`OwnedGraph::changes_since`] to receive the exact edge deltas applied in
 /// between (or `None` when the histories are unrelated or the window has been
-/// discarded). Persistent distance oracles use this to carry distance vectors
-/// across dynamics steps and repair them by replaying the deltas instead of
-/// re-running a full BFS.
+/// discarded). The persistent distance oracle records the one version its
+/// cache reflects, and when the graph moves on, replays the deltas in
+/// between into every cached distance vector instead of re-running a full
+/// BFS per vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GraphVersion {
     lineage: u64,
     pos: u64,
-}
-
-impl GraphVersion {
-    /// Number of structural changes separating this (the later) stamp from
-    /// `earlier`, when both lie on the same lineage and this stamp is not the
-    /// older one; `None` otherwise. This is pure stamp arithmetic — it does
-    /// **not** imply the separating window is still retained in the journal
-    /// (ask [`OwnedGraph::changes_since`] for that). Persistent distance
-    /// oracles use it as the *staleness* measure of a parked vector: foreign
-    /// lineages are infinitely stale.
-    pub fn changes_since(&self, earlier: GraphVersion) -> Option<u64> {
-        (self.lineage == earlier.lineage && self.pos >= earlier.pos).then(|| self.pos - earlier.pos)
-    }
 }
 
 /// A reference to an edge together with its owner.

@@ -32,13 +32,14 @@
 //! equivalence tests in the facade crate.
 //!
 //! Distance vectors are carried **across** `begin` calls in a per-source
-//! cache, synchronized *lazily*: each vector carries its own [`GraphVersion`]
-//! stamp and is only repaired — by replaying the journal window between its
-//! stamp and the current version — when it is next needed (`begin`,
-//! `pin_sources`, the cache-arithmetic path). The staleness fallback is
-//! per-vector: a window longer than `max(8, n/8)` changes makes *that*
-//! vector re-pin with one full BFS, without touching its neighbours in the
-//! cache.
+//! cache with one sync point: the first call that arrives with a
+//! [`GraphVersion`] the oracle has not seen brings the CSR snapshot and every
+//! parked vector to it in one pass, replaying the journal window between
+//! the two versions through the same repair machinery. Every other method
+//! reads only current vectors. A window the journal no longer holds, or one
+//! longer than `max(8, n/8)` changes, leaves every slot cold instead: a
+//! later `begin` re-pins a cold source with one full BFS, and `pin_sources`
+//! refills cold slots in 64-wide bitset waves.
 
 use crate::batch::{BatchSummary, MultiSourceBfs, BATCH_WIDTH};
 use crate::csr::{CsrAdjacency, PatchOutcome};
@@ -77,10 +78,10 @@ pub enum OracleKind {
     FullBfs,
     /// Journaled truncated-BFS repair per candidate evaluation, with distance
     /// vectors carried **across** `begin` calls: each source's vector is
-    /// cached together with the graph's [`GraphVersion`], and the next
-    /// `begin` for that source replays the applied [`EdgeChange`]s from the
-    /// graph's change journal instead of re-running the full BFS (with a
-    /// staleness fallback when too many changes accumulated).
+    /// cached, and when the graph's [`GraphVersion`] moves, the applied
+    /// [`EdgeChange`]s from the graph's change journal are replayed into
+    /// every cached vector instead of re-running a full BFS per source
+    /// (with a staleness fallback when too many changes accumulated).
     #[default]
     Persistent,
 }
@@ -118,8 +119,10 @@ pub struct OracleStats {
     /// Vertices expanded across all traversals and repairs — the
     /// backend-comparable measure of work done.
     pub nodes_expanded: u64,
-    /// `begin` calls served by replaying the graph's change journal onto a
-    /// cached distance vector instead of a full BFS (persistent backend only).
+    /// Parked distance vectors advanced to a new graph version by replaying
+    /// the graph's change journal at the persistent oracle's sync point,
+    /// instead of a full BFS each (persistent backend only): `n` per move
+    /// under the max-cost policy, which reads every agent's cost each step.
     pub replayed_begins: u64,
     /// CSR snapshot syncs served by in-place journal patching — `O(changes)`
     /// instead of the `O(n + m)` rebuild (persistent backend only).
@@ -128,19 +131,15 @@ pub struct OracleStats {
     /// version jumps, dense journals, exhausted segment slack, and every
     /// `begin` of the stateless backends.
     pub csr_rebuilds: u64,
-    /// Parked vectors advanced to the current graph version by replaying
-    /// their own journal window *outside* a [`DistanceOracle::begin`] — the
-    /// lazy path: on-demand warming inside
-    /// [`DistanceOracle::evaluate_insert_via_cache`] / `pin_sources`.
+    /// Always 0: the persistent oracle advances parked vectors only at its
+    /// sync point, all of them at once (counted in `replayed_begins`), never
+    /// one vector when a query reads it. The field remains so that code
+    /// reading it, such as the `perfbench` harness, keeps compiling.
     pub lazy_replays: u64,
-    /// Cache-arithmetic what-if queries that were served only because an
-    /// on-demand lazy warm first brought the target's parked vector to the
-    /// pinned version — queries the eager-sync model would have missed.
-    pub lazy_hits: u64,
     /// Parked vectors recomputed by the word-parallel bulk waves (up to
     /// [`BATCH_WIDTH`] sources per shared bitset BFS) instead of one scalar
-    /// traversal each: cold bulk pins and vectors whose journal window grew
-    /// past the replay limit.
+    /// traversal each: cold bulk pins, including the slots a journal window
+    /// past the replay limit left cold.
     pub batched_repins: u64,
     /// High-water mark of the parked per-source cache, in bytes: the peak
     /// number of occupied slots times `2·(2n + 2)` bytes per slot (a `u16`
@@ -167,16 +166,13 @@ pub struct OracleStats {
 }
 
 impl OracleStats {
-    /// Internal-consistency invariants that hold for any counter state the
-    /// oracle code can produce — and, because each is a linear inequality
-    /// over summed fields, for any [`OracleStats::merge`] of such states:
-    ///
-    /// * a `lazy_hits` query first lazily replayed the target's parked
-    ///   vector, so each one is covered by a `lazy_replays` increment;
-    /// * a candidate is pruned by its level-histogram bound only after that
-    ///   bound was answered.
+    /// Internal-consistency invariant that holds for any counter state the
+    /// oracle code can produce — and, because it is a linear inequality over
+    /// summed fields, for any [`OracleStats::merge`] of such states: a
+    /// candidate is pruned by its level-histogram bound only after that
+    /// bound was answered.
     pub fn consistent(&self) -> bool {
-        self.lazy_hits <= self.lazy_replays && self.bound_pruned <= self.bound_queries
+        self.bound_pruned <= self.bound_queries
     }
 
     /// Debug assertion of [`OracleStats::consistent`]; free in release
@@ -194,7 +190,6 @@ impl OracleStats {
         self.csr_patches += other.csr_patches;
         self.csr_rebuilds += other.csr_rebuilds;
         self.lazy_replays += other.lazy_replays;
-        self.lazy_hits += other.lazy_hits;
         self.batched_repins += other.batched_repins;
         self.kernel_calls += other.kernel_calls;
         self.bound_queries += other.bound_queries;
@@ -225,11 +220,11 @@ pub trait DistanceOracle: Send {
     /// the current version of `g`.
     ///
     /// For the persistent backend each source's distance vector ends up
-    /// parked in the per-source cache stamped with `g`'s current version, so
-    /// a later [`DistanceOracle::evaluate_for_source`] (or re-`begin`) of the
-    /// same source is served by journal replay in `O(changes)` instead of a
-    /// full BFS. Sources whose vector is already parked at an older version
-    /// are repaired *in place* by replaying their own journal window, without
+    /// parked in the per-source cache, so a later
+    /// [`DistanceOracle::evaluate_for_source`] (or re-`begin`) of the same
+    /// source loads it without a BFS, and later graph versions advance it by
+    /// journal replay in `O(changes)`. Parked and pinned sources cost
+    /// nothing; cold ones are recomputed in shared bitset waves, without
     /// churning the pinned working vector. Stateless backends simply run one
     /// BFS per source.
     fn pin_sources(&mut self, g: &OwnedGraph, sources: &[NodeId]) {
@@ -239,10 +234,10 @@ pub trait DistanceOracle: Send {
     }
 
     /// The source's distance summary served *without pinning*: from its
-    /// parked vector when that is stamped at the current version of `g` (or
-    /// from the working vector when `src` is pinned there). `None` whenever
-    /// answering would require any repair or BFS — the caller then falls
-    /// back to a full [`DistanceOracle::begin`].
+    /// parked vector (or from the working vector when `src` is pinned
+    /// there), after the persistent backend brought its cache to the current
+    /// version of `g`. `None` for a cold source, whose summary would need a
+    /// BFS — the caller then falls back to a full [`DistanceOracle::begin`].
     fn cached_summary(&mut self, _g: &OwnedGraph, _src: NodeId) -> Option<DistanceSummary> {
         None
     }
@@ -253,9 +248,10 @@ pub trait DistanceOracle: Send {
     /// This is the primitive behind consent checks: "what does agent `src`
     /// pay *after* candidate move `deltas`?" answered without materialising
     /// the post-move graph. The persistent backend serves the re-pin from its
-    /// per-source cache by replaying the graph's change journal, so the whole
-    /// query costs `O(changes + affected region)`; stateless backends pay one
-    /// full BFS for the re-pin.
+    /// per-source cache, which it keeps current by replaying the graph's
+    /// change journal, so the whole query costs
+    /// `O(changes + affected region)`; stateless backends pay one full BFS
+    /// for the re-pin.
     fn evaluate_for_source(
         &mut self,
         g: &OwnedGraph,
@@ -288,16 +284,13 @@ pub trait DistanceOracle: Send {
     ///   exact either way: the unreached vertex is unreachable from both
     ///   `u` and `v`.
     ///
-    /// A stale parked vector of `v` does not miss outright: the persistent
-    /// backend first tries to *lazily warm* it by replaying `v`'s own journal
-    /// window against `g` (which must be the pinned graph, unchanged since
-    /// the last `begin`), so the fast path stays lit even for sources the
-    /// caller has not re-pinned in many steps.
+    /// `g` must be the pinned graph, unchanged since the last `begin`, whose
+    /// sync brought every parked vector to its version.
     ///
     /// `None` whenever the backend cannot serve the query (stateless
-    /// backends; `u` not the pinned source; `v`'s vector neither parked at
-    /// the pinned version nor lazily warmable to it; `prefix` containing
-    /// insertions, which would flip the bound's direction).
+    /// backends; `u` not the pinned source; `g` not the pinned graph; `v`'s
+    /// slot cold; `prefix` containing insertions, which would flip the
+    /// bound's direction).
     ///
     /// Scans put a cheaper `O(D)` tier in front of this `O(n)` pass:
     /// [`DistanceOracle::insert_level_bound`] bounds the same candidate from
@@ -362,8 +355,7 @@ pub trait DistanceOracle: Send {
     ///
     /// `None` whenever the backend cannot serve the bound: stateless
     /// backends, `u` not the pinned source, `g` not the pinned graph, or a
-    /// neighbour row neither parked at the pinned version nor lazily
-    /// warmable to it. `f` must be a neighbour of `u`.
+    /// cold neighbour row. `f` must be a neighbour of `u`.
     fn removal_bound(
         &mut self,
         _g: &OwnedGraph,
@@ -710,10 +702,11 @@ struct Checkpoint {
     max_hint: u16,
 }
 
-/// A cached per-source distance vector of the persistent backend, valid at
-/// `version` of the pinned graph's change journal. The level counters are
-/// cached alongside the vector so activating a source is a pair of `O(1)`
-/// buffer swaps rather than an `O(n)` rebuild.
+/// A cached per-source distance vector of the persistent backend. A parked
+/// slot is valid at the oracle's synced version; a cold one holds no valid
+/// vector (its buffers are kept for reuse). The level counters are cached
+/// alongside the vector so activating a source is a pair of `O(1)` buffer
+/// swaps rather than an `O(n)` rebuild.
 #[derive(Debug, Clone, Default)]
 struct SourceCache {
     dist: Vec<u16>,
@@ -721,9 +714,7 @@ struct SourceCache {
     sum: u64,
     reached: usize,
     max_hint: u16,
-    version: Option<GraphVersion>,
-    /// Monotonic recency stamp of the last park/activate, for LRU eviction.
-    last_used: u64,
+    parked: bool,
 }
 
 /// The neighbour-row bound of the pinned source `u` (see
@@ -733,9 +724,10 @@ struct SourceCache {
 /// `c_f` for any dropped neighbour `f` is one `O(n)` pass.
 #[derive(Debug, Clone, Default)]
 struct RowBound {
-    /// The pin `(u, version)` the minima were built for, and whether every
-    /// neighbour row was parked there (`false`: fall back to the repair).
-    pin: Option<(u32, GraphVersion, bool)>,
+    /// The pinned source `u` the minima were built for at the synced
+    /// version, and whether every neighbour row was parked (`false`: fall
+    /// back to the repair). Cleared whenever the version moves.
+    pin: Option<(u32, bool)>,
     best: Vec<u16>,
     second: Vec<u16>,
     /// The neighbour giving `best` (vertex ids fit: `n ≤ MAX_NODES`).
@@ -831,13 +823,19 @@ impl RowBound {
 /// pays the expensive `Remove {u, from}` repair once per `from`, not once per
 /// candidate.
 ///
-/// `begin` carries each source's distance vector **across** calls: the vector
-/// is cached together with the graph's [`GraphVersion`], and the next `begin`
-/// for that source replays the edge changes recorded in the graph's journal
-/// through the same repair machinery instead of re-running the full BFS. A
-/// staleness heuristic (too many accumulated changes, a foreign lineage, or a
-/// discarded journal window) falls back to the full BFS, so the backend is
-/// never slower than re-pinning asymptotically and is exact in all cases.
+/// `begin` carries each source's distance vector **across** calls in a
+/// per-source cache with one sync point: the first call at a graph version
+/// the oracle has not seen replays the edge changes recorded in the graph's
+/// journal into every parked vector through the same repair machinery, so
+/// no parked vector is ever stale. A window the journal cannot serve (a
+/// foreign lineage or a discarded window), or one too long to replay
+/// profitably, leaves every slot cold instead, and a cold source re-pins
+/// with a full BFS, so the backend is never slower than re-pinning
+/// asymptotically and is exact in all cases.
+///
+/// The cache has no cap: with every source parked it holds
+/// `n·(2n + 2)·2` bytes (distances plus level counters), 268 MB at
+/// `n = 8192`.
 pub struct PersistentOracle {
     csr: CsrAdjacency,
     src: u32,
@@ -865,51 +863,26 @@ pub struct PersistentOracle {
     epoch: u32,
     overlay: DeltaOverlay,
     stats: OracleStats,
-    /// Per-source cached vectors (lazily populated).
+    /// Per-source cached vectors, parked or cold.
     cache: Vec<SourceCache>,
-    /// Requested cap on the number of occupied cache slots (`None` = the
-    /// default rule: unlimited at `n ≤ 8192`, capped at 8192 beyond).
-    slot_cap: Option<usize>,
-    /// Number of cache slots currently holding a parked vector.
+    /// Number of parked cache slots.
     cached_count: usize,
-    /// Monotonic clock driving the LRU recency stamps.
-    lru_tick: u64,
-    /// Version the working [`DistState`] reflects; `None` until the first
-    /// successful `begin`.
-    pinned_version: Option<GraphVersion>,
-    /// Version the CSR snapshot was built at.
-    csr_version: Option<GraphVersion>,
-    /// Spare [`DistState`] the lazy-warm path swaps in so a parked vector can
-    /// be repaired without disturbing the pinned working vector (or its
-    /// active candidate deltas).
-    warm_state: DistState,
-    /// Spare overlay of the lazy-warm path (the working overlay may hold the
-    /// pinned source's candidate deltas mid-scan).
-    warm_overlay: DeltaOverlay,
+    /// Version the CSR snapshot, every parked vector and the working vector
+    /// reflect; `None` until the first sync.
+    synced: Option<GraphVersion>,
+    /// Whether the working [`DistState`] holds `src`'s vector.
+    pinned: bool,
     /// Shared bitset-frontier workspace of the bulk waves.
     wave: MultiSourceBfs,
-    /// Sources queued for the next bulk wave (cold or past the replay limit).
+    /// Cold sources queued for the next bulk wave.
     batch_pending: Vec<u32>,
     /// Neighbour-row bound of the pinned source's one-removal prefixes.
     rows: RowBound,
 }
 
 impl PersistentOracle {
-    /// Creates a persistent oracle for graphs on `n` vertices under the
-    /// default slot cap: unlimited at `n ≤ 8192`, capped at 8192 sources
-    /// beyond.
+    /// Creates a persistent oracle for graphs on `n` vertices.
     pub fn new(n: usize) -> Self {
-        PersistentOracle::with_slot_cap(n, None)
-    }
-
-    /// Like [`PersistentOracle::new`], with an explicit cap on the number of
-    /// sources whose vectors may stay parked in the per-source cache at once
-    /// (`None` = the default rule). Each parked vector costs `2·(2n + 2)`
-    /// bytes (distances + level counters). Over the cap the stalest, then
-    /// least recently used, vector is evicted; evicted sources return through
-    /// the 64-wide batch waves or a full re-pin. Purely a memory knob:
-    /// summaries are exact under any cap.
-    pub fn with_slot_cap(n: usize, slot_cap: Option<usize>) -> Self {
         assert!(
             n <= MAX_NODES,
             "u16 distances support at most {MAX_NODES} vertices (got {n})"
@@ -931,13 +904,9 @@ impl PersistentOracle {
             overlay: DeltaOverlay::default(),
             stats: OracleStats::default(),
             cache: Vec::new(),
-            slot_cap,
             cached_count: 0,
-            lru_tick: 0,
-            pinned_version: None,
-            csr_version: None,
-            warm_state: DistState::default(),
-            warm_overlay: DeltaOverlay::default(),
+            synced: None,
+            pinned: false,
             wave: MultiSourceBfs::new(),
             batch_pending: Vec::new(),
             rows: RowBound::default(),
@@ -947,50 +916,8 @@ impl PersistentOracle {
         oracle
     }
 
-    /// The effective slot cap for the current graph size.
-    fn slot_cap(&self) -> usize {
-        const DEFAULT_UNLIMITED_UP_TO: usize = 8192;
-        self.slot_cap.unwrap_or({
-            if self.cache.len() <= DEFAULT_UNLIMITED_UP_TO {
-                usize::MAX
-            } else {
-                DEFAULT_UNLIMITED_UP_TO
-            }
-        })
-    }
-
-    /// Evicts parked vectors until the occupied slots fit the cap, then
-    /// updates the parked-cache high-water mark.
-    ///
-    /// Victim selection is *staleness-aware*: vectors that have drifted the
-    /// furthest behind `current` (measured in journal changes; a foreign
-    /// lineage counts as infinitely stale) go first — they are the ones whose
-    /// next activation is most likely to pay a full BFS anyway, so parking
-    /// them buys the least. Among equally stale vectors the least recently
-    /// used one loses, which reduces to plain LRU when the cache is kept warm
-    /// (every stamp current).
-    fn enforce_slot_cap(&mut self, current: Option<GraphVersion>) {
-        let staleness = |slot: &SourceCache| -> u64 {
-            match (current, slot.version) {
-                (Some(cur), Some(v)) => cur.changes_since(v).unwrap_or(u64::MAX),
-                _ => u64::MAX,
-            }
-        };
-        while self.cached_count > self.slot_cap() {
-            let victim = self
-                .cache
-                .iter()
-                .enumerate()
-                .filter(|(_, slot)| slot.version.is_some())
-                .max_by_key(|(_, slot)| (staleness(slot), std::cmp::Reverse(slot.last_used)))
-                .map(|(i, _)| i)
-                .expect("an occupied slot exists while the count is positive");
-            let slot = &mut self.cache[victim];
-            slot.version = None;
-            slot.dist = Vec::new();
-            slot.level_counts = Vec::new();
-            self.cached_count -= 1;
-        }
+    /// Updates the parked-cache high-water mark.
+    fn note_peak(&mut self) {
         let n = self.cache.len() as u64;
         let bytes = self.cached_count as u64 * 2 * (2 * n + 2);
         self.stats.peak_parked_bytes = self.stats.peak_parked_bytes.max(bytes);
@@ -1234,26 +1161,44 @@ impl PersistentOracle {
         }
     }
 
-    /// Brings the CSR snapshot to the pinned graph's current version: within
-    /// one dynamics step the graph is immutable, so the `n` per-agent re-pins
-    /// of a scan share a single sync. When the
-    /// version moved, the sync is served by patching the journal's exact edge
-    /// deltas into the flat buffers in place — the `O(n + m)` per-step rebuild
-    /// becomes `O(changes)` — with the patcher's own rebuild fallback covering
-    /// dense journals, foreign lineages and exhausted segment slack.
-    fn sync_csr(&mut self, g: &OwnedGraph) {
-        let v = g.version();
-        if self.csr_version == Some(v) && self.csr.num_nodes() == g.num_nodes() {
+    /// The oracle's one sync point, called first by `begin`,
+    /// `cached_summary` and `pin_sources`: brings the CSR snapshot and every
+    /// parked vector to the current version of `g`, so every other method
+    /// reads only current vectors. Within one dynamics step the graph is
+    /// immutable, so the `n` per-agent reads of a scan share a single sync.
+    ///
+    /// A graph of a new size resets the cache. When the version moved, the
+    /// working vector is rolled back to its base and parked, so nothing
+    /// stays pinned across a move. The journal's exact edge deltas are then
+    /// patched into the CSR's flat buffers in place — `O(changes)` instead
+    /// of the `O(n + m)` rebuild, with the patcher's own rebuild fallback
+    /// for dense journals and exhausted segment slack — and the same window
+    /// is replayed into every parked vector. A window the journal cannot
+    /// serve (a foreign lineage or a discarded window), or one longer than
+    /// the replay limit, rebuilds the CSR and leaves every slot cold
+    /// instead: a later `begin` re-pins a cold source with one BFS, and
+    /// `pin_sources` refills cold slots in bitset waves.
+    fn sync(&mut self, g: &OwnedGraph) {
+        let cur = g.version();
+        if self.synced == Some(cur) {
             return;
         }
-        let outcome = match self.csr_version {
-            Some(from) => match g.changes_since(from) {
-                Some(changes) => self.csr.patch_from_journal(g, changes),
-                None => {
-                    self.csr.rebuild_from(g);
-                    PatchOutcome::Rebuilt
-                }
-            },
+        let n = g.num_nodes();
+        if n != self.cache.len() {
+            // The graph size changed: every cached vector is meaningless.
+            self.resize_scratch(n);
+            self.cache.clear();
+            self.cache.resize_with(n, SourceCache::default);
+            self.cached_count = 0;
+            self.pinned = false;
+            self.synced = None;
+        }
+        self.rollback_to_prefix(0);
+        self.save_working();
+        self.rows.pin = None;
+        let window = self.synced.and_then(|from| g.changes_since(from));
+        let outcome = match window {
+            Some(changes) => self.csr.patch_from_journal(g, changes),
             None => {
                 self.csr.rebuild_from(g);
                 PatchOutcome::Rebuilt
@@ -1264,19 +1209,32 @@ impl PersistentOracle {
         } else {
             self.stats.csr_rebuilds += 1;
         }
-        self.csr_version = Some(v);
+        match window.filter(|changes| changes.len() <= self.stale_limit()) {
+            Some(changes) => {
+                for src in 0..n {
+                    if self.cache[src].parked {
+                        self.load_cached(src);
+                        self.replay_changes(changes);
+                        self.save_working();
+                        self.stats.replayed_begins += 1;
+                    }
+                }
+            }
+            None => {
+                for slot in &mut self.cache {
+                    slot.parked = false;
+                }
+                self.cached_count = 0;
+            }
+        }
+        self.synced = Some(cur);
     }
 
-    /// Re-pins `(g, src)` with one full BFS.
-    fn full_repin(&mut self, g: &OwnedGraph, src: NodeId) {
-        self.sync_csr(g);
-        let n = g.num_nodes();
+    /// Pins `src` with one full BFS over the synced CSR snapshot.
+    fn full_repin(&mut self, src: NodeId) {
         self.src = src as u32;
-        self.state.reset(n);
-        self.resize_scratch(n);
-        self.overlay.clear();
-        self.active.clear();
-        self.checkpoints.clear();
+        self.pinned = true;
+        self.state.reset(self.cache.len());
         self.queue.clear();
         self.state.assign(self.src, 0, false);
         self.queue.push(self.src);
@@ -1298,56 +1256,42 @@ impl PersistentOracle {
         self.stats.full_bfs_runs += 1;
     }
 
-    /// Parks the working distance vector (valid for `self.src` at
-    /// `self.pinned_version`) in the per-source cache. The working vector must
-    /// already be rolled back to the base (no active candidate deltas).
+    /// Parks the working distance vector of the pinned source, if any, in
+    /// the per-source cache. The working vector must already be rolled back
+    /// to the base (no active candidate deltas).
     fn save_working(&mut self) {
-        let Some(version) = self.pinned_version.take() else {
-            return;
-        };
-        let src = self.src as usize;
-        if src >= self.cache.len() {
+        if !std::mem::take(&mut self.pinned) {
             return;
         }
-        let slot = &mut self.cache[src];
-        // The pinned source's slot is always empty: activating it cleared the
-        // slot, and no warming path re-parks the pinned source.
-        debug_assert!(slot.version.is_none(), "parking over an occupied slot");
+        let slot = &mut self.cache[self.src as usize];
+        // The pinned source's slot is always empty: activating it emptied
+        // the slot, and the bulk waves skip the pinned source.
+        debug_assert!(!slot.parked, "parking over an occupied slot");
         std::mem::swap(&mut slot.dist, &mut self.state.dist);
         std::mem::swap(&mut slot.level_counts, &mut self.state.level_counts);
         slot.sum = self.state.sum;
         slot.reached = self.state.reached;
         slot.max_hint = self.state.max_hint;
-        slot.version = Some(version);
-        slot.last_used = self.lru_tick;
-        self.lru_tick += 1;
+        slot.parked = true;
         self.cached_count += 1;
-        // The just-parked slot carries the newest stamp and recency, so it is
-        // never the victim unless the cap is zero (cache disabled).
-        self.enforce_slot_cap(Some(version));
+        self.note_peak();
     }
 
-    /// Recomputes the parked vectors of `pending` (distinct, not-currently-
+    /// Recomputes the vectors of `pending` (distinct, cold, not-currently-
     /// pinned sources) from scratch in word-parallel waves of up to
-    /// [`BATCH_WIDTH`] sources, parking each at the current version of `g`.
-    /// The CSR snapshot must already be synced to `g`. This replaces one
-    /// scalar BFS *per source* with one shared bitset wave per 64 sources —
-    /// the batch-parallel path for cold bulk pins and vectors whose journal
-    /// window outgrew the replay limit.
-    fn batch_repin(&mut self, g: &OwnedGraph, pending: &[u32]) {
+    /// [`BATCH_WIDTH`] sources, parking each. The CSR snapshot must already
+    /// be synced. This replaces one scalar BFS *per source* with one shared
+    /// bitset wave per 64 sources — the batch-parallel path for cold bulk
+    /// pins, including the slots a window past the replay limit left cold.
+    fn batch_repin(&mut self, pending: &[u32]) {
         let _sp = trace::span(trace::Phase::BatchWave);
-        debug_assert_eq!(self.csr_version, Some(g.version()));
-        let n = g.num_nodes();
-        let cur = g.version();
+        let n = self.cache.len();
         for chunk in pending.chunks(BATCH_WIDTH) {
             let mut rows: Vec<Vec<u16>> = Vec::with_capacity(chunk.len());
             let mut counts: Vec<Vec<u16>> = Vec::with_capacity(chunk.len());
             for &src in chunk {
-                debug_assert!(
-                    self.cache[src as usize].version != Some(cur),
-                    "batching a source that is already current"
-                );
                 let slot = &mut self.cache[src as usize];
+                debug_assert!(!slot.parked, "batching a parked source");
                 let mut row = std::mem::take(&mut slot.dist);
                 let mut lc = std::mem::take(&mut slot.level_counts);
                 MultiSourceBfs::prepare_row(&mut row, &mut lc, n);
@@ -1379,58 +1323,41 @@ impl PersistentOracle {
                 slot.sum = summary.sum;
                 slot.reached = summary.reached;
                 slot.max_hint = summary.max_hint;
-                if slot.version.is_none() {
-                    self.cached_count += 1;
-                }
-                slot.version = Some(cur);
-                slot.last_used = self.lru_tick;
-                self.lru_tick += 1;
+                slot.parked = true;
             }
-            self.enforce_slot_cap(Some(cur));
+            self.cached_count += chunk.len();
         }
+        self.note_peak();
     }
 
-    /// Activates the cached vector of `src` as the working state — two buffer
-    /// swaps and three scalar copies, no per-vertex work at all.
-    fn load_cached(&mut self, src: usize, n: usize) {
+    /// Pins `src` by activating its parked vector as the working state —
+    /// two buffer swaps and three scalar copies, no per-vertex work at all.
+    fn load_cached(&mut self, src: usize) {
+        let n = self.cache.len();
         let slot = &mut self.cache[src];
+        debug_assert!(slot.parked, "loading a cold slot");
         debug_assert_eq!(slot.dist.len(), n, "cached vectors track the graph size");
         debug_assert_eq!(slot.level_counts.len(), n + 2);
         std::mem::swap(&mut slot.dist, &mut self.state.dist);
         std::mem::swap(&mut slot.level_counts, &mut self.state.level_counts);
-        slot.version = None;
+        slot.parked = false;
         self.cached_count -= 1;
         self.state.sum = slot.sum;
         self.state.reached = slot.reached;
         self.state.max_hint = slot.max_hint;
         self.state.journal.clear();
-    }
-
-    /// Attempts to advance the working vector (valid at `from`) to the current
-    /// graph by replaying the journal's edge changes through the repair
-    /// machinery. Returns `false` — leaving the state untouched — when the
-    /// journal cannot serve the window (foreign lineage, discarded entries) or
-    /// replaying would be slower than a fresh BFS.
-    ///
-    /// The CSR reflects the *current* graph, so the overlay is first rewound
-    /// by the inverted pending changes; re-activating each change then
-    /// advances the overlaid graph one step right before its repair runs, and
-    /// the rewind cancels out entirely by the end.
-    fn try_replay(&mut self, g: &OwnedGraph, from: GraphVersion) -> bool {
-        let Some(changes) = g.changes_since(from) else {
-            return false;
-        };
-        if changes.len() > self.stale_limit() {
-            return false;
-        }
-        self.sync_csr(g);
-        self.replay_changes(changes);
-        true
+        self.src = src as u32;
+        self.pinned = true;
     }
 
     /// Runs the journal window `changes` through the repair machinery against
     /// the current working [`DistState`] and overlay. The CSR must already be
     /// synced to the *post-window* graph; the overlay must be empty.
+    ///
+    /// The CSR reflects the *current* graph, so the overlay is first rewound
+    /// by the inverted pending changes; re-activating each change then
+    /// advances the overlaid graph one step right before its repair runs, and
+    /// the rewind cancels out entirely by the end.
     fn replay_changes(&mut self, changes: &[EdgeChange]) {
         let _sp = trace::span(trace::Phase::ScalarReplay);
         debug_assert!(self.overlay.is_empty());
@@ -1458,90 +1385,26 @@ impl PersistentOracle {
         debug_assert!(self.overlay.is_empty(), "replay must cancel the rewind");
     }
 
-    /// Lazily repairs the *parked* vector of `src` to the current version of
-    /// `g` by replaying its own journal window — without disturbing the
-    /// pinned working vector, its candidate delta stack, or the overlay
-    /// (both are swapped aside for the duration, so this is safe to call
-    /// mid-scan from the cache-arithmetic path). Returns `false` — leaving
-    /// the slot exactly as it was — when the window is unavailable (foreign
-    /// lineage, discarded entries) or longer than the per-vector staleness
-    /// limit, in which case the vector's next activation pays the usual full
-    /// BFS.
-    fn warm_slot(&mut self, g: &OwnedGraph, src: usize) -> bool {
-        let Some(from) = self.cache[src].version else {
-            return false;
-        };
-        let cur = g.version();
-        if from == cur {
-            return true;
-        }
-        let Some(changes) = g.changes_since(from) else {
-            return false;
-        };
-        if changes.len() > self.stale_limit() {
-            return false;
-        }
-        self.sync_csr(g);
-        // Work on the slot's vector through the spare state/overlay pair so
-        // the pinned working vector stays untouched.
-        std::mem::swap(&mut self.state, &mut self.warm_state);
-        std::mem::swap(&mut self.overlay, &mut self.warm_overlay);
-        let slot = &mut self.cache[src];
-        std::mem::swap(&mut slot.dist, &mut self.state.dist);
-        std::mem::swap(&mut slot.level_counts, &mut self.state.level_counts);
-        self.state.sum = slot.sum;
-        self.state.reached = slot.reached;
-        self.state.max_hint = slot.max_hint;
-        self.state.journal.clear();
-        self.replay_changes(changes);
-        let slot = &mut self.cache[src];
-        std::mem::swap(&mut slot.dist, &mut self.state.dist);
-        std::mem::swap(&mut slot.level_counts, &mut self.state.level_counts);
-        slot.sum = self.state.sum;
-        slot.reached = self.state.reached;
-        slot.max_hint = self.state.max_hint;
-        slot.version = Some(cur);
-        slot.last_used = self.lru_tick;
-        self.lru_tick += 1;
-        std::mem::swap(&mut self.overlay, &mut self.warm_overlay);
-        std::mem::swap(&mut self.state, &mut self.warm_state);
-        self.stats.lazy_replays += 1;
-        true
+    /// `true` iff the working vector is pinned at the current version of `g`.
+    fn pinned_at(&self, g: &OwnedGraph) -> bool {
+        self.pinned && self.synced == Some(g.version())
     }
 
-    /// Shared front half of the cache-arithmetic insertion queries
+    /// Shared check of the cache-arithmetic insertion queries
     /// ([`DistanceOracle::evaluate_insert_via_cache`] and
-    /// [`DistanceOracle::insert_level_bound`]): `true` iff the query is
-    /// servable, with `v`'s parked vector at the pinned version. A stale
-    /// vector is lazily warmed first by replaying its own journal window
-    /// (the working state and its candidate deltas are swapped aside, so
-    /// the pin is undisturbed). `g` is the pinned graph, so success lands
-    /// the slot exactly on the pinned version.
-    fn prepare_insert_query(
-        &mut self,
+    /// [`DistanceOracle::insert_level_bound`]): `u` is the pinned source, `g`
+    /// the pinned graph, `v`'s slot parked and `prefix` removal-only.
+    fn insert_query_servable(
+        &self,
         g: &OwnedGraph,
         prefix: &[EdgeDelta],
         u: NodeId,
         v: NodeId,
     ) -> bool {
-        if u as u32 != self.src
-            || self.pinned_version.is_none()
-            || v >= self.cache.len()
-            || prefix.iter().any(|d| matches!(d, EdgeDelta::Insert { .. }))
-        {
-            return false;
-        }
-        if self.cache[v].version != self.pinned_version {
-            if self.cache[v].version.is_none()
-                || Some(g.version()) != self.pinned_version
-                || !self.warm_slot(g, v)
-            {
-                return false;
-            }
-            debug_assert_eq!(self.cache[v].version, self.pinned_version);
-            self.stats.lazy_hits += 1;
-        }
-        true
+        self.pinned_at(g)
+            && u as u32 == self.src
+            && self.cache.get(v).is_some_and(|slot| slot.parked)
+            && !prefix.iter().any(|d| matches!(d, EdgeDelta::Insert { .. }))
     }
 
     /// `true` iff `prefix` is one removal `Remove {u, f}` of the pinned
@@ -1556,17 +1419,16 @@ impl PersistentOracle {
     }
 
     /// Brings `self.rows` to `c_f` of the pinned source dropping its edge to
-    /// neighbour `f`. The minima are built on the pin's first call, after
-    /// lazily warming stale neighbour rows. `false` (take the repair path)
-    /// when `g` is not the pinned graph or some neighbour row cannot be
-    /// brought to the pinned version.
+    /// neighbour `f`. The minima are built on the pin's first call. `false`
+    /// (take the repair path) when `g` is not the pinned graph or some
+    /// neighbour row is cold.
     fn row_bound(&mut self, g: &OwnedGraph, f: u32) -> bool {
-        let Some(version) = self.pinned_version.filter(|&v| v == g.version()) else {
+        if !self.pinned_at(g) {
             return false;
-        };
+        }
         let src = self.src;
         match self.rows.pin {
-            Some((pinned, v, ready)) if pinned == src && v == version => {
+            Some((pinned, ready)) if pinned == src => {
                 if !ready {
                     return false;
                 }
@@ -1576,15 +1438,14 @@ impl PersistentOracle {
             }
             _ => {
                 self.rows.dropped = None;
-                let ready = self.build_row_minima(g);
-                self.rows.pin = Some((src, version, ready));
+                let ready = self.build_row_minima();
+                self.rows.pin = Some((src, ready));
                 if !ready {
                     return false;
                 }
             }
         }
         let _sp = trace::span(trace::Phase::DeltaRepair);
-        self.sync_csr(g);
         self.rows.fill(src, f, self.csr.neighbors(f as usize));
         self.stats.row_bounds += 1;
         self.stats.nodes_expanded += self.rows.dist.len() as u64;
@@ -1612,22 +1473,16 @@ impl PersistentOracle {
     }
 
     /// Builds the row minima of the pinned source from the parked rows of
-    /// all its neighbours. `false` when a neighbour row is neither parked at
-    /// the pinned version nor lazily warmable to it.
-    fn build_row_minima(&mut self, g: &OwnedGraph) -> bool {
+    /// all its neighbours. `false` when a neighbour row is cold.
+    fn build_row_minima(&mut self) -> bool {
         let _sp = trace::span(trace::Phase::DeltaRepair);
-        self.sync_csr(g);
         let src = self.src as usize;
-        let degree = self.csr.neighbors(src).len();
-        for i in 0..degree {
-            let w = self.csr.neighbors(src)[i] as usize;
-            if self.cache[w].version != self.pinned_version
-                && (self.cache[w].version.is_none() || !self.warm_slot(g, w))
-            {
-                return false;
-            }
+        let neighbors = self.csr.neighbors(src);
+        if neighbors.iter().any(|&w| !self.cache[w as usize].parked) {
+            return false;
         }
-        let n = g.num_nodes();
+        let degree = neighbors.len();
+        let n = self.cache.len();
         let rows = &mut self.rows;
         rows.best.clear();
         rows.best.resize(n, UNREACHABLE);
@@ -1635,7 +1490,7 @@ impl PersistentOracle {
         rows.second.resize(n, UNREACHABLE);
         rows.arg.clear();
         rows.arg.resize(n, 0);
-        for &w in self.csr.neighbors(src) {
+        for &w in neighbors {
             rows.add_row(w as u16, &self.cache[w as usize].dist[..n]);
         }
         self.stats.nodes_expanded += (degree * n) as u64;
@@ -1738,60 +1593,30 @@ impl DistanceOracle for PersistentOracle {
     }
 
     fn begin(&mut self, g: &OwnedGraph, src: NodeId) -> DistanceSummary {
-        // Serve from the per-source cache + journal replay when possible,
-        // falling back to one full BFS.
+        // Serve from the per-source cache when possible, falling back to one
+        // full BFS.
         let _sp = trace::span(trace::Phase::OracleBegin);
-        let n = g.num_nodes();
-        if n != self.mark.len() || self.cache.len() != n {
-            // The graph size changed: every cached vector is meaningless.
-            self.resize_scratch(n);
-            self.cache.clear();
-            self.cache.resize_with(n, SourceCache::default);
-            self.cached_count = 0;
-            self.pinned_version = None;
-            self.csr_version = None;
-        }
+        self.sync(g);
         self.rollback_to_prefix(0);
-        let mut base_version = None;
-        if self.pinned_version.is_some() && self.src == src as u32 {
-            base_version = self.pinned_version;
-        } else {
+        if !(self.pinned && self.src == src as u32) {
             self.save_working();
-            self.src = src as u32;
-            if let Some(v) = self.cache[src].version {
-                self.load_cached(src, n);
-                base_version = Some(v);
+            if self.cache[src].parked {
+                self.load_cached(src);
+            } else {
+                self.full_repin(src);
             }
         }
-        let replayed = base_version.is_some_and(|v| self.try_replay(g, v));
-        if replayed {
-            self.stats.replayed_begins += 1;
-        } else {
-            self.full_repin(g, src);
-        }
-        self.pinned_version = Some(g.version());
-        self.state.summary(n)
+        self.state.summary(self.cache.len())
     }
 
     fn cached_summary(&mut self, g: &OwnedGraph, src: NodeId) -> Option<DistanceSummary> {
-        if g.num_nodes() != self.cache.len() || src >= self.cache.len() {
-            return None;
-        }
+        self.sync(g);
         let n = self.cache.len();
-        let cur = g.version();
-        if self.pinned_version == Some(cur) && self.src == src as u32 {
+        if self.pinned && self.src == src as u32 {
             self.rollback_to_prefix(0);
             return Some(self.state.summary(n));
         }
-        let tick = self.lru_tick;
-        let slot = &mut self.cache[src];
-        if slot.version != Some(cur) {
-            return None;
-        }
-        // A summary read is a use: without the recency bump, the hottest
-        // read path would look LRU-cold to the staleness-aware eviction.
-        slot.last_used = tick;
-        self.lru_tick += 1;
+        let slot = self.cache.get_mut(src).filter(|slot| slot.parked)?;
         if slot.reached < n {
             return Some(DistanceSummary::DISCONNECTED);
         }
@@ -1809,40 +1634,21 @@ impl DistanceOracle for PersistentOracle {
 
     fn pin_sources(&mut self, g: &OwnedGraph, sources: &[NodeId]) {
         let _sp = trace::span(trace::Phase::PinSources);
-        if g.num_nodes() != self.cache.len() {
-            for &src in sources {
-                self.begin(g, src);
-            }
-            return;
-        }
-        let cur = g.version();
+        self.sync(g);
+        // Parked and pinned sources are current after the sync and cost
+        // nothing; cold ones are queued for the shared 64-wide bitset waves.
         let mut pending = std::mem::take(&mut self.batch_pending);
         pending.clear();
         for &src in sources {
-            // Already current — parked or pinned — costs nothing; a vector
-            // at an older stamp is repaired in place by scalar lazy replay.
-            // Cold or unreplayable sources are queued for the shared 64-wide
-            // bitset waves, except the currently pinned source, whose working
-            // vector `begin` reuses.
-            if self.cache[src].version == Some(cur)
-                || (self.pinned_version == Some(cur) && self.src == src as u32)
-            {
-                continue;
-            }
-            if self.warm_slot(g, src) {
-                continue;
-            }
-            if !(self.pinned_version.is_some() && self.src == src as u32) {
+            let pinned = self.pinned && self.src == src as u32;
+            if !(pinned || self.cache[src].parked) {
                 pending.push(src as u32);
-            } else {
-                self.begin(g, src);
             }
         }
         if !pending.is_empty() {
             pending.sort_unstable();
             pending.dedup();
-            self.sync_csr(g);
-            self.batch_repin(g, &pending);
+            self.batch_repin(&pending);
         }
         self.batch_pending = pending;
     }
@@ -1861,7 +1667,7 @@ impl DistanceOracle for PersistentOracle {
         v: NodeId,
     ) -> Option<(DistanceSummary, bool)> {
         let _sp = trace::span(trace::Phase::FusedKernel);
-        if !self.prepare_insert_query(g, prefix, u, v) {
+        if !self.insert_query_servable(g, prefix, u, v) {
             return None;
         }
         let from_rows = self.serve_from_rows(g, prefix);
@@ -1891,7 +1697,7 @@ impl DistanceOracle for PersistentOracle {
         u: NodeId,
         v: NodeId,
     ) -> Option<DistanceSummary> {
-        if !self.prepare_insert_query(g, prefix, u, v) {
+        if !self.insert_query_servable(g, prefix, u, v) {
             return None;
         }
         let n = self.csr.num_nodes();
@@ -2036,9 +1842,8 @@ mod tests {
 
     #[test]
     fn stats_consistency_invariants_hold_and_detect_corruption() {
-        // A real persistent workload: bulk pin, mutate, lazily re-pin, score
-        // — every counter class fires, and the invariants must hold
-        // throughout.
+        // A real persistent workload: bulk pin, mutate, re-pin, score — every
+        // counter class fires, and the invariant must hold throughout.
         let mut g = generators::cycle(24);
         let mut oracle = make_oracle(OracleKind::Persistent, g.num_nodes());
         let sources: Vec<NodeId> = (0..g.num_nodes()).collect();
@@ -2059,23 +1864,20 @@ mod tests {
             );
         }
         let mut stats = oracle.stats();
-        assert!(stats.lazy_replays > 0 && stats.replayed_begins > 0);
+        assert!(stats.replayed_begins > 0);
         assert!(stats.kernel_calls > 0 && stats.bound_queries > 0);
         // The prune count comes from the scoring layer; any count up to the
         // answered bounds is consistent.
         stats.bound_pruned = stats.bound_queries;
-        // Merging self-consistent stats stays consistent (the invariants are
-        // linear inequalities over summed fields).
+        // Merging self-consistent stats stays consistent (the invariant is a
+        // linear inequality over summed fields).
         let mut merged = stats;
         merged.merge(&stats);
         assert!(merged.consistent());
         assert_eq!(merged.kernel_calls, 2 * stats.kernel_calls);
         assert_eq!(merged.bound_queries, 2 * stats.bound_queries);
         assert_eq!(merged.bound_pruned, 2 * stats.bound_pruned);
-        // And each invariant actually bites on corrupted counters.
-        let mut bad = stats;
-        bad.lazy_hits = bad.lazy_replays + 1;
-        assert!(!bad.consistent(), "lazy hit without a lazy replay");
+        // And the invariant actually bites on corrupted counters.
         let mut bad = stats;
         bad.bound_pruned = bad.bound_queries + 1;
         assert!(!bad.consistent(), "prune without an answered bound");
@@ -2227,91 +2029,40 @@ mod tests {
 
     #[test]
     fn persistent_falls_back_on_stale_or_foreign_histories() {
+        // The sync's three cold paths: a window past the replay limit (a
+        // replay would be slower than a fresh BFS), a clone (a fresh lineage
+        // whose journal can never serve a version taken on the original),
+        // and a graph of another size. Each must leave every slot cold, the
+        // pinned one included, and the next `begin` must run one BFS.
+        fn warm(oracle: &mut PersistentOracle, g: &OwnedGraph) {
+            let all: Vec<NodeId> = (0..g.num_nodes()).collect();
+            oracle.pin_sources(g, &all);
+            oracle.begin(g, 0);
+            assert_eq!(oracle.cached_count, g.num_nodes() - 1);
+        }
+        fn assert_cold(oracle: &mut PersistentOracle, g: &OwnedGraph, path: &str) {
+            assert_eq!(oracle.cached_summary(g, 5), None, "{path}");
+            assert!(!oracle.pinned, "{path}");
+            assert!(oracle.cache.iter().all(|slot| !slot.parked), "{path}");
+            let bfs = oracle.stats().full_bfs_runs;
+            let mut buf = BfsBuffer::new(g.num_nodes());
+            assert_eq!(oracle.begin(g, 0), buf.summary(g, 0), "{path}");
+            assert_eq!(oracle.stats().full_bfs_runs, bfs + 1, "{path}");
+        }
         let mut g = generators::path(32);
         let mut oracle = PersistentOracle::new(32);
-        oracle.begin(&g, 0);
-        let bfs_before = oracle.stats().full_bfs_runs;
-        // Far more changes than the staleness limit: replay would be slower
-        // than a fresh BFS, so the oracle must re-pin.
+        warm(&mut oracle, &g);
         for i in 0..16 {
             g.add_edge(i, i + 16);
         }
-        let mut buf = BfsBuffer::new(32);
-        assert_eq!(oracle.begin(&g, 0), buf.summary(&g, 0));
-        assert!(
-            oracle.stats().full_bfs_runs > bfs_before,
-            "stale → full BFS"
-        );
-        // A clone has a fresh lineage: its journal can never serve a version
-        // taken on the original, so the oracle re-pins rather than replaying
-        // against an unrelated history.
+        assert!(16 > oracle.stale_limit());
+        assert_cold(&mut oracle, &g, "window past the limit");
+        warm(&mut oracle, &g);
         let mut clone = g.clone();
         clone.swap_edge(0, 1, 20);
-        let bfs_mid = oracle.stats().full_bfs_runs;
-        assert_eq!(oracle.begin(&clone, 0), buf.summary(&clone, 0));
-        assert!(oracle.stats().full_bfs_runs > bfs_mid);
-    }
-
-    #[test]
-    fn lru_budget_caps_parked_vectors_and_stays_exact() {
-        // Budget 2, three sources pinned round-robin: every re-pin of the
-        // evicted source must fall back to a full BFS, and every summary must
-        // stay exact. An unbounded twin oracle replays everything.
-        let mut g = generators::cycle(18);
-        let mut capped = PersistentOracle::with_slot_cap(18, Some(2));
-        let mut unbounded = PersistentOracle::new(18);
-        let mut buf = BfsBuffer::new(18);
-        let sources = [0usize, 6, 12];
-        for &src in &sources {
-            capped.begin(&g, src);
-            unbounded.begin(&g, src);
-        }
-        let (capped_cold, unbounded_cold) = (
-            capped.stats().full_bfs_runs,
-            unbounded.stats().full_bfs_runs,
-        );
-        for round in 0..4 {
-            let (a, b) = (round, (round + 9) % 18);
-            if g.has_edge(a, b) {
-                g.remove_edge(a, b);
-            } else {
-                g.add_edge(a, b);
-            }
-            for &src in &sources {
-                assert_eq!(capped.begin(&g, src), buf.summary(&g, src));
-                assert_eq!(unbounded.begin(&g, src), buf.summary(&g, src));
-                assert_eq!(capped.base_distances(), &buf.run(&g, src)[..18]);
-            }
-        }
-        assert_eq!(
-            unbounded.stats().full_bfs_runs,
-            unbounded_cold,
-            "unbounded cache replays every re-pin"
-        );
-        assert!(
-            capped.stats().full_bfs_runs > capped_cold,
-            "a 2-slot cache over 3 sources must evict and re-pin"
-        );
-        assert!(capped.cached_count <= 2, "budget respected");
-    }
-
-    #[test]
-    fn zero_budget_disables_the_cache_without_losing_exactness() {
-        let mut g = generators::path(12);
-        let mut oracle = PersistentOracle::with_slot_cap(12, Some(0));
-        let mut buf = BfsBuffer::new(12);
-        oracle.begin(&g, 0);
-        g.add_edge(0, 7);
-        // Same source re-pinned: the working vector is still live (it is only
-        // parked on a source switch), so this replays; switching away and
-        // back cannot be served from the (disabled) cache.
-        assert_eq!(oracle.begin(&g, 0), buf.summary(&g, 0));
-        let bfs_before = oracle.stats().full_bfs_runs;
-        oracle.begin(&g, 5);
-        assert_eq!(oracle.begin(&g, 0), buf.summary(&g, 0));
-        assert_eq!(oracle.cached_count, 0);
-        assert!(oracle.stats().full_bfs_runs > bfs_before);
-        assert_eq!(oracle.base_distances(), &buf.run(&g, 0)[..12]);
+        assert_cold(&mut oracle, &clone, "foreign lineage");
+        warm(&mut oracle, &g);
+        assert_cold(&mut oracle, &generators::cycle(20), "size change");
     }
 
     #[test]
@@ -2402,55 +2153,26 @@ mod tests {
             after.replayed_begins, before.replayed_begins,
             "summary reads never re-pin"
         );
-        // A stale vector refuses — answering would need repair work…
+        // A moved graph is answered too: the first read's sync replays the
+        // window into every parked vector, still without pinning or a BFS.
         g.add_edge(0, 7);
-        assert_eq!(oracle.cached_summary(&g, 3), None);
-        // …and a lazy re-pin, which replays the window in place, restores
-        // the O(1) answers.
-        oracle.pin_sources(&g, &all);
-        assert!(oracle.stats().lazy_replays > after.lazy_replays);
-        assert_eq!(oracle.cached_summary(&g, 3), Some(buf.summary(&g, 3)));
-    }
-
-    #[test]
-    fn eviction_prefers_stale_vectors_over_plain_lru() {
-        // Source 0 is parked *first* (oldest recency) but at the current
-        // version; source 2 is parked later (newer recency) but at an older
-        // version. Cap pressure must evict the stale vector 2, not the
-        // least-recently-used 0.
-        let mut g = OwnedGraph::new(12);
-        g.add_edge(0, 1);
-        g.add_edge(2, 3);
-        for v in 5..12 {
-            g.add_edge(4, v);
+        for src in 0..14 {
+            assert_eq!(
+                oracle.cached_summary(&g, src),
+                Some(buf.summary(&g, src)),
+                "moved: src {src}"
+            );
         }
-        let mut oracle = PersistentOracle::with_slot_cap(12, Some(2));
-        oracle.begin(&g, 2); // working vector 2, pinned at this version
-        g.add_edge(5, 6);
-        // A bulk pin parks 0 at the new version without touching the pin.
-        oracle.pin_sources(&g, &[0]);
-        oracle.begin(&g, 4); // parks 2 at its old version; cache = {0, 2}
-        assert_eq!(oracle.cache[0].version, Some(g.version()));
-        assert!(oracle.cache[0].last_used < oracle.cache[2].last_used);
-        assert_ne!(oracle.cache[2].version, Some(g.version()), "2 is stale");
-        oracle.begin(&g, 5); // parks 4 → cap 2 exceeded → evict
-        assert!(
-            oracle.cache[0].version.is_some(),
-            "the least-recently-used but *current* vector survives"
-        );
-        assert!(
-            oracle.cache[2].version.is_none(),
-            "the stale vector is the eviction victim"
-        );
-        assert_eq!(oracle.cached_count, 2);
+        let moved = oracle.stats();
+        assert_eq!(moved.replayed_begins, after.replayed_begins + 14);
+        assert_eq!(moved.full_bfs_runs, after.full_bfs_runs);
     }
 
     #[test]
     fn batched_warm_recomputes_unreplayable_slots() {
-        // Same shape as `eviction_prefers_stale_vectors_over_plain_lru`: a
-        // re-pin of the slot whose journal window grew past the replay limit
-        // recomputes it in a shared bitset wave, landing on the current
-        // version with exact contents instead of being left behind stale.
+        // A journal window past the replay limit leaves every slot cold, the
+        // pinned one included; a re-pin recomputes the requested slots in a
+        // shared bitset wave, landing them current with exact contents.
         let mut g = OwnedGraph::new(12);
         g.add_edge(0, 1);
         g.add_edge(2, 3);
@@ -2474,12 +2196,12 @@ mod tests {
         ] {
             g.add_edge(a, b);
         }
-        assert!(!oracle.warm_slot(&g, 2), "nine changes exceed the limit");
+        assert!(9 > oracle.stale_limit(), "nine changes exceed the limit");
         oracle.pin_sources(&g, &[0, 2]);
-        assert_eq!(
-            oracle.cache[2].version,
-            Some(g.version()),
-            "unreplayable slot recomputed by the bulk wave"
+        assert!(oracle.cache[0].parked && oracle.cache[2].parked);
+        assert!(
+            !oracle.pinned && !oracle.cache[4].parked,
+            "the pinned vector went cold with the rest"
         );
         assert_eq!(oracle.stats().batched_repins, 2, "slots 0 and 2, one wave");
         assert!(oracle.stats().peak_parked_bytes > 0);
@@ -2870,13 +2592,12 @@ mod tests {
             oracle.evaluate_insert_via_cache(&g, &[], 0, 4).is_some(),
             "the kernel still serves the candidate"
         );
-        // A slot evicted under the cap has no level counts to pair.
+        // A never-pinned source's slot is cold: no level counts to pair.
         let g = generators::cycle(16);
-        let mut oracle = PersistentOracle::with_slot_cap(16, Some(1));
-        oracle.begin(&g, 5);
+        let mut oracle = PersistentOracle::new(16);
         oracle.begin(&g, 0);
-        oracle.begin(&g, 9); // parks 0 → over the cap → evicts 5 (LRU)
-        assert!(oracle.cache[5].version.is_none() && oracle.cache[0].version.is_some());
+        oracle.begin(&g, 9); // parks 0; every other slot stays cold
+        assert!(!oracle.cache[5].parked && oracle.cache[0].parked);
         assert_eq!(oracle.insert_level_bound(&g, &[], 9, 5), None);
         let dense = oracle
             .insert_level_bound(&g, &[], 9, 0)
@@ -2889,8 +2610,9 @@ mod tests {
             "only answered bounds count"
         );
         assert_eq!(oracle.stats().kernel_calls, 0, "a bound runs no kernel");
-        // The rows of 9's neighbours were evicted: a removal is not bounded
-        // from rows, and a swap's bound falls back to repairing its prefix.
+        // The rows of 9's neighbours 8 and 10 are cold: a removal is not
+        // bounded from rows, and a swap's bound falls back to repairing its
+        // prefix.
         let drop_8 = [EdgeDelta::Remove { u: 9, v: 8 }];
         assert_eq!(oracle.removal_bound(&g, 9, 8), None);
         let swap = oracle

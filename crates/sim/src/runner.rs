@@ -19,7 +19,7 @@
 //!   replaces keeping every [`TrialResult`] in memory.
 
 use crate::spec::{EngineSpec, ExperimentPoint};
-use ncg_core::dynamics::{Dynamics, DynamicsConfig, ResponseMode};
+use ncg_core::dynamics::{Dynamics, DynamicsConfig};
 use ncg_core::moves::Move;
 use ncg_core::policy::{Policy, TieBreak};
 use ncg_core::Game;
@@ -285,7 +285,6 @@ pub fn run_dynamics_trial_probed(
     let config = DynamicsConfig {
         policy,
         tie_break: TieBreak::Random,
-        response_mode: ResponseMode::BestResponse,
         max_steps,
         detect_cycles: false,
         record_trajectory: false,

@@ -204,15 +204,21 @@ impl AlphaSpec {
         }
     }
 
-    /// Label such as `"n/4"` used in the paper's legends.
+    /// Label such as `"n/4"` used in the paper's legends: `n/k` when the
+    /// fraction is exactly `1/k` for an integer `k ≥ 2`, `n` for 1, and
+    /// `{f}n` otherwise (`2n`, `0.4n`), so distinct fractions get distinct
+    /// labels.
     pub fn label(&self) -> String {
         match self {
             AlphaSpec::Fixed(a) => format!("{a}"),
             AlphaSpec::FractionOfN(f) => {
-                if (*f - 1.0).abs() < 1e-12 {
+                let k = (1.0 / f).round();
+                if *f == 1.0 {
                     "n".to_string()
+                } else if k >= 2.0 && k.is_finite() && 1.0 / k == *f {
+                    format!("n/{k}")
                 } else {
-                    format!("n/{:.0}", 1.0 / f)
+                    format!("{f}n")
                 }
             }
         }
@@ -347,6 +353,36 @@ mod tests {
         assert_eq!(AlphaSpec::FractionOfN(0.25).resolve(40), 10.0);
         assert_eq!(AlphaSpec::FractionOfN(0.25).label(), "n/4");
         assert_eq!(AlphaSpec::FractionOfN(1.0).label(), "n");
+    }
+
+    #[test]
+    fn fraction_labels_are_exact_and_distinct() {
+        let cases = [
+            // The published fractions keep their legend labels.
+            (0.1, "n/10"),
+            (0.25, "n/4"),
+            (0.5, "n/2"),
+            (1.0, "n"),
+            (1.0 / 3.0, "n/3"),
+            // Fractions that are no unit fraction print as multiples of n.
+            (2.0, "2n"),
+            (4.0, "4n"),
+            (1.5, "1.5n"),
+            (0.4, "0.4n"),
+            (0.3, "0.3n"),
+        ];
+        for (f, label) in cases {
+            assert_eq!(AlphaSpec::FractionOfN(f).label(), label, "fraction {f}");
+        }
+        let labels: std::collections::HashSet<String> = cases
+            .iter()
+            .map(|&(f, _)| AlphaSpec::FractionOfN(f).label())
+            .collect();
+        assert_eq!(
+            labels.len(),
+            cases.len(),
+            "distinct fractions, distinct labels"
+        );
     }
 
     #[test]

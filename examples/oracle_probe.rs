@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selfish_ncg::core::dynamics::{Dynamics, DynamicsConfig, ResponseMode};
+use selfish_ncg::core::dynamics::{Dynamics, DynamicsConfig};
 use selfish_ncg::core::policy::{Policy, TieBreak};
 use selfish_ncg::core::{GreedyBuyGame, OracleKind};
 use selfish_ncg::graph::generators;
@@ -32,7 +32,6 @@ fn run(n: usize, family: &str, oracle: OracleKind) {
     let config = DynamicsConfig {
         policy: Policy::MaxCost,
         tie_break: TieBreak::Random,
-        response_mode: ResponseMode::BestResponse,
         max_steps: 400 * n,
         detect_cycles: false,
         record_trajectory: false,
@@ -48,12 +47,10 @@ fn run(n: usize, family: &str, oracle: OracleKind) {
     let secs = watch.elapsed_secs();
     let stats = dynamics.oracle_stats();
     println!(
-        "n={n:>4} {family} {:<12} {secs:>8.3}s steps={steps:>5} bfs={:>7} replays={:>7} lazy={:>7} hits={:>7} evals={:>8} expanded={:>10} csr_patch={:>6} csr_rebuild={:>6} batched={:>6} peak_parked={:>9}B",
+        "n={n:>4} {family} {:<12} {secs:>8.3}s steps={steps:>5} bfs={:>7} replays={:>7} evals={:>8} expanded={:>10} csr_patch={:>6} csr_rebuild={:>6} batched={:>6} peak_parked={:>9}B",
         oracle.label(),
         stats.full_bfs_runs,
         stats.replayed_begins,
-        stats.lazy_replays,
-        stats.lazy_hits,
         stats.evaluations,
         stats.nodes_expanded,
         stats.csr_patches,
