@@ -17,7 +17,9 @@
 //! the identities the fast engine rests on: traced ≡ untraced runs before
 //! any timing, and `persistent` ≡ `full-bfs` step counts in every cell both
 //! engines run. `smoke=1` shrinks everything for CI, adds random-policy
-//! cells of both families at n = 64, and checks each cell's work counters
+//! cells of both families at n = 64 and a SUM-GBG cell at n = 130, whose
+//! scans cross the 64-vertex blocks of the oracle's level-histogram
+//! envelopes, and checks each cell's work counters
 //! against the golden file [`GOLDEN_PATH`]: a counter that grows fails the
 //! run, one that shrinks is printed, and `smoke=1 bless=1` rewrites the
 //! file. `json=PATH` additionally writes the measurements as a
@@ -500,17 +502,22 @@ fn main() {
     // Smoke mode adds random-policy cells: the max-cost policy re-measures
     // every agent's cost each step, the random policy does not, so their
     // counters pin how the parked vectors are kept current between scans.
+    // It also adds one multi-block max-cost cell.
     let mut cells = vec![
-        (GameFamily::AsgSum, Policy::MaxCost),
-        (GameFamily::GbgSum, Policy::MaxCost),
+        (GameFamily::AsgSum, Policy::MaxCost, ns.clone()),
+        (GameFamily::GbgSum, Policy::MaxCost, ns.clone()),
     ];
     if scale.smoke {
         cells.extend([
-            (GameFamily::AsgSum, Policy::Random),
-            (GameFamily::GbgSum, Policy::Random),
+            (GameFamily::AsgSum, Policy::Random, ns.clone()),
+            (GameFamily::GbgSum, Policy::Random, ns.clone()),
+            // Three 64-vertex id blocks, the last one partial: every other
+            // cell fits in one block, so only this one pins the counters of
+            // scans whose targets cross a block boundary.
+            (GameFamily::GbgSum, Policy::MaxCost, vec![130]),
         ]);
     }
-    for (family, policy) in cells {
+    for (family, policy, ns) in cells {
         let family_label = match policy {
             Policy::MaxCost => family.label().to_string(),
             _ => format!("{}/{}", family.label(), policy.label()),

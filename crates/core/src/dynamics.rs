@@ -228,31 +228,46 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
 
     /// Performs one step with the configured policy. Returns `None` if the state is
     /// stable (and the process therefore stops).
+    ///
+    /// The policy's scan of the mover also yields its best responses, so
+    /// the mover is scanned once (a consent game's responses still take a
+    /// scan of their own). The move, the trajectory and the RNG draws are
+    /// those of [`Policy::select_mover`] followed by
+    /// [`Dynamics::step_with_agent`].
     pub fn step<R: Rng>(&mut self, rng: &mut R) -> Option<MoveRecord> {
-        let mover = {
+        let (agent, chosen) = {
             let _sp = trace::span(trace::Phase::Scan);
-            self.config.policy.select_mover(
+            let (agent, responses) = self.config.policy.select_mover_with_responses(
                 self.game,
                 &self.graph,
                 &mut self.ws,
                 self.config.tie_break,
                 self.last_mover,
                 rng,
-            )?
+            )?;
+            (agent, self.choose_response(responses, rng)?)
         };
-        self.step_with_agent(mover, rng)
+        Some(self.apply(agent, chosen))
     }
 
     /// Performs one step with a caller-chosen moving agent (the "adversarial"
     /// policy of the proofs). Returns `None` if the agent has no improving move.
     pub fn step_with_agent<R: Rng>(&mut self, agent: NodeId, rng: &mut R) -> Option<MoveRecord> {
         let chosen = {
+            let _sp = trace::span(trace::Phase::Scan);
+            let responses = self.game.best_responses(&self.graph, agent, &mut self.ws);
+            self.choose_response(responses, rng)?
+        };
+        Some(self.apply(agent, chosen))
+    }
+
+    /// Performs `agent`'s chosen move and records it.
+    fn apply(&mut self, agent: NodeId, chosen: ScoredMove) -> MoveRecord {
+        {
             let _sp = trace::span(trace::Phase::Apply);
-            let chosen = self.choose_response(agent, rng)?;
             let undo = apply_move(&mut self.graph, agent, &chosen.mv);
             debug_assert!(undo.is_some(), "selected move must be applicable");
-            chosen
-        };
+        }
         let record = MoveRecord {
             step: self.steps,
             agent,
@@ -265,7 +280,7 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
         if self.config.record_trajectory {
             self.trajectory.push(record.clone());
         }
-        Some(record)
+        record
     }
 
     /// Work counters of the workspace's distance oracle.
@@ -273,8 +288,12 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
         self.ws.oracle_stats()
     }
 
-    fn choose_response<R: Rng>(&mut self, agent: NodeId, rng: &mut R) -> Option<ScoredMove> {
-        let candidates = self.game.best_responses(&self.graph, agent, &mut self.ws);
+    /// Breaks ties among an agent's best responses; `None` if it has none.
+    fn choose_response<R: Rng>(
+        &self,
+        candidates: Vec<ScoredMove>,
+        rng: &mut R,
+    ) -> Option<ScoredMove> {
         if candidates.is_empty() {
             return None;
         }
@@ -502,6 +521,58 @@ mod tests {
             (Box::new(GreedyBuyGame::sum(n as f64 / 4.0)), gbg(rng)),
             (Box::new(GreedyBuyGame::max(2.5)), gbg(rng)),
         ]
+    }
+
+    #[test]
+    fn step_walks_what_select_mover_and_step_with_agent_walk() {
+        // `step` takes the mover's best responses from the policy's own
+        // scan; selecting the mover and then stepping it must walk the
+        // identical trajectory and leave the RNG in the same state. The
+        // four empirical families under the max-cost and random policies,
+        // and a bilateral game, whose consent scan still scans the mover
+        // twice.
+        use crate::games::BilateralBuyGame;
+        use rand::RngCore;
+        let mut rng = StdRng::seed_from_u64(0x57e9);
+        let n = 20;
+        let mut cases = empirical_families(n, &mut rng);
+        cases.push((
+            Box::new(BilateralBuyGame::sum(2.0)),
+            generators::random_with_m_edges(9, 14, &mut rng),
+        ));
+        let mut moves = 0usize;
+        for (game, initial) in &cases {
+            let game = game.as_ref();
+            for policy in [Policy::MaxCost, Policy::Random] {
+                let cfg = DynamicsConfig::simulation(400 * n).with_policy(policy);
+                let mut one = Dynamics::new(game, initial.clone(), cfg.clone());
+                let mut two = Dynamics::new(game, initial.clone(), cfg.clone());
+                let mut rng_one = StdRng::seed_from_u64(11);
+                let mut rng_two = StdRng::seed_from_u64(11);
+                let ctx = format!("{} {}", game.name(), policy.label());
+                while one.steps() < cfg.max_steps {
+                    let stepped = one.step(&mut rng_one);
+                    let mover = policy.select_mover(
+                        game,
+                        &two.graph,
+                        &mut two.ws,
+                        cfg.tie_break,
+                        two.last_mover,
+                        &mut rng_two,
+                    );
+                    let selected = mover.and_then(|m| two.step_with_agent(m, &mut rng_two));
+                    assert_eq!(stepped, selected, "{ctx}");
+                    if stepped.is_none() {
+                        break;
+                    }
+                    moves += 1;
+                }
+                assert_eq!(one.graph(), two.graph(), "{ctx}");
+                let next = |rng: &mut StdRng| rng.next_u64();
+                assert_eq!(next(&mut rng_one), next(&mut rng_two), "{ctx}: RNG state");
+            }
+        }
+        assert!(moves > 200, "only {moves} moves compared");
     }
 
     #[test]

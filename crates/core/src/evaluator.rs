@@ -66,8 +66,9 @@ pub struct CostEvaluator {
     /// never unpin the mover's base vector or its delta-stack prefix.
     /// Lazily created on the first consent-checked scan.
     consent: Option<Box<dyn DistanceOracle>>,
-    /// Candidates the scans pruned on a [`CostEvaluator::level_bound`]
-    /// (reported as [`OracleStats::bound_pruned`]).
+    /// Candidates the scans pruned on a [`CostEvaluator::level_bound`], and
+    /// blocks on a [`CostEvaluator::block_bounds`] entry (reported as
+    /// [`OracleStats::bound_pruned`]).
     bound_pruned: u64,
 }
 
@@ -193,10 +194,37 @@ impl CostEvaluator {
         }
     }
 
-    /// Adds `count` candidates that a [`CostEvaluator::level_bound`] kept
-    /// from the insertion kernel to the `bound_pruned` counter of
-    /// [`CostEvaluator::stats`]. The scan makes the prune decision, because
-    /// it needs the game's cost model.
+    /// One lower bound per block of
+    /// [`ENVELOPE_BLOCK`](ncg_graph::oracle::ENVELOPE_BLOCK) targets, for the run
+    /// of candidates that `mv` belongs to: every `Buy`, or every `Swap` from
+    /// `mv`'s `from` (see [`DistanceOracle::insert_block_bounds`]). `out[b]`
+    /// is `≤` the [`CostEvaluator::level_bound`] of each candidate of the run
+    /// whose target lies in block `b`. `false`, with `out` empty, for other
+    /// candidate shapes and whenever the backend cannot serve the bounds.
+    pub fn block_bounds(
+        &mut self,
+        g: &OwnedGraph,
+        u: NodeId,
+        mv: &Move,
+        out: &mut Vec<DistanceSummary>,
+    ) -> bool {
+        out.clear();
+        if !matches!(mv, Move::Buy { .. } | Move::Swap { .. })
+            || self.buffer_deltas(g, u, mv).is_err()
+        {
+            return false;
+        }
+        let (_, prefix) = self
+            .deltas
+            .split_last()
+            .expect("a Buy or Swap ends in its insertion");
+        self.oracle.insert_block_bounds(g, prefix, u, out)
+    }
+
+    /// Adds `count` prunes by a [`CostEvaluator::level_bound`] (one per
+    /// candidate) or a [`CostEvaluator::block_bounds`] entry (one per block)
+    /// to the `bound_pruned` counter of [`CostEvaluator::stats`]. The scan
+    /// makes the prune decision, because it needs the game's cost model.
     pub fn record_bound_prunes(&mut self, count: u64) {
         self.bound_pruned += count;
     }

@@ -10,8 +10,8 @@
 use crate::cost::{agent_cost_total, is_improvement, DistanceMetric, EdgeCostMode};
 use crate::evaluator::{edge_cost_after, party_edge_cost_after, CostEvaluator, DeltaScore};
 use crate::moves::{apply_move, undo_move, Move};
-use ncg_graph::oracle::{OracleKind, OracleStats};
-use ncg_graph::{BfsBuffer, HostGraph, NodeId, OwnedGraph};
+use ncg_graph::oracle::{OracleKind, OracleStats, ENVELOPE_BLOCK};
+use ncg_graph::{BfsBuffer, DistanceSummary, HostGraph, NodeId, OwnedGraph};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -29,6 +29,8 @@ pub struct Workspace {
     pub evaluator: CostEvaluator,
     scratch: OwnedGraph,
     candidates: Vec<Move>,
+    /// Block bounds of the scan's current run of candidates.
+    block_bounds: Vec<DistanceSummary>,
     parties: Vec<NodeId>,
 }
 
@@ -46,6 +48,7 @@ impl Workspace {
             evaluator: CostEvaluator::new(kind, n),
             scratch: OwnedGraph::new(n),
             candidates: Vec::new(),
+            block_bounds: Vec::new(),
             parties: Vec::new(),
         }
     }
@@ -195,16 +198,7 @@ pub trait Game {
     /// scan pays for the blocked candidates *below* the best feasible cost
     /// and the ties at it — not for every improving candidate.
     fn best_responses(&self, g: &OwnedGraph, u: NodeId, ws: &mut Workspace) -> Vec<ScoredMove> {
-        let mut improving = scan_moves(self, g, u, ws, ScanMode::BestOnly);
-        if improving.is_empty() {
-            return improving;
-        }
-        let best = improving
-            .iter()
-            .map(|s| s.new_cost)
-            .fold(f64::INFINITY, f64::min);
-        improving.retain(|s| s.new_cost <= best);
-        improving
+        keep_best(scan_moves(self, g, u, ws, ScanMode::BestOnly))
     }
 
     /// The deterministic first best response (ties broken by the move order:
@@ -270,6 +264,42 @@ enum ScanMode {
     /// For every other configuration this behaves exactly like
     /// [`ScanMode::AllImproving`].
     BestOnly,
+    /// [`ScanMode::FirstImproving`] up to the first improving candidate, then
+    /// [`ScanMode::BestOnly`] with the best cost seeded by it: a happy agent
+    /// costs what a first-improving scan costs, and an unhappy one comes
+    /// back with every candidate a best-only scan would keep at the best
+    /// cost. Only for games whose scan orders by bound (no consent).
+    FirstThenBest,
+}
+
+/// Scans agent `u` for the move policy: `None` if `u` is happy, otherwise
+/// exactly what [`Game::best_responses`] returns. Without consent one scan
+/// answers both, so a happy agent costs one first-improving scan and the
+/// mover is not scanned twice; a consent game's scan cannot order by bound,
+/// so its best responses take a scan of their own.
+pub(crate) fn scan_agent<G: Game + ?Sized>(
+    game: &G,
+    g: &OwnedGraph,
+    u: NodeId,
+    ws: &mut Workspace,
+) -> Option<Vec<ScoredMove>> {
+    if game.needs_consent() {
+        return game
+            .has_improving_move(g, u, ws)
+            .then(|| game.best_responses(g, u, ws));
+    }
+    let found = scan_moves(game, g, u, ws, ScanMode::FirstThenBest);
+    (!found.is_empty()).then(|| keep_best(found))
+}
+
+/// The improving moves of minimal new cost, in their scan order.
+fn keep_best(mut improving: Vec<ScoredMove>) -> Vec<ScoredMove> {
+    let best = improving
+        .iter()
+        .map(|s| s.new_cost)
+        .fold(f64::INFINITY, f64::min);
+    improving.retain(|s| s.new_cost <= best);
+    improving
 }
 
 /// Shared candidate-evaluation loop: enumerate candidates, score each from the
@@ -299,6 +329,10 @@ fn scan_moves<G: Game + ?Sized>(
     let consent_delta =
         game.needs_consent() && game.delta_consent() && ws.oracle_kind() == OracleKind::Persistent;
     let delta_path = !game.needs_consent() || consent_delta;
+    debug_assert!(
+        mode != ScanMode::FirstThenBest || !game.needs_consent(),
+        "a consent scan cannot order by bound"
+    );
     // On the delta path the base cost must use exactly the same decomposition
     // as the candidate scores. That is sound for non-consent games and for
     // `delta_consent` games by their override contract (the default
@@ -314,186 +348,119 @@ fn scan_moves<G: Game + ?Sized>(
     let mut candidates = std::mem::take(&mut ws.candidates);
     candidates.clear();
     game.candidate_moves(g, u, &mut candidates);
+    let mut block_bounds = std::mem::take(&mut ws.block_bounds);
 
-    // In best-only mode the consent checks of delta-scored candidates are
-    // deferred to one ascending-cost pass after the scoring loop; the entries
-    // of `unchecked` mark which collected moves still owe one.
-    let defer_consent = consent_delta && mode == ScanMode::BestOnly;
     // Candidates ending in an insertion at `u` are bounded before they are
     // scored: first by the O(D) level-histogram bound, then by the O(n)
     // kernel's (exact for a purchase). A deletion is bounded by its
     // neighbour-row summary. A candidate whose bound cost is not an
-    // improvement is dropped. In best-only mode without consent, surviving
-    // insertions are not re-scored inline either: they queue up in `pending`
-    // and are evaluated in ascending-bound order, stopping once no bound can
-    // beat the best exact cost found (an A*-style cutoff). A surviving
-    // deletion has no kernel tier and is scored exactly in place, so `best`
-    // is known as early as without its bound. All-improving scans disable
-    // the bound path entirely — every improving candidate needs an exact
-    // score, so the bound would be a pure detour.
-    let order_by_bound = delta_path && !consent_delta && mode == ScanMode::BestOnly;
-    let allow_bound = delta_path && mode != ScanMode::AllImproving;
+    // improvement is dropped. In a run of Buys, or of Swaps from one `f`,
+    // a block envelope bounds up to `ENVELOPE_BLOCK` consecutive targets at
+    // once, and its members are bounded one by one only when it survives.
+    // In best-only mode without consent, surviving insertions are not
+    // re-scored inline either: they (and surviving blocks) queue up in
+    // `pending` and are evaluated in ascending-bound order, stopping once no
+    // bound can beat the best exact cost found (an A*-style cutoff). A
+    // surviving deletion has no kernel tier and is scored exactly in place,
+    // so `best` is known as early as without its bound. All-improving scans
+    // disable the bound path entirely — every improving candidate needs an
+    // exact score, so the bound would be a pure detour.
+    let mut scan = Scan {
+        game,
+        g,
+        u,
+        old_cost,
+        metric,
+        alpha,
+        edge_mode,
+        delta_path,
+        consent_delta,
+        // In best-only mode the consent checks of delta-scored candidates
+        // are deferred to one ascending-cost pass after the scoring loop;
+        // the entries of `unchecked` mark which collected moves still owe
+        // one.
+        defer_consent: consent_delta && mode == ScanMode::BestOnly,
+        allow_bound: delta_path && mode != ScanMode::AllImproving,
+        order_by_bound: delta_path && !consent_delta && mode == ScanMode::BestOnly,
+        scratch_synced: false,
+        out: Vec::new(),
+        out_idx: Vec::new(),
+        unchecked: Vec::new(),
+        pending: BinaryHeap::new(),
+        best: f64::INFINITY,
+        pruned: 0,
+    };
     let kernel_calls_before = ncg_trace::enabled().then(|| ws.evaluator.stats().kernel_calls);
-    let mut scratch_synced = false;
-    let mut out = Vec::new();
-    // Original candidate index of each `out` entry (enumeration order must be
-    // restored after the bound-ordered pass — tie-breaking RNG sees it).
-    let mut out_idx: Vec<usize> = Vec::new();
-    let mut unchecked: Vec<bool> = Vec::new();
-    let mut pending: Vec<Pending> = Vec::new();
-    // Best exact improving cost so far: a pending bound above it can never
-    // be scored, so it is dropped before it is queued.
-    let mut best = f64::INFINITY;
-    let mut pruned = 0u64;
-    for (ci, mv) in candidates.iter().enumerate() {
-        let mut deferred = false;
-        let new_cost = if delta_path {
-            // Most candidates stop at the level-histogram bound, before the
-            // kernel reads `v`'s vector.
-            if allow_bound {
-                if let Some(lb) = ws.evaluator.level_bound(g, u, mv) {
-                    let lb_cost =
-                        edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&lb);
-                    if !is_improvement(old_cost, lb_cost) || (order_by_bound && lb_cost > best) {
-                        pruned += 1;
-                        continue;
-                    }
-                    if order_by_bound && !matches!(mv, Move::Delete { .. }) {
-                        pending.push(Pending {
-                            lb_cost,
-                            ci,
-                            kernel_bound: false,
-                        });
-                        continue;
-                    }
-                }
+    // The run whose block bounds `block_bounds` holds (`None` in the key:
+    // the Buys), and whether the oracle served them.
+    let mut run: Option<(Option<NodeId>, bool)> = None;
+    // Candidates before this index belong to a block that passed its bound
+    // and are bounded one by one.
+    let mut block_end = 0;
+    let mut ci = 0;
+    while ci < candidates.len() {
+        let mv = &candidates[ci];
+        if let Some((key, target)) = run_target(mv).filter(|_| scan.allow_bound && ci >= block_end)
+        {
+            if run.map(|(k, _)| k) != Some(key) {
+                run = Some((key, ws.evaluator.block_bounds(g, u, mv, &mut block_bounds)));
             }
-            let score = ws.evaluator.try_score_bounded(g, u, mv, allow_bound);
-            let summary = match score {
-                DeltaScore::Summary(summary) => Some(summary),
-                DeltaScore::LowerBound(lb) => {
-                    let lb_cost =
-                        edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&lb);
-                    if !is_improvement(old_cost, lb_cost) {
-                        // The true cost is at least the bound: provably not
-                        // an improvement, no exact evaluation needed.
-                        continue;
-                    }
-                    if order_by_bound {
-                        if lb_cost <= best {
-                            pending.push(Pending {
-                                lb_cost,
-                                ci,
-                                kernel_bound: true,
-                            });
-                        }
-                        continue;
-                    }
-                    Some(ws.evaluator.score_exact_last())
-                }
-                DeltaScore::Inapplicable => continue,
-                DeltaScore::Unsupported => None,
-            };
-            match summary {
-                Some(summary) => {
-                    let new_cost = edge_cost_after(g, u, mv, edge_mode, alpha)
-                        + metric.distance_cost(&summary);
-                    // Consent is only consulted for improving candidates,
-                    // exactly like the fallback path.
-                    if consent_delta && is_improvement(old_cost, new_cost) {
-                        if defer_consent {
-                            deferred = true;
-                        } else if consent_blocked_delta(game, g, u, mv, ws) {
-                            continue;
-                        }
-                    }
-                    new_cost
-                }
-                None => match score_on_scratch(game, g, u, mv, ws, &mut scratch_synced, old_cost) {
-                    Some(cost) => cost,
-                    None => continue,
-                },
-            }
-        } else {
-            match score_on_scratch(game, g, u, mv, ws, &mut scratch_synced, old_cost) {
-                Some(cost) => cost,
-                None => continue,
-            }
-        };
-        if is_improvement(old_cost, new_cost) {
-            out.push(ScoredMove {
-                mv: mv.clone(),
-                old_cost,
-                new_cost,
-            });
-            out_idx.push(ci);
-            best = best.min(new_cost);
-            if defer_consent {
-                unchecked.push(deferred);
-            }
-            if mode == ScanMode::FirstImproving {
-                break;
-            }
-        }
-    }
-    if order_by_bound && !pending.is_empty() {
-        // Ascending-bound evaluation with cutoff: once the next bound
-        // exceeds the best exact cost seen, no remaining candidate can beat
-        // (or tie) it — candidates tying the best have bounds ≤ it and were
-        // already evaluated. A level-histogram entry first takes the kernel
-        // tier (exact for a purchase, a tighter bound for a swap). Usually
-        // only the first few entries are scored, so a heap (`O(P)` to build)
-        // stands in for a full sort.
-        let mut queue = BinaryHeap::from(pending);
-        while let Some(entry) = queue.pop() {
-            if entry.lb_cost > best {
-                pruned += std::iter::once(&entry)
-                    .chain(queue.iter())
-                    .filter(|e| !e.kernel_bound)
-                    .count() as u64;
-                break;
-            }
-            let mv = &candidates[entry.ci];
-            let summary = match ws
-                .evaluator
-                .try_score_bounded(g, u, mv, !entry.kernel_bound)
-            {
-                DeltaScore::Summary(summary) => summary,
-                DeltaScore::LowerBound(lb) => {
-                    let lb_cost =
-                        edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&lb);
-                    if !is_improvement(old_cost, lb_cost) || lb_cost > best {
-                        continue;
-                    }
-                    ws.evaluator.score_exact_last()
-                }
-                DeltaScore::Inapplicable | DeltaScore::Unsupported => {
-                    debug_assert!(false, "re-scoring a bounded candidate must succeed");
+            if run == Some((key, true)) {
+                let block = target / ENVELOPE_BLOCK;
+                let same_block = |m: &Move| {
+                    run_target(m).is_some_and(|(k, t)| k == key && t / ENVELOPE_BLOCK == block)
+                };
+                let end = ci
+                    + candidates[ci..]
+                        .iter()
+                        .take_while(|m| same_block(m))
+                        .count();
+                let lb_cost = scan.cost_of(mv, &block_bounds[block]);
+                if scan.prunes(lb_cost) {
+                    scan.pruned += 1;
+                    ci = end;
                     continue;
                 }
-            };
-            let new_cost =
-                edge_cost_after(g, u, mv, edge_mode, alpha) + metric.distance_cost(&summary);
-            if is_improvement(old_cost, new_cost) {
-                out.push(ScoredMove {
-                    mv: mv.clone(),
-                    old_cost,
-                    new_cost,
-                });
-                out_idx.push(entry.ci);
-                best = best.min(new_cost);
+                if scan.order_by_bound {
+                    scan.pending.push(Pending {
+                        lb_cost,
+                        ci,
+                        tier: Tier::Block { end },
+                    });
+                    ci = end;
+                    continue;
+                }
+                block_end = end;
             }
         }
+        if scan.candidate(ws, ci, mv) {
+            match mode {
+                ScanMode::FirstImproving => break,
+                ScanMode::FirstThenBest => {
+                    // Best-only from here on: the rest of the current block
+                    // goes back under its block bound.
+                    scan.order_by_bound = true;
+                    block_end = ci + 1;
+                }
+                ScanMode::AllImproving | ScanMode::BestOnly => {}
+            }
+        }
+        ci += 1;
+    }
+    if !scan.pending.is_empty() {
+        scan.drain_pending(ws, &candidates);
         // Restore candidate-enumeration order for the tie-breaking RNG.
-        let mut paired: Vec<(usize, ScoredMove)> = out_idx.drain(..).zip(out).collect();
+        let mut paired: Vec<(usize, ScoredMove)> = scan.out_idx.drain(..).zip(scan.out).collect();
         paired.sort_by_key(|&(ci, _)| ci);
-        out = paired.into_iter().map(|(_, s)| s).collect();
+        scan.out = paired.into_iter().map(|(_, s)| s).collect();
     }
     let had_candidates = !candidates.is_empty();
     ws.candidates = candidates;
-    ws.evaluator.record_bound_prunes(pruned);
-    if defer_consent && !out.is_empty() {
-        out = resolve_deferred_consent(game, g, u, ws, out, &unchecked);
+    ws.block_bounds = block_bounds;
+    ws.evaluator.record_bound_prunes(scan.pruned);
+    let mut out = scan.out;
+    if scan.defer_consent && !out.is_empty() {
+        out = resolve_deferred_consent(game, g, u, ws, out, &scan.unchecked);
     }
     if let Some(before) = kernel_calls_before {
         if out.is_empty() && had_candidates && ws.evaluator.stats().kernel_calls == before {
@@ -503,17 +470,230 @@ fn scan_moves<G: Game + ?Sized>(
     out
 }
 
-/// A candidate queued for the best-only scan's ascending-bound pass. The heap
+/// The run key and target of a candidate a block envelope can bound: a
+/// `Buy` (key `None`) or a `Swap` (key `Some(from)`).
+fn run_target(mv: &Move) -> Option<(Option<NodeId>, NodeId)> {
+    match *mv {
+        Move::Buy { to } => Some((None, to)),
+        Move::Swap { from, to } => Some((Some(from), to)),
+        _ => None,
+    }
+}
+
+/// The state of one [`scan_moves`] call.
+struct Scan<'s, G: ?Sized> {
+    game: &'s G,
+    g: &'s OwnedGraph,
+    u: NodeId,
+    old_cost: f64,
+    metric: DistanceMetric,
+    alpha: f64,
+    edge_mode: EdgeCostMode,
+    delta_path: bool,
+    consent_delta: bool,
+    defer_consent: bool,
+    allow_bound: bool,
+    /// Queue bounded insertions in `pending` instead of scoring them in
+    /// place (the best-only scans without consent).
+    order_by_bound: bool,
+    scratch_synced: bool,
+    out: Vec<ScoredMove>,
+    /// Original candidate index of each `out` entry (enumeration order must
+    /// be restored after the bound-ordered pass — tie-breaking RNG sees it).
+    out_idx: Vec<usize>,
+    unchecked: Vec<bool>,
+    pending: BinaryHeap<Pending>,
+    /// Best exact improving cost so far: a pending bound above it can never
+    /// be scored, so it is dropped before it is queued.
+    best: f64,
+    pruned: u64,
+}
+
+impl<G: Game + ?Sized> Scan<'_, G> {
+    /// The mover's cost after `mv` with distance summary `summary`.
+    fn cost_of(&self, mv: &Move, summary: &DistanceSummary) -> f64 {
+        edge_cost_after(self.g, self.u, mv, self.edge_mode, self.alpha)
+            + self.metric.distance_cost(summary)
+    }
+
+    /// `true` iff a candidate (or block) whose cost is at least `lb_cost`
+    /// can be dropped: it does not improve, or a best-only scan already has
+    /// a better exact cost.
+    fn prunes(&self, lb_cost: f64) -> bool {
+        !is_improvement(self.old_cost, lb_cost) || (self.order_by_bound && lb_cost > self.best)
+    }
+
+    /// Bounds, queues or scores candidate `ci` as the scoring loop reaches
+    /// it. `true` iff it was recorded as an improving move.
+    fn candidate(&mut self, ws: &mut Workspace, ci: usize, mv: &Move) -> bool {
+        let (g, u) = (self.g, self.u);
+        let mut deferred = false;
+        let new_cost = if self.delta_path {
+            // Most candidates stop at the level-histogram bound, before the
+            // kernel reads `v`'s vector.
+            if self.allow_bound {
+                if let Some(lb) = ws.evaluator.level_bound(g, u, mv) {
+                    let lb_cost = self.cost_of(mv, &lb);
+                    if self.prunes(lb_cost) {
+                        self.pruned += 1;
+                        return false;
+                    }
+                    if self.order_by_bound && !matches!(mv, Move::Delete { .. }) {
+                        self.pending.push(Pending {
+                            lb_cost,
+                            ci,
+                            tier: Tier::Level,
+                        });
+                        return false;
+                    }
+                }
+            }
+            let score = ws.evaluator.try_score_bounded(g, u, mv, self.allow_bound);
+            let summary = match score {
+                DeltaScore::Summary(summary) => Some(summary),
+                DeltaScore::LowerBound(lb) => {
+                    let lb_cost = self.cost_of(mv, &lb);
+                    if !is_improvement(self.old_cost, lb_cost) {
+                        // The true cost is at least the bound: provably not
+                        // an improvement, no exact evaluation needed.
+                        return false;
+                    }
+                    if self.order_by_bound {
+                        if lb_cost <= self.best {
+                            self.pending.push(Pending {
+                                lb_cost,
+                                ci,
+                                tier: Tier::Kernel,
+                            });
+                        }
+                        return false;
+                    }
+                    Some(ws.evaluator.score_exact_last())
+                }
+                DeltaScore::Inapplicable => return false,
+                DeltaScore::Unsupported => None,
+            };
+            match summary {
+                Some(summary) => {
+                    let new_cost = self.cost_of(mv, &summary);
+                    // Consent is only consulted for improving candidates,
+                    // exactly like the fallback path.
+                    if self.consent_delta && is_improvement(self.old_cost, new_cost) {
+                        if self.defer_consent {
+                            deferred = true;
+                        } else if consent_blocked_delta(self.game, g, u, mv, ws) {
+                            return false;
+                        }
+                    }
+                    new_cost
+                }
+                None => match self.score_on_scratch(ws, mv) {
+                    Some(cost) => cost,
+                    None => return false,
+                },
+            }
+        } else {
+            match self.score_on_scratch(ws, mv) {
+                Some(cost) => cost,
+                None => return false,
+            }
+        };
+        self.record(ci, mv, new_cost, deferred)
+    }
+
+    fn score_on_scratch(&mut self, ws: &mut Workspace, mv: &Move) -> Option<f64> {
+        let (game, g, u, old_cost) = (self.game, self.g, self.u, self.old_cost);
+        score_on_scratch(game, g, u, mv, ws, &mut self.scratch_synced, old_cost)
+    }
+
+    /// Keeps candidate `ci` if it improves. `true` iff it was kept.
+    fn record(&mut self, ci: usize, mv: &Move, new_cost: f64, deferred: bool) -> bool {
+        if !is_improvement(self.old_cost, new_cost) {
+            return false;
+        }
+        self.out.push(ScoredMove {
+            mv: mv.clone(),
+            old_cost: self.old_cost,
+            new_cost,
+        });
+        self.out_idx.push(ci);
+        self.best = self.best.min(new_cost);
+        if self.defer_consent {
+            self.unchecked.push(deferred);
+        }
+        true
+    }
+
+    /// Ascending-bound evaluation with cutoff: once the next bound exceeds
+    /// the best exact cost seen, no remaining candidate can beat (or tie)
+    /// it — candidates tying the best have bounds ≤ it and were already
+    /// evaluated. A block entry bounds its members one by one, queueing the
+    /// survivors; its key is `≤` every member's, so members reach the
+    /// kernel in the order they would if each had been queued on its own. A
+    /// level-histogram entry first takes the kernel tier (exact for a
+    /// purchase, a tighter bound for a swap). Usually only the first few
+    /// entries are scored, so a heap stands in for a full sort.
+    fn drain_pending(&mut self, ws: &mut Workspace, candidates: &[Move]) {
+        let (g, u) = (self.g, self.u);
+        while let Some(entry) = self.pending.pop() {
+            if entry.lb_cost > self.best {
+                self.pruned += std::iter::once(&entry)
+                    .chain(self.pending.iter())
+                    .filter(|e| e.tier != Tier::Kernel)
+                    .count() as u64;
+                self.pending.clear();
+                break;
+            }
+            if let Tier::Block { end } = entry.tier {
+                for (ci, mv) in candidates.iter().enumerate().take(end).skip(entry.ci) {
+                    self.candidate(ws, ci, mv);
+                }
+                continue;
+            }
+            let mv = &candidates[entry.ci];
+            let summary = match ws
+                .evaluator
+                .try_score_bounded(g, u, mv, entry.tier == Tier::Level)
+            {
+                DeltaScore::Summary(summary) => summary,
+                DeltaScore::LowerBound(lb) => {
+                    let lb_cost = self.cost_of(mv, &lb);
+                    if !is_improvement(self.old_cost, lb_cost) || lb_cost > self.best {
+                        continue;
+                    }
+                    ws.evaluator.score_exact_last()
+                }
+                DeltaScore::Inapplicable | DeltaScore::Unsupported => {
+                    debug_assert!(false, "re-scoring a bounded candidate must succeed");
+                    continue;
+                }
+            };
+            let new_cost = self.cost_of(mv, &summary);
+            self.record(entry.ci, mv, new_cost, false);
+        }
+    }
+}
+
+/// Where a queued entry of the best-only scan's ascending-bound pass stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    /// A block envelope's bound on candidates `ci..end`, none bounded yet.
+    Block { end: usize },
+    /// A level-histogram bound: the kernel is next.
+    Level,
+    /// A kernel bound: only the exact score is left.
+    Kernel,
+}
+
+/// An entry queued for the best-only scan's ascending-bound pass. The heap
 /// pops the lowest bound first, ties in enumeration order.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
-    /// Lower bound on the candidate's cost.
+    /// Lower bound on the cost of the entry's candidates.
     lb_cost: f64,
-    /// Index into the scan's candidate list.
+    /// Index into the scan's candidate list (a block's first member).
     ci: usize,
-    /// The bound came from the kernel, so only the exact score is left;
-    /// otherwise it came from the level histograms and the kernel is next.
-    kernel_bound: bool,
+    tier: Tier,
 }
 
 impl Ord for Pending {

@@ -6,7 +6,7 @@
 //! policy; min-index and round-robin are provided as additional natural baselines
 //! and for the adversarial constructions in the tests.
 
-use crate::game::{Game, Workspace};
+use crate::game::{scan_agent, Game, ScoredMove, Workspace};
 use ncg_graph::{NodeId, OwnedGraph};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -75,6 +75,39 @@ impl Policy {
         last_mover: Option<NodeId>,
         rng: &mut R,
     ) -> Option<NodeId> {
+        let order = self.scan_order(game, g, ws, tie_break, last_mover, rng);
+        first_unhappy(order, ws, |u, ws| {
+            game.has_improving_move(g, u, ws).then_some(())
+        })
+        .map(|(mover, ())| mover)
+    }
+
+    /// [`Policy::select_mover`], also returning the mover's best responses
+    /// (see [`scan_agent`]). The mover, the agents scanned before it and
+    /// the RNG draws are the same as `select_mover`'s.
+    pub(crate) fn select_mover_with_responses<G: Game + ?Sized, R: Rng>(
+        &self,
+        game: &G,
+        g: &OwnedGraph,
+        ws: &mut Workspace,
+        tie_break: TieBreak,
+        last_mover: Option<NodeId>,
+        rng: &mut R,
+    ) -> Option<(NodeId, Vec<ScoredMove>)> {
+        let order = self.scan_order(game, g, ws, tie_break, last_mover, rng);
+        first_unhappy(order, ws, |u, ws| scan_agent(game, g, u, ws))
+    }
+
+    /// The order in which the policy scans the agents for a mover.
+    fn scan_order<G: Game + ?Sized, R: Rng>(
+        &self,
+        game: &G,
+        g: &OwnedGraph,
+        ws: &mut Workspace,
+        tie_break: TieBreak,
+        last_mover: Option<NodeId>,
+        rng: &mut R,
+    ) -> impl Iterator<Item = NodeId> {
         let n = g.num_nodes();
         let mut order: Vec<NodeId> = (0..n).collect();
         // The max-cost scan usually stops after a few agents, so it pops
@@ -112,19 +145,28 @@ impl Policy {
                 order = (0..n).map(|i| (start + i) % n).collect();
             }
         }
-        let mut scanned = 0u64;
-        let popped = std::iter::from_fn(|| by_cost.pop().map(|r| r.agent));
-        let found = popped.chain(order).find(|&u| {
-            scanned += 1;
-            game.has_improving_move(g, u, ws)
-        });
-        ncg_trace::add(ncg_trace::Counter::AgentsScanned, scanned);
-        ncg_trace::record(ncg_trace::HistId::ScanWidth, scanned);
-        if found.is_some() {
-            ncg_trace::add(ncg_trace::Counter::ImprovingMoves, 1);
-        }
-        found
+        // The max-cost heap first, then the plain order (one is empty).
+        std::iter::from_fn(move || by_cost.pop().map(|r| r.agent)).chain(order)
     }
+}
+
+/// The first agent of `order` that `unhappy` answers for, with the answer.
+fn first_unhappy<T>(
+    mut order: impl Iterator<Item = NodeId>,
+    ws: &mut Workspace,
+    mut unhappy: impl FnMut(NodeId, &mut Workspace) -> Option<T>,
+) -> Option<(NodeId, T)> {
+    let mut scanned = 0u64;
+    let found = order.find_map(|u| {
+        scanned += 1;
+        unhappy(u, ws).map(|answer| (u, answer))
+    });
+    ncg_trace::add(ncg_trace::Counter::AgentsScanned, scanned);
+    ncg_trace::record(ncg_trace::HistId::ScanWidth, scanned);
+    if found.is_some() {
+        ncg_trace::add(ncg_trace::Counter::ImprovingMoves, 1);
+    }
+    found
 }
 
 /// An agent in the max-cost scan order: the heap pops the highest cost

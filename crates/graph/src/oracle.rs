@@ -27,7 +27,11 @@
 //! pay the expensive removal repair once per `from`. Bounds on a single
 //! removal at the source ([`DistanceOracle::removal_bound`]) skip even that:
 //! they read the parked rows of the source's other neighbours, so the
-//! repair runs only for the candidates the bounds cannot prune. Correctness
+//! repair runs only for the candidates the bounds cannot prune. A run of
+//! insertions with one prefix is bounded [`ENVELOPE_BLOCK`] targets at a
+//! time from block envelopes of the parked level histograms
+//! ([`DistanceOracle::insert_block_bounds`]), so most targets are never
+//! bounded on their own. Correctness
 //! of the repairs against from-scratch BFS is enforced by the randomized
 //! equivalence tests in the facade crate.
 //!
@@ -148,14 +152,17 @@ pub struct OracleStats {
     /// Fused `O(n)` insertion kernels run by
     /// [`DistanceOracle::evaluate_insert_via_cache`].
     pub kernel_calls: u64,
-    /// `O(D)` level-histogram lower bounds answered by
-    /// [`DistanceOracle::insert_level_bound`] (`D` = number of distance
-    /// levels).
+    /// `O(D)` level-histogram lower bounds answered (`D` = number of
+    /// distance levels): one per [`DistanceOracle::insert_level_bound`] and
+    /// per [`DistanceOracle::removal_bound`], and one per block of
+    /// [`ENVELOPE_BLOCK`] targets bounded by
+    /// [`DistanceOracle::insert_block_bounds`].
     pub bound_queries: u64,
-    /// Candidates whose level-histogram bound kept them from the insertion
-    /// kernel: proven non-improving, or unable to reach the best cost of a
-    /// best-response scan. Only the caller can decide a prune, because the
-    /// cost model belongs to the game. The scoring layer
+    /// Bounds that kept candidates from the insertion kernel: a candidate
+    /// proven non-improving, or unable to reach the best cost of a
+    /// best-response scan, counts one, and so does a block bound that rules
+    /// out every target of its block at once. Only the caller can decide a
+    /// prune, because the cost model belongs to the game. The scoring layer
     /// (`ncg_core::evaluator::CostEvaluator::stats`) fills this field in;
     /// an oracle's own counters always report 0 here.
     pub bound_pruned: u64,
@@ -332,6 +339,38 @@ pub trait DistanceOracle: Send {
         _v: NodeId,
     ) -> Option<DistanceSummary> {
         None
+    }
+
+    /// One lower bound per block of [`ENVELOPE_BLOCK`] consecutive vertex
+    /// ids on the summary of every candidate
+    /// [`DistanceOracle::insert_level_bound`] bounds with this `prefix`:
+    /// `out[b]` is `≤` that bound for every target `v` in block `b`, so a
+    /// scan can rule out all of a block's Buys (or all of its Swaps from one
+    /// neighbour) at once.
+    ///
+    /// Each block's *envelope* row holds, for `j < 32`, the largest
+    /// cumulative level count `C_v(j) = #{x : d(v, x) ≤ j}` over the block's
+    /// members, and reads as `n` past level 31. The bound pairs it with the
+    /// same source-side histogram the per-target bound uses (`c_f` for a
+    /// one-removal prefix): that pairing's term `k` is
+    /// `max(0, n − S(k − 1) − C_v(k − 2))`, with `S` the source's cumulative
+    /// counts, so a larger `C_v` can only lower the bound. The rows are
+    /// built once per synced graph version from the pinned base vector and
+    /// every parked slot.
+    ///
+    /// Clears `out` first. `false` (and `out` empty) whenever the backend
+    /// cannot serve the bounds: stateless backends, `u` not the pinned
+    /// source, `g` not the pinned graph, a `prefix` with insertions, a cold
+    /// slot, or a vector that does not reach every vertex.
+    fn insert_block_bounds(
+        &mut self,
+        _g: &OwnedGraph,
+        _prefix: &[EdgeDelta],
+        _u: NodeId,
+        out: &mut Vec<DistanceSummary>,
+    ) -> bool {
+        out.clear();
+        false
     }
 
     /// Lower bound on the summary of the pinned source `u` after removing
@@ -739,9 +778,39 @@ struct RowBound {
     sum: u64,
     reached: usize,
     max: u16,
+    /// The level counts of every `c_f` filled since the minima were built,
+    /// up to its largest finite level, back to back; `cf_ends` holds each
+    /// `f` with the end of its counts, which start where the previous
+    /// ones end. A per-target level bound reads them, so bounding a Swap
+    /// never refills `dist`, which the kernel reads for its own `f`.
+    cf_levels: Vec<u16>,
+    cf_ends: Vec<(u32, usize)>,
 }
 
 impl RowBound {
+    /// The recorded level counts of `c_f`, if it was filled since the
+    /// minima were built.
+    fn levels_of(&self, f: u32) -> Option<&[u16]> {
+        let mut start = 0;
+        for &(dropped, end) in &self.cf_ends {
+            if dropped == f {
+                return Some(&self.cf_levels[start..end]);
+            }
+            start = end;
+        }
+        None
+    }
+
+    /// Records the level counts of the `c_f` just filled, once per `f`.
+    fn record_levels(&mut self) {
+        let f = self.dropped.expect("a filled c_f");
+        if self.levels_of(f).is_none() {
+            let top = usize::from(self.max);
+            self.cf_levels.extend_from_slice(&self.level_counts[..=top]);
+            self.cf_ends.push((f, self.cf_levels.len()));
+        }
+    }
+
     /// Folds neighbour `w`'s row into the minima.
     fn add_row(&mut self, w: u16, row: &[u16]) {
         let lanes = self
@@ -812,6 +881,39 @@ impl RowBound {
     }
 }
 
+/// Vertex ids per block of [`DistanceOracle::insert_block_bounds`]: one
+/// envelope row, and one bound per scan run, covers this many consecutive
+/// targets.
+pub const ENVELOPE_BLOCK: usize = 64;
+
+/// Levels an envelope row holds (one cache line of `u16` counts). Past the
+/// last one a row reads as `n`, which keeps the bound valid at any diameter.
+const ENVELOPE_LEVELS: usize = 32;
+
+/// The block envelope rows of the synced version (see
+/// [`DistanceOracle::insert_block_bounds`]).
+#[derive(Debug, Clone, Default)]
+struct BlockEnvelopes {
+    /// `Some(true)`: `rows` are built; `Some(false)`: a vector was cold or
+    /// disconnected, so this version has none; `None`: not built since the
+    /// last sync or bulk wave.
+    built: Option<bool>,
+    /// Per block, the largest cumulative level count of its members at
+    /// each level below [`ENVELOPE_LEVELS`].
+    rows: Vec<[u16; ENVELOPE_LEVELS]>,
+}
+
+/// Where the source side of a removal-only prefix's level counts are.
+#[derive(Debug, Clone, Copy)]
+enum SourceLevels {
+    /// The pinned base vector's snapshot (`base_levels`): an empty prefix.
+    Base,
+    /// The recorded counts of `c_f`: a one-removal prefix at the source.
+    Row(u32),
+    /// The seated delta stack's: any other removal-only prefix.
+    Seated,
+}
+
 /// Persistent backend ([`OracleKind::Persistent`]): journaled truncated-BFS
 /// repair of the base vector, with per-source vectors carried across
 /// `begin` calls.
@@ -835,7 +937,8 @@ impl RowBound {
 ///
 /// The cache has no cap: with every source parked it holds
 /// `n·(2n + 2)·2` bytes (distances plus level counters), 268 MB at
-/// `n = 8192`.
+/// `n = 8192`. The block envelopes add 64 bytes per [`ENVELOPE_BLOCK`]
+/// vertices.
 pub struct PersistentOracle {
     csr: CsrAdjacency,
     src: u32,
@@ -878,6 +981,13 @@ pub struct PersistentOracle {
     batch_pending: Vec<u32>,
     /// Neighbour-row bound of the pinned source's one-removal prefixes.
     rows: RowBound,
+    /// The pinned base vector's level counts up to its largest level,
+    /// copied by `begin`, so bounding a Buy never rolls back the delta
+    /// stack.
+    base_levels: Vec<u16>,
+    /// Block envelopes of every vector's level counts at the synced
+    /// version.
+    envelopes: BlockEnvelopes,
 }
 
 impl PersistentOracle {
@@ -910,6 +1020,8 @@ impl PersistentOracle {
             wave: MultiSourceBfs::new(),
             batch_pending: Vec::new(),
             rows: RowBound::default(),
+            base_levels: Vec::new(),
+            envelopes: BlockEnvelopes::default(),
         };
         oracle.resize_scratch(n);
         oracle.cache.resize_with(n, SourceCache::default);
@@ -1196,6 +1308,7 @@ impl PersistentOracle {
         self.rollback_to_prefix(0);
         self.save_working();
         self.rows.pin = None;
+        self.envelopes.built = None;
         let window = self.synced.and_then(|from| g.changes_since(from));
         let outcome = match window {
             Some(changes) => self.csr.patch_from_journal(g, changes),
@@ -1327,6 +1440,7 @@ impl PersistentOracle {
             }
             self.cached_count += chunk.len();
         }
+        self.envelopes.built = None;
         self.note_peak();
     }
 
@@ -1390,10 +1504,17 @@ impl PersistentOracle {
         self.pinned && self.synced == Some(g.version())
     }
 
-    /// Shared check of the cache-arithmetic insertion queries
+    /// Shared check of the cache-arithmetic insertion queries: `u` is the
+    /// pinned source, `g` the pinned graph and `prefix` removal-only.
+    fn prefix_servable(&self, g: &OwnedGraph, prefix: &[EdgeDelta], u: NodeId) -> bool {
+        self.pinned_at(g)
+            && u as u32 == self.src
+            && !prefix.iter().any(|d| matches!(d, EdgeDelta::Insert { .. }))
+    }
+
+    /// [`PersistentOracle::prefix_servable`] for one target `v`
     /// ([`DistanceOracle::evaluate_insert_via_cache`] and
-    /// [`DistanceOracle::insert_level_bound`]): `u` is the pinned source, `g`
-    /// the pinned graph, `v`'s slot parked and `prefix` removal-only.
+    /// [`DistanceOracle::insert_level_bound`]), whose slot must be parked.
     fn insert_query_servable(
         &self,
         g: &OwnedGraph,
@@ -1401,10 +1522,139 @@ impl PersistentOracle {
         u: NodeId,
         v: NodeId,
     ) -> bool {
-        self.pinned_at(g)
-            && u as u32 == self.src
-            && self.cache.get(v).is_some_and(|slot| slot.parked)
-            && !prefix.iter().any(|d| matches!(d, EdgeDelta::Insert { .. }))
+        self.prefix_servable(g, prefix, u) && self.cache.get(v).is_some_and(|slot| slot.parked)
+    }
+
+    /// The recorded level counts of the pinned source's `c_f`, if the
+    /// current pin filled it at the synced version.
+    fn cached_cf_levels(&self, f: u32) -> Option<&[u16]> {
+        match self.rows.pin {
+            Some((src, true)) if src == self.src => self.rows.levels_of(f),
+            _ => None,
+        }
+    }
+
+    /// Makes the source-side level counts of the removal-only `prefix`
+    /// readable without touching the delta stack where it can: the base
+    /// snapshot for an empty prefix, and `c_f`'s recorded counts for a
+    /// one-removal prefix (filling `c_f` only if this pin has not yet).
+    /// Any other prefix, or `c_f` over a cold neighbour row, is seated.
+    fn source_levels(&mut self, g: &OwnedGraph, prefix: &[EdgeDelta]) -> SourceLevels {
+        match *prefix {
+            [] => return SourceLevels::Base,
+            [EdgeDelta::Remove { u, v: f }] if u as u32 == self.src => {
+                let f = f as u32;
+                if self.cached_cf_levels(f).is_some() || self.row_bound(g, f) {
+                    return SourceLevels::Row(f);
+                }
+            }
+            _ => {}
+        }
+        if self.active.as_slice() != prefix {
+            // Only a stack that actually moves (the first swap of each
+            // removed edge) pays for a span.
+            let _sp = trace::span(trace::Phase::DeltaRepair);
+            self.seat_deltas(prefix);
+        }
+        SourceLevels::Seated
+    }
+
+    /// The level counts [`PersistentOracle::source_levels`] made readable.
+    fn levels(&self, side: SourceLevels) -> &[u16] {
+        match side {
+            SourceLevels::Base => &self.base_levels,
+            SourceLevels::Row(f) => self.rows.levels_of(f).expect("recorded when filled"),
+            SourceLevels::Seated => &self.state.level_counts,
+        }
+    }
+
+    /// Debug cross-check of a per-target level bound against the kernel
+    /// on the same source side, kept out of the counters so that debug and
+    /// release builds count the same work. The source distances are
+    /// rebuilt independently: the base vector unwound from the delta
+    /// stack's journal, or a fresh fill of `c_f`; their level counts must
+    /// equal the ones the bound read.
+    fn check_level_bound(&self, side: SourceLevels, v: NodeId, bound: DistanceSummary) {
+        let n = self.csr.num_nodes();
+        let src_dist = match side {
+            SourceLevels::Base => {
+                let mut dist = self.state.dist.clone();
+                for &(x, old) in self.state.journal.iter().rev() {
+                    dist[x as usize] = old;
+                }
+                dist
+            }
+            SourceLevels::Row(f) => {
+                let mut fresh = self.rows.clone();
+                fresh.fill(self.src, f, self.csr.neighbors(f as usize));
+                fresh.dist
+            }
+            SourceLevels::Seated => self.state.dist.clone(),
+        };
+        let mut levels = vec![0u16; n + 2];
+        for &d in src_dist[..n].iter().filter(|&&d| d != UNREACHABLE) {
+            levels[usize::from(d)] += 1;
+        }
+        let read = self.levels(side);
+        assert!(
+            levels[..read.len()] == *read && levels[read.len()..].iter().all(|&c| c == 0),
+            "source levels {read:?} are not those of the source vector ({side:?})"
+        );
+        let kernel = fused_insert_summary(&src_dist[..n], &self.cache[v].dist[..n]);
+        assert!(
+            bound.sum <= kernel.sum && bound.max <= kernel.max,
+            "level bound {bound:?} exceeds the kernel's {kernel:?} (src {}, v {v}, {side:?})",
+            self.src
+        );
+    }
+
+    /// Builds the block envelope rows of the synced version if they are
+    /// not yet; `false` when this version has none.
+    fn envelopes_ready(&mut self) -> bool {
+        if self.envelopes.built.is_none() {
+            let ready = self.build_envelopes();
+            self.envelopes.built = Some(ready);
+        }
+        self.envelopes.built == Some(true)
+    }
+
+    /// One envelope row per block of [`ENVELOPE_BLOCK`] vertex ids, from
+    /// the pinned base vector and every parked slot: `false` at the first
+    /// cold slot or vector that misses a vertex. The pinned vector is part
+    /// of its block, so the rows stay valid for it as a target once
+    /// another source is pinned at the same version.
+    fn build_envelopes(&mut self) -> bool {
+        let n = self.cache.len();
+        let pinned = self.pinned.then_some(self.src as usize);
+        let base_reached: usize = self.base_levels.iter().map(|&c| usize::from(c)).sum();
+        let all = u16::try_from(n).expect("n ≤ MAX_NODES fits a u16 count");
+        self.envelopes.rows.clear();
+        for (b, block) in self.cache.chunks(ENVELOPE_BLOCK).enumerate() {
+            let mut row = [0u16; ENVELOPE_LEVELS];
+            // A member's count is `n` from its last level `top` on, so the
+            // row is `n` from the smallest `top` on, and no member needs
+            // counting past it.
+            let mut tail = ENVELOPE_LEVELS;
+            for (i, slot) in block.iter().enumerate() {
+                let v = b * ENVELOPE_BLOCK + i;
+                let levels = if pinned == Some(v) && base_reached == n {
+                    &self.base_levels[..]
+                } else if pinned != Some(v) && slot.parked && slot.reached == n {
+                    &slot.level_counts[..=usize::from(slot.max_hint)]
+                } else {
+                    return false;
+                };
+                let mut count = 0u16;
+                for (e, &l) in row[..tail].iter_mut().zip(levels) {
+                    count += l;
+                    *e = (*e).max(count);
+                }
+                tail = tail.min(levels.len() - 1);
+            }
+            row[tail..].fill(all);
+            self.envelopes.rows.push(row);
+        }
+        true
     }
 
     /// `true` iff `prefix` is one removal `Remove {u, f}` of the pinned
@@ -1438,6 +1688,8 @@ impl PersistentOracle {
             }
             _ => {
                 self.rows.dropped = None;
+                self.rows.cf_levels.clear();
+                self.rows.cf_ends.clear();
                 let ready = self.build_row_minima();
                 self.rows.pin = Some((src, ready));
                 if !ready {
@@ -1447,6 +1699,7 @@ impl PersistentOracle {
         }
         let _sp = trace::span(trace::Phase::DeltaRepair);
         self.rows.fill(src, f, self.csr.neighbors(f as usize));
+        self.rows.record_levels();
         self.stats.row_bounds += 1;
         self.stats.nodes_expanded += self.rows.dist.len() as u64;
         if cfg!(debug_assertions) {
@@ -1566,11 +1819,13 @@ fn fused_insert_summary(src_dist: &[u16], far_dist: &[u16]) -> DistanceSummary {
 fn level_pair_bound(n: usize, src_levels: &[u16], far_levels: &[u16]) -> DistanceSummary {
     // term(k) = n − Σ_{d<k} src_levels[d] − Σ_{d<k−1} far_levels[d] only
     // shrinks as `k` grows, and reaches ≤ 0 once every far level is counted.
-    // Step `k` subtracts `(src_levels[k], far_levels[k − 1])`; both
-    // histograms are padded past the last level (`n + 2` entries in the
-    // oracle), so the zipped steps never run out first.
+    // Step `k` subtracts `(src_levels[k], far_levels[k − 1])`. The far
+    // histogram is padded past its last level (`n + 2` entries in the
+    // oracle), so the zipped steps never run out first; the source one may
+    // stop at its last level (the recorded `c_f` and base counts do) and
+    // reads as 0 past it.
     let (&first, rest) = src_levels.split_first().expect("level 0 holds the source");
-    let mut steps = rest.iter().zip(far_levels);
+    let mut steps = rest.iter().chain(std::iter::repeat(&0)).zip(far_levels);
     let mut term = n as i64 - i64::from(first);
     let (mut sum, mut k) = (0u64, 0u32);
     while term > 0 {
@@ -1584,6 +1839,53 @@ fn level_pair_bound(n: usize, src_levels: &[u16], far_levels: &[u16]) -> Distanc
     DistanceSummary {
         sum: Some(sum),
         max: Some(k),
+    }
+}
+
+/// Cumulative level counts `C(j) = Σ_{d ≤ j} levels[d]` for `j < L`, with
+/// `levels` read as 0 past its end.
+fn cumulative_levels<const L: usize>(levels: &[u16]) -> [u16; L] {
+    let mut out = [0u16; L];
+    let mut count = 0u16;
+    for (c, &l) in out
+        .iter_mut()
+        .zip(levels.iter().chain(std::iter::repeat(&0)))
+    {
+        count += l;
+        *c = count;
+    }
+    out
+}
+
+/// [`level_pair_bound`] against a block envelope row: `src_cumulative[j]`
+/// is the source's `S(j) = #{x : d_u(x) ≤ j}` and `row[j]` the block's
+/// largest `C_v(j)`, read as `n` for `j ≥ ENVELOPE_LEVELS`. Term `k` is
+/// `n − S(k − 1) − row[k − 2]` (no row term at `k = 1`). Both counts only
+/// grow with `k`, so the terms only shrink, and the row's `n` ends them by
+/// `k = ENVELOPE_LEVELS + 2`. A row of one member whose levels all lie
+/// below the cap gives exactly that member's bound.
+fn block_pair_bound(
+    n: usize,
+    src_cumulative: &[u16; ENVELOPE_LEVELS + 1],
+    row: &[u16; ENVELOPE_LEVELS],
+) -> DistanceSummary {
+    let n = n as i64;
+    let (mut sum, mut max) = (0u64, 0u32);
+    for (k, &s) in (1u32..).zip(src_cumulative) {
+        let far = match k {
+            1 => 0,
+            _ => i64::from(row[k as usize - 2]),
+        };
+        let term = n - i64::from(s) - far;
+        if term <= 0 {
+            break;
+        }
+        sum += term as u64;
+        max = k;
+    }
+    DistanceSummary {
+        sum: Some(sum),
+        max: Some(max),
     }
 }
 
@@ -1606,7 +1908,13 @@ impl DistanceOracle for PersistentOracle {
                 self.full_repin(src);
             }
         }
-        self.state.summary(self.cache.len())
+        let summary = self.state.summary(self.cache.len());
+        // `max_hint` bounds the largest finite level, so no count is cut.
+        let top = usize::from(self.state.max_hint);
+        self.base_levels.clear();
+        self.base_levels
+            .extend_from_slice(&self.state.level_counts[..=top]);
+        summary
     }
 
     fn cached_summary(&mut self, g: &OwnedGraph, src: NodeId) -> Option<DistanceSummary> {
@@ -1704,33 +2012,51 @@ impl DistanceOracle for PersistentOracle {
         if self.cache[v].reached < n {
             return None;
         }
-        let from_rows = self.serve_from_rows(g, prefix);
-        if !from_rows && self.active.as_slice() != prefix {
-            // Only a stack that actually moves (the first swap of each
-            // removed edge) pays for a span.
-            let _sp = trace::span(trace::Phase::DeltaRepair);
-            self.seat_deltas(prefix);
-        }
-        let (src_dist, src_levels) = if from_rows {
-            (&self.rows.dist, &self.rows.level_counts)
-        } else {
-            (&self.state.dist, &self.state.level_counts)
-        };
-        let slot = &self.cache[v];
-        let bound = level_pair_bound(n, src_levels, &slot.level_counts);
+        let side = self.source_levels(g, prefix);
+        let bound = level_pair_bound(n, self.levels(side), &self.cache[v].level_counts);
         self.stats.bound_queries += 1;
         if cfg!(debug_assertions) {
-            // Soundness cross-check against the kernel on the same prefix
-            // state (kept out of the counters, so debug and release builds
-            // count the same work).
-            let kernel = fused_insert_summary(&src_dist[..n], &slot.dist[..n]);
-            assert!(
-                bound.sum <= kernel.sum && bound.max <= kernel.max,
-                "level bound {bound:?} exceeds the kernel's {kernel:?} \
-                 (src {u}, v {v}, prefix {prefix:?})"
-            );
+            self.check_level_bound(side, v, bound);
         }
         Some(bound)
+    }
+
+    fn insert_block_bounds(
+        &mut self,
+        g: &OwnedGraph,
+        prefix: &[EdgeDelta],
+        u: NodeId,
+        out: &mut Vec<DistanceSummary>,
+    ) -> bool {
+        out.clear();
+        if !self.prefix_servable(g, prefix, u) || !self.envelopes_ready() {
+            return false;
+        }
+        let n = self.csr.num_nodes();
+        let side = self.source_levels(g, prefix);
+        let src_cumulative = cumulative_levels::<{ ENVELOPE_LEVELS + 1 }>(self.levels(side));
+        let rows = &self.envelopes.rows;
+        out.extend(
+            rows.iter()
+                .map(|row| block_pair_bound(n, &src_cumulative, row)),
+        );
+        self.stats.bound_queries += out.len() as u64;
+        if cfg!(debug_assertions) {
+            // Every member's own bound is at least its block's.
+            let src_levels = self.levels(side);
+            for (b, block) in out.iter().enumerate() {
+                let members = b * ENVELOPE_BLOCK..((b + 1) * ENVELOPE_BLOCK).min(n);
+                for v in members.filter(|&v| v != u) {
+                    let member = level_pair_bound(n, src_levels, &self.cache[v].level_counts);
+                    assert!(
+                        block.sum <= member.sum && block.max <= member.max,
+                        "block {b} bound {block:?} exceeds member {v}'s {member:?} \
+                         (src {u}, prefix {prefix:?})"
+                    );
+                }
+            }
+        }
+        true
     }
 
     fn removal_bound(&mut self, g: &OwnedGraph, u: NodeId, f: NodeId) -> Option<DistanceSummary> {
@@ -2406,6 +2732,201 @@ mod tests {
                 .sum();
             assert!(sum <= other, "case {case}: a pairing beat the bound");
         }
+    }
+
+    #[test]
+    fn block_bound_of_one_member_is_its_level_bound() {
+        // A row of one member is exactly that member's level bound while
+        // its levels reach no further than the cap, and a lower bound past
+        // it, where the row reads as `n`. Sources may leave vertices
+        // unreached.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xb10c1);
+        let (mut equal, mut capped) = (0usize, 0usize);
+        for case in 0..400 {
+            let n = rng.gen_range(2usize..120);
+            let levels = rng.gen_range(1u16..48);
+            let unreached = [0.0, 0.2][case % 2];
+            let a: Vec<Option<u16>> = std::iter::once(Some(0))
+                .chain(
+                    (1..n)
+                        .map(|_| (!rng.gen_bool(unreached)).then(|| rng.gen_range(1..levels + 1))),
+                )
+                .collect();
+            let b: Vec<u16> = std::iter::once(0)
+                .chain((1..n).map(|_| rng.gen_range(1..levels + 1)))
+                .collect();
+            let src = level_histogram(a.iter().flatten().copied(), n + 48);
+            let far = level_histogram(b.iter().copied(), n + 48);
+            let member = level_pair_bound(n, &src, &far);
+            let src_cumulative = cumulative_levels::<{ ENVELOPE_LEVELS + 1 }>(&src);
+            let row = cumulative_levels::<ENVELOPE_LEVELS>(&far);
+            let block = block_pair_bound(n, &src_cumulative, &row);
+            let ctx = format!("case {case}: {a:?} / {b:?}");
+            if b.iter().all(|&d| usize::from(d) <= ENVELOPE_LEVELS) {
+                assert_eq!(block, member, "{ctx}");
+                equal += 1;
+            } else {
+                assert!(block.sum <= member.sum && block.max <= member.max, "{ctx}");
+                capped += 1;
+            }
+        }
+        assert!(equal > 100 && capped > 50, "{equal} equal, {capped} capped");
+    }
+
+    /// A connected random graph on `n` vertices with one extra hub: vertex
+    /// `hub` gains edges to `extra` random vertices.
+    fn graph_with_hub(
+        n: usize,
+        hub: NodeId,
+        extra: usize,
+        rng: &mut rand::rngs::StdRng,
+    ) -> OwnedGraph {
+        use rand::Rng;
+        let mut g = generators::random_with_m_edges(n, rng.gen_range(n..2 * n), rng);
+        while g.degree(hub) < extra {
+            let v = rng.gen_range(0..n);
+            if v != hub && !g.has_edge(hub, v) {
+                g.add_edge(hub, v);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn block_bounds_never_exceed_member_bounds_across_blocks() {
+        // n = 65, 130 and 200 span two to four blocks, the last one
+        // partial. The pinned source sits in each block in turn, under an
+        // empty and a one-removal prefix: every block bound is ≤ each
+        // member's level bound ≤ the kernel ≤ BFS truth.
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xb10c2);
+        let (mut members, mut informative) = (0usize, 0usize);
+        for n in [65usize, 130, 200] {
+            let g = graph_with_hub(n, rng.gen_range(0..n), 24, &mut rng);
+            let mut oracle = PersistentOracle::new(n);
+            let all: Vec<NodeId> = (0..n).collect();
+            oracle.pin_sources(&g, &all);
+            let blocks = n.div_ceil(ENVELOPE_BLOCK);
+            for b in 0..blocks {
+                let u = rng.gen_range(b * ENVELOPE_BLOCK..((b + 1) * ENVELOPE_BLOCK).min(n));
+                oracle.begin(&g, u);
+                let f = *g.neighbors(u).choose(&mut rng).expect("connected");
+                for prefix in [vec![], vec![EdgeDelta::Remove { u, v: f }]] {
+                    let mut bounds = Vec::new();
+                    assert!(oracle.insert_block_bounds(&g, &prefix, u, &mut bounds));
+                    assert_eq!(bounds.len(), blocks);
+                    let mut h = g.clone();
+                    if let [EdgeDelta::Remove { v, .. }] = prefix[..] {
+                        assert!(h.remove_edge(u, v));
+                    }
+                    for v in (0..n).filter(|&v| v != u && !h.has_edge(u, v)) {
+                        let ctx = format!("n {n}: src {u} v {v} prefix {prefix:?}");
+                        let block = bounds[v / ENVELOPE_BLOCK];
+                        let member = oracle
+                            .insert_level_bound(&g, &prefix, u, v)
+                            .expect("every slot is parked and connected");
+                        assert!(block.sum <= member.sum && block.max <= member.max, "{ctx}");
+                        let (kernel, _) = oracle
+                            .evaluate_insert_via_cache(&g, &prefix, u, v)
+                            .expect("the kernel serves every bounded candidate");
+                        assert!(
+                            member.sum <= kernel.sum && member.max <= kernel.max,
+                            "{ctx}"
+                        );
+                        let mut deltas = prefix.clone();
+                        deltas.push(EdgeDelta::Insert { u, v });
+                        let (_, exact) = truth(&g, u, &deltas);
+                        let unbounded = |d: DistanceSummary| {
+                            (d.sum.unwrap_or(u64::MAX), d.max.unwrap_or(u32::MAX))
+                        };
+                        let (kernel, exact) = (unbounded(kernel), unbounded(exact));
+                        assert!(kernel.0 <= exact.0 && kernel.1 <= exact.1, "{ctx}");
+                        members += 1;
+                    }
+                    // Past level 1 a bound counts more than `n − 1`.
+                    let trivial = Some(n as u64 - 1);
+                    informative += bounds.iter().filter(|bb| bb.sum > trivial).count();
+                }
+            }
+        }
+        assert!(members > 1000, "only {members} members bounded");
+        assert!(
+            informative > 10,
+            "only {informative} block bounds past level 1"
+        );
+    }
+
+    #[test]
+    fn block_rows_keep_the_source_pinned_when_they_were_built() {
+        // The rows are built once per version, whoever is pinned. Built
+        // while the hub `a` is pinned, they must still cover `a` as a
+        // target once `b` is pinned: they equal a rebuild made with `b`
+        // pinned, and the hub's own count at level 1 tops its block.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xb10c3);
+        for n in [65usize, 130, 200] {
+            let a = rng.gen_range(0..n);
+            let g = graph_with_hub(n, a, 40, &mut rng);
+            let mut oracle = PersistentOracle::new(n);
+            let all: Vec<NodeId> = (0..n).collect();
+            oracle.pin_sources(&g, &all);
+            oracle.begin(&g, a);
+            let mut bounds = Vec::new();
+            assert!(oracle.insert_block_bounds(&g, &[], a, &mut bounds));
+            let built = oracle.envelopes.rows.clone();
+            let hub_block = a / ENVELOPE_BLOCK;
+            assert_eq!(built[hub_block][1], 1 + g.degree(a) as u16, "n {n}");
+            let b = (0..n)
+                .find(|&b| b != a && !g.has_edge(a, b))
+                .expect("a non-neighbour");
+            oracle.begin(&g, b);
+            assert!(oracle.insert_block_bounds(&g, &[], b, &mut bounds));
+            assert_eq!(oracle.envelopes.rows, built, "n {n}: the rows are kept");
+            let member = oracle
+                .insert_level_bound(&g, &[], b, a)
+                .expect("a is parked");
+            let block = bounds[hub_block];
+            assert!(block.sum <= member.sum && block.max <= member.max, "n {n}");
+            oracle.envelopes.built = None;
+            assert!(oracle.envelopes_ready());
+            assert_eq!(
+                oracle.envelopes.rows, built,
+                "n {n}: a rebuild with b pinned"
+            );
+        }
+    }
+
+    #[test]
+    fn block_bounds_refuse_cold_slots_and_disconnected_graphs() {
+        let mut bounds = vec![DistanceSummary::DISCONNECTED];
+        // Every slot but the pinned source's is cold.
+        let g = generators::cycle(70);
+        let mut oracle = PersistentOracle::new(70);
+        oracle.begin(&g, 3);
+        assert!(!oracle.insert_block_bounds(&g, &[], 3, &mut bounds));
+        assert!(bounds.is_empty());
+        // Filling the cold slots at the same version makes the rows.
+        let all: Vec<NodeId> = (0..70).collect();
+        oracle.pin_sources(&g, &all);
+        assert!(oracle.insert_block_bounds(&g, &[], 3, &mut bounds));
+        assert_eq!(bounds.len(), 2);
+        assert_eq!(oracle.stats().bound_queries, 2, "one query per block");
+        // Not the pinned source, or an insertion in the prefix.
+        assert!(!oracle.insert_block_bounds(&g, &[], 4, &mut bounds));
+        let insert = [EdgeDelta::Insert { u: 3, v: 40 }];
+        assert!(!oracle.insert_block_bounds(&g, &insert, 3, &mut bounds));
+        // Two components: no vector reaches every vertex.
+        let g = OwnedGraph::from_owned_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
+        let mut oracle = PersistentOracle::new(6);
+        oracle.pin_sources(&g, &[0, 1, 2, 3, 4, 5]);
+        oracle.begin(&g, 0);
+        assert!(!oracle.insert_block_bounds(&g, &[], 0, &mut bounds));
+        assert_eq!(oracle.stats().bound_queries, 0);
     }
 
     #[test]

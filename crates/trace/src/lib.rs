@@ -36,9 +36,11 @@ pub enum Phase {
     Trial,
     /// Trial setup: topology generation and engine construction.
     Setup,
-    /// Mover selection: scanning agents for an improving move.
+    /// Mover selection: scanning agents for an improving move, and choosing
+    /// the mover's best response (found by the same scan, except in consent
+    /// games).
     Scan,
-    /// Choosing the mover's best response and applying it to the graph.
+    /// Applying the chosen move to the graph.
     Apply,
     /// Per-agent cost refresh feeding the max-cost policy order.
     CostRefresh,

@@ -213,6 +213,61 @@ fn best_responses_identical_across_backends() {
     }
 }
 
+/// The bounded scans past one 64-vertex envelope block: at n = 130 and 200
+/// (three and four blocks, the last one partial) the persistent scans,
+/// which bound runs of Buys and Swaps block by block, return the full-BFS
+/// reference's best-response tie sets and unhappiness verdicts along
+/// short best-response playouts.
+#[test]
+fn bounded_scans_agree_across_envelope_blocks() {
+    let mut rng = StdRng::seed_from_u64(0xb10c);
+    let mut scans = 0usize;
+    for n in [130usize, 200] {
+        let games: Vec<(Box<dyn Game>, OwnedGraph)> = vec![
+            (
+                Box::new(AsymSwapGame::sum()),
+                generators::budgeted_random(n, 2, &mut rng),
+            ),
+            (
+                Box::new(GreedyBuyGame::sum(n as f64 / 4.0)),
+                generators::random_with_m_edges(n, 2 * n, &mut rng),
+            ),
+            (
+                Box::new(GreedyBuyGame::max(2.5)),
+                generators::random_with_m_edges(n, 2 * n, &mut rng),
+            ),
+        ];
+        for (game, initial) in &games {
+            let mut g = initial.clone();
+            let mut ws_full = Workspace::with_oracle(n, OracleKind::FullBfs);
+            let mut ws_pers = Workspace::with_oracle(n, OracleKind::Persistent);
+            let all: Vec<usize> = (0..n).collect();
+            ws_pers.evaluator.pin_sources(&g, &all);
+            for step in 0..4 {
+                let u = rng.gen_range(0..n);
+                let ctx = format!("n {n} {} step {step} agent {u}", game.name());
+                assert_bounded_scans_agree(game.as_ref(), &g, u, &mut ws_full, &mut ws_pers, &ctx);
+                scans += 1;
+                match game.best_response(&g, u, &mut ws_full) {
+                    Some(scored) => {
+                        apply_move(&mut g, u, &scored.mv).expect("best response applies");
+                    }
+                    None => {
+                        apply_random_change(&mut g, &mut rng);
+                    }
+                }
+            }
+            let stats = ws_pers.oracle_stats();
+            assert!(
+                stats.bound_pruned > 0,
+                "n {n} {}: no bound pruned",
+                game.name()
+            );
+        }
+    }
+    assert_eq!(scans, 2 * 3 * 4);
+}
+
 /// Applies the first delta of a random valid sequence to `g` as a structural
 /// mutation, returning `true` if something changed.
 fn apply_random_change<R: Rng>(g: &mut OwnedGraph, rng: &mut R) -> bool {
