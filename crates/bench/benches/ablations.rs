@@ -1,7 +1,7 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md §4:
+//! Ablation benchmarks of four design choices of the dynamics engine:
 //! single-source scoring vs. all-pairs re-computation, early-exit unhappiness
 //! scanning vs. full best-response computation, cycle detection on vs. off, and
-//! parallel vs. sequential trial execution.
+//! trials spread over scoped worker threads vs. one thread.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ncg_core::dynamics::{run_dynamics, DynamicsConfig};
@@ -98,7 +98,8 @@ fn ablation_cycle_detection(c: &mut Criterion) {
     group.finish();
 }
 
-/// Parallel (crossbeam) vs. sequential trial execution of an experiment point.
+/// Trials of an experiment point on `std::thread::scope` workers (one per
+/// available CPU) vs. on one thread.
 fn ablation_parallel_runner(c: &mut Criterion) {
     let point = ExperimentPoint {
         n: 25,

@@ -12,8 +12,9 @@
 //! cargo run -p ncg-bench --release --bin oracle_ablation -- json=BENCH_oracle.json max_n=2048
 //! ```
 //!
-//! Prints, per `(family, n)`, the wall-clock per engine together with the
-//! speedup of the persistent engine over the full-BFS reference. It asserts
+//! Prints, per `(family, n)`, the fastest and slowest repeat's wall-clock
+//! per engine together with the speedup of the persistent engine over the
+//! full-BFS reference (fastest against fastest). It asserts
 //! the identities the fast engine rests on: traced ≡ untraced runs before
 //! any timing, and `persistent` ≡ `full-bfs` step counts in every cell both
 //! engines run. `smoke=1` shrinks everything for CI, adds random-policy
@@ -23,7 +24,9 @@
 //! against the golden file [`GOLDEN_PATH`]: a counter that grows fails the
 //! run, one that shrinks is printed, and `smoke=1 bless=1` rewrites the
 //! file. `json=PATH` additionally writes the measurements as a
-//! JSON snapshot, stamped with the commit, toolchain and host.
+//! JSON snapshot, stamped with the commit, toolchain and host: per cell the
+//! fastest repeat per engine (`seconds`) and every repeat
+//! (`repeat_seconds`).
 
 use ncg_bench::{provenance_json, ConsentForced};
 use ncg_core::policy::Policy;
@@ -48,7 +51,8 @@ const GOLDEN_PATH: &str = concat!(
 /// The [`OracleStats`] fields a seed fixes, pinned in [`GOLDEN_PATH`]. They
 /// count algorithmic work, so they catch a regression that wall-clock on a
 /// noisy host cannot.
-const PINNED_COUNTERS: [&str; 11] = [
+const PINNED_COUNTERS: [&str; 12] = [
+    "full_bfs_runs",
     "evaluations",
     "nodes_expanded",
     "kernel_calls",
@@ -164,15 +168,16 @@ fn point(
     }
 }
 
-/// Wall-clock seconds, step total and summed oracle counters of `trials`
-/// converged runs of `point`. With `repeats > 1` the whole trial block is
-/// run that many times and the fastest wall-clock is reported (steps and
-/// counters are identical across repeats — trials are seed-deterministic) —
-/// the usual min-based defence against one-off scheduler noise on the cells
-/// whose ratios the snapshot's headline claims rest on.
-fn measure(point: &ExperimentPoint, repeats: usize) -> (f64, usize, OracleStats) {
+/// Wall-clock seconds of every repeat, step total and summed oracle
+/// counters of `trials` converged runs of `point`. With `repeats > 1` the
+/// whole trial block is run that many times (steps and counters are
+/// identical across repeats — trials are seed-deterministic): the fastest
+/// block is the usual min-based defence against one-off scheduler noise on
+/// the cells whose ratios the snapshot's headline claims rest on, and the
+/// slowest shows how far that noise reaches.
+fn measure(point: &ExperimentPoint, repeats: usize) -> (Vec<f64>, usize, OracleStats) {
     let game = point.make_game();
-    let mut best = f64::INFINITY;
+    let mut seconds = Vec::with_capacity(repeats.max(1));
     let mut steps = 0usize;
     let mut stats = OracleStats::default();
     for rep in 0..repeats.max(1) {
@@ -185,7 +190,7 @@ fn measure(point: &ExperimentPoint, repeats: usize) -> (f64, usize, OracleStats)
             rep_steps += r.steps;
             rep_stats.merge(&s);
         }
-        best = best.min(watch.elapsed_secs());
+        seconds.push(watch.elapsed_secs());
         if rep == 0 {
             steps = rep_steps;
             stats = rep_stats;
@@ -198,7 +203,14 @@ fn measure(point: &ExperimentPoint, repeats: usize) -> (f64, usize, OracleStats)
             );
         }
     }
-    (best, steps, stats)
+    (seconds, steps, stats)
+}
+
+/// The fastest and slowest of a cell's repeat wall-clocks.
+fn min_max(seconds: &[f64]) -> (f64, f64) {
+    let min = seconds.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = seconds.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    (min, max)
 }
 
 /// The observability contract of `ncg-trace`: flipping the global switch must
@@ -370,9 +382,9 @@ struct SweepRow {
     /// The family label, suffixed `/random` for the random-policy cells.
     family: String,
     n: usize,
-    /// Wall-clock per engine; `None` when the engine was skipped at this `n`
-    /// (the reference engine past `full_max_n`).
-    times: Vec<Option<f64>>,
+    /// Wall-clock of every repeat per engine; `None` when the engine was
+    /// skipped at this `n` (the reference engine past `full_max_n`).
+    times: Vec<Option<Vec<f64>>>,
     /// Summed oracle work counters per engine (same indexing as `times`).
     stats: Vec<Option<OracleStats>>,
     /// Phase profile of one extra tracing-enabled rep (same indexing as
@@ -494,9 +506,12 @@ fn main() {
         scale.trials,
         labels.join(", ")
     );
-    let fmt_time = |t: Option<f64>| match t {
-        Some(t) => format!("{t:>13.4}"),
-        None => format!("{:>13}", "-"),
+    let fmt_time = |t: Option<&[f64]>| match t {
+        Some(t) => {
+            let (min, max) = min_max(t);
+            format!("{min:>13.4} {max:>9.4}")
+        }
+        None => format!("{:>13} {:>9}", "-", "-"),
     };
     let mut sweep_rows = Vec::new();
     // Smoke mode adds random-policy cells: the max-cost policy re-measures
@@ -524,15 +539,15 @@ fn main() {
         };
         println!("\nfamily {family_label}");
         println!(
-            "{:>6} {:>13} {:>13} {:>9} {:>9}",
-            "n", "full-bfs [s]", "persist [s]", "full/p", "steps"
+            "{:>6} {:>13} {:>9} {:>13} {:>9} {:>9} {:>9}",
+            "n", "full-bfs [s]", "max", "persist [s]", "max", "full/p", "steps"
         );
         for &n in &ns {
             // The big-n extension cells run one trial (a single n = 4096
             // trial already integrates minutes of work — the repeat/min
             // machinery is what fights noise at the small sizes).
             let cell_trials = if n >= 2048 { 1 } else { scale.trials };
-            let mut times: Vec<Option<f64>> = Vec::new();
+            let mut times: Vec<Option<Vec<f64>>> = Vec::new();
             let mut stats: Vec<Option<OracleStats>> = Vec::new();
             let mut profiles: Vec<Option<trace::TraceReport>> = Vec::new();
             let mut steps: Option<usize> = None;
@@ -576,17 +591,19 @@ fn main() {
                     ),
                 }
             }
-            let ratio = |a: Option<f64>, b: Option<f64>| match (a, b) {
-                (Some(a), Some(b)) => format!("{:>8.2}x", a / b.max(1e-9)),
+            let ratio = |a: Option<&[f64]>, b: Option<&[f64]>| match (a, b) {
+                (Some(a), Some(b)) => {
+                    format!("{:>8.2}x", min_max(a).0 / min_max(b).0.max(1e-9))
+                }
                 _ => format!("{:>9}", "-"),
             };
             let steps = steps.unwrap_or(0);
             println!(
                 "{:>6} {} {} {} {:>9}",
                 n,
-                fmt_time(times[0]),
-                fmt_time(times[1]),
-                ratio(times[0], times[1]),
+                fmt_time(times[0].as_deref()),
+                fmt_time(times[1].as_deref()),
+                ratio(times[0].as_deref(), times[1].as_deref()),
                 steps
             );
             sweep_rows.push(SweepRow {
@@ -656,10 +673,22 @@ fn main() {
         let _ = writeln!(out, "  \"provenance\": {},", provenance_json());
         out.push_str("  \"sweep\": [\n");
         for (i, row) in sweep_rows.iter().enumerate() {
+            // `seconds` is each engine's fastest repeat; `repeat_seconds`
+            // lists every repeat, so a reader can see the cell's spread.
             let engines_json: Vec<String> = labels
                 .iter()
                 .zip(&row.times)
-                .filter_map(|(l, t)| t.map(|t| format!("\"{l}\": {t:.6}")))
+                .filter_map(|(l, t)| t.as_ref().map(|t| format!("\"{l}\": {:.6}", min_max(t).0)))
+                .collect();
+            let repeats_json: Vec<String> = labels
+                .iter()
+                .zip(&row.times)
+                .filter_map(|(l, t)| {
+                    t.as_ref().map(|t| {
+                        let secs: Vec<String> = t.iter().map(|s| format!("{s:.6}")).collect();
+                        format!("\"{l}\": [{}]", secs.join(", "))
+                    })
+                })
                 .collect();
             let stats_json: Vec<String> = labels
                 .iter()
@@ -702,11 +731,13 @@ fn main() {
             let _ = write!(
                 out,
                 "    {{\"family\": \"{}\", \"n\": {}, \"steps\": {}, \"seconds\": {{{}}}, \
-                 \"oracle_stats\": {{{}}}, \"wasted_scan\": {{{}}}, \"phase_profile\": {{{}}}}}",
+                 \"repeat_seconds\": {{{}}}, \"oracle_stats\": {{{}}}, \"wasted_scan\": {{{}}}, \
+                 \"phase_profile\": {{{}}}}}",
                 row.family,
                 row.n,
                 row.steps,
                 engines_json.join(", "),
+                repeats_json.join(", "),
                 stats_json.join(", "),
                 wasted_json.join(", "),
                 profile_json.join(", ")

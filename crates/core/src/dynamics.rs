@@ -175,9 +175,9 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
         let n = initial.num_nodes();
         let mut ws = Workspace::with_oracle(n, config.oracle);
         if config.oracle == OracleKind::Persistent {
-            // Bulk-pin every agent's vector up front: the first policy scan
-            // needs all n summaries anyway, and the cold fill costs ⌈n/64⌉
-            // shared bitset waves instead of n scalar traversals.
+            // Fill every agent's vector up front, in ⌈n/64⌉ shared bitset
+            // waves: the first policy scan needs all n summaries anyway, and
+            // the fill is then part of the setup rather than the first step.
             let all: Vec<NodeId> = (0..n).collect();
             ws.evaluator.pin_sources(&initial, &all);
         }

@@ -89,23 +89,28 @@ impl CostEvaluator {
         self.kind
     }
 
-    /// Work counters of the underlying oracle, plus the scans'
-    /// level-bound prunes.
+    /// Work counters of the underlying oracle and of the consent oracle, if
+    /// one was created, plus the scans' level-bound prunes. Both caches are
+    /// live at once, so their `peak_parked_bytes` add.
     pub fn stats(&self) -> OracleStats {
         let mut stats = self.oracle.stats();
+        if let Some(consent) = &self.consent {
+            let counterpart = consent.stats();
+            let peak = stats.peak_parked_bytes + counterpart.peak_parked_bytes;
+            stats.merge(&counterpart);
+            stats.peak_parked_bytes = peak;
+        }
         stats.bound_pruned += self.bound_pruned;
         stats.debug_validate();
         stats
     }
 
-    /// Work counters of the consent (counterpart) oracle, if one was created.
-    pub fn consent_stats(&self) -> Option<OracleStats> {
-        self.consent.as_ref().map(|o| o.stats())
-    }
-
     /// Clears the work counters.
     pub fn reset_stats(&mut self) {
         self.oracle.reset_stats();
+        if let Some(consent) = &mut self.consent {
+            consent.reset_stats();
+        }
         self.bound_pruned = 0;
     }
 
@@ -289,30 +294,18 @@ impl CostEvaluator {
 
     /// The agent's distance summary served from the main oracle's parked (or
     /// pinned) vector at the current version of `g`, without re-pinning —
-    /// `None` when the agent's slot is cold and answering would need a BFS.
-    /// See [`DistanceOracle::cached_summary`].
+    /// `None` on a backend that keeps no per-source cache (the full-BFS
+    /// reference). See [`DistanceOracle::cached_summary`].
     pub fn cached_summary(&mut self, g: &OwnedGraph, u: NodeId) -> Option<DistanceSummary> {
         self.oracle.cached_summary(g, u)
     }
 
-    /// Parks the distance vectors of `sources` in the **main** oracle at the
-    /// current version of `g`. On the persistent backend, sources whose
-    /// vector is already parked (or pinned) cost nothing, since the oracle's
-    /// sync keeps them current; cold ones are recomputed in bitset waves
-    /// without churning the working pin.
+    /// Brings the distance vectors of `sources` in the **main** oracle to
+    /// the current version of `g`. The persistent backend keeps every
+    /// source's vector current at its sync, so this only syncs: the first
+    /// call fills every vector in bitset waves.
     pub fn pin_sources(&mut self, g: &OwnedGraph, sources: &[NodeId]) {
         self.oracle.pin_sources(g, sources);
-    }
-
-    /// Warms the consent oracle's per-source cache for `sources` at the
-    /// current version of `g`, so the counterpart queries of the following
-    /// scans are served by journal replay instead of full BFS re-pins.
-    pub fn pin_consent_sources(&mut self, g: &OwnedGraph, sources: &[NodeId]) {
-        let _sp = ncg_trace::span(ncg_trace::Phase::Consent);
-        let kind = self.kind;
-        self.consent
-            .get_or_insert_with(|| make_oracle(kind, g.num_nodes()))
-            .pin_sources(g, sources);
     }
 
     /// Counterpart what-if for the **last scored candidate**: re-pins agent
@@ -655,41 +648,49 @@ mod tests {
 
     #[test]
     fn pinned_consent_sources_are_served_by_replay() {
-        // Warming the consent oracle parks the parties' vectors at the
-        // current version: counterpart queries after later graph changes are
-        // then journal replays, not full BFS re-pins.
+        // The consent oracle fills every party's vector at its first query
+        // and keeps them current by journal replay: counterpart queries
+        // after a graph change stay BFS-exact without a scalar BFS, and the
+        // evaluator's counters include the consent oracle's work.
         let mut g = generators::path(10);
         let mut evaluator = CostEvaluator::new(OracleKind::Persistent, 10);
-        evaluator.begin_agent(&g, 0);
-        evaluator.pin_consent_sources(&g, &[5, 9]);
-        let warm_bfs = evaluator
-            .consent_stats()
-            .expect("consent oracle")
-            .full_bfs_runs;
-        g.add_edge(0, 7);
-        evaluator.begin_agent(&g, 0);
         let mv = Move::SetNeighbors {
             new_neighbors: vec![1, 5, 9],
         };
-        assert!(matches!(
-            evaluator.try_score(&g, 0, &mv),
-            DeltaScore::Summary(_)
-        ));
-        let mut h = g.clone();
-        apply_move(&mut h, 0, &mv).expect("applies");
         let mut buf = BfsBuffer::new(10);
-        for party in [5usize, 9] {
-            let (base, modified) = evaluator.score_counterpart(&g, party);
-            assert_eq!(base, buf.summary(&g, party), "party {party} base");
-            assert_eq!(modified, buf.summary(&h, party), "party {party} post-move");
+        for moved in [false, true] {
+            if moved {
+                g.add_edge(0, 7);
+            }
+            evaluator.begin_agent(&g, 0);
+            assert!(matches!(
+                evaluator.try_score(&g, 0, &mv),
+                DeltaScore::Summary(_)
+            ));
+            let mut h = g.clone();
+            apply_move(&mut h, 0, &mv).expect("applies");
+            for party in [5usize, 9] {
+                let ctx = format!("party {party}, moved {moved}");
+                let (base, modified) = evaluator.score_counterpart(&g, party);
+                assert_eq!(base, buf.summary(&g, party), "{ctx}: base");
+                assert_eq!(modified, buf.summary(&h, party), "{ctx}: post-move");
+            }
         }
+        let stats = evaluator.stats();
         assert_eq!(
-            evaluator
-                .consent_stats()
-                .expect("consent oracle")
-                .full_bfs_runs,
-            warm_bfs,
-            "pinned counterpart queries must replay, not re-run BFS"
+            stats.full_bfs_runs, 0,
+            "counterparts replay, not re-run BFS"
+        );
+        assert_eq!(stats.batched_repins, 2 * 10, "one fill per oracle");
+        assert_eq!(
+            stats.replayed_begins,
+            2 * 10,
+            "one replayed sync per oracle"
+        );
+        assert_eq!(
+            stats.peak_parked_bytes,
+            2 * 10 * 2 * (2 * 10 + 2),
+            "two full caches add"
         );
     }
 

@@ -228,29 +228,25 @@ pub trait Game {
 /// vector. The first read after a move brings every parked vector current
 /// by journal replay, in time proportional to the region the move actually
 /// changed instead of one BFS per agent — this is what makes the max-cost
-/// policy's per-step cost refresh of all `n` agents cheap. A cold vector
-/// falls back to one `begin`. The value is *identical* to [`Game::cost`]:
-/// both compute `edge_cost(g, u) + metric(distance summary of u)` on the
-/// exact distance vector. Consent games (which may override `Game::cost`)
-/// always take the honest measurement.
+/// policy's per-step cost refresh of all `n` agents cheap. The value is
+/// *identical* to [`Game::cost`]: both compute
+/// `edge_cost(g, u) + metric(distance summary of u)` on the exact distance
+/// vector. The full-BFS backend, which keeps no per-source cache, and
+/// consent games (which may override `Game::cost`) take the honest
+/// measurement.
 pub fn workspace_cost<G: Game + ?Sized>(
     game: &G,
     g: &OwnedGraph,
     u: NodeId,
     ws: &mut Workspace,
 ) -> f64 {
-    if ws.oracle_kind() == OracleKind::Persistent && (!game.needs_consent() || game.delta_consent())
-    {
-        // A parked vector answers without re-pinning; only a cold one
-        // (after a journal window too long to replay) needs a `begin`.
-        let summary = match ws.evaluator.cached_summary(g, u) {
-            Some(summary) => summary,
-            None => ws.evaluator.begin_agent(g, u),
-        };
-        game.edge_cost_mode().edge_cost(g, u, game.alpha()) + game.metric().distance_cost(&summary)
-    } else {
-        game.cost(g, u, &mut ws.bfs)
+    if !game.needs_consent() || game.delta_consent() {
+        if let Some(summary) = ws.evaluator.cached_summary(g, u) {
+            return game.edge_cost_mode().edge_cost(g, u, game.alpha())
+                + game.metric().distance_cost(&summary);
+        }
     }
+    game.cost(g, u, &mut ws.bfs)
 }
 
 /// How [`scan_moves`] terminates.

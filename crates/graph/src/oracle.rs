@@ -36,14 +36,14 @@
 //! equivalence tests in the facade crate.
 //!
 //! Distance vectors are carried **across** `begin` calls in a per-source
-//! cache with one sync point: the first call that arrives with a
-//! [`GraphVersion`] the oracle has not seen brings the CSR snapshot and every
-//! parked vector to it in one pass, replaying the journal window between
-//! the two versions through the same repair machinery. Every other method
-//! reads only current vectors. A window the journal no longer holds, or one
-//! longer than `max(8, n/8)` changes, leaves every slot cold instead: a
-//! later `begin` re-pins a cold source with one full BFS, and `pin_sources`
-//! refills cold slots in 64-wide bitset waves.
+//! cache that holds every source's vector, with one sync point: the first
+//! call that arrives with a [`GraphVersion`] the oracle has not seen brings
+//! the CSR snapshot and all `n` vectors to it in one pass, replaying the
+//! journal window between the two versions through the same repair
+//! machinery. The first sync, and one whose window the journal no longer
+//! holds or that is longer than `max(8, n/8)` changes, refills every vector
+//! in 64-wide bitset waves instead. Every other method reads only current
+//! vectors.
 
 use crate::batch::{BatchSummary, MultiSourceBfs, BATCH_WIDTH};
 use crate::csr::{CsrAdjacency, PatchOutcome};
@@ -81,11 +81,11 @@ pub enum OracleKind {
     /// checked against.
     FullBfs,
     /// Journaled truncated-BFS repair per candidate evaluation, with distance
-    /// vectors carried **across** `begin` calls: each source's vector is
+    /// vectors carried **across** `begin` calls: every source's vector is
     /// cached, and when the graph's [`GraphVersion`] moves, the applied
     /// [`EdgeChange`]s from the graph's change journal are replayed into
     /// every cached vector instead of re-running a full BFS per source
-    /// (with a staleness fallback when too many changes accumulated).
+    /// (with a bulk refill when too many changes accumulated).
     #[default]
     Persistent,
 }
@@ -112,8 +112,10 @@ impl OracleKind {
 /// Work counters of an oracle, for ablation measurements.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
-    /// Full BFS traversals performed (one per [`DistanceOracle::begin`], plus
-    /// one per evaluation for the full-BFS backend).
+    /// Scalar full BFS traversals: one per [`DistanceOracle::begin`] and one
+    /// per evaluation of the full-BFS backend. Always 0 on the persistent
+    /// backend, which fills its vectors in the bulk waves
+    /// (`batched_repins`).
     pub full_bfs_runs: u64,
     /// Candidate evaluations answered by seating their deltas on the
     /// working vector: every [`DistanceOracle::evaluate`], and every
@@ -140,14 +142,17 @@ pub struct OracleStats {
     /// one vector when a query reads it. The field remains so that code
     /// reading it, such as the `perfbench` harness, keeps compiling.
     pub lazy_replays: u64,
-    /// Parked vectors recomputed by the word-parallel bulk waves (up to
-    /// [`BATCH_WIDTH`] sources per shared bitset BFS) instead of one scalar
-    /// traversal each: cold bulk pins, including the slots a journal window
-    /// past the replay limit left cold.
+    /// Vectors filled by the word-parallel bulk waves (up to [`BATCH_WIDTH`]
+    /// sources per shared bitset BFS) instead of one scalar traversal each
+    /// (persistent backend only): all `n` at the first sync, and all `n`
+    /// again at every sync whose journal window cannot be replayed (past
+    /// the replay limit, a foreign lineage, a new graph size).
     pub batched_repins: u64,
-    /// High-water mark of the parked per-source cache, in bytes: the peak
-    /// number of occupied slots times `2·(2n + 2)` bytes per slot (a `u16`
-    /// distance vector plus `n + 2` `u16` level counters).
+    /// High-water mark of the per-source cache, in bytes: `n` vectors of
+    /// `2·(2n + 2)` bytes each (a `u16` distance vector plus `n + 2` `u16`
+    /// level counters) from the persistent backend's first sync on, and 0
+    /// on the full-BFS backend. Two caches live at once (the scoring
+    /// layer's consent oracle beside the mover's) add.
     pub peak_parked_bytes: u64,
     /// Fused `O(n)` insertion kernels run by
     /// [`DistanceOracle::evaluate_insert_via_cache`].
@@ -226,14 +231,10 @@ pub trait DistanceOracle: Send {
     /// Warms the backend's per-source state for every vertex of `sources` at
     /// the current version of `g`.
     ///
-    /// For the persistent backend each source's distance vector ends up
-    /// parked in the per-source cache, so a later
-    /// [`DistanceOracle::evaluate_for_source`] (or re-`begin`) of the same
-    /// source loads it without a BFS, and later graph versions advance it by
-    /// journal replay in `O(changes)`. Parked and pinned sources cost
-    /// nothing; cold ones are recomputed in shared bitset waves, without
-    /// churning the pinned working vector. Stateless backends simply run one
-    /// BFS per source.
+    /// The persistent backend keeps every source's vector, so this only
+    /// brings its cache to the current version of `g` (the first call fills
+    /// it in shared bitset waves). Stateless backends simply run one BFS per
+    /// source.
     fn pin_sources(&mut self, g: &OwnedGraph, sources: &[NodeId]) {
         for &src in sources {
             self.begin(g, src);
@@ -243,8 +244,7 @@ pub trait DistanceOracle: Send {
     /// The source's distance summary served *without pinning*: from its
     /// parked vector (or from the working vector when `src` is pinned
     /// there), after the persistent backend brought its cache to the current
-    /// version of `g`. `None` for a cold source, whose summary would need a
-    /// BFS — the caller then falls back to a full [`DistanceOracle::begin`].
+    /// version of `g`. `None` for a backend that keeps no per-source cache.
     fn cached_summary(&mut self, _g: &OwnedGraph, _src: NodeId) -> Option<DistanceSummary> {
         None
     }
@@ -295,9 +295,9 @@ pub trait DistanceOracle: Send {
     /// sync brought every parked vector to its version.
     ///
     /// `None` whenever the backend cannot serve the query (stateless
-    /// backends; `u` not the pinned source; `g` not the pinned graph; `v`'s
-    /// slot cold; `prefix` containing insertions, which would flip the
-    /// bound's direction).
+    /// backends; `u` not the pinned source; `v == u`; `g` not the pinned
+    /// graph; `prefix` containing insertions, which would flip the bound's
+    /// direction).
     ///
     /// Scans put a cheaper `O(D)` tier in front of this `O(n)` pass:
     /// [`DistanceOracle::insert_level_bound`] bounds the same candidate from
@@ -360,8 +360,8 @@ pub trait DistanceOracle: Send {
     ///
     /// Clears `out` first. `false` (and `out` empty) whenever the backend
     /// cannot serve the bounds: stateless backends, `u` not the pinned
-    /// source, `g` not the pinned graph, a `prefix` with insertions, a cold
-    /// slot, or a vector that does not reach every vertex.
+    /// source, `g` not the pinned graph, a `prefix` with insertions, or a
+    /// vector that does not reach every vertex.
     fn insert_block_bounds(
         &mut self,
         _g: &OwnedGraph,
@@ -393,8 +393,8 @@ pub trait DistanceOracle: Send {
     /// smallest (`O(deg(u)·n)`); each `c_f` is then one `O(n)` pass.
     ///
     /// `None` whenever the backend cannot serve the bound: stateless
-    /// backends, `u` not the pinned source, `g` not the pinned graph, or a
-    /// cold neighbour row. `f` must be a neighbour of `u`.
+    /// backends, `u` not the pinned source, or `g` not the pinned graph.
+    /// `f` must be a neighbour of `u`.
     fn removal_bound(
         &mut self,
         _g: &OwnedGraph,
@@ -645,10 +645,12 @@ impl DistanceOracle for FullBfsOracle {
     }
 }
 
-/// Distance vector with incrementally maintained SUM / MAX aggregates and an
-/// undo journal.
+/// A distance vector with its SUM / MAX aggregates and per-level counters:
+/// the working vector of the persistent backend, and one cached slot per
+/// source. The level counters travel with the vector, so activating a
+/// source is one `O(1)` swap rather than an `O(n)` rebuild.
 #[derive(Debug, Clone, Default)]
-struct DistState {
+struct DistVector {
     dist: Vec<u16>,
     /// Sum of all finite distances.
     sum: u64,
@@ -658,64 +660,9 @@ struct DistState {
     level_counts: Vec<u16>,
     /// Upper bound on the current maximum finite distance.
     max_hint: u16,
-    /// `(vertex, previous distance)` pairs for rollback.
-    journal: Vec<(u32, u16)>,
-    /// When `true`, assignments are applied *permanently*: the undo journal is
-    /// bypassed even when the caller requests journaling. Used while replaying
-    /// applied graph changes.
-    replaying: bool,
 }
 
-impl DistState {
-    fn reset(&mut self, n: usize) {
-        self.dist.clear();
-        self.dist.resize(n, UNREACHABLE);
-        self.level_counts.clear();
-        self.level_counts.resize(n + 2, 0);
-        self.sum = 0;
-        self.reached = 0;
-        self.max_hint = 0;
-        self.journal.clear();
-    }
-
-    #[inline]
-    fn get(&self, x: u32) -> u16 {
-        self.dist[x as usize]
-    }
-
-    /// Sets `dist[x] = new`, keeping the aggregates in sync; `journal = true`
-    /// records the old value for rollback (unless a replay is in progress, in
-    /// which case the assignment is permanent).
-    #[inline]
-    fn assign(&mut self, x: u32, new: u16, journal: bool) {
-        let old = self.dist[x as usize];
-        if journal && !self.replaying {
-            self.journal.push((x, old));
-        }
-        if old != UNREACHABLE {
-            self.sum -= u64::from(old);
-            self.level_counts[old as usize] -= 1;
-            self.reached -= 1;
-        }
-        if new != UNREACHABLE {
-            self.sum += u64::from(new);
-            self.level_counts[new as usize] += 1;
-            self.reached += 1;
-            self.max_hint = self.max_hint.max(new);
-        }
-        self.dist[x as usize] = new;
-    }
-
-    /// Reverts journaled assignments down to `journal_len` entries;
-    /// `max_hint` restores the max bound recorded at that point.
-    fn rollback_to(&mut self, journal_len: usize, max_hint: u16) {
-        while self.journal.len() > journal_len {
-            let (x, old) = self.journal.pop().expect("journal length checked");
-            self.assign(x, old, false);
-        }
-        self.max_hint = max_hint;
-    }
-
+impl DistVector {
     /// Current summary; tightens `max_hint` to the true maximum.
     fn summary(&mut self, n: usize) -> DistanceSummary {
         if self.reached < n {
@@ -733,27 +680,65 @@ impl DistState {
     }
 }
 
+/// The working [`DistVector`] with an undo journal.
+#[derive(Debug, Clone, Default)]
+struct DistState {
+    vec: DistVector,
+    /// `(vertex, previous distance)` pairs for rollback.
+    journal: Vec<(u32, u16)>,
+    /// When `true`, assignments are applied *permanently*: the undo journal is
+    /// bypassed even when the caller requests journaling. Used while replaying
+    /// applied graph changes.
+    replaying: bool,
+}
+
+impl DistState {
+    #[inline]
+    fn get(&self, x: u32) -> u16 {
+        self.vec.dist[x as usize]
+    }
+
+    /// Sets `dist[x] = new`, keeping the aggregates in sync; `journal = true`
+    /// records the old value for rollback (unless a replay is in progress, in
+    /// which case the assignment is permanent).
+    #[inline]
+    fn assign(&mut self, x: u32, new: u16, journal: bool) {
+        let v = &mut self.vec;
+        let old = v.dist[x as usize];
+        if journal && !self.replaying {
+            self.journal.push((x, old));
+        }
+        if old != UNREACHABLE {
+            v.sum -= u64::from(old);
+            v.level_counts[old as usize] -= 1;
+            v.reached -= 1;
+        }
+        if new != UNREACHABLE {
+            v.sum += u64::from(new);
+            v.level_counts[new as usize] += 1;
+            v.reached += 1;
+            v.max_hint = v.max_hint.max(new);
+        }
+        v.dist[x as usize] = new;
+    }
+
+    /// Reverts journaled assignments down to `journal_len` entries;
+    /// `max_hint` restores the max bound recorded at that point.
+    fn rollback_to(&mut self, journal_len: usize, max_hint: u16) {
+        while self.journal.len() > journal_len {
+            let (x, old) = self.journal.pop().expect("journal length checked");
+            self.assign(x, old, false);
+        }
+        self.vec.max_hint = max_hint;
+    }
+}
+
 /// A resume point of the delta stack: the journal length and max bound right
 /// before the corresponding delta was applied.
 #[derive(Debug, Clone, Copy)]
 struct Checkpoint {
     journal_len: usize,
     max_hint: u16,
-}
-
-/// A cached per-source distance vector of the persistent backend. A parked
-/// slot is valid at the oracle's synced version; a cold one holds no valid
-/// vector (its buffers are kept for reuse). The level counters are cached
-/// alongside the vector so activating a source is a pair of `O(1)` buffer
-/// swaps rather than an `O(n)` rebuild.
-#[derive(Debug, Clone, Default)]
-struct SourceCache {
-    dist: Vec<u16>,
-    level_counts: Vec<u16>,
-    sum: u64,
-    reached: usize,
-    max_hint: u16,
-    parked: bool,
 }
 
 /// The neighbour-row bound of the pinned source `u` (see
@@ -764,9 +749,8 @@ struct SourceCache {
 #[derive(Debug, Clone, Default)]
 struct RowBound {
     /// The pinned source `u` the minima were built for at the synced
-    /// version, and whether every neighbour row was parked (`false`: fall
-    /// back to the repair). Cleared whenever the version moves.
-    pin: Option<(u32, bool)>,
+    /// version. Cleared whenever the version moves.
+    pin: Option<u32>,
     best: Vec<u16>,
     second: Vec<u16>,
     /// The neighbour giving `best` (vertex ids fit: `n ≤ MAX_NODES`).
@@ -894,9 +878,9 @@ const ENVELOPE_LEVELS: usize = 32;
 /// [`DistanceOracle::insert_block_bounds`]).
 #[derive(Debug, Clone, Default)]
 struct BlockEnvelopes {
-    /// `Some(true)`: `rows` are built; `Some(false)`: a vector was cold or
+    /// `Some(true)`: `rows` are built; `Some(false)`: a vector was
     /// disconnected, so this version has none; `None`: not built since the
-    /// last sync or bulk wave.
+    /// last sync.
     built: Option<bool>,
     /// Per block, the largest cumulative level count of its members at
     /// each level below [`ENVELOPE_LEVELS`].
@@ -925,20 +909,20 @@ enum SourceLevels {
 /// pays the expensive `Remove {u, from}` repair once per `from`, not once per
 /// candidate.
 ///
-/// `begin` carries each source's distance vector **across** calls in a
+/// `begin` carries every source's distance vector **across** calls in a
 /// per-source cache with one sync point: the first call at a graph version
 /// the oracle has not seen replays the edge changes recorded in the graph's
 /// journal into every parked vector through the same repair machinery, so
-/// no parked vector is ever stale. A window the journal cannot serve (a
-/// foreign lineage or a discarded window), or one too long to replay
-/// profitably, leaves every slot cold instead, and a cold source re-pins
-/// with a full BFS, so the backend is never slower than re-pinning
-/// asymptotically and is exact in all cases.
+/// no parked vector is ever stale. The first sync, and one whose window the
+/// journal cannot serve (a foreign lineage, a discarded window, a new graph
+/// size) or that is too long to replay profitably, refills every vector in
+/// 64-wide bitset waves instead, so the backend is exact in all cases.
 ///
-/// The cache has no cap: with every source parked it holds
+/// The cache holds every source's vector from the first query on:
 /// `n·(2n + 2)·2` bytes (distances plus level counters), 268 MB at
-/// `n = 8192`. The block envelopes add 64 bytes per [`ENVELOPE_BLOCK`]
-/// vertices.
+/// `n = 8192`. A caller that wants one source of a huge graph uses
+/// [`FullBfsOracle`]. The block envelopes add 64 bytes per
+/// [`ENVELOPE_BLOCK`] vertices.
 pub struct PersistentOracle {
     csr: CsrAdjacency,
     src: u32,
@@ -966,10 +950,9 @@ pub struct PersistentOracle {
     epoch: u32,
     overlay: DeltaOverlay,
     stats: OracleStats,
-    /// Per-source cached vectors, parked or cold.
-    cache: Vec<SourceCache>,
-    /// Number of parked cache slots.
-    cached_count: usize,
+    /// One vector per source, current at the synced version except the
+    /// pinned source's, whose vector is the working state.
+    cache: Vec<DistVector>,
     /// Version the CSR snapshot, every parked vector and the working vector
     /// reflect; `None` until the first sync.
     synced: Option<GraphVersion>,
@@ -977,8 +960,6 @@ pub struct PersistentOracle {
     pinned: bool,
     /// Shared bitset-frontier workspace of the bulk waves.
     wave: MultiSourceBfs,
-    /// Cold sources queued for the next bulk wave.
-    batch_pending: Vec<u32>,
     /// Neighbour-row bound of the pinned source's one-removal prefixes.
     rows: RowBound,
     /// The pinned base vector's level counts up to its largest level,
@@ -1014,25 +995,16 @@ impl PersistentOracle {
             overlay: DeltaOverlay::default(),
             stats: OracleStats::default(),
             cache: Vec::new(),
-            cached_count: 0,
             synced: None,
             pinned: false,
             wave: MultiSourceBfs::new(),
-            batch_pending: Vec::new(),
             rows: RowBound::default(),
             base_levels: Vec::new(),
             envelopes: BlockEnvelopes::default(),
         };
         oracle.resize_scratch(n);
-        oracle.cache.resize_with(n, SourceCache::default);
+        oracle.cache.resize_with(n, DistVector::default);
         oracle
-    }
-
-    /// Updates the parked-cache high-water mark.
-    fn note_peak(&mut self) {
-        let n = self.cache.len() as u64;
-        let bytes = self.cached_count as u64 * 2 * (2 * n + 2);
-        self.stats.peak_parked_bytes = self.stats.peak_parked_bytes.max(bytes);
     }
 
     /// Maximum number of journal entries worth replaying before a full BFS is
@@ -1222,7 +1194,7 @@ impl PersistentOracle {
     fn push_delta(&mut self, delta: EdgeDelta) {
         self.checkpoints.push(Checkpoint {
             journal_len: self.state.journal.len(),
-            max_hint: self.state.max_hint,
+            max_hint: self.state.vec.max_hint,
         });
         self.active.push(delta);
         self.overlay.activate(&delta);
@@ -1275,7 +1247,7 @@ impl PersistentOracle {
 
     /// The oracle's one sync point, called first by `begin`,
     /// `cached_summary` and `pin_sources`: brings the CSR snapshot and every
-    /// parked vector to the current version of `g`, so every other method
+    /// source's vector to the current version of `g`, so every other method
     /// reads only current vectors. Within one dynamics step the graph is
     /// immutable, so the `n` per-agent reads of a scan share a single sync.
     ///
@@ -1285,11 +1257,10 @@ impl PersistentOracle {
     /// patched into the CSR's flat buffers in place — `O(changes)` instead
     /// of the `O(n + m)` rebuild, with the patcher's own rebuild fallback
     /// for dense journals and exhausted segment slack — and the same window
-    /// is replayed into every parked vector. A window the journal cannot
-    /// serve (a foreign lineage or a discarded window), or one longer than
-    /// the replay limit, rebuilds the CSR and leaves every slot cold
-    /// instead: a later `begin` re-pins a cold source with one BFS, and
-    /// `pin_sources` refills cold slots in bitset waves.
+    /// is replayed into every vector. The first sync, and a window the
+    /// journal cannot serve (a foreign lineage or a discarded window) or
+    /// one longer than the replay limit, rebuild the CSR and refill every
+    /// vector in bitset waves instead.
     fn sync(&mut self, g: &OwnedGraph) {
         let cur = g.version();
         if self.synced == Some(cur) {
@@ -1300,8 +1271,7 @@ impl PersistentOracle {
             // The graph size changed: every cached vector is meaningless.
             self.resize_scratch(n);
             self.cache.clear();
-            self.cache.resize_with(n, SourceCache::default);
-            self.cached_count = 0;
+            self.cache.resize_with(n, DistVector::default);
             self.pinned = false;
             self.synced = None;
         }
@@ -1325,140 +1295,68 @@ impl PersistentOracle {
         match window.filter(|changes| changes.len() <= self.stale_limit()) {
             Some(changes) => {
                 for src in 0..n {
-                    if self.cache[src].parked {
-                        self.load_cached(src);
-                        self.replay_changes(changes);
-                        self.save_working();
-                        self.stats.replayed_begins += 1;
-                    }
+                    self.load_cached(src);
+                    self.replay_changes(changes);
+                    self.save_working();
+                    self.stats.replayed_begins += 1;
                 }
             }
-            None => {
-                for slot in &mut self.cache {
-                    slot.parked = false;
-                }
-                self.cached_count = 0;
-            }
+            None => self.batch_repin(),
         }
         self.synced = Some(cur);
     }
 
-    /// Pins `src` with one full BFS over the synced CSR snapshot.
-    fn full_repin(&mut self, src: NodeId) {
-        self.src = src as u32;
-        self.pinned = true;
-        self.state.reset(self.cache.len());
-        self.queue.clear();
-        self.state.assign(self.src, 0, false);
-        self.queue.push(self.src);
-        let mut head = 0usize;
-        while head < self.queue.len() {
-            let x = self.queue[head];
-            head += 1;
-            self.stats.nodes_expanded += 1;
-            let dx = self.state.get(x);
-            let state = &mut self.state;
-            let queue = &mut self.queue;
-            for &y in self.csr.neighbors(x as usize) {
-                if state.get(y) == UNREACHABLE {
-                    state.assign(y, dx + 1, false);
-                    queue.push(y);
-                }
-            }
-        }
-        self.stats.full_bfs_runs += 1;
-    }
-
     /// Parks the working distance vector of the pinned source, if any, in
-    /// the per-source cache. The working vector must already be rolled back
-    /// to the base (no active candidate deltas).
+    /// its slot of the per-source cache. The working vector must already be
+    /// rolled back to the base (no active candidate deltas).
     fn save_working(&mut self) {
-        if !std::mem::take(&mut self.pinned) {
-            return;
+        if std::mem::take(&mut self.pinned) {
+            std::mem::swap(&mut self.cache[self.src as usize], &mut self.state.vec);
         }
-        let slot = &mut self.cache[self.src as usize];
-        // The pinned source's slot is always empty: activating it emptied
-        // the slot, and the bulk waves skip the pinned source.
-        debug_assert!(!slot.parked, "parking over an occupied slot");
-        std::mem::swap(&mut slot.dist, &mut self.state.dist);
-        std::mem::swap(&mut slot.level_counts, &mut self.state.level_counts);
-        slot.sum = self.state.sum;
-        slot.reached = self.state.reached;
-        slot.max_hint = self.state.max_hint;
-        slot.parked = true;
-        self.cached_count += 1;
-        self.note_peak();
     }
 
-    /// Recomputes the vectors of `pending` (distinct, cold, not-currently-
-    /// pinned sources) from scratch in word-parallel waves of up to
-    /// [`BATCH_WIDTH`] sources, parking each. The CSR snapshot must already
-    /// be synced. This replaces one scalar BFS *per source* with one shared
-    /// bitset wave per 64 sources — the batch-parallel path for cold bulk
-    /// pins, including the slots a window past the replay limit left cold.
-    fn batch_repin(&mut self, pending: &[u32]) {
+    /// Recomputes every source's vector from scratch over the synced CSR
+    /// snapshot, in word-parallel waves of up to [`BATCH_WIDTH`] sources:
+    /// one shared bitset wave per 64 sources instead of one scalar BFS per
+    /// source. No source may be pinned.
+    fn batch_repin(&mut self) {
         let _sp = trace::span(trace::Phase::BatchWave);
+        debug_assert!(!self.pinned, "refilling under a pinned vector");
         let n = self.cache.len();
-        for chunk in pending.chunks(BATCH_WIDTH) {
-            let mut rows: Vec<Vec<u16>> = Vec::with_capacity(chunk.len());
-            let mut counts: Vec<Vec<u16>> = Vec::with_capacity(chunk.len());
-            for &src in chunk {
-                let slot = &mut self.cache[src as usize];
-                debug_assert!(!slot.parked, "batching a parked source");
-                let mut row = std::mem::take(&mut slot.dist);
-                let mut lc = std::mem::take(&mut slot.level_counts);
-                MultiSourceBfs::prepare_row(&mut row, &mut lc, n);
-                rows.push(row);
-                counts.push(lc);
-            }
-            let sources: Vec<NodeId> = chunk.iter().map(|&s| s as NodeId).collect();
-            let mut summaries = vec![BatchSummary::default(); chunk.len()];
-            let mut row_refs: Vec<&mut [u16]> = rows.iter_mut().map(|r| r.as_mut_slice()).collect();
-            let mut count_refs: Vec<&mut [u16]> =
-                counts.iter_mut().map(|c| c.as_mut_slice()).collect();
-            let expanded = self.wave.run(
-                &self.csr,
-                &sources,
-                &mut row_refs,
-                &mut count_refs,
-                &mut summaries,
-            );
+        for (c, slots) in self.cache.chunks_mut(BATCH_WIDTH).enumerate() {
+            let sources: Vec<NodeId> = (c * BATCH_WIDTH..).take(slots.len()).collect();
+            let mut summaries = vec![BatchSummary::default(); slots.len()];
+            let (mut rows, mut counts): (Vec<&mut [u16]>, Vec<&mut [u16]>) = slots
+                .iter_mut()
+                .map(|slot| {
+                    MultiSourceBfs::prepare_row(&mut slot.dist, &mut slot.level_counts, n);
+                    (slot.dist.as_mut_slice(), slot.level_counts.as_mut_slice())
+                })
+                .unzip();
+            let expanded =
+                self.wave
+                    .run(&self.csr, &sources, &mut rows, &mut counts, &mut summaries);
             self.stats.nodes_expanded += expanded;
-            self.stats.batched_repins += chunk.len() as u64;
-            for ((&src, row), (lc, summary)) in chunk
-                .iter()
-                .zip(rows)
-                .zip(counts.into_iter().zip(summaries))
-            {
-                let slot = &mut self.cache[src as usize];
-                slot.dist = row;
-                slot.level_counts = lc;
+            self.stats.batched_repins += slots.len() as u64;
+            for (slot, summary) in slots.iter_mut().zip(summaries) {
                 slot.sum = summary.sum;
                 slot.reached = summary.reached;
                 slot.max_hint = summary.max_hint;
-                slot.parked = true;
             }
-            self.cached_count += chunk.len();
         }
-        self.envelopes.built = None;
-        self.note_peak();
+        let bytes = n as u64 * 2 * (2 * n as u64 + 2);
+        self.stats.peak_parked_bytes = self.stats.peak_parked_bytes.max(bytes);
     }
 
-    /// Pins `src` by activating its parked vector as the working state —
-    /// two buffer swaps and three scalar copies, no per-vertex work at all.
+    /// Pins `src` by activating its parked vector as the working state — one
+    /// swap, no per-vertex work at all.
     fn load_cached(&mut self, src: usize) {
-        let n = self.cache.len();
-        let slot = &mut self.cache[src];
-        debug_assert!(slot.parked, "loading a cold slot");
-        debug_assert_eq!(slot.dist.len(), n, "cached vectors track the graph size");
-        debug_assert_eq!(slot.level_counts.len(), n + 2);
-        std::mem::swap(&mut slot.dist, &mut self.state.dist);
-        std::mem::swap(&mut slot.level_counts, &mut self.state.level_counts);
-        slot.parked = false;
-        self.cached_count -= 1;
-        self.state.sum = slot.sum;
-        self.state.reached = slot.reached;
-        self.state.max_hint = slot.max_hint;
+        debug_assert_eq!(
+            self.cache[src].dist.len(),
+            self.cache.len(),
+            "cached vectors track the graph size"
+        );
+        std::mem::swap(&mut self.cache[src], &mut self.state.vec);
         self.state.journal.clear();
         self.src = src as u32;
         self.pinned = true;
@@ -1505,48 +1403,36 @@ impl PersistentOracle {
     }
 
     /// Shared check of the cache-arithmetic insertion queries: `u` is the
-    /// pinned source, `g` the pinned graph and `prefix` removal-only.
-    fn prefix_servable(&self, g: &OwnedGraph, prefix: &[EdgeDelta], u: NodeId) -> bool {
-        self.pinned_at(g)
-            && u as u32 == self.src
-            && !prefix.iter().any(|d| matches!(d, EdgeDelta::Insert { .. }))
-    }
-
-    /// [`PersistentOracle::prefix_servable`] for one target `v`
-    /// ([`DistanceOracle::evaluate_insert_via_cache`] and
-    /// [`DistanceOracle::insert_level_bound`]), whose slot must be parked.
-    fn insert_query_servable(
+    /// pinned source, `g` the pinned graph and `prefix` removal-only. A
+    /// `target` must be another vertex: the pinned source's own slot holds
+    /// no current vector.
+    fn prefix_servable(
         &self,
         g: &OwnedGraph,
         prefix: &[EdgeDelta],
         u: NodeId,
-        v: NodeId,
+        target: Option<NodeId>,
     ) -> bool {
-        self.prefix_servable(g, prefix, u) && self.cache.get(v).is_some_and(|slot| slot.parked)
-    }
-
-    /// The recorded level counts of the pinned source's `c_f`, if the
-    /// current pin filled it at the synced version.
-    fn cached_cf_levels(&self, f: u32) -> Option<&[u16]> {
-        match self.rows.pin {
-            Some((src, true)) if src == self.src => self.rows.levels_of(f),
-            _ => None,
-        }
+        self.pinned_at(g)
+            && u as u32 == self.src
+            && target.is_none_or(|v| v != u && v < self.cache.len())
+            && !prefix.iter().any(|d| matches!(d, EdgeDelta::Insert { .. }))
     }
 
     /// Makes the source-side level counts of the removal-only `prefix`
     /// readable without touching the delta stack where it can: the base
     /// snapshot for an empty prefix, and `c_f`'s recorded counts for a
-    /// one-removal prefix (filling `c_f` only if this pin has not yet).
-    /// Any other prefix, or `c_f` over a cold neighbour row, is seated.
+    /// one-removal prefix at the pinned source (filling `c_f` only if this
+    /// pin has not yet). Any other prefix is seated.
     fn source_levels(&mut self, g: &OwnedGraph, prefix: &[EdgeDelta]) -> SourceLevels {
         match *prefix {
             [] => return SourceLevels::Base,
             [EdgeDelta::Remove { u, v: f }] if u as u32 == self.src => {
                 let f = f as u32;
-                if self.cached_cf_levels(f).is_some() || self.row_bound(g, f) {
-                    return SourceLevels::Row(f);
+                if self.rows.pin != Some(self.src) || self.rows.levels_of(f).is_none() {
+                    self.row_bound(g, f);
                 }
+                return SourceLevels::Row(f);
             }
             _ => {}
         }
@@ -1564,7 +1450,7 @@ impl PersistentOracle {
         match side {
             SourceLevels::Base => &self.base_levels,
             SourceLevels::Row(f) => self.rows.levels_of(f).expect("recorded when filled"),
-            SourceLevels::Seated => &self.state.level_counts,
+            SourceLevels::Seated => &self.state.vec.level_counts,
         }
     }
 
@@ -1578,7 +1464,7 @@ impl PersistentOracle {
         let n = self.csr.num_nodes();
         let src_dist = match side {
             SourceLevels::Base => {
-                let mut dist = self.state.dist.clone();
+                let mut dist = self.state.vec.dist.clone();
                 for &(x, old) in self.state.journal.iter().rev() {
                     dist[x as usize] = old;
                 }
@@ -1589,7 +1475,7 @@ impl PersistentOracle {
                 fresh.fill(self.src, f, self.csr.neighbors(f as usize));
                 fresh.dist
             }
-            SourceLevels::Seated => self.state.dist.clone(),
+            SourceLevels::Seated => self.state.vec.dist.clone(),
         };
         let mut levels = vec![0u16; n + 2];
         for &d in src_dist[..n].iter().filter(|&&d| d != UNREACHABLE) {
@@ -1620,12 +1506,13 @@ impl PersistentOracle {
 
     /// One envelope row per block of [`ENVELOPE_BLOCK`] vertex ids, from
     /// the pinned base vector and every parked slot: `false` at the first
-    /// cold slot or vector that misses a vertex. The pinned vector is part
-    /// of its block, so the rows stay valid for it as a target once
-    /// another source is pinned at the same version.
+    /// vector that misses a vertex. The pinned vector is part of its block,
+    /// so the rows stay valid for it as a target once another source is
+    /// pinned at the same version.
     fn build_envelopes(&mut self) -> bool {
+        debug_assert!(self.pinned, "the rows are built for a pinned source");
         let n = self.cache.len();
-        let pinned = self.pinned.then_some(self.src as usize);
+        let pinned = self.src as usize;
         let base_reached: usize = self.base_levels.iter().map(|&c| usize::from(c)).sum();
         let all = u16::try_from(n).expect("n ≤ MAX_NODES fits a u16 count");
         self.envelopes.rows.clear();
@@ -1636,14 +1523,15 @@ impl PersistentOracle {
             // counting past it.
             let mut tail = ENVELOPE_LEVELS;
             for (i, slot) in block.iter().enumerate() {
-                let v = b * ENVELOPE_BLOCK + i;
-                let levels = if pinned == Some(v) && base_reached == n {
-                    &self.base_levels[..]
-                } else if pinned != Some(v) && slot.parked && slot.reached == n {
-                    &slot.level_counts[..=usize::from(slot.max_hint)]
+                let (levels, reached) = if b * ENVELOPE_BLOCK + i == pinned {
+                    (&self.base_levels[..], base_reached)
                 } else {
-                    return false;
+                    let top = usize::from(slot.max_hint);
+                    (&slot.level_counts[..=top], slot.reached)
                 };
+                if reached < n {
+                    return false;
+                }
                 let mut count = 0u16;
                 for (e, &l) in row[..tail].iter_mut().zip(levels) {
                     count += l;
@@ -1658,44 +1546,33 @@ impl PersistentOracle {
     }
 
     /// `true` iff `prefix` is one removal `Remove {u, f}` of the pinned
-    /// source `u`'s own edge (named source first, as the scans emit it) and
-    /// `self.rows` now holds its `c_f`, which then stands in for the
-    /// repaired vector.
+    /// source `u`'s own edge (named source first, as the scans emit it); then
+    /// `self.rows` now holds its `c_f`, which stands in for the repaired
+    /// vector.
     fn serve_from_rows(&mut self, g: &OwnedGraph, prefix: &[EdgeDelta]) -> bool {
         match *prefix {
-            [EdgeDelta::Remove { u, v }] if u as u32 == self.src => self.row_bound(g, v as u32),
+            [EdgeDelta::Remove { u, v }] if u as u32 == self.src => {
+                self.row_bound(g, v as u32);
+                true
+            }
             _ => false,
         }
     }
 
     /// Brings `self.rows` to `c_f` of the pinned source dropping its edge to
-    /// neighbour `f`. The minima are built on the pin's first call. `false`
-    /// (take the repair path) when `g` is not the pinned graph or some
-    /// neighbour row is cold.
-    fn row_bound(&mut self, g: &OwnedGraph, f: u32) -> bool {
-        if !self.pinned_at(g) {
-            return false;
-        }
+    /// neighbour `f`. The minima are built on the pin's first call. `g`
+    /// must be the pinned graph.
+    fn row_bound(&mut self, g: &OwnedGraph, f: u32) {
+        debug_assert!(self.pinned_at(g), "row bounds read the pinned graph");
         let src = self.src;
-        match self.rows.pin {
-            Some((pinned, ready)) if pinned == src => {
-                if !ready {
-                    return false;
-                }
-                if self.rows.dropped == Some(f) {
-                    return true;
-                }
-            }
-            _ => {
-                self.rows.dropped = None;
-                self.rows.cf_levels.clear();
-                self.rows.cf_ends.clear();
-                let ready = self.build_row_minima();
-                self.rows.pin = Some((src, ready));
-                if !ready {
-                    return false;
-                }
-            }
+        if self.rows.pin != Some(src) {
+            self.rows.dropped = None;
+            self.rows.cf_levels.clear();
+            self.rows.cf_ends.clear();
+            self.build_row_minima();
+            self.rows.pin = Some(src);
+        } else if self.rows.dropped == Some(f) {
+            return;
         }
         let _sp = trace::span(trace::Phase::DeltaRepair);
         self.rows.fill(src, f, self.csr.neighbors(f as usize));
@@ -1722,18 +1599,14 @@ impl PersistentOracle {
                 );
             }
         }
-        true
     }
 
     /// Builds the row minima of the pinned source from the parked rows of
-    /// all its neighbours. `false` when a neighbour row is cold.
-    fn build_row_minima(&mut self) -> bool {
+    /// all its neighbours.
+    fn build_row_minima(&mut self) {
         let _sp = trace::span(trace::Phase::DeltaRepair);
         let src = self.src as usize;
         let neighbors = self.csr.neighbors(src);
-        if neighbors.iter().any(|&w| !self.cache[w as usize].parked) {
-            return false;
-        }
         let degree = neighbors.len();
         let n = self.cache.len();
         let rows = &mut self.rows;
@@ -1747,7 +1620,6 @@ impl PersistentOracle {
             rows.add_row(w as u16, &self.cache[w as usize].dist[..n]);
         }
         self.stats.nodes_expanded += (degree * n) as u64;
-        true
     }
 }
 
@@ -1895,25 +1767,19 @@ impl DistanceOracle for PersistentOracle {
     }
 
     fn begin(&mut self, g: &OwnedGraph, src: NodeId) -> DistanceSummary {
-        // Serve from the per-source cache when possible, falling back to one
-        // full BFS.
         let _sp = trace::span(trace::Phase::OracleBegin);
         self.sync(g);
         self.rollback_to_prefix(0);
         if !(self.pinned && self.src == src as u32) {
             self.save_working();
-            if self.cache[src].parked {
-                self.load_cached(src);
-            } else {
-                self.full_repin(src);
-            }
+            self.load_cached(src);
         }
-        let summary = self.state.summary(self.cache.len());
+        let summary = self.state.vec.summary(self.cache.len());
         // `max_hint` bounds the largest finite level, so no count is cut.
-        let top = usize::from(self.state.max_hint);
+        let top = usize::from(self.state.vec.max_hint);
         self.base_levels.clear();
         self.base_levels
-            .extend_from_slice(&self.state.level_counts[..=top]);
+            .extend_from_slice(&self.state.vec.level_counts[..=top]);
         summary
     }
 
@@ -1922,49 +1788,21 @@ impl DistanceOracle for PersistentOracle {
         let n = self.cache.len();
         if self.pinned && self.src == src as u32 {
             self.rollback_to_prefix(0);
-            return Some(self.state.summary(n));
+            return Some(self.state.vec.summary(n));
         }
-        let slot = self.cache.get_mut(src).filter(|slot| slot.parked)?;
-        if slot.reached < n {
-            return Some(DistanceSummary::DISCONNECTED);
-        }
-        // Tighten the parked max bound exactly like `DistState::summary`.
-        let mut m = slot.max_hint;
-        while m > 0 && slot.level_counts[m as usize] == 0 {
-            m -= 1;
-        }
-        slot.max_hint = m;
-        Some(DistanceSummary {
-            sum: Some(slot.sum),
-            max: Some(u32::from(m)),
-        })
+        Some(self.cache[src].summary(n))
     }
 
-    fn pin_sources(&mut self, g: &OwnedGraph, sources: &[NodeId]) {
+    fn pin_sources(&mut self, g: &OwnedGraph, _sources: &[NodeId]) {
+        // Every source's vector is current after the sync.
         let _sp = trace::span(trace::Phase::PinSources);
         self.sync(g);
-        // Parked and pinned sources are current after the sync and cost
-        // nothing; cold ones are queued for the shared 64-wide bitset waves.
-        let mut pending = std::mem::take(&mut self.batch_pending);
-        pending.clear();
-        for &src in sources {
-            let pinned = self.pinned && self.src == src as u32;
-            if !(pinned || self.cache[src].parked) {
-                pending.push(src as u32);
-            }
-        }
-        if !pending.is_empty() {
-            pending.sort_unstable();
-            pending.dedup();
-            self.batch_repin(&pending);
-        }
-        self.batch_pending = pending;
     }
 
     fn evaluate(&mut self, deltas: &[EdgeDelta]) -> DistanceSummary {
         let _sp = trace::span(trace::Phase::DeltaRepair);
         self.run_deltas(deltas);
-        self.state.summary(self.csr.num_nodes())
+        self.state.vec.summary(self.csr.num_nodes())
     }
 
     fn evaluate_insert_via_cache(
@@ -1975,7 +1813,7 @@ impl DistanceOracle for PersistentOracle {
         v: NodeId,
     ) -> Option<(DistanceSummary, bool)> {
         let _sp = trace::span(trace::Phase::FusedKernel);
-        if !self.insert_query_servable(g, prefix, u, v) {
+        if !self.prefix_servable(g, prefix, u, Some(v)) {
             return None;
         }
         let from_rows = self.serve_from_rows(g, prefix);
@@ -1990,7 +1828,7 @@ impl DistanceOracle for PersistentOracle {
         let src = if from_rows {
             &self.rows.dist
         } else {
-            &self.state.dist
+            &self.state.vec.dist
         };
         let summary = fused_insert_summary(&src[..n], &self.cache[v].dist[..n]);
         self.stats.kernel_calls += 1;
@@ -2005,11 +1843,8 @@ impl DistanceOracle for PersistentOracle {
         u: NodeId,
         v: NodeId,
     ) -> Option<DistanceSummary> {
-        if !self.insert_query_servable(g, prefix, u, v) {
-            return None;
-        }
         let n = self.csr.num_nodes();
-        if self.cache[v].reached < n {
+        if !self.prefix_servable(g, prefix, u, Some(v)) || self.cache[v].reached < n {
             return None;
         }
         let side = self.source_levels(g, prefix);
@@ -2029,7 +1864,7 @@ impl DistanceOracle for PersistentOracle {
         out: &mut Vec<DistanceSummary>,
     ) -> bool {
         out.clear();
-        if !self.prefix_servable(g, prefix, u) || !self.envelopes_ready() {
+        if !self.prefix_servable(g, prefix, u, None) || !self.envelopes_ready() {
             return false;
         }
         let n = self.csr.num_nodes();
@@ -2060,9 +1895,10 @@ impl DistanceOracle for PersistentOracle {
     }
 
     fn removal_bound(&mut self, g: &OwnedGraph, u: NodeId, f: NodeId) -> Option<DistanceSummary> {
-        if u as u32 != self.src || f >= self.cache.len() || !self.row_bound(g, f as u32) {
+        if !self.pinned_at(g) || u as u32 != self.src || f >= self.cache.len() {
             return None;
         }
+        self.row_bound(g, f as u32);
         self.stats.bound_queries += 1;
         Some(self.rows.summary())
     }
@@ -2070,13 +1906,13 @@ impl DistanceOracle for PersistentOracle {
     fn evaluate_into(&mut self, deltas: &[EdgeDelta], out: &mut Vec<u16>) -> DistanceSummary {
         self.run_deltas(deltas);
         out.clear();
-        out.extend_from_slice(&self.state.dist);
-        self.state.summary(self.csr.num_nodes())
+        out.extend_from_slice(&self.state.vec.dist);
+        self.state.vec.summary(self.csr.num_nodes())
     }
 
     fn base_distances(&mut self) -> &[u16] {
         self.rollback_to_prefix(0);
-        &self.state.dist
+        &self.state.vec.dist
     }
 
     fn stats(&self) -> OracleStats {
@@ -2296,9 +2132,13 @@ mod tests {
         assert_eq!(oracle.kind(), OracleKind::Persistent);
         let mut buf = BfsBuffer::new(16);
         oracle.begin(&g, 3);
-        assert_eq!(oracle.stats().full_bfs_runs, 1);
-        // Mutate the graph a little and re-pin the same source: the distance
-        // vector must be repaired by journal replay, not recomputed.
+        assert_eq!(
+            oracle.stats().batched_repins,
+            16,
+            "the first sync fills all"
+        );
+        // Mutate the graph a little and re-pin the same source: every
+        // distance vector must be repaired by journal replay, not recomputed.
         for step in 0..12 {
             let a = step % 16;
             let b = (step + 5) % 16;
@@ -2316,8 +2156,9 @@ mod tests {
             );
         }
         let stats = oracle.stats();
-        assert_eq!(stats.full_bfs_runs, 1, "only the initial pin runs a BFS");
-        assert_eq!(stats.replayed_begins, 12);
+        assert_eq!(stats.full_bfs_runs, 0, "no scalar BFS");
+        assert_eq!(stats.batched_repins, 16, "only the first sync fills");
+        assert_eq!(stats.replayed_begins, 12 * 16, "each sync replays all 16");
     }
 
     #[test]
@@ -2326,11 +2167,10 @@ mod tests {
         let mut oracle = PersistentOracle::new(20);
         let mut buf = BfsBuffer::new(20);
         // Pin a handful of sources, then interleave mutations with re-pins of
-        // the same sources: every re-pin should be a replay.
+        // the same sources: every re-pin should load a replayed vector.
         for src in [0usize, 5, 19] {
             oracle.begin(&g, src);
         }
-        let baseline_bfs = oracle.stats().full_bfs_runs;
         for round in 0..6 {
             let (a, b) = (round, round + 7);
             if g.has_edge(a, b) {
@@ -2349,46 +2189,64 @@ mod tests {
             }
         }
         let stats = oracle.stats();
-        assert_eq!(stats.full_bfs_runs, baseline_bfs, "all re-pins replayed");
-        assert_eq!(stats.replayed_begins, 18);
+        assert_eq!(stats.full_bfs_runs, 0, "all re-pins replayed");
+        assert_eq!(stats.batched_repins, 20, "only the first sync fills");
+        assert_eq!(stats.replayed_begins, 6 * 20, "each sync replays all 20");
     }
 
     #[test]
     fn persistent_falls_back_on_stale_or_foreign_histories() {
-        // The sync's three cold paths: a window past the replay limit (a
-        // replay would be slower than a fresh BFS), a clone (a fresh lineage
-        // whose journal can never serve a version taken on the original),
-        // and a graph of another size. Each must leave every slot cold, the
-        // pinned one included, and the next `begin` must run one BFS.
-        fn warm(oracle: &mut PersistentOracle, g: &OwnedGraph) {
-            let all: Vec<NodeId> = (0..g.num_nodes()).collect();
-            oracle.pin_sources(g, &all);
-            oracle.begin(g, 0);
-            assert_eq!(oracle.cached_count, g.num_nodes() - 1);
-        }
-        fn assert_cold(oracle: &mut PersistentOracle, g: &OwnedGraph, path: &str) {
-            assert_eq!(oracle.cached_summary(g, 5), None, "{path}");
-            assert!(!oracle.pinned, "{path}");
-            assert!(oracle.cache.iter().all(|slot| !slot.parked), "{path}");
-            let bfs = oracle.stats().full_bfs_runs;
-            let mut buf = BfsBuffer::new(g.num_nodes());
+        // The sync's replay path and its three refill paths: a window past
+        // the replay limit (a replay would be slower than a fresh wave), a
+        // clone (a fresh lineage whose journal can never serve a version
+        // taken on the original), and a graph of another size. A replay
+        // advances all n vectors; a refill recomputes all n in the waves,
+        // the pinned one included. Either way every summary is then current,
+        // and no path runs a scalar BFS.
+        fn assert_current(
+            oracle: &mut PersistentOracle,
+            g: &OwnedGraph,
+            path: &str,
+            replayed: u64,
+            refilled: u64,
+        ) {
+            let n = g.num_nodes();
+            let before = oracle.stats();
+            let mut buf = BfsBuffer::new(n);
             assert_eq!(oracle.begin(g, 0), buf.summary(g, 0), "{path}");
-            assert_eq!(oracle.stats().full_bfs_runs, bfs + 1, "{path}");
+            assert_eq!(oracle.base_distances(), &buf.run(g, 0)[..n], "{path}");
+            for src in 0..n {
+                let summary = oracle.cached_summary(g, src);
+                assert_eq!(summary, Some(buf.summary(g, src)), "{path}: src {src}");
+            }
+            let after = oracle.stats();
+            assert_eq!(
+                after.replayed_begins - before.replayed_begins,
+                replayed,
+                "{path}"
+            );
+            assert_eq!(
+                after.batched_repins - before.batched_repins,
+                refilled,
+                "{path}"
+            );
+            assert_eq!(after.full_bfs_runs, 0, "{path}");
         }
         let mut g = generators::path(32);
         let mut oracle = PersistentOracle::new(32);
-        warm(&mut oracle, &g);
+        assert_current(&mut oracle, &g, "first sync", 0, 32);
+        g.add_edge(0, 31);
+        assert_current(&mut oracle, &g, "replayed window", 32, 0);
         for i in 0..16 {
             g.add_edge(i, i + 16);
         }
         assert!(16 > oracle.stale_limit());
-        assert_cold(&mut oracle, &g, "window past the limit");
-        warm(&mut oracle, &g);
+        assert_current(&mut oracle, &g, "window past the limit", 0, 32);
         let mut clone = g.clone();
         clone.swap_edge(0, 1, 20);
-        assert_cold(&mut oracle, &clone, "foreign lineage");
-        warm(&mut oracle, &g);
-        assert_cold(&mut oracle, &generators::cycle(20), "size change");
+        assert_current(&mut oracle, &clone, "foreign lineage", 0, 32);
+        assert_current(&mut oracle, &generators::cycle(20), "size change", 0, 20);
+        assert_eq!(oracle.stats().peak_parked_bytes, 32 * 2 * (2 * 32 + 2));
     }
 
     #[test]
@@ -2443,7 +2301,6 @@ mod tests {
         // answers stay exact after the graph moved on.
         let mut oracle = PersistentOracle::new(11);
         oracle.pin_sources(&g, &[0, 4, 9]);
-        let cold_bfs = oracle.stats().full_bfs_runs;
         g.add_edge(1, 10);
         for src in [0usize, 4, 9] {
             let (base, modified) = oracle.evaluate_for_source(&g, src, &deltas);
@@ -2453,7 +2310,7 @@ mod tests {
         }
         assert_eq!(
             oracle.stats().full_bfs_runs,
-            cold_bfs,
+            0,
             "pinned sources are served by journal replay"
         );
     }
@@ -2496,9 +2353,9 @@ mod tests {
 
     #[test]
     fn batched_warm_recomputes_unreplayable_slots() {
-        // A journal window past the replay limit leaves every slot cold, the
-        // pinned one included; a re-pin recomputes the requested slots in a
-        // shared bitset wave, landing them current with exact contents.
+        // A journal window past the replay limit refills every slot, the
+        // pinned one included, in shared bitset waves, landing each current
+        // with exact contents.
         let mut g = OwnedGraph::new(12);
         g.add_edge(0, 1);
         g.add_edge(2, 3);
@@ -2509,6 +2366,11 @@ mod tests {
         oracle.begin(&g, 0);
         oracle.begin(&g, 2);
         oracle.begin(&g, 4);
+        assert_eq!(
+            oracle.stats().batched_repins,
+            12,
+            "the first sync fills all"
+        );
         for (a, b) in [
             (5, 7),
             (6, 8),
@@ -2524,52 +2386,51 @@ mod tests {
         }
         assert!(9 > oracle.stale_limit(), "nine changes exceed the limit");
         oracle.pin_sources(&g, &[0, 2]);
-        assert!(oracle.cache[0].parked && oracle.cache[2].parked);
-        assert!(
-            !oracle.pinned && !oracle.cache[4].parked,
-            "the pinned vector went cold with the rest"
+        assert!(!oracle.pinned, "the pinned vector was parked and refilled");
+        let stats = oracle.stats();
+        assert_eq!(
+            stats.batched_repins, 24,
+            "every slot once more, in one wave"
         );
-        assert_eq!(oracle.stats().batched_repins, 2, "slots 0 and 2, one wave");
-        assert!(oracle.stats().peak_parked_bytes > 0);
+        assert_eq!(stats.replayed_begins, 0);
+        assert_eq!(stats.full_bfs_runs, 0);
+        assert_eq!(stats.peak_parked_bytes, 12 * 2 * (2 * 12 + 2));
         let mut buf = BfsBuffer::new(12);
-        let expect = buf.run(&g, 2).to_vec();
-        assert_eq!(&oracle.cache[2].dist[..12], &expect[..]);
-        assert_eq!(oracle.cached_summary(&g, 2), Some(buf.summary(&g, 2)));
+        for src in 0..12 {
+            let expect = buf.run(&g, src).to_vec();
+            assert_eq!(&oracle.cache[src].dist[..12], &expect[..], "src {src}");
+            let summary = oracle.cached_summary(&g, src);
+            assert_eq!(summary, Some(buf.summary(&g, src)), "src {src}");
+        }
     }
 
     #[test]
     fn batched_bulk_pin_matches_scalar_bulk_pin() {
-        // Cold bulk pin: every source recomputed. The batched waves and one
-        // scalar `begin` per source must park the BFS-exact vectors and
-        // summaries, and the batched oracle must report the wave work in its
-        // counters.
+        // Bulk pin: every source computed in the waves. The persistent
+        // oracle must park the BFS-exact vectors and summaries the full-BFS
+        // reference computes one scalar traversal at a time, and report the
+        // wave work in its counters.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(11);
         let g = generators::random_with_m_edges(100, 180, &mut rng);
         let all: Vec<NodeId> = (0..100).collect();
         let mut batched = PersistentOracle::new(100);
-        let mut scalar = PersistentOracle::new(100);
+        let mut scalar = FullBfsOracle::new(100);
         batched.pin_sources(&g, &all);
-        for &src in &all {
-            scalar.begin(&g, src);
-        }
-        assert!(batched.stats().batched_repins >= 100 - 1);
+        assert_eq!(batched.stats().batched_repins, 100);
         assert_eq!(batched.stats().full_bfs_runs, 0, "no scalar traversals");
-        assert_eq!(scalar.stats().batched_repins, 0);
         let mut buf = BfsBuffer::new(100);
         for &src in &all {
             let expect = buf.summary(&g, src);
             assert_eq!(batched.cached_summary(&g, src), Some(expect), "src {src}");
-            assert_eq!(scalar.cached_summary(&g, src), Some(expect), "src {src}");
+            assert_eq!(scalar.begin(&g, src), expect, "src {src}");
             let dist = &buf.run(&g, src)[..100];
             assert_eq!(&batched.cache[src].dist[..], dist, "src {src}");
-            if src != 99 {
-                // Every source but the last (still the working vector) is
-                // parked on the scalar oracle too.
-                assert_eq!(&scalar.cache[src].dist[..], dist, "src {src}");
-            }
+            assert_eq!(scalar.base_distances(), dist, "src {src}");
         }
+        assert_eq!(scalar.stats().full_bfs_runs, 100);
+        assert_eq!(scalar.stats().batched_repins, 0);
     }
 
     #[test]
@@ -2581,7 +2442,12 @@ mod tests {
         oracle.begin(&g, 2);
         g.add_edge(2, 7);
         oracle.begin(&g, 2);
-        assert_eq!(oracle.stats().replayed_begins, 1);
+        assert_eq!(
+            oracle.stats().replayed_begins,
+            10,
+            "one sync replays all 10"
+        );
+        assert_eq!(oracle.stats().full_bfs_runs, 0);
         let deltas = [
             EdgeDelta::Remove { u: 2, v: 7 },
             EdgeDelta::Insert { u: 2, v: 6 },
@@ -2903,21 +2769,17 @@ mod tests {
 
     #[test]
     fn block_bounds_refuse_cold_slots_and_disconnected_graphs() {
-        let mut bounds = vec![DistanceSummary::DISCONNECTED];
-        // Every slot but the pinned source's is cold.
+        // The first `begin` fills every slot, so the rows are made at once.
         let g = generators::cycle(70);
         let mut oracle = PersistentOracle::new(70);
         oracle.begin(&g, 3);
-        assert!(!oracle.insert_block_bounds(&g, &[], 3, &mut bounds));
-        assert!(bounds.is_empty());
-        // Filling the cold slots at the same version makes the rows.
-        let all: Vec<NodeId> = (0..70).collect();
-        oracle.pin_sources(&g, &all);
+        let mut bounds = Vec::new();
         assert!(oracle.insert_block_bounds(&g, &[], 3, &mut bounds));
         assert_eq!(bounds.len(), 2);
         assert_eq!(oracle.stats().bound_queries, 2, "one query per block");
         // Not the pinned source, or an insertion in the prefix.
         assert!(!oracle.insert_block_bounds(&g, &[], 4, &mut bounds));
+        assert!(bounds.is_empty());
         let insert = [EdgeDelta::Insert { u: 3, v: 40 }];
         assert!(!oracle.insert_block_bounds(&g, &insert, 3, &mut bounds));
         // Two components: no vector reaches every vertex.
@@ -2975,7 +2837,7 @@ mod tests {
                 if let [EdgeDelta::Remove { v: f, .. }] = prefix[..] {
                     let bound = oracle
                         .removal_bound(&g, u, f)
-                        .expect("every neighbour row is parked");
+                        .expect("the pinned source's removal is bounded");
                     let (_, exact) = truth(&g, u, &prefix);
                     let ctx = format!("case {case}: src {u} drops {f}");
                     assert!(
@@ -3048,7 +2910,7 @@ mod tests {
             for u in 0..n {
                 oracle.begin(&g, u);
                 for &f in g.neighbors(u) {
-                    assert!(oracle.row_bound(&g, f as u32), "case {case}: {u} drops {f}");
+                    oracle.row_bound(&g, f as u32);
                     let direct: Vec<u16> = (0..n)
                         .map(|y| {
                             let others = g.neighbors(u).iter().filter(|&&w| w != f);
@@ -3113,17 +2975,22 @@ mod tests {
             oracle.evaluate_insert_via_cache(&g, &[], 0, 4).is_some(),
             "the kernel still serves the candidate"
         );
-        // A never-pinned source's slot is cold: no level counts to pair.
+        // Every slot is current after the first sync, but only the pinned
+        // source is bounded, only on a removal-only prefix, and never
+        // against its own slot.
         let g = generators::cycle(16);
         let mut oracle = PersistentOracle::new(16);
         oracle.begin(&g, 0);
-        oracle.begin(&g, 9); // parks 0; every other slot stays cold
-        assert!(!oracle.cache[5].parked && oracle.cache[0].parked);
-        assert_eq!(oracle.insert_level_bound(&g, &[], 9, 5), None);
+        oracle.begin(&g, 9);
+        assert_eq!(oracle.insert_level_bound(&g, &[], 0, 5), None);
+        assert_eq!(oracle.insert_level_bound(&g, &[], 9, 9), None);
+        assert_eq!(oracle.evaluate_insert_via_cache(&g, &[], 9, 9), None);
+        let insert = [EdgeDelta::Insert { u: 9, v: 3 }];
+        assert_eq!(oracle.insert_level_bound(&g, &insert, 9, 5), None);
         let dense = oracle
-            .insert_level_bound(&g, &[], 9, 0)
-            .expect("a parked connected slot is served");
-        let (_, exact) = truth(&g, 9, &[EdgeDelta::Insert { u: 9, v: 0 }]);
+            .insert_level_bound(&g, &[], 9, 5)
+            .expect("a connected slot is served");
+        let (_, exact) = truth(&g, 9, &[EdgeDelta::Insert { u: 9, v: 5 }]);
         assert!(dense.sum <= exact.sum && dense.max <= exact.max);
         assert_eq!(
             oracle.stats().bound_queries,
@@ -3131,16 +2998,47 @@ mod tests {
             "only answered bounds count"
         );
         assert_eq!(oracle.stats().kernel_calls, 0, "a bound runs no kernel");
-        // The rows of 9's neighbours 8 and 10 are cold: a removal is not
-        // bounded from rows, and a swap's bound falls back to repairing its
-        // prefix.
+        // A removal of 9's edge to 8 is bounded from the rows of its other
+        // neighbour, and so is a swap's prefix: one `c_8` serves both.
         let drop_8 = [EdgeDelta::Remove { u: 9, v: 8 }];
-        assert_eq!(oracle.removal_bound(&g, 9, 8), None);
+        let removal = oracle.removal_bound(&g, 9, 8).expect("served from rows");
+        let (_, exact) = truth(&g, 9, &drop_8);
+        assert!(removal.sum <= exact.sum && removal.max <= exact.max);
         let swap = oracle
             .insert_level_bound(&g, &drop_8, 9, 0)
-            .expect("the repaired prefix still pairs with 0's row");
+            .expect("c_8 pairs with 0's row");
         let (_, exact) = truth(&g, 9, &[drop_8[0], EdgeDelta::Insert { u: 9, v: 0 }]);
         assert!(swap.sum <= exact.sum && swap.max <= exact.max);
-        assert_eq!(oracle.stats().row_bounds, 0);
+        assert_eq!(oracle.stats().row_bounds, 1);
+        assert_eq!(oracle.stats().full_bfs_runs, 0);
+    }
+
+    #[test]
+    fn fused_kernel_is_exact_across_the_u16_boundary() {
+        // A path on `MAX_NODES` vertices puts its far end at exactly
+        // `UNREACHABLE - 1` from the near end. Scoring the chord between the
+        // ends from their vectors drives the kernel's saturating `far + 1`
+        // to exactly `UNREACHABLE` at the near end, where the source side
+        // (distance 0) must still win: the chord's summary is exact.
+        let n = MAX_NODES;
+        let g = generators::path(n);
+        let mut buf = BfsBuffer::new(n);
+        let near = buf.run(&g, 0)[..n].to_vec();
+        let far = buf.run(&g, n - 1)[..n].to_vec();
+        assert_eq!(far[0], UNREACHABLE - 1);
+        let (_, exact) = truth(&g, 0, &[EdgeDelta::Insert { u: 0, v: n - 1 }]);
+        assert_eq!(fused_insert_summary(&near, &far), exact);
+        // A vertex neither end reaches stays unreachable through the
+        // saturating arithmetic.
+        let mut g = OwnedGraph::new(n);
+        for i in 0..n - 2 {
+            g.add_edge(i, i + 1);
+        }
+        let near = buf.run(&g, 0)[..n].to_vec();
+        let far = buf.run(&g, n - 2)[..n].to_vec();
+        assert_eq!(
+            fused_insert_summary(&near, &far),
+            DistanceSummary::DISCONNECTED
+        );
     }
 }

@@ -7,13 +7,11 @@
 //! threads with `std::thread::scope`, each trial seeded as `base_seed + trial_index`
 //! so that results are reproducible independent of the number of threads.
 //!
-//! Three layers are exposed so batch layers (the `ncg-lab` orchestrator) can
+//! Two layers are exposed so batch layers (the `ncg-lab` orchestrator) can
 //! reuse exactly as much as they need:
 //!
 //! * [`run_dynamics_trial`] — one trial on an **already generated** initial
 //!   network (topology generation decoupled from execution),
-//! * [`run_trial_chunk`] — a contiguous, seeded trial range streamed into a
-//!   caller-provided sink (the unit of checkpoint/resume),
 //! * [`StreamingStats`] — a mergeable constant-size aggregate (count/min/max,
 //!   Welford mean/variance, fixed-bucket steps-per-agent histogram) that
 //!   replaces keeping every [`TrialResult`] in memory.
@@ -397,24 +395,6 @@ pub fn run_trial_with_game_probed(
     )
 }
 
-/// Runs the contiguous trial range `start .. start + len` of `point`,
-/// streaming each result (with its trial index) into `sink` in index order.
-///
-/// A chunk is the natural unit of batched execution: its content depends only
-/// on `(point, start, len)` — never on threads or wall-clock — which is what
-/// makes chunk-granular checkpoint/resume exact.
-pub fn run_trial_chunk(
-    point: &ExperimentPoint,
-    game: &(dyn Game + Send + Sync),
-    start: usize,
-    len: usize,
-    mut sink: impl FnMut(usize, TrialResult),
-) {
-    for t in start..start + len {
-        sink(t, run_trial_with_game(point, game, t));
-    }
-}
-
 /// Runs all trials of `point`, distributing them over `threads` worker threads
 /// (defaults to the number of available CPUs when `None`).
 pub fn run_point(point: &ExperimentPoint, threads: Option<usize>) -> PointSummary {
@@ -592,25 +572,6 @@ mod tests {
             let solo = run_trial(&point, t);
             assert_eq!(r.steps, solo.steps, "trial {t}");
             assert_eq!(r.kinds, solo.kinds, "trial {t}");
-        }
-    }
-
-    #[test]
-    fn chunked_execution_matches_individual_trials() {
-        let point = small_point(
-            GameFamily::GbgSum,
-            InitialTopology::RandomEdges { m_per_n: 1 },
-            Policy::Random,
-        );
-        let game = point.make_game();
-        let mut seen = Vec::new();
-        run_trial_chunk(&point, game.as_ref(), 2, 3, |t, r| seen.push((t, r)));
-        assert_eq!(seen.len(), 3);
-        for (i, (t, r)) in seen.iter().enumerate() {
-            assert_eq!(*t, 2 + i, "indices stream in order");
-            let solo = run_trial(&point, *t);
-            assert_eq!(r.steps, solo.steps);
-            assert_eq!(r.kinds, solo.kinds);
         }
     }
 

@@ -55,7 +55,7 @@ pub enum Phase {
     PinSources,
     /// Scalar journal-window replay of one parked vector.
     ScalarReplay,
-    /// Word-parallel 64-wide bitset BFS wave (cold pins, long windows).
+    /// Word-parallel 64-wide bitset BFS wave (first fill, long windows).
     BatchWave,
     /// In-place CSR patch from the change journal.
     CsrPatch,
