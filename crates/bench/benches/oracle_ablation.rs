@@ -1,13 +1,12 @@
-//! Ablation of the pluggable cost-evaluation engine: the full-BFS reference
-//! vs. the cross-step persistent oracle on the swap-game dynamics hot path
-//! (plus the GBG for the buy-move mix and the Buy-Game `SetOwned`
-//! enumeration for the whole-strategy delta path).
+//! Ablation of the cost-evaluation engines: the full-BFS reference
+//! (apply → BFS → undo per candidate) vs. the cross-step persistent oracle on
+//! the swap-game dynamics hot path (plus the GBG for the buy-move mix and the
+//! Buy-Game `SetOwned` enumeration for the whole-strategy delta path).
 //!
 //! The `oracle_ablation` *binary* prints the same comparison as a speedup
 //! table over an `n` sweep; this bench integrates it into `cargo bench`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ncg_bench::ConsentForced;
 use ncg_core::{AsymSwapGame, BuyGame, Game, GreedyBuyGame, OracleKind, Workspace};
 use ncg_graph::generators;
 use ncg_sim::{
@@ -48,36 +47,30 @@ fn bench_best_response_backends(c: &mut Criterion) {
     group.finish();
 }
 
-/// Buy-Game `SetOwned` enumeration: Gray-code delta scoring vs. the
-/// historical apply → BFS → undo cycle.
+/// Buy-Game `SetOwned` enumeration: Gray-code delta scoring on the
+/// persistent engine vs. the reference's apply → BFS → undo cycle.
 fn bench_buy_game_set_owned(c: &mut Criterion) {
     let mut group = c.benchmark_group("oracle_setowned");
     group.sample_size(10);
     for &n in &[10usize, 13] {
         let mut rng = StdRng::seed_from_u64(7);
         let g = generators::random_with_m_edges(n, n + n / 2, &mut rng);
-        let alpha = n as f64 / 4.0;
-        let delta_game = BuyGame::sum(alpha);
-        let fallback_game = ConsentForced(BuyGame::sum(alpha));
-        let mut ws = Workspace::with_oracle(n, OracleKind::Persistent);
-        group.bench_with_input(BenchmarkId::new("delta", n), &g, |b, g| {
-            b.iter(|| {
-                let mut found = 0usize;
-                for u in 0..n {
-                    found += usize::from(delta_game.best_response(g, u, &mut ws).is_some());
-                }
-                black_box(found)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("apply_undo", n), &g, |b, g| {
-            b.iter(|| {
-                let mut found = 0usize;
-                for u in 0..n {
-                    found += usize::from(fallback_game.best_response(g, u, &mut ws).is_some());
-                }
-                black_box(found)
-            })
-        });
+        let game = BuyGame::sum(n as f64 / 4.0);
+        for (id, kind) in [
+            ("delta", OracleKind::Persistent),
+            ("apply_undo", OracleKind::FullBfs),
+        ] {
+            let mut ws = Workspace::with_oracle(n, kind);
+            group.bench_with_input(BenchmarkId::new(id, n), &g, |b, g| {
+                b.iter(|| {
+                    let mut found = 0usize;
+                    for u in 0..n {
+                        found += usize::from(game.best_response(g, u, &mut ws).is_some());
+                    }
+                    black_box(found)
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -1,9 +1,8 @@
-//! Ablation report: the full-BFS reference engine vs. the cross-step
-//! **persistent** oracle on the swap-game and greedy-buy-game dynamics hot
-//! paths, plus a Buy-Game
-//! `SetOwned` series comparing whole-strategy delta scoring against the
-//! historical apply → BFS → undo cycle and a bilateral series doing the same
-//! for delta-scored consent.
+//! Ablation report: the full-BFS reference engine (apply → BFS → undo per
+//! candidate) vs. the cross-step **persistent** oracle on the swap-game and
+//! greedy-buy-game dynamics hot paths, plus a Buy-Game `SetOwned` series
+//! comparing whole-strategy delta scoring against the reference and a
+//! bilateral series doing the same for delta-scored consent.
 //!
 //! ```text
 //! cargo run -p ncg-bench --release --bin oracle_ablation -- max_n=512 trials=5
@@ -14,13 +13,15 @@
 //!
 //! Prints, per `(family, n)`, the fastest and slowest repeat's wall-clock
 //! per engine together with the speedup of the persistent engine over the
-//! full-BFS reference (fastest against fastest). It asserts
-//! the identities the fast engine rests on: traced ≡ untraced runs before
-//! any timing, and `persistent` ≡ `full-bfs` step counts in every cell both
-//! engines run. `smoke=1` shrinks everything for CI, adds random-policy
+//! full-BFS reference (fastest against fastest; both engines take the same
+//! number of repeats). It asserts the identities the fast engine rests on:
+//! traced ≡ untraced runs before any timing, `persistent` ≡ `full-bfs` step
+//! counts in every cell both engines run (up to `full_max_n`, 512 by
+//! default), and all-zero oracle counters on the reference, which builds no
+//! oracle. `smoke=1` shrinks everything for CI, adds random-policy
 //! cells of both families at n = 64 and a SUM-GBG cell at n = 130, whose
 //! scans cross the 64-vertex blocks of the oracle's level-histogram
-//! envelopes, and checks each cell's work counters
+//! envelopes, and checks each persistent cell's work counters
 //! against the golden file [`GOLDEN_PATH`]: a counter that grows fails the
 //! run, one that shrinks is printed, and `smoke=1 bless=1` rewrites the
 //! file. `json=PATH` additionally writes the measurements as a
@@ -28,7 +29,7 @@
 //! fastest repeat per engine (`seconds`) and every repeat
 //! (`repeat_seconds`).
 
-use ncg_bench::{provenance_json, ConsentForced};
+use ncg_bench::provenance_json;
 use ncg_core::policy::Policy;
 use ncg_core::{BilateralBuyGame, BuyGame, Game, OracleKind, Workspace};
 use ncg_graph::generators;
@@ -42,7 +43,8 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// Work counters of the `smoke=1` cells, one line per cell and engine.
+/// Work counters of the persistent engine's `smoke=1` cells, one line per
+/// cell.
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/golden/oracle_smoke_counters.txt"
@@ -51,8 +53,7 @@ const GOLDEN_PATH: &str = concat!(
 /// The [`OracleStats`] fields a seed fixes, pinned in [`GOLDEN_PATH`]. They
 /// count algorithmic work, so they catch a regression that wall-clock on a
 /// noisy host cannot.
-const PINNED_COUNTERS: [&str; 12] = [
-    "full_bfs_runs",
+const PINNED_COUNTERS: [&str; 11] = [
     "evaluations",
     "nodes_expanded",
     "kernel_calls",
@@ -67,9 +68,8 @@ const PINNED_COUNTERS: [&str; 12] = [
 ];
 
 /// Every [`OracleStats`] field by name.
-fn counter_fields(st: &OracleStats) -> [(&'static str, u64); 13] {
+fn counter_fields(st: &OracleStats) -> [(&'static str, u64); 12] {
     [
-        ("full_bfs_runs", st.full_bfs_runs),
         ("evaluations", st.evaluations),
         ("nodes_expanded", st.nodes_expanded),
         ("replayed_begins", st.replayed_begins),
@@ -87,9 +87,9 @@ fn counter_fields(st: &OracleStats) -> [(&'static str, u64); 13] {
 
 struct Scale {
     max_n: usize,
-    /// Largest `n` the full-BFS reference engine still runs at; beyond it
-    /// only the persistent engine is measured, which is what lets the sweep
-    /// reach n = 2048 on one core.
+    /// Largest `n` the full-BFS reference engine still runs at (512 by
+    /// default); beyond it only the persistent engine is measured, which is
+    /// what lets the sweep reach n = 2048 on one core.
     full_max_n: usize,
     trials: usize,
     smoke: bool,
@@ -106,7 +106,7 @@ struct Scale {
 fn parse_scale() -> Scale {
     let mut scale = Scale {
         max_n: 256,
-        full_max_n: 256,
+        full_max_n: 512,
         trials: 3,
         smoke: false,
         trace: false,
@@ -285,42 +285,43 @@ fn trace_cell(point: &ExperimentPoint) -> trace::TraceReport {
     trace::take_report()
 }
 
-struct SetOwnedRow {
+/// One row of the `SetOwned` or bilateral series.
+struct ScanRow {
     n: usize,
     reps: usize,
+    /// Persistent engine: delta scoring on the oracle.
     delta_s: f64,
+    /// Full-BFS reference: apply → BFS → undo per candidate.
     apply_undo_s: f64,
 }
 
-/// Buy-Game `SetOwned` series: time the exponential strategy enumeration with
-/// delta scoring (Gray-code prefix reuse on the persistent oracle) vs. the
-/// apply → BFS → undo fallback, all agents of a random connected network.
-fn measure_set_owned(n: usize, reps: usize) -> SetOwnedRow {
-    let mut rng = StdRng::seed_from_u64(7 + n as u64);
-    let g = generators::random_with_m_edges(n, n + n / 2, &mut rng);
-    let alpha = n as f64 / 4.0;
-    let delta_game = BuyGame::sum(alpha);
-    let fallback_game = ConsentForced(BuyGame::sum(alpha));
-    let mut ws = Workspace::with_oracle(n, OracleKind::Persistent);
-    let run = |game: &dyn Game, ws: &mut Workspace| {
+/// `reps` best-response scans of every agent of `g` on each engine: the
+/// persistent engine, then the full-BFS reference. Asserts both find a best
+/// response for the same agents.
+fn measure_scans(game: &dyn Game, g: &ncg_graph::OwnedGraph, reps: usize) -> ScanRow {
+    let n = g.num_nodes();
+    let run = |kind: OracleKind| {
+        let mut ws = Workspace::with_oracle(n, kind);
         let watch = trace::Stopwatch::start();
         let mut found = 0usize;
         for _ in 0..reps {
             for u in 0..n {
-                if game.best_response(&g, u, ws).is_some() {
+                if game.best_response(g, u, &mut ws).is_some() {
                     found += 1;
                 }
             }
         }
         (watch.elapsed_secs(), found)
     };
-    let (delta_s, found_delta) = run(&delta_game, &mut ws);
-    let (apply_undo_s, found_fallback) = run(&fallback_game, &mut ws);
+    let (delta_s, found_delta) = run(OracleKind::Persistent);
+    let (apply_undo_s, found_reference) = run(OracleKind::FullBfs);
     assert_eq!(
-        found_delta, found_fallback,
-        "n={n}: both paths must agree on who has a best response"
+        found_delta,
+        found_reference,
+        "{} n={n}: both engines must agree on who has a best response",
+        game.name()
     );
-    SetOwnedRow {
+    ScanRow {
         n,
         reps,
         delta_s,
@@ -328,54 +329,22 @@ fn measure_set_owned(n: usize, reps: usize) -> SetOwnedRow {
     }
 }
 
-struct BilateralRow {
-    n: usize,
-    reps: usize,
-    delta_s: f64,
-    apply_undo_s: f64,
+/// Buy-Game `SetOwned` series: time the exponential strategy enumeration with
+/// delta scoring (Gray-code prefix reuse on the persistent oracle) vs. the
+/// reference, all agents of a random connected network.
+fn measure_set_owned(n: usize, reps: usize) -> ScanRow {
+    let mut rng = StdRng::seed_from_u64(7 + n as u64);
+    let g = generators::random_with_m_edges(n, n + n / 2, &mut rng);
+    measure_scans(&BuyGame::sum(n as f64 / 4.0), &g, reps)
 }
 
 /// Bilateral series: best-response scans (exponential neighbour-set
 /// enumeration **plus consent checks**) with the persistent engine's
-/// delta-scored consent vs. the same workspace forced onto the historical
-/// apply → BFS → undo path.
-fn measure_bilateral(n: usize, reps: usize) -> BilateralRow {
+/// delta-scored consent vs. the reference's `move_is_blocked`.
+fn measure_bilateral(n: usize, reps: usize) -> ScanRow {
     let mut rng = StdRng::seed_from_u64(11 + n as u64);
     let g = generators::random_with_m_edges(n, 2 * n, &mut rng);
-    let alpha = n as f64 / 4.0;
-    let delta_game = BilateralBuyGame::sum(alpha);
-    let fallback_game = ConsentForced(BilateralBuyGame::sum(alpha));
-    let mut ws = Workspace::with_oracle(n, OracleKind::Persistent);
-    fn run(
-        game: &dyn Game,
-        g: &ncg_graph::OwnedGraph,
-        n: usize,
-        reps: usize,
-        ws: &mut Workspace,
-    ) -> (f64, usize) {
-        let watch = trace::Stopwatch::start();
-        let mut found = 0usize;
-        for _ in 0..reps {
-            for u in 0..n {
-                if game.best_response(g, u, ws).is_some() {
-                    found += 1;
-                }
-            }
-        }
-        (watch.elapsed_secs(), found)
-    }
-    let (delta_s, found_delta) = run(&delta_game, &g, n, reps, &mut ws);
-    let (apply_undo_s, found_fallback) = run(&fallback_game, &g, n, reps, &mut ws);
-    assert_eq!(
-        found_delta, found_fallback,
-        "n={n}: delta consent and apply-undo consent must agree"
-    );
-    BilateralRow {
-        n,
-        reps,
-        delta_s,
-        apply_undo_s,
-    }
+    measure_scans(&BilateralBuyGame::sum(n as f64 / 4.0), &g, reps)
 }
 
 struct SweepRow {
@@ -385,7 +354,8 @@ struct SweepRow {
     /// Wall-clock of every repeat per engine; `None` when the engine was
     /// skipped at this `n` (the reference engine past `full_max_n`).
     times: Vec<Option<Vec<f64>>>,
-    /// Summed oracle work counters per engine (same indexing as `times`).
+    /// Summed oracle work counters per engine (same indexing as `times`);
+    /// `None` for the reference, which has none.
     stats: Vec<Option<OracleStats>>,
     /// Phase profile of one extra tracing-enabled rep (same indexing as
     /// `times`); only the persistent engine is traced.
@@ -559,17 +529,19 @@ fn main() {
                     continue;
                 }
                 let p = point(family, policy, n, engine, cell_trials);
-                // The persistent cell carries the snapshot's headline ratio,
-                // so it takes the fastest of three blocks below n = 2048; the
-                // reference is context and runs once.
-                let repeats = if idx == 1 && !scale.smoke && n < 2048 {
-                    3
-                } else {
-                    1
-                };
+                // Both engines take the fastest of three blocks below
+                // n = 2048, so the ratio divides fastest by fastest.
+                let repeats = if !scale.smoke && n < 2048 { 3 } else { 1 };
                 let (secs, s, st) = measure(&p, repeats);
                 times.push(Some(secs));
-                stats.push(Some(st));
+                if idx == 0 {
+                    assert_eq!(
+                        st,
+                        OracleStats::default(),
+                        "{family_label} n={n}: the reference builds no oracle"
+                    );
+                }
+                stats.push((idx == 1).then_some(st));
                 // Phase profile + wasted-scan counters for the persistent
                 // engine, from one extra traced rep of the same cell.
                 profiles.push(if idx == 1 && scale.json.is_some() {
@@ -621,7 +593,7 @@ fn main() {
         check_smoke_counters(&sweep_rows, &labels, scale.bless);
     }
 
-    // Buy-Game SetOwned series: delta scoring vs apply → BFS → undo.
+    // Buy-Game SetOwned series: delta scoring vs the reference.
     let bg_ns: &[usize] = if scale.smoke { &[10] } else { &[10, 12, 14] };
     let reps = if scale.smoke { 2 } else { 6 };
     println!("\nBuy-Game SetOwned enumeration (delta path vs apply->BFS->undo)");
@@ -643,7 +615,7 @@ fn main() {
         set_owned_rows.push(row);
     }
 
-    // Bilateral series: delta-scored consent vs apply → BFS → undo.
+    // Bilateral series: delta-scored consent vs the reference.
     let bil_ns: &[usize] = if scale.smoke { &[8] } else { &[10, 12, 14, 16] };
     let bil_reps = if scale.smoke { 2 } else { 4 };
     println!("\nBilateral best-response scans (delta consent vs apply->BFS->undo)");

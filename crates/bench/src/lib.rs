@@ -12,57 +12,7 @@
 
 #![forbid(unsafe_code)]
 
-use ncg_core::cost::{DistanceMetric, EdgeCostMode};
-use ncg_core::moves::Move;
-use ncg_core::Game;
-use ncg_graph::{BfsBuffer, HostGraph, NodeId, OwnedGraph};
 use ncg_sim::{render_csv, render_table, FigureData, FigureDef};
-
-/// Forces the apply → BFS → undo fallback for every candidate by claiming a
-/// consent requirement (while *not* opting into delta-scored consent) — the
-/// historical whole-strategy scoring path. Used by the `oracle_ablation`
-/// bench and binary as the baseline of the Buy-Game `SetOwned` and bilateral
-/// delta-scoring series.
-pub struct ConsentForced<G>(pub G);
-
-impl<G: Game> Game for ConsentForced<G> {
-    fn name(&self) -> String {
-        format!("{}+apply-undo", self.0.name())
-    }
-    fn metric(&self) -> DistanceMetric {
-        self.0.metric()
-    }
-    fn alpha(&self) -> f64 {
-        self.0.alpha()
-    }
-    fn edge_cost_mode(&self) -> EdgeCostMode {
-        self.0.edge_cost_mode()
-    }
-    fn host(&self) -> &HostGraph {
-        self.0.host()
-    }
-    fn cost(&self, g: &OwnedGraph, u: NodeId, buf: &mut BfsBuffer) -> f64 {
-        self.0.cost(g, u, buf)
-    }
-    fn candidate_moves(&self, g: &OwnedGraph, u: NodeId, out: &mut Vec<Move>) {
-        self.0.candidate_moves(g, u, out)
-    }
-    fn move_is_blocked(
-        &self,
-        g_before: &OwnedGraph,
-        agent: NodeId,
-        mv: &Move,
-        g_after: &OwnedGraph,
-        buf: &mut BfsBuffer,
-    ) -> bool {
-        self.0.move_is_blocked(g_before, agent, mv, g_after, buf)
-    }
-    fn needs_consent(&self) -> bool {
-        true
-    }
-    // `delta_consent` deliberately stays `false`: that is the whole point of
-    // the wrapper — every candidate takes the scratch-graph fallback.
-}
 
 /// Scale parameters of a regeneration run.
 #[derive(Debug, Clone, Copy)]

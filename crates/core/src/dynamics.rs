@@ -50,7 +50,8 @@ pub struct DynamicsConfig {
     /// detection (correct for ASG/GBG/BG/bilateral). The symmetric Swap Game
     /// ignores ownership and should set this to `false`.
     pub ownership_in_state: bool,
-    /// Which distance-oracle backend scores candidate moves.
+    /// Which engine scores candidate moves: the persistent oracle or the
+    /// full-BFS reference.
     pub oracle: OracleKind,
 }
 
@@ -95,7 +96,7 @@ impl DynamicsConfig {
         self
     }
 
-    /// Sets the distance-oracle backend.
+    /// Sets the scoring engine.
     pub fn with_oracle(mut self, oracle: OracleKind) -> Self {
         self.oracle = oracle;
         self
@@ -486,8 +487,8 @@ mod tests {
     fn bilateral_delta_consent_matches_fallback_trajectories() {
         // The bilateral game on a persistent engine scores every candidate
         // (and every consent check) through oracle what-ifs; the scoring is
-        // exact, so its trajectories must be identical to the
-        // apply → BFS → undo engines.
+        // exact, so its trajectories must be identical to the full-BFS
+        // reference's apply → BFS → undo.
         use crate::games::BilateralBuyGame;
         let mut seed_rng = StdRng::seed_from_u64(71);
         let n = 9;

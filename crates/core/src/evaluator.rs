@@ -1,4 +1,4 @@
-//! Delta-based candidate scoring on top of the pluggable distance oracles.
+//! Delta-based candidate scoring on top of the persistent distance oracle.
 //!
 //! [`CostEvaluator`] is the bridge between the game layer and
 //! [`ncg_graph::oracle`]: it pins the moving agent's base distance vector once
@@ -17,8 +17,13 @@
 //! persistent oracle's delta-stack prefix reuse pays the shared repairs only
 //! once across the exponential enumeration.
 //!
-//! Games that need a consent check on the post-move state fall back to the
-//! classic apply → BFS → undo cycle in [`crate::game`].
+//! Consent games are scored here too: a second oracle answers what each
+//! consent party pays after the candidate
+//! ([`CostEvaluator::score_counterpart`]). Only the full-BFS reference
+//! ([`OracleKind::FullBfs`](ncg_graph::oracle::OracleKind::FullBfs)) applies
+//! every candidate to a scratch graph, measures it by BFS and undoes it
+//! ([`crate::game`]); it never queries an evaluator, which then builds no
+//! oracle.
 //!
 //! Observability: the oracle layer beneath emits the `oracle-begin`,
 //! `fused-kernel`, `delta-repair` and `pin-sources` trace phases,
@@ -28,7 +33,7 @@
 
 use crate::cost::EdgeCostMode;
 use crate::moves::Move;
-use ncg_graph::oracle::{make_oracle, DistanceOracle, EdgeDelta, OracleKind, OracleStats};
+use ncg_graph::oracle::{EdgeDelta, OracleStats, PersistentOracle};
 use ncg_graph::{DistanceSummary, NodeId, OwnedGraph};
 
 /// Outcome of a delta-based candidate evaluation.
@@ -57,15 +62,19 @@ pub enum DeltaScore {
 
 /// A distance-oracle-backed scorer for one agent's candidate moves.
 pub struct CostEvaluator {
-    kind: OracleKind,
-    oracle: Box<dyn DistanceOracle>,
+    /// Vertex count the oracles are created for.
+    n: usize,
+    /// The mover's oracle, created by the first query. Both oracles live on
+    /// the heap: held inline, their fields made the scan loop's own time
+    /// (the `enumerate` trace phase) ~1.6× longer on `asg-sum-1024`.
+    oracle: Option<Box<PersistentOracle>>,
     deltas: Vec<EdgeDelta>,
-    /// Second oracle of the same backend answering *counterpart* queries
-    /// ("what does agent `v` pay after the mover's candidate?") for consent
-    /// checks. It keeps its own cache and sync point, so consent queries
-    /// never unpin the mover's base vector or its delta-stack prefix.
-    /// Lazily created on the first consent-checked scan.
-    consent: Option<Box<dyn DistanceOracle>>,
+    /// Second oracle answering *counterpart* queries ("what does agent `v`
+    /// pay after the mover's candidate?") for consent checks. It keeps its
+    /// own cache and sync point, so consent queries never unpin the mover's
+    /// base vector or its delta-stack prefix. Created on the first
+    /// consent-checked scan.
+    consent: Option<Box<PersistentOracle>>,
     /// Candidates the scans pruned on a [`CostEvaluator::level_bound`], and
     /// blocks on a [`CostEvaluator::block_bounds`] entry (reported as
     /// [`OracleStats::bound_pruned`]).
@@ -73,31 +82,28 @@ pub struct CostEvaluator {
 }
 
 impl CostEvaluator {
-    /// Creates an evaluator with the given backend for graphs on `n` vertices.
-    pub fn new(kind: OracleKind, n: usize) -> Self {
+    /// Creates an evaluator for graphs on `n` vertices. Its oracles are
+    /// created by the first query, so an evaluator that is never queried
+    /// (the full-BFS reference's) holds none.
+    pub fn new(n: usize) -> Self {
         CostEvaluator {
-            kind,
-            oracle: make_oracle(kind, n),
+            n,
+            oracle: None,
             deltas: Vec::with_capacity(4),
             consent: None,
             bound_pruned: 0,
         }
     }
 
-    /// The configured backend.
-    pub fn kind(&self) -> OracleKind {
-        self.kind
-    }
-
-    /// Work counters of the underlying oracle and of the consent oracle, if
-    /// one was created, plus the scans' level-bound prunes. Both caches are
-    /// live at once, so their `peak_parked_bytes` add.
+    /// Work counters of the mover's oracle and of the consent oracle, as far
+    /// as they were created, plus the scans' level-bound prunes. Both caches
+    /// are live at once, so their `peak_parked_bytes` add.
     pub fn stats(&self) -> OracleStats {
-        let mut stats = self.oracle.stats();
-        if let Some(consent) = &self.consent {
-            let counterpart = consent.stats();
-            let peak = stats.peak_parked_bytes + counterpart.peak_parked_bytes;
-            stats.merge(&counterpart);
+        let mut stats = OracleStats::default();
+        for oracle in self.oracle.iter().chain(&self.consent) {
+            let counted = oracle.stats();
+            let peak = stats.peak_parked_bytes + counted.peak_parked_bytes;
+            stats.merge(&counted);
             stats.peak_parked_bytes = peak;
         }
         stats.bound_pruned += self.bound_pruned;
@@ -107,9 +113,8 @@ impl CostEvaluator {
 
     /// Clears the work counters.
     pub fn reset_stats(&mut self) {
-        self.oracle.reset_stats();
-        if let Some(consent) = &mut self.consent {
-            consent.reset_stats();
+        for oracle in self.oracle.iter_mut().chain(&mut self.consent) {
+            oracle.reset_stats();
         }
         self.bound_pruned = 0;
     }
@@ -117,7 +122,7 @@ impl CostEvaluator {
     /// Pins the base state `(g, u)` for the following
     /// [`CostEvaluator::try_score`] calls and returns `u`'s base summary.
     pub fn begin_agent(&mut self, g: &OwnedGraph, u: NodeId) -> DistanceSummary {
-        self.oracle.begin(g, u)
+        created(&mut self.oracle, self.n).begin(g, u)
     }
 
     /// Scores candidate `mv` of agent `u` against the pinned base state.
@@ -154,9 +159,8 @@ impl CostEvaluator {
         // miss) takes the repair machinery.
         if let Some((&EdgeDelta::Insert { u: a, v: b }, prefix)) = self.deltas.split_last() {
             if a == u && (allow_bound || prefix.is_empty()) {
-                if let Some((summary, exact)) =
-                    self.oracle.evaluate_insert_via_cache(g, prefix, a, b)
-                {
+                let oracle = created(&mut self.oracle, self.n);
+                if let Some((summary, exact)) = oracle.evaluate_insert_via_cache(g, prefix, a, b) {
                     return if exact {
                         DeltaScore::Summary(summary)
                     } else {
@@ -165,9 +169,7 @@ impl CostEvaluator {
                 }
             }
         }
-        let deltas = std::mem::take(&mut self.deltas);
-        let summary = self.oracle.evaluate(&deltas);
-        self.deltas = deltas;
+        let summary = created(&mut self.oracle, self.n).evaluate(&self.deltas);
         DeltaScore::Summary(summary)
     }
 
@@ -178,23 +180,24 @@ impl CostEvaluator {
     /// * A candidate that ends in an insertion `{u, v}` at the pinned source
     ///   on a removal-only prefix (every `Buy` and `Swap`) is bounded from
     ///   level histograms alone, in `O(D)` (see
-    ///   [`DistanceOracle::insert_level_bound`]). The bound is `≤` the fused
-    ///   kernel's answer for the same candidate.
+    ///   [`PersistentOracle::insert_level_bound`]). The bound is `≤` the
+    ///   fused kernel's answer for the same candidate.
     /// * A `Delete` is bounded by the summary of the neighbour-row vector
-    ///   `c_f` (see [`DistanceOracle::removal_bound`]). A disconnected
+    ///   `c_f` (see [`PersistentOracle::removal_bound`]). A disconnected
     ///   bound is exact.
     ///
-    /// `None` for other candidate shapes and whenever the backend cannot
+    /// `None` for other candidate shapes and whenever the oracle cannot
     /// serve the bound; the caller then scores the candidate with
     /// `try_score_bounded` as usual. The candidate's deltas stay buffered,
     /// like after `try_score`.
     pub fn level_bound(&mut self, g: &OwnedGraph, u: NodeId, mv: &Move) -> Option<DistanceSummary> {
         self.buffer_deltas(g, u, mv).ok()?;
+        let oracle = created(&mut self.oracle, self.n);
         match (self.deltas.split_last(), mv) {
             (Some((&EdgeDelta::Insert { u: a, v: b }, prefix)), _) if a == u => {
-                self.oracle.insert_level_bound(g, prefix, a, b)
+                oracle.insert_level_bound(g, prefix, a, b)
             }
-            (_, &Move::Delete { to }) => self.oracle.removal_bound(g, u, to),
+            (_, &Move::Delete { to }) => oracle.removal_bound(g, u, to),
             _ => None,
         }
     }
@@ -202,10 +205,11 @@ impl CostEvaluator {
     /// One lower bound per block of
     /// [`ENVELOPE_BLOCK`](ncg_graph::oracle::ENVELOPE_BLOCK) targets, for the run
     /// of candidates that `mv` belongs to: every `Buy`, or every `Swap` from
-    /// `mv`'s `from` (see [`DistanceOracle::insert_block_bounds`]). `out[b]`
-    /// is `≤` the [`CostEvaluator::level_bound`] of each candidate of the run
-    /// whose target lies in block `b`. `false`, with `out` empty, for other
-    /// candidate shapes and whenever the backend cannot serve the bounds.
+    /// `mv`'s `from` (see [`PersistentOracle::insert_block_bounds`]).
+    /// `out[b]` is `≤` the [`CostEvaluator::level_bound`] of each candidate
+    /// of the run whose target lies in block `b`. `false`, with `out` empty,
+    /// for other candidate shapes and whenever the oracle cannot serve the
+    /// bounds.
     pub fn block_bounds(
         &mut self,
         g: &OwnedGraph,
@@ -223,7 +227,7 @@ impl CostEvaluator {
             .deltas
             .split_last()
             .expect("a Buy or Swap ends in its insertion");
-        self.oracle.insert_block_bounds(g, prefix, u, out)
+        created(&mut self.oracle, self.n).insert_block_bounds(g, prefix, u, out)
     }
 
     /// Adds `count` prunes by a [`CostEvaluator::level_bound`] (one per
@@ -286,35 +290,30 @@ impl CostEvaluator {
     /// [`DeltaScore::LowerBound`] that survived its prune, by running the
     /// buffered delta sequence through the repair machinery.
     pub fn score_exact_last(&mut self) -> DistanceSummary {
-        let deltas = std::mem::take(&mut self.deltas);
-        let summary = self.oracle.evaluate(&deltas);
-        self.deltas = deltas;
-        summary
+        created(&mut self.oracle, self.n).evaluate(&self.deltas)
     }
 
     /// The agent's distance summary served from the main oracle's parked (or
-    /// pinned) vector at the current version of `g`, without re-pinning —
-    /// `None` on a backend that keeps no per-source cache (the full-BFS
-    /// reference). See [`DistanceOracle::cached_summary`].
-    pub fn cached_summary(&mut self, g: &OwnedGraph, u: NodeId) -> Option<DistanceSummary> {
-        self.oracle.cached_summary(g, u)
+    /// pinned) vector at the current version of `g`, without re-pinning.
+    /// See [`PersistentOracle::cached_summary`].
+    pub fn cached_summary(&mut self, g: &OwnedGraph, u: NodeId) -> DistanceSummary {
+        created(&mut self.oracle, self.n).cached_summary(g, u)
     }
 
     /// Brings the distance vectors of `sources` in the **main** oracle to
-    /// the current version of `g`. The persistent backend keeps every
-    /// source's vector current at its sync, so this only syncs: the first
-    /// call fills every vector in bitset waves.
+    /// the current version of `g`. The oracle keeps every source's vector
+    /// current at its sync, so this only syncs: the first call fills every
+    /// vector in bitset waves.
     pub fn pin_sources(&mut self, g: &OwnedGraph, sources: &[NodeId]) {
-        self.oracle.pin_sources(g, sources);
+        created(&mut self.oracle, self.n).pin_sources(g, sources);
     }
 
     /// Counterpart what-if for the **last scored candidate**: re-pins agent
     /// `v` on the consent oracle and scores the candidate's delta sequence
     /// from `v`'s point of view, returning `v`'s `(base, post-move)` distance
-    /// summaries. With the persistent backend the re-pin loads `v`'s cached
-    /// vector, which the consent oracle's sync keeps current by journal
-    /// replay, and the what-if is a truncated repair — no apply/undo, no
-    /// full BFS.
+    /// summaries. The re-pin loads `v`'s cached vector, which the consent
+    /// oracle's sync keeps current by journal replay, and the what-if is a
+    /// truncated repair — no apply/undo, no full BFS.
     ///
     /// Must follow a [`CostEvaluator::try_score`] that returned
     /// [`DeltaScore::Summary`]; the delta sequence of that candidate is still
@@ -325,11 +324,7 @@ impl CostEvaluator {
         v: NodeId,
     ) -> (DistanceSummary, DistanceSummary) {
         let _sp = ncg_trace::span(ncg_trace::Phase::Consent);
-        let kind = self.kind;
-        let consent = self
-            .consent
-            .get_or_insert_with(|| make_oracle(kind, g.num_nodes()));
-        consent.evaluate_for_source(g, v, &self.deltas)
+        created(&mut self.consent, self.n).evaluate_for_source(g, v, &self.deltas)
     }
 
     /// Degree change of vertex `v` under the last scored candidate's delta
@@ -347,6 +342,11 @@ impl CostEvaluator {
         }
         delta
     }
+}
+
+/// The oracle in `slot`, created for `n` vertices on first use.
+fn created(slot: &mut Option<Box<PersistentOracle>>, n: usize) -> &mut PersistentOracle {
+    slot.get_or_insert_with(|| Box::new(PersistentOracle::new(n)))
 }
 
 /// `true` iff the slice is strictly ascending (the documented contract of the
@@ -396,7 +396,7 @@ fn push_set_deltas(
 impl std::fmt::Debug for CostEvaluator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CostEvaluator")
-            .field("kind", &self.kind)
+            .field("n", &self.n)
             .finish_non_exhaustive()
     }
 }
@@ -495,7 +495,7 @@ mod tests {
     use ncg_graph::{generators, BfsBuffer, OwnedGraph};
 
     /// Delta scoring must agree exactly with apply + BFS for every supported
-    /// move kind and both backends.
+    /// move kind.
     #[test]
     fn delta_scores_match_apply_and_bfs() {
         let g = {
@@ -523,49 +523,36 @@ mod tests {
                 new_neighbors: vec![1, 5, 7],
             },
         ];
-        for kind in [OracleKind::FullBfs, OracleKind::Persistent] {
-            for u in 0..g.num_nodes() {
-                let mut evaluator = CostEvaluator::new(kind, g.num_nodes());
-                evaluator.begin_agent(&g, u);
-                for mv in &moves {
-                    let score = evaluator.try_score(&g, u, mv);
-                    let mut h = g.clone();
-                    match apply_move(&mut h, u, mv) {
-                        None => {
-                            assert_eq!(
-                                score,
-                                DeltaScore::Inapplicable,
-                                "{} agent {u} move {mv:?}",
-                                kind.label()
-                            );
-                        }
-                        Some(_) => {
-                            let mut buf = BfsBuffer::new(h.num_nodes());
-                            let expect = buf.summary(&h, u);
-                            assert_eq!(
-                                score,
-                                DeltaScore::Summary(expect),
-                                "{} agent {u} move {mv:?}",
-                                kind.label()
-                            );
-                            // Total cost agrees too (edge + distance).
-                            let metric = DistanceMetric::Sum;
-                            let mode = EdgeCostMode::OwnerPays;
-                            let alpha = 1.75;
-                            let measured = agent_cost_total(&h, u, metric, alpha, mode, &mut buf);
-                            let DeltaScore::Summary(s) = score else {
-                                unreachable!()
-                            };
-                            let scored =
-                                edge_cost_after(&g, u, mv, mode, alpha) + metric.distance_cost(&s);
-                            // Exact equality for infinite costs (disconnecting
-                            // strategies), tolerance for the finite ones.
-                            assert!(
-                                measured == scored || (measured - scored).abs() < 1e-12,
-                                "{} agent {u} move {mv:?}: {measured} vs {scored}",
-                                kind.label()
-                            );
-                        }
+        for u in 0..g.num_nodes() {
+            let mut evaluator = CostEvaluator::new(g.num_nodes());
+            evaluator.begin_agent(&g, u);
+            for mv in &moves {
+                let score = evaluator.try_score(&g, u, mv);
+                let mut h = g.clone();
+                match apply_move(&mut h, u, mv) {
+                    None => {
+                        assert_eq!(score, DeltaScore::Inapplicable, "agent {u} move {mv:?}");
+                    }
+                    Some(_) => {
+                        let mut buf = BfsBuffer::new(h.num_nodes());
+                        let expect = buf.summary(&h, u);
+                        assert_eq!(score, DeltaScore::Summary(expect), "agent {u} move {mv:?}");
+                        // Total cost agrees too (edge + distance).
+                        let metric = DistanceMetric::Sum;
+                        let mode = EdgeCostMode::OwnerPays;
+                        let alpha = 1.75;
+                        let measured = agent_cost_total(&h, u, metric, alpha, mode, &mut buf);
+                        let DeltaScore::Summary(s) = score else {
+                            unreachable!()
+                        };
+                        let scored =
+                            edge_cost_after(&g, u, mv, mode, alpha) + metric.distance_cost(&s);
+                        // Exact equality for infinite costs (disconnecting
+                        // strategies), tolerance for the finite ones.
+                        assert!(
+                            measured == scored || (measured - scored).abs() < 1e-12,
+                            "agent {u} move {mv:?}: {measured} vs {scored}"
+                        );
                     }
                 }
             }
@@ -577,7 +564,7 @@ mod tests {
         // A SetOwned strategy naming a foreign-owned edge must neither insert
         // nor charge for it; the distance summary matches the applied state.
         let g = OwnedGraph::from_owned_edges(5, &[(0, 1), (0, 2), (3, 0), (3, 4)]);
-        let mut evaluator = CostEvaluator::new(OracleKind::Persistent, 5);
+        let mut evaluator = CostEvaluator::new(5);
         evaluator.begin_agent(&g, 0);
         let mv = Move::SetOwned {
             new_owned: vec![3, 4],
@@ -600,7 +587,7 @@ mod tests {
     #[test]
     fn unsorted_strategy_lists_take_the_fallback() {
         let g = generators::path(4);
-        let mut evaluator = CostEvaluator::new(OracleKind::Persistent, 4);
+        let mut evaluator = CostEvaluator::new(4);
         evaluator.begin_agent(&g, 0);
         assert_eq!(
             evaluator.try_score(
@@ -650,10 +637,10 @@ mod tests {
     fn pinned_consent_sources_are_served_by_replay() {
         // The consent oracle fills every party's vector at its first query
         // and keeps them current by journal replay: counterpart queries
-        // after a graph change stay BFS-exact without a scalar BFS, and the
+        // after a graph change stay BFS-exact without a refill, and the
         // evaluator's counters include the consent oracle's work.
         let mut g = generators::path(10);
-        let mut evaluator = CostEvaluator::new(OracleKind::Persistent, 10);
+        let mut evaluator = CostEvaluator::new(10);
         let mv = Move::SetNeighbors {
             new_neighbors: vec![1, 5, 9],
         };
@@ -677,10 +664,6 @@ mod tests {
             }
         }
         let stats = evaluator.stats();
-        assert_eq!(
-            stats.full_bfs_runs, 0,
-            "counterparts replay, not re-run BFS"
-        );
         assert_eq!(stats.batched_repins, 2 * 10, "one fill per oracle");
         assert_eq!(
             stats.replayed_begins,

@@ -22,11 +22,13 @@ use std::collections::BinaryHeap;
 /// inner loop of the dynamics engine.
 #[derive(Debug)]
 pub struct Workspace {
-    /// Single-source BFS workspace (used by the fallback scoring path and by
-    /// the cost queries of policies and equilibrium checks).
+    /// Single-source BFS workspace (used by the scratch-graph scoring path
+    /// and by the cost queries of policies and equilibrium checks).
     pub bfs: BfsBuffer,
-    /// Distance-oracle-backed candidate scorer.
+    /// Distance-oracle-backed candidate scorer of the persistent engine. The
+    /// full-BFS reference never queries it, so it builds no oracle there.
     pub evaluator: CostEvaluator,
+    kind: OracleKind,
     scratch: OwnedGraph,
     candidates: Vec<Move>,
     /// Block bounds of the scan's current run of candidates.
@@ -36,16 +38,17 @@ pub struct Workspace {
 
 impl Workspace {
     /// Creates a workspace for graphs on `n` vertices with the default
-    /// (persistent) distance-oracle backend.
+    /// (persistent) scoring engine.
     pub fn new(n: usize) -> Self {
         Workspace::with_oracle(n, OracleKind::default())
     }
 
-    /// Creates a workspace with an explicit distance-oracle backend.
+    /// Creates a workspace with an explicit scoring engine.
     pub fn with_oracle(n: usize, kind: OracleKind) -> Self {
         Workspace {
             bfs: BfsBuffer::new(n),
-            evaluator: CostEvaluator::new(kind, n),
+            evaluator: CostEvaluator::new(n),
+            kind,
             scratch: OwnedGraph::new(n),
             candidates: Vec::new(),
             block_bounds: Vec::new(),
@@ -53,12 +56,13 @@ impl Workspace {
         }
     }
 
-    /// The configured distance-oracle backend.
+    /// The configured scoring engine.
     pub fn oracle_kind(&self) -> OracleKind {
-        self.evaluator.kind()
+        self.kind
     }
 
-    /// Work counters of the distance oracle (for ablation measurements).
+    /// Work counters of the distance oracles (for ablation measurements);
+    /// all zero on the full-BFS reference, which builds none.
     pub fn oracle_stats(&self) -> OracleStats {
         self.evaluator.stats()
     }
@@ -68,7 +72,7 @@ impl Clone for Workspace {
     /// Clones the workspace configuration; the oracle state is scratch and is
     /// recreated fresh.
     fn clone(&self) -> Self {
-        Workspace::with_oracle(self.scratch.num_nodes(), self.evaluator.kind())
+        Workspace::with_oracle(self.scratch.num_nodes(), self.kind)
     }
 }
 
@@ -112,12 +116,13 @@ pub trait Game {
 
     /// Cost of agent `u` in state `g`.
     ///
-    /// **Override contract:** the delta-based fast path of the candidate scan
-    /// recomputes costs as `edge_cost + distance_cost` from the game's
-    /// `metric` / `alpha` / `edge_cost_mode` and never calls this method. A
-    /// game whose cost deviates from that decomposition must also override
-    /// [`Game::needs_consent`] to return `true`, which forces every candidate
-    /// through the apply → BFS → undo path where this method is honoured.
+    /// **Override contract:** the persistent engine recomputes costs as
+    /// `edge_cost + distance_cost` from the game's `metric` / `alpha` /
+    /// `edge_cost_mode` and never calls this method; the full-BFS reference
+    /// scores every candidate on a scratch graph with this method. A game
+    /// whose cost deviates from that decomposition is therefore scored
+    /// differently by the two engines, and the engine-identity tests report
+    /// it as a mismatch.
     fn cost(&self, g: &OwnedGraph, u: NodeId, buf: &mut BfsBuffer) -> f64 {
         agent_cost_total(
             g,
@@ -140,10 +145,13 @@ pub trait Game {
     /// (paper §5). `g_before` is the current state, `g_after` the state after the
     /// move has been applied.
     ///
-    /// **Override contract:** the delta-based fast path never materialises
-    /// `g_after` and therefore never calls this method. Any game overriding it
-    /// must also override [`Game::needs_consent`] to return `true`, otherwise
-    /// blocked single-edge moves would silently be accepted.
+    /// **Override contract:** only the full-BFS reference materialises
+    /// `g_after` and calls this method. The persistent engine decides
+    /// consent by the rule "some party of [`Game::consent_parties`] sees its
+    /// standard `edge + distance` cost strictly increase", and only for
+    /// games whose [`Game::needs_consent`] is `true`. A game overriding this
+    /// method must override both and keep the rules equivalent, or the two
+    /// engines diverge.
     fn move_is_blocked(
         &self,
         _g_before: &OwnedGraph,
@@ -156,32 +164,18 @@ pub trait Game {
     }
 
     /// Returns `true` if the game's moves require inspecting the post-move
-    /// state of *other* agents (a consent check). Such games cannot use the
-    /// plain delta-based scoring fast path, which never materialises the
-    /// post-move graph — unless they additionally opt into the delta-scored
-    /// consent contract via [`Game::delta_consent`].
+    /// state of *other* agents (a consent check). The persistent engine then
+    /// answers every party's consent from distance-oracle what-if queries
+    /// (see [`Game::move_is_blocked`] for the rule both engines must agree
+    /// on); the full-BFS reference calls [`Game::move_is_blocked`] on the
+    /// applied move.
     fn needs_consent(&self) -> bool {
-        false
-    }
-
-    /// Opt-in for consent games whose blocking rule is *exactly* "some consent
-    /// party's standard `edge + distance` cost strictly increases": the scan
-    /// may then answer both the mover's score **and** every party's consent
-    /// from distance-oracle what-if queries, with no apply → BFS → undo.
-    ///
-    /// **Override contract:** a game returning `true` must (1) keep the
-    /// default `edge + distance` decomposition of [`Game::cost`], (2) name its
-    /// consent parties via [`Game::consent_parties`], and (3) have
-    /// [`Game::move_is_blocked`] equivalent to the party-cost-increase rule —
-    /// the fallback path still uses `move_is_blocked`, and the randomized
-    /// equivalence tests compare the two paths move by move.
-    fn delta_consent(&self) -> bool {
         false
     }
 
     /// Appends the agents (other than the mover) whose consent `mv` requires
     /// — for the bilateral game, exactly the newly connected endpoints. Only
-    /// consulted on the delta consent path ([`Game::delta_consent`]).
+    /// consulted by the persistent engine's consent check.
     fn consent_parties(&self, _g: &OwnedGraph, _agent: NodeId, _mv: &Move, _out: &mut Vec<NodeId>) {
     }
 
@@ -193,10 +187,10 @@ pub trait Game {
     /// All feasible *best-response* moves of agent `u`: the improving moves of
     /// maximal cost decrease. Empty iff the agent is happy.
     ///
-    /// Uses the best-only scan mode: on the delta consent path the expensive
-    /// counterpart checks are deferred and run in ascending-cost order, so a
-    /// scan pays for the blocked candidates *below* the best feasible cost
-    /// and the ties at it — not for every improving candidate.
+    /// Uses the best-only scan mode: on the persistent engine a consent
+    /// game's counterpart checks are deferred and run in ascending-cost
+    /// order, so a scan pays for the blocked candidates *below* the best
+    /// feasible cost and the ties at it — not for every improving candidate.
     fn best_responses(&self, g: &OwnedGraph, u: NodeId, ws: &mut Workspace) -> Vec<ScoredMove> {
         keep_best(scan_moves(self, g, u, ws, ScanMode::BestOnly))
     }
@@ -222,29 +216,24 @@ pub trait Game {
 
 /// Cost of agent `u` measured through the workspace.
 ///
-/// With a persistent oracle and a game following the standard
-/// `edge + distance` decomposition (every non-consent game, per the
-/// [`Game::cost`] override contract), the summary is read off `u`'s parked
-/// vector. The first read after a move brings every parked vector current
-/// by journal replay, in time proportional to the region the move actually
+/// On the persistent engine the summary is read off `u`'s parked vector.
+/// The first read after a move brings every parked vector current by
+/// journal replay, in time proportional to the region the move actually
 /// changed instead of one BFS per agent — this is what makes the max-cost
 /// policy's per-step cost refresh of all `n` agents cheap. The value is
-/// *identical* to [`Game::cost`]: both compute
-/// `edge_cost(g, u) + metric(distance summary of u)` on the exact distance
-/// vector. The full-BFS backend, which keeps no per-source cache, and
-/// consent games (which may override `Game::cost`) take the honest
-/// measurement.
+/// [`Game::cost`]'s default, `edge_cost(g, u) + metric(distance summary of
+/// u)` on the exact distance vector (see its override contract). The
+/// full-BFS reference measures [`Game::cost`] itself.
 pub fn workspace_cost<G: Game + ?Sized>(
     game: &G,
     g: &OwnedGraph,
     u: NodeId,
     ws: &mut Workspace,
 ) -> f64 {
-    if !game.needs_consent() || game.delta_consent() {
-        if let Some(summary) = ws.evaluator.cached_summary(g, u) {
-            return game.edge_cost_mode().edge_cost(g, u, game.alpha())
-                + game.metric().distance_cost(&summary);
-        }
+    if ws.kind == OracleKind::Persistent {
+        let summary = ws.evaluator.cached_summary(g, u);
+        return game.edge_cost_mode().edge_cost(g, u, game.alpha())
+            + game.metric().distance_cost(&summary);
     }
     game.cost(g, u, &mut ws.bfs)
 }
@@ -255,16 +244,19 @@ enum ScanMode {
     AllImproving,
     FirstImproving,
     /// Only the minimal-cost feasible improving moves are needed (the caller
-    /// filters to the best anyway): consent checks on the delta path are
-    /// deferred to one ascending-cost pass instead of running per candidate.
-    /// For every other configuration this behaves exactly like
+    /// filters to the best anyway): on the persistent engine, candidates are
+    /// scored in ascending-bound order with a cutoff, and a consent game's
+    /// checks are deferred to one ascending-cost pass instead of running per
+    /// candidate. On the full-BFS reference this behaves exactly like
     /// [`ScanMode::AllImproving`].
     BestOnly,
     /// [`ScanMode::FirstImproving`] up to the first improving candidate, then
     /// [`ScanMode::BestOnly`] with the best cost seeded by it: a happy agent
     /// costs what a first-improving scan costs, and an unhappy one comes
     /// back with every candidate a best-only scan would keep at the best
-    /// cost. Only for games whose scan orders by bound (no consent).
+    /// cost. Only for games without consent, whose persistent scan orders
+    /// by bound; the full-BFS reference, which bounds nothing, scores every
+    /// candidate after the first improving one.
     FirstThenBest,
 }
 
@@ -301,11 +293,14 @@ fn keep_best(mut improving: Vec<ScoredMove>) -> Vec<ScoredMove> {
 /// Shared candidate-evaluation loop: enumerate candidates, score each from the
 /// moving agent's point of view, filter to feasible strict improvements.
 ///
-/// Single-edge candidates (swap / buy / delete) are scored through the
-/// workspace's [`CostEvaluator`] as edge deltas against the agent's pinned
-/// base distance vector — no graph mutation, no full BFS per candidate (with
-/// the persistent backend). Whole-strategy candidates and consent-checked
-/// games fall back to the classic apply → BFS → undo cycle on a scratch copy.
+/// The persistent engine scores every candidate through the workspace's
+/// [`CostEvaluator`] as edge deltas against the agent's pinned base distance
+/// vector — no graph mutation, no full BFS per candidate — and a consent
+/// game's parties through counterpart what-ifs. Only a whole-strategy list
+/// that breaks the sorted contract ([`DeltaScore::Unsupported`]) takes the
+/// scratch graph. The full-BFS reference scores every candidate on the
+/// scratch graph: apply → BFS → undo, with [`Game::move_is_blocked`] for
+/// consent.
 fn scan_moves<G: Game + ?Sized>(
     game: &G,
     g: &OwnedGraph,
@@ -318,23 +313,15 @@ fn scan_moves<G: Game + ?Sized>(
     let metric = game.metric();
     let alpha = game.alpha();
     let edge_mode = game.edge_cost_mode();
-    // Consent games delta-score too when they opt into the delta consent
-    // contract and the backend can answer multi-source what-ifs cheaply (the
-    // persistent oracle's per-source caches); otherwise they keep the honest
-    // apply → BFS → undo cycle.
-    let consent_delta =
-        game.needs_consent() && game.delta_consent() && ws.oracle_kind() == OracleKind::Persistent;
-    let delta_path = !game.needs_consent() || consent_delta;
+    let delta_path = ws.kind == OracleKind::Persistent;
+    let consent_delta = delta_path && game.needs_consent();
     debug_assert!(
         mode != ScanMode::FirstThenBest || !game.needs_consent(),
         "a consent scan cannot order by bound"
     );
-    // On the delta path the base cost must use exactly the same decomposition
-    // as the candidate scores. That is sound for non-consent games and for
-    // `delta_consent` games by their override contract (the default
-    // `edge + distance` cost); consent games without that contract go through
-    // the (potentially overridden) `Game::cost` and skip pinning an oracle
-    // base they would never query.
+    // The persistent engine's base cost uses exactly the decomposition of
+    // its candidate scores; the reference measures `Game::cost`, like every
+    // candidate it scores.
     let old_cost = if delta_path {
         let base_summary = ws.evaluator.begin_agent(g, u);
         edge_mode.edge_cost(g, u, alpha) + metric.distance_cost(&base_summary)
@@ -573,7 +560,7 @@ impl<G: Game + ?Sized> Scan<'_, G> {
                 Some(summary) => {
                     let new_cost = self.cost_of(mv, &summary);
                     // Consent is only consulted for improving candidates,
-                    // exactly like the fallback path.
+                    // exactly like the reference.
                     if self.consent_delta && is_improvement(self.old_cost, new_cost) {
                         if self.defer_consent {
                             deferred = true;
@@ -808,9 +795,10 @@ fn consent_blocked_delta<G: Game + ?Sized>(
     blocked
 }
 
-/// Fallback scoring: apply `mv` to a scratch copy, measure the real post-move
-/// cost (and, for improving moves of consent-checked games, the blocked test),
-/// undo.
+/// The full-BFS reference's scoring, also the persistent engine's path for
+/// [`DeltaScore::Unsupported`] candidates: apply `mv` to a scratch copy,
+/// measure the real post-move cost with [`Game::cost`] (and, for improving
+/// moves, the [`Game::move_is_blocked`] test), undo.
 ///
 /// Returns `None` if the move does not apply or is blocked.
 fn score_on_scratch<G: Game + ?Sized>(

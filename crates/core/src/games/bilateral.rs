@@ -81,13 +81,10 @@ impl Game for BilateralBuyGame {
     }
 
     fn needs_consent(&self) -> bool {
-        true
-    }
-
-    fn delta_consent(&self) -> bool {
         // Blocking is exactly "a newly connected agent's equal-split cost
-        // strictly increases", and `cost` keeps the standard decomposition —
-        // so the scan may answer consent from counterpart what-if queries.
+        // strictly increases", and `cost` keeps the standard decomposition,
+        // so the persistent engine answers consent from counterpart what-if
+        // queries.
         true
     }
 
@@ -112,9 +109,8 @@ impl Game for BilateralBuyGame {
         );
         let current: Vec<NodeId> = g.neighbors(u).to_vec();
         let k = pool.len();
-        // Gray-code order, mirroring BuyGame::candidate_moves (the bilateral
-        // game scores through the consent fallback, but the shared order keeps
-        // candidate enumeration conventions — and future delta paths — aligned).
+        // Gray-code order, mirroring BuyGame::candidate_moves: consecutive
+        // candidates share a long delta prefix on the persistent oracle.
         for i in 0u64..(1u64 << k) {
             let mask = i ^ (i >> 1);
             let new_neighbors: Vec<NodeId> = (0..k)
@@ -180,7 +176,7 @@ mod tests {
     #[test]
     fn delta_consent_scan_matches_apply_undo_scan() {
         // The persistent workspace scores candidates (and consent) through
-        // oracle what-ifs; the full-BFS one takes the historical
+        // oracle what-ifs; the full-BFS one takes the reference
         // apply → BFS → undo path. Same states, identical scored-move lists.
         let mut rng = StdRng::seed_from_u64(5);
         for trial in 0..8u64 {

@@ -68,9 +68,14 @@ impl Game for GreedyBuyGame {
     }
 
     fn candidate_moves(&self, g: &OwnedGraph, u: NodeId, out: &mut Vec<Move>) {
+        // `extend` grows the buffer before it builds the move, so the move is
+        // written straight into it. A `push` may build the move on the stack
+        // and copy it with one 32-byte load that waits on the two narrower
+        // stores before it (a store-forwarding stall per candidate), which
+        // made this loop take twice as long in some builds.
         // Deletions of owned edges.
         for &to in g.owned_neighbors(u) {
-            out.push(Move::Delete { to });
+            out.extend(std::iter::once(Move::Delete { to }));
         }
         // Swaps of owned edges.
         for &from in g.owned_neighbors(u) {
@@ -79,7 +84,7 @@ impl Game for GreedyBuyGame {
         // Purchases of new edges.
         for to in 0..g.num_nodes() {
             if to != u && !g.has_edge(u, to) && self.host.allows(u, to) {
-                out.push(Move::Buy { to });
+                out.extend(std::iter::once(Move::Buy { to }));
             }
         }
     }

@@ -1,39 +1,37 @@
-//! Pluggable single-source distance oracles for candidate-move scoring.
+//! The persistent single-source distance oracle behind candidate-move
+//! scoring.
 //!
 //! The hot operation of best-response dynamics is: *given the current network
 //! `G` and an agent `u`, what is `u`'s distance summary in `G ± a few edges`?*
-//! Historically every candidate move paid a full apply → BFS → undo cycle.
-//! This module turns that cost into a pluggable engine:
+//! The full-BFS reference ([`OracleKind::FullBfs`]) answers it the plain way:
+//! apply the move to a scratch copy of the graph, run a BFS, undo the move
+//! (`ncg_core::game`). It keeps no oracle. [`PersistentOracle`] answers it
+//! without a BFS per candidate: it keeps the source's exact distance vector
+//! for the *base* graph and repairs it under each candidate's [`EdgeDelta`]s
+//! with truncated BFS. Inserts run a decrease-only relaxation from the
+//! improved endpoint; deletions find the orphaned region (the vertices whose
+//! every shortest path used the deleted edge) and re-settle it with a bucket
+//! Dijkstra seeded from its unaffected boundary. All repairs are journaled
+//! and rolled back after scoring, so hundreds of candidates are evaluated
+//! against one base vector without re-running a single full BFS. The
+//! SUM / MAX aggregates are maintained incrementally (a running sum plus
+//! per-level counters), so a candidate evaluation touching `k` vertices
+//! costs `O(k + affected edges)` rather than `O(n)`.
 //!
-//! * [`FullBfsOracle`] — the reference: every evaluation is a fresh BFS over
-//!   a [`CsrAdjacency`] snapshot patched with the candidate's edge deltas.
-//! * [`PersistentOracle`] — keeps the source's exact distance vector for the
-//!   *base* graph and repairs it under each candidate's [`EdgeDelta`]s with
-//!   truncated BFS: inserts run a decrease-only relaxation from the improved
-//!   endpoint, deletions find the orphaned region (the vertices whose every
-//!   shortest path used the deleted edge) and re-settle it with a bucket
-//!   Dijkstra seeded from its unaffected boundary. All repairs are journaled
-//!   and rolled back after scoring, so hundreds of candidates are evaluated
-//!   against one base vector without re-running a single full BFS. The
-//!   SUM / MAX aggregates are maintained incrementally (a running sum plus
-//!   per-level counters), so a candidate evaluation touching `k` vertices
-//!   costs `O(k + affected edges)` rather than `O(n)`.
-//!
-//! The oracles are deliberately *what-if* engines: [`DistanceOracle::begin`]
-//! pins the base state and [`DistanceOracle::evaluate`] answers one candidate
-//! against it. The persistent backend additionally keeps the previous
-//! candidate's deltas applied and only rolls back to the longest common delta
-//! prefix, so candidate enumerations of the form `(from, to₁), (from, to₂), …`
-//! pay the expensive removal repair once per `from`. Bounds on a single
-//! removal at the source ([`DistanceOracle::removal_bound`]) skip even that:
-//! they read the parked rows of the source's other neighbours, so the
-//! repair runs only for the candidates the bounds cannot prune. A run of
-//! insertions with one prefix is bounded [`ENVELOPE_BLOCK`] targets at a
-//! time from block envelopes of the parked level histograms
-//! ([`DistanceOracle::insert_block_bounds`]), so most targets are never
-//! bounded on their own. Correctness
-//! of the repairs against from-scratch BFS is enforced by the randomized
-//! equivalence tests in the facade crate.
+//! The oracle is deliberately a *what-if* engine: [`PersistentOracle::begin`]
+//! pins the base state and [`PersistentOracle::evaluate`] answers one
+//! candidate against it. It keeps the previous candidate's deltas applied
+//! and only rolls back to the longest common delta prefix, so candidate
+//! enumerations of the form `(from, to₁), (from, to₂), …` pay the expensive
+//! removal repair once per `from`. Bounds on a single removal at the source
+//! ([`PersistentOracle::removal_bound`]) skip even that: they read the
+//! parked rows of the source's other neighbours, so the repair runs only for
+//! the candidates the bounds cannot prune. A run of insertions with one
+//! prefix is bounded [`ENVELOPE_BLOCK`] targets at a time from block
+//! envelopes of the parked level histograms
+//! ([`PersistentOracle::insert_block_bounds`]), so most targets are never
+//! bounded on their own. Correctness of the repairs against from-scratch BFS
+//! is enforced by the randomized equivalence tests in the facade crate.
 //!
 //! Distance vectors are carried **across** `begin` calls in a per-source
 //! cache that holds every source's vector, with one sync point: the first
@@ -47,13 +45,13 @@
 
 use crate::batch::{BatchSummary, MultiSourceBfs, BATCH_WIDTH};
 use crate::csr::{CsrAdjacency, PatchOutcome};
-use crate::distances::{DistanceSummary, MAX_NODES, UNREACHABLE};
+use crate::distances::{BfsBuffer, DistanceSummary, MAX_NODES, UNREACHABLE};
 use crate::graph::{EdgeChange, GraphVersion, NodeId, OwnedGraph};
 use ncg_trace as trace;
 
 /// A single undirected edge change relative to the base graph.
 ///
-/// Deltas are applied in order by [`DistanceOracle::evaluate`]; an `Insert`
+/// Deltas are applied in order by [`PersistentOracle::evaluate`]; an `Insert`
 /// must name an edge absent from (and a `Remove` an edge present in) the graph
 /// obtained from the base by the preceding deltas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,11 +72,13 @@ pub enum EdgeDelta {
     },
 }
 
-/// Which distance-oracle backend a workspace uses.
+/// Which scoring engine a workspace uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OracleKind {
-    /// Full BFS per candidate evaluation: the reference the fast backend is
-    /// checked against.
+    /// The reference the fast engine is checked against: every candidate is
+    /// applied to a scratch copy of the graph, scored by a BFS on it and
+    /// undone (`ncg_core::game`), consent included. It builds no oracle, so
+    /// its [`OracleStats`] are all zero.
     FullBfs,
     /// Journaled truncated-BFS repair per candidate evaluation, with distance
     /// vectors carried **across** `begin` calls: every source's vector is
@@ -109,33 +109,29 @@ impl OracleKind {
     }
 }
 
-/// Work counters of an oracle, for ablation measurements.
+/// Work counters of the persistent oracle, for ablation measurements. The
+/// full-BFS reference keeps no oracle and counts nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
-    /// Scalar full BFS traversals: one per [`DistanceOracle::begin`] and one
-    /// per evaluation of the full-BFS backend. Always 0 on the persistent
-    /// backend, which fills its vectors in the bulk waves
-    /// (`batched_repins`).
-    pub full_bfs_runs: u64,
     /// Candidate evaluations answered by seating their deltas on the
-    /// working vector: every [`DistanceOracle::evaluate`], and every
-    /// [`DistanceOracle::evaluate_insert_via_cache`] whose prefix is not
+    /// working vector: every [`PersistentOracle::evaluate`], and every
+    /// [`PersistentOracle::evaluate_insert_via_cache`] whose prefix is not
     /// served from neighbour rows.
     pub evaluations: u64,
-    /// Vertices expanded across all traversals and repairs — the
-    /// backend-comparable measure of work done.
+    /// Vertices expanded across all traversals, repairs, kernels and
+    /// neighbour-row passes — the host-independent measure of work done.
     pub nodes_expanded: u64,
     /// Parked distance vectors advanced to a new graph version by replaying
-    /// the graph's change journal at the persistent oracle's sync point,
-    /// instead of a full BFS each (persistent backend only): `n` per move
-    /// under the max-cost policy, which reads every agent's cost each step.
+    /// the graph's change journal at the oracle's sync point, instead of a
+    /// full BFS each: `n` per move under the max-cost policy, which reads
+    /// every agent's cost each step.
     pub replayed_begins: u64,
     /// CSR snapshot syncs served by in-place journal patching — `O(changes)`
-    /// instead of the `O(n + m)` rebuild (persistent backend only).
+    /// instead of the `O(n + m)` rebuild.
     pub csr_patches: u64,
     /// CSR snapshot syncs that had to rebuild (or regrow) the flat buffers:
-    /// version jumps, dense journals, exhausted segment slack, and every
-    /// `begin` of the stateless backends.
+    /// the first sync, version jumps, dense journals and exhausted segment
+    /// slack.
     pub csr_rebuilds: u64,
     /// Always 0: the persistent oracle advances parked vectors only at its
     /// sync point, all of them at once (counted in `replayed_begins`), never
@@ -143,25 +139,24 @@ pub struct OracleStats {
     /// reading it, such as the `perfbench` harness, keeps compiling.
     pub lazy_replays: u64,
     /// Vectors filled by the word-parallel bulk waves (up to [`BATCH_WIDTH`]
-    /// sources per shared bitset BFS) instead of one scalar traversal each
-    /// (persistent backend only): all `n` at the first sync, and all `n`
+    /// sources per shared bitset BFS) instead of one scalar traversal each:
+    /// all `n` at the first sync, and all `n`
     /// again at every sync whose journal window cannot be replayed (past
     /// the replay limit, a foreign lineage, a new graph size).
     pub batched_repins: u64,
     /// High-water mark of the per-source cache, in bytes: `n` vectors of
     /// `2·(2n + 2)` bytes each (a `u16` distance vector plus `n + 2` `u16`
-    /// level counters) from the persistent backend's first sync on, and 0
-    /// on the full-BFS backend. Two caches live at once (the scoring
-    /// layer's consent oracle beside the mover's) add.
+    /// level counters) from the first sync on. Two caches live at once (the
+    /// scoring layer's consent oracle beside the mover's) add.
     pub peak_parked_bytes: u64,
     /// Fused `O(n)` insertion kernels run by
-    /// [`DistanceOracle::evaluate_insert_via_cache`].
+    /// [`PersistentOracle::evaluate_insert_via_cache`].
     pub kernel_calls: u64,
     /// `O(D)` level-histogram lower bounds answered (`D` = number of
-    /// distance levels): one per [`DistanceOracle::insert_level_bound`] and
-    /// per [`DistanceOracle::removal_bound`], and one per block of
+    /// distance levels): one per [`PersistentOracle::insert_level_bound`] and
+    /// per [`PersistentOracle::removal_bound`], and one per block of
     /// [`ENVELOPE_BLOCK`] targets bounded by
-    /// [`DistanceOracle::insert_block_bounds`].
+    /// [`PersistentOracle::insert_block_bounds`].
     pub bound_queries: u64,
     /// Bounds that kept candidates from the insertion kernel: a candidate
     /// proven non-improving, or unable to reach the best cost of a
@@ -173,7 +168,7 @@ pub struct OracleStats {
     pub bound_pruned: u64,
     /// One-removal prefixes `Remove {u, f}` at the pinned source bounded
     /// from the parked rows of `u`'s other neighbours instead of repaired:
-    /// one `O(n)` pass each (see [`DistanceOracle::removal_bound`]).
+    /// one `O(n)` pass each (see [`PersistentOracle::removal_bound`]).
     pub row_bounds: u64,
 }
 
@@ -188,14 +183,13 @@ impl OracleStats {
     }
 
     /// Debug assertion of [`OracleStats::consistent`]; free in release
-    /// builds, and cheap enough for every [`DistanceOracle::stats`] read.
+    /// builds, and cheap enough for every [`PersistentOracle::stats`] read.
     pub fn debug_validate(&self) {
         debug_assert!(self.consistent(), "inconsistent oracle counters: {self:?}");
     }
 
     /// Field-wise sum, for aggregating counters across trials.
     pub fn merge(&mut self, other: &OracleStats) {
-        self.full_bfs_runs += other.full_bfs_runs;
         self.evaluations += other.evaluations;
         self.nodes_expanded += other.nodes_expanded;
         self.replayed_begins += other.replayed_begins;
@@ -211,219 +205,17 @@ impl OracleStats {
     }
 }
 
-/// A single-source distance engine answering what-if queries about edge deltas.
-pub trait DistanceOracle: Send {
-    /// The backend this oracle implements.
-    fn kind(&self) -> OracleKind;
-
-    /// Pins the base state `(g, src)` and returns the source's base summary.
-    ///
-    /// Must be called before [`DistanceOracle::evaluate`] and again whenever
-    /// the underlying graph or source changes.
-    fn begin(&mut self, g: &OwnedGraph, src: NodeId) -> DistanceSummary;
-
-    /// Distance summary of `src` in the base graph modified by `deltas`
-    /// (applied in order). A pure what-if query: the next call sees the same
-    /// base state (backends may defer the rollback and reuse the longest
-    /// common delta prefix between consecutive evaluations).
-    fn evaluate(&mut self, deltas: &[EdgeDelta]) -> DistanceSummary;
-
-    /// Warms the backend's per-source state for every vertex of `sources` at
-    /// the current version of `g`.
-    ///
-    /// The persistent backend keeps every source's vector, so this only
-    /// brings its cache to the current version of `g` (the first call fills
-    /// it in shared bitset waves). Stateless backends simply run one BFS per
-    /// source.
-    fn pin_sources(&mut self, g: &OwnedGraph, sources: &[NodeId]) {
-        for &src in sources {
-            self.begin(g, src);
-        }
-    }
-
-    /// The source's distance summary served *without pinning*: from its
-    /// parked vector (or from the working vector when `src` is pinned
-    /// there), after the persistent backend brought its cache to the current
-    /// version of `g`. `None` for a backend that keeps no per-source cache.
-    fn cached_summary(&mut self, _g: &OwnedGraph, _src: NodeId) -> Option<DistanceSummary> {
-        None
-    }
-
-    /// Multi-source what-if query: re-pins `(g, src)` and scores `deltas`
-    /// against it, returning the source's `(base, modified)` summaries.
-    ///
-    /// This is the primitive behind consent checks: "what does agent `src`
-    /// pay *after* candidate move `deltas`?" answered without materialising
-    /// the post-move graph. The persistent backend serves the re-pin from its
-    /// per-source cache, which it keeps current by replaying the graph's
-    /// change journal, so the whole query costs
-    /// `O(changes + affected region)`; stateless backends pay one full BFS
-    /// for the re-pin.
-    fn evaluate_for_source(
-        &mut self,
-        g: &OwnedGraph,
-        src: NodeId,
-        deltas: &[EdgeDelta],
-    ) -> (DistanceSummary, DistanceSummary) {
-        let base = self.begin(g, src);
-        let modified = self.evaluate(deltas);
-        (base, modified)
-    }
-
-    /// Arithmetic what-if for a **trailing edge insertion** `{u, v}` applied
-    /// on top of `prefix`: the candidate `prefix ++ [Insert {u, v}]` scored
-    /// from the pinned source's delta-stack state and `v`'s *parked* base
-    /// vector, with no graph traversal at all — one `O(n)` fused min/sum/max
-    /// pass over two flat arrays.
-    ///
-    /// Returns `(summary, exact)`:
-    /// * `exact == true` (empty `prefix`) — the summary is the exact
-    ///   post-insertion summary, by the single-insertion identity
-    ///   `d'(x) = min(d(src, x), 1 + d(v, x))`.
-    /// * `exact == false` (removal-only `prefix`) — the parked vector of `v`
-    ///   predates the removals, which can only *lengthen* `v`'s distances, so
-    ///   the summary is a **lower bound** on the true one: callers may prune
-    ///   candidates whose lower-bound cost is already not an improvement, and
-    ///   must re-score the rest exactly. For a one-removal prefix the
-    ///   persistent backend reads the pinned side from the neighbour-row
-    ///   bound `c_f` ([`DistanceOracle::removal_bound`]) instead of
-    ///   repairing, which keeps it a lower bound. A disconnected answer is
-    ///   exact either way: the unreached vertex is unreachable from both
-    ///   `u` and `v`.
-    ///
-    /// `g` must be the pinned graph, unchanged since the last `begin`, whose
-    /// sync brought every parked vector to its version.
-    ///
-    /// `None` whenever the backend cannot serve the query (stateless
-    /// backends; `u` not the pinned source; `v == u`; `g` not the pinned
-    /// graph; `prefix` containing insertions, which would flip the bound's
-    /// direction).
-    ///
-    /// Scans put a cheaper `O(D)` tier in front of this `O(n)` pass:
-    /// [`DistanceOracle::insert_level_bound`] bounds the same candidate from
-    /// level histograms alone, and most candidates never get here.
-    fn evaluate_insert_via_cache(
-        &mut self,
-        _g: &OwnedGraph,
-        _prefix: &[EdgeDelta],
-        _u: NodeId,
-        _v: NodeId,
-    ) -> Option<(DistanceSummary, bool)> {
-        None
-    }
-
-    /// `O(D)` lower bound (`D` = number of distance levels) on the summary
-    /// of the same candidate [`DistanceOracle::evaluate_insert_via_cache`]
-    /// scores: the trailing insertion `{u, v}` on top of a removal-only
-    /// `prefix`. Reads no distance vector. It pairs the pinned source's
-    /// per-level vertex counts after `prefix` (unreached vertices at level
-    /// +∞; for a one-removal prefix, those of the neighbour-row bound `c_f`
-    /// of [`DistanceOracle::removal_bound`], so the prefix is never
-    /// repaired) with `v`'s parked per-level counts in opposite order. With
-    /// `U(k) = #{x : d_u(x) ≥ k}` and `W(k) = #{x : d_v(x) ≥ k − 1}`, that is
-    /// `SUM = Σ_{k≥1} max(0, U(k) + W(k) − n)` and `MAX` = the largest `k`
-    /// with a positive term. The pairing minimises SUM and MAX of
-    /// `min(a, 1 + b)` over all pairings, so both fields are `≤` the
-    /// kernel's, and hence `≤` the exact post-move summary. Lowering
-    /// source distances (`c_f` in place of the repaired vector) can only
-    /// lower `min(a, 1 + b)`, so that stays true.
-    ///
-    /// `None` whenever the backend cannot serve the query: every case where
-    /// the kernel returns `None`, plus a disconnected parked vector of `v`.
-    /// Callers then take the kernel path.
-    fn insert_level_bound(
-        &mut self,
-        _g: &OwnedGraph,
-        _prefix: &[EdgeDelta],
-        _u: NodeId,
-        _v: NodeId,
-    ) -> Option<DistanceSummary> {
-        None
-    }
-
-    /// One lower bound per block of [`ENVELOPE_BLOCK`] consecutive vertex
-    /// ids on the summary of every candidate
-    /// [`DistanceOracle::insert_level_bound`] bounds with this `prefix`:
-    /// `out[b]` is `≤` that bound for every target `v` in block `b`, so a
-    /// scan can rule out all of a block's Buys (or all of its Swaps from one
-    /// neighbour) at once.
-    ///
-    /// Each block's *envelope* row holds, for `j < 32`, the largest
-    /// cumulative level count `C_v(j) = #{x : d(v, x) ≤ j}` over the block's
-    /// members, and reads as `n` past level 31. The bound pairs it with the
-    /// same source-side histogram the per-target bound uses (`c_f` for a
-    /// one-removal prefix): that pairing's term `k` is
-    /// `max(0, n − S(k − 1) − C_v(k − 2))`, with `S` the source's cumulative
-    /// counts, so a larger `C_v` can only lower the bound. The rows are
-    /// built once per synced graph version from the pinned base vector and
-    /// every parked slot.
-    ///
-    /// Clears `out` first. `false` (and `out` empty) whenever the backend
-    /// cannot serve the bounds: stateless backends, `u` not the pinned
-    /// source, `g` not the pinned graph, a `prefix` with insertions, or a
-    /// vector that does not reach every vertex.
-    fn insert_block_bounds(
-        &mut self,
-        _g: &OwnedGraph,
-        _prefix: &[EdgeDelta],
-        _u: NodeId,
-        out: &mut Vec<DistanceSummary>,
-    ) -> bool {
-        out.clear();
-        false
-    }
-
-    /// Lower bound on the summary of the pinned source `u` after removing
-    /// its own edge `{u, f}`, read from the parked rows of `u`'s other
-    /// neighbours without repairing anything: `c_f(u) = 0` and
-    /// `c_f(y) = 1 + min over w ∈ N(u) ∖ {f} of d(w, y)`, saturating at
-    /// `UNREACHABLE`; `c_f(f)` is then raised to `1 + min c_f(x)` over
-    /// `x ∈ N(f) ∖ {u}`. Every `u`–`y` path in `G − {u, f}` leaves `u`
-    /// through such a `w`, and its remainder is a path in `G`; a path to `f`
-    /// enters it from such an `x`. So `c_f` is `≤` the repaired vector
-    /// pointwise: SUM and MAX are `≤` the exact ones, and an unreachable
-    /// entry is exact (a dropped leaf is one), so a disconnected answer is
-    /// exact.
-    ///
-    /// [`DistanceOracle::insert_level_bound`] and
-    /// [`DistanceOracle::evaluate_insert_via_cache`] use the same `c_f` in
-    /// place of the repaired vector for a one-removal prefix. The first
-    /// such query of a pin records, per vertex, the smallest and
-    /// second-smallest neighbour distance and the neighbour giving the
-    /// smallest (`O(deg(u)·n)`); each `c_f` is then one `O(n)` pass.
-    ///
-    /// `None` whenever the backend cannot serve the bound: stateless
-    /// backends, `u` not the pinned source, or `g` not the pinned graph.
-    /// `f` must be a neighbour of `u`.
-    fn removal_bound(
-        &mut self,
-        _g: &OwnedGraph,
-        _u: NodeId,
-        _f: NodeId,
-    ) -> Option<DistanceSummary> {
-        None
-    }
-
-    /// Like [`DistanceOracle::evaluate`], additionally copying the full
-    /// modified distance vector into `out` (used by equivalence tests).
-    fn evaluate_into(&mut self, deltas: &[EdgeDelta], out: &mut Vec<u16>) -> DistanceSummary;
-
-    /// The base distance vector pinned by the last [`DistanceOracle::begin`].
-    fn base_distances(&mut self) -> &[u16];
-
-    /// Work counters accumulated since the last reset.
-    fn stats(&self) -> OracleStats;
-
-    /// Clears the work counters.
-    fn reset_stats(&mut self);
-}
-
-/// Creates a boxed oracle of the requested backend for graphs on `n` vertices.
-pub fn make_oracle(kind: OracleKind, n: usize) -> Box<dyn DistanceOracle> {
-    match kind {
-        OracleKind::FullBfs => Box::new(FullBfsOracle::new(n)),
-        OracleKind::Persistent => Box::new(PersistentOracle::new(n)),
-    }
+/// Creates the persistent oracle for graphs on `n` vertices. It is the only
+/// oracle: the full-BFS reference ([`OracleKind::FullBfs`]) scores on a
+/// scratch graph and builds none, so `kind` must be
+/// [`OracleKind::Persistent`].
+pub fn make_oracle(kind: OracleKind, n: usize) -> PersistentOracle {
+    assert_eq!(
+        kind,
+        OracleKind::Persistent,
+        "the full-BFS reference keeps no oracle"
+    );
+    PersistentOracle::new(n)
 }
 
 /// The set of edge deltas currently overlaid on a CSR snapshot.
@@ -513,140 +305,8 @@ fn for_each_neighbor<F: FnMut(u32)>(csr: &CsrAdjacency, overlay: &DeltaOverlay, 
     }
 }
 
-/// Baseline backend: one full BFS per evaluation.
-pub struct FullBfsOracle {
-    csr: CsrAdjacency,
-    src: u32,
-    base: Vec<u16>,
-    scratch: Vec<u16>,
-    queue: Vec<u32>,
-    overlay: DeltaOverlay,
-    stats: OracleStats,
-}
-
-impl FullBfsOracle {
-    /// Creates a full-BFS oracle for graphs on `n` vertices.
-    pub fn new(n: usize) -> Self {
-        assert!(
-            n <= MAX_NODES,
-            "u16 distances support at most {MAX_NODES} vertices (got {n})"
-        );
-        FullBfsOracle {
-            csr: CsrAdjacency::new(),
-            src: 0,
-            base: vec![UNREACHABLE; n],
-            scratch: Vec::new(),
-            queue: Vec::with_capacity(n),
-            overlay: DeltaOverlay::default(),
-            stats: OracleStats::default(),
-        }
-    }
-
-    /// BFS over the overlaid snapshot into `dist`, returning the summary.
-    fn bfs(
-        csr: &CsrAdjacency,
-        overlay: &DeltaOverlay,
-        src: u32,
-        dist: &mut Vec<u16>,
-        queue: &mut Vec<u32>,
-        stats: &mut OracleStats,
-    ) -> DistanceSummary {
-        let n = csr.num_nodes();
-        dist.clear();
-        dist.resize(n, UNREACHABLE);
-        queue.clear();
-        dist[src as usize] = 0;
-        queue.push(src);
-        let mut head = 0usize;
-        let mut sum = 0u64;
-        let mut max = 0u16;
-        while head < queue.len() {
-            let x = queue[head];
-            head += 1;
-            stats.nodes_expanded += 1;
-            let dx = dist[x as usize];
-            sum += u64::from(dx);
-            max = max.max(dx);
-            for_each_neighbor(csr, overlay, x, |y| {
-                if dist[y as usize] == UNREACHABLE {
-                    dist[y as usize] = dx + 1;
-                    queue.push(y);
-                }
-            });
-        }
-        stats.full_bfs_runs += 1;
-        if queue.len() < n {
-            DistanceSummary::DISCONNECTED
-        } else {
-            DistanceSummary {
-                sum: Some(sum),
-                max: Some(u32::from(max)),
-            }
-        }
-    }
-}
-
-impl DistanceOracle for FullBfsOracle {
-    fn kind(&self) -> OracleKind {
-        OracleKind::FullBfs
-    }
-
-    fn begin(&mut self, g: &OwnedGraph, src: NodeId) -> DistanceSummary {
-        let _sp = trace::span(trace::Phase::OracleBegin);
-        self.csr.rebuild_from(g);
-        self.stats.csr_rebuilds += 1;
-        self.src = src as u32;
-        self.overlay.clear();
-        Self::bfs(
-            &self.csr,
-            &self.overlay,
-            self.src,
-            &mut self.base,
-            &mut self.queue,
-            &mut self.stats,
-        )
-    }
-
-    fn evaluate(&mut self, deltas: &[EdgeDelta]) -> DistanceSummary {
-        let _sp = trace::span(trace::Phase::DeltaRepair);
-        self.stats.evaluations += 1;
-        for delta in deltas {
-            self.overlay.activate(delta);
-        }
-        let summary = Self::bfs(
-            &self.csr,
-            &self.overlay,
-            self.src,
-            &mut self.scratch,
-            &mut self.queue,
-            &mut self.stats,
-        );
-        self.overlay.clear();
-        summary
-    }
-
-    fn evaluate_into(&mut self, deltas: &[EdgeDelta], out: &mut Vec<u16>) -> DistanceSummary {
-        let summary = self.evaluate(deltas);
-        out.clear();
-        out.extend_from_slice(&self.scratch);
-        summary
-    }
-
-    fn base_distances(&mut self) -> &[u16] {
-        &self.base
-    }
-
-    fn stats(&self) -> OracleStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = OracleStats::default();
-    }
-}
-
 /// A distance vector with its SUM / MAX aggregates and per-level counters:
-/// the working vector of the persistent backend, and one cached slot per
+/// the working vector of the persistent oracle, and one cached slot per
 /// source. The level counters travel with the vector, so activating a
 /// source is one `O(1)` swap rather than an `O(n)` rebuild.
 #[derive(Debug, Clone, Default)]
@@ -742,7 +402,7 @@ struct Checkpoint {
 }
 
 /// The neighbour-row bound of the pinned source `u` (see
-/// [`DistanceOracle::removal_bound`]). Built once per pin from the parked
+/// [`PersistentOracle::removal_bound`]). Built once per pin from the parked
 /// rows of `N(u)`: per vertex `y`, the smallest and second-smallest
 /// `d(w, y)` over `w ∈ N(u)` and the `w` giving the smallest. From those,
 /// `c_f` for any dropped neighbour `f` is one `O(n)` pass.
@@ -865,7 +525,7 @@ impl RowBound {
     }
 }
 
-/// Vertex ids per block of [`DistanceOracle::insert_block_bounds`]: one
+/// Vertex ids per block of [`PersistentOracle::insert_block_bounds`]: one
 /// envelope row, and one bound per scan run, covers this many consecutive
 /// targets.
 pub const ENVELOPE_BLOCK: usize = 64;
@@ -875,7 +535,7 @@ pub const ENVELOPE_BLOCK: usize = 64;
 const ENVELOPE_LEVELS: usize = 32;
 
 /// The block envelope rows of the synced version (see
-/// [`DistanceOracle::insert_block_bounds`]).
+/// [`PersistentOracle::insert_block_bounds`]).
 #[derive(Debug, Clone, Default)]
 struct BlockEnvelopes {
     /// `Some(true)`: `rows` are built; `Some(false)`: a vector was
@@ -898,7 +558,7 @@ enum SourceLevels {
     Seated,
 }
 
-/// Persistent backend ([`OracleKind::Persistent`]): journaled truncated-BFS
+/// The persistent oracle ([`OracleKind::Persistent`]): journaled truncated-BFS
 /// repair of the base vector, with per-source vectors carried across
 /// `begin` calls.
 ///
@@ -916,12 +576,12 @@ enum SourceLevels {
 /// no parked vector is ever stale. The first sync, and one whose window the
 /// journal cannot serve (a foreign lineage, a discarded window, a new graph
 /// size) or that is too long to replay profitably, refills every vector in
-/// 64-wide bitset waves instead, so the backend is exact in all cases.
+/// 64-wide bitset waves instead, so the oracle is exact in all cases.
 ///
 /// The cache holds every source's vector from the first query on:
 /// `n·(2n + 2)·2` bytes (distances plus level counters), 268 MB at
-/// `n = 8192`. A caller that wants one source of a huge graph uses
-/// [`FullBfsOracle`]. The block envelopes add 64 bytes per
+/// `n = 8192`. A caller that wants one source of a huge graph runs a
+/// [`BfsBuffer`] instead. The block envelopes add 64 bytes per
 /// [`ENVELOPE_BLOCK`] vertices.
 pub struct PersistentOracle {
     csr: CsrAdjacency,
@@ -1580,19 +1240,16 @@ impl PersistentOracle {
         self.stats.row_bounds += 1;
         self.stats.nodes_expanded += self.rows.dist.len() as u64;
         if cfg!(debug_assertions) {
-            // Pointwise soundness against the truly repaired vector, from a
-            // throwaway BFS kept out of the counters.
-            let mut csr = CsrAdjacency::new();
-            csr.rebuild_from(g);
-            let mut overlay = DeltaOverlay::default();
-            overlay.activate(&EdgeDelta::Remove {
-                u: src as NodeId,
-                v: f as NodeId,
-            });
-            let (mut truth, mut queue) = (Vec::new(), Vec::new());
-            let mut scratch = OracleStats::default();
-            FullBfsOracle::bfs(&csr, &overlay, src, &mut truth, &mut queue, &mut scratch);
-            for (y, (&c, &t)) in self.rows.dist.iter().zip(&truth).enumerate() {
+            // Pointwise soundness against the truly repaired vector: a BFS
+            // on a copy of `g` without `{src, f}`, kept out of the counters.
+            let mut h = g.clone();
+            assert!(
+                h.remove_edge(src as NodeId, f as NodeId),
+                "{f} neighbours {src}"
+            );
+            let mut buf = BfsBuffer::new(h.num_nodes());
+            let truth = buf.run(&h, src as NodeId);
+            for (y, (&c, &t)) in self.rows.dist.iter().zip(truth).enumerate() {
                 assert!(
                     c <= t,
                     "row bound c_f({y}) = {c} exceeds the repaired distance {t} (src {src}, f {f})"
@@ -1674,7 +1331,7 @@ fn fused_insert_summary(src_dist: &[u16], far_dist: &[u16]) -> DistanceSummary {
 }
 
 /// Closed form of the level-histogram insertion bound behind
-/// [`DistanceOracle::insert_level_bound`]. `src_levels[d]` counts the pinned
+/// [`PersistentOracle::insert_level_bound`]. `src_levels[d]` counts the pinned
 /// source's vertices at distance `d`. The `n − Σ src_levels` vertices it
 /// does not reach sit at level +∞. `far_levels[d]` counts `v`'s vertices,
 /// and `v` must reach all `n`.
@@ -1761,12 +1418,12 @@ fn block_pair_bound(
     }
 }
 
-impl DistanceOracle for PersistentOracle {
-    fn kind(&self) -> OracleKind {
-        OracleKind::Persistent
-    }
-
-    fn begin(&mut self, g: &OwnedGraph, src: NodeId) -> DistanceSummary {
+impl PersistentOracle {
+    /// Pins the base state `(g, src)` and returns the source's base summary.
+    ///
+    /// Must be called before [`PersistentOracle::evaluate`] and again
+    /// whenever the underlying graph or source changes.
+    pub fn begin(&mut self, g: &OwnedGraph, src: NodeId) -> DistanceSummary {
         let _sp = trace::span(trace::Phase::OracleBegin);
         self.sync(g);
         self.rollback_to_prefix(0);
@@ -1783,29 +1440,89 @@ impl DistanceOracle for PersistentOracle {
         summary
     }
 
-    fn cached_summary(&mut self, g: &OwnedGraph, src: NodeId) -> Option<DistanceSummary> {
+    /// The source's distance summary served *without pinning*: from its
+    /// parked vector (or from the working vector when `src` is pinned
+    /// there), after the sync brought the cache to the current version of
+    /// `g`.
+    pub fn cached_summary(&mut self, g: &OwnedGraph, src: NodeId) -> DistanceSummary {
         self.sync(g);
         let n = self.cache.len();
         if self.pinned && self.src == src as u32 {
             self.rollback_to_prefix(0);
-            return Some(self.state.vec.summary(n));
+            return self.state.vec.summary(n);
         }
-        Some(self.cache[src].summary(n))
+        self.cache[src].summary(n)
     }
 
-    fn pin_sources(&mut self, g: &OwnedGraph, _sources: &[NodeId]) {
-        // Every source's vector is current after the sync.
+    /// Brings the per-source cache to the current version of `g` (the first
+    /// call fills it in shared bitset waves). The oracle keeps every
+    /// source's vector, so every vertex is warm afterwards, not only those
+    /// of `sources`.
+    pub fn pin_sources(&mut self, g: &OwnedGraph, _sources: &[NodeId]) {
         let _sp = trace::span(trace::Phase::PinSources);
         self.sync(g);
     }
 
-    fn evaluate(&mut self, deltas: &[EdgeDelta]) -> DistanceSummary {
+    /// Distance summary of `src` in the base graph modified by `deltas`
+    /// (applied in order). A pure what-if query: the next call sees the
+    /// same base state (the rollback is deferred, and the longest common
+    /// delta prefix between consecutive evaluations is reused).
+    pub fn evaluate(&mut self, deltas: &[EdgeDelta]) -> DistanceSummary {
         let _sp = trace::span(trace::Phase::DeltaRepair);
         self.run_deltas(deltas);
         self.state.vec.summary(self.csr.num_nodes())
     }
 
-    fn evaluate_insert_via_cache(
+    /// Multi-source what-if query: re-pins `(g, src)` and scores `deltas`
+    /// against it, returning the source's `(base, modified)` summaries.
+    ///
+    /// This is the primitive behind consent checks: "what does agent `src`
+    /// pay *after* candidate move `deltas`?" answered without materialising
+    /// the post-move graph. The re-pin is served from the per-source cache,
+    /// which the sync keeps current by replaying the graph's change journal,
+    /// so the whole query costs `O(changes + affected region)`.
+    pub fn evaluate_for_source(
+        &mut self,
+        g: &OwnedGraph,
+        src: NodeId,
+        deltas: &[EdgeDelta],
+    ) -> (DistanceSummary, DistanceSummary) {
+        let base = self.begin(g, src);
+        let modified = self.evaluate(deltas);
+        (base, modified)
+    }
+
+    /// Arithmetic what-if for a **trailing edge insertion** `{u, v}` applied
+    /// on top of `prefix`: the candidate `prefix ++ [Insert {u, v}]` scored
+    /// from the pinned source's delta-stack state and `v`'s *parked* base
+    /// vector, with no graph traversal at all — one `O(n)` fused min/sum/max
+    /// pass over two flat arrays.
+    ///
+    /// Returns `(summary, exact)`:
+    /// * `exact == true` (empty `prefix`) — the summary is the exact
+    ///   post-insertion summary, by the single-insertion identity
+    ///   `d'(x) = min(d(src, x), 1 + d(v, x))`.
+    /// * `exact == false` (removal-only `prefix`) — the parked vector of `v`
+    ///   predates the removals, which can only *lengthen* `v`'s distances, so
+    ///   the summary is a **lower bound** on the true one: callers may prune
+    ///   candidates whose lower-bound cost is already not an improvement, and
+    ///   must re-score the rest exactly. For a one-removal prefix the pinned
+    ///   side is read from the neighbour-row bound `c_f`
+    ///   ([`PersistentOracle::removal_bound`]) instead of repaired, which
+    ///   keeps it a lower bound. A disconnected answer is exact either way:
+    ///   the unreached vertex is unreachable from both `u` and `v`.
+    ///
+    /// `g` must be the pinned graph, unchanged since the last `begin`, whose
+    /// sync brought every parked vector to its version.
+    ///
+    /// `None` whenever the oracle cannot serve the query (`u` not the pinned
+    /// source; `v == u`; `g` not the pinned graph; `prefix` containing
+    /// insertions, which would flip the bound's direction).
+    ///
+    /// Scans put a cheaper `O(D)` tier in front of this `O(n)` pass:
+    /// [`PersistentOracle::insert_level_bound`] bounds the same candidate
+    /// from level histograms alone, and most candidates never get here.
+    pub fn evaluate_insert_via_cache(
         &mut self,
         g: &OwnedGraph,
         prefix: &[EdgeDelta],
@@ -1836,7 +1553,26 @@ impl DistanceOracle for PersistentOracle {
         Some((summary, prefix.is_empty()))
     }
 
-    fn insert_level_bound(
+    /// `O(D)` lower bound (`D` = number of distance levels) on the summary
+    /// of the same candidate [`PersistentOracle::evaluate_insert_via_cache`]
+    /// scores: the trailing insertion `{u, v}` on top of a removal-only
+    /// `prefix`. Reads no distance vector. It pairs the pinned source's
+    /// per-level vertex counts after `prefix` (unreached vertices at level
+    /// +∞; for a one-removal prefix, those of the neighbour-row bound `c_f`
+    /// of [`PersistentOracle::removal_bound`], so the prefix is never
+    /// repaired) with `v`'s parked per-level counts in opposite order. With
+    /// `U(k) = #{x : d_u(x) ≥ k}` and `W(k) = #{x : d_v(x) ≥ k − 1}`, that is
+    /// `SUM = Σ_{k≥1} max(0, U(k) + W(k) − n)` and `MAX` = the largest `k`
+    /// with a positive term. The pairing minimises SUM and MAX of
+    /// `min(a, 1 + b)` over all pairings, so both fields are `≤` the
+    /// kernel's, and hence `≤` the exact post-move summary. Lowering
+    /// source distances (`c_f` in place of the repaired vector) can only
+    /// lower `min(a, 1 + b)`, so that stays true.
+    ///
+    /// `None` whenever the oracle cannot serve the query: every case where
+    /// the kernel returns `None`, plus a disconnected parked vector of `v`.
+    /// Callers then take the kernel path.
+    pub fn insert_level_bound(
         &mut self,
         g: &OwnedGraph,
         prefix: &[EdgeDelta],
@@ -1856,7 +1592,28 @@ impl DistanceOracle for PersistentOracle {
         Some(bound)
     }
 
-    fn insert_block_bounds(
+    /// One lower bound per block of [`ENVELOPE_BLOCK`] consecutive vertex
+    /// ids on the summary of every candidate
+    /// [`PersistentOracle::insert_level_bound`] bounds with this `prefix`:
+    /// `out[b]` is `≤` that bound for every target `v` in block `b`, so a
+    /// scan can rule out all of a block's Buys (or all of its Swaps from one
+    /// neighbour) at once.
+    ///
+    /// Each block's *envelope* row holds, for `j < 32`, the largest
+    /// cumulative level count `C_v(j) = #{x : d(v, x) ≤ j}` over the block's
+    /// members, and reads as `n` past level 31. The bound pairs it with the
+    /// same source-side histogram the per-target bound uses (`c_f` for a
+    /// one-removal prefix): that pairing's term `k` is
+    /// `max(0, n − S(k − 1) − C_v(k − 2))`, with `S` the source's cumulative
+    /// counts, so a larger `C_v` can only lower the bound. The rows are
+    /// built once per synced graph version from the pinned base vector and
+    /// every parked slot.
+    ///
+    /// Clears `out` first. `false` (and `out` empty) whenever the oracle
+    /// cannot serve the bounds: `u` not the pinned source, `g` not the
+    /// pinned graph, a `prefix` with insertions, or a vector that does not
+    /// reach every vertex.
+    pub fn insert_block_bounds(
         &mut self,
         g: &OwnedGraph,
         prefix: &[EdgeDelta],
@@ -1894,7 +1651,33 @@ impl DistanceOracle for PersistentOracle {
         true
     }
 
-    fn removal_bound(&mut self, g: &OwnedGraph, u: NodeId, f: NodeId) -> Option<DistanceSummary> {
+    /// Lower bound on the summary of the pinned source `u` after removing
+    /// its own edge `{u, f}`, read from the parked rows of `u`'s other
+    /// neighbours without repairing anything: `c_f(u) = 0` and
+    /// `c_f(y) = 1 + min over w ∈ N(u) ∖ {f} of d(w, y)`, saturating at
+    /// `UNREACHABLE`; `c_f(f)` is then raised to `1 + min c_f(x)` over
+    /// `x ∈ N(f) ∖ {u}`. Every `u`–`y` path in `G − {u, f}` leaves `u`
+    /// through such a `w`, and its remainder is a path in `G`; a path to `f`
+    /// enters it from such an `x`. So `c_f` is `≤` the repaired vector
+    /// pointwise: SUM and MAX are `≤` the exact ones, and an unreachable
+    /// entry is exact (a dropped leaf is one), so a disconnected answer is
+    /// exact.
+    ///
+    /// [`PersistentOracle::insert_level_bound`] and
+    /// [`PersistentOracle::evaluate_insert_via_cache`] use the same `c_f` in
+    /// place of the repaired vector for a one-removal prefix. The first
+    /// such query of a pin records, per vertex, the smallest and
+    /// second-smallest neighbour distance and the neighbour giving the
+    /// smallest (`O(deg(u)·n)`); each `c_f` is then one `O(n)` pass.
+    ///
+    /// `None` whenever the oracle cannot serve the bound: `u` not the pinned
+    /// source, or `g` not the pinned graph. `f` must be a neighbour of `u`.
+    pub fn removal_bound(
+        &mut self,
+        g: &OwnedGraph,
+        u: NodeId,
+        f: NodeId,
+    ) -> Option<DistanceSummary> {
         if !self.pinned_at(g) || u as u32 != self.src || f >= self.cache.len() {
             return None;
         }
@@ -1903,24 +1686,30 @@ impl DistanceOracle for PersistentOracle {
         Some(self.rows.summary())
     }
 
-    fn evaluate_into(&mut self, deltas: &[EdgeDelta], out: &mut Vec<u16>) -> DistanceSummary {
+    /// Like [`PersistentOracle::evaluate`], additionally copying the full
+    /// modified distance vector into `out` (used by equivalence tests).
+    pub fn evaluate_into(&mut self, deltas: &[EdgeDelta], out: &mut Vec<u16>) -> DistanceSummary {
         self.run_deltas(deltas);
         out.clear();
         out.extend_from_slice(&self.state.vec.dist);
         self.state.vec.summary(self.csr.num_nodes())
     }
 
-    fn base_distances(&mut self) -> &[u16] {
+    /// The base distance vector pinned by the last
+    /// [`PersistentOracle::begin`].
+    pub fn base_distances(&mut self) -> &[u16] {
         self.rollback_to_prefix(0);
         &self.state.vec.dist
     }
 
-    fn stats(&self) -> OracleStats {
+    /// Work counters accumulated since the last reset.
+    pub fn stats(&self) -> OracleStats {
         self.stats.debug_validate();
         self.stats
     }
 
-    fn reset_stats(&mut self) {
+    /// Clears the work counters.
+    pub fn reset_stats(&mut self) {
         self.stats = OracleStats::default();
     }
 }
@@ -1928,7 +1717,6 @@ impl DistanceOracle for PersistentOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distances::BfsBuffer;
     use crate::generators;
 
     /// Ground truth via a fresh BFS on a mutated clone of the graph.
@@ -1945,44 +1733,33 @@ mod tests {
         (buf.last_distances()[..h.num_nodes()].to_vec(), summary)
     }
 
-    fn check_both(g: &OwnedGraph, src: NodeId, deltas: &[EdgeDelta]) {
+    /// The oracle's base summary, what-if summary and distances for
+    /// `deltas` against [`truth`], and the base restored afterwards.
+    fn check_persistent(g: &OwnedGraph, src: NodeId, deltas: &[EdgeDelta]) {
         let (expect_dist, expect_summary) = truth(g, src, deltas);
-        for kind in [OracleKind::FullBfs, OracleKind::Persistent] {
-            let mut oracle = make_oracle(kind, g.num_nodes());
-            let base = oracle.begin(g, src);
-            let mut buf = BfsBuffer::new(g.num_nodes());
-            assert_eq!(base, buf.summary(g, src), "{} base summary", kind.label());
-            let mut dist = Vec::new();
-            let summary = oracle.evaluate_into(deltas, &mut dist);
-            assert_eq!(
-                summary,
-                expect_summary,
-                "{} summary for {deltas:?}",
-                kind.label()
-            );
-            assert_eq!(
-                dist,
-                expect_dist,
-                "{} distances for {deltas:?}",
-                kind.label()
-            );
-            // The base must be restored: re-evaluating nothing gives the base.
-            assert_eq!(oracle.evaluate(&[]), base, "{} base restore", kind.label());
-            assert_eq!(
-                oracle.base_distances(),
-                &buf.run(g, src)[..g.num_nodes()],
-                "{} base distances",
-                kind.label()
-            );
-        }
+        let mut oracle = PersistentOracle::new(g.num_nodes());
+        let base = oracle.begin(g, src);
+        let mut buf = BfsBuffer::new(g.num_nodes());
+        assert_eq!(base, buf.summary(g, src), "base summary");
+        let mut dist = Vec::new();
+        let summary = oracle.evaluate_into(deltas, &mut dist);
+        assert_eq!(summary, expect_summary, "summary for {deltas:?}");
+        assert_eq!(dist, expect_dist, "distances for {deltas:?}");
+        // The base must be restored: re-evaluating nothing gives the base.
+        assert_eq!(oracle.evaluate(&[]), base, "base restore");
+        assert_eq!(
+            oracle.base_distances(),
+            &buf.run(g, src)[..g.num_nodes()],
+            "base distances"
+        );
     }
 
     #[test]
     fn insert_shortcut_on_path() {
         let g = generators::path(8);
-        check_both(&g, 0, &[EdgeDelta::Insert { u: 0, v: 7 }]);
-        check_both(&g, 3, &[EdgeDelta::Insert { u: 0, v: 7 }]);
-        check_both(&g, 0, &[EdgeDelta::Insert { u: 0, v: 4 }]);
+        check_persistent(&g, 0, &[EdgeDelta::Insert { u: 0, v: 7 }]);
+        check_persistent(&g, 3, &[EdgeDelta::Insert { u: 0, v: 7 }]);
+        check_persistent(&g, 0, &[EdgeDelta::Insert { u: 0, v: 4 }]);
     }
 
     #[test]
@@ -1990,16 +1767,16 @@ mod tests {
         let mut g = generators::cycle(9);
         g.add_edge(0, 4);
         for src in 0..9 {
-            check_both(&g, src, &[EdgeDelta::Remove { u: 0, v: 1 }]);
-            check_both(&g, src, &[EdgeDelta::Remove { u: 0, v: 4 }]);
+            check_persistent(&g, src, &[EdgeDelta::Remove { u: 0, v: 1 }]);
+            check_persistent(&g, src, &[EdgeDelta::Remove { u: 0, v: 4 }]);
         }
     }
 
     #[test]
     fn remove_bridge_disconnects() {
         let g = generators::path(6);
-        check_both(&g, 0, &[EdgeDelta::Remove { u: 2, v: 3 }]);
-        check_both(&g, 5, &[EdgeDelta::Remove { u: 2, v: 3 }]);
+        check_persistent(&g, 0, &[EdgeDelta::Remove { u: 2, v: 3 }]);
+        check_persistent(&g, 5, &[EdgeDelta::Remove { u: 2, v: 3 }]);
     }
 
     #[test]
@@ -2053,7 +1830,7 @@ mod tests {
             EdgeDelta::Insert { u: 0, v: 3 },
         ];
         for src in 0..7 {
-            check_both(&g, src, &deltas);
+            check_persistent(&g, src, &deltas);
         }
     }
 
@@ -2061,17 +1838,17 @@ mod tests {
     fn insert_reconnects_component() {
         let mut g = generators::path(6);
         g.remove_edge(2, 3); // components {0,1,2} and {3,4,5}
-        check_both(&g, 0, &[EdgeDelta::Insert { u: 2, v: 3 }]);
-        check_both(&g, 0, &[EdgeDelta::Insert { u: 0, v: 5 }]);
+        check_persistent(&g, 0, &[EdgeDelta::Insert { u: 2, v: 3 }]);
+        check_persistent(&g, 0, &[EdgeDelta::Insert { u: 0, v: 5 }]);
         // An edge inside the far component changes nothing for the source.
-        check_both(&g, 0, &[EdgeDelta::Insert { u: 3, v: 5 }]);
+        check_persistent(&g, 0, &[EdgeDelta::Insert { u: 3, v: 5 }]);
     }
 
     #[test]
     fn star_center_swaps() {
         let g = generators::star(10);
         for leaf in [1usize, 5, 9] {
-            check_both(
+            check_persistent(
                 &g,
                 leaf,
                 &[
@@ -2089,29 +1866,26 @@ mod tests {
     fn incremental_expands_fewer_nodes_than_full() {
         // From the middle of a path, an edge between two equal-level vertices
         // changes no distance at all: the incremental repair does (almost) no
-        // work while the full backend re-walks the whole graph. This is the
-        // common case in best-response scans — most candidates barely move
-        // the distance vector.
+        // work while a BFS per evaluation re-walks all 65 vertices. This is
+        // the common case in best-response scans — most candidates barely
+        // move the distance vector.
         let g = generators::path(65);
         let src = 32;
         let deltas = [EdgeDelta::Insert { u: 31, v: 33 }];
-        let mut full = FullBfsOracle::new(65);
+        let (_, expect) = truth(&g, src, &deltas);
         let mut inc = PersistentOracle::new(65);
-        full.begin(&g, src);
         inc.begin(&g, src);
-        full.reset_stats();
         inc.reset_stats();
         for _ in 0..10 {
-            assert_eq!(full.evaluate(&deltas), inc.evaluate(&deltas));
+            assert_eq!(inc.evaluate(&deltas), expect);
         }
-        let (fs, is_) = (full.stats(), inc.stats());
-        assert_eq!(fs.evaluations, 10);
-        assert_eq!(is_.evaluations, 10);
+        let stats = inc.stats();
+        assert_eq!(stats.evaluations, 10);
+        let full_bfs_nodes = 10 * 65;
         assert!(
-            is_.nodes_expanded * 5 < fs.nodes_expanded,
-            "incremental {} vs full {}",
-            is_.nodes_expanded,
-            fs.nodes_expanded
+            stats.nodes_expanded * 5 < full_bfs_nodes,
+            "incremental {} vs full {full_bfs_nodes}",
+            stats.nodes_expanded
         );
     }
 
@@ -2129,7 +1903,6 @@ mod tests {
     fn persistent_begin_replays_instead_of_re_running_bfs() {
         let mut g = generators::cycle(16);
         let mut oracle = PersistentOracle::new(16);
-        assert_eq!(oracle.kind(), OracleKind::Persistent);
         let mut buf = BfsBuffer::new(16);
         oracle.begin(&g, 3);
         assert_eq!(
@@ -2156,7 +1929,6 @@ mod tests {
             );
         }
         let stats = oracle.stats();
-        assert_eq!(stats.full_bfs_runs, 0, "no scalar BFS");
         assert_eq!(stats.batched_repins, 16, "only the first sync fills");
         assert_eq!(stats.replayed_begins, 12 * 16, "each sync replays all 16");
     }
@@ -2189,7 +1961,6 @@ mod tests {
             }
         }
         let stats = oracle.stats();
-        assert_eq!(stats.full_bfs_runs, 0, "all re-pins replayed");
         assert_eq!(stats.batched_repins, 20, "only the first sync fills");
         assert_eq!(stats.replayed_begins, 6 * 20, "each sync replays all 20");
     }
@@ -2217,7 +1988,7 @@ mod tests {
             assert_eq!(oracle.base_distances(), &buf.run(g, 0)[..n], "{path}");
             for src in 0..n {
                 let summary = oracle.cached_summary(g, src);
-                assert_eq!(summary, Some(buf.summary(g, src)), "{path}: src {src}");
+                assert_eq!(summary, buf.summary(g, src), "{path}: src {src}");
             }
             let after = oracle.stats();
             assert_eq!(
@@ -2230,7 +2001,6 @@ mod tests {
                 refilled,
                 "{path}"
             );
-            assert_eq!(after.full_bfs_runs, 0, "{path}");
         }
         let mut g = generators::path(32);
         let mut oracle = PersistentOracle::new(32);
@@ -2287,20 +2057,16 @@ mod tests {
             EdgeDelta::Insert { u: 0, v: 6 },
         ];
         let mut buf = BfsBuffer::new(11);
-        for kind in [OracleKind::FullBfs, OracleKind::Persistent] {
-            let mut oracle = make_oracle(kind, 11);
-            oracle.pin_sources(&g, &[0, 4, 9]);
-            for src in [4usize, 9, 0, 7] {
-                let (base, modified) = oracle.evaluate_for_source(&g, src, &deltas);
-                assert_eq!(base, buf.summary(&g, src), "{} src {src}", kind.label());
-                let (_, expect) = truth(&g, src, &deltas);
-                assert_eq!(modified, expect, "{} src {src}", kind.label());
-            }
-        }
-        // Persistent: pinned sources answer later what-ifs by replay, and the
-        // answers stay exact after the graph moved on.
         let mut oracle = PersistentOracle::new(11);
         oracle.pin_sources(&g, &[0, 4, 9]);
+        for src in [4usize, 9, 0, 7] {
+            let (base, modified) = oracle.evaluate_for_source(&g, src, &deltas);
+            assert_eq!(base, buf.summary(&g, src), "src {src}");
+            let (_, expect) = truth(&g, src, &deltas);
+            assert_eq!(modified, expect, "src {src}");
+        }
+        // Pinned sources answer later what-ifs by replay, and the answers
+        // stay exact after the graph moved on.
         g.add_edge(1, 10);
         for src in [0usize, 4, 9] {
             let (base, modified) = oracle.evaluate_for_source(&g, src, &deltas);
@@ -2309,8 +2075,8 @@ mod tests {
             assert_eq!(modified, expect, "replayed src {src}");
         }
         assert_eq!(
-            oracle.stats().full_bfs_runs,
-            0,
+            oracle.stats().replayed_begins,
+            11,
             "pinned sources are served by journal replay"
         );
     }
@@ -2326,12 +2092,11 @@ mod tests {
         for src in 0..14 {
             assert_eq!(
                 oracle.cached_summary(&g, src),
-                Some(buf.summary(&g, src)),
+                buf.summary(&g, src),
                 "src {src}"
             );
         }
         let after = oracle.stats();
-        assert_eq!(after.full_bfs_runs, before.full_bfs_runs);
         assert_eq!(
             after.replayed_begins, before.replayed_begins,
             "summary reads never re-pin"
@@ -2342,13 +2107,13 @@ mod tests {
         for src in 0..14 {
             assert_eq!(
                 oracle.cached_summary(&g, src),
-                Some(buf.summary(&g, src)),
+                buf.summary(&g, src),
                 "moved: src {src}"
             );
         }
         let moved = oracle.stats();
         assert_eq!(moved.replayed_begins, after.replayed_begins + 14);
-        assert_eq!(moved.full_bfs_runs, after.full_bfs_runs);
+        assert_eq!(moved.batched_repins, after.batched_repins);
     }
 
     #[test]
@@ -2393,22 +2158,21 @@ mod tests {
             "every slot once more, in one wave"
         );
         assert_eq!(stats.replayed_begins, 0);
-        assert_eq!(stats.full_bfs_runs, 0);
         assert_eq!(stats.peak_parked_bytes, 12 * 2 * (2 * 12 + 2));
         let mut buf = BfsBuffer::new(12);
         for src in 0..12 {
             let expect = buf.run(&g, src).to_vec();
             assert_eq!(&oracle.cache[src].dist[..12], &expect[..], "src {src}");
             let summary = oracle.cached_summary(&g, src);
-            assert_eq!(summary, Some(buf.summary(&g, src)), "src {src}");
+            assert_eq!(summary, buf.summary(&g, src), "src {src}");
         }
     }
 
     #[test]
     fn batched_bulk_pin_matches_scalar_bulk_pin() {
         // Bulk pin: every source computed in the waves. The persistent
-        // oracle must park the BFS-exact vectors and summaries the full-BFS
-        // reference computes one scalar traversal at a time, and report the
+        // oracle must park the BFS-exact vectors and summaries that scalar
+        // `BfsBuffer` rows give one traversal at a time, and report the
         // wave work in its counters.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -2416,21 +2180,17 @@ mod tests {
         let g = generators::random_with_m_edges(100, 180, &mut rng);
         let all: Vec<NodeId> = (0..100).collect();
         let mut batched = PersistentOracle::new(100);
-        let mut scalar = FullBfsOracle::new(100);
         batched.pin_sources(&g, &all);
-        assert_eq!(batched.stats().batched_repins, 100);
-        assert_eq!(batched.stats().full_bfs_runs, 0, "no scalar traversals");
+        let stats = batched.stats();
+        assert_eq!(stats.batched_repins, 100);
+        assert_eq!(stats.replayed_begins, 0, "no per-source traversals");
         let mut buf = BfsBuffer::new(100);
         for &src in &all {
             let expect = buf.summary(&g, src);
-            assert_eq!(batched.cached_summary(&g, src), Some(expect), "src {src}");
-            assert_eq!(scalar.begin(&g, src), expect, "src {src}");
+            assert_eq!(batched.cached_summary(&g, src), expect, "src {src}");
             let dist = &buf.run(&g, src)[..100];
             assert_eq!(&batched.cache[src].dist[..], dist, "src {src}");
-            assert_eq!(scalar.base_distances(), dist, "src {src}");
         }
-        assert_eq!(scalar.stats().full_bfs_runs, 100);
-        assert_eq!(scalar.stats().batched_repins, 0);
     }
 
     #[test]
@@ -2447,7 +2207,6 @@ mod tests {
             10,
             "one sync replays all 10"
         );
-        assert_eq!(oracle.stats().full_bfs_runs, 0);
         let deltas = [
             EdgeDelta::Remove { u: 2, v: 7 },
             EdgeDelta::Insert { u: 2, v: 6 },
@@ -3010,7 +2769,6 @@ mod tests {
         let (_, exact) = truth(&g, 9, &[drop_8[0], EdgeDelta::Insert { u: 9, v: 0 }]);
         assert!(swap.sum <= exact.sum && swap.max <= exact.max);
         assert_eq!(oracle.stats().row_bounds, 1);
-        assert_eq!(oracle.stats().full_bfs_runs, 0);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! Two layers are exposed so batch layers (the `ncg-lab` orchestrator) can
 //! reuse exactly as much as they need:
 //!
-//! * [`run_dynamics_trial`] — one trial on an **already generated** initial
-//!   network (topology generation decoupled from execution),
+//! * [`run_dynamics_trial_probed`] — one trial on an **already generated**
+//!   initial network (topology generation decoupled from execution), with
+//!   the oracle's work counters,
 //! * [`StreamingStats`] — a mergeable constant-size aggregate (count/min/max,
 //!   Welford mean/variance, fixed-bucket steps-per-agent histogram) that
 //!   replaces keeping every [`TrialResult`] in memory.
@@ -247,27 +248,15 @@ impl PointSummary {
 }
 
 /// Runs best-response dynamics on an **already generated** initial network
-/// until convergence or `max_steps`. This is the execution core shared by
+/// until convergence or `max_steps`, returning the oracle's work counters for
+/// the whole trial beside the result (ablation probes; the counters never
+/// influence the trajectory). This is the execution core shared by
 /// [`run_trial_with_game`] and the `ncg-lab` scenario orchestrator, which
 /// generates initial networks from its own catalog.
 ///
 /// `rng` must be the trial's seeded stream, already advanced past topology
-/// generation. The oracle backend in `engine` never influences the
-/// trajectory: it only decides how candidate moves are scored.
-pub fn run_dynamics_trial(
-    game: &(dyn Game + Send + Sync),
-    initial: OwnedGraph,
-    policy: Policy,
-    engine: EngineSpec,
-    max_steps: usize,
-    rng: &mut StdRng,
-) -> TrialResult {
-    run_dynamics_trial_probed(game, initial, policy, engine, max_steps, rng).0
-}
-
-/// Like [`run_dynamics_trial`], additionally returning the oracle's work
-/// counters for the whole trial (ablation probes; the counters never
-/// influence the trajectory).
+/// generation. The engine in `engine` never influences the trajectory: it
+/// only decides how candidate moves are scored.
 pub fn run_dynamics_trial_probed(
     game: &(dyn Game + Send + Sync),
     initial: OwnedGraph,

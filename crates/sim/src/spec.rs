@@ -7,22 +7,23 @@ use ncg_core::{
 use ncg_graph::{generators, OwnedGraph};
 use rand::Rng;
 
-/// Execution engine of a trial: which distance-oracle backend scores
-/// candidate moves.
+/// Execution engine of a trial: which engine scores candidate moves.
 ///
-/// The backend never changes a trajectory: every engine moves agents in the
+/// The engine never changes a trajectory: every engine moves agents in the
 /// policy's exact order (for the max-cost policy the paper's experiments
 /// specify, an unhappy agent of maximum cost). The default is
 /// [`EngineSpec::persistent`]; [`EngineSpec::baseline`] is the full-BFS
 /// reference it is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineSpec {
-    /// Distance-oracle backend scoring candidate moves.
+    /// Engine scoring candidate moves: the persistent oracle or the
+    /// full-BFS reference.
     pub oracle: OracleKind,
 }
 
 impl EngineSpec {
-    /// The reference engine: full BFS per candidate.
+    /// The reference engine: every candidate is applied to a scratch graph,
+    /// measured by BFS and undone, consent included; it builds no oracle.
     pub fn baseline() -> Self {
         EngineSpec {
             oracle: OracleKind::FullBfs,

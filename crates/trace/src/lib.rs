@@ -49,7 +49,7 @@ pub enum Phase {
     /// kernel phases nest beneath it; its self-time is the enumeration
     /// arithmetic proper.
     Enumerate,
-    /// `DistanceOracle::begin`: making one source current for a scan.
+    /// `PersistentOracle::begin`: making one source current for a scan.
     OracleBegin,
     /// Bulk pinning of many sources (`pin_sources`, trial-start bulk pin).
     PinSources,

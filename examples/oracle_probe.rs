@@ -1,7 +1,8 @@
-//! Probe: per-engine oracle work counters on the SUM-GBG and SUM-ASG
-//! ablation workloads, for diagnosing where each engine spends its time,
-//! plus a traced trial per family rendered as a text flame profile
-//! (`ncg-trace` phase tree).
+//! Probe: per-engine wall-clock and steps on the SUM-GBG and SUM-ASG
+//! ablation workloads, with the persistent engine's oracle work counters
+//! (the full-BFS reference builds no oracle and counts nothing), plus a
+//! traced trial per family rendered as a text flame profile (`ncg-trace`
+//! phase tree).
 //!
 //! ```text
 //! cargo run --release --example oracle_probe -- 64 128
@@ -45,11 +46,17 @@ fn run(n: usize, family: &str, oracle: OracleKind) {
         steps += 1;
     }
     let secs = watch.elapsed_secs();
+    print!(
+        "n={n:>4} {family} {:<12} {secs:>8.3}s steps={steps:>5}",
+        oracle.label()
+    );
+    if oracle == OracleKind::FullBfs {
+        println!();
+        return;
+    }
     let stats = dynamics.oracle_stats();
     println!(
-        "n={n:>4} {family} {:<12} {secs:>8.3}s steps={steps:>5} bfs={:>7} replays={:>7} evals={:>8} expanded={:>10} csr_patch={:>6} csr_rebuild={:>6} batched={:>6} peak_parked={:>9}B",
-        oracle.label(),
-        stats.full_bfs_runs,
+        " replays={:>7} evals={:>8} expanded={:>10} csr_patch={:>6} csr_rebuild={:>6} batched={:>6} peak_parked={:>9}B",
         stats.replayed_begins,
         stats.evaluations,
         stats.nodes_expanded,

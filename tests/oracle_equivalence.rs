@@ -1,9 +1,10 @@
-//! Randomized equivalence of the persistent distance oracle against the
-//! full-BFS reference and from-scratch BFS: on random graphs, under random
-//! edge-delta candidates, random applied move sequences carried across
-//! [`begin`] calls, and random whole-strategy (`SetOwned` /
-//! `SetNeighbors`) candidates, every backend must report exactly the same
-//! distance vector, SUM and MAX as a fresh BFS.
+//! Randomized equivalence of the persistent engine against from-scratch BFS
+//! and the full-BFS reference: on random graphs, under random edge-delta
+//! candidates, random applied move sequences carried across [`begin`] calls,
+//! and random whole-strategy (`SetOwned` / `SetNeighbors`) candidates, the
+//! persistent oracle must report exactly the same distance vector, SUM and
+//! MAX as a fresh BFS; and at the game layer its scans must equal the
+//! reference's apply → BFS → undo scans.
 //!
 //! Driven by seeded loops over the deterministic [`StdRng`] shim; every
 //! failure is reproducible from the printed case/seed. Iteration counts are
@@ -18,7 +19,7 @@ use selfish_ncg::core::{
     agent_cost_total, apply_move, edge_cost_after, CostEvaluator, DeltaScore, DistanceMetric,
     EdgeCostMode, Game, Move, OracleKind, Workspace,
 };
-use selfish_ncg::graph::oracle::{DistanceOracle, EdgeDelta, FullBfsOracle, PersistentOracle};
+use selfish_ncg::graph::oracle::{EdgeDelta, PersistentOracle};
 use selfish_ncg::graph::{generators, BfsBuffer, DistanceSummary, OwnedGraph};
 use selfish_ncg::prelude::*;
 
@@ -88,8 +89,9 @@ fn truth(g: &OwnedGraph, src: usize, deltas: &[EdgeDelta]) -> (Vec<u16>, Distanc
     (buf.last_distances()[..h.num_nodes()].to_vec(), summary)
 }
 
-/// Core satellite property: random graphs × random delta candidates, both
-/// backends equal to from-scratch BFS on the full vector, SUM and MAX.
+/// Core satellite property: random graphs × random delta candidates, the
+/// persistent oracle equal to from-scratch BFS on the full vector, SUM and
+/// MAX.
 #[test]
 fn oracle_matches_bfs_on_random_delta_candidates() {
     let mut rng = StdRng::seed_from_u64(0x0eac1e);
@@ -98,9 +100,7 @@ fn oracle_matches_bfs_on_random_delta_candidates() {
         let n = g.num_nodes();
         let src = rng.gen_range(0..n);
         let mut inc = PersistentOracle::new(n);
-        let mut full = FullBfsOracle::new(n);
         inc.begin(&g, src);
-        full.begin(&g, src);
         // Several evaluations against the same base state: consecutive
         // candidates often share delta prefixes, stressing the persistent
         // backend's prefix reuse.
@@ -111,15 +111,11 @@ fn oracle_matches_bfs_on_random_delta_candidates() {
             let si = inc.evaluate_into(&deltas, &mut got);
             assert_eq!(si, expect_summary, "case {case} round {round}: {deltas:?}");
             assert_eq!(got, expect_dist, "case {case} round {round}: {deltas:?}");
-            let sf = full.evaluate_into(&deltas, &mut got);
-            assert_eq!(sf, expect_summary, "case {case} round {round} (full)");
-            assert_eq!(got, expect_dist, "case {case} round {round} (full)");
         }
         // The pinned base vector survives all evaluations untouched.
         let mut buf = BfsBuffer::new(n);
         let base = buf.run(&g, src).to_vec();
         assert_eq!(inc.base_distances(), base.as_slice(), "case {case}");
-        assert_eq!(full.base_distances(), base.as_slice(), "case {case}");
     }
 }
 
@@ -329,9 +325,9 @@ fn random_strategy<R: Rng>(n: usize, u: usize, rng: &mut R) -> Vec<usize> {
     (0..n).filter(|&v| v != u && rng.gen_bool(0.3)).collect()
 }
 
-/// Satellite property: `SetOwned` / `SetNeighbors` delta scoring agrees with
-/// apply → BFS → undo on summaries **and** on the reconstructed edge costs,
-/// for every backend, SUM and MAX, owner-pays and equal-split.
+/// Satellite property: `SetOwned` / `SetNeighbors` delta scoring on the
+/// persistent oracle agrees with apply → BFS → undo on summaries **and** on
+/// the reconstructed edge costs, SUM and MAX, owner-pays and equal-split.
 #[test]
 fn whole_strategy_delta_scoring_matches_apply_bfs_undo() {
     let mut rng = StdRng::seed_from_u64(0x5e70);
@@ -340,59 +336,56 @@ fn whole_strategy_delta_scoring_matches_apply_bfs_undo() {
     for case in 0..cases {
         let g = random_graph(&mut rng);
         let n = g.num_nodes();
-        for kind in [OracleKind::FullBfs, OracleKind::Persistent] {
-            let mut evaluator = CostEvaluator::new(kind, n);
-            for _ in 0..5 {
-                let u = rng.gen_range(0..n);
-                evaluator.begin_agent(&g, u);
-                // Several strategies against one pinned base: consecutive
-                // candidates share delta prefixes, stressing the stack reuse.
-                for round in 0..6 {
-                    let strategy = random_strategy(n, u, &mut rng);
-                    let mv = if rng.gen_bool(0.5) {
-                        Move::SetOwned {
-                            new_owned: strategy,
-                        }
-                    } else {
-                        Move::SetNeighbors {
-                            new_neighbors: strategy,
-                        }
-                    };
-                    let score = evaluator.try_score(&g, u, &mv);
-                    let mut h = g.clone();
-                    let ctx = format!("case {case} {} agent {u} round {round}", kind.label());
-                    match apply_move(&mut h, u, &mv) {
-                        None => assert_eq!(score, DeltaScore::Inapplicable, "{ctx}"),
-                        Some(_) => {
-                            let mut buf = BfsBuffer::new(n);
-                            let expect = buf.summary(&h, u);
-                            assert_eq!(score, DeltaScore::Summary(expect), "{ctx}");
-                            let DeltaScore::Summary(s) = score else {
-                                unreachable!()
-                            };
-                            for (metric, mode, alpha) in [
-                                (DistanceMetric::Sum, EdgeCostMode::OwnerPays, 1.3),
-                                (DistanceMetric::Max, EdgeCostMode::OwnerPays, 2.0),
-                                (DistanceMetric::Sum, EdgeCostMode::EqualSplit, 0.7),
-                                (DistanceMetric::Max, EdgeCostMode::EqualSplit, 3.1),
-                            ] {
-                                let measured =
-                                    agent_cost_total(&h, u, metric, alpha, mode, &mut buf);
-                                let scored = edge_cost_after(&g, u, &mv, mode, alpha)
-                                    + metric.distance_cost(&s);
-                                assert!(
-                                    measured == scored || (measured - scored).abs() < 1e-9,
-                                    "{ctx}: {measured} vs {scored} ({metric:?}, {mode:?})"
-                                );
-                            }
+        let mut evaluator = CostEvaluator::new(n);
+        for _ in 0..5 {
+            let u = rng.gen_range(0..n);
+            evaluator.begin_agent(&g, u);
+            // Several strategies against one pinned base: consecutive
+            // candidates share delta prefixes, stressing the stack reuse.
+            for round in 0..6 {
+                let strategy = random_strategy(n, u, &mut rng);
+                let mv = if rng.gen_bool(0.5) {
+                    Move::SetOwned {
+                        new_owned: strategy,
+                    }
+                } else {
+                    Move::SetNeighbors {
+                        new_neighbors: strategy,
+                    }
+                };
+                let score = evaluator.try_score(&g, u, &mv);
+                let mut h = g.clone();
+                let ctx = format!("case {case} agent {u} round {round}");
+                match apply_move(&mut h, u, &mv) {
+                    None => assert_eq!(score, DeltaScore::Inapplicable, "{ctx}"),
+                    Some(_) => {
+                        let mut buf = BfsBuffer::new(n);
+                        let expect = buf.summary(&h, u);
+                        assert_eq!(score, DeltaScore::Summary(expect), "{ctx}");
+                        let DeltaScore::Summary(s) = score else {
+                            unreachable!()
+                        };
+                        for (metric, mode, alpha) in [
+                            (DistanceMetric::Sum, EdgeCostMode::OwnerPays, 1.3),
+                            (DistanceMetric::Max, EdgeCostMode::OwnerPays, 2.0),
+                            (DistanceMetric::Sum, EdgeCostMode::EqualSplit, 0.7),
+                            (DistanceMetric::Max, EdgeCostMode::EqualSplit, 3.1),
+                        ] {
+                            let measured = agent_cost_total(&h, u, metric, alpha, mode, &mut buf);
+                            let scored =
+                                edge_cost_after(&g, u, &mv, mode, alpha) + metric.distance_cost(&s);
+                            assert!(
+                                measured == scored || (measured - scored).abs() < 1e-9,
+                                "{ctx}: {measured} vs {scored} ({metric:?}, {mode:?})"
+                            );
                         }
                     }
-                    sequences += 1;
                 }
+                sequences += 1;
             }
         }
     }
-    assert_eq!(sequences, cases * 2 * 5 * 6);
+    assert_eq!(sequences, cases * 5 * 6);
 }
 
 type GameFactory = fn(usize) -> Box<dyn Game>;
@@ -407,6 +400,7 @@ fn playout_games() -> Vec<(&'static str, GameFactory)> {
         ("SUM-GBG", |n| Box::new(GreedyBuyGame::sum(n as f64 / 4.0))),
         ("MAX-GBG", |_| Box::new(GreedyBuyGame::max(2.5))),
         ("SUM-BG", |n| Box::new(BuyGame::sum(n as f64 / 4.0))),
+        ("MAX-BG", |n| Box::new(BuyGame::max(n as f64 / 4.0))),
     ]
 }
 

@@ -8,7 +8,8 @@
 //! * bilateral delta-scored consent ≡ apply → BFS → undo consent over random
 //!   move sequences, for both cost families (SUM and MAX): the persistent
 //!   workspace must produce exactly the improving-move and best-response
-//!   lists of the scratch-graph fallback at every visited state.
+//!   lists of the full-BFS reference's scratch graph at every visited
+//!   state.
 //!
 //! Driven by seeded loops over the deterministic [`StdRng`] shim; every
 //! failure is reproducible from the printed case/seed. Iteration counts are
