@@ -51,9 +51,9 @@ const GOLDEN_PATH: &str = concat!(
 );
 
 /// The [`OracleStats`] fields a seed fixes, pinned in [`GOLDEN_PATH`]. They
-/// count algorithmic work, so they catch a regression that wall-clock on a
-/// noisy host cannot.
-const PINNED_COUNTERS: [&str; 11] = [
+/// count algorithmic work and the cache's bytes, so they catch a regression
+/// that wall-clock on a noisy host cannot.
+const PINNED_COUNTERS: [&str; 12] = [
     "evaluations",
     "nodes_expanded",
     "kernel_calls",
@@ -65,6 +65,7 @@ const PINNED_COUNTERS: [&str; 11] = [
     "batched_repins",
     "csr_patches",
     "csr_rebuilds",
+    "peak_parked_bytes",
 ];
 
 /// Every [`OracleStats`] field by name.

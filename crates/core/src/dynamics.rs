@@ -165,7 +165,6 @@ pub struct Dynamics<'a, G: Game + ?Sized> {
     config: DynamicsConfig,
     ws: Workspace,
     steps: usize,
-    last_mover: Option<NodeId>,
     seen: HashMap<StateKey, usize>,
     trajectory: Vec<MoveRecord>,
 }
@@ -188,7 +187,6 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
             config,
             ws,
             steps: 0,
-            last_mover: None,
             seen: HashMap::new(),
             trajectory: Vec::new(),
         };
@@ -243,7 +241,6 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
                 &self.graph,
                 &mut self.ws,
                 self.config.tie_break,
-                self.last_mover,
                 rng,
             )?;
             (agent, self.choose_response(responses, rng)?)
@@ -277,7 +274,6 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
             new_cost: chosen.new_cost,
         };
         self.steps += 1;
-        self.last_mover = Some(agent);
         if self.config.record_trajectory {
             self.trajectory.push(record.clone());
         }
@@ -558,7 +554,6 @@ mod tests {
                         &two.graph,
                         &mut two.ws,
                         cfg.tie_break,
-                        two.last_mover,
                         &mut rng_two,
                     );
                     let selected = mover.and_then(|m| two.step_with_agent(m, &mut rng_two));

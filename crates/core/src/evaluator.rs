@@ -293,8 +293,9 @@ impl CostEvaluator {
         created(&mut self.oracle, self.n).evaluate(&self.deltas)
     }
 
-    /// The agent's distance summary served from the main oracle's parked (or
-    /// pinned) vector at the current version of `g`, without re-pinning.
+    /// The agent's distance summary served from its row of the main
+    /// oracle's distance matrix at the current version of `g`, without
+    /// re-pinning.
     /// See [`PersistentOracle::cached_summary`].
     pub fn cached_summary(&mut self, g: &OwnedGraph, u: NodeId) -> DistanceSummary {
         created(&mut self.oracle, self.n).cached_summary(g, u)
@@ -311,7 +312,7 @@ impl CostEvaluator {
     /// Counterpart what-if for the **last scored candidate**: re-pins agent
     /// `v` on the consent oracle and scores the candidate's delta sequence
     /// from `v`'s point of view, returning `v`'s `(base, post-move)` distance
-    /// summaries. The re-pin loads `v`'s cached vector, which the consent
+    /// summaries. The re-pin copies `v`'s cached row, which the consent
     /// oracle's sync keeps current by journal replay, and the what-if is a
     /// truncated repair — no apply/undo, no full BFS.
     ///
@@ -492,7 +493,8 @@ mod tests {
     use crate::cost::agent_cost_total;
     use crate::cost::DistanceMetric;
     use crate::moves::apply_move;
-    use ncg_graph::{generators, BfsBuffer, OwnedGraph};
+    use ncg_graph::batch::LEVELS;
+    use ncg_graph::{generators, BatchSummary, BfsBuffer, OwnedGraph};
 
     /// Delta scoring must agree exactly with apply + BFS for every supported
     /// move kind.
@@ -670,9 +672,12 @@ mod tests {
             2 * 10,
             "one replayed sync per oracle"
         );
+        // Per oracle: the 10 × 10 distance matrix, plus per row its level
+        // counts and aggregates.
+        let per_row = 2 * LEVELS + size_of::<BatchSummary>();
         assert_eq!(
             stats.peak_parked_bytes,
-            2 * 10 * 2 * (2 * 10 + 2),
+            2 * (10 * 10 * 2 + 10 * per_row) as u64,
             "two full caches add"
         );
     }

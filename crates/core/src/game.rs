@@ -216,8 +216,8 @@ pub trait Game {
 
 /// Cost of agent `u` measured through the workspace.
 ///
-/// On the persistent engine the summary is read off `u`'s parked vector.
-/// The first read after a move brings every parked vector current by
+/// On the persistent engine the summary is read off `u`'s cached row.
+/// The first read after a move brings every cached row current by
 /// journal replay, in time proportional to the region the move actually
 /// changed instead of one BFS per agent — this is what makes the max-cost
 /// policy's per-step cost refresh of all `n` agents cheap. The value is
@@ -832,7 +832,9 @@ fn score_on_scratch<G: Game + ?Sized>(
     }
 }
 
-/// Pushes a `Swap` candidate for every non-neighbour target allowed by the host.
+/// Appends a `Swap` candidate for every non-neighbour target allowed by the
+/// host, with `extend` rather than `push`, so that each move is written
+/// straight into `out` (see `GreedyBuyGame::candidate_moves`).
 pub(crate) fn push_swap_targets(
     g: &OwnedGraph,
     host: &HostGraph,
@@ -844,7 +846,7 @@ pub(crate) fn push_swap_targets(
         if to == u || to == from || g.has_edge(u, to) || !host.allows(u, to) {
             continue;
         }
-        out.push(Move::Swap { from, to });
+        out.extend(std::iter::once(Move::Swap { from, to }));
     }
 }
 

@@ -120,7 +120,8 @@ impl Game for BilateralBuyGame {
             if new_neighbors == current {
                 continue;
             }
-            out.push(Move::SetNeighbors { new_neighbors });
+            // `extend`, not `push`: see `GreedyBuyGame::candidate_moves`.
+            out.extend(std::iter::once(Move::SetNeighbors { new_neighbors }));
         }
     }
 

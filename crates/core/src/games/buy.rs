@@ -116,7 +116,8 @@ impl Game for BuyGame {
             if new_owned == current {
                 continue; // the unchanged strategy is never an improving move
             }
-            out.push(Move::SetOwned { new_owned });
+            // `extend`, not `push`: see `GreedyBuyGame::candidate_moves`.
+            out.extend(std::iter::once(Move::SetOwned { new_owned }));
         }
     }
 }

@@ -12,7 +12,7 @@
 //!   optionally on a restricted host graph;
 //! * the agent cost model ([`cost`]) and strategy changes ([`moves`]);
 //! * best-response and improving-move computation (the [`Game`] trait);
-//! * move policies ([`policy`]): max-cost, random, min-index, round-robin;
+//! * move policies ([`policy`]): max-cost, random, min-index;
 //! * the sequential dynamics engine ([`dynamics`]) with trajectory recording and
 //!   exact better-response-cycle detection;
 //! * potential functions ([`potential`]) and equilibrium checks ([`equilibrium`]);

@@ -3,8 +3,8 @@
 //! A move policy only decides *which* unhappy agent moves, never *which* move she
 //! performs (paper §1.1: "we do not consider such strong policies"). The paper's
 //! results use the **max cost** policy and, in the experiments, the **random**
-//! policy; min-index and round-robin are provided as additional natural baselines
-//! and for the adversarial constructions in the tests.
+//! policy; min-index is provided as an additional natural baseline and for the
+//! adversarial constructions in the tests.
 
 use crate::game::{scan_agent, Game, ScoredMove, Workspace};
 use ncg_graph::{NodeId, OwnedGraph};
@@ -25,8 +25,6 @@ pub enum Policy {
     /// The unhappy agent with the smallest index moves (used in the Fig. 1
     /// lower-bound construction).
     MinIndex,
-    /// Agents are scanned cyclically starting after the previous mover.
-    RoundRobin,
 }
 
 /// How ties (among maximum-cost agents, or among equally good best responses)
@@ -47,7 +45,6 @@ impl Policy {
             Policy::MaxCost => "max cost",
             Policy::Random => "random",
             Policy::MinIndex => "min index",
-            Policy::RoundRobin => "round robin",
         }
     }
 
@@ -57,25 +54,21 @@ impl Policy {
             "max cost" => Some(Policy::MaxCost),
             "random" => Some(Policy::Random),
             "min index" => Some(Policy::MinIndex),
-            "round robin" => Some(Policy::RoundRobin),
             _ => None,
         }
     }
 
     /// Selects the moving agent in state `g`, or `None` if every agent is happy
     /// (the state is stable).
-    ///
-    /// `last_mover` is only used by [`Policy::RoundRobin`].
     pub fn select_mover<G: Game + ?Sized, R: Rng>(
         &self,
         game: &G,
         g: &OwnedGraph,
         ws: &mut Workspace,
         tie_break: TieBreak,
-        last_mover: Option<NodeId>,
         rng: &mut R,
     ) -> Option<NodeId> {
-        let order = self.scan_order(game, g, ws, tie_break, last_mover, rng);
+        let order = self.scan_order(game, g, ws, tie_break, rng);
         first_unhappy(order, ws, |u, ws| {
             game.has_improving_move(g, u, ws).then_some(())
         })
@@ -91,10 +84,9 @@ impl Policy {
         g: &OwnedGraph,
         ws: &mut Workspace,
         tie_break: TieBreak,
-        last_mover: Option<NodeId>,
         rng: &mut R,
     ) -> Option<(NodeId, Vec<ScoredMove>)> {
-        let order = self.scan_order(game, g, ws, tie_break, last_mover, rng);
+        let order = self.scan_order(game, g, ws, tie_break, rng);
         first_unhappy(order, ws, |u, ws| scan_agent(game, g, u, ws))
     }
 
@@ -105,7 +97,6 @@ impl Policy {
         g: &OwnedGraph,
         ws: &mut Workspace,
         tie_break: TieBreak,
-        last_mover: Option<NodeId>,
         rng: &mut R,
     ) -> impl Iterator<Item = NodeId> {
         let n = g.num_nodes();
@@ -140,10 +131,6 @@ impl Policy {
                 order.shuffle(rng);
             }
             Policy::MinIndex => {}
-            Policy::RoundRobin => {
-                let start = last_mover.map_or(0, |m| (m + 1) % n.max(1));
-                order = (0..n).map(|i| (start + i) % n).collect();
-            }
         }
         // The max-cost heap first, then the plain order (one is empty).
         std::iter::from_fn(move || by_cost.pop().map(|r| r.agent)).chain(order)
@@ -225,7 +212,7 @@ mod tests {
         let mut ws = Workspace::new(7);
         let mut rng = StdRng::seed_from_u64(0);
         let mover = Policy::MaxCost
-            .select_mover(&game, &g, &mut ws, TieBreak::Deterministic, None, &mut rng)
+            .select_mover(&game, &g, &mut ws, TieBreak::Deterministic, &mut rng)
             .expect("path is not stable");
         assert!(
             g.degree(mover) == 1,
@@ -268,14 +255,9 @@ mod tests {
         let g = generators::star(6);
         let mut ws = Workspace::new(6);
         let mut rng = StdRng::seed_from_u64(0);
-        for p in [
-            Policy::MaxCost,
-            Policy::Random,
-            Policy::MinIndex,
-            Policy::RoundRobin,
-        ] {
+        for p in [Policy::MaxCost, Policy::Random, Policy::MinIndex] {
             assert_eq!(
-                p.select_mover(&game, &g, &mut ws, TieBreak::Random, None, &mut rng),
+                p.select_mover(&game, &g, &mut ws, TieBreak::Random, &mut rng),
                 None
             );
         }
@@ -288,20 +270,9 @@ mod tests {
         let mut ws = Workspace::new(6);
         let mut rng = StdRng::seed_from_u64(1);
         let first = Policy::MinIndex
-            .select_mover(&game, &g, &mut ws, TieBreak::Deterministic, None, &mut rng)
+            .select_mover(&game, &g, &mut ws, TieBreak::Deterministic, &mut rng)
             .unwrap();
         assert_eq!(first, 0, "vertex 0 owns an edge and can improve");
-        let rr = Policy::RoundRobin
-            .select_mover(
-                &game,
-                &g,
-                &mut ws,
-                TieBreak::Deterministic,
-                Some(0),
-                &mut rng,
-            )
-            .unwrap();
-        assert!(rr != 0 || !game.has_improving_move(&g, 1, &mut ws));
     }
 
     #[test]
@@ -312,7 +283,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..20 {
             let u = Policy::Random
-                .select_mover(&game, &g, &mut ws, TieBreak::Random, None, &mut rng)
+                .select_mover(&game, &g, &mut ws, TieBreak::Random, &mut rng)
                 .unwrap();
             assert!(game.has_improving_move(&g, u, &mut ws));
         }

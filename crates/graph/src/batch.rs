@@ -14,8 +14,8 @@
 //! `(source, vertex)` pair — work any method must do to fill the vectors).
 //!
 //! Distances are `u16` ([`crate::distances::UNREACHABLE`]), matching the
-//! oracle's parked-vector layout, so a finished wave is parked by a plain
-//! buffer swap.
+//! oracle's distance matrix, and the level counters have the oracle's
+//! [`LEVELS`]-bucket format, so a wave fills the oracle's rows in place.
 
 use crate::csr::CsrAdjacency;
 use crate::distances::{MAX_NODES, UNREACHABLE};
@@ -24,8 +24,19 @@ use crate::graph::NodeId;
 /// Width of one wave: one bit per source in a `u64` frontier word.
 pub const BATCH_WIDTH: usize = 64;
 
-/// Per-source aggregates of a finished wave, in the parked-vector layout of
-/// the persistent oracle (`max_hint` is exact here, not just a bound).
+/// Level counters per distance row: one cache line of `u16` counts. The
+/// last bucket counts every level from `LEVELS - 1` on.
+pub const LEVELS: usize = 32;
+
+/// The level-counter bucket of a finite distance `d`.
+#[inline]
+pub(crate) fn level_bucket(d: u16) -> usize {
+    usize::from(d).min(LEVELS - 1)
+}
+
+/// Aggregates of one distance row: what a wave returns per source, and
+/// what the persistent oracle keeps per row. A wave leaves `max_hint`
+/// exact; the oracle keeps it as an upper bound.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchSummary {
     /// Sum of all finite distances from the source.
@@ -58,20 +69,19 @@ impl MultiSourceBfs {
     }
 
     /// Runs one wave from `sources` (distinct vertices, at most
-    /// [`BATCH_WIDTH`] of them) over `csr`.
+    /// [`BATCH_WIDTH`] of them) over `csr`, overwriting its outputs.
     ///
-    /// For each source `s`, `rows[s]` is filled with the full distance vector
-    /// (`UNREACHABLE` for unreachable vertices) and `counts[s][d]` with the
-    /// number of vertices at distance `d` (`counts[s]` must have at least
-    /// `n + 1` entries; both are expected zero-/UNREACHABLE-initialised by
-    /// the caller via [`MultiSourceBfs::prepare_row`]). Returns the number of
-    /// vertex expansions performed (the shared-wave work measure).
+    /// For each source `s`, entries `s·n .. (s + 1)·n` of `rows` get its
+    /// full distance vector (`UNREACHABLE` for unreachable vertices),
+    /// `counts[s]` its [`LEVELS`]-bucket level counts and `summaries[s]` its
+    /// aggregates. Returns the number of vertex expansions performed (the
+    /// shared-wave work measure).
     pub fn run(
         &mut self,
         csr: &CsrAdjacency,
         sources: &[NodeId],
-        rows: &mut [&mut [u16]],
-        counts: &mut [&mut [u16]],
+        rows: &mut [u16],
+        counts: &mut [[u16; LEVELS]],
         summaries: &mut [BatchSummary],
     ) -> u64 {
         ncg_trace::record(ncg_trace::HistId::WaveWidth, sources.len() as u64);
@@ -82,9 +92,11 @@ impl MultiSourceBfs {
         );
         let k = sources.len();
         assert!(k <= BATCH_WIDTH, "at most {BATCH_WIDTH} sources per wave");
-        debug_assert_eq!(rows.len(), k);
+        debug_assert_eq!(rows.len(), k * n);
         debug_assert_eq!(counts.len(), k);
         debug_assert_eq!(summaries.len(), k);
+        rows.fill(UNREACHABLE);
+        counts.fill([0; LEVELS]);
         self.reached.clear();
         self.reached.resize(n, 0);
         self.frontier.clear();
@@ -94,15 +106,14 @@ impl MultiSourceBfs {
         self.active.clear();
         for (s, &src) in sources.iter().enumerate() {
             debug_assert!(src < n);
-            debug_assert!(rows[s].iter().all(|&d| d == UNREACHABLE));
             let bit = 1u64 << s;
             if self.frontier[src] == 0 {
                 self.active.push(src as u32);
             }
             self.reached[src] |= bit;
             self.frontier[src] |= bit;
-            rows[s][src] = 0;
-            counts[s][0] += 1;
+            rows[s * n + src] = 0;
+            counts[s][0] = 1;
             summaries[s] = BatchSummary {
                 sum: 0,
                 reached: 1,
@@ -128,6 +139,7 @@ impl MultiSourceBfs {
                 }
             }
             d += 1;
+            let bucket = level_bucket(d);
             for &w in &self.next_active {
                 let fresh = self.next[w as usize];
                 self.next[w as usize] = 0;
@@ -137,8 +149,8 @@ impl MultiSourceBfs {
                 while bits != 0 {
                     let s = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    rows[s][w as usize] = d;
-                    counts[s][d as usize] += 1;
+                    rows[s * n + w as usize] = d;
+                    counts[s][bucket] += 1;
                     summaries[s].sum += u64::from(d);
                     summaries[s].reached += 1;
                     summaries[s].max_hint = d;
@@ -147,16 +159,6 @@ impl MultiSourceBfs {
             std::mem::swap(&mut self.active, &mut self.next_active);
         }
         expanded
-    }
-
-    /// Resets a distance row and its level counters for [`MultiSourceBfs::run`]:
-    /// `row` becomes `n` entries of `UNREACHABLE`, `counts` becomes `n + 2`
-    /// zeros (the parked-vector layout of the oracle's level counters).
-    pub fn prepare_row(row: &mut Vec<u16>, counts: &mut Vec<u16>, n: usize) {
-        row.clear();
-        row.resize(n, UNREACHABLE);
-        counts.clear();
-        counts.resize(n + 2, 0);
     }
 }
 
@@ -169,38 +171,29 @@ mod tests {
 
     fn check_against_scalar(g: &OwnedGraph, sources: &[NodeId]) {
         let n = g.num_nodes();
+        let k = sources.len();
         let mut csr = CsrAdjacency::new();
         csr.rebuild_from(g);
-        let mut rows: Vec<Vec<u16>> = vec![Vec::new(); sources.len()];
-        let mut counts: Vec<Vec<u16>> = vec![Vec::new(); sources.len()];
-        for (row, lc) in rows.iter_mut().zip(counts.iter_mut()) {
-            MultiSourceBfs::prepare_row(row, lc, n);
-        }
-        let mut summaries = vec![BatchSummary::default(); sources.len()];
-        let mut row_refs: Vec<&mut [u16]> = rows.iter_mut().map(|r| r.as_mut_slice()).collect();
-        let mut count_refs: Vec<&mut [u16]> = counts.iter_mut().map(|c| c.as_mut_slice()).collect();
+        // Stale contents, which the wave must overwrite.
+        let mut rows = vec![7u16; k * n];
+        let mut counts = vec![[7u16; LEVELS]; k];
+        let mut summaries = vec![BatchSummary::default(); k];
         let mut wave = MultiSourceBfs::new();
-        wave.run(
-            &csr,
-            sources,
-            &mut row_refs,
-            &mut count_refs,
-            &mut summaries,
-        );
+        wave.run(&csr, sources, &mut rows, &mut counts, &mut summaries);
         let mut buf = BfsBuffer::new(n);
         for (s, &src) in sources.iter().enumerate() {
             let expect = buf.run(g, src);
-            assert_eq!(&rows[s][..], expect, "source {src}");
+            assert_eq!(&rows[s * n..(s + 1) * n], expect, "source {src}");
             let mut sum = 0u64;
             let mut max = 0u16;
             let mut reached = 0usize;
-            let mut lc = vec![0u16; n + 2];
+            let mut lc = [0u16; LEVELS];
             for &dist in expect {
                 if dist != UNREACHABLE {
                     sum += u64::from(dist);
                     max = max.max(dist);
                     reached += 1;
-                    lc[dist as usize] += 1;
+                    lc[usize::from(dist).min(LEVELS - 1)] += 1;
                 }
             }
             assert_eq!(summaries[s].sum, sum, "source {src}");
@@ -215,6 +208,9 @@ mod tests {
         check_against_scalar(&generators::path(9), &[0, 4, 8]);
         check_against_scalar(&generators::cycle(12), &(0..12).collect::<Vec<_>>());
         check_against_scalar(&generators::star(7), &[0, 1, 6]);
+        // Eccentricities up to 69: the last level bucket holds every level
+        // from 31 on.
+        check_against_scalar(&generators::path(70), &[0, 35, 69]);
     }
 
     #[test]

@@ -9,11 +9,11 @@ use crate::graph::{NodeId, OwnedGraph};
 
 /// Marker distance for unreachable vertices.
 ///
-/// Distances are stored as `u16` end-to-end (BFS buffers, the all-pairs
-/// matrix, and the oracle's parked per-source vectors): a hop count is at
-/// most `n - 1`, so graphs up to [`MAX_NODES`] vertices fit with room for
-/// the marker, and the halved storage doubles how many per-source vectors
-/// fit in cache for the same memory.
+/// Distances are stored as `u16` end-to-end (BFS buffers and the all-pairs
+/// [`DistanceMatrix`], which also holds the oracle's per-source rows): a
+/// hop count is at most `n - 1`, so graphs up to [`MAX_NODES`] vertices fit
+/// with room for the marker, and the halved storage doubles how many
+/// per-source rows fit in cache for the same memory.
 pub const UNREACHABLE: u16 = u16::MAX;
 
 /// Largest supported vertex count of the `u16` distance representation
@@ -147,24 +147,33 @@ impl BfsBuffer {
     }
 }
 
-/// Dense all-pairs shortest path matrix, computed with `n` BFS traversals.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Dense all-pairs shortest path matrix, row-major: row `u` is `u`'s
+/// distance vector.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DistanceMatrix {
     n: usize,
     d: Vec<u16>,
 }
 
 impl DistanceMatrix {
-    /// Computes all-pairs shortest paths of `g`.
+    /// An `n × n` matrix with every entry `UNREACHABLE`, for callers that
+    /// fill the rows themselves.
+    pub fn new(n: usize) -> Self {
+        DistanceMatrix {
+            n,
+            d: vec![UNREACHABLE; n * n],
+        }
+    }
+
+    /// Computes all-pairs shortest paths of `g` with `n` BFS traversals.
     pub fn compute(g: &OwnedGraph) -> Self {
         let n = g.num_nodes();
-        let mut d = vec![UNREACHABLE; n * n];
+        let mut m = DistanceMatrix::new(n);
         let mut buf = BfsBuffer::new(n);
         for s in 0..n {
-            let row = buf.run(g, s);
-            d[s * n..(s + 1) * n].copy_from_slice(row);
+            m.row_mut(s).copy_from_slice(buf.run(g, s));
         }
-        DistanceMatrix { n, d }
+        m
     }
 
     /// Number of vertices.
@@ -183,6 +192,17 @@ impl DistanceMatrix {
     #[inline]
     pub fn row(&self, u: NodeId) -> &[u16] {
         &self.d[u * self.n..(u + 1) * self.n]
+    }
+
+    /// The full distance row of vertex `u`, writable.
+    #[inline]
+    pub fn row_mut(&mut self, u: NodeId) -> &mut [u16] {
+        &mut self.d[u * self.n..(u + 1) * self.n]
+    }
+
+    /// The rows of the vertices in `rows`, back to back.
+    pub fn rows_mut(&mut self, rows: std::ops::Range<NodeId>) -> &mut [u16] {
+        &mut self.d[rows.start * self.n..rows.end * self.n]
     }
 
     /// Sum-distance (SUM cost) of vertex `u`, `None` if `u` cannot reach everyone.

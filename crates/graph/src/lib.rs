@@ -20,11 +20,9 @@
 //! * the workload generators used by the paper's empirical study
 //!   ([`generators`]): budget-constrained random networks, random spanning
 //!   trees, paths, random/directed lines and Erdős–Rényi style edge fill,
-//! * [`HostGraph`] — restrictions of the buildable edge set (Cor. 3.6 / 4.2),
+//! * [`HostGraph`] — restrictions of the buildable edge set (Cor. 3.6 / 4.2), and
 //! * canonical state encodings ([`canonical`]) used by the dynamics engine for
-//!   exact cycle detection, and
-//! * a small-graph isomorphism check ([`isomorphism`]) used to validate the
-//!   paper's best-response-cycle constructions.
+//!   exact cycle detection.
 //!
 //! The crate has no opinion about costs or strategies; that lives in `ncg-core`.
 
@@ -38,7 +36,6 @@ pub mod distances;
 pub mod generators;
 pub mod graph;
 pub mod host;
-pub mod isomorphism;
 pub mod oracle;
 pub mod properties;
 
@@ -48,7 +45,6 @@ pub use csr::{CsrAdjacency, PatchOutcome};
 pub use distances::{BfsBuffer, DistanceMatrix, DistanceSummary, UNREACHABLE};
 pub use graph::{EdgeChange, EdgeRef, GraphVersion, NodeId, OwnedGraph};
 pub use host::HostGraph;
-pub use isomorphism::{are_isomorphic, are_isomorphic_owned};
 pub use oracle::{make_oracle, EdgeDelta, OracleKind, OracleStats, PersistentOracle};
 pub use properties::{
     center_vertices, components, diameter, eccentricities, is_connected, is_tree, median_vertices,

@@ -25,27 +25,27 @@
 //! enumerations of the form `(from, to₁), (from, to₂), …` pay the expensive
 //! removal repair once per `from`. Bounds on a single removal at the source
 //! ([`PersistentOracle::removal_bound`]) skip even that: they read the
-//! parked rows of the source's other neighbours, so the repair runs only for
+//! cached rows of the source's other neighbours, so the repair runs only for
 //! the candidates the bounds cannot prune. A run of insertions with one
 //! prefix is bounded [`ENVELOPE_BLOCK`] targets at a time from block
-//! envelopes of the parked level histograms
+//! envelopes of the cached level histograms
 //! ([`PersistentOracle::insert_block_bounds`]), so most targets are never
 //! bounded on their own. Correctness of the repairs against from-scratch BFS
 //! is enforced by the randomized equivalence tests in the facade crate.
 //!
-//! Distance vectors are carried **across** `begin` calls in a per-source
-//! cache that holds every source's vector, with one sync point: the first
-//! call that arrives with a [`GraphVersion`] the oracle has not seen brings
-//! the CSR snapshot and all `n` vectors to it in one pass, replaying the
-//! journal window between the two versions through the same repair
-//! machinery. The first sync, and one whose window the journal no longer
-//! holds or that is longer than `max(8, n/8)` changes, refills every vector
-//! in 64-wide bitset waves instead. Every other method reads only current
-//! vectors.
+//! Distance vectors are carried **across** `begin` calls as the rows of one
+//! `n × n` matrix, with [`LEVELS`]-bucket level counts and aggregates per
+//! row, and one sync point: the first call that arrives with a
+//! [`GraphVersion`] the oracle has not seen brings the CSR snapshot and all
+//! `n` rows to it in one pass, replaying the journal window between the two
+//! versions into each row, in place, through the same repair machinery.
+//! The first sync, and one whose window the journal no longer holds or
+//! that is longer than `max(8, n/8)` changes, refills every row in 64-wide
+//! bitset waves instead. Every other method reads only current rows.
 
-use crate::batch::{BatchSummary, MultiSourceBfs, BATCH_WIDTH};
+use crate::batch::{level_bucket, BatchSummary, MultiSourceBfs, BATCH_WIDTH, LEVELS};
 use crate::csr::{CsrAdjacency, PatchOutcome};
-use crate::distances::{BfsBuffer, DistanceSummary, MAX_NODES, UNREACHABLE};
+use crate::distances::{BfsBuffer, DistanceMatrix, DistanceSummary, MAX_NODES, UNREACHABLE};
 use crate::graph::{EdgeChange, GraphVersion, NodeId, OwnedGraph};
 use ncg_trace as trace;
 
@@ -81,10 +81,10 @@ pub enum OracleKind {
     /// its [`OracleStats`] are all zero.
     FullBfs,
     /// Journaled truncated-BFS repair per candidate evaluation, with distance
-    /// vectors carried **across** `begin` calls: every source's vector is
-    /// cached, and when the graph's [`GraphVersion`] moves, the applied
+    /// vectors carried **across** `begin` calls: every source's vector is a
+    /// cached row, and when the graph's [`GraphVersion`] moves, the applied
     /// [`EdgeChange`]s from the graph's change journal are replayed into
-    /// every cached vector instead of re-running a full BFS per source
+    /// every row instead of re-running a full BFS per source
     /// (with a bulk refill when too many changes accumulated).
     #[default]
     Persistent,
@@ -121,10 +121,10 @@ pub struct OracleStats {
     /// Vertices expanded across all traversals, repairs, kernels and
     /// neighbour-row passes — the host-independent measure of work done.
     pub nodes_expanded: u64,
-    /// Parked distance vectors advanced to a new graph version by replaying
-    /// the graph's change journal at the oracle's sync point, instead of a
-    /// full BFS each: `n` per move under the max-cost policy, which reads
-    /// every agent's cost each step.
+    /// Distance rows advanced to a new graph version by replaying the
+    /// graph's change journal at the oracle's sync point, instead of a full
+    /// BFS each: `n` per move under the max-cost policy, which reads every
+    /// agent's cost each step.
     pub replayed_begins: u64,
     /// CSR snapshot syncs served by in-place journal patching — `O(changes)`
     /// instead of the `O(n + m)` rebuild.
@@ -133,9 +133,9 @@ pub struct OracleStats {
     /// the first sync, version jumps, dense journals and exhausted segment
     /// slack.
     pub csr_rebuilds: u64,
-    /// Always 0: the persistent oracle advances parked vectors only at its
-    /// sync point, all of them at once (counted in `replayed_begins`), never
-    /// one vector when a query reads it. The field remains so that code
+    /// Always 0: the persistent oracle advances rows only at its sync
+    /// point, all of them at once (counted in `replayed_begins`), never one
+    /// row when a query reads it. The field remains so that code
     /// reading it, such as the `perfbench` harness, keeps compiling.
     pub lazy_replays: u64,
     /// Vectors filled by the word-parallel bulk waves (up to [`BATCH_WIDTH`]
@@ -144,9 +144,10 @@ pub struct OracleStats {
     /// again at every sync whose journal window cannot be replayed (past
     /// the replay limit, a foreign lineage, a new graph size).
     pub batched_repins: u64,
-    /// High-water mark of the per-source cache, in bytes: `n` vectors of
-    /// `2·(2n + 2)` bytes each (a `u16` distance vector plus `n + 2` `u16`
-    /// level counters) from the first sync on. Two caches live at once (the
+    /// High-water mark of the per-source cache, in bytes, from the first
+    /// sync on: the `n × n` `u16` distance matrix, plus per row its
+    /// [`LEVELS`] `u16` level counts and its aggregates ([`BatchSummary`]),
+    /// `2n² + 88n` bytes on 64-bit hosts. Two caches live at once (the
     /// scoring layer's consent oracle beside the mover's) add.
     pub peak_parked_bytes: u64,
     /// Fused `O(n)` insertion kernels run by
@@ -167,7 +168,7 @@ pub struct OracleStats {
     /// an oracle's own counters always report 0 here.
     pub bound_pruned: u64,
     /// One-removal prefixes `Remove {u, f}` at the pinned source bounded
-    /// from the parked rows of `u`'s other neighbours instead of repaired:
+    /// from the cached rows of `u`'s other neighbours instead of repaired:
     /// one `O(n)` pass each (see [`PersistentOracle::removal_bound`]).
     pub row_bounds: u64,
 }
@@ -305,91 +306,106 @@ fn for_each_neighbor<F: FnMut(u32)>(csr: &CsrAdjacency, overlay: &DeltaOverlay, 
     }
 }
 
-/// A distance vector with its SUM / MAX aggregates and per-level counters:
-/// the working vector of the persistent oracle, and one cached slot per
-/// source. The level counters travel with the vector, so activating a
-/// source is one `O(1)` swap rather than an `O(n)` rebuild.
-#[derive(Debug, Clone, Default)]
-struct DistVector {
-    dist: Vec<u16>,
-    /// Sum of all finite distances.
-    sum: u64,
-    /// Number of vertices with finite distance (including the source).
-    reached: usize,
-    /// `level_counts[d]` = number of vertices at distance `d`.
-    level_counts: Vec<u16>,
-    /// Upper bound on the current maximum finite distance.
-    max_hint: u16,
+/// One distance row with its aggregates and [`LEVELS`]-bucket level
+/// counts, as the repairs write it: a row of the oracle's matrix, repaired
+/// in place by the sync's replay, or the working vector, whose writes are
+/// journaled so that a candidate's deltas roll back. `levels[d]` counts the
+/// vertices at distance `d`, except the last bucket, which counts every
+/// vertex at distance `LEVELS - 1` or more.
+struct RowMut<'a> {
+    dist: &'a mut [u16],
+    levels: &'a mut [u16; LEVELS],
+    totals: &'a mut BatchSummary,
+    /// The working vector's undo journal: `(vertex, previous distance)`.
+    journal: Option<&'a mut Vec<(u32, u16)>>,
 }
 
-impl DistVector {
-    /// Current summary; tightens `max_hint` to the true maximum.
-    fn summary(&mut self, n: usize) -> DistanceSummary {
-        if self.reached < n {
+impl RowMut<'_> {
+    #[inline]
+    fn get(&self, x: u32) -> u16 {
+        self.dist[x as usize]
+    }
+
+    /// Sets `dist[x] = new`, keeping the aggregates and level counts in step.
+    #[inline]
+    fn set(&mut self, x: u32, new: u16) {
+        let old = std::mem::replace(&mut self.dist[x as usize], new);
+        if let Some(journal) = self.journal.as_deref_mut() {
+            journal.push((x, old));
+        }
+        let totals = &mut *self.totals;
+        if old != UNREACHABLE {
+            totals.sum -= u64::from(old);
+            self.levels[level_bucket(old)] -= 1;
+            totals.reached -= 1;
+        }
+        if new != UNREACHABLE {
+            totals.sum += u64::from(new);
+            self.levels[level_bucket(new)] += 1;
+            totals.reached += 1;
+            totals.max_hint = totals.max_hint.max(new);
+        }
+    }
+
+    /// Current summary; tightens `max_hint` to the true maximum. The level
+    /// counts give it unless the last bucket holds a vertex, and a scan of
+    /// the row does then.
+    fn summary(&mut self) -> DistanceSummary {
+        if self.totals.reached < self.dist.len() {
             return DistanceSummary::DISCONNECTED;
         }
-        let mut m = self.max_hint;
-        while m > 0 && self.level_counts[m as usize] == 0 {
-            m -= 1;
-        }
-        self.max_hint = m;
+        let last = LEVELS - 1;
+        let max = if self.levels[last] > 0 {
+            self.dist.iter().copied().max().unwrap_or(0)
+        } else {
+            let mut m = usize::from(self.totals.max_hint).min(last);
+            while m > 0 && self.levels[m] == 0 {
+                m -= 1;
+            }
+            m as u16
+        };
+        self.totals.max_hint = max;
         DistanceSummary {
-            sum: Some(self.sum),
-            max: Some(u32::from(m)),
+            sum: Some(self.totals.sum),
+            max: Some(u32::from(max)),
         }
     }
 }
 
-/// The working [`DistVector`] with an undo journal.
+/// The working vector: a copy of the pinned source's row, which candidate
+/// deltas repair, with an undo journal.
 #[derive(Debug, Clone, Default)]
 struct DistState {
-    vec: DistVector,
-    /// `(vertex, previous distance)` pairs for rollback.
+    dist: Vec<u16>,
+    levels: [u16; LEVELS],
+    totals: BatchSummary,
     journal: Vec<(u32, u16)>,
-    /// When `true`, assignments are applied *permanently*: the undo journal is
-    /// bypassed even when the caller requests journaling. Used while replaying
-    /// applied graph changes.
-    replaying: bool,
 }
 
 impl DistState {
-    #[inline]
-    fn get(&self, x: u32) -> u16 {
-        self.vec.dist[x as usize]
-    }
-
-    /// Sets `dist[x] = new`, keeping the aggregates in sync; `journal = true`
-    /// records the old value for rollback (unless a replay is in progress, in
-    /// which case the assignment is permanent).
-    #[inline]
-    fn assign(&mut self, x: u32, new: u16, journal: bool) {
-        let v = &mut self.vec;
-        let old = v.dist[x as usize];
-        if journal && !self.replaying {
-            self.journal.push((x, old));
+    /// The working vector as the repairs write it, journaled.
+    fn row(&mut self) -> RowMut<'_> {
+        RowMut {
+            dist: &mut self.dist,
+            levels: &mut self.levels,
+            totals: &mut self.totals,
+            journal: Some(&mut self.journal),
         }
-        if old != UNREACHABLE {
-            v.sum -= u64::from(old);
-            v.level_counts[old as usize] -= 1;
-            v.reached -= 1;
-        }
-        if new != UNREACHABLE {
-            v.sum += u64::from(new);
-            v.level_counts[new as usize] += 1;
-            v.reached += 1;
-            v.max_hint = v.max_hint.max(new);
-        }
-        v.dist[x as usize] = new;
     }
 
     /// Reverts journaled assignments down to `journal_len` entries;
     /// `max_hint` restores the max bound recorded at that point.
     fn rollback_to(&mut self, journal_len: usize, max_hint: u16) {
-        while self.journal.len() > journal_len {
-            let (x, old) = self.journal.pop().expect("journal length checked");
-            self.assign(x, old, false);
+        let mut row = RowMut {
+            dist: &mut self.dist,
+            levels: &mut self.levels,
+            totals: &mut self.totals,
+            journal: None,
+        };
+        for (x, old) in self.journal.drain(journal_len..).rev() {
+            row.set(x, old);
         }
-        self.vec.max_hint = max_hint;
+        row.totals.max_hint = max_hint;
     }
 }
 
@@ -402,7 +418,7 @@ struct Checkpoint {
 }
 
 /// The neighbour-row bound of the pinned source `u` (see
-/// [`PersistentOracle::removal_bound`]). Built once per pin from the parked
+/// [`PersistentOracle::removal_bound`]). Built once per pin from the matrix
 /// rows of `N(u)`: per vertex `y`, the smallest and second-smallest
 /// `d(w, y)` over `w ∈ N(u)` and the `w` giving the smallest. From those,
 /// `c_f` for any dropped neighbour `f` is one `O(n)` pass.
@@ -418,41 +434,23 @@ struct RowBound {
     /// The dropped neighbour `f` whose `c_f` the fields below hold.
     dropped: Option<u32>,
     dist: Vec<u16>,
-    level_counts: Vec<u16>,
     sum: u64,
     reached: usize,
     max: u16,
-    /// The level counts of every `c_f` filled since the minima were built,
-    /// up to its largest finite level, back to back; `cf_ends` holds each
-    /// `f` with the end of its counts, which start where the previous
-    /// ones end. A per-target level bound reads them, so bounding a Swap
-    /// never refills `dist`, which the kernel reads for its own `f`.
-    cf_levels: Vec<u16>,
-    cf_ends: Vec<(u32, usize)>,
+    /// The level counts of every `c_f` filled since the minima were built.
+    /// A per-target level bound reads them, so bounding a Swap never
+    /// refills `dist`, which the kernel reads for its own `f`.
+    cf_levels: Vec<(u32, [u16; LEVELS])>,
 }
 
 impl RowBound {
     /// The recorded level counts of `c_f`, if it was filled since the
     /// minima were built.
-    fn levels_of(&self, f: u32) -> Option<&[u16]> {
-        let mut start = 0;
-        for &(dropped, end) in &self.cf_ends {
-            if dropped == f {
-                return Some(&self.cf_levels[start..end]);
-            }
-            start = end;
-        }
-        None
-    }
-
-    /// Records the level counts of the `c_f` just filled, once per `f`.
-    fn record_levels(&mut self) {
-        let f = self.dropped.expect("a filled c_f");
-        if self.levels_of(f).is_none() {
-            let top = usize::from(self.max);
-            self.cf_levels.extend_from_slice(&self.level_counts[..=top]);
-            self.cf_ends.push((f, self.cf_levels.len()));
-        }
+    fn levels_of(&self, f: u32) -> Option<&[u16; LEVELS]> {
+        self.cf_levels
+            .iter()
+            .find(|&&(dropped, _)| dropped == f)
+            .map(|(_, levels)| levels)
     }
 
     /// Folds neighbour `w`'s row into the minima.
@@ -473,12 +471,12 @@ impl RowBound {
     /// Fills `c_f` for source `src` dropping its edge to `f`, whose
     /// neighbours in `G` are `f_neighbors`: `c_f(src) = 0`, and
     /// `c_f(y) = 1 + min over w ∈ N(src) ∖ {f} of d(w, y)` otherwise
-    /// (saturating at `UNREACHABLE`), with its level counts and aggregates.
-    /// `c_f(f)` is then raised to `1 + min c_f(x)` over `x ∈ N(f) ∖ {src}`,
-    /// because a path to `f` in `G − {src, f}` enters `f` from such an `x`.
-    /// That makes a dropped leaf unreachable.
+    /// (saturating at `UNREACHABLE`), with its aggregates, and records its
+    /// level counts once per `f`. `c_f(f)` is then raised to
+    /// `1 + min c_f(x)` over `x ∈ N(f) ∖ {src}`, because a path to `f` in
+    /// `G − {src, f}` enters `f` from such an `x`. That makes a dropped leaf
+    /// unreachable.
     fn fill(&mut self, src: u32, f: u32, f_neighbors: &[u32]) {
-        let n = self.best.len();
         let f16 = f as u16;
         self.dist.clear();
         self.dist.extend(
@@ -497,18 +495,20 @@ impl RowBound {
             .unwrap_or(UNREACHABLE);
         let via = &mut self.dist[f as usize];
         *via = (*via).max(entry.saturating_add(1));
-        self.level_counts.clear();
-        self.level_counts.resize(n + 2, 0);
+        let mut levels = [0u16; LEVELS];
         let (mut sum, mut reached, mut max) = (0u64, 0usize, 0u16);
         for &c in &self.dist {
             if c != UNREACHABLE {
-                self.level_counts[c as usize] += 1;
+                levels[level_bucket(c)] += 1;
                 sum += u64::from(c);
                 reached += 1;
                 max = max.max(c);
             }
         }
         (self.sum, self.reached, self.max) = (sum, reached, max);
+        if self.levels_of(f).is_none() {
+            self.cf_levels.push((f, levels));
+        }
         self.dropped = Some(f);
     }
 
@@ -530,27 +530,23 @@ impl RowBound {
 /// targets.
 pub const ENVELOPE_BLOCK: usize = 64;
 
-/// Levels an envelope row holds (one cache line of `u16` counts). Past the
-/// last one a row reads as `n`, which keeps the bound valid at any diameter.
-const ENVELOPE_LEVELS: usize = 32;
-
 /// The block envelope rows of the synced version (see
 /// [`PersistentOracle::insert_block_bounds`]).
 #[derive(Debug, Clone, Default)]
 struct BlockEnvelopes {
-    /// `Some(true)`: `rows` are built; `Some(false)`: a vector was
+    /// `Some(true)`: `rows` are built; `Some(false)`: a row was
     /// disconnected, so this version has none; `None`: not built since the
     /// last sync.
     built: Option<bool>,
     /// Per block, the largest cumulative level count of its members at
-    /// each level below [`ENVELOPE_LEVELS`].
-    rows: Vec<[u16; ENVELOPE_LEVELS]>,
+    /// each of the [`LEVELS`] buckets.
+    rows: Vec<[u16; LEVELS]>,
 }
 
 /// Where the source side of a removal-only prefix's level counts are.
 #[derive(Debug, Clone, Copy)]
 enum SourceLevels {
-    /// The pinned base vector's snapshot (`base_levels`): an empty prefix.
+    /// The pinned source's row of the level matrix: an empty prefix.
     Base,
     /// The recorded counts of `c_f`: a one-removal prefix at the source.
     Row(u32),
@@ -558,39 +554,51 @@ enum SourceLevels {
     Seated,
 }
 
-/// The persistent oracle ([`OracleKind::Persistent`]): journaled truncated-BFS
-/// repair of the base vector, with per-source vectors carried across
-/// `begin` calls.
-///
-/// Consecutive evaluations share work through the *delta stack*: the deltas of
-/// the previous evaluation stay applied, and the next evaluation only rolls
-/// back to the longest common prefix before repairing its own suffix. A
-/// best-response scan enumerating swaps as `(from, to₁), (from, to₂), …` thus
-/// pays the expensive `Remove {u, from}` repair once per `from`, not once per
-/// candidate.
-///
-/// `begin` carries every source's distance vector **across** calls in a
-/// per-source cache with one sync point: the first call at a graph version
-/// the oracle has not seen replays the edge changes recorded in the graph's
-/// journal into every parked vector through the same repair machinery, so
-/// no parked vector is ever stale. The first sync, and one whose window the
-/// journal cannot serve (a foreign lineage, a discarded window, a new graph
-/// size) or that is too long to replay profitably, refills every vector in
-/// 64-wide bitset waves instead, so the oracle is exact in all cases.
-///
-/// The cache holds every source's vector from the first query on:
-/// `n·(2n + 2)·2` bytes (distances plus level counters), 268 MB at
-/// `n = 8192`. A caller that wants one source of a huge graph runs a
-/// [`BfsBuffer`] instead. The block envelopes add 64 bytes per
-/// [`ENVELOPE_BLOCK`] vertices.
-pub struct PersistentOracle {
-    csr: CsrAdjacency,
-    src: u32,
-    state: DistState,
-    /// Deltas currently applied on top of the base vector.
-    active: Vec<EdgeDelta>,
-    /// `checkpoints[i]` restores the state right before `active[i]`.
-    checkpoints: Vec<Checkpoint>,
+/// Every source's distance row at the synced version: one row-major
+/// `n × n` matrix, with each row's [`LEVELS`]-bucket level counts and
+/// aggregates in flat arrays beside it.
+#[derive(Debug, Clone, Default)]
+struct RowCache {
+    dist: DistanceMatrix,
+    levels: Vec<[u16; LEVELS]>,
+    totals: Vec<BatchSummary>,
+}
+
+impl RowCache {
+    /// The number of rows: the graph size of the last sync.
+    fn len(&self) -> usize {
+        self.totals.len()
+    }
+
+    /// Sizes the cache for graphs on `n` vertices; the next sync fills it.
+    fn resize(&mut self, n: usize) {
+        self.dist = DistanceMatrix::new(n);
+        self.levels = vec![[0; LEVELS]; n];
+        self.totals = vec![BatchSummary::default(); n];
+    }
+
+    fn row_mut(&mut self, x: usize) -> RowMut<'_> {
+        RowMut {
+            dist: self.dist.row_mut(x),
+            levels: &mut self.levels[x],
+            totals: &mut self.totals[x],
+            journal: None,
+        }
+    }
+
+    /// Bytes held: the matrix, the level counts and the aggregates.
+    fn bytes(&self) -> u64 {
+        let n = self.len();
+        let per_row = size_of::<[u16; LEVELS]>() + size_of::<BatchSummary>();
+        (n * n * size_of::<u16>() + n * per_row) as u64
+    }
+}
+
+/// Scratch of the truncated-BFS repairs. The repairs write a [`RowMut`], so
+/// one code path repairs the working vector under a candidate's deltas and
+/// every matrix row in place at the sync.
+#[derive(Debug, Clone, Default)]
+struct RepairScratch {
     queue: Vec<u32>,
     /// Epoch stamps: `mark[x] == epoch` ⇔ `x` is affected by the current
     /// delete repair.
@@ -608,73 +616,13 @@ pub struct PersistentOracle {
     /// Dial buckets for the bounded re-settling Dijkstra.
     buckets: Vec<Vec<u32>>,
     epoch: u32,
+    /// The deltas overlaid on the CSR snapshot: the seated delta stack, or
+    /// the rewound journal window of a replay.
     overlay: DeltaOverlay,
-    stats: OracleStats,
-    /// One vector per source, current at the synced version except the
-    /// pinned source's, whose vector is the working state.
-    cache: Vec<DistVector>,
-    /// Version the CSR snapshot, every parked vector and the working vector
-    /// reflect; `None` until the first sync.
-    synced: Option<GraphVersion>,
-    /// Whether the working [`DistState`] holds `src`'s vector.
-    pinned: bool,
-    /// Shared bitset-frontier workspace of the bulk waves.
-    wave: MultiSourceBfs,
-    /// Neighbour-row bound of the pinned source's one-removal prefixes.
-    rows: RowBound,
-    /// The pinned base vector's level counts up to its largest level,
-    /// copied by `begin`, so bounding a Buy never rolls back the delta
-    /// stack.
-    base_levels: Vec<u16>,
-    /// Block envelopes of every vector's level counts at the synced
-    /// version.
-    envelopes: BlockEnvelopes,
 }
 
-impl PersistentOracle {
-    /// Creates a persistent oracle for graphs on `n` vertices.
-    pub fn new(n: usize) -> Self {
-        assert!(
-            n <= MAX_NODES,
-            "u16 distances support at most {MAX_NODES} vertices (got {n})"
-        );
-        let mut oracle = PersistentOracle {
-            csr: CsrAdjacency::new(),
-            src: 0,
-            state: DistState::default(),
-            active: Vec::with_capacity(4),
-            checkpoints: Vec::with_capacity(4),
-            queue: Vec::with_capacity(n),
-            mark: Vec::new(),
-            checked: Vec::new(),
-            tent: Vec::new(),
-            affected: Vec::new(),
-            cand: Vec::new(),
-            buckets: Vec::new(),
-            epoch: 0,
-            overlay: DeltaOverlay::default(),
-            stats: OracleStats::default(),
-            cache: Vec::new(),
-            synced: None,
-            pinned: false,
-            wave: MultiSourceBfs::new(),
-            rows: RowBound::default(),
-            base_levels: Vec::new(),
-            envelopes: BlockEnvelopes::default(),
-        };
-        oracle.resize_scratch(n);
-        oracle.cache.resize_with(n, DistVector::default);
-        oracle
-    }
-
-    /// Maximum number of journal entries worth replaying before a full BFS is
-    /// cheaper: each replayed change costs a truncated repair, so past a small
-    /// fraction of `n` the fallback wins.
-    fn stale_limit(&self) -> usize {
-        (self.mark.len() / 8).max(8)
-    }
-
-    fn resize_scratch(&mut self, n: usize) {
+impl RepairScratch {
+    fn resize(&mut self, n: usize) {
         self.mark.clear();
         self.mark.resize(n, 0);
         self.checked.clear();
@@ -696,36 +644,37 @@ impl PersistentOracle {
         }
     }
 
-    /// Decrease-only relaxation after inserting `{u, v}` (already in the
-    /// overlay): distances can only shrink, and only inside the region whose
-    /// shortest paths now run through the new edge.
-    fn repair_insert(&mut self, u: u32, v: u32) {
-        let (du, dv) = (self.state.get(u), self.state.get(v));
+    /// Decrease-only relaxation of `row` after inserting `{u, v}` (already
+    /// in the overlay): distances can only shrink, and only inside the
+    /// region whose shortest paths now run through the new edge. Returns
+    /// the vertices expanded.
+    fn repair_insert(&mut self, csr: &CsrAdjacency, row: &mut RowMut, u: u32, v: u32) -> u64 {
+        let (du, dv) = (row.get(u), row.get(v));
         let (far, dn) = if du <= dv { (v, du) } else { (u, dv) };
-        if dn == UNREACHABLE || dn + 1 >= self.state.get(far) {
-            return;
+        if dn == UNREACHABLE || dn + 1 >= row.get(far) {
+            return 0;
         }
-        self.state.assign(far, dn + 1, true);
+        row.set(far, dn + 1);
         self.queue.clear();
         self.queue.push(far);
         let mut head = 0usize;
         while head < self.queue.len() {
             let x = self.queue[head];
             head += 1;
-            self.stats.nodes_expanded += 1;
-            let dx = self.state.get(x);
-            let state = &mut self.state;
+            let dx = row.get(x);
             let queue = &mut self.queue;
-            for_each_neighbor(&self.csr, &self.overlay, x, |y| {
-                if state.get(y) > dx + 1 {
-                    state.assign(y, dx + 1, true);
+            for_each_neighbor(csr, &self.overlay, x, |y| {
+                if row.get(y) > dx + 1 {
+                    row.set(y, dx + 1);
                     queue.push(y);
                 }
             });
         }
+        head as u64
     }
 
-    /// Repair after removing `{u, v}` (already gone from the overlay).
+    /// Repair of `row` after removing `{u, v}` (already gone from the
+    /// overlay). Returns the vertices expanded.
     ///
     /// Phase 1 finds the *orphaned* region: vertices whose every shortest
     /// path from the source used the deleted edge. Processing candidates in
@@ -733,19 +682,19 @@ impl PersistentOracle {
     /// status of the previous level is final. Phase 2 re-settles the region
     /// with a Dial (bucket) Dijkstra seeded from its unaffected boundary;
     /// orphans with no boundary stay unreachable.
-    fn repair_delete(&mut self, u: u32, v: u32) {
-        let (du, dv) = (self.state.get(u), self.state.get(v));
+    fn repair_delete(&mut self, csr: &CsrAdjacency, row: &mut RowMut, u: u32, v: u32) -> u64 {
+        let (du, dv) = (row.get(u), row.get(v));
         if du == UNREACHABLE || dv == UNREACHABLE || du == dv {
             // The edge was on no shortest path from the source.
-            return;
+            return 0;
         }
         let child = if du < dv { v } else { u };
-        debug_assert_eq!(self.state.get(child), du.min(dv) + 1);
+        debug_assert_eq!(row.get(child), du.min(dv) + 1);
         self.bump_epoch();
 
         // Phase 1: collect the orphaned region, level by level.
-        if self.has_live_parent(child) {
-            return;
+        if self.has_live_parent(csr, row, child) {
+            return 0;
         }
         self.affected.clear();
         self.mark[child as usize] = self.epoch;
@@ -757,18 +706,17 @@ impl PersistentOracle {
         while head < self.queue.len() {
             let x = self.queue[head];
             head += 1;
-            self.stats.nodes_expanded += 1;
-            let dx = self.state.get(x);
+            let dx = row.get(x);
             self.cand.clear();
             let cand = &mut self.cand;
-            for_each_neighbor(&self.csr, &self.overlay, x, |y| {
+            for_each_neighbor(csr, &self.overlay, x, |y| {
                 cand.push(y);
             });
             for i in 0..self.cand.len() {
                 let y = self.cand[i];
-                if self.state.get(y) == dx + 1 && self.checked[y as usize] != self.epoch {
+                if row.get(y) == dx + 1 && self.checked[y as usize] != self.epoch {
                     self.checked[y as usize] = self.epoch;
-                    if !self.has_live_parent(y) {
+                    if !self.has_live_parent(csr, row, y) {
                         self.mark[y as usize] = self.epoch;
                         self.affected.push(y);
                         self.queue.push(y);
@@ -776,6 +724,7 @@ impl PersistentOracle {
                 }
             }
         }
+        let mut expanded = head as u64;
 
         // Phase 2: re-settle the orphans from their unaffected boundary.
         let mut min_t = UNREACHABLE;
@@ -783,12 +732,12 @@ impl PersistentOracle {
         for i in 0..self.affected.len() {
             let x = self.affected[i];
             let mut best = UNREACHABLE;
-            let state = &self.state;
             let mark = &self.mark;
             let epoch = self.epoch;
-            for_each_neighbor(&self.csr, &self.overlay, x, |z| {
+            let seen = &*row;
+            for_each_neighbor(csr, &self.overlay, x, |z| {
                 if mark[z as usize] != epoch {
-                    let dz = state.get(z);
+                    let dz = seen.get(z);
                     if dz != UNREACHABLE && dz + 1 < best {
                         best = dz + 1;
                     }
@@ -800,27 +749,27 @@ impl PersistentOracle {
                 min_t = min_t.min(best);
                 max_t = max_t.max(best);
             }
-            self.state.assign(x, UNREACHABLE, true);
+            row.set(x, UNREACHABLE);
         }
         if min_t == UNREACHABLE {
-            return; // The whole region is disconnected from the source now.
+            return expanded; // The whole region is disconnected from the source now.
         }
         let mut d = min_t;
         while d <= max_t {
             while let Some(x) = self.buckets[d as usize].pop() {
-                if self.state.get(x) != UNREACHABLE || self.tent[x as usize] != d {
+                if row.get(x) != UNREACHABLE || self.tent[x as usize] != d {
                     continue; // settled earlier or stale bucket entry
                 }
-                self.stats.nodes_expanded += 1;
-                self.state.assign(x, d, true);
+                expanded += 1;
+                row.set(x, d);
                 let mark = &self.mark;
                 let epoch = self.epoch;
-                let state = &self.state;
+                let seen = &*row;
                 let tent = &mut self.tent;
                 let buckets = &mut self.buckets;
-                for_each_neighbor(&self.csr, &self.overlay, x, |y| {
+                for_each_neighbor(csr, &self.overlay, x, |y| {
                     if mark[y as usize] == epoch
-                        && state.get(y) == UNREACHABLE
+                        && seen.get(y) == UNREACHABLE
                         && d + 1 < tent[y as usize]
                     {
                         tent[y as usize] = d + 1;
@@ -831,18 +780,19 @@ impl PersistentOracle {
             }
             d += 1;
         }
+        expanded
     }
 
     /// True if `x` has a neighbour one level closer to the source that is not
     /// (currently marked) affected.
-    fn has_live_parent(&self, x: u32) -> bool {
-        let dx = self.state.get(x);
+    fn has_live_parent(&self, csr: &CsrAdjacency, row: &RowMut, x: u32) -> bool {
+        let dx = row.get(x);
         let mut live = false;
-        for_each_neighbor(&self.csr, &self.overlay, x, |z| {
+        for_each_neighbor(csr, &self.overlay, x, |z| {
             if !live
                 && self.mark[z as usize] != self.epoch
-                && self.state.get(z) != UNREACHABLE
-                && self.state.get(z) + 1 == dx
+                && row.get(z) != UNREACHABLE
+                && row.get(z) + 1 == dx
             {
                 live = true;
             }
@@ -850,18 +800,122 @@ impl PersistentOracle {
         live
     }
 
+    /// Runs the journal window `changes` through the repairs on `row`, in
+    /// place, and returns the vertices expanded. The CSR must already be
+    /// synced to the *post-window* graph; the overlay must be empty, and is
+    /// empty again afterwards.
+    ///
+    /// The CSR reflects the *current* graph, so the overlay is first rewound
+    /// by the inverted pending changes; re-activating each change then
+    /// advances the overlaid graph one step right before its repair runs, and
+    /// the rewind cancels out entirely by the end.
+    fn replay(&mut self, csr: &CsrAdjacency, mut row: RowMut<'_>, changes: &[EdgeChange]) -> u64 {
+        let _sp = trace::span(trace::Phase::ScalarReplay);
+        debug_assert!(self.overlay.is_empty());
+        for change in changes.iter().rev() {
+            self.overlay.activate(&invert(change));
+        }
+        let mut expanded = 0;
+        for change in changes {
+            expanded += match *change {
+                EdgeChange::Added { u, v } => {
+                    self.overlay.activate(&EdgeDelta::Insert { u, v });
+                    self.repair_insert(csr, &mut row, u as u32, v as u32)
+                }
+                EdgeChange::Removed { u, v } => {
+                    self.overlay.activate(&EdgeDelta::Remove { u, v });
+                    self.repair_delete(csr, &mut row, u as u32, v as u32)
+                }
+            };
+        }
+        debug_assert!(self.overlay.is_empty(), "replay must cancel the rewind");
+        expanded
+    }
+}
+
+/// The persistent oracle ([`OracleKind::Persistent`]): journaled truncated-BFS
+/// repair of the pinned source's row, with every source's row carried
+/// across `begin` calls.
+///
+/// Consecutive evaluations share work through the *delta stack*: the deltas of
+/// the previous evaluation stay applied, and the next evaluation only rolls
+/// back to the longest common prefix before repairing its own suffix. A
+/// best-response scan enumerating swaps as `(from, to₁), (from, to₂), …` thus
+/// pays the expensive `Remove {u, from}` repair once per `from`, not once per
+/// candidate.
+///
+/// Every source's distance row lives in one `n × n` matrix with one sync
+/// point: the first call at a graph version the oracle has not seen replays
+/// the edge changes recorded in the graph's journal into every row, in
+/// place, through the same repair machinery, so no row is ever stale. The
+/// first sync, and one whose window the journal cannot serve (a foreign
+/// lineage, a discarded window, a new graph size) or that is too long to
+/// replay profitably, refills every row in 64-wide bitset waves instead, so
+/// the oracle is exact in all cases. `begin` copies the pinned source's row
+/// into a working vector, which the candidate deltas repair.
+///
+/// The cache holds every source's row from the first query on: `2n²`
+/// bytes of distances plus 88 bytes of level counts and aggregates per
+/// row, 135 MB at `n = 8192`. A caller that wants one source of a huge
+/// graph runs a [`BfsBuffer`] instead. The block envelopes add 64 bytes per
+/// [`ENVELOPE_BLOCK`] vertices.
+#[derive(Default)]
+pub struct PersistentOracle {
+    csr: CsrAdjacency,
+    /// The pinned source: the source of the last `begin`.
+    src: u32,
+    /// Row `src` under the delta stack.
+    state: DistState,
+    /// Deltas currently applied on top of the base row.
+    active: Vec<EdgeDelta>,
+    /// `checkpoints[i]` restores the state right before `active[i]`.
+    checkpoints: Vec<Checkpoint>,
+    repair: RepairScratch,
+    stats: OracleStats,
+    /// Every source's row, current at the synced version.
+    cache: RowCache,
+    /// Version the CSR snapshot, every row and the working vector reflect;
+    /// `None` until the first sync.
+    synced: Option<GraphVersion>,
+    /// Shared bitset-frontier workspace of the bulk waves.
+    wave: MultiSourceBfs,
+    /// Neighbour-row bound of the pinned source's one-removal prefixes.
+    rows: RowBound,
+    /// Block envelopes of every row's level counts at the synced version.
+    envelopes: BlockEnvelopes,
+}
+
+impl PersistentOracle {
+    /// Creates a persistent oracle for graphs on `n` vertices. Its buffers
+    /// are sized by the first sync.
+    pub fn new(n: usize) -> Self {
+        assert!(
+            n <= MAX_NODES,
+            "u16 distances support at most {MAX_NODES} vertices (got {n})"
+        );
+        PersistentOracle::default()
+    }
+
+    /// Maximum number of journal entries worth replaying before a full BFS is
+    /// cheaper: each replayed change costs a truncated repair, so past a small
+    /// fraction of `n` the fallback wins.
+    fn stale_limit(&self) -> usize {
+        (self.cache.len() / 8).max(8)
+    }
+
     /// Applies one delta on top of the stack, recording its resume point.
     fn push_delta(&mut self, delta: EdgeDelta) {
         self.checkpoints.push(Checkpoint {
             journal_len: self.state.journal.len(),
-            max_hint: self.state.vec.max_hint,
+            max_hint: self.state.totals.max_hint,
         });
         self.active.push(delta);
-        self.overlay.activate(&delta);
-        match delta {
-            EdgeDelta::Insert { u, v } => self.repair_insert(u as u32, v as u32),
-            EdgeDelta::Remove { u, v } => self.repair_delete(u as u32, v as u32),
-        }
+        self.repair.overlay.activate(&delta);
+        let (csr, row) = (&self.csr, &mut self.state.row());
+        self.stats.nodes_expanded += match delta {
+            EdgeDelta::Insert { u, v } => self.repair.repair_insert(csr, row, u as u32, v as u32),
+            EdgeDelta::Remove { u, v } => self.repair.repair_delete(csr, row, u as u32, v as u32),
+        };
     }
 
     /// Rolls the delta stack back to its first `prefix` entries.
@@ -873,12 +927,10 @@ impl PersistentOracle {
         self.state.rollback_to(cp.journal_len, cp.max_hint);
         self.active.truncate(prefix);
         self.checkpoints.truncate(prefix);
-        self.overlay.clear();
-        let active = std::mem::take(&mut self.active);
-        for delta in &active {
-            self.overlay.activate(delta);
+        self.repair.overlay.clear();
+        for delta in &self.active {
+            self.repair.overlay.activate(delta);
         }
-        self.active = active;
     }
 
     /// Moves the delta stack to exactly `deltas`, reusing the longest common
@@ -907,20 +959,20 @@ impl PersistentOracle {
 
     /// The oracle's one sync point, called first by `begin`,
     /// `cached_summary` and `pin_sources`: brings the CSR snapshot and every
-    /// source's vector to the current version of `g`, so every other method
-    /// reads only current vectors. Within one dynamics step the graph is
+    /// source's row to the current version of `g`, so every other method
+    /// reads only current rows. Within one dynamics step the graph is
     /// immutable, so the `n` per-agent reads of a scan share a single sync.
     ///
-    /// A graph of a new size resets the cache. When the version moved, the
-    /// working vector is rolled back to its base and parked, so nothing
-    /// stays pinned across a move. The journal's exact edge deltas are then
-    /// patched into the CSR's flat buffers in place — `O(changes)` instead
-    /// of the `O(n + m)` rebuild, with the patcher's own rebuild fallback
-    /// for dense journals and exhausted segment slack — and the same window
-    /// is replayed into every vector. The first sync, and a window the
-    /// journal cannot serve (a foreign lineage or a discarded window) or
-    /// one longer than the replay limit, rebuild the CSR and refill every
-    /// vector in bitset waves instead.
+    /// A graph of a new size resets the cache. The journal's exact edge
+    /// deltas are patched into the CSR's flat buffers in place —
+    /// `O(changes)` instead of the `O(n + m)` rebuild, with the patcher's own
+    /// rebuild fallback for dense journals and exhausted segment slack — and
+    /// the same window is replayed into every row. The first sync, and a
+    /// window the journal cannot serve (a foreign lineage or a discarded
+    /// window) or one longer than the replay limit, rebuild the CSR and
+    /// refill every row in bitset waves instead. The working vector is then
+    /// copied afresh from the pinned source's row, and the delta stack is
+    /// dropped.
     fn sync(&mut self, g: &OwnedGraph) {
         let cur = g.version();
         if self.synced == Some(cur) {
@@ -928,15 +980,12 @@ impl PersistentOracle {
         }
         let n = g.num_nodes();
         if n != self.cache.len() {
-            // The graph size changed: every cached vector is meaningless.
-            self.resize_scratch(n);
-            self.cache.clear();
-            self.cache.resize_with(n, DistVector::default);
-            self.pinned = false;
+            // The graph size changed: every cached row is meaningless.
+            self.repair.resize(n);
+            self.cache.resize(n);
+            self.src = 0;
             self.synced = None;
         }
-        self.rollback_to_prefix(0);
-        self.save_working();
         self.rows.pin = None;
         self.envelopes.built = None;
         let window = self.synced.and_then(|from| g.changes_since(from));
@@ -954,118 +1003,68 @@ impl PersistentOracle {
         }
         match window.filter(|changes| changes.len() <= self.stale_limit()) {
             Some(changes) => {
+                // The delta stack goes with the working vector, which is
+                // copied afresh below: the replay needs an empty overlay.
+                self.repair.overlay.clear();
                 for src in 0..n {
-                    self.load_cached(src);
-                    self.replay_changes(changes);
-                    self.save_working();
+                    let row = self.cache.row_mut(src);
+                    self.stats.nodes_expanded += self.repair.replay(&self.csr, row, changes);
                     self.stats.replayed_begins += 1;
                 }
             }
             None => self.batch_repin(),
         }
         self.synced = Some(cur);
-    }
-
-    /// Parks the working distance vector of the pinned source, if any, in
-    /// its slot of the per-source cache. The working vector must already be
-    /// rolled back to the base (no active candidate deltas).
-    fn save_working(&mut self) {
-        if std::mem::take(&mut self.pinned) {
-            std::mem::swap(&mut self.cache[self.src as usize], &mut self.state.vec);
+        if n > 0 {
+            self.load_row(self.src as usize);
         }
     }
 
-    /// Recomputes every source's vector from scratch over the synced CSR
+    /// Recomputes every source's row from scratch over the synced CSR
     /// snapshot, in word-parallel waves of up to [`BATCH_WIDTH`] sources:
     /// one shared bitset wave per 64 sources instead of one scalar BFS per
-    /// source. No source may be pinned.
+    /// source. The waves write the matrix rows in place.
     fn batch_repin(&mut self) {
         let _sp = trace::span(trace::Phase::BatchWave);
-        debug_assert!(!self.pinned, "refilling under a pinned vector");
-        let n = self.cache.len();
-        for (c, slots) in self.cache.chunks_mut(BATCH_WIDTH).enumerate() {
-            let sources: Vec<NodeId> = (c * BATCH_WIDTH..).take(slots.len()).collect();
-            let mut summaries = vec![BatchSummary::default(); slots.len()];
-            let (mut rows, mut counts): (Vec<&mut [u16]>, Vec<&mut [u16]>) = slots
-                .iter_mut()
-                .map(|slot| {
-                    MultiSourceBfs::prepare_row(&mut slot.dist, &mut slot.level_counts, n);
-                    (slot.dist.as_mut_slice(), slot.level_counts.as_mut_slice())
-                })
-                .unzip();
-            let expanded =
-                self.wave
-                    .run(&self.csr, &sources, &mut rows, &mut counts, &mut summaries);
-            self.stats.nodes_expanded += expanded;
-            self.stats.batched_repins += slots.len() as u64;
-            for (slot, summary) in slots.iter_mut().zip(summaries) {
-                slot.sum = summary.sum;
-                slot.reached = summary.reached;
-                slot.max_hint = summary.max_hint;
-            }
+        let cache = &mut self.cache;
+        let blocks = cache
+            .levels
+            .chunks_mut(BATCH_WIDTH)
+            .zip(cache.totals.chunks_mut(BATCH_WIDTH));
+        for (c, (levels, totals)) in blocks.enumerate() {
+            let first = c * BATCH_WIDTH;
+            let sources: Vec<NodeId> = (first..first + levels.len()).collect();
+            let rows = cache.dist.rows_mut(first..first + levels.len());
+            self.stats.nodes_expanded += self.wave.run(&self.csr, &sources, rows, levels, totals);
+            self.stats.batched_repins += levels.len() as u64;
         }
-        let bytes = n as u64 * 2 * (2 * n as u64 + 2);
-        self.stats.peak_parked_bytes = self.stats.peak_parked_bytes.max(bytes);
+        self.stats.peak_parked_bytes = self.stats.peak_parked_bytes.max(self.cache.bytes());
     }
 
-    /// Pins `src` by activating its parked vector as the working state — one
-    /// swap, no per-vertex work at all.
-    fn load_cached(&mut self, src: usize) {
-        debug_assert_eq!(
-            self.cache[src].dist.len(),
-            self.cache.len(),
-            "cached vectors track the graph size"
-        );
-        std::mem::swap(&mut self.cache[src], &mut self.state.vec);
-        self.state.journal.clear();
+    /// Pins `src`: one `O(n)` copy of its row, level counts and aggregates
+    /// into the working vector, which drops the delta stack.
+    fn load_row(&mut self, src: usize) {
+        self.active.clear();
+        self.checkpoints.clear();
+        self.repair.overlay.clear();
+        let state = &mut self.state;
+        state.journal.clear();
+        state.dist.clear();
+        state.dist.extend_from_slice(self.cache.dist.row(src));
+        state.levels = self.cache.levels[src];
+        state.totals = self.cache.totals[src];
         self.src = src as u32;
-        self.pinned = true;
     }
 
-    /// Runs the journal window `changes` through the repair machinery against
-    /// the current working [`DistState`] and overlay. The CSR must already be
-    /// synced to the *post-window* graph; the overlay must be empty.
-    ///
-    /// The CSR reflects the *current* graph, so the overlay is first rewound
-    /// by the inverted pending changes; re-activating each change then
-    /// advances the overlaid graph one step right before its repair runs, and
-    /// the rewind cancels out entirely by the end.
-    fn replay_changes(&mut self, changes: &[EdgeChange]) {
-        let _sp = trace::span(trace::Phase::ScalarReplay);
-        debug_assert!(self.overlay.is_empty());
-        debug_assert!(
-            self.state.journal.is_empty(),
-            "replay on top of candidate deltas"
-        );
-        for change in changes.iter().rev() {
-            self.overlay.activate(&invert(change));
-        }
-        self.state.replaying = true;
-        for change in changes {
-            match *change {
-                EdgeChange::Added { u, v } => {
-                    self.overlay.activate(&EdgeDelta::Insert { u, v });
-                    self.repair_insert(u as u32, v as u32);
-                }
-                EdgeChange::Removed { u, v } => {
-                    self.overlay.activate(&EdgeDelta::Remove { u, v });
-                    self.repair_delete(u as u32, v as u32);
-                }
-            }
-        }
-        self.state.replaying = false;
-        debug_assert!(self.overlay.is_empty(), "replay must cancel the rewind");
-    }
-
-    /// `true` iff the working vector is pinned at the current version of `g`.
-    fn pinned_at(&self, g: &OwnedGraph) -> bool {
-        self.pinned && self.synced == Some(g.version())
+    /// `true` iff `g` is the synced graph, so the working vector holds the
+    /// pinned source's row at `g`'s version.
+    fn synced_to(&self, g: &OwnedGraph) -> bool {
+        self.synced == Some(g.version())
     }
 
     /// Shared check of the cache-arithmetic insertion queries: `u` is the
-    /// pinned source, `g` the pinned graph and `prefix` removal-only. A
-    /// `target` must be another vertex: the pinned source's own slot holds
-    /// no current vector.
+    /// pinned source, `g` the synced graph and `prefix` removal-only. A
+    /// `target` must be another vertex, since `{u, u}` is not an edge.
     fn prefix_servable(
         &self,
         g: &OwnedGraph,
@@ -1073,17 +1072,18 @@ impl PersistentOracle {
         u: NodeId,
         target: Option<NodeId>,
     ) -> bool {
-        self.pinned_at(g)
+        self.synced_to(g)
             && u as u32 == self.src
             && target.is_none_or(|v| v != u && v < self.cache.len())
             && !prefix.iter().any(|d| matches!(d, EdgeDelta::Insert { .. }))
     }
 
     /// Makes the source-side level counts of the removal-only `prefix`
-    /// readable without touching the delta stack where it can: the base
-    /// snapshot for an empty prefix, and `c_f`'s recorded counts for a
-    /// one-removal prefix at the pinned source (filling `c_f` only if this
-    /// pin has not yet). Any other prefix is seated.
+    /// readable without touching the delta stack where it can: the pinned
+    /// source's row of the level matrix for an empty prefix, and `c_f`'s
+    /// recorded counts for a one-removal prefix at the pinned source
+    /// (filling `c_f` only if this pin has not yet). Any other prefix is
+    /// seated.
     fn source_levels(&mut self, g: &OwnedGraph, prefix: &[EdgeDelta]) -> SourceLevels {
         match *prefix {
             [] => return SourceLevels::Base,
@@ -1106,47 +1106,40 @@ impl PersistentOracle {
     }
 
     /// The level counts [`PersistentOracle::source_levels`] made readable.
-    fn levels(&self, side: SourceLevels) -> &[u16] {
+    fn levels(&self, side: SourceLevels) -> &[u16; LEVELS] {
         match side {
-            SourceLevels::Base => &self.base_levels,
+            SourceLevels::Base => &self.cache.levels[self.src as usize],
             SourceLevels::Row(f) => self.rows.levels_of(f).expect("recorded when filled"),
-            SourceLevels::Seated => &self.state.vec.level_counts,
+            SourceLevels::Seated => &self.state.levels,
         }
     }
 
     /// Debug cross-check of a per-target level bound against the kernel
     /// on the same source side, kept out of the counters so that debug and
     /// release builds count the same work. The source distances are
-    /// rebuilt independently: the base vector unwound from the delta
-    /// stack's journal, or a fresh fill of `c_f`; their level counts must
-    /// equal the ones the bound read.
+    /// reread independently: the pinned source's matrix row, or a fresh
+    /// fill of `c_f`; their level counts must equal the ones the bound
+    /// read.
     fn check_level_bound(&self, side: SourceLevels, v: NodeId, bound: DistanceSummary) {
-        let n = self.csr.num_nodes();
         let src_dist = match side {
-            SourceLevels::Base => {
-                let mut dist = self.state.vec.dist.clone();
-                for &(x, old) in self.state.journal.iter().rev() {
-                    dist[x as usize] = old;
-                }
-                dist
-            }
+            SourceLevels::Base => self.cache.dist.row(self.src as usize).to_vec(),
             SourceLevels::Row(f) => {
                 let mut fresh = self.rows.clone();
                 fresh.fill(self.src, f, self.csr.neighbors(f as usize));
                 fresh.dist
             }
-            SourceLevels::Seated => self.state.vec.dist.clone(),
+            SourceLevels::Seated => self.state.dist.clone(),
         };
-        let mut levels = vec![0u16; n + 2];
-        for &d in src_dist[..n].iter().filter(|&&d| d != UNREACHABLE) {
-            levels[usize::from(d)] += 1;
+        let mut levels = [0u16; LEVELS];
+        for &d in src_dist.iter().filter(|&&d| d != UNREACHABLE) {
+            levels[level_bucket(d)] += 1;
         }
-        let read = self.levels(side);
-        assert!(
-            levels[..read.len()] == *read && levels[read.len()..].iter().all(|&c| c == 0),
-            "source levels {read:?} are not those of the source vector ({side:?})"
+        assert_eq!(
+            &levels,
+            self.levels(side),
+            "source levels are not those of the source vector ({side:?})"
         );
-        let kernel = fused_insert_summary(&src_dist[..n], &self.cache[v].dist[..n]);
+        let kernel = fused_insert_summary(&src_dist, self.cache.dist.row(v));
         assert!(
             bound.sum <= kernel.sum && bound.max <= kernel.max,
             "level bound {bound:?} exceeds the kernel's {kernel:?} (src {}, v {v}, {side:?})",
@@ -1164,40 +1157,36 @@ impl PersistentOracle {
         self.envelopes.built == Some(true)
     }
 
-    /// One envelope row per block of [`ENVELOPE_BLOCK`] vertex ids, from
-    /// the pinned base vector and every parked slot: `false` at the first
-    /// vector that misses a vertex. The pinned vector is part of its block,
-    /// so the rows stay valid for it as a target once another source is
-    /// pinned at the same version.
+    /// One envelope row per block of [`ENVELOPE_BLOCK`] vertex ids, in one
+    /// sequential pass over the level matrix: `false` at the first row that
+    /// misses a vertex. The rows cover every source, so they stay valid
+    /// whichever source is pinned at the same version.
     fn build_envelopes(&mut self) -> bool {
-        debug_assert!(self.pinned, "the rows are built for a pinned source");
         let n = self.cache.len();
-        let pinned = self.src as usize;
-        let base_reached: usize = self.base_levels.iter().map(|&c| usize::from(c)).sum();
         let all = u16::try_from(n).expect("n ≤ MAX_NODES fits a u16 count");
         self.envelopes.rows.clear();
-        for (b, block) in self.cache.chunks(ENVELOPE_BLOCK).enumerate() {
-            let mut row = [0u16; ENVELOPE_LEVELS];
-            // A member's count is `n` from its last level `top` on, so the
+        let blocks = self
+            .cache
+            .levels
+            .chunks(ENVELOPE_BLOCK)
+            .zip(self.cache.totals.chunks(ENVELOPE_BLOCK));
+        for (block_levels, block_totals) in blocks {
+            let mut row = [0u16; LEVELS];
+            // A member's count is `n` from its last bucket `top` on, so the
             // row is `n` from the smallest `top` on, and no member needs
             // counting past it.
-            let mut tail = ENVELOPE_LEVELS;
-            for (i, slot) in block.iter().enumerate() {
-                let (levels, reached) = if b * ENVELOPE_BLOCK + i == pinned {
-                    (&self.base_levels[..], base_reached)
-                } else {
-                    let top = usize::from(slot.max_hint);
-                    (&slot.level_counts[..=top], slot.reached)
-                };
-                if reached < n {
+            let mut tail = LEVELS;
+            for (levels, totals) in block_levels.iter().zip(block_totals) {
+                if totals.reached < n {
                     return false;
                 }
+                let top = level_bucket(totals.max_hint);
                 let mut count = 0u16;
-                for (e, &l) in row[..tail].iter_mut().zip(levels) {
+                for (e, &l) in row[..tail].iter_mut().zip(&levels[..=top]) {
                     count += l;
                     *e = (*e).max(count);
                 }
-                tail = tail.min(levels.len() - 1);
+                tail = tail.min(top);
             }
             row[tail..].fill(all);
             self.envelopes.rows.push(row);
@@ -1221,14 +1210,13 @@ impl PersistentOracle {
 
     /// Brings `self.rows` to `c_f` of the pinned source dropping its edge to
     /// neighbour `f`. The minima are built on the pin's first call. `g`
-    /// must be the pinned graph.
+    /// must be the synced graph.
     fn row_bound(&mut self, g: &OwnedGraph, f: u32) {
-        debug_assert!(self.pinned_at(g), "row bounds read the pinned graph");
+        debug_assert!(self.synced_to(g), "row bounds read the synced graph");
         let src = self.src;
         if self.rows.pin != Some(src) {
             self.rows.dropped = None;
             self.rows.cf_levels.clear();
-            self.rows.cf_ends.clear();
             self.build_row_minima();
             self.rows.pin = Some(src);
         } else if self.rows.dropped == Some(f) {
@@ -1236,7 +1224,6 @@ impl PersistentOracle {
         }
         let _sp = trace::span(trace::Phase::DeltaRepair);
         self.rows.fill(src, f, self.csr.neighbors(f as usize));
-        self.rows.record_levels();
         self.stats.row_bounds += 1;
         self.stats.nodes_expanded += self.rows.dist.len() as u64;
         if cfg!(debug_assertions) {
@@ -1258,7 +1245,7 @@ impl PersistentOracle {
         }
     }
 
-    /// Builds the row minima of the pinned source from the parked rows of
+    /// Builds the row minima of the pinned source from the matrix rows of
     /// all its neighbours.
     fn build_row_minima(&mut self) {
         let _sp = trace::span(trace::Phase::DeltaRepair);
@@ -1274,7 +1261,7 @@ impl PersistentOracle {
         rows.arg.clear();
         rows.arg.resize(n, 0);
         for &w in neighbors {
-            rows.add_row(w as u16, &self.cache[w as usize].dist[..n]);
+            rows.add_row(w as u16, self.cache.dist.row(w as usize));
         }
         self.stats.nodes_expanded += (degree * n) as u64;
     }
@@ -1349,10 +1336,9 @@ fn level_pair_bound(n: usize, src_levels: &[u16], far_levels: &[u16]) -> Distanc
     // term(k) = n − Σ_{d<k} src_levels[d] − Σ_{d<k−1} far_levels[d] only
     // shrinks as `k` grows, and reaches ≤ 0 once every far level is counted.
     // Step `k` subtracts `(src_levels[k], far_levels[k − 1])`. The far
-    // histogram is padded past its last level (`n + 2` entries in the
-    // oracle), so the zipped steps never run out first; the source one may
-    // stop at its last level (the recorded `c_f` and base counts do) and
-    // reads as 0 past it.
+    // histogram counts all `n` vertices, so the term reaches ≤ 0 by the
+    // step that takes its last entry, and the zipped steps never run out
+    // first; the source one may be shorter, and reads as 0 past its end.
     let (&first, rest) = src_levels.split_first().expect("level 0 holds the source");
     let mut steps = rest.iter().chain(std::iter::repeat(&0)).zip(far_levels);
     let mut term = n as i64 - i64::from(first);
@@ -1388,15 +1374,16 @@ fn cumulative_levels<const L: usize>(levels: &[u16]) -> [u16; L] {
 
 /// [`level_pair_bound`] against a block envelope row: `src_cumulative[j]`
 /// is the source's `S(j) = #{x : d_u(x) ≤ j}` and `row[j]` the block's
-/// largest `C_v(j)`, read as `n` for `j ≥ ENVELOPE_LEVELS`. Term `k` is
+/// largest `C_v(j)`, read as `n` for `j ≥ LEVELS` (the oracle's rows reach
+/// `n` at their last bucket already). Term `k` is
 /// `n − S(k − 1) − row[k − 2]` (no row term at `k = 1`). Both counts only
 /// grow with `k`, so the terms only shrink, and the row's `n` ends them by
-/// `k = ENVELOPE_LEVELS + 2`. A row of one member whose levels all lie
-/// below the cap gives exactly that member's bound.
+/// `k = LEVELS + 2`. A row of one member whose levels all lie below the
+/// cap gives exactly that member's bound.
 fn block_pair_bound(
     n: usize,
-    src_cumulative: &[u16; ENVELOPE_LEVELS + 1],
-    row: &[u16; ENVELOPE_LEVELS],
+    src_cumulative: &[u16; LEVELS + 1],
+    row: &[u16; LEVELS],
 ) -> DistanceSummary {
     let n = n as i64;
     let (mut sum, mut max) = (0u64, 0u32);
@@ -1426,38 +1413,26 @@ impl PersistentOracle {
     pub fn begin(&mut self, g: &OwnedGraph, src: NodeId) -> DistanceSummary {
         let _sp = trace::span(trace::Phase::OracleBegin);
         self.sync(g);
-        self.rollback_to_prefix(0);
-        if !(self.pinned && self.src == src as u32) {
-            self.save_working();
-            self.load_cached(src);
+        if src as u32 == self.src {
+            self.rollback_to_prefix(0);
+        } else {
+            self.load_row(src);
         }
-        let summary = self.state.vec.summary(self.cache.len());
-        // `max_hint` bounds the largest finite level, so no count is cut.
-        let top = usize::from(self.state.vec.max_hint);
-        self.base_levels.clear();
-        self.base_levels
-            .extend_from_slice(&self.state.vec.level_counts[..=top]);
-        summary
+        self.cache.row_mut(src).summary()
     }
 
     /// The source's distance summary served *without pinning*: from its
-    /// parked vector (or from the working vector when `src` is pinned
-    /// there), after the sync brought the cache to the current version of
-    /// `g`.
+    /// row of the matrix, after the sync brought every row to the current
+    /// version of `g`. The delta stack stays as it is.
     pub fn cached_summary(&mut self, g: &OwnedGraph, src: NodeId) -> DistanceSummary {
         self.sync(g);
-        let n = self.cache.len();
-        if self.pinned && self.src == src as u32 {
-            self.rollback_to_prefix(0);
-            return self.state.vec.summary(n);
-        }
-        self.cache[src].summary(n)
+        self.cache.row_mut(src).summary()
     }
 
-    /// Brings the per-source cache to the current version of `g` (the first
-    /// call fills it in shared bitset waves). The oracle keeps every
-    /// source's vector, so every vertex is warm afterwards, not only those
-    /// of `sources`.
+    /// Brings every source's row to the current version of `g` (the first
+    /// call fills them in shared bitset waves). The oracle keeps every
+    /// source's row, so every vertex is warm afterwards, not only those of
+    /// `sources`.
     pub fn pin_sources(&mut self, g: &OwnedGraph, _sources: &[NodeId]) {
         let _sp = trace::span(trace::Phase::PinSources);
         self.sync(g);
@@ -1470,7 +1445,7 @@ impl PersistentOracle {
     pub fn evaluate(&mut self, deltas: &[EdgeDelta]) -> DistanceSummary {
         let _sp = trace::span(trace::Phase::DeltaRepair);
         self.run_deltas(deltas);
-        self.state.vec.summary(self.csr.num_nodes())
+        self.state.row().summary()
     }
 
     /// Multi-source what-if query: re-pins `(g, src)` and scores `deltas`
@@ -1478,9 +1453,9 @@ impl PersistentOracle {
     ///
     /// This is the primitive behind consent checks: "what does agent `src`
     /// pay *after* candidate move `deltas`?" answered without materialising
-    /// the post-move graph. The re-pin is served from the per-source cache,
-    /// which the sync keeps current by replaying the graph's change journal,
-    /// so the whole query costs `O(changes + affected region)`.
+    /// the post-move graph. The re-pin copies the source's matrix row, which
+    /// the sync keeps current by replaying the graph's change journal, so
+    /// the whole query costs `O(n + affected region)`.
     pub fn evaluate_for_source(
         &mut self,
         g: &OwnedGraph,
@@ -1494,15 +1469,15 @@ impl PersistentOracle {
 
     /// Arithmetic what-if for a **trailing edge insertion** `{u, v}` applied
     /// on top of `prefix`: the candidate `prefix ++ [Insert {u, v}]` scored
-    /// from the pinned source's delta-stack state and `v`'s *parked* base
-    /// vector, with no graph traversal at all — one `O(n)` fused min/sum/max
-    /// pass over two flat arrays.
+    /// from the pinned source's delta-stack state and `v`'s row of the
+    /// distance matrix, with no graph traversal at all — one `O(n)` fused
+    /// min/sum/max pass over two flat arrays.
     ///
     /// Returns `(summary, exact)`:
     /// * `exact == true` (empty `prefix`) — the summary is the exact
     ///   post-insertion summary, by the single-insertion identity
     ///   `d'(x) = min(d(src, x), 1 + d(v, x))`.
-    /// * `exact == false` (removal-only `prefix`) — the parked vector of `v`
+    /// * `exact == false` (removal-only `prefix`) — the row of `v`
     ///   predates the removals, which can only *lengthen* `v`'s distances, so
     ///   the summary is a **lower bound** on the true one: callers may prune
     ///   candidates whose lower-bound cost is already not an improvement, and
@@ -1512,12 +1487,13 @@ impl PersistentOracle {
     ///   keeps it a lower bound. A disconnected answer is exact either way:
     ///   the unreached vertex is unreachable from both `u` and `v`.
     ///
-    /// `g` must be the pinned graph, unchanged since the last `begin`, whose
-    /// sync brought every parked vector to its version.
+    /// `g` must be the graph of the last `begin`, unchanged since, whose
+    /// sync brought every row to its version.
     ///
     /// `None` whenever the oracle cannot serve the query (`u` not the pinned
-    /// source; `v == u`; `g` not the pinned graph; `prefix` containing
-    /// insertions, which would flip the bound's direction).
+    /// source; `v == u`, which is no edge; `g` not the synced graph;
+    /// `prefix` containing insertions, which would flip the bound's
+    /// direction).
     ///
     /// Scans put a cheaper `O(D)` tier in front of this `O(n)` pass:
     /// [`PersistentOracle::insert_level_bound`] bounds the same candidate
@@ -1545,9 +1521,9 @@ impl PersistentOracle {
         let src = if from_rows {
             &self.rows.dist
         } else {
-            &self.state.vec.dist
+            &self.state.dist
         };
-        let summary = fused_insert_summary(&src[..n], &self.cache[v].dist[..n]);
+        let summary = fused_insert_summary(src, self.cache.dist.row(v));
         self.stats.kernel_calls += 1;
         self.stats.nodes_expanded += n as u64;
         Some((summary, prefix.is_empty()))
@@ -1560,17 +1536,19 @@ impl PersistentOracle {
     /// per-level vertex counts after `prefix` (unreached vertices at level
     /// +∞; for a one-removal prefix, those of the neighbour-row bound `c_f`
     /// of [`PersistentOracle::removal_bound`], so the prefix is never
-    /// repaired) with `v`'s parked per-level counts in opposite order. With
+    /// repaired) with `v`'s row of the level matrix in opposite order. With
     /// `U(k) = #{x : d_u(x) ≥ k}` and `W(k) = #{x : d_v(x) ≥ k − 1}`, that is
     /// `SUM = Σ_{k≥1} max(0, U(k) + W(k) − n)` and `MAX` = the largest `k`
     /// with a positive term. The pairing minimises SUM and MAX of
     /// `min(a, 1 + b)` over all pairings, so both fields are `≤` the
     /// kernel's, and hence `≤` the exact post-move summary. Lowering
     /// source distances (`c_f` in place of the repaired vector) can only
-    /// lower `min(a, 1 + b)`, so that stays true.
+    /// lower `min(a, 1 + b)`, so that stays true. So does reading either
+    /// side's last level bucket, which counts every level from 31 on, as
+    /// level 31.
     ///
     /// `None` whenever the oracle cannot serve the query: every case where
-    /// the kernel returns `None`, plus a disconnected parked vector of `v`.
+    /// the kernel returns `None`, plus a disconnected row of `v`.
     /// Callers then take the kernel path.
     pub fn insert_level_bound(
         &mut self,
@@ -1580,11 +1558,11 @@ impl PersistentOracle {
         v: NodeId,
     ) -> Option<DistanceSummary> {
         let n = self.csr.num_nodes();
-        if !self.prefix_servable(g, prefix, u, Some(v)) || self.cache[v].reached < n {
+        if !self.prefix_servable(g, prefix, u, Some(v)) || self.cache.totals[v].reached < n {
             return None;
         }
         let side = self.source_levels(g, prefix);
-        let bound = level_pair_bound(n, self.levels(side), &self.cache[v].level_counts);
+        let bound = level_pair_bound(n, self.levels(side), &self.cache.levels[v]);
         self.stats.bound_queries += 1;
         if cfg!(debug_assertions) {
             self.check_level_bound(side, v, bound);
@@ -1599,15 +1577,15 @@ impl PersistentOracle {
     /// scan can rule out all of a block's Buys (or all of its Swaps from one
     /// neighbour) at once.
     ///
-    /// Each block's *envelope* row holds, for `j < 32`, the largest
-    /// cumulative level count `C_v(j) = #{x : d(v, x) ≤ j}` over the block's
-    /// members, and reads as `n` past level 31. The bound pairs it with the
-    /// same source-side histogram the per-target bound uses (`c_f` for a
-    /// one-removal prefix): that pairing's term `k` is
+    /// Each block's *envelope* row holds, for each of the [`LEVELS`] level
+    /// buckets `j`, the largest cumulative level count
+    /// `C_v(j) = #{x : d(v, x) ≤ j}` over the block's members; the last
+    /// bucket holds every level from 31 on, so it reads as `n`. The bound
+    /// pairs it with the same source-side histogram the per-target bound
+    /// uses (`c_f` for a one-removal prefix): that pairing's term `k` is
     /// `max(0, n − S(k − 1) − C_v(k − 2))`, with `S` the source's cumulative
     /// counts, so a larger `C_v` can only lower the bound. The rows are
-    /// built once per synced graph version from the pinned base vector and
-    /// every parked slot.
+    /// built once per synced graph version from the level matrix.
     ///
     /// Clears `out` first. `false` (and `out` empty) whenever the oracle
     /// cannot serve the bounds: `u` not the pinned source, `g` not the
@@ -1626,7 +1604,7 @@ impl PersistentOracle {
         }
         let n = self.csr.num_nodes();
         let side = self.source_levels(g, prefix);
-        let src_cumulative = cumulative_levels::<{ ENVELOPE_LEVELS + 1 }>(self.levels(side));
+        let src_cumulative = cumulative_levels::<{ LEVELS + 1 }>(self.levels(side));
         let rows = &self.envelopes.rows;
         out.extend(
             rows.iter()
@@ -1639,7 +1617,7 @@ impl PersistentOracle {
             for (b, block) in out.iter().enumerate() {
                 let members = b * ENVELOPE_BLOCK..((b + 1) * ENVELOPE_BLOCK).min(n);
                 for v in members.filter(|&v| v != u) {
-                    let member = level_pair_bound(n, src_levels, &self.cache[v].level_counts);
+                    let member = level_pair_bound(n, src_levels, &self.cache.levels[v]);
                     assert!(
                         block.sum <= member.sum && block.max <= member.max,
                         "block {b} bound {block:?} exceeds member {v}'s {member:?} \
@@ -1652,7 +1630,7 @@ impl PersistentOracle {
     }
 
     /// Lower bound on the summary of the pinned source `u` after removing
-    /// its own edge `{u, f}`, read from the parked rows of `u`'s other
+    /// its own edge `{u, f}`, read from the matrix rows of `u`'s other
     /// neighbours without repairing anything: `c_f(u) = 0` and
     /// `c_f(y) = 1 + min over w ∈ N(u) ∖ {f} of d(w, y)`, saturating at
     /// `UNREACHABLE`; `c_f(f)` is then raised to `1 + min c_f(x)` over
@@ -1671,14 +1649,14 @@ impl PersistentOracle {
     /// smallest (`O(deg(u)·n)`); each `c_f` is then one `O(n)` pass.
     ///
     /// `None` whenever the oracle cannot serve the bound: `u` not the pinned
-    /// source, or `g` not the pinned graph. `f` must be a neighbour of `u`.
+    /// source, or `g` not the synced graph. `f` must be a neighbour of `u`.
     pub fn removal_bound(
         &mut self,
         g: &OwnedGraph,
         u: NodeId,
         f: NodeId,
     ) -> Option<DistanceSummary> {
-        if !self.pinned_at(g) || u as u32 != self.src || f >= self.cache.len() {
+        if !self.synced_to(g) || u as u32 != self.src || f >= self.cache.len() {
             return None;
         }
         self.row_bound(g, f as u32);
@@ -1691,15 +1669,14 @@ impl PersistentOracle {
     pub fn evaluate_into(&mut self, deltas: &[EdgeDelta], out: &mut Vec<u16>) -> DistanceSummary {
         self.run_deltas(deltas);
         out.clear();
-        out.extend_from_slice(&self.state.vec.dist);
-        self.state.vec.summary(self.csr.num_nodes())
+        out.extend_from_slice(&self.state.dist);
+        self.state.row().summary()
     }
 
     /// The base distance vector pinned by the last
-    /// [`PersistentOracle::begin`].
-    pub fn base_distances(&mut self) -> &[u16] {
-        self.rollback_to_prefix(0);
-        &self.state.vec.dist
+    /// [`PersistentOracle::begin`]: the source's row of the matrix.
+    pub fn base_distances(&self) -> &[u16] {
+        self.cache.dist.row(self.src as usize)
     }
 
     /// Work counters accumulated since the last reset.
@@ -1718,6 +1695,12 @@ impl PersistentOracle {
 mod tests {
     use super::*;
     use crate::generators;
+
+    /// Bytes of a full cache on `n` vertices: the distance matrix plus each
+    /// row's level counts and aggregates.
+    fn cache_bytes(n: usize) -> u64 {
+        (n * n * 2 + n * (2 * LEVELS + size_of::<BatchSummary>())) as u64
+    }
 
     /// Ground truth via a fresh BFS on a mutated clone of the graph.
     fn truth(g: &OwnedGraph, src: NodeId, deltas: &[EdgeDelta]) -> (Vec<u16>, DistanceSummary) {
@@ -2016,7 +1999,7 @@ mod tests {
         clone.swap_edge(0, 1, 20);
         assert_current(&mut oracle, &clone, "foreign lineage", 0, 32);
         assert_current(&mut oracle, &generators::cycle(20), "size change", 0, 20);
-        assert_eq!(oracle.stats().peak_parked_bytes, 32 * 2 * (2 * 32 + 2));
+        assert_eq!(oracle.stats().peak_parked_bytes, cache_bytes(32));
     }
 
     #[test]
@@ -2102,7 +2085,7 @@ mod tests {
             "summary reads never re-pin"
         );
         // A moved graph is answered too: the first read's sync replays the
-        // window into every parked vector, still without pinning or a BFS.
+        // window into every row, still without pinning or a BFS.
         g.add_edge(0, 7);
         for src in 0..14 {
             assert_eq!(
@@ -2118,9 +2101,9 @@ mod tests {
 
     #[test]
     fn batched_warm_recomputes_unreplayable_slots() {
-        // A journal window past the replay limit refills every slot, the
-        // pinned one included, in shared bitset waves, landing each current
-        // with exact contents.
+        // A journal window past the replay limit refills every row, the
+        // pinned source's included, in shared bitset waves, landing each
+        // current with exact contents.
         let mut g = OwnedGraph::new(12);
         g.add_edge(0, 1);
         g.add_edge(2, 3);
@@ -2151,18 +2134,14 @@ mod tests {
         }
         assert!(9 > oracle.stale_limit(), "nine changes exceed the limit");
         oracle.pin_sources(&g, &[0, 2]);
-        assert!(!oracle.pinned, "the pinned vector was parked and refilled");
         let stats = oracle.stats();
-        assert_eq!(
-            stats.batched_repins, 24,
-            "every slot once more, in one wave"
-        );
+        assert_eq!(stats.batched_repins, 24, "every row once more, in one wave");
         assert_eq!(stats.replayed_begins, 0);
-        assert_eq!(stats.peak_parked_bytes, 12 * 2 * (2 * 12 + 2));
+        assert_eq!(stats.peak_parked_bytes, cache_bytes(12));
         let mut buf = BfsBuffer::new(12);
         for src in 0..12 {
             let expect = buf.run(&g, src).to_vec();
-            assert_eq!(&oracle.cache[src].dist[..12], &expect[..], "src {src}");
+            assert_eq!(oracle.cache.dist.row(src), &expect[..], "src {src}");
             let summary = oracle.cached_summary(&g, src);
             assert_eq!(summary, buf.summary(&g, src), "src {src}");
         }
@@ -2189,7 +2168,7 @@ mod tests {
             let expect = buf.summary(&g, src);
             assert_eq!(batched.cached_summary(&g, src), expect, "src {src}");
             let dist = &buf.run(&g, src)[..100];
-            assert_eq!(&batched.cache[src].dist[..], dist, "src {src}");
+            assert_eq!(batched.cache.dist.row(src), dist, "src {src}");
         }
     }
 
@@ -2385,11 +2364,11 @@ mod tests {
             let src = level_histogram(a.iter().flatten().copied(), n + 48);
             let far = level_histogram(b.iter().copied(), n + 48);
             let member = level_pair_bound(n, &src, &far);
-            let src_cumulative = cumulative_levels::<{ ENVELOPE_LEVELS + 1 }>(&src);
-            let row = cumulative_levels::<ENVELOPE_LEVELS>(&far);
+            let src_cumulative = cumulative_levels::<{ LEVELS + 1 }>(&src);
+            let row = cumulative_levels::<LEVELS>(&far);
             let block = block_pair_bound(n, &src_cumulative, &row);
             let ctx = format!("case {case}: {a:?} / {b:?}");
-            if b.iter().all(|&d| usize::from(d) <= ENVELOPE_LEVELS) {
+            if b.iter().all(|&d| usize::from(d) <= LEVELS) {
                 assert_eq!(block, member, "{ctx}");
                 equal += 1;
             } else {
@@ -2453,7 +2432,7 @@ mod tests {
                         let block = bounds[v / ENVELOPE_BLOCK];
                         let member = oracle
                             .insert_level_bound(&g, &prefix, u, v)
-                            .expect("every slot is parked and connected");
+                            .expect("every row is current and connected");
                         assert!(block.sum <= member.sum && block.max <= member.max, "{ctx}");
                         let (kernel, _) = oracle
                             .evaluate_insert_via_cache(&g, &prefix, u, v)
@@ -2514,7 +2493,7 @@ mod tests {
             assert_eq!(oracle.envelopes.rows, built, "n {n}: the rows are kept");
             let member = oracle
                 .insert_level_bound(&g, &[], b, a)
-                .expect("a is parked");
+                .expect("a's row is current");
             let block = bounds[hub_block];
             assert!(block.sum <= member.sum && block.max <= member.max, "n {n}");
             oracle.envelopes.built = None;
@@ -2528,7 +2507,8 @@ mod tests {
 
     #[test]
     fn block_bounds_refuse_cold_slots_and_disconnected_graphs() {
-        // The first `begin` fills every slot, so the rows are made at once.
+        // The first `begin` fills every row, so the envelopes are made at
+        // once.
         let g = generators::cycle(70);
         let mut oracle = PersistentOracle::new(70);
         oracle.begin(&g, 3);
@@ -2686,16 +2666,16 @@ mod tests {
                     let mut expect = direct.clone();
                     expect[f] = expect[f].max(via.saturating_add(1));
                     assert_eq!(oracle.rows.dist, expect, "case {case}: {u} drops {f}");
-                    let mut levels = vec![0u16; n + 2];
+                    let mut levels = [0u16; LEVELS];
                     let finite: Vec<u16> = expect
                         .iter()
                         .copied()
                         .filter(|&d| d != UNREACHABLE)
                         .collect();
                     for &d in &finite {
-                        levels[d as usize] += 1;
+                        levels[usize::from(d).min(LEVELS - 1)] += 1;
                     }
-                    assert_eq!(oracle.rows.level_counts, levels);
+                    assert_eq!(oracle.rows.levels_of(f as u32), Some(&levels));
                     let summary = if finite.len() < n {
                         DistanceSummary::DISCONNECTED
                     } else {
@@ -2723,7 +2703,7 @@ mod tests {
 
     #[test]
     fn level_bound_refuses_disconnected_and_cold_slots() {
-        // Two components: every parked vector misses the other one.
+        // Two components: every row misses the other one.
         let g = OwnedGraph::from_owned_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
         let mut oracle = PersistentOracle::new(6);
         oracle.pin_sources(&g, &[0, 1, 2, 3, 4, 5]);
@@ -2734,9 +2714,9 @@ mod tests {
             oracle.evaluate_insert_via_cache(&g, &[], 0, 4).is_some(),
             "the kernel still serves the candidate"
         );
-        // Every slot is current after the first sync, but only the pinned
+        // Every row is current after the first sync, but only the pinned
         // source is bounded, only on a removal-only prefix, and never
-        // against its own slot.
+        // against itself: `{9, 9}` is not an edge.
         let g = generators::cycle(16);
         let mut oracle = PersistentOracle::new(16);
         oracle.begin(&g, 0);
@@ -2748,7 +2728,7 @@ mod tests {
         assert_eq!(oracle.insert_level_bound(&g, &insert, 9, 5), None);
         let dense = oracle
             .insert_level_bound(&g, &[], 9, 5)
-            .expect("a connected slot is served");
+            .expect("a connected row is served");
         let (_, exact) = truth(&g, 9, &[EdgeDelta::Insert { u: 9, v: 5 }]);
         assert!(dense.sum <= exact.sum && dense.max <= exact.max);
         assert_eq!(
@@ -2769,6 +2749,45 @@ mod tests {
         let (_, exact) = truth(&g, 9, &[drop_8[0], EdgeDelta::Insert { u: 9, v: 0 }]);
         assert!(swap.sum <= exact.sum && swap.max <= exact.max);
         assert_eq!(oracle.stats().row_bounds, 1);
+    }
+
+    #[test]
+    fn rows_past_the_last_level_bucket_keep_exact_maxima() {
+        // On a path of 80 vertices most rows put vertices in the last level
+        // bucket, which counts every level from 31 on. Their summaries must
+        // still be BFS-exact, the max included, read by `begin`,
+        // `cached_summary` and a what-if alike, and so must every row the
+        // sync replays after a chord halves the diameter.
+        let mut g = generators::path(80);
+        let mut oracle = PersistentOracle::new(80);
+        let mut buf = BfsBuffer::new(80);
+        let base = oracle.begin(&g, 0);
+        assert_eq!(base, buf.summary(&g, 0));
+        assert_eq!(base.max, Some(79));
+        for src in 0..80 {
+            assert_eq!(
+                oracle.cached_summary(&g, src),
+                buf.summary(&g, src),
+                "src {src}"
+            );
+        }
+        let chord = [EdgeDelta::Insert { u: 0, v: 40 }];
+        let (_, expect) = truth(&g, 0, &chord);
+        assert_eq!(oracle.evaluate(&chord), expect);
+        g.add_edge(0, 79);
+        assert_eq!(oracle.cached_summary(&g, 0).max, Some(40));
+        for src in 0..80 {
+            assert_eq!(
+                oracle.cached_summary(&g, src),
+                buf.summary(&g, src),
+                "src {src}"
+            );
+            assert_eq!(oracle.cache.dist.row(src), buf.run(&g, src), "src {src}");
+        }
+        assert_eq!(oracle.stats().replayed_begins, 80, "the chord was replayed");
+        assert_eq!(oracle.begin(&g, 39), buf.summary(&g, 39));
+        let (_, expect) = truth(&g, 39, &chord);
+        assert_eq!(oracle.evaluate(&chord), expect);
     }
 
     #[test]

@@ -126,8 +126,7 @@ pub fn is_bridge(g: &OwnedGraph, u: NodeId, v: NodeId) -> bool {
     buf.run(&h, u)[v] == UNREACHABLE
 }
 
-/// Degree sequence (sorted descending); a cheap graph invariant used by the
-/// isomorphism pre-check.
+/// Degree sequence (sorted descending); a cheap graph invariant.
 pub fn degree_sequence(g: &OwnedGraph) -> Vec<usize> {
     let mut d: Vec<usize> = (0..g.num_nodes()).map(|v| g.degree(v)).collect();
     d.sort_unstable_by(|a, b| b.cmp(a));
