@@ -1,6 +1,7 @@
 //! Batch sweep driver on the `ncg-lab` orchestrator: grinds the Fig. 7/11
-//! grids to large `n` on the persistent engine (plus a scenario-catalog
-//! showcase), with streaming aggregation and checkpoint/resume.
+//! grids to large `n` on the persistent engine (plus the bilateral and exact
+//! Buy Game families at tiny `n`), with streaming aggregation and
+//! checkpoint/resume.
 //!
 //! ```text
 //! cargo run -p ncg-bench --release --bin sweep -- max_n=512 trials=3 json=BENCH_sweeps.json
@@ -316,8 +317,6 @@ fn smoke(args: &Args) {
     let mut plan = sweeps::fig11_style(0, 4, args.seed); // one small n
     plan.ns = vec![12, 16];
     plan.chunk_size = 2;
-    let mut catalog = sweeps::catalog_showcase(14, 4, args.seed);
-    catalog.chunk_size = 2;
     // Bilateral kill/resume: the delta-scored consent path must checkpoint
     // and resume bit-identically like every other engine.
     let mut bilateral = sweeps::bilateral_small(10, 3, args.seed);
@@ -327,7 +326,7 @@ fn smoke(args: &Args) {
     let mut exact_buy = sweeps::exact_buy_small(8, 3, args.seed);
     exact_buy.chunk_size = 1;
 
-    for plan in [plan, catalog, bilateral, exact_buy] {
+    for plan in [plan, bilateral, exact_buy] {
         let total_chunks: usize = plan.flatten().iter().map(|p| plan.chunks(p).len()).sum();
         let full = run_sweep(
             &plan,
@@ -463,7 +462,6 @@ fn main() {
     let plans = vec![
         sweeps::fig07_style(args.max_n, args.trials, args.seed),
         sweeps::fig11_style(args.max_n, args.trials, args.seed),
-        sweeps::catalog_showcase(args.max_n.min(64), args.trials, args.seed),
         sweeps::bilateral_small(args.max_n, args.trials, args.seed),
         sweeps::exact_buy_small(args.max_n, args.trials, args.seed),
     ];

@@ -68,8 +68,8 @@ impl Scale {
 }
 
 /// Sweep-plan presets and reporting for the `sweep` binary: the Fig. 7/11
-/// grids extended to large `n` on the persistent engine, plus a showcase of
-/// the `ncg-lab` scenario catalog.
+/// grids extended to large `n` on the persistent engine, plus the bilateral
+/// and exact Buy Game families at tiny `n`.
 pub mod sweeps {
     use ncg_core::policy::Policy;
     use ncg_lab::{PointOutcome, Scenario, SweepOutcome, SweepPlan};
@@ -170,30 +170,6 @@ pub mod sweeps {
         plan.trials = trials;
         plan.chunk_size = trials.div_ceil(4).max(1);
         plan.base_seed = base_seed.wrapping_add(0xb6);
-        plan.engine = EngineSpec::persistent();
-        plan
-    }
-
-    /// A tour of the new catalog families on the greedy buy game.
-    pub fn catalog_showcase(n: usize, trials: usize, base_seed: u64) -> SweepPlan {
-        let mut plan = SweepPlan::new("catalog-showcase");
-        plan.scenarios = vec![
-            Scenario::ErdosRenyi { m_per_n: 2 },
-            Scenario::SmallWorld {
-                k: 2,
-                rewire_permille: 100,
-            },
-            Scenario::TorusGrid,
-            Scenario::Hypercube,
-            Scenario::PreferentialAttachment { m: 2 },
-        ];
-        plan.families = vec![GameFamily::GbgSum];
-        plan.policies = vec![Policy::MaxCost];
-        plan.alphas = vec![AlphaSpec::FractionOfN(0.25)];
-        plan.ns = vec![n];
-        plan.trials = trials;
-        plan.chunk_size = trials.div_ceil(2).max(1);
-        plan.base_seed = base_seed.wrapping_add(0x5c);
         plan.engine = EngineSpec::persistent();
         plan
     }

@@ -56,11 +56,6 @@ impl Workspace {
         }
     }
 
-    /// The configured scoring engine.
-    pub fn oracle_kind(&self) -> OracleKind {
-        self.kind
-    }
-
     /// Work counters of the distance oracles (for ablation measurements);
     /// all zero on the full-BFS reference, which builds none.
     pub fn oracle_stats(&self) -> OracleStats {

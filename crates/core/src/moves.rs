@@ -52,20 +52,6 @@ pub enum Move {
 }
 
 impl Move {
-    /// A coarse ordering rank used for deterministic tie-breaking:
-    /// deletions before swaps before purchases before whole-strategy changes.
-    /// This matches the preference order used in the paper's GBG experiments
-    /// ("we prefer deletions before swaps before additions", §4.2.1).
-    pub fn kind_rank(&self) -> u8 {
-        match self {
-            Move::Delete { .. } => 0,
-            Move::Swap { .. } => 1,
-            Move::Buy { .. } => 2,
-            Move::SetOwned { .. } => 3,
-            Move::SetNeighbors { .. } => 4,
-        }
-    }
-
     /// Deterministic total order on moves (used to make tie-breaking reproducible).
     pub fn sort_key(&self) -> (u8, Vec<NodeId>) {
         match self {
@@ -324,8 +310,6 @@ mod tests {
         let d = Move::Delete { to: 3 };
         let s = Move::Swap { from: 1, to: 2 };
         let b = Move::Buy { to: 0 };
-        assert!(d.kind_rank() < s.kind_rank());
-        assert!(s.kind_rank() < b.kind_rank());
         let mut moves = vec![b.clone(), s.clone(), d.clone()];
         moves.sort_by_key(|m| m.sort_key());
         assert_eq!(moves, vec![d, s, b]);

@@ -205,18 +205,6 @@ impl DistanceMatrix {
         &mut self.d[rows.start * self.n..rows.end * self.n]
     }
 
-    /// Sum-distance (SUM cost) of vertex `u`, `None` if `u` cannot reach everyone.
-    pub fn sum_distance(&self, u: NodeId) -> Option<u64> {
-        let mut sum = 0u64;
-        for &d in self.row(u) {
-            if d == UNREACHABLE {
-                return None;
-            }
-            sum += u64::from(d);
-        }
-        Some(sum)
-    }
-
     /// Eccentricity (MAX cost) of vertex `u`, `None` if `u` cannot reach everyone.
     pub fn eccentricity(&self, u: NodeId) -> Option<u32> {
         let mut max = 0u16;
@@ -228,13 +216,6 @@ impl DistanceMatrix {
         }
         Some(u32::from(max))
     }
-}
-
-/// Convenience: distance summary of a single vertex with a temporary buffer.
-///
-/// Prefer [`BfsBuffer::summary`] in hot loops.
-pub fn distance_summary(g: &OwnedGraph, src: NodeId) -> DistanceSummary {
-    BfsBuffer::new(g.num_nodes()).summary(g, src)
 }
 
 #[cfg(test)]
@@ -288,13 +269,12 @@ mod tests {
         assert_eq!(m.dist(0, 3), 3);
         assert_eq!(m.dist(0, 4), 3);
         assert_eq!(m.eccentricity(0), Some(3));
-        assert_eq!(m.sum_distance(0), Some(1 + 1 + 2 + 2 + 3 + 3));
     }
 
     #[test]
     fn singleton_graph() {
         let g = OwnedGraph::new(1);
-        let s = distance_summary(&g, 0);
+        let s = BfsBuffer::new(1).summary(&g, 0);
         assert_eq!(s.sum, Some(0));
         assert_eq!(s.max, Some(0));
     }

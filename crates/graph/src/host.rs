@@ -71,14 +71,6 @@ impl HostGraph {
             }
         }
     }
-
-    /// Number of allowed edges (`None` for the complete host, which depends on `n`).
-    pub fn allowed_count(&self) -> Option<usize> {
-        match self {
-            HostGraph::Complete => None,
-            HostGraph::Restricted { allowed, .. } => Some(allowed.len()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +82,6 @@ mod tests {
         let h = HostGraph::complete();
         assert!(h.allows(0, 5));
         assert!(!h.allows(3, 3));
-        assert_eq!(h.allowed_count(), None);
     }
 
     #[test]
@@ -99,7 +90,7 @@ mod tests {
         assert!(h.allows(0, 2) && h.allows(2, 0));
         assert!(h.allows(3, 1));
         assert!(!h.allows(0, 1));
-        assert_eq!(h.allowed_count(), Some(2));
+        assert_eq!(h, HostGraph::restricted(4, &[(0, 2), (1, 3)]));
     }
 
     #[test]
@@ -107,6 +98,7 @@ mod tests {
         let h = HostGraph::complete_without(4, &[(1, 2)]);
         assert!(!h.allows(1, 2) && !h.allows(2, 1));
         assert!(h.allows(0, 1));
-        assert_eq!(h.allowed_count(), Some(5));
+        let allowed = [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)];
+        assert_eq!(h, HostGraph::restricted(4, &allowed));
     }
 }

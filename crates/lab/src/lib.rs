@@ -1,15 +1,12 @@
 //! # ncg-lab
 //!
-//! The batch experimentation layer on top of the simulation harness: a
-//! **scenario catalog** of named, seeded initial-network families beyond the
-//! paper's topologies, and an **adaptive batch orchestrator** that grinds
-//! arbitrary sweep grids with streaming aggregation and exact
+//! The batch experimentation layer on top of the simulation harness: an
+//! **adaptive batch orchestrator** that grinds sweep grids over the paper's
+//! starting topologies with streaming aggregation and exact
 //! checkpoint/resume.
 //!
-//! * [`scenario`] — the catalog: Erdős–Rényi `G(n, m)`, ring lattices,
-//!   small-world rewirings, torus grids, hypercubes, preferential attachment,
-//!   star forests, plus the paper's own topologies; all seed-deterministic
-//!   and structurally property-tested.
+//! * [`scenario`] — the scenario axis: the paper's own topologies (`k=…`,
+//!   `m=…n`, `rl`, `dl`) as seed-deterministic, labelled families.
 //! * [`plan`] — declarative [`SweepPlan`] grids (scenario × game family ×
 //!   policy × α × `n`), flattened into stably-hashed [`SweepPoint`]s and
 //!   fixed trial chunks; point identities and trial seeds are pure functions

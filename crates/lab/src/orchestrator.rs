@@ -437,7 +437,7 @@ mod tests {
         let mut plan = SweepPlan::new("tiny");
         plan.scenarios = vec![
             Scenario::Paper(InitialTopology::Budgeted { k: 2 }),
-            Scenario::RingLattice { k: 2 },
+            Scenario::Paper(InitialTopology::Budgeted { k: 1 }),
         ];
         plan.families = vec![GameFamily::AsgSum];
         plan.policies = vec![Policy::MaxCost];

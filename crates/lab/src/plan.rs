@@ -1,4 +1,5 @@
-//! Declarative sweep plans: cartesian grids over the scenario catalog.
+//! Declarative sweep plans: cartesian grids over the paper's starting
+//! topologies.
 //!
 //! A [`SweepPlan`] names a grid over scenario × game family × move policy ×
 //! α × `n`; [`SweepPlan::flatten`] expands it into concrete [`SweepPoint`]s
@@ -349,7 +350,7 @@ mod tests {
     fn grid_plan() -> SweepPlan {
         let mut plan = SweepPlan::new("test");
         plan.scenarios = vec![
-            Scenario::TorusGrid,
+            Scenario::Paper(ncg_sim::InitialTopology::DirectedLine),
             Scenario::Paper(ncg_sim::InitialTopology::RandomEdges { m_per_n: 2 }),
         ];
         plan.families = vec![GameFamily::AsgSum, GameFamily::GbgSum];

@@ -1,26 +1,14 @@
-//! The scenario catalog: named, seeded initial-network families beyond the
-//! paper's topologies.
+//! The scenario axis of a sweep: the paper's starting topologies (§3.4.1 /
+//! §4.2.1) as seeded, labelled initial-network families.
 //!
-//! Every [`Scenario`] produces [`OwnedGraph`] instances compatible with the
-//! paper's [`InitialTopology`] workloads (simple graphs with per-edge
-//! ownership), so the whole simulation stack — games, policies, engines —
-//! runs unchanged on top of them. The catalog adds the classic random-graph
-//! families of the scaling literature:
-//!
-//! * Erdős–Rényi `G(n, m)` (uniform edge set, no connectivity guarantee),
-//! * ring lattices and Watts–Strogatz-style small-world rewirings,
-//! * 2-D torus grids,
-//! * hypercubes (induced sub-cubes for non-power-of-two `n`),
-//! * preferential attachment (Barabási–Albert style),
-//! * star forests (disconnected equilibrium-like starting states).
-//!
-//! Ownership conventions are chosen per family so that every graph satisfies
-//! `OwnedGraph::check_invariants`; generation is deterministic under a fixed
-//! seed, which the batch orchestrator relies on for exact checkpoint/resume.
+//! Every [`Scenario`] produces [`OwnedGraph`] instances (simple, connected
+//! graphs with per-edge ownership) from the trial's seeded stream, so
+//! generation is deterministic under a fixed seed, which the batch
+//! orchestrator relies on for exact checkpoint/resume. A scenario's label is
+//! hashed into each sweep point's identity.
 
-use ncg_graph::{NodeId, OwnedGraph};
+use ncg_graph::OwnedGraph;
 use ncg_sim::InitialTopology;
-use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// A named, seeded initial-network family.
@@ -28,50 +16,6 @@ use rand::Rng;
 pub enum Scenario {
     /// One of the paper's own starting topologies (§3.4.1 / §4.2.1).
     Paper(InitialTopology),
-    /// Erdős–Rényi `G(n, m)` with `m = m_per_n · n` uniformly random edges,
-    /// uniform ownership. Connectivity is *not* guaranteed.
-    ErdosRenyi {
-        /// Edge count as a multiple of `n`.
-        m_per_n: usize,
-    },
-    /// Ring lattice: every vertex owns edges to its `k` clockwise neighbours
-    /// (`n · k` edges for `n > 2k`; clamps towards the complete graph below).
-    RingLattice {
-        /// Clockwise neighbourhood radius.
-        k: usize,
-    },
-    /// Watts–Strogatz-style small world: a `k`-ring lattice whose *chord*
-    /// edges (distance ≥ 2) are rewired to uniform random endpoints with
-    /// probability `rewire_permille / 1000`. The distance-1 ring is never
-    /// rewired, so the graph stays connected.
-    SmallWorld {
-        /// Clockwise neighbourhood radius of the underlying lattice (≥ 2 for
-        /// any rewiring to happen).
-        k: usize,
-        /// Rewiring probability in permille (0 … 1000).
-        rewire_permille: u32,
-    },
-    /// 2-D torus grid on `rows × cols = n` vertices (rows = the largest
-    /// divisor of `n` at most `√n`; degenerates to a cycle for prime `n`).
-    /// Every vertex owns its "right" and "down" wrap-around edges.
-    TorusGrid,
-    /// Hypercube: vertices are bit strings, edges connect at Hamming
-    /// distance 1. For `n` not a power of two this is the sub-cube induced on
-    /// `{0, …, n-1}`, which is still connected. Lower endpoint owns.
-    Hypercube,
-    /// Preferential attachment: vertices arrive one at a time and buy `m`
-    /// edges to distinct existing vertices chosen proportionally to degree.
-    PreferentialAttachment {
-        /// Edges bought by each arriving vertex.
-        m: usize,
-    },
-    /// A forest of `stars` disjoint stars of near-equal size (centers own all
-    /// edges). Deliberately disconnected: a stress scenario for buy games,
-    /// which must first merge the components.
-    StarForest {
-        /// Number of disjoint stars (clamped to `1 ..= n`).
-        stars: usize,
-    },
 }
 
 impl Scenario {
@@ -79,30 +23,6 @@ impl Scenario {
     pub fn generate<R: Rng>(&self, n: usize, rng: &mut R) -> OwnedGraph {
         match *self {
             Scenario::Paper(topology) => topology.generate(n, rng),
-            Scenario::ErdosRenyi { m_per_n } => erdos_renyi_gnm(n, m_per_n * n, rng),
-            Scenario::RingLattice { k } => ring_lattice(n, k),
-            Scenario::SmallWorld { k, rewire_permille } => {
-                small_world(n, k, f64::from(rewire_permille.min(1000)) / 1000.0, rng)
-            }
-            Scenario::TorusGrid => torus_grid(n),
-            Scenario::Hypercube => hypercube(n),
-            Scenario::PreferentialAttachment { m } => preferential_attachment(n, m, rng),
-            Scenario::StarForest { stars } => star_forest(n, stars),
-        }
-    }
-
-    /// True if every generated instance is guaranteed to be connected
-    /// (for `n ≥ 2` and in-range parameters).
-    pub fn connectivity_guaranteed(&self) -> bool {
-        match self {
-            Scenario::Paper(_) => true,
-            Scenario::ErdosRenyi { .. } => false,
-            Scenario::RingLattice { .. } => true,
-            Scenario::SmallWorld { .. } => true,
-            Scenario::TorusGrid => true,
-            Scenario::Hypercube => true,
-            Scenario::PreferentialAttachment { .. } => true,
-            Scenario::StarForest { stars } => *stars <= 1,
         }
     }
 
@@ -110,287 +30,46 @@ impl Scenario {
     pub fn label(&self) -> String {
         match *self {
             Scenario::Paper(t) => t.label(),
-            Scenario::ErdosRenyi { m_per_n } => format!("er:m={m_per_n}n"),
-            Scenario::RingLattice { k } => format!("ring:k={k}"),
-            Scenario::SmallWorld { k, rewire_permille } => {
-                format!("ws:k={k},p={rewire_permille}")
-            }
-            Scenario::TorusGrid => "torus".to_string(),
-            Scenario::Hypercube => "cube".to_string(),
-            Scenario::PreferentialAttachment { m } => format!("pa:m={m}"),
-            Scenario::StarForest { stars } => format!("stars:{stars}"),
         }
     }
 
-    /// Parses a scenario label (the inverse of [`Scenario::label`], also
-    /// accepting the paper topology labels `k=…`, `m=…n`, `rl`, `dl`).
+    /// Parses a scenario label (the inverse of [`Scenario::label`]: the
+    /// paper topology labels `k=…`, `m=…n`, `rl`, `dl`).
     pub fn parse(s: &str) -> Option<Scenario> {
-        fn num<T: std::str::FromStr>(s: &str, prefix: &str) -> Option<T> {
-            s.strip_prefix(prefix)?.parse().ok()
-        }
-        match s {
-            "rl" => return Some(Scenario::Paper(InitialTopology::RandomLine)),
-            "dl" => return Some(Scenario::Paper(InitialTopology::DirectedLine)),
-            "torus" => return Some(Scenario::TorusGrid),
-            "cube" => return Some(Scenario::Hypercube),
-            _ => {}
-        }
-        if let Some(k) = num(s, "k=") {
-            return Some(Scenario::Paper(InitialTopology::Budgeted { k }));
-        }
-        if let Some(m) = s.strip_prefix("m=").and_then(|r| r.strip_suffix('n')) {
-            return Some(Scenario::Paper(InitialTopology::RandomEdges {
-                m_per_n: m.parse().ok()?,
-            }));
-        }
-        if let Some(m_per_n) = s
-            .strip_prefix("er:m=")
-            .and_then(|r| r.strip_suffix('n'))
-            .and_then(|r| r.parse().ok())
-        {
-            return Some(Scenario::ErdosRenyi { m_per_n });
-        }
-        if let Some(k) = num(s, "ring:k=") {
-            return Some(Scenario::RingLattice { k });
-        }
-        if let Some(rest) = s.strip_prefix("ws:k=") {
-            let (k, p) = rest.split_once(",p=")?;
-            return Some(Scenario::SmallWorld {
-                k: k.parse().ok()?,
-                rewire_permille: p.parse().ok()?,
-            });
-        }
-        if let Some(m) = num(s, "pa:m=") {
-            return Some(Scenario::PreferentialAttachment { m });
-        }
-        if let Some(stars) = num(s, "stars:") {
-            return Some(Scenario::StarForest { stars });
-        }
-        None
-    }
-
-    /// One exemplar of every catalog family (paper topologies included), for
-    /// discovery in CLIs and docs.
-    pub fn catalog() -> Vec<Scenario> {
-        vec![
-            Scenario::Paper(InitialTopology::Budgeted { k: 2 }),
-            Scenario::Paper(InitialTopology::RandomEdges { m_per_n: 2 }),
-            Scenario::Paper(InitialTopology::RandomLine),
-            Scenario::Paper(InitialTopology::DirectedLine),
-            Scenario::ErdosRenyi { m_per_n: 2 },
-            Scenario::RingLattice { k: 2 },
-            Scenario::SmallWorld {
-                k: 2,
-                rewire_permille: 100,
+        let topology = match s {
+            "rl" => InitialTopology::RandomLine,
+            "dl" => InitialTopology::DirectedLine,
+            _ => match s.strip_prefix("k=") {
+                Some(k) => InitialTopology::Budgeted { k: k.parse().ok()? },
+                None => InitialTopology::RandomEdges {
+                    m_per_n: s.strip_prefix("m=")?.strip_suffix('n')?.parse().ok()?,
+                },
             },
-            Scenario::TorusGrid,
-            Scenario::Hypercube,
-            Scenario::PreferentialAttachment { m: 2 },
-            Scenario::StarForest { stars: 4 },
-        ]
+        };
+        Some(Scenario::Paper(topology))
     }
-}
-
-/// Erdős–Rényi `G(n, m)`: exactly `m` distinct uniform edges (clamped to the
-/// feasible range), each owned by a uniformly chosen endpoint.
-pub fn erdos_renyi_gnm<R: Rng>(n: usize, m: usize, rng: &mut R) -> OwnedGraph {
-    let mut g = OwnedGraph::new(n);
-    if n <= 1 {
-        return g;
-    }
-    let target = m.min(n * (n - 1) / 2);
-    while g.num_edges() < target {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        if a == b || g.has_edge(a, b) {
-            continue;
-        }
-        if rng.gen_bool(0.5) {
-            g.add_edge(a, b);
-        } else {
-            g.add_edge(b, a);
-        }
-    }
-    g
-}
-
-/// Ring lattice: vertex `i` owns edges to `i+1, …, i+k` (mod `n`); duplicate
-/// wrap-arounds on tiny rings are skipped, clamping towards `K_n`.
-pub fn ring_lattice(n: usize, k: usize) -> OwnedGraph {
-    let mut g = OwnedGraph::new(n);
-    for i in 0..n {
-        for j in 1..=k {
-            let to = (i + j) % n;
-            if to != i && !g.has_edge(i, to) {
-                g.add_edge(i, to);
-            }
-        }
-    }
-    g
-}
-
-/// Watts–Strogatz-style small world: each chord `{i, i+j}` (`2 ≤ j ≤ k`) of a
-/// `k`-ring lattice is rewired with probability `p` to `{i, random}`; the
-/// distance-1 ring stays intact, so connectivity is preserved.
-pub fn small_world<R: Rng>(n: usize, k: usize, p: f64, rng: &mut R) -> OwnedGraph {
-    let mut g = ring_lattice(n, k);
-    if n < 5 || k < 2 {
-        return g;
-    }
-    for i in 0..n {
-        for j in 2..=k {
-            let to = (i + j) % n;
-            if to == i || !g.owns_edge(i, to) || !rng.gen_bool(p) {
-                continue;
-            }
-            // Rewire {i, to} to a uniformly chosen fresh endpoint of i.
-            let candidates: Vec<NodeId> = (0..n)
-                .filter(|&v| v != i && v != to && !g.has_edge(i, v))
-                .collect();
-            if let Some(&fresh) = candidates.choose(rng) {
-                g.remove_edge(i, to);
-                g.add_edge(i, fresh);
-            }
-        }
-    }
-    g
-}
-
-/// The `rows × cols` decomposition of the torus: the largest divisor of `n`
-/// not exceeding `√n` (1 for prime `n`, degenerating the torus to a cycle).
-pub fn torus_dimensions(n: usize) -> (usize, usize) {
-    if n == 0 {
-        return (0, 0);
-    }
-    let mut rows = 1;
-    let mut d = 1;
-    while d * d <= n {
-        if n.is_multiple_of(d) {
-            rows = d;
-        }
-        d += 1;
-    }
-    (rows, n / rows)
-}
-
-/// 2-D torus grid: vertex `(r, c)` owns its right and down wrap-around edges.
-pub fn torus_grid(n: usize) -> OwnedGraph {
-    let (rows, cols) = torus_dimensions(n);
-    let mut g = OwnedGraph::new(n);
-    let id = |r: usize, c: usize| r * cols + c;
-    for r in 0..rows {
-        for c in 0..cols {
-            let v = id(r, c);
-            let right = id(r, (c + 1) % cols);
-            let down = id((r + 1) % rows, c);
-            for to in [right, down] {
-                if to != v && !g.has_edge(v, to) {
-                    g.add_edge(v, to);
-                }
-            }
-        }
-    }
-    g
-}
-
-/// Hypercube (induced on `{0, …, n-1}`): edges connect vertices at Hamming
-/// distance 1; the lower endpoint owns. Connected for every `n ≥ 1`.
-pub fn hypercube(n: usize) -> OwnedGraph {
-    let mut g = OwnedGraph::new(n);
-    for v in 0..n {
-        let mut bit = 1usize;
-        while v + bit < n {
-            if v & bit == 0 {
-                g.add_edge(v, v | bit);
-            }
-            bit <<= 1;
-        }
-    }
-    g
-}
-
-/// Preferential attachment: vertex `v` buys `min(m, v)` edges to distinct
-/// earlier vertices sampled proportionally to their current degree
-/// (Barabási–Albert repeated-endpoint sampling).
-pub fn preferential_attachment<R: Rng>(n: usize, m: usize, rng: &mut R) -> OwnedGraph {
-    let mut g = OwnedGraph::new(n);
-    if n <= 1 {
-        return g;
-    }
-    let m = m.max(1);
-    // Endpoint multiset: every finished edge contributes both endpoints, so a
-    // uniform draw from it is a degree-proportional draw over vertices.
-    let mut endpoints: Vec<NodeId> = Vec::with_capacity(2 * m * n);
-    let mut picked: Vec<NodeId> = Vec::with_capacity(m);
-    for v in 1..n {
-        picked.clear();
-        let want = m.min(v);
-        while picked.len() < want {
-            let candidate = if endpoints.is_empty() {
-                0
-            } else {
-                endpoints[rng.gen_range(0..endpoints.len())]
-            };
-            if candidate != v && !g.has_edge(v, candidate) {
-                g.add_edge(v, candidate);
-                picked.push(candidate);
-            } else if g_saturated(&g, v) >= v {
-                // Degenerate corner: v is adjacent to every earlier vertex.
-                break;
-            }
-        }
-        for &u in &picked {
-            endpoints.push(v);
-            endpoints.push(u);
-        }
-    }
-    g
-}
-
-/// Number of earlier vertices `v` is already adjacent to (helper for the
-/// preferential-attachment saturation check).
-fn g_saturated(g: &OwnedGraph, v: NodeId) -> usize {
-    g.neighbors(v).iter().filter(|&&u| u < v).count()
-}
-
-/// A forest of `stars` disjoint stars over `n` vertices (sizes differ by at
-/// most one; centers own every edge). `n - s` edges, `s` components.
-pub fn star_forest(n: usize, stars: usize) -> OwnedGraph {
-    let mut g = OwnedGraph::new(n);
-    if n == 0 {
-        return g;
-    }
-    let s = stars.clamp(1, n);
-    let (base, extra) = (n / s, n % s);
-    let mut start = 0usize;
-    for i in 0..s {
-        let size = base + usize::from(i < extra);
-        for leaf in start + 1..start + size {
-            g.add_edge(start, leaf);
-        }
-        start += size;
-    }
-    g
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncg_graph::properties::{components, is_connected};
+    use ncg_graph::properties::is_connected;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn gen2(s: &Scenario, n: usize, seed: u64) -> (OwnedGraph, OwnedGraph) {
-        let mut r1 = StdRng::seed_from_u64(seed);
-        let mut r2 = StdRng::seed_from_u64(seed);
-        (s.generate(n, &mut r1), s.generate(n, &mut r2))
-    }
+    const PAPER: [Scenario; 4] = [
+        Scenario::Paper(InitialTopology::Budgeted { k: 2 }),
+        Scenario::Paper(InitialTopology::RandomEdges { m_per_n: 2 }),
+        Scenario::Paper(InitialTopology::RandomLine),
+        Scenario::Paper(InitialTopology::DirectedLine),
+    ];
 
     #[test]
     fn every_catalog_family_is_deterministic_and_valid() {
-        for scenario in Scenario::catalog() {
+        for scenario in PAPER {
             for n in [1usize, 2, 9, 24] {
-                let (a, b) = gen2(&scenario, n, 42);
+                let a = scenario.generate(n, &mut StdRng::seed_from_u64(42));
+                let b = scenario.generate(n, &mut StdRng::seed_from_u64(42));
                 assert_eq!(
                     a,
                     b,
@@ -400,7 +79,7 @@ mod tests {
                 assert_eq!(a.num_nodes(), n, "{}", scenario.label());
                 a.check_invariants()
                     .unwrap_or_else(|e| panic!("{} n={n}: {e}", scenario.label()));
-                if scenario.connectivity_guaranteed() && n >= 2 {
+                if n >= 2 {
                     assert!(is_connected(&a), "{} n={n}", scenario.label());
                 }
             }
@@ -409,130 +88,14 @@ mod tests {
 
     #[test]
     fn labels_round_trip_through_parse() {
-        for scenario in Scenario::catalog() {
+        for scenario in PAPER {
             let label = scenario.label();
             let parsed =
                 Scenario::parse(&label).unwrap_or_else(|| panic!("label {label} must parse back"));
             assert_eq!(parsed, scenario, "{label}");
         }
         assert_eq!(Scenario::parse("nonsense"), None);
-        assert_eq!(
-            Scenario::parse("ws:k=3"),
-            None,
-            "missing rewire probability"
-        );
-    }
-
-    #[test]
-    fn erdos_renyi_edge_counts_and_clamping() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for &(n, m) in &[(12usize, 24usize), (20, 20), (30, 90)] {
-            let g = erdos_renyi_gnm(n, m, &mut rng);
-            assert_eq!(g.num_edges(), m, "n={n} m={m}");
-            g.check_invariants().unwrap();
-        }
-        // Infeasibly large m clamps to the complete graph.
-        let g = erdos_renyi_gnm(6, 10_000, &mut rng);
-        assert_eq!(g.num_edges(), 15);
-        assert_eq!(erdos_renyi_gnm(1, 5, &mut rng).num_edges(), 0);
-    }
-
-    #[test]
-    fn ring_lattice_structure() {
-        let g = ring_lattice(12, 2);
-        assert_eq!(g.num_edges(), 24, "n·k edges");
-        assert!(is_connected(&g));
-        assert!((0..12).all(|v| g.degree(v) == 4), "2k-regular");
-        assert!((0..12).all(|v| g.owned_degree(v) == 2), "each owns k");
-        // Tiny ring clamps to the complete graph instead of duplicating.
-        let tiny = ring_lattice(4, 3);
-        assert_eq!(tiny.num_edges(), 6);
-        ring_lattice(2, 1).check_invariants().unwrap();
-    }
-
-    #[test]
-    fn small_world_keeps_ring_and_edge_count() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 30;
-        let g = small_world(n, 3, 0.5, &mut rng);
-        assert_eq!(g.num_edges(), n * 3, "rewiring preserves the edge count");
-        assert!(is_connected(&g), "the distance-1 ring is never rewired");
-        for i in 0..n {
-            assert!(g.has_edge(i, (i + 1) % n), "ring edge {i} intact");
-        }
-        // p = 0 is exactly the lattice; p = 1 rewires at least one chord.
-        let lattice = small_world(n, 3, 0.0, &mut StdRng::seed_from_u64(9));
-        assert_eq!(lattice, ring_lattice(n, 3));
-        let rewired = small_world(n, 3, 1.0, &mut StdRng::seed_from_u64(9));
-        assert_ne!(rewired, ring_lattice(n, 3));
-    }
-
-    #[test]
-    fn torus_grid_structure() {
-        assert_eq!(torus_dimensions(24), (4, 6));
-        assert_eq!(torus_dimensions(13), (1, 13), "prime n degenerates");
-        let g = torus_grid(24);
-        assert_eq!(g.num_edges(), 48, "2 owned edges per vertex");
-        assert!(is_connected(&g));
-        assert!((0..24).all(|v| g.degree(v) == 4));
-        // Degenerate cases: cycle (prime) and tiny grids stay simple graphs.
-        for n in [1usize, 2, 3, 4, 6, 13] {
-            let g = torus_grid(n);
-            g.check_invariants().unwrap();
-            if n >= 2 {
-                assert!(is_connected(&g), "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn hypercube_structure() {
-        let g = hypercube(16);
-        assert_eq!(g.num_edges(), 32, "d · 2^d / 2 for d = 4");
-        assert!((0..16).all(|v| g.degree(v) == 4));
-        assert!(is_connected(&g));
-        // Induced sub-cube for non-power-of-two n stays connected.
-        for n in [1usize, 3, 5, 11, 24] {
-            let g = hypercube(n);
-            g.check_invariants().unwrap();
-            if n >= 2 {
-                assert!(is_connected(&g), "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn preferential_attachment_structure() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let (n, m) = (40usize, 2usize);
-        let g = preferential_attachment(n, m, &mut rng);
-        // 1 edge for v=1, then m for everyone else.
-        assert_eq!(g.num_edges(), 1 + (n - 2) * m);
-        assert!(is_connected(&g));
-        assert!(
-            (2..n).all(|v| g.owned_degree(v) == m),
-            "arrivals own m edges"
-        );
-        // Hubs exist: some early vertex collects well above the mean degree.
-        let max_degree = (0..n).map(|v| g.degree(v)).max().unwrap();
-        assert!(max_degree > 2 * m, "max degree {max_degree}");
-        preferential_attachment(1, 3, &mut rng)
-            .check_invariants()
-            .unwrap();
-    }
-
-    #[test]
-    fn star_forest_structure() {
-        let g = star_forest(22, 4);
-        assert_eq!(g.num_edges(), 22 - 4);
-        assert_eq!(components(&g).len(), 4);
-        g.check_invariants().unwrap();
-        // Every component is a star: one center owning everything.
-        for comp in components(&g) {
-            let centers = comp.iter().filter(|&&v| g.owned_degree(v) > 0).count();
-            assert!(centers <= 1, "at most one owner per star");
-        }
-        assert!(is_connected(&star_forest(9, 1)));
-        assert_eq!(components(&star_forest(5, 9)).len(), 5, "clamped to n");
+        assert_eq!(Scenario::parse("m=2"), None, "missing the n suffix");
+        assert_eq!(Scenario::parse("k=two"), None);
     }
 }

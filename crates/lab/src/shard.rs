@@ -251,12 +251,15 @@ mod tests {
     use crate::journal::JournalWriter;
     use crate::scenario::Scenario;
     use ncg_core::policy::Policy;
-    use ncg_sim::GameFamily;
+    use ncg_sim::{GameFamily, InitialTopology};
     use std::path::Path;
 
     fn tiny_plan() -> SweepPlan {
         let mut plan = SweepPlan::new("shardtest");
-        plan.scenarios = vec![Scenario::RingLattice { k: 2 }, Scenario::TorusGrid];
+        plan.scenarios = vec![
+            Scenario::Paper(InitialTopology::Budgeted { k: 1 }),
+            Scenario::Paper(InitialTopology::Budgeted { k: 3 }),
+        ];
         plan.families = vec![GameFamily::AsgSum];
         plan.policies = vec![Policy::MaxCost];
         plan.ns = vec![8, 10];

@@ -1086,11 +1086,14 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use ncg_core::policy::Policy;
-    use ncg_sim::GameFamily;
+    use ncg_sim::{GameFamily, InitialTopology};
 
     fn tiny_plan() -> SweepPlan {
         let mut plan = SweepPlan::new("transporttest");
-        plan.scenarios = vec![Scenario::RingLattice { k: 2 }, Scenario::TorusGrid];
+        plan.scenarios = vec![
+            Scenario::Paper(InitialTopology::Budgeted { k: 1 }),
+            Scenario::Paper(InitialTopology::Budgeted { k: 3 }),
+        ];
         plan.families = vec![GameFamily::AsgSum];
         plan.policies = vec![Policy::MaxCost];
         plan.ns = vec![8, 10];

@@ -14,11 +14,15 @@ use ncg_lab::load_journal;
 use ncg_lab::orchestrator::{run_sweep, PointOutcome, RunOptions};
 use ncg_lab::plan::SweepPlan;
 use ncg_lab::scenario::Scenario;
+use ncg_sim::InitialTopology;
 use std::path::PathBuf;
 
 fn tiny_plan() -> SweepPlan {
     let mut plan = SweepPlan::new("fault-matrix");
-    plan.scenarios = vec![Scenario::RingLattice { k: 2 }, Scenario::TorusGrid];
+    plan.scenarios = vec![
+        Scenario::Paper(InitialTopology::Budgeted { k: 1 }),
+        Scenario::Paper(InitialTopology::Budgeted { k: 3 }),
+    ];
     plan.families = vec![ncg_sim::GameFamily::AsgSum];
     plan.policies = vec![ncg_core::policy::Policy::MaxCost];
     plan.ns = vec![8, 10];

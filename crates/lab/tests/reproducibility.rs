@@ -11,8 +11,8 @@ fn plan() -> SweepPlan {
     let mut plan = SweepPlan::new("repro");
     plan.scenarios = vec![
         Scenario::Paper(InitialTopology::Budgeted { k: 2 }),
-        Scenario::ErdosRenyi { m_per_n: 2 },
-        Scenario::TorusGrid,
+        Scenario::Paper(InitialTopology::RandomEdges { m_per_n: 2 }),
+        Scenario::Paper(InitialTopology::RandomLine),
     ];
     plan.families = vec![GameFamily::AsgSum, GameFamily::GbgSum];
     plan.policies = vec![Policy::MaxCost];

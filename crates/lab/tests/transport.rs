@@ -19,12 +19,16 @@ use ncg_lab::scenario::Scenario;
 use ncg_lab::supervisor::LocalWorkers;
 use ncg_lab::transport::{run_distributed, TransportConfig, TransportOutcome};
 use ncg_lab::ShardSpec;
+use ncg_sim::InitialTopology;
 use std::path::PathBuf;
 use std::process::Command;
 
 fn tiny_plan() -> SweepPlan {
     let mut plan = SweepPlan::new("transport-matrix");
-    plan.scenarios = vec![Scenario::RingLattice { k: 2 }, Scenario::TorusGrid];
+    plan.scenarios = vec![
+        Scenario::Paper(InitialTopology::Budgeted { k: 1 }),
+        Scenario::Paper(InitialTopology::Budgeted { k: 3 }),
+    ];
     plan.families = vec![ncg_sim::GameFamily::AsgSum];
     plan.policies = vec![ncg_core::policy::Policy::MaxCost];
     plan.ns = vec![8, 10];

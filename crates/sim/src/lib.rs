@@ -30,8 +30,7 @@ pub use experiments::{all_figures, figure, FigureDef, SeriesDef};
 pub use report::{render_csv, render_table, FigureData, SeriesData};
 pub use runner::{
     run_dynamics_trial_probed, run_point, run_point_trials, run_seeded_trial,
-    run_seeded_trial_probed, run_trial, run_trial_with_game, run_trial_with_game_probed,
-    step_hist_bucket, MoveKindCounts, PointSummary, StreamingStats, TrialResult, STEP_HIST_BUCKETS,
-    STEP_HIST_BUCKET_WIDTH,
+    run_seeded_trial_probed, run_trial_with_game_probed, step_hist_bucket, MoveKindCounts,
+    PointSummary, StreamingStats, TrialResult, STEP_HIST_BUCKETS, STEP_HIST_BUCKET_WIDTH,
 };
 pub use spec::{AlphaSpec, EngineSpec, ExperimentPoint, GameFamily, InitialTopology};

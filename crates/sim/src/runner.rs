@@ -250,9 +250,9 @@ impl PointSummary {
 /// Runs best-response dynamics on an **already generated** initial network
 /// until convergence or `max_steps`, returning the oracle's work counters for
 /// the whole trial beside the result (ablation probes; the counters never
-/// influence the trajectory). This is the execution core shared by
-/// [`run_trial_with_game`] and the `ncg-lab` scenario orchestrator, which
-/// generates initial networks from its own catalog.
+/// influence the trajectory). This is the execution core under
+/// [`run_seeded_trial_probed`], which the figure runner and the `ncg-lab`
+/// orchestrator both go through.
 ///
 /// `rng` must be the trial's seeded stream, already advanced past topology
 /// generation. The engine in `engine` never influences the trajectory: it
@@ -304,12 +304,6 @@ pub fn run_dynamics_trial_probed(
     )
 }
 
-/// Runs a single trial of `point` with the given trial index.
-pub fn run_trial(point: &ExperimentPoint, trial_index: usize) -> TrialResult {
-    let game = point.make_game();
-    run_trial_with_game(point, game.as_ref(), trial_index)
-}
-
 /// **The** trial-seeding convention, shared by every batch layer: trial `t`
 /// seeds its RNG stream with `base_seed + t`, `generate` consumes whatever
 /// randomness it needs for the initial network, and the dynamics continue on
@@ -356,18 +350,10 @@ pub fn run_seeded_trial_probed(
     run_dynamics_trial_probed(game, initial, policy, engine, max_steps, &mut rng)
 }
 
-/// Runs a single trial re-using an already constructed game (avoids the per-trial
-/// boxing when the caller runs many trials of the same point).
-pub fn run_trial_with_game(
-    point: &ExperimentPoint,
-    game: &(dyn Game + Send + Sync),
-    trial_index: usize,
-) -> TrialResult {
-    run_trial_with_game_probed(point, game, trial_index).0
-}
-
-/// Like [`run_trial_with_game`], additionally returning the trial's oracle
-/// work counters (the `oracle_ablation` snapshot records them per engine).
+/// Runs trial `trial_index` of `point` on an already constructed game (one
+/// game serves every trial of the point), returning the trial's oracle work
+/// counters beside the result (the `oracle_ablation` snapshot records them
+/// per engine).
 pub fn run_trial_with_game_probed(
     point: &ExperimentPoint,
     game: &(dyn Game + Send + Sync),
@@ -415,7 +401,7 @@ pub fn run_point_trials(point: &ExperimentPoint, threads: Option<usize>) -> Vec<
                     if t >= point.trials {
                         break;
                     }
-                    let result = run_trial_with_game(point, game.as_ref(), t);
+                    let (result, _) = run_trial_with_game_probed(point, game.as_ref(), t);
                     results.lock().expect("runner mutex poisoned")[t] = Some(result);
                 }
             });
@@ -443,6 +429,10 @@ mod tests {
     use super::*;
     use crate::spec::{AlphaSpec, EngineSpec, GameFamily, InitialTopology};
     use ncg_core::policy::Policy;
+
+    fn run_trial(point: &ExperimentPoint, trial_index: usize) -> TrialResult {
+        run_trial_with_game_probed(point, point.make_game().as_ref(), trial_index).0
+    }
 
     fn small_point(
         family: GameFamily,

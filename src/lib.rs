@@ -8,8 +8,8 @@
 //! * [`core`] (`ncg-core`) — games, costs, move policies, dynamics engine,
 //! * [`instances`] (`ncg-instances`) — every constructed instance from the paper,
 //! * [`sim`] (`ncg-sim`) — the empirical-study harness (Fig. 7–14),
-//! * [`lab`] (`ncg-lab`) — the scenario catalog and the batch orchestrator
-//!   (streaming stats, checkpoint/resume),
+//! * [`lab`] (`ncg-lab`) — the batch orchestrator over the paper's starting
+//!   topologies (streaming stats, checkpoint/resume, sharded sweeps),
 //! * [`trace`] (`ncg-trace`) — the zero-overhead-when-off instrumentation
 //!   layer (phase spans, counters, flame profiles).
 

@@ -3,7 +3,8 @@
 //!
 //! * every simulated run converges (no better-response cycle is ever encountered),
 //! * convergence takes a small constant number of steps per agent (the paper's
-//!   envelopes are 5n for the ASG, 7n / 8n for the GBG),
+//!   envelopes are 5n for the ASG, 7n / 8n for the GBG density and α sweeps,
+//!   3n / 6n for the GBG starting topologies),
 //! * for the SUM games the max cost policy is at least as fast as the random
 //!   policy on average,
 //! * for the GBG the directed-line start (`dl`) is not slower than the random
@@ -77,8 +78,8 @@ fn fig08_shape_max_asg_converges_within_5n() {
             let s = run_point(&p, None);
             assert_eq!(s.non_converged, 0);
             assert!(
-                s.max_steps <= 5 * p.n + p.n,
-                "k={k}, {}: {} steps",
+                s.max_steps <= 5 * p.n,
+                "k={k}, {}: {} steps exceeds the 5n envelope",
                 policy.label(),
                 s.max_steps
             );
@@ -167,6 +168,88 @@ fn fig12_shape_directed_line_not_slower_than_random_start() {
         dl.max_steps,
         random.max_steps
     );
+}
+
+#[test]
+fn fig12_fig14_shape_gbg_starts_stay_within_3n_and_6n() {
+    // Fig. 12 (SUM-GBG) draws a 3n line and Fig. 14 (MAX-GBG) a 6n line over
+    // the three starting topologies. Only the max cost policy is checked: at
+    // α = n/10 the random policy's SUM-GBG maximum reaches 4.3–5.6n at
+    // n = 20–30 over 2 000 trials, and which policy's series the paper's
+    // 3n line bounds is still open, so that crossing is asserted neither way.
+    for (family, line) in [(GameFamily::GbgSum, 3), (GameFamily::GbgMax, 6)] {
+        for topology in [
+            InitialTopology::RandomEdges { m_per_n: 1 },
+            InitialTopology::RandomLine,
+            InitialTopology::DirectedLine,
+        ] {
+            let p = point(
+                family,
+                30,
+                topology,
+                AlphaSpec::FractionOfN(0.25),
+                Policy::MaxCost,
+                12,
+                777,
+            );
+            let s = run_point(&p, None);
+            let cell = format!("{} {}", family.label(), topology.label());
+            assert_eq!(s.non_converged, 0, "{cell}");
+            assert!(
+                s.max_steps <= line * p.n,
+                "{cell}: {} steps exceeds the {line}n line",
+                s.max_steps
+            );
+        }
+    }
+}
+
+#[test]
+fn single_trial_figure_cells_converge_at_their_seeds() {
+    // One trial per cell, trial index 0: SUM-ASG under both policies and
+    // MAX-ASG under max cost from budget-k starts (seed 42), then SUM- and
+    // MAX-GBG under max cost (seed 7) over the density × α grid of
+    // Figs. 11/13 and the starting topologies of Figs. 12/14.
+    let mut cells = Vec::new();
+    for n in [20, 40] {
+        for k in [1, 2, 4] {
+            let budget = InitialTopology::Budgeted { k };
+            let asg = AlphaSpec::Fixed(0.0);
+            for policy in [Policy::MaxCost, Policy::Random] {
+                cells.push((GameFamily::AsgSum, n, budget, asg, policy, 42));
+            }
+            cells.push((GameFamily::AsgMax, n, budget, asg, Policy::MaxCost, 42));
+        }
+    }
+    for family in [GameFamily::GbgSum, GameFamily::GbgMax] {
+        for m_per_n in [1, 4] {
+            for alpha in [AlphaSpec::FractionOfN(0.1), AlphaSpec::FractionOfN(1.0)] {
+                let random = InitialTopology::RandomEdges { m_per_n };
+                cells.push((family, 30, random, alpha, Policy::MaxCost, 7));
+            }
+        }
+        for topology in [
+            InitialTopology::RandomEdges { m_per_n: 1 },
+            InitialTopology::RandomLine,
+            InitialTopology::DirectedLine,
+        ] {
+            let alpha = AlphaSpec::FractionOfN(0.25);
+            cells.push((family, 30, topology, alpha, Policy::MaxCost, 7));
+        }
+    }
+    assert_eq!(cells.len(), 32);
+    for (family, n, topology, alpha, policy, seed) in cells {
+        let s = run_point(&point(family, n, topology, alpha, policy, 1, seed), None);
+        assert_eq!(
+            s.non_converged,
+            0,
+            "{} n={n} {} α={} {}",
+            family.label(),
+            topology.label(),
+            alpha.label(),
+            policy.label()
+        );
+    }
 }
 
 #[test]
