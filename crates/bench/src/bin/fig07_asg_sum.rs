@@ -1,4 +1,4 @@
-//! Regenerates Fig07 of the paper's empirical study (see `ncg_sim::experiments`).
+//! Regenerates Fig07 of the paper's empirical study (see `ncg_lab::figures`).
 fn main() {
-    ncg_bench::regenerate(ncg_sim::experiments::fig07(), ncg_bench::Scale::from_env());
+    ncg_bench::regenerate(ncg_lab::figures::fig07(), ncg_bench::Scale::from_env());
 }

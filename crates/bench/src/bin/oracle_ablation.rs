@@ -29,13 +29,13 @@
 //! fastest repeat per engine (`seconds`) and every repeat
 //! (`repeat_seconds`).
 
-use ncg_bench::provenance_json;
+use ncg_bench::{exit_bad_args, parse_arg, parse_flag, provenance_json};
 use ncg_core::policy::Policy;
 use ncg_core::{BilateralBuyGame, BuyGame, Game, OracleKind, Workspace};
 use ncg_graph::generators;
 use ncg_graph::oracle::OracleStats;
 use ncg_sim::{
-    run_trial_with_game_probed, AlphaSpec, EngineSpec, ExperimentPoint, GameFamily, InitialTopology,
+    run_seeded_trial_probed, AlphaSpec, EngineSpec, GameFamily, InitialTopology, TrialResult,
 };
 use ncg_trace as trace;
 use rand::rngs::StdRng;
@@ -104,7 +104,7 @@ struct Scale {
     json: Option<String>,
 }
 
-fn parse_scale() -> Scale {
+fn parse_scale() -> Result<Scale, String> {
     let mut scale = Scale {
         max_n: 256,
         full_max_n: 512,
@@ -119,53 +119,73 @@ fn parse_scale() -> Scale {
             continue;
         };
         match key {
-            "max_n" => scale.max_n = value.parse().unwrap_or(scale.max_n),
-            "full_max_n" => scale.full_max_n = value.parse().unwrap_or(scale.full_max_n),
-            "trials" => scale.trials = value.parse().unwrap_or(scale.trials),
-            "smoke" => scale.smoke = value == "1" || value == "true",
-            "trace" => scale.trace = value == "1" || value == "true",
-            "bless" => scale.bless = value == "1" || value == "true",
+            "max_n" => scale.max_n = parse_arg(key, value)?,
+            "full_max_n" => scale.full_max_n = parse_arg(key, value)?,
+            "trials" => scale.trials = parse_arg(key, value)?,
+            "smoke" => scale.smoke = parse_flag(key, value)?,
+            "trace" => scale.trace = parse_flag(key, value)?,
+            "bless" => scale.bless = parse_flag(key, value)?,
             "json" => scale.json = Some(value.to_string()),
             _ => eprintln!("ignoring unknown argument {key}={value}"),
         }
     }
     if scale.bless && !scale.smoke {
-        eprintln!("bless=1 rewrites the smoke-cell golden file and needs smoke=1");
-        std::process::exit(2);
+        return Err("bless=1 rewrites the smoke-cell golden file and needs smoke=1".into());
     }
     if scale.smoke {
         scale.max_n = scale.max_n.min(64);
         scale.trials = 1;
     }
-    scale
+    Ok(scale)
 }
 
-fn point(
+/// One measured cell: `trials` seeded trials of `family` under `policy` at
+/// `n` agents on `engine`, with α = n/4, base seed 42 and a step limit of
+/// 400·n.
+#[derive(Debug)]
+struct Cell {
     family: GameFamily,
     policy: Policy,
     n: usize,
     engine: EngineSpec,
     trials: usize,
-) -> ExperimentPoint {
-    let topology = match family {
-        GameFamily::AsgSum | GameFamily::AsgMax => InitialTopology::Budgeted { k: 2 },
-        GameFamily::GbgSum
-        | GameFamily::GbgMax
-        | GameFamily::BilateralSum
-        | GameFamily::BilateralMax
-        | GameFamily::BuySum
-        | GameFamily::BuyMax => InitialTopology::RandomEdges { m_per_n: 2 },
-    };
-    ExperimentPoint {
-        n,
-        family,
-        alpha: AlphaSpec::FractionOfN(0.25),
-        topology,
-        policy,
-        trials,
-        base_seed: 42,
-        max_steps_factor: 400,
-        engine,
+}
+
+const CELL_SEED: u64 = 42;
+
+impl Cell {
+    fn topology(&self) -> InitialTopology {
+        match self.family {
+            GameFamily::AsgSum | GameFamily::AsgMax => InitialTopology::Budgeted { k: 2 },
+            GameFamily::GbgSum
+            | GameFamily::GbgMax
+            | GameFamily::BilateralSum
+            | GameFamily::BilateralMax
+            | GameFamily::BuySum
+            | GameFamily::BuyMax => InitialTopology::RandomEdges { m_per_n: 2 },
+        }
+    }
+
+    fn make_game(&self) -> Box<dyn Game + Send + Sync> {
+        let alpha = AlphaSpec::FractionOfN(0.25).resolve(self.n);
+        self.family.make_game(self.n, alpha)
+    }
+
+    fn max_steps(&self) -> usize {
+        400 * self.n
+    }
+
+    /// Trial `t` of the cell on `game`, with its oracle work counters.
+    fn run_trial(&self, game: &(dyn Game + Send + Sync), t: usize) -> (TrialResult, OracleStats) {
+        run_seeded_trial_probed(
+            game,
+            self.policy,
+            self.engine,
+            self.max_steps(),
+            CELL_SEED,
+            t,
+            |rng| self.topology().generate(self.n, rng),
+        )
     }
 }
 
@@ -176,7 +196,7 @@ fn point(
 /// block is the usual min-based defence against one-off scheduler noise on
 /// the cells whose ratios the snapshot's headline claims rest on, and the
 /// slowest shows how far that noise reaches.
-fn measure(point: &ExperimentPoint, repeats: usize) -> (Vec<f64>, usize, OracleStats) {
+fn measure(point: &Cell, repeats: usize) -> (Vec<f64>, usize, OracleStats) {
     let game = point.make_game();
     let mut seconds = Vec::with_capacity(repeats.max(1));
     let mut steps = 0usize;
@@ -186,8 +206,8 @@ fn measure(point: &ExperimentPoint, repeats: usize) -> (Vec<f64>, usize, OracleS
         let mut rep_steps = 0usize;
         let mut rep_stats = OracleStats::default();
         for t in 0..point.trials {
-            let (r, s) = run_trial_with_game_probed(point, game.as_ref(), t);
-            assert!(r.converged, "{} n={} must converge", point.label(), point.n);
+            let (r, s) = point.run_trial(game.as_ref(), t);
+            assert!(r.converged, "{point:?} must converge");
             rep_steps += r.steps;
             rep_stats.merge(&s);
         }
@@ -196,12 +216,7 @@ fn measure(point: &ExperimentPoint, repeats: usize) -> (Vec<f64>, usize, OracleS
             steps = rep_steps;
             stats = rep_stats;
         } else {
-            assert_eq!(
-                rep_steps,
-                steps,
-                "{}: trials are deterministic",
-                point.label()
-            );
+            assert_eq!(rep_steps, steps, "{point:?}: trials are deterministic");
         }
     }
     (seconds, steps, stats)
@@ -223,10 +238,16 @@ fn min_max(seconds: &[f64]) -> (f64, f64) {
 fn assert_trace_identity(n: usize) {
     use ncg_core::dynamics::{run_dynamics, DynamicsConfig};
     for family in [GameFamily::AsgSum, GameFamily::GbgSum] {
-        let p = point(family, Policy::MaxCost, n, EngineSpec::persistent(), 1);
+        let p = Cell {
+            family,
+            policy: Policy::MaxCost,
+            n,
+            engine: EngineSpec::persistent(),
+            trials: 1,
+        };
         let game = p.make_game();
-        let mut seed_rng = StdRng::seed_from_u64(p.base_seed);
-        let initial = p.topology.generate(n, &mut seed_rng);
+        let mut seed_rng = StdRng::seed_from_u64(CELL_SEED);
+        let initial = p.topology().generate(n, &mut seed_rng);
         let was_on = trace::enabled();
         let run = |traced: bool| {
             trace::set_enabled(traced);
@@ -273,14 +294,14 @@ fn assert_trace_identity(n: usize) {
 /// [`trace::TraceReport`]. The timed reps stay tracing-off (or whatever the
 /// global `trace=1` switch says), so the profile never contaminates the
 /// wall-clock columns — it is measured on its own rep.
-fn trace_cell(point: &ExperimentPoint) -> trace::TraceReport {
+fn trace_cell(point: &Cell) -> trace::TraceReport {
     let game = point.make_game();
     let was_on = trace::enabled();
     trace::set_enabled(true);
     let _ = trace::take_report(); // drop whatever earlier cells recorded
     for t in 0..point.trials {
-        let (r, _) = run_trial_with_game_probed(point, game.as_ref(), t);
-        assert!(r.converged, "{} n={} must converge", point.label(), point.n);
+        let (r, _) = point.run_trial(game.as_ref(), t);
+        assert!(r.converged, "{point:?} must converge");
     }
     trace::set_enabled(was_on);
     trace::take_report()
@@ -454,7 +475,7 @@ fn check_smoke_counters(rows: &[SweepRow], labels: &[String], bless: bool) {
 }
 
 fn main() {
-    let scale = parse_scale();
+    let scale = parse_scale().unwrap_or_else(|e| exit_bad_args(&e));
     // The trace switch must be observationally invisible before any timing
     // runs.
     assert_trace_identity(if scale.smoke { 32 } else { 48 });
@@ -529,7 +550,13 @@ fn main() {
                     profiles.push(None);
                     continue;
                 }
-                let p = point(family, policy, n, engine, cell_trials);
+                let p = Cell {
+                    family,
+                    policy,
+                    n,
+                    engine,
+                    trials: cell_trials,
+                };
                 // Both engines take the fastest of three blocks below
                 // n = 2048, so the ratio divides fastest by fastest.
                 let repeats = if !scale.smoke && n < 2048 { 3 } else { 1 };

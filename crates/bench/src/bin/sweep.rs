@@ -41,11 +41,12 @@
 //! discarded journal lines and telemetry degradation, so a degraded batch
 //! is visible at the bottom of the log, not just inline.
 
-use ncg_bench::sweeps;
+use ncg_bench::{exit_bad_args, parse_arg, parse_flag, sweeps};
 use ncg_lab::supervisor::LocalWorkers;
 use ncg_lab::transport::{run_distributed, serve_main, TransportConfig};
 use ncg_lab::{run_sweep, MergedSweep, PointOutcome, RunOptions, SweepOutcome, SweepPlan};
 use ncg_trace as trace;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -63,7 +64,7 @@ struct Args {
     workers: Vec<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         max_n: 512,
         trials: 3,
@@ -82,15 +83,15 @@ fn parse_args() -> Args {
             continue;
         };
         match key {
-            "max_n" => args.max_n = value.parse().unwrap_or(args.max_n),
-            "trials" => args.trials = value.parse().unwrap_or(args.trials),
-            "threads" => args.threads = value.parse().ok(),
-            "smoke" => args.smoke = value == "1" || value == "true",
+            "max_n" => args.max_n = parse_arg(key, value)?,
+            "trials" => args.trials = parse_arg(key, value)?,
+            "threads" => args.threads = Some(parse_arg(key, value)?),
+            "smoke" => args.smoke = parse_flag(key, value)?,
             "json" => args.json = Some(value.to_string()),
             "journal" => args.journal = Some(PathBuf::from(value)),
-            "resume" => args.resume = value == "1" || value == "true",
-            "seed" => args.seed = value.parse().unwrap_or(args.seed),
-            "shards" => args.shards = value.parse().ok().filter(|&k: &usize| k > 0),
+            "resume" => args.resume = parse_flag(key, value)?,
+            "seed" => args.seed = parse_arg(key, value)?,
+            "shards" => args.shards = Some(parse_arg::<NonZeroUsize>(key, value)?.get()),
             "serve" => args.serve = Some(value.to_string()),
             "workers" => {
                 args.workers = value
@@ -102,7 +103,7 @@ fn parse_args() -> Args {
             _ => eprintln!("ignoring unknown argument {key}={value}"),
         }
     }
-    args
+    Ok(args)
 }
 
 fn print_outcome(plan: &SweepPlan, outcome: &SweepOutcome) {
@@ -440,7 +441,7 @@ fn smoke_sharded(args: &Args) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| exit_bad_args(&e));
     if let Some(bind) = &args.serve {
         std::process::exit(serve_main(bind));
     }

@@ -1,10 +1,12 @@
 //! Shared helpers for the figure-regeneration binaries of the benchmark crate.
 //!
-//! Every binary regenerates one figure of the paper's empirical study. The scale
-//! of the sweep (largest `n`, stride over the `n`-axis, trials per point, worker
-//! threads) is controlled by simple `key=value` command-line arguments so that the
-//! same binary can run a quick CI-scale sweep or the paper's full 10,000-trial
-//! configuration:
+//! Every binary regenerates one figure of the paper's empirical study by
+//! running its `SweepPlan` (`ncg_lab::figures`) through `ncg_lab::run_sweep`.
+//! The scale of the sweep (largest `n`, stride over the `n`-axis, trials per
+//! point, worker threads) is controlled by simple `key=value` command-line
+//! arguments so that the same binary can run a quick CI-scale sweep or the
+//! paper's full 10,000-trial configuration; an unknown key warns and a
+//! malformed value exits with status 2:
 //!
 //! ```text
 //! cargo run -p ncg-bench --release --bin fig07_asg_sum -- max_n=100 trials=10000
@@ -12,7 +14,8 @@
 
 #![forbid(unsafe_code)]
 
-use ncg_sim::{render_csv, render_table, FigureData, FigureDef};
+use ncg_lab::figures::{render_csv, render_table, FigureData, FigureDef};
+use ncg_lab::{run_sweep, RunOptions};
 
 /// Scale parameters of a regeneration run.
 #[derive(Debug, Clone, Copy)]
@@ -42,29 +45,56 @@ impl Default for Scale {
 }
 
 impl Scale {
-    /// Parses `key=value` arguments (`max_n`, `stride`, `trials`, `threads`, `csv`).
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Parses `key=value` arguments (`max_n`, `stride`, `trials`, `threads`,
+    /// `csv`). Unknown keys only warn; a value that does not parse is an error.
+    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut scale = Scale::default();
         for arg in args {
             let Some((key, value)) = arg.split_once('=') else {
                 continue;
             };
             match key {
-                "max_n" => scale.max_n = value.parse().unwrap_or(scale.max_n),
-                "stride" => scale.stride = value.parse().unwrap_or(scale.stride),
-                "trials" => scale.trials = value.parse().unwrap_or(scale.trials),
-                "threads" => scale.threads = value.parse().ok(),
-                "csv" => scale.csv = value.parse().unwrap_or(false),
+                "max_n" => scale.max_n = parse_arg(key, value)?,
+                "stride" => scale.stride = parse_arg(key, value)?,
+                "trials" => scale.trials = parse_arg(key, value)?,
+                "threads" => scale.threads = Some(parse_arg(key, value)?),
+                "csv" => scale.csv = parse_flag(key, value)?,
                 _ => eprintln!("ignoring unknown argument {key}={value}"),
             }
         }
-        scale
+        Ok(scale)
     }
 
-    /// Parses the process arguments.
+    /// Parses the process arguments; exits with status 2 on a malformed value.
     pub fn from_env() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| exit_bad_args(&e))
     }
+}
+
+/// Parses the value of a `key=value` command-line argument.
+pub fn parse_arg<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| bad_value(key, value))
+}
+
+/// Parses an on/off command-line argument: `1` or `true`, `0` or `false`.
+pub fn parse_flag(key: &str, value: &str) -> Result<bool, String> {
+    match value {
+        "1" | "true" => Ok(true),
+        "0" | "false" => Ok(false),
+        _ => Err(bad_value(key, value)),
+    }
+}
+
+/// The error of a malformed argument, worded as `SweepPlan::parse_spec` words
+/// a malformed spec value.
+fn bad_value(key: &str, value: &str) -> String {
+    format!("bad value for {key}: {value:?}")
+}
+
+/// Prints a command-line error and exits with status 2.
+pub fn exit_bad_args(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
 }
 
 /// Sweep-plan presets and reporting for the `sweep` binary: the Fig. 7/11
@@ -289,15 +319,20 @@ pub fn provenance_json() -> String {
     )
 }
 
-/// Runs one figure definition at the given scale and prints the table (and
-/// optionally CSV) to stdout.
+/// Runs one figure's plan at the given scale through `run_sweep` and prints
+/// the table (and optionally CSV) to stdout.
 pub fn regenerate(def: FigureDef, scale: Scale) {
     let def = def.scaled(scale.max_n, scale.stride, scale.trials);
     eprintln!(
         "regenerating {} (max_n={}, stride={}, trials={}) …",
         def.id, scale.max_n, scale.stride, scale.trials
     );
-    let data = FigureData::measure(&def, scale.threads);
+    let opts = RunOptions {
+        threads: scale.threads,
+        ..RunOptions::default()
+    };
+    let outcome = run_sweep(&def.plan, &opts).expect("a sweep without a journal does no I/O");
+    let data = FigureData::from_outcome(&def, &outcome);
     println!("{}", render_table(&def, &data));
     if scale.csv {
         println!("{}", render_csv(&data));
@@ -315,11 +350,16 @@ mod tests {
                 "max_n=20", "trials=7", "stride=2", "csv=true", "bogus", "x=1",
             ]
             .map(String::from),
-        );
+        )
+        .expect("well-formed values");
         assert_eq!(s.max_n, 20);
         assert_eq!(s.trials, 7);
         assert_eq!(s.stride, 2);
         assert!(s.csv);
         assert_eq!(s.threads, None);
+        // A malformed value is an error, not its default.
+        let err = Scale::from_args(["max_n=20", "trials=1O000"].map(String::from))
+            .expect_err("trials=1O000 must be rejected");
+        assert_eq!(err, "bad value for trials: \"1O000\"");
     }
 }

@@ -329,21 +329,6 @@ impl OwnedGraph {
         self.remove_edge(owner, other)
     }
 
-    /// Swaps agent `owner`'s edge from `from` to `to`: removes `{owner, from}` and
-    /// adds `{owner, to}` owned by `owner`.
-    ///
-    /// Returns `false` (graph unchanged) if `{owner, from}` is not owned by `owner`,
-    /// if `{owner, to}` already exists, or if `to == owner`.
-    pub fn swap_owned_edge(&mut self, owner: NodeId, from: NodeId, to: NodeId) -> bool {
-        if !self.owns_edge(owner, from) || to == owner || to >= self.n || self.has_edge(owner, to) {
-            return false;
-        }
-        self.remove_edge(owner, from);
-        let added = self.add_edge(owner, to);
-        debug_assert!(added);
-        true
-    }
-
     /// Swaps the edge `{u, from}` to `{u, to}` irrespective of ownership, keeping
     /// the original owner orientation relative to `u`.
     ///
@@ -512,17 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_owned_edge_moves_ownership_target() {
-        let mut g = OwnedGraph::from_owned_edges(4, &[(0, 1), (1, 2)]);
-        assert!(g.swap_owned_edge(0, 1, 3));
-        assert!(g.has_edge(0, 3) && g.owns_edge(0, 3));
-        assert!(!g.has_edge(0, 1));
-        // 1 owns the edge to 2; 2 may not swap it in the asymmetric game.
-        assert!(!g.swap_owned_edge(2, 1, 0));
-        g.check_invariants().unwrap();
-    }
-
-    #[test]
     fn swap_edge_ignores_ownership() {
         let mut g = OwnedGraph::from_owned_edges(4, &[(0, 1)]);
         // Vertex 1 does not own {0,1} but may still swap it in the symmetric game.
@@ -535,7 +509,7 @@ mod tests {
     #[test]
     fn swap_rejects_existing_target() {
         let mut g = OwnedGraph::from_owned_edges(4, &[(0, 1), (0, 2)]);
-        assert!(!g.swap_owned_edge(0, 1, 2), "target edge already exists");
+        assert!(!g.swap_edge(0, 1, 2), "target edge already exists");
         assert!(g.has_edge(0, 1));
     }
 
@@ -583,7 +557,7 @@ mod tests {
             )
         );
         let mid = g.version();
-        assert!(g.swap_owned_edge(1, 2, 4));
+        assert!(g.swap_edge(1, 2, 4));
         assert_eq!(
             g.changes_since(mid),
             Some(

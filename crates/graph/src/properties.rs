@@ -115,24 +115,6 @@ pub fn median_vertices(g: &OwnedGraph) -> Vec<NodeId> {
         .collect()
 }
 
-/// Returns `true` if removing edge `{u, v}` would disconnect the graph
-/// (i.e. the edge is a bridge). The edge must exist.
-pub fn is_bridge(g: &OwnedGraph, u: NodeId, v: NodeId) -> bool {
-    debug_assert!(g.has_edge(u, v));
-    let mut h = g.clone();
-    h.remove_edge(u, v);
-    // It suffices to check whether v is still reachable from u.
-    let mut buf = BfsBuffer::new(h.num_nodes());
-    buf.run(&h, u)[v] == UNREACHABLE
-}
-
-/// Degree sequence (sorted descending); a cheap graph invariant.
-pub fn degree_sequence(g: &OwnedGraph) -> Vec<usize> {
-    let mut d: Vec<usize> = (0..g.num_nodes()).map(|v| g.degree(v)).collect();
-    d.sort_unstable_by(|a, b| b.cmp(a));
-    d
-}
-
 /// Returns `true` if the tree `g` is a star: one center adjacent to all others.
 /// (Stable trees of the SUM swap games are stars; Alon et al. SPAA'10.)
 pub fn is_star(g: &OwnedGraph) -> bool {
@@ -211,14 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn bridges() {
-        let p = generators::path(4);
-        assert!(is_bridge(&p, 1, 2));
-        let c = generators::cycle(4);
-        assert!(!is_bridge(&c, 0, 1));
-    }
-
-    #[test]
     fn star_and_double_star_recognition() {
         assert!(is_star(&generators::star(5)));
         assert!(is_star_or_double_star(&generators::star(5)));
@@ -228,11 +202,5 @@ mod tests {
         assert!(!is_star_or_double_star(&generators::path(6)));
         // A path on 4 vertices has diameter 3, i.e. it *is* a double star.
         assert!(is_star_or_double_star(&generators::path(4)));
-    }
-
-    #[test]
-    fn degree_sequence_sorted() {
-        let s = generators::star(5);
-        assert_eq!(degree_sequence(&s), vec![4, 1, 1, 1, 1]);
     }
 }

@@ -1,8 +1,9 @@
 //! # ncg-lab
 //!
-//! The batch experimentation layer on top of the simulation harness: an
-//! **adaptive batch orchestrator** that grinds sweep grids over the paper's
-//! starting topologies with streaming aggregation and exact
+//! The batch experimentation layer on top of the simulation harness, and the
+//! one place that schedules trials: an **adaptive batch orchestrator** that
+//! grinds sweep grids over the paper's starting topologies (the paper's own
+//! figures among them) with streaming aggregation and exact
 //! checkpoint/resume.
 //!
 //! * [`scenario`] — the scenario axis: the paper's own topologies (`k=…`,
@@ -11,6 +12,10 @@
 //!   policy × α × `n`), flattened into stably-hashed [`SweepPoint`]s and
 //!   fixed trial chunks; point identities and trial seeds are pure functions
 //!   of the plan, the same on every host.
+//! * [`figures`] — the paper's empirical figures (Fig. 7, 8, 11–14), each
+//!   one [`SweepPlan`], and the grouping of a run's points into the
+//!   figure's series, rendered as plain-text tables and CSV next to the
+//!   paper's envelopes (5n, 7n, 8n, n·log n, …).
 //! * [`orchestrator`] — the shared work queue: workers steal `(point,
 //!   trial-chunk)` jobs round-robin across points, aggregates stream through
 //!   [`ncg_sim::StreamingStats`] (memory `O(points)`, not `O(trials)`), and
@@ -45,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod faultpoint;
+pub mod figures;
 pub mod journal;
 pub mod orchestrator;
 pub mod plan;

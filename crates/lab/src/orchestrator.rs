@@ -105,9 +105,8 @@ struct Job {
 }
 
 /// Runs one chunk of one point: trials `start .. start + len`, each derived
-/// by the shared [`run_seeded_trial`] convention (the same one the figure
-/// runner uses, so chunk contents stay a pure function of the point), and
-/// streamed into a fresh [`StreamingStats`].
+/// by the shared [`run_seeded_trial`] convention (so chunk contents stay a
+/// pure function of the point), and streamed into a fresh [`StreamingStats`].
 fn run_chunk(point: &SweepPoint, start: usize, len: usize) -> StreamingStats {
     let game = point.make_game();
     let mut stats = StreamingStats::new();

@@ -556,6 +556,24 @@ mod tests {
     }
 
     #[test]
+    fn point_labels_and_game_construction() {
+        let mut plan = SweepPlan::new("labels");
+        plan.scenarios = vec![Scenario::Paper(ncg_sim::InitialTopology::RandomEdges {
+            m_per_n: 2,
+        })];
+        plan.families = vec![GameFamily::GbgSum];
+        plan.alphas = vec![AlphaSpec::FractionOfN(0.25)];
+        plan.ns = vec![30];
+        plan.max_steps_factor = 100;
+        let point = &plan.flatten()[0];
+        assert_eq!(point.max_steps(), 3000);
+        let game = point.make_game();
+        assert_eq!(game.name(), "SUM-GBG");
+        assert_eq!(game.alpha(), 7.5);
+        assert!(point.label().contains("n/4"));
+    }
+
+    #[test]
     fn descriptors_distinguish_engines_and_alphas() {
         let mut plan = grid_plan();
         let a = plan.flatten()[0].descriptor();

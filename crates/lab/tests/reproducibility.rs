@@ -1,9 +1,10 @@
-//! The orchestrator's headline guarantee: a `SweepPlan` produces
-//! **bit-identical** per-point aggregates when run with 1 worker, with many
-//! workers, and when killed mid-sweep and resumed from its journal.
+//! The orchestrator's headline guarantee: a `SweepPlan` (a test grid, or one
+//! of the paper's figures) produces **bit-identical** per-point aggregates
+//! when run with 1 worker, with many workers, and when killed mid-sweep and
+//! resumed from its journal.
 
 use ncg_core::policy::Policy;
-use ncg_lab::{run_sweep, RunOptions, Scenario, SweepPlan};
+use ncg_lab::{figures, run_sweep, RunOptions, Scenario, SweepPlan};
 use ncg_sim::{GameFamily, InitialTopology, StreamingStats};
 use std::path::PathBuf;
 
@@ -58,13 +59,13 @@ fn assert_identical(a: &[(String, StreamingStats)], b: &[(String, StreamingStats
     }
 }
 
-#[test]
-fn thread_count_and_kill_resume_are_bit_identical() {
-    let plan = plan();
-
+/// 1 worker ≡ 5 workers, and a kill after `kill_after` chunks resumed from
+/// the journal ≡ the uninterrupted run, bit for bit. Returns the number of
+/// chunks the resumed run covered.
+fn check_thread_count_and_kill_resume(plan: &SweepPlan, kill_after: usize, tag: &str) -> usize {
     // Reference: single worker, no journal.
     let single = run_sweep(
-        &plan,
+        plan,
         &RunOptions {
             threads: Some(1),
             ..RunOptions::default()
@@ -74,13 +75,13 @@ fn thread_count_and_kill_resume_are_bit_identical() {
     assert!(single.completed);
     let reference = aggregates(&single.points);
     assert!(
-        reference.iter().all(|(_, s)| s.count == 6),
-        "every point aggregated all trials"
+        reference.iter().all(|(_, s)| s.count == plan.trials as u64),
+        "{tag}: every point aggregated all trials"
     );
 
     // Many workers (more than this machine has cores).
     let many = run_sweep(
-        &plan,
+        plan,
         &RunOptions {
             threads: Some(5),
             ..RunOptions::default()
@@ -88,26 +89,33 @@ fn thread_count_and_kill_resume_are_bit_identical() {
     )
     .expect("multi-threaded sweep");
     assert!(many.completed);
-    assert_identical(&reference, &aggregates(&many.points), "1 vs 5 workers");
+    assert_identical(
+        &reference,
+        &aggregates(&many.points),
+        &format!("{tag}: 1 vs 5 workers"),
+    );
 
-    // Kill mid-sweep (after 7 of the 36 chunks), then resume from the journal.
-    let journal = tmp_journal("kill-resume");
+    // Kill mid-sweep, then resume from the journal.
+    let journal = tmp_journal(tag);
     let killed = run_sweep(
-        &plan,
+        plan,
         &RunOptions {
             threads: Some(2),
             journal: Some(journal.clone()),
             resume: false,
-            stop_after_chunks: Some(7),
+            stop_after_chunks: Some(kill_after),
             ..RunOptions::default()
         },
     )
     .expect("interrupted sweep");
-    assert!(!killed.completed, "the simulated kill must interrupt");
-    assert!(killed.executed_chunks >= 7);
+    assert!(
+        !killed.completed,
+        "{tag}: the simulated kill must interrupt"
+    );
+    assert!(killed.executed_chunks >= kill_after);
 
     let resumed = run_sweep(
-        &plan,
+        plan,
         &RunOptions {
             threads: Some(3),
             journal: Some(journal.clone()),
@@ -120,16 +128,39 @@ fn thread_count_and_kill_resume_are_bit_identical() {
     assert!(resumed.completed);
     assert_eq!(
         resumed.resumed_chunks, killed.executed_chunks,
-        "every journaled chunk is restored, none re-run"
+        "{tag}: every journaled chunk is restored, none re-run"
     );
+    assert_identical(
+        &reference,
+        &aggregates(&resumed.points),
+        &format!("{tag}: kill/resume"),
+    );
+
+    std::fs::remove_file(&journal).ok();
+    resumed.resumed_chunks + resumed.executed_chunks
+}
+
+#[test]
+fn thread_count_and_kill_resume_are_bit_identical() {
+    // Kill after 7 of the 36 chunks.
     assert_eq!(
-        resumed.resumed_chunks + resumed.executed_chunks,
+        check_thread_count_and_kill_resume(&plan(), 7, "kill-resume"),
         36,
         "3 scenarios × 2 families × 2 n × 3 chunks"
     );
-    assert_identical(&reference, &aggregates(&resumed.points), "kill/resume");
-
-    std::fs::remove_file(&journal).ok();
+    // A figure plan (random, `rl` and `dl` starts under both policies),
+    // killed halfway.
+    let fig12 = figures::fig12().scaled(20, 1, 4).plan;
+    let chunks: usize = fig12.flatten().iter().map(|p| fig12.chunks(p).len()).sum();
+    assert_eq!(
+        chunks,
+        3 * 4 * 2 * 2 * 4,
+        "3 starts × 4 α × 2 policies × 2 n × 4 chunks"
+    );
+    assert_eq!(
+        check_thread_count_and_kill_resume(&fig12, chunks / 2, "fig12-kill-resume"),
+        chunks
+    );
 }
 
 #[test]

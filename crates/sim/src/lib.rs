@@ -9,28 +9,24 @@
 //! reports the average and maximum number of steps until a stable network is
 //! reached. This crate provides:
 //!
-//! * [`spec`] — declarative experiment descriptions (game family, α-rule, initial
-//!   topology, move policy, number of agents and trials),
-//! * [`runner`] — a deterministic, seedable, thread-parallel trial runner with
-//!   move-kind accounting (deletions / swaps / purchases per trajectory phase),
-//! * [`experiments`] — the exact parameter sweeps behind every empirical figure of
-//!   the paper,
-//! * [`report`] — plain-text and CSV rendering of the measured series next to the
-//!   paper's qualitative envelopes (5n, 7n, 8n, n·log n, …).
+//! * [`spec`] — the axes of an experiment (game family, α-rule, initial
+//!   topology, execution engine),
+//! * [`runner`] — one deterministic, seeded trial with move-kind accounting
+//!   (deletions / swaps / purchases / strategy rewrites), and the mergeable
+//!   streaming aggregate of many trials.
+//!
+//! Scheduling trials over threads, the paper's figure grids and their
+//! reports live one layer up, in `ncg-lab`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod experiments;
-pub mod report;
 pub mod runner;
 pub mod spec;
 
-pub use experiments::{all_figures, figure, FigureDef, SeriesDef};
-pub use report::{render_csv, render_table, FigureData, SeriesData};
 pub use runner::{
-    run_dynamics_trial_probed, run_point, run_point_trials, run_seeded_trial,
-    run_seeded_trial_probed, run_trial_with_game_probed, step_hist_bucket, MoveKindCounts,
-    PointSummary, StreamingStats, TrialResult, STEP_HIST_BUCKETS, STEP_HIST_BUCKET_WIDTH,
+    run_dynamics_trial_probed, run_seeded_trial, run_seeded_trial_probed, step_hist_bucket,
+    MoveKindCounts, PointSummary, StreamingStats, TrialResult, STEP_HIST_BUCKETS,
+    STEP_HIST_BUCKET_WIDTH,
 };
-pub use spec::{AlphaSpec, EngineSpec, ExperimentPoint, GameFamily, InitialTopology};
+pub use spec::{AlphaSpec, EngineSpec, GameFamily, InitialTopology};

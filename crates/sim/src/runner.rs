@@ -1,23 +1,21 @@
-//! Deterministic, parallel trial runner.
+//! One deterministic, seeded trial and the streaming aggregate of many.
 //!
 //! A *trial* generates one random initial network, runs best-response dynamics
 //! under the configured move policy until a stable network is reached (or the step
 //! limit fires) and records the number of steps and the kinds of moves performed.
-//! A *point* aggregates many independent trials; trials are distributed over worker
-//! threads with `std::thread::scope`, each trial seeded as `base_seed + trial_index`
-//! so that results are reproducible independent of the number of threads.
+//! Trial `t` of a point seeds its RNG stream with `base_seed + t`
+//! ([`run_seeded_trial`]), so a trial's result is a pure function of the point
+//! and its index, whoever runs it. Spreading trials over threads is the job of
+//! the `ncg-lab` orchestrator, which uses exactly two layers of this module:
 //!
-//! Two layers are exposed so batch layers (the `ncg-lab` orchestrator) can
-//! reuse exactly as much as they need:
-//!
-//! * [`run_dynamics_trial_probed`] — one trial on an **already generated**
-//!   initial network (topology generation decoupled from execution), with
-//!   the oracle's work counters,
+//! * [`run_seeded_trial`] — one trial under the seeding convention, built on
+//!   [`run_dynamics_trial_probed`], which runs the dynamics on an **already
+//!   generated** initial network and returns the oracle's work counters,
 //! * [`StreamingStats`] — a mergeable constant-size aggregate (count/min/max,
 //!   Welford mean/variance, fixed-bucket steps-per-agent histogram) that
 //!   replaces keeping every [`TrialResult`] in memory.
 
-use crate::spec::{EngineSpec, ExperimentPoint};
+use crate::spec::EngineSpec;
 use ncg_core::dynamics::{Dynamics, DynamicsConfig};
 use ncg_core::moves::Move;
 use ncg_core::policy::{Policy, TieBreak};
@@ -26,7 +24,6 @@ use ncg_graph::oracle::OracleStats;
 use ncg_graph::OwnedGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
 
 /// How many moves of each kind a trajectory contained.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -219,7 +216,7 @@ impl StreamingStats {
     }
 }
 
-/// Aggregated results of all trials of an experiment point.
+/// Aggregated results of all trials of a sweep point.
 #[derive(Debug, Clone)]
 pub struct PointSummary {
     /// Number of agents.
@@ -251,8 +248,8 @@ impl PointSummary {
 /// until convergence or `max_steps`, returning the oracle's work counters for
 /// the whole trial beside the result (ablation probes; the counters never
 /// influence the trajectory). This is the execution core under
-/// [`run_seeded_trial_probed`], which the figure runner and the `ncg-lab`
-/// orchestrator both go through.
+/// [`run_seeded_trial_probed`], which every trial of the `ncg-lab`
+/// orchestrator goes through.
 ///
 /// `rng` must be the trial's seeded stream, already advanced past topology
 /// generation. The engine in `engine` never influences the trajectory: it
@@ -350,129 +347,58 @@ pub fn run_seeded_trial_probed(
     run_dynamics_trial_probed(game, initial, policy, engine, max_steps, &mut rng)
 }
 
-/// Runs trial `trial_index` of `point` on an already constructed game (one
-/// game serves every trial of the point), returning the trial's oracle work
-/// counters beside the result (the `oracle_ablation` snapshot records them
-/// per engine).
-pub fn run_trial_with_game_probed(
-    point: &ExperimentPoint,
-    game: &(dyn Game + Send + Sync),
-    trial_index: usize,
-) -> (TrialResult, OracleStats) {
-    run_seeded_trial_probed(
-        game,
-        point.policy,
-        point.engine,
-        point.max_steps(),
-        point.base_seed,
-        trial_index,
-        |rng| point.topology.generate(point.n, rng),
-    )
-}
-
-/// Runs all trials of `point`, distributing them over `threads` worker threads
-/// (defaults to the number of available CPUs when `None`).
-pub fn run_point(point: &ExperimentPoint, threads: Option<usize>) -> PointSummary {
-    let results = run_point_trials(point, threads);
-    summarize(point, &results)
-}
-
-/// Like [`run_point`], but returns the per-trial results **indexed by trial**
-/// (slot `t` holds trial `t` regardless of which worker finished it when), so
-/// per-trial output is deterministic and journalable.
-pub fn run_point_trials(point: &ExperimentPoint, threads: Option<usize>) -> Vec<TrialResult> {
-    let threads = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .max(1)
-        .min(point.trials.max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<TrialResult>>> = Mutex::new(vec![None; point.trials]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let game = point.make_game();
-                loop {
-                    let t = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if t >= point.trials {
-                        break;
-                    }
-                    let (result, _) = run_trial_with_game_probed(point, game.as_ref(), t);
-                    results.lock().expect("runner mutex poisoned")[t] = Some(result);
-                }
-            });
-        }
-    });
-
-    results
-        .into_inner()
-        .expect("runner mutex poisoned")
-        .into_iter()
-        .map(|r| r.expect("every trial index was claimed exactly once"))
-        .collect()
-}
-
-fn summarize(point: &ExperimentPoint, results: &[TrialResult]) -> PointSummary {
-    let mut stats = StreamingStats::new();
-    for r in results {
-        stats.push(r, point.n);
-    }
-    stats.summary(point.n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{AlphaSpec, EngineSpec, GameFamily, InitialTopology};
+    use crate::spec::{AlphaSpec, GameFamily, InitialTopology};
     use ncg_core::policy::Policy;
 
-    fn run_trial(point: &ExperimentPoint, trial_index: usize) -> TrialResult {
-        run_trial_with_game_probed(point, point.make_game().as_ref(), trial_index).0
-    }
+    /// Agents of every test trial.
+    const N: usize = 14;
 
-    fn small_point(
+    /// Trial `t` of a 14-agent point: α = n/4, base seed 99, step limit 200·n.
+    fn run_trial(
         family: GameFamily,
         topology: InitialTopology,
         policy: Policy,
-    ) -> ExperimentPoint {
-        ExperimentPoint {
-            n: 14,
-            family,
-            alpha: AlphaSpec::FractionOfN(0.25),
-            topology,
+        trial_index: usize,
+    ) -> TrialResult {
+        let game = family.make_game(N, AlphaSpec::FractionOfN(0.25).resolve(N));
+        run_seeded_trial(
+            game.as_ref(),
             policy,
-            trials: 6,
-            base_seed: 99,
-            max_steps_factor: 200,
-            engine: EngineSpec::default(),
-        }
+            EngineSpec::default(),
+            200 * N,
+            99,
+            trial_index,
+            |rng| topology.generate(N, rng),
+        )
     }
 
     #[test]
     fn trials_are_reproducible() {
-        let point = small_point(
-            GameFamily::AsgSum,
-            InitialTopology::Budgeted { k: 2 },
-            Policy::MaxCost,
-        );
-        let a = run_trial(&point, 3);
-        let b = run_trial(&point, 3);
+        let trial = |t| {
+            run_trial(
+                GameFamily::AsgSum,
+                InitialTopology::Budgeted { k: 2 },
+                Policy::MaxCost,
+                t,
+            )
+        };
+        let a = trial(3);
+        let b = trial(3);
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.kinds, b.kinds);
     }
 
     #[test]
     fn asg_trials_only_swap() {
-        let point = small_point(
+        let r = run_trial(
             GameFamily::AsgMax,
             InitialTopology::Budgeted { k: 1 },
             Policy::Random,
+            0,
         );
-        let r = run_trial(&point, 0);
         assert!(r.converged);
         assert_eq!(r.kinds.deletions, 0);
         assert_eq!(r.kinds.purchases, 0);
@@ -482,12 +408,12 @@ mod tests {
 
     #[test]
     fn gbg_trials_converge_and_count_kinds() {
-        let point = small_point(
+        let r = run_trial(
             GameFamily::GbgSum,
             InitialTopology::RandomEdges { m_per_n: 2 },
             Policy::MaxCost,
+            1,
         );
-        let r = run_trial(&point, 1);
         assert!(r.converged);
         assert_eq!(r.kinds.total(), r.steps);
     }
@@ -510,69 +436,28 @@ mod tests {
     }
 
     #[test]
-    fn point_summary_aggregates() {
-        let point = small_point(
-            GameFamily::GbgSum,
-            InitialTopology::RandomEdges { m_per_n: 1 },
-            Policy::Random,
-        );
-        let summary = run_point(&point, Some(2));
-        assert_eq!(summary.trials, 6);
-        assert_eq!(summary.non_converged, 0, "all trials must converge");
-        assert!(summary.min_steps <= summary.max_steps);
-        assert!(summary.avg_steps <= summary.max_steps as f64);
-        assert!(summary.avg_steps >= summary.min_steps as f64);
-        assert!(summary.avg_steps_per_agent() < 10.0);
-    }
-
-    #[test]
-    fn parallel_and_sequential_summaries_agree() {
-        let point = small_point(
-            GameFamily::AsgSum,
-            InitialTopology::Budgeted { k: 2 },
-            Policy::MaxCost,
-        );
-        let par = run_point(&point, Some(3));
-        let seq = run_point(&point, Some(1));
-        assert_eq!(par.avg_steps, seq.avg_steps);
-        assert_eq!(par.max_steps, seq.max_steps);
-        assert_eq!(par.kinds, seq.kinds);
-    }
-
-    #[test]
-    fn per_trial_results_are_indexed_by_trial() {
-        let point = small_point(
-            GameFamily::AsgSum,
-            InitialTopology::Budgeted { k: 2 },
-            Policy::MaxCost,
-        );
-        let multi = run_point_trials(&point, Some(3));
-        for (t, r) in multi.iter().enumerate() {
-            let solo = run_trial(&point, t);
-            assert_eq!(r.steps, solo.steps, "trial {t}");
-            assert_eq!(r.kinds, solo.kinds, "trial {t}");
-        }
-    }
-
-    #[test]
     fn streaming_stats_match_batch_summary_and_merge_orderly() {
-        let point = small_point(
-            GameFamily::AsgSum,
-            InitialTopology::Budgeted { k: 2 },
-            Policy::MaxCost,
-        );
-        let results = run_point_trials(&point, Some(1));
+        let results: Vec<TrialResult> = (0..6)
+            .map(|t| {
+                run_trial(
+                    GameFamily::AsgSum,
+                    InitialTopology::Budgeted { k: 2 },
+                    Policy::MaxCost,
+                    t,
+                )
+            })
+            .collect();
         // One pass over everything…
         let mut whole = StreamingStats::new();
         for r in &results {
-            whole.push(r, point.n);
+            whole.push(r, N);
         }
         // …must equal chunked accumulation merged in chunk order.
         let mut merged = StreamingStats::new();
         for chunk in results.chunks(2) {
             let mut part = StreamingStats::new();
             for r in chunk {
-                part.push(r, point.n);
+                part.push(r, N);
             }
             merged.merge(&part);
         }
@@ -581,13 +466,18 @@ mod tests {
         assert_eq!(whole.hist, merged.hist);
         assert!((whole.mean - merged.mean).abs() < 1e-9);
         assert!((whole.std_dev() - merged.std_dev()).abs() < 1e-9);
-        let summary = whole.summary(point.n);
-        let batch = run_point(&point, Some(2));
-        assert_eq!(summary.trials, batch.trials);
-        assert_eq!(summary.avg_steps, batch.avg_steps);
-        assert_eq!(summary.max_steps, batch.max_steps);
-        assert_eq!(summary.min_steps, batch.min_steps);
-        assert_eq!(summary.kinds, batch.kinds);
+        // The summary collapses the same trials.
+        let steps = || results.iter().map(|r| r.steps);
+        let summary = whole.summary(N);
+        assert_eq!(summary.trials, results.len());
+        assert_eq!(summary.avg_steps, steps().sum::<usize>() as f64 / 6.0);
+        assert_eq!(Some(summary.max_steps), steps().max());
+        assert_eq!(Some(summary.min_steps), steps().min());
+        let mut kinds = MoveKindCounts::default();
+        for r in &results {
+            kinds.merge(&r.kinds);
+        }
+        assert_eq!(summary.kinds, kinds);
         // Histogram sanity: every trial landed in exactly one bucket.
         assert_eq!(whole.hist.iter().sum::<u64>(), whole.count);
     }

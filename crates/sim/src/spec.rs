@@ -1,6 +1,6 @@
-//! Declarative experiment descriptions.
+//! The axes of an experiment: game family, α-rule, initial topology and
+//! execution engine.
 
-use ncg_core::policy::Policy;
 use ncg_core::{
     AsymSwapGame, BilateralBuyGame, BuyGame, DistanceMetric, Game, GreedyBuyGame, OracleKind,
 };
@@ -146,8 +146,7 @@ impl GameFamily {
     }
 
     /// Instantiates the family's game for `n` agents with the resolved α —
-    /// the single construction point shared by experiment points and sweep
-    /// plans.
+    /// the one place a family's game is built.
     ///
     /// # Panics
     /// Panics for a bilateral or exact-Buy family with `n` above its cap
@@ -235,7 +234,8 @@ pub enum InitialTopology {
         k: usize,
     },
     /// Connected random network with `m = m_per_n · n` edges, uniform ownership
-    /// (GBG workload; the paper uses `m ∈ {n, 2n, 4n}`).
+    /// (GBG workload: Fig. 11 / 13 start from `m ∈ {n, 4n}`, Fig. 12 / 14 from
+    /// `m = n`).
     RandomEdges {
         /// Edge count as a multiple of `n`.
         m_per_n: usize,
@@ -267,53 +267,6 @@ impl InitialTopology {
             InitialTopology::RandomLine => "rl".to_string(),
             InitialTopology::DirectedLine => "dl".to_string(),
         }
-    }
-}
-
-/// One point of a parameter sweep: everything needed to run its trials.
-#[derive(Debug, Clone)]
-pub struct ExperimentPoint {
-    /// Number of agents.
-    pub n: usize,
-    /// Game family.
-    pub family: GameFamily,
-    /// Edge price rule (ignored by the swap games).
-    pub alpha: AlphaSpec,
-    /// Initial-network generator.
-    pub topology: InitialTopology,
-    /// Move policy.
-    pub policy: Policy,
-    /// Number of independent trials.
-    pub trials: usize,
-    /// Base RNG seed; trial `t` uses `base_seed + t`.
-    pub base_seed: u64,
-    /// Step limit as a multiple of `n` (simulations in the paper always converged
-    /// within a small constant times `n`; the limit only guards against the —
-    /// never observed — non-convergent case).
-    pub max_steps_factor: usize,
-    /// Execution engine (the oracle backend scoring candidate moves).
-    pub engine: EngineSpec,
-}
-
-impl ExperimentPoint {
-    /// Instantiates the game for this point as a boxed trait object.
-    pub fn make_game(&self) -> Box<dyn Game + Send + Sync> {
-        self.family.make_game(self.n, self.alpha.resolve(self.n))
-    }
-
-    /// The step limit of one trial.
-    pub fn max_steps(&self) -> usize {
-        self.max_steps_factor * self.n
-    }
-
-    /// Short label (family, topology, α, policy) used in reports.
-    pub fn label(&self) -> String {
-        let mut parts = vec![self.family.label().to_string(), self.topology.label()];
-        if self.family.needs_alpha() {
-            parts.push(format!("a={}", self.alpha.label()));
-        }
-        parts.push(self.policy.label().to_string());
-        parts.join(", ")
     }
 }
 
@@ -422,25 +375,5 @@ mod tests {
     #[should_panic(expected = "bilateral best responses")]
     fn bilateral_family_rejects_large_n() {
         let _ = GameFamily::BilateralMax.make_game(GameFamily::MAX_BILATERAL_N + 1, 1.0);
-    }
-
-    #[test]
-    fn point_labels_and_game_construction() {
-        let point = ExperimentPoint {
-            n: 30,
-            family: GameFamily::GbgSum,
-            alpha: AlphaSpec::FractionOfN(0.25),
-            topology: InitialTopology::RandomEdges { m_per_n: 2 },
-            policy: Policy::MaxCost,
-            trials: 3,
-            base_seed: 7,
-            max_steps_factor: 100,
-            engine: EngineSpec::default(),
-        };
-        assert_eq!(point.max_steps(), 3000);
-        let game = point.make_game();
-        assert_eq!(game.name(), "SUM-GBG");
-        assert_eq!(game.alpha(), 7.5);
-        assert!(point.label().contains("n/4"));
     }
 }

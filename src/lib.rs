@@ -7,9 +7,11 @@
 //! * [`graph`] (`ncg-graph`) — owned graphs, distances, generators, host graphs,
 //! * [`core`] (`ncg-core`) — games, costs, move policies, dynamics engine,
 //! * [`instances`] (`ncg-instances`) — every constructed instance from the paper,
-//! * [`sim`] (`ncg-sim`) — the empirical-study harness (Fig. 7–14),
+//! * [`sim`] (`ncg-sim`) — the empirical-study harness: experiment axes, one
+//!   seeded trial and streaming aggregates,
 //! * [`lab`] (`ncg-lab`) — the batch orchestrator over the paper's starting
-//!   topologies (streaming stats, checkpoint/resume, sharded sweeps),
+//!   topologies (streaming stats, checkpoint/resume, sharded sweeps) and the
+//!   paper's empirical figures (Fig. 7–14) as sweep plans,
 //! * [`trace`] (`ncg-trace`) — the zero-overhead-when-off instrumentation
 //!   layer (phase spans, counters, flame profiles).
 
