@@ -2,8 +2,10 @@
 //! under the max cost policy with deterministic (smallest-index) tie-breaking.
 //!
 //! Prints one line per move (mover, swap, cost change) and the final stable tree,
-//! plus the Θ(n log n) bound of Theorem 2.11 for comparison.
+//! plus the Θ(n log n) bound of Theorem 2.11 for comparison. `n=N` sets the
+//! path length (default 9); a malformed argument exits with status 2.
 
+use ncg_bench::{exit_bad_args, parse_arg, split_arg};
 use ncg_core::dynamics::{Dynamics, DynamicsConfig};
 use ncg_core::policy::{Policy, TieBreak};
 use ncg_core::SwapGame;
@@ -13,10 +15,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let n: usize = std::env::args()
-        .skip(1)
-        .find_map(|a| a.strip_prefix("n=").and_then(|v| v.parse().ok()))
-        .unwrap_or(9);
+    let mut n: usize = 9;
+    for arg in std::env::args().skip(1) {
+        let (key, value) = split_arg(&arg).unwrap_or_else(|e| exit_bad_args(&e));
+        match key {
+            "n" => n = parse_arg(key, value).unwrap_or_else(|e| exit_bad_args(&e)),
+            _ => eprintln!("ignoring unknown argument {key}={value}"),
+        }
+    }
     let game = SwapGame::max();
     let initial = paths::figure1_path(n);
     let config = DynamicsConfig::analysis(100 * n * n)

@@ -29,7 +29,7 @@
 //! fastest repeat per engine (`seconds`) and every repeat
 //! (`repeat_seconds`).
 
-use ncg_bench::{exit_bad_args, parse_arg, parse_flag, provenance_json};
+use ncg_bench::{exit_bad_args, parse_arg, parse_flag, provenance_json, split_arg};
 use ncg_core::policy::Policy;
 use ncg_core::{BilateralBuyGame, BuyGame, Game, OracleKind, Workspace};
 use ncg_graph::generators;
@@ -115,9 +115,7 @@ fn parse_scale() -> Result<Scale, String> {
         json: None,
     };
     for arg in std::env::args().skip(1) {
-        let Some((key, value)) = arg.split_once('=') else {
-            continue;
-        };
+        let (key, value) = split_arg(&arg)?;
         match key {
             "max_n" => scale.max_n = parse_arg(key, value)?,
             "full_max_n" => scale.full_max_n = parse_arg(key, value)?,

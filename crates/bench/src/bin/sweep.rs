@@ -41,10 +41,10 @@
 //! discarded journal lines and telemetry degradation, so a degraded batch
 //! is visible at the bottom of the log, not just inline.
 
-use ncg_bench::{exit_bad_args, parse_arg, parse_flag, sweeps};
+use ncg_bench::{exit_bad_args, parse_arg, parse_flag, split_arg, sweeps};
 use ncg_lab::supervisor::LocalWorkers;
 use ncg_lab::transport::{run_distributed, serve_main, TransportConfig};
-use ncg_lab::{run_sweep, MergedSweep, PointOutcome, RunOptions, SweepOutcome, SweepPlan};
+use ncg_lab::{run_sweep, PointOutcome, RunOptions, SweepOutcome, SweepPlan};
 use ncg_trace as trace;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
@@ -79,9 +79,7 @@ fn parse_args() -> Result<Args, String> {
         workers: Vec::new(),
     };
     for arg in std::env::args().skip(1) {
-        let Some((key, value)) = arg.split_once('=') else {
-            continue;
-        };
+        let (key, value) = split_arg(&arg)?;
         match key {
             "max_n" => args.max_n = parse_arg(key, value)?,
             "trials" => args.trials = parse_arg(key, value)?,
@@ -155,68 +153,35 @@ fn print_outcome(plan: &SweepPlan, outcome: &SweepOutcome) {
     }
 }
 
-/// Per-plan health facts, echoed once more at the bottom of the log: a
+/// Echoes each plan's health facts once more at the bottom of the log: a
 /// degraded batch must be visible in the last screenful, not only in a note
 /// that scrolled past hours earlier.
-struct RunHealth {
-    plan: String,
-    incomplete: Vec<String>,
-    skipped_lines: usize,
-    telemetry_degraded: bool,
-}
-
-impl RunHealth {
-    fn of(plan: &SweepPlan, outcome: &SweepOutcome, incomplete: Vec<String>) -> RunHealth {
-        RunHealth {
-            plan: plan.name.clone(),
-            incomplete,
-            skipped_lines: outcome.journal_skipped_lines,
-            telemetry_degraded: outcome.telemetry_degraded,
-        }
-    }
-}
-
-fn print_health(health: &[RunHealth]) {
+fn print_health(runs: &[(SweepPlan, SweepOutcome)]) {
     println!("\nrun health:");
-    for h in health {
+    for (plan, outcome) in runs {
         let mut notes = Vec::new();
-        if !h.incomplete.is_empty() {
+        let incomplete = outcome.incomplete_points();
+        if !incomplete.is_empty() {
             notes.push(format!(
                 "{} incomplete point(s): {}",
-                h.incomplete.len(),
-                h.incomplete.join(", ")
+                incomplete.len(),
+                incomplete.join(", ")
             ));
         }
-        if h.skipped_lines > 0 {
+        if outcome.journal_skipped_lines > 0 {
             notes.push(format!(
                 "{} torn/corrupt journal line(s) discarded",
-                h.skipped_lines
+                outcome.journal_skipped_lines
             ));
         }
-        if h.telemetry_degraded {
+        if outcome.telemetry_degraded {
             notes.push("telemetry stream went dark mid-run".to_string());
         }
         if notes.is_empty() {
-            println!("  {}: ok", h.plan);
+            println!("  {}: ok", plan.name);
         } else {
-            println!("  {}: {}", h.plan, notes.join("; "));
+            println!("  {}: {}", plan.name, notes.join("; "));
         }
-    }
-}
-
-/// Adapts a sharded-merge result to the common printing/JSON shape. The
-/// executed/resumed split is not observable post-merge, so every present
-/// chunk counts as executed.
-fn merged_to_outcome(merged: MergedSweep) -> SweepOutcome {
-    SweepOutcome {
-        completed: merged.completed,
-        executed_chunks: merged.points.iter().map(|p| p.completed_chunks).sum(),
-        resumed_chunks: 0,
-        journal_skipped_lines: merged.skipped_lines,
-        journal_superseded: merged.superseded_chunks,
-        telemetry_degraded: false,
-        trace: None,
-        points: merged.points,
     }
 }
 
@@ -237,13 +202,8 @@ fn local_workers(k: usize, fault: Option<&'static str>) -> LocalWorkers {
 }
 
 /// Runs one plan as a distributed coordinator over a TCP worker pool and
-/// reports the merged outcome plus per-shard transport summaries. The
-/// incomplete point labels ride along for the end-of-run health report.
-fn run_transported(
-    plan: &SweepPlan,
-    args: &Args,
-    workers: &[String],
-) -> (SweepOutcome, Vec<String>) {
+/// reports the merged outcome plus per-shard transport summaries.
+fn run_transported(plan: &SweepPlan, args: &Args, workers: &[String]) -> SweepOutcome {
     let dir = match &args.journal {
         Some(p) => p.with_extension(format!("{}.transport", plan.name)),
         None => std::env::temp_dir().join(format!(
@@ -278,14 +238,14 @@ fn run_transported(
         );
     }
     if outcome.degraded {
+        let incomplete = outcome.merged.incomplete_points();
         eprintln!(
             "sweep: {} point(s) incomplete after the transport exhausted its budget: {}",
-            outcome.merged.incomplete_points.len(),
-            outcome.merged.incomplete_points.join(", "),
+            incomplete.len(),
+            incomplete.join(", "),
         );
     }
-    let incomplete = outcome.merged.incomplete_points.clone();
-    (merged_to_outcome(outcome.merged), incomplete)
+    outcome.merged
 }
 
 fn assert_bit_identical(a: &[PointOutcome], b: &[PointOutcome], what: &str) {
@@ -467,9 +427,8 @@ fn main() {
         sweeps::exact_buy_small(args.max_n, args.trials, args.seed),
     ];
     let mut runs = Vec::new();
-    let mut health = Vec::new();
     for plan in plans {
-        let (outcome, incomplete) = if !workers.is_empty() {
+        let outcome = if !workers.is_empty() {
             run_transported(&plan, &args, workers)
         } else {
             // One journal per plan when checkpointing is requested; the live
@@ -482,7 +441,7 @@ fn main() {
                 .journal
                 .as_ref()
                 .map(|p| p.with_extension(format!("{}.telemetry.jsonl", plan.name)));
-            let outcome = run_sweep(
+            run_sweep(
                 &plan,
                 &RunOptions {
                     threads: args.threads,
@@ -494,28 +453,14 @@ fn main() {
                     shard: None,
                 },
             )
-            .expect("sweep failed");
-            // A single-process run that didn't finish (capped or resumed
-            // against a short journal) names its unfinished points too.
-            let incomplete = if outcome.completed {
-                Vec::new()
-            } else {
-                outcome
-                    .points
-                    .iter()
-                    .filter(|p| p.completed_chunks < plan.chunks(&p.point).len())
-                    .map(|p| p.point.label())
-                    .collect()
-            };
-            (outcome, incomplete)
+            .expect("sweep failed")
         };
         print_outcome(&plan, &outcome);
-        health.push(RunHealth::of(&plan, &outcome, incomplete));
         runs.push((plan, outcome));
     }
     let seconds = watch.elapsed_secs();
     println!("\ntotal wall time: {seconds:.1}s");
-    print_health(&health);
+    print_health(&runs);
 
     if let Some(path) = &args.json {
         let json = sweeps::render_json(&runs, false, seconds);

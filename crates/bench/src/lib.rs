@@ -5,8 +5,8 @@
 //! The scale of the sweep (largest `n`, stride over the `n`-axis, trials per
 //! point, worker threads) is controlled by simple `key=value` command-line
 //! arguments so that the same binary can run a quick CI-scale sweep or the
-//! paper's full 10,000-trial configuration; an unknown key warns and a
-//! malformed value exits with status 2:
+//! paper's full 10,000-trial configuration; an unknown key warns, and an
+//! argument without `=` or with a malformed value exits with status 2:
 //!
 //! ```text
 //! cargo run -p ncg-bench --release --bin fig07_asg_sum -- max_n=100 trials=10000
@@ -46,13 +46,12 @@ impl Default for Scale {
 
 impl Scale {
     /// Parses `key=value` arguments (`max_n`, `stride`, `trials`, `threads`,
-    /// `csv`). Unknown keys only warn; a value that does not parse is an error.
+    /// `csv`). Unknown keys only warn; an argument without `=` or a value
+    /// that does not parse is an error.
     pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut scale = Scale::default();
         for arg in args {
-            let Some((key, value)) = arg.split_once('=') else {
-                continue;
-            };
+            let (key, value) = split_arg(&arg)?;
             match key {
                 "max_n" => scale.max_n = parse_arg(key, value)?,
                 "stride" => scale.stride = parse_arg(key, value)?,
@@ -65,10 +64,18 @@ impl Scale {
         Ok(scale)
     }
 
-    /// Parses the process arguments; exits with status 2 on a malformed value.
+    /// Parses the process arguments; exits with status 2 on a malformed
+    /// argument.
     pub fn from_env() -> Self {
         Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| exit_bad_args(&e))
     }
+}
+
+/// Splits a `key=value` command-line argument; an argument without `=` is an
+/// error, not something to skip.
+pub fn split_arg(arg: &str) -> Result<(&str, &str), String> {
+    arg.split_once('=')
+        .ok_or_else(|| format!("malformed argument {arg:?}: expected key=value"))
 }
 
 /// Parses the value of a `key=value` command-line argument.
@@ -131,8 +138,7 @@ pub mod sweeps {
         plan.families = vec![GameFamily::AsgSum];
         plan.policies = vec![Policy::MaxCost];
         plan.ns = doubling_ns(max_n);
-        plan.trials = trials;
-        plan.chunk_size = trials.div_ceil(4).max(1);
+        plan.set_trials(trials);
         plan.base_seed = base_seed;
         plan.engine = EngineSpec::persistent();
         plan
@@ -147,8 +153,7 @@ pub mod sweeps {
         plan.policies = vec![Policy::MaxCost];
         plan.alphas = vec![AlphaSpec::FractionOfN(0.25), AlphaSpec::FractionOfN(1.0)];
         plan.ns = doubling_ns(max_n);
-        plan.trials = trials;
-        plan.chunk_size = trials.div_ceil(4).max(1);
+        plan.set_trials(trials);
         plan.base_seed = base_seed.wrapping_add(0x11);
         plan.engine = EngineSpec::persistent();
         plan
@@ -172,8 +177,7 @@ pub mod sweeps {
         if plan.ns.is_empty() {
             plan.ns.push(cap.max(6));
         }
-        plan.trials = trials;
-        plan.chunk_size = trials.div_ceil(4).max(1);
+        plan.set_trials(trials);
         plan.base_seed = base_seed.wrapping_add(0xb1);
         plan.engine = EngineSpec::persistent();
         plan
@@ -197,8 +201,7 @@ pub mod sweeps {
         if plan.ns.is_empty() {
             plan.ns.push(cap.max(6));
         }
-        plan.trials = trials;
-        plan.chunk_size = trials.div_ceil(4).max(1);
+        plan.set_trials(trials);
         plan.base_seed = base_seed.wrapping_add(0xb6);
         plan.engine = EngineSpec::persistent();
         plan
@@ -346,10 +349,7 @@ mod tests {
     #[test]
     fn scale_parsing() {
         let s = Scale::from_args(
-            [
-                "max_n=20", "trials=7", "stride=2", "csv=true", "bogus", "x=1",
-            ]
-            .map(String::from),
+            ["max_n=20", "trials=7", "stride=2", "csv=true", "x=1"].map(String::from),
         )
         .expect("well-formed values");
         assert_eq!(s.max_n, 20);
@@ -361,5 +361,9 @@ mod tests {
         let err = Scale::from_args(["max_n=20", "trials=1O000"].map(String::from))
             .expect_err("trials=1O000 must be rejected");
         assert_eq!(err, "bad value for trials: \"1O000\"");
+        // So is an argument without `=`: `trials 2` must not run the default.
+        let err = Scale::from_args(["max_n=20", "bogus"].map(String::from))
+            .expect_err("bogus must be rejected");
+        assert_eq!(err, "malformed argument \"bogus\": expected key=value");
     }
 }

@@ -45,17 +45,9 @@ impl FigureDef {
     pub fn scaled(mut self, max_n: usize, n_stride: usize, trials: usize) -> Self {
         let kept = self.plan.ns.iter().filter(|&&n| n <= max_n);
         self.plan.ns = kept.step_by(n_stride.max(1)).copied().collect();
-        set_trials(&mut self.plan, trials);
+        self.plan.set_trials(trials);
         self
     }
-}
-
-/// Sets the trials per point and the chunk size that goes with them: four
-/// chunks per point, the rule of the `sweep` presets. The chunk size enters
-/// only the plan hash, never a point hash or a trial seed.
-fn set_trials(plan: &mut SweepPlan, trials: usize) {
-    plan.trials = trials;
-    plan.chunk_size = trials.div_ceil(4).max(1);
 }
 
 /// Values of `n` used by the paper's sweeps.
@@ -89,7 +81,7 @@ fn figure_plan(
     plan.base_seed = base_seed;
     plan.max_steps_factor = STEP_FACTOR;
     plan.engine = EngineSpec::default();
-    set_trials(&mut plan, trials);
+    plan.set_trials(trials);
     plan
 }
 
@@ -253,12 +245,12 @@ impl FigureData {
         }
     }
 
-    /// True if every trial of every point converged (the paper's headline
-    /// empirical observation).
+    /// True if at least one trial ran and every trial of every point
+    /// converged (the paper's headline empirical observation). A figure
+    /// without trials observed nothing, so it claims nothing.
     pub fn all_converged(&self) -> bool {
-        self.series
-            .iter()
-            .all(|s| s.points.iter().all(|p| p.non_converged == 0))
+        let mut points = self.series.iter().flat_map(|s| &s.points);
+        points.clone().any(|p| p.trials > 0) && points.all(|p| p.non_converged == 0)
     }
 
     /// The largest observed `max_steps / n` ratio over all series and points —
@@ -405,6 +397,16 @@ mod tests {
         assert_eq!(f.plan.chunk_size, 2, "four chunks per point");
         for p in f.plan.flatten() {
             assert!(p.n <= 40 && p.trials == 5);
+        }
+    }
+
+    #[test]
+    fn a_figure_without_trials_does_not_claim_convergence() {
+        // No `n` survives max_n = 5; at trials = 0 every point is empty.
+        for def in [fig07().scaled(5, 1, 2), fig07().scaled(10, 1, 0)] {
+            let data = measure(&def);
+            assert!(!data.all_converged(), "{:?}", def.plan.ns);
+            assert!(render_table(&def, &data).contains("all trials converged: false"));
         }
     }
 

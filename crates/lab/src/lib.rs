@@ -19,20 +19,21 @@
 //! * [`orchestrator`] — the shared work queue: workers steal `(point,
 //!   trial-chunk)` jobs round-robin across points, aggregates stream through
 //!   [`ncg_sim::StreamingStats`] (memory `O(points)`, not `O(trials)`), and
-//!   every completed chunk is durably journaled.
+//!   every completed chunk is durably journaled; local runs, resumes and
+//!   shard merges share its one chunk-ordered fold.
 //! * [`journal`] — the JSON-lines chunk journal: bit-exact f64 payloads,
 //!   plan-hash guarded, torn-tail tolerant.
 //! * [`telemetry`] — best-effort live JSONL telemetry written next to the
 //!   journal (per-chunk progress, per-worker utilization, run summary), plus
 //!   optional stderr heartbeat lines with points-done and ETA.
 //! * [`shard`] — deterministic partition of a plan's `(point, chunk)` jobs
-//!   into `k` shards and the merge/fold of per-shard journals back into
-//!   single-process-identical aggregates.
+//!   into `k` shards and the merge of per-shard journals into the
+//!   [`SweepOutcome`] of a single-process run.
 //! * [`transport`] — the one shard runtime: a tiny length-prefixed,
 //!   checksummed TCP protocol where a coordinator dispatches shard
 //!   assignments to accept-loop workers, with retry/backoff, byte-growth
 //!   heartbeat liveness, reassignment on stall or sever, an audit of every
-//!   `Done`, and per-attempt journals fed through the same merge fold.
+//!   `Done`, and per-attempt journals fed through the same merge.
 //! * [`supervisor`] — [`supervisor::LocalWorkers`]: a local sharded sweep's
 //!   worker processes on loopback, restarted on their own address when they
 //!   exit and killed on drop; the coordinator drives them like remote
@@ -64,7 +65,7 @@ pub use journal::{load_journal, ChunkRecord, JournalWriter};
 pub use orchestrator::{run_sweep, PointOutcome, RunOptions, SweepOutcome};
 pub use plan::{fnv1a, AutoSplit, SweepPlan, SweepPoint};
 pub use scenario::Scenario;
-pub use shard::{merge_shard_journals, shard_of, MergedSweep, ShardSpec};
+pub use shard::{merge_shard_journals, shard_of, ShardSpec};
 pub use telemetry::{ChunkEvent, TelemetryWriter};
 pub use transport::{
     backoff_with_jitter, run_distributed, serve, ServeOptions, ShardTransportReport,

@@ -8,9 +8,10 @@
 //! `O(points × chunks)` small aggregates; no `TrialResult` is ever retained.
 //!
 //! Reproducibility contract: the aggregates of a completed sweep are
-//! **bit-identical** regardless of worker count, host and kill/resume
+//! **bit-identical** regardless of worker count, host, kill/resume and shard
 //! splits — chunk contents are pure functions of `(point, start, len)` and
-//! per-point aggregates merge chunk-ordered. The host enters only through the
+//! per-point aggregates merge chunk-ordered by one chunk ledger, which local
+//! runs, resumes and shard merges share. The host enters only through the
 //! default worker count, which never influences a result.
 
 use crate::journal::{header_is_damaged, load_journal, ChunkRecord, JournalWriter};
@@ -19,6 +20,7 @@ use crate::shard::ShardSpec;
 use crate::telemetry::{ChunkEvent, TelemetryWriter};
 use ncg_sim::{run_seeded_trial, StreamingStats};
 use ncg_trace as trace;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -69,39 +71,170 @@ impl PointOutcome {
     }
 }
 
-/// Outcome of a sweep run.
+/// Outcome of a sweep run, or of a shard merge
+/// ([`crate::shard::merge_shard_journals`]).
 #[derive(Debug)]
 pub struct SweepOutcome {
     /// True if this run finished every chunk it set out to execute (for a
     /// sharded run: every chunk the shard *owns*; chunks of other shards are
-    /// not this run's business).
+    /// not this run's business); for a merge, every chunk of every point.
     pub completed: bool,
     /// Per-point aggregates, in plan (flatten) order.
     pub points: Vec<PointOutcome>,
-    /// Chunks executed by this run.
+    /// Chunks executed by this run (for a merge: chunks folded).
     pub executed_chunks: usize,
-    /// Chunks restored from the journal instead of re-running.
+    /// Chunks restored from the journal instead of re-running (0 for a merge).
     pub resumed_chunks: usize,
-    /// Torn or checksum-rejected journal lines discarded on resume (0 when
-    /// not resuming).
+    /// Torn or checksum-rejected journal lines discarded on resume or merge
+    /// (0 when not resuming).
     pub journal_skipped_lines: usize,
     /// Journal records superseded by a later rewrite of the same chunk key
     /// (keep-last semantics; see [`crate::journal::JournalContents`]).
     pub journal_superseded: usize,
+    /// Journal records dropped as identical to an already loaded record of
+    /// the same chunk key, within one journal or across a merge's journals.
+    pub journal_deduped: usize,
     /// True if the best-effort telemetry stream went dark mid-run (a failed
     /// append disables it; the sweep itself continues).
     pub telemetry_degraded: bool,
     /// Merged per-worker trace reports — `None` unless tracing was enabled
-    /// ([`ncg_trace::set_enabled`]) while the sweep ran. Purely
-    /// observational: aggregates are bit-identical either way.
+    /// ([`ncg_trace::set_enabled`]) while the sweep ran, and for a merge.
+    /// Purely observational: aggregates are bit-identical either way.
     pub trace: Option<trace::TraceReport>,
 }
 
-struct Job {
-    point_index: usize,
-    chunk_index: usize,
-    start: usize,
-    len: usize,
+impl SweepOutcome {
+    /// Labels of the points whose chunks are not all present, in plan order.
+    pub fn incomplete_points(&self) -> Vec<String> {
+        self.points
+            .iter()
+            .filter(|p| !p.complete())
+            .map(|p| p.point.label())
+            .collect()
+    }
+}
+
+/// One pending chunk: its point's flatten index, its chunk index and its
+/// trials `start .. start + len`.
+#[derive(Clone, Copy)]
+pub(crate) struct Job {
+    pub(crate) point: usize,
+    pub(crate) chunk: usize,
+    pub(crate) start: usize,
+    pub(crate) len: usize,
+}
+
+/// The chunk bookkeeping of one sweep, built from a single
+/// [`SweepPlan::flatten`]: the points, their chunk layouts, the plan hash of
+/// those same points and one slot per `(point, chunk)`. Local runs, resumes,
+/// shard merges and a coordinator's audit all take the job order, the layout
+/// check and the chunk-ordered fold from here.
+pub(crate) struct ChunkLedger {
+    /// [`SweepPlan::plan_hash`], computed from `points`.
+    pub(crate) plan_hash: u64,
+    /// The plan's points, in flatten order.
+    pub(crate) points: Vec<SweepPoint>,
+    /// Point `pi`'s chunks and slots are `first[pi] .. first[pi + 1]`.
+    first: Vec<usize>,
+    /// `(start, len)` of every chunk, point by point.
+    layout: Vec<(usize, usize)>,
+    slots: Vec<Option<StreamingStats>>,
+    /// Point hash → point index, for records arriving by journal key.
+    index: HashMap<u64, usize>,
+}
+
+impl ChunkLedger {
+    /// Flattens `plan` once; every slot starts empty.
+    pub(crate) fn new(plan: &SweepPlan) -> ChunkLedger {
+        let points = plan.flatten();
+        let mut first = Vec::with_capacity(points.len() + 1);
+        let mut layout = Vec::new();
+        for point in &points {
+            first.push(layout.len());
+            layout.extend(plan.chunks(point));
+        }
+        first.push(layout.len());
+        ChunkLedger {
+            plan_hash: plan.hash_points(&points),
+            index: points
+                .iter()
+                .enumerate()
+                .map(|(pi, p)| (p.hash, pi))
+                .collect(),
+            slots: vec![None; layout.len()],
+            points,
+            first,
+            layout,
+        }
+    }
+
+    /// Stores a chunk record in its slot if its `(start, len)` matches the
+    /// plan's layout of its chunk key; a record of a foreign key or layout
+    /// is dropped. Returns whether the record was kept.
+    pub(crate) fn absorb(&mut self, rec: ChunkRecord) -> bool {
+        let Some(&pi) = self.index.get(&rec.point_hash) else {
+            return false;
+        };
+        // The chunk index comes from a journal file: saturate, never wrap.
+        let slots = self.first[pi]..self.first[pi + 1];
+        let slot = slots.start.saturating_add(rec.chunk_index);
+        if !slots.contains(&slot) || self.layout[slot] != (rec.start, rec.len) {
+            return false;
+        }
+        self.slots[slot] = Some(rec.stats);
+        true
+    }
+
+    /// The empty slots `shard` owns (all of them for `None`), round-robin by
+    /// chunk index: every point's chunk `ci` comes before any point's chunk
+    /// `ci + 1`, so progress spreads evenly over the grid.
+    pub(crate) fn pending(&self, shard: Option<ShardSpec>) -> Vec<Job> {
+        let max_chunks = self.first.windows(2).map(|w| w[1] - w[0]).max();
+        let mut jobs = Vec::new();
+        for chunk in 0..max_chunks.unwrap_or(0) {
+            for (pi, point) in self.points.iter().enumerate() {
+                let slot = self.first[pi] + chunk;
+                if slot < self.first[pi + 1]
+                    && self.slots[slot].is_none()
+                    && shard.is_none_or(|s| s.owns(point.hash, chunk))
+                {
+                    let (start, len) = self.layout[slot];
+                    jobs.push(Job {
+                        point: pi,
+                        chunk,
+                        start,
+                        len,
+                    });
+                }
+            }
+        }
+        jobs
+    }
+
+    /// Folds every point's present chunks strictly in chunk order — the
+    /// reproducibility anchor — into its aggregate.
+    pub(crate) fn into_points(self) -> Vec<PointOutcome> {
+        let mut slots = self.slots.into_iter();
+        self.points
+            .into_iter()
+            .zip(self.first.windows(2))
+            .map(|(point, range)| {
+                let total_chunks = range[1] - range[0];
+                let mut stats = StreamingStats::new();
+                let mut completed_chunks = 0;
+                for chunk in slots.by_ref().take(total_chunks).flatten() {
+                    stats.merge(&chunk);
+                    completed_chunks += 1;
+                }
+                PointOutcome {
+                    point,
+                    completed_chunks,
+                    total_chunks,
+                    stats,
+                }
+            })
+            .collect()
+    }
 }
 
 /// Runs one chunk of one point: trials `start .. start + len`, each derived
@@ -131,18 +264,14 @@ fn run_chunk(point: &SweepPoint, start: usize, len: usize) -> StreamingStats {
 /// before the worker moves on; with `resume`, previously recorded chunks are
 /// loaded instead of re-run. Errors surface only from journal I/O.
 pub fn run_sweep(plan: &SweepPlan, opts: &RunOptions) -> std::io::Result<SweepOutcome> {
-    let points = plan.flatten();
-    let plan_hash = plan.plan_hash();
-    let layouts: Vec<Vec<(usize, usize)>> = points.iter().map(|p| plan.chunks(p)).collect();
+    let mut ledger = ChunkLedger::new(plan);
+    let plan_hash = ledger.plan_hash;
 
-    // Per-point chunk slots, prefilled from the journal on resume.
-    let mut slots: Vec<Vec<Option<StreamingStats>>> = layouts
-        .iter()
-        .map(|chunks| vec![None; chunks.len()])
-        .collect();
+    // Prefill the ledger from the journal on resume.
     let mut resumed_chunks = 0usize;
     let mut journal_skipped_lines = 0usize;
     let mut journal_superseded = 0usize;
+    let mut journal_deduped = 0usize;
     // Set when the existing journal's header never reached disk intact (the
     // creating process died mid-header-write): nothing in the file can be
     // trusted, so resume starts the journal over instead of failing forever.
@@ -173,15 +302,9 @@ pub fn run_sweep(plan: &SweepPlan, opts: &RunOptions) -> std::io::Result<SweepOu
                         }
                         journal_skipped_lines = contents.skipped_lines;
                         journal_superseded = contents.superseded_chunks;
-                        for (pi, point) in points.iter().enumerate() {
-                            for (ci, &(start, len)) in layouts[pi].iter().enumerate() {
-                                if let Some(rec) = contents.chunks.get(&(point.hash, ci)) {
-                                    if rec.start == start && rec.len == len {
-                                        slots[pi][ci] = Some(rec.stats.clone());
-                                        resumed_chunks += 1;
-                                    }
-                                }
-                            }
+                        journal_deduped = contents.duplicate_chunks;
+                        for rec in contents.chunks.into_values() {
+                            resumed_chunks += usize::from(ledger.absorb(rec));
                         }
                     }
                     Err(e) if header_is_damaged(&e) => {
@@ -207,26 +330,8 @@ pub fn run_sweep(plan: &SweepPlan, opts: &RunOptions) -> std::io::Result<SweepOu
         None => None,
     };
 
-    // Pending jobs, round-robin by chunk index across points; a shard run
-    // claims only the chunks its deterministic partition owns.
-    let mut jobs: Vec<Job> = Vec::new();
-    let max_chunks = layouts.iter().map(Vec::len).max().unwrap_or(0);
-    for ci in 0..max_chunks {
-        for (pi, layout) in layouts.iter().enumerate() {
-            if ci < layout.len()
-                && slots[pi][ci].is_none()
-                && opts.shard.is_none_or(|s| s.owns(points[pi].hash, ci))
-            {
-                let (start, len) = layout[ci];
-                jobs.push(Job {
-                    point_index: pi,
-                    chunk_index: ci,
-                    start,
-                    len,
-                });
-            }
-        }
-    }
+    // A shard run claims only the chunks its deterministic partition owns.
+    let jobs = ledger.pending(opts.shard);
 
     let telemetry = match &opts.telemetry {
         Some(path) => Some(TelemetryWriter::create(path, plan_hash)?),
@@ -248,10 +353,11 @@ pub fn run_sweep(plan: &SweepPlan, opts: &RunOptions) -> std::io::Result<SweepOu
     let target_chunks = opts
         .stop_after_chunks
         .map_or(jobs.len(), |limit| limit.min(jobs.len()));
+    let point_count = ledger.points.len();
     let pending_per_point: Vec<AtomicUsize> = {
-        let mut pending = vec![0usize; points.len()];
+        let mut pending = vec![0usize; point_count];
         for job in &jobs {
-            pending[job.point_index] += 1;
+            pending[job.point] += 1;
         }
         pending.into_iter().map(AtomicUsize::new).collect()
     };
@@ -266,20 +372,14 @@ pub fn run_sweep(plan: &SweepPlan, opts: &RunOptions) -> std::io::Result<SweepOu
     let next = AtomicUsize::new(0);
     let done_this_run = AtomicUsize::new(0);
     let io_failed = AtomicBool::new(false);
-    let slots_mutex = Mutex::new(std::mem::take(&mut slots));
+    let finished: Mutex<Vec<ChunkRecord>> = Mutex::new(Vec::with_capacity(target_chunks));
     let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
     let trace_acc: Mutex<Option<trace::TraceReport>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
         for worker_id in 0..workers {
-            let (next, jobs, points, writer, telemetry, slots_mutex, io_error) = (
-                &next,
-                &jobs,
-                &points,
-                &writer,
-                &telemetry,
-                &slots_mutex,
-                &io_error,
+            let (next, jobs, ledger, writer, telemetry, finished, io_error) = (
+                &next, &jobs, &ledger, &writer, &telemetry, &finished, &io_error,
             );
             let (io_failed, done_this_run, pending_per_point, points_done, trace_acc, clock) = (
                 &io_failed,
@@ -307,8 +407,8 @@ pub fn run_sweep(plan: &SweepPlan, opts: &RunOptions) -> std::io::Result<SweepOu
                     if opts.stop_after_chunks.is_some_and(|limit| j >= limit) {
                         break;
                     }
-                    let job = &jobs[j];
-                    let point = &points[job.point_index];
+                    let job = jobs[j];
+                    let point = &ledger.points[job.point];
                     claims += 1;
                     trace::add(trace::Counter::ChunkClaims, 1);
                     // Kill/hang injection site of the fault matrix: dying
@@ -322,48 +422,46 @@ pub fn run_sweep(plan: &SweepPlan, opts: &RunOptions) -> std::io::Result<SweepOu
                     };
                     let chunk_ns = chunk_clock.elapsed_ns();
                     busy_ns += chunk_ns;
+                    let rec = ChunkRecord {
+                        point_hash: point.hash,
+                        chunk_index: job.chunk,
+                        start: job.start,
+                        len: job.len,
+                        stats,
+                    };
                     if let Some(writer) = writer {
                         let _sp = trace::span(trace::Phase::JournalAppend);
                         trace::add(trace::Counter::JournalAppends, 1);
-                        let rec = ChunkRecord {
-                            point_hash: point.hash,
-                            chunk_index: job.chunk_index,
-                            start: job.start,
-                            len: job.len,
-                            stats: stats.clone(),
-                        };
                         if let Err(e) = writer.record(&rec) {
                             *io_error.lock().expect("error mutex poisoned") = Some(e);
                             io_failed.store(true, Ordering::Relaxed);
                             break;
                         }
                     }
-                    slots_mutex.lock().expect("slots mutex poisoned")[job.point_index]
-                        [job.chunk_index] = Some(stats.clone());
                     let done = done_this_run.fetch_add(1, Ordering::Relaxed) + 1;
-                    if pending_per_point[job.point_index].fetch_sub(1, Ordering::Relaxed) == 1 {
+                    if pending_per_point[job.point].fetch_sub(1, Ordering::Relaxed) == 1 {
                         points_done.fetch_add(1, Ordering::Relaxed);
                     }
                     if let Some(telemetry) = telemetry {
                         telemetry.chunk(&ChunkEvent {
                             point_hash: point.hash,
-                            chunk_index: job.chunk_index,
+                            chunk_index: job.chunk,
                             start: job.start,
                             len: job.len,
-                            trials: stats.count,
-                            steps: stats.total_steps,
+                            trials: rec.stats.count,
+                            steps: rec.stats.total_steps,
                             busy_ns: chunk_ns,
                             done,
                             total: target_chunks,
                         });
                     }
+                    finished.lock().expect("results mutex poisoned").push(rec);
                     if opts.heartbeat {
                         let elapsed = clock.elapsed_secs();
                         let eta = elapsed / done as f64 * (target_chunks - done) as f64;
                         eprintln!(
-                            "sweep: {done}/{target_chunks} chunks, {}/{} points, {elapsed:.1}s elapsed, ETA {eta:.1}s",
+                            "sweep: {done}/{target_chunks} chunks, {}/{point_count} points, {elapsed:.1}s elapsed, ETA {eta:.1}s",
                             points_done.load(Ordering::Relaxed),
-                            points.len(),
                         );
                     }
                 }
@@ -382,7 +480,6 @@ pub fn run_sweep(plan: &SweepPlan, opts: &RunOptions) -> std::io::Result<SweepOu
         }
     });
 
-    slots = slots_mutex.into_inner().expect("slots mutex poisoned");
     if let Some(e) = io_error.into_inner().expect("error mutex poisoned") {
         return Err(e);
     }
@@ -392,34 +489,20 @@ pub fn run_sweep(plan: &SweepPlan, opts: &RunOptions) -> std::io::Result<SweepOu
     }
     let telemetry_degraded = telemetry.as_ref().is_some_and(TelemetryWriter::degraded);
     let trace_report = trace_acc.into_inner().expect("trace mutex poisoned");
-
-    // This run completed iff it executed every job it set out to claim — for
-    // a sharded run that is the shard's own partition, not the whole grid.
-    let completed = executed_chunks == jobs.len();
-
-    // Merge per point, strictly in chunk order — the reproducibility anchor.
-    let mut outcomes = Vec::with_capacity(points.len());
-    for (pi, point) in points.into_iter().enumerate() {
-        let mut stats = StreamingStats::new();
-        let mut done = 0usize;
-        for chunk in slots[pi].iter().flatten() {
-            stats.merge(chunk);
-            done += 1;
-        }
-        outcomes.push(PointOutcome {
-            point,
-            completed_chunks: done,
-            total_chunks: layouts[pi].len(),
-            stats,
-        });
+    for rec in finished.into_inner().expect("results mutex poisoned") {
+        ledger.absorb(rec);
     }
+
     Ok(SweepOutcome {
-        completed,
-        points: outcomes,
+        // This run completed iff it executed every job it set out to claim —
+        // for a sharded run that is the shard's own partition, not the grid.
+        completed: executed_chunks == jobs.len(),
+        points: ledger.into_points(),
         executed_chunks,
         resumed_chunks,
         journal_skipped_lines,
         journal_superseded,
+        journal_deduped,
         telemetry_degraded,
         trace: trace_report,
     })
@@ -428,6 +511,7 @@ pub fn run_sweep(plan: &SweepPlan, opts: &RunOptions) -> std::io::Result<SweepOu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::{render_table, FigureData};
     use crate::scenario::Scenario;
     use ncg_core::policy::Policy;
     use ncg_sim::{GameFamily, InitialTopology};
@@ -464,6 +548,36 @@ mod tests {
                 "histogram covers every trial"
             );
         }
+    }
+
+    #[test]
+    fn ledger_keeps_only_records_on_the_plan_layout() {
+        let plan = tiny_plan();
+        let mut ledger = ChunkLedger::new(&plan);
+        let hash = ledger.points[1].hash;
+        let rec = |point_hash, chunk_index, start, len| ChunkRecord {
+            point_hash,
+            chunk_index,
+            start,
+            len,
+            stats: StreamingStats::new(),
+        };
+        // Six trials in chunks of two: chunk 1 is trials 2..4.
+        assert!(
+            !ledger.absorb(rec(hash, usize::MAX, 2, 2)),
+            "index overflow"
+        );
+        assert!(!ledger.absorb(rec(hash, 3, 6, 2)), "index past the layout");
+        assert!(
+            !ledger.absorb(rec(hash, 1, 2, 1)),
+            "(start, len) off the layout"
+        );
+        assert!(!ledger.absorb(rec(!hash, 1, 2, 2)), "foreign point");
+        assert!(ledger.absorb(rec(hash, 1, 2, 2)));
+        assert_eq!(ledger.pending(None).len(), 4 * 3 - 1);
+        let points = ledger.into_points();
+        assert_eq!(points[1].completed_chunks, 1);
+        assert_eq!(points.iter().map(|p| p.completed_chunks).sum::<usize>(), 1);
     }
 
     #[test]
@@ -532,17 +646,33 @@ mod tests {
 
     #[test]
     fn sharded_runs_merge_bit_identical_to_a_single_process_run() {
-        let plan = tiny_plan();
-        let baseline = run_sweep(&plan, &RunOptions::default()).unwrap();
-        let dir = std::env::temp_dir().join(format!("ncg-lab-shardrun-{}", std::process::id()));
+        assert_shards_merge_like_one_process(&tiny_plan());
+        // A sharded figure run renders the local run's table.
+        let def = crate::figures::fig12().scaled(20, 1, 4);
+        let (local, merged) = assert_shards_merge_like_one_process(&def.plan);
+        let table = |outcome| render_table(&def, &FigureData::from_outcome(&def, outcome));
+        assert_eq!(table(&merged), table(&local));
+    }
+
+    /// Runs `plan` in one process and as 1 and 3 shards; each merge must
+    /// equal the single-process run point by point. Returns the
+    /// single-process run and the 3-shard merge.
+    fn assert_shards_merge_like_one_process(plan: &SweepPlan) -> (SweepOutcome, SweepOutcome) {
+        let baseline = run_sweep(plan, &RunOptions::default()).unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "ncg-lab-shardrun-{}-{}",
+            plan.name,
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
+        let mut merged = None;
         for count in [1usize, 3] {
             let mut paths = Vec::new();
             for index in 0..count {
                 let spec = crate::shard::ShardSpec::new(index, count);
                 let path = dir.join(spec.journal_name());
                 let out = run_sweep(
-                    &plan,
+                    plan,
                     &RunOptions {
                         threads: Some(2),
                         journal: Some(path.clone()),
@@ -554,13 +684,15 @@ mod tests {
                 assert!(out.completed, "shard {index}/{count} finished its part");
                 paths.push(path);
             }
-            let merged = crate::shard::merge_shard_journals(&plan, count, &paths).unwrap();
-            assert!(merged.completed, "count={count}");
-            for (a, b) in baseline.points.iter().zip(&merged.points) {
+            let merge = crate::shard::merge_shard_journals(plan, count, &paths).unwrap();
+            assert!(merge.completed, "count={count}");
+            for (a, b) in baseline.points.iter().zip(&merge.points) {
                 assert_eq!(a.stats, b.stats, "count={count}: {}", a.point.label());
             }
+            merged = Some(merge);
         }
         std::fs::remove_dir_all(&dir).ok();
+        (baseline, merged.expect("the 3-shard merge ran"))
     }
 
     #[test]

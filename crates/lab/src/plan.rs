@@ -139,13 +139,24 @@ impl SweepPlan {
             hash: 0,
         };
         // Per-point trial seed: decorrelates the grid cells while staying a
-        // pure function of the plan seed and the point configuration.
+        // pure function of the plan seed and the point configuration. The
+        // descriptor leaves out `base_seed`, so one hash of it serves both.
+        let descriptor_hash = fnv1a(point.descriptor().as_bytes());
         point.base_seed = self
             .base_seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(fnv1a(point.descriptor().as_bytes()));
-        point.hash = fnv1a(point.descriptor().as_bytes()) ^ point.base_seed.rotate_left(17);
+            .wrapping_add(descriptor_hash);
+        point.hash = descriptor_hash ^ point.base_seed.rotate_left(17);
         point
+    }
+
+    /// Sets the trials per point and the chunk size that goes with them:
+    /// four chunks per point (`trials.div_ceil(4)`, at least one trial each).
+    /// The chunk size enters only the plan hash, never a point hash or a
+    /// trial seed.
+    pub fn set_trials(&mut self, trials: usize) {
+        self.trials = trials;
+        self.chunk_size = trials.div_ceil(4).max(1);
     }
 
     /// The chunk layout of one point: `(start, len)` trial ranges.
@@ -165,9 +176,15 @@ impl SweepPlan {
     /// only resumable into a plan with the same hash, so a resume under an
     /// altered plan is refused instead of silently mixing grids.
     pub fn plan_hash(&self) -> u64 {
+        self.hash_points(&self.flatten())
+    }
+
+    /// [`SweepPlan::plan_hash`] of this plan's already flattened `points`.
+    pub(crate) fn hash_points(&self, points: &[SweepPoint]) -> u64 {
+        use std::fmt::Write as _;
         let mut desc = format!("{}|chunk={}|", self.name, self.chunk_size.max(1));
-        for p in self.flatten() {
-            desc.push_str(&format!("{:016x};", p.hash));
+        for p in points {
+            let _ = write!(desc, "{:016x};", p.hash);
         }
         fnv1a(desc.as_bytes())
     }

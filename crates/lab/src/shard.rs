@@ -14,12 +14,12 @@
 //! functions of `(point, start, len)`, so a payload conflict means one side
 //! is corrupt or mislabeled.
 //!
-//! The merged fold walks each point's chunks strictly in chunk order, exactly
-//! like the in-process orchestrator, so a completed sharded sweep is
-//! **bit-identical** to the fault-free single-process run.
+//! The merge folds through the orchestrator's chunk ledger, exactly like a
+//! local run, and returns the same [`SweepOutcome`]: a completed sharded
+//! sweep is **bit-identical** to the fault-free single-process run.
 
 use crate::journal::{load_journal, ChunkRecord};
-use crate::orchestrator::PointOutcome;
+use crate::orchestrator::{ChunkLedger, PointOutcome, SweepOutcome};
 use crate::plan::{fnv1a, SweepPlan};
 use std::path::PathBuf;
 
@@ -74,44 +74,6 @@ pub fn shard_of(point_hash: u64, chunk_index: usize, count: usize) -> usize {
     (fnv1a(&bytes) % count.max(1) as u64) as usize
 }
 
-/// Every chunk key a shard owns, in the orchestrator's round-robin order.
-pub fn shard_chunk_keys(plan: &SweepPlan, shard: ShardSpec) -> Vec<(u64, usize)> {
-    let points = plan.flatten();
-    let layouts: Vec<usize> = points.iter().map(|p| plan.chunks(p).len()).collect();
-    let max_chunks = layouts.iter().copied().max().unwrap_or(0);
-    let mut keys = Vec::new();
-    for ci in 0..max_chunks {
-        for (pi, &chunks) in layouts.iter().enumerate() {
-            if ci < chunks && shard.owns(points[pi].hash, ci) {
-                keys.push((points[pi].hash, ci));
-            }
-        }
-    }
-    keys
-}
-
-/// The merged result of a set of per-shard journals.
-#[derive(Debug)]
-pub struct MergedSweep {
-    /// Per-point aggregates in plan (flatten) order, each the chunk-ordered
-    /// fold of every completed chunk — bit-identical to a single-process run
-    /// when complete.
-    pub points: Vec<PointOutcome>,
-    /// True once every chunk of every point is present.
-    pub completed: bool,
-    /// Labels of points with at least one missing chunk (a dead shard's
-    /// unfinished work), in plan order.
-    pub incomplete_points: Vec<String>,
-    /// Equal-payload chunk records deduplicated across shard journals
-    /// (retried shards re-recording work they had already journaled).
-    pub deduped_chunks: usize,
-    /// Torn or checksum-rejected lines skipped across all journals (plus any
-    /// journal whose header itself was destroyed).
-    pub skipped_lines: usize,
-    /// Within-journal records superseded by a later rewrite (keep-last).
-    pub superseded_chunks: usize,
-}
-
 fn integrity_error(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
@@ -132,8 +94,16 @@ pub fn merge_shard_journals(
     plan: &SweepPlan,
     count: usize,
     journals: &[PathBuf],
-) -> std::io::Result<MergedSweep> {
-    let plan_hash = plan.plan_hash();
+) -> std::io::Result<SweepOutcome> {
+    merge_into(ChunkLedger::new(plan), count, journals)
+}
+
+/// [`merge_shard_journals`] into an already built (and still empty) ledger.
+pub(crate) fn merge_into(
+    mut ledger: ChunkLedger,
+    count: usize,
+    journals: &[PathBuf],
+) -> std::io::Result<SweepOutcome> {
     let count = count.max(1);
     let mut merged: std::collections::HashMap<(u64, usize), ChunkRecord> =
         std::collections::HashMap::new();
@@ -145,7 +115,7 @@ pub fn merge_shard_journals(
         if !path.exists() {
             continue;
         }
-        let contents = match load_journal(path, plan_hash) {
+        let contents = match load_journal(path, ledger.plan_hash) {
             Ok(c) => c,
             // A journal whose header never made it to disk holds no
             // trustworthy records; the file is treated as absent.
@@ -166,6 +136,7 @@ pub fn merge_shard_journals(
         };
         skipped += contents.skipped_lines;
         superseded += contents.superseded_chunks;
+        deduped += contents.duplicate_chunks;
         for (key, rec) in contents.chunks {
             if !shard.owns(key.0, key.1) {
                 return Err(integrity_error(format!(
@@ -195,54 +166,22 @@ pub fn merge_shard_journals(
         }
     }
 
-    Ok(fold_records(plan, merged, deduped, skipped, superseded))
-}
-
-/// Folds deduplicated chunk records into per-point aggregates, strictly in
-/// chunk order per point — the reproducibility anchor shared with the
-/// in-process orchestrator.
-fn fold_records(
-    plan: &SweepPlan,
-    records: std::collections::HashMap<(u64, usize), ChunkRecord>,
-    deduped_chunks: usize,
-    skipped_lines: usize,
-    superseded_chunks: usize,
-) -> MergedSweep {
-    let points = plan.flatten();
-    let mut outcomes = Vec::with_capacity(points.len());
-    let mut incomplete = Vec::new();
-    let mut completed = true;
-    for point in points {
-        let layout = plan.chunks(&point);
-        let mut stats = ncg_sim::StreamingStats::new();
-        let mut done = 0usize;
-        for (ci, &(start, len)) in layout.iter().enumerate() {
-            if let Some(rec) = records.get(&(point.hash, ci)) {
-                if rec.start == start && rec.len == len {
-                    stats.merge(&rec.stats);
-                    done += 1;
-                }
-            }
-        }
-        if done < layout.len() {
-            completed = false;
-            incomplete.push(point.label());
-        }
-        outcomes.push(PointOutcome {
-            point,
-            completed_chunks: done,
-            total_chunks: layout.len(),
-            stats,
-        });
+    let mut folded = 0usize;
+    for rec in merged.into_values() {
+        folded += usize::from(ledger.absorb(rec));
     }
-    MergedSweep {
-        points: outcomes,
-        completed,
-        incomplete_points: incomplete,
-        deduped_chunks,
-        skipped_lines,
-        superseded_chunks,
-    }
+    let points = ledger.into_points();
+    Ok(SweepOutcome {
+        completed: points.iter().all(PointOutcome::complete),
+        points,
+        executed_chunks: folded,
+        resumed_chunks: 0,
+        journal_skipped_lines: skipped,
+        journal_superseded: superseded,
+        journal_deduped: deduped,
+        telemetry_degraded: false,
+        trace: None,
+    })
 }
 
 #[cfg(test)]
@@ -273,11 +212,18 @@ mod tests {
         let plan = tiny_plan();
         let points = plan.flatten();
         let total_jobs: usize = points.iter().map(|p| plan.chunks(p).len()).sum();
+        let owned_keys = |spec| -> Vec<(u64, usize)> {
+            let ledger = ChunkLedger::new(&plan);
+            let jobs = ledger.pending(Some(spec));
+            jobs.iter()
+                .map(|job| (ledger.points[job.point].hash, job.chunk))
+                .collect()
+        };
         for count in [1usize, 2, 3, 5] {
             let mut seen = 0usize;
             for shard in 0..count {
-                let keys = shard_chunk_keys(&plan, ShardSpec::new(shard, count));
-                let again = shard_chunk_keys(&plan, ShardSpec::new(shard, count));
+                let keys = owned_keys(ShardSpec::new(shard, count));
+                let again = owned_keys(ShardSpec::new(shard, count));
                 assert_eq!(keys, again, "partition is deterministic");
                 seen += keys.len();
                 for (ph, ci) in keys {
@@ -286,7 +232,7 @@ mod tests {
             }
             assert_eq!(seen, total_jobs, "every chunk owned by exactly one shard");
         }
-        let all = shard_chunk_keys(&plan, ShardSpec::new(0, 1));
+        let all = owned_keys(ShardSpec::new(0, 1));
         assert_eq!(all.len(), total_jobs, "one shard owns everything");
     }
 
@@ -359,14 +305,14 @@ mod tests {
         let paths = write_shard_journals(&plan, &dir, 3);
         let merged = merge_shard_journals(&plan, 3, &paths).unwrap();
         assert!(merged.completed);
-        assert!(merged.incomplete_points.is_empty());
+        assert!(merged.incomplete_points().is_empty());
         assert_eq!(merged.points.len(), 4);
         for p in &merged.points {
             assert!(p.complete());
             assert_eq!(p.stats.count, 4, "all four trials folded");
         }
-        assert_eq!(merged.deduped_chunks, 0);
-        assert_eq!(merged.skipped_lines, 0);
+        assert_eq!(merged.journal_deduped, 0);
+        assert_eq!(merged.journal_skipped_lines, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -379,7 +325,7 @@ mod tests {
         paths[1] = dir.join("gone.jsonl");
         let merged = merge_shard_journals(&plan, 2, &paths).unwrap();
         assert!(!merged.completed);
-        assert!(!merged.incomplete_points.is_empty());
+        assert!(!merged.incomplete_points().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -406,7 +352,10 @@ mod tests {
         paths.push(retry);
         let merged = merge_shard_journals(&plan, 2, &paths).unwrap();
         assert!(merged.completed);
-        assert_eq!(merged.deduped_chunks, 1, "identical duplicate deduplicated");
+        assert_eq!(
+            merged.journal_deduped, 1,
+            "identical duplicate deduplicated"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -483,7 +432,7 @@ mod tests {
         std::fs::write(&paths[0], "{\"ncg_sweep_jo").unwrap();
         let merged = merge_shard_journals(&plan, 2, &paths).unwrap();
         assert!(!merged.completed, "shard 0's chunks are gone");
-        assert_eq!(merged.skipped_lines, 1, "the dead file is counted");
+        assert_eq!(merged.journal_skipped_lines, 1, "the dead file is counted");
         // An empty file (killed before any header byte) behaves the same.
         std::fs::write(&paths[0], "").unwrap();
         assert!(!merge_shard_journals(&plan, 2, &paths).unwrap().completed);

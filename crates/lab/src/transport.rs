@@ -11,11 +11,12 @@
 //! merge time), runs its shard through the ordinary orchestrator into a local
 //! shard journal, and streams the raw journal bytes back as they are
 //! appended. The coordinator persists each attempt's stream into its own
-//! per-shard journal file and feeds every file to the existing
-//! [`merge_shard_journals`] fold **unchanged** — so a distributed run is
-//! proven bit-identical to a single-process run by the same machinery, and
+//! per-shard journal file and merges every file as
+//! [`crate::shard::merge_shard_journals`] does, through one chunk ledger that
+//! also yields its plan hash and audit keys — so a distributed run is proven
+//! bit-identical to a single-process run by the same machinery, and
 //! replayed records from retried or reassigned shards are deduplicated by
-//! the fold's equal-payload rule.
+//! the merge's equal-payload rule.
 //!
 //! # Wire format
 //!
@@ -44,8 +45,9 @@
 //!   chunk keys.
 //! * **Degradation**: a worker accumulating consecutive failures is dropped
 //!   from the pool; survivors absorb its shards. A shard that exhausts its
-//!   assignment budget (or outlives every worker) degrades to named
-//!   `incomplete_points` in the merged outcome; the surviving shards finish.
+//!   assignment budget (or outlives every worker) degrades to points named
+//!   by the merged outcome's `incomplete_points()`; the surviving shards
+//!   finish.
 //!
 //! The transport paths are threaded through the [`crate::faultpoint`]
 //! harness (`net-accept`, `net-read`, `net-write`, `net-heartbeat`) with the
@@ -55,8 +57,9 @@
 //! exact byte offsets.
 
 use crate::faultpoint;
+use crate::orchestrator::{ChunkLedger, SweepOutcome};
 use crate::plan::{fnv1a, SweepPlan};
-use crate::shard::{merge_shard_journals, shard_chunk_keys, MergedSweep, ShardSpec};
+use crate::shard::{merge_into, ShardSpec};
 use crate::telemetry::TelemetryWriter;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
@@ -624,13 +627,15 @@ pub struct ShardTransportReport {
 /// The merged result of a distributed sweep.
 #[derive(Debug)]
 pub struct TransportOutcome {
-    /// Chunk-ordered merged aggregates — bit-identical to a fault-free
-    /// single-process run when `merged.completed`.
-    pub merged: MergedSweep,
+    /// The merge of every persisted attempt journal, the same
+    /// [`SweepOutcome`] [`crate::shard::merge_shard_journals`] returns:
+    /// chunk-ordered aggregates, bit-identical to a fault-free
+    /// single-process run when `merged.completed`. It carries no trace.
+    pub merged: SweepOutcome,
     /// Per-shard transport reports, in shard order.
     pub shards: Vec<ShardTransportReport>,
     /// True if any shard exhausted its assignment budget (its unfinished
-    /// points are named in `merged.incomplete_points`).
+    /// points are named by `merged.incomplete_points()`).
     pub degraded: bool,
     /// Addresses dropped from the pool for consecutive failures or a
     /// plan-hash refusal.
@@ -759,10 +764,10 @@ enum Assignment {
 }
 
 struct Coordinator<'a> {
-    plan: &'a SweepPlan,
+    /// The plan, flattened once: its hash, audit keys and final merge.
+    ledger: ChunkLedger,
     dir: &'a Path,
     cfg: &'a TransportConfig,
-    plan_hash: u64,
     spec: String,
     pool: Pool,
     journals: Mutex<Vec<PathBuf>>,
@@ -771,8 +776,8 @@ struct Coordinator<'a> {
 
 /// Runs `plan` as `cfg.shards` shard assignments dispatched over TCP to the
 /// `workers` pool, persisting every streamed attempt into its own per-shard
-/// journal file in `dir` and merging them all through the existing
-/// [`merge_shard_journals`] fold.
+/// journal file in `dir` and merging them all through the fold of
+/// [`crate::shard::merge_shard_journals`].
 ///
 /// Never fails because a worker failed: severed connections, stalls,
 /// refusals and dead workers retry, reassign and finally degrade to named
@@ -790,21 +795,19 @@ pub fn run_distributed(
         "a distributed sweep needs at least one shard"
     );
     std::fs::create_dir_all(dir)?;
+    let ledger = ChunkLedger::new(plan);
+    // Best-effort, like all telemetry: a coordinator that can't journal its
+    // reassignment log still runs the sweep.
+    let telemetry =
+        TelemetryWriter::create(&dir.join("coordinator.telemetry.jsonl"), ledger.plan_hash).ok();
     let coordinator = Coordinator {
-        plan,
+        ledger,
         dir,
         cfg,
-        plan_hash: plan.plan_hash(),
         spec: plan.to_spec_string(),
         pool: Pool::new(workers),
         journals: Mutex::new(Vec::new()),
-        // Best-effort, like all telemetry: a coordinator that can't journal
-        // its reassignment log still runs the sweep.
-        telemetry: TelemetryWriter::create(
-            &dir.join("coordinator.telemetry.jsonl"),
-            plan.plan_hash(),
-        )
-        .ok(),
+        telemetry,
     };
     let reports: Vec<ShardTransportReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.shards)
@@ -822,7 +825,7 @@ pub fn run_distributed(
         .journals
         .into_inner()
         .expect("journal list poisoned");
-    let merged = merge_shard_journals(plan, cfg.shards, &journals)?;
+    let merged = merge_into(coordinator.ledger, cfg.shards, &journals)?;
     let degraded = reports.iter().any(|r| !r.completed);
     Ok(TransportOutcome {
         merged,
@@ -842,7 +845,12 @@ impl Coordinator<'_> {
     fn run_shard(&self, index: usize) -> ShardTransportReport {
         let cfg = self.cfg;
         let shard = ShardSpec::new(index, cfg.shards);
-        let expected = shard_chunk_keys(self.plan, shard);
+        let expected: Vec<(u64, usize)> = self
+            .ledger
+            .pending(Some(shard))
+            .iter()
+            .map(|job| (self.ledger.points[job.point].hash, job.chunk))
+            .collect();
         let mut report = ShardTransportReport {
             shard: index,
             attempts: 0,
@@ -952,7 +960,7 @@ impl Coordinator<'_> {
             }
         };
         let assign = Frame::Assign {
-            plan_hash: self.plan_hash,
+            plan_hash: self.ledger.plan_hash,
             shard_index: shard.index as u32,
             shard_count: shard.count as u32,
             threads: cfg.threads_per_shard.unwrap_or(0) as u32,
@@ -1029,7 +1037,7 @@ impl Coordinator<'_> {
     }
 
     fn journal_covers(&self, path: &Path, expected: &[(u64, usize)]) -> bool {
-        match crate::journal::load_journal(path, self.plan_hash) {
+        match crate::journal::load_journal(path, self.ledger.plan_hash) {
             Ok(contents) => contents.covers(expected),
             Err(_) => false,
         }

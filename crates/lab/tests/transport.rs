@@ -143,7 +143,7 @@ fn assert_recovered(expected: &[PointOutcome], outcome: &TransportOutcome) {
         outcome.shards
     );
     assert!(!outcome.degraded, "no shard gave up: {:?}", outcome.shards);
-    assert!(outcome.merged.incomplete_points.is_empty());
+    assert!(outcome.merged.incomplete_points().is_empty());
     assert_bit_identical(expected, &outcome.merged.points);
 }
 
@@ -332,7 +332,7 @@ fn corrupted_journal_record_leaves_a_hole_the_coordinator_repairs() {
         outcome.shards
     );
     assert!(
-        outcome.merged.skipped_lines >= 1,
+        outcome.merged.journal_skipped_lines >= 1,
         "the mangled record must have been checksum-rejected"
     );
 }
@@ -362,7 +362,7 @@ fn retry_budget_exhaustion_degrades_gracefully_without_killing_survivors() {
         outcome.shards
     );
     assert_eq!(gave_up[0].attempts, 1, "budget spent: {:?}", gave_up[0]);
-    let incomplete = &outcome.merged.incomplete_points;
+    let incomplete = &outcome.merged.incomplete_points();
     assert!(
         !incomplete.is_empty(),
         "the dead shard's unfinished points must be named"
@@ -513,7 +513,7 @@ fn exhausted_pool_degrades_to_named_incomplete_points() {
     assert!(!outcome.merged.completed);
     assert!(outcome.degraded, "{:?}", outcome.shards);
     assert!(
-        !outcome.merged.incomplete_points.is_empty(),
+        !outcome.merged.incomplete_points().is_empty(),
         "unfinished work must be named"
     );
     assert_eq!(outcome.dead_workers, pool.addrs().to_vec());
