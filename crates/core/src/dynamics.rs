@@ -23,7 +23,8 @@ use std::collections::HashMap;
 pub enum ResponseMode {
     /// The moving agent performs a best possible improving move (best response).
     BestResponse,
-    /// The moving agent performs the first improving move found (better response).
+    /// The moving agent performs any improving move (better response): an
+    /// exploration follows every one of them.
     FirstImproving,
 }
 
@@ -228,10 +229,10 @@ impl<'a, G: Game + ?Sized> Dynamics<'a, G> {
     /// Performs one step with the configured policy. Returns `None` if the state is
     /// stable (and the process therefore stops).
     ///
-    /// The policy's scan of the mover also yields its best responses, so
-    /// the mover is scanned once (a consent game's responses still take a
-    /// scan of their own). The move, the trajectory and the RNG draws are
-    /// those of [`Policy::select_mover`] followed by
+    /// The policy scans each agent with [`Game::best_responses`], so the
+    /// scan that finds the mover unhappy also yields its best responses, and
+    /// the mover is scanned once, in every game. The move, the trajectory
+    /// and the RNG draws are those of [`Policy::select_mover`] followed by
     /// [`Dynamics::step_with_agent`].
     pub fn step<R: Rng>(&mut self, rng: &mut R) -> Option<MoveRecord> {
         let (agent, chosen) = {
@@ -484,25 +485,32 @@ mod tests {
         // The bilateral game on a persistent engine scores every candidate
         // (and every consent check) through oracle what-ifs; the scoring is
         // exact, so its trajectories must be identical to the full-BFS
-        // reference's apply → BFS → undo.
+        // reference's apply → BFS → undo, for SUM and MAX under both
+        // policies.
         use crate::games::BilateralBuyGame;
         let mut seed_rng = StdRng::seed_from_u64(71);
         let n = 9;
         let g = generators::random_with_m_edges(n, 14, &mut seed_rng);
         for &alpha in &[1.0, 4.0] {
-            let game = BilateralBuyGame::sum(alpha);
-            let run = |kind: OracleKind| {
-                let mut rng = StdRng::seed_from_u64(13);
-                let mut cfg = DynamicsConfig::simulation(200 * n).with_oracle(kind);
-                cfg.record_trajectory = true;
-                run_dynamics(&game, &g, &cfg, &mut rng)
-            };
-            let reference = run(OracleKind::FullBfs);
-            assert!(reference.converged(), "α={alpha}");
-            let out = run(OracleKind::Persistent);
-            assert_eq!(out.termination, reference.termination, "α={alpha}");
-            assert_eq!(out.trajectory, reference.trajectory, "α={alpha}");
-            assert_eq!(out.final_graph, reference.final_graph, "α={alpha}");
+            for game in [BilateralBuyGame::sum(alpha), BilateralBuyGame::max(alpha)] {
+                for policy in [Policy::MaxCost, Policy::Random] {
+                    let ctx = format!("{} α={alpha} {}", game.name(), policy.label());
+                    let run = |kind: OracleKind| {
+                        let mut rng = StdRng::seed_from_u64(13);
+                        let mut cfg = DynamicsConfig::simulation(200 * n)
+                            .with_policy(policy)
+                            .with_oracle(kind);
+                        cfg.record_trajectory = true;
+                        run_dynamics(&game, &g, &cfg, &mut rng)
+                    };
+                    let reference = run(OracleKind::FullBfs);
+                    assert!(reference.converged(), "{ctx}");
+                    let out = run(OracleKind::Persistent);
+                    assert_eq!(out.termination, reference.termination, "{ctx}");
+                    assert_eq!(out.trajectory, reference.trajectory, "{ctx}");
+                    assert_eq!(out.final_graph, reference.final_graph, "{ctx}");
+                }
+            }
         }
     }
 
@@ -526,8 +534,7 @@ mod tests {
         // scan; selecting the mover and then stepping it must walk the
         // identical trajectory and leave the RNG in the same state. The
         // four empirical families under the max-cost and random policies,
-        // and a bilateral game, whose consent scan still scans the mover
-        // twice.
+        // and a bilateral game, whose scan asks consent.
         use crate::games::BilateralBuyGame;
         use rand::RngCore;
         let mut rng = StdRng::seed_from_u64(0x57e9);

@@ -135,7 +135,7 @@ impl CostEvaluator {
     }
 
     /// Like [`CostEvaluator::try_score`], with an opt-in lower-bound fast
-    /// path: with `allow_bound == true` a candidate ending in an insertion on
+    /// path: with `may_bound == true` a candidate ending in an insertion on
     /// a removal-only prefix may come back as [`DeltaScore::LowerBound`]
     /// (served from the persistent oracle's per-source caches), which the
     /// caller either prunes or upgrades via
@@ -147,7 +147,7 @@ impl CostEvaluator {
         g: &OwnedGraph,
         u: NodeId,
         mv: &Move,
-        allow_bound: bool,
+        may_bound: bool,
     ) -> DeltaScore {
         if let Err(score) = self.buffer_deltas(g, u, mv) {
             return score;
@@ -158,7 +158,7 @@ impl CostEvaluator {
         // and other removal-prefixed sequences. Everything else (or a cache
         // miss) takes the repair machinery.
         if let Some((&EdgeDelta::Insert { u: a, v: b }, prefix)) = self.deltas.split_last() {
-            if a == u && (allow_bound || prefix.is_empty()) {
+            if a == u && (may_bound || prefix.is_empty()) {
                 let oracle = created(&mut self.oracle, self.n);
                 if let Some((summary, exact)) = oracle.evaluate_insert_via_cache(g, prefix, a, b) {
                     return if exact {

@@ -180,14 +180,18 @@ pub trait Game {
     }
 
     /// All feasible *best-response* moves of agent `u`: the improving moves of
-    /// maximal cost decrease. Empty iff the agent is happy.
+    /// maximal cost decrease, in enumeration order. Empty iff the agent is
+    /// happy.
     ///
-    /// Uses the best-only scan mode: on the persistent engine a consent
-    /// game's counterpart checks are deferred and run in ascending-cost
-    /// order, so a scan pays for the blocked candidates *below* the best
-    /// feasible cost and the ties at it — not for every improving candidate.
+    /// The scan is first-improving up to the first feasible improving
+    /// candidate, so a happy agent costs what [`Game::has_improving_move`]
+    /// costs. From there on the persistent engine scores the remaining
+    /// candidates in ascending-bound order and stops once no bound can tie
+    /// the best feasible cost found; a consent game asks a candidate's
+    /// parties only when its exact cost improves and ties or beats that
+    /// best.
     fn best_responses(&self, g: &OwnedGraph, u: NodeId, ws: &mut Workspace) -> Vec<ScoredMove> {
-        keep_best(scan_moves(self, g, u, ws, ScanMode::BestOnly))
+        keep_best(scan_moves(self, g, u, ws, ScanMode::BestResponses))
     }
 
     /// The deterministic first best response (ties broken by the move order:
@@ -238,41 +242,14 @@ pub fn workspace_cost<G: Game + ?Sized>(
 enum ScanMode {
     AllImproving,
     FirstImproving,
-    /// Only the minimal-cost feasible improving moves are needed (the caller
-    /// filters to the best anyway): on the persistent engine, candidates are
-    /// scored in ascending-bound order with a cutoff, and a consent game's
-    /// checks are deferred to one ascending-cost pass instead of running per
-    /// candidate. On the full-BFS reference this behaves exactly like
-    /// [`ScanMode::AllImproving`].
-    BestOnly,
-    /// [`ScanMode::FirstImproving`] up to the first improving candidate, then
-    /// [`ScanMode::BestOnly`] with the best cost seeded by it: a happy agent
-    /// costs what a first-improving scan costs, and an unhappy one comes
-    /// back with every candidate a best-only scan would keep at the best
-    /// cost. Only for games without consent, whose persistent scan orders
-    /// by bound; the full-BFS reference, which bounds nothing, scores every
-    /// candidate after the first improving one.
-    FirstThenBest,
-}
-
-/// Scans agent `u` for the move policy: `None` if `u` is happy, otherwise
-/// exactly what [`Game::best_responses`] returns. Without consent one scan
-/// answers both, so a happy agent costs one first-improving scan and the
-/// mover is not scanned twice; a consent game's scan cannot order by bound,
-/// so its best responses take a scan of their own.
-pub(crate) fn scan_agent<G: Game + ?Sized>(
-    game: &G,
-    g: &OwnedGraph,
-    u: NodeId,
-    ws: &mut Workspace,
-) -> Option<Vec<ScoredMove>> {
-    if game.needs_consent() {
-        return game
-            .has_improving_move(g, u, ws)
-            .then(|| game.best_responses(g, u, ws));
-    }
-    let found = scan_moves(game, g, u, ws, ScanMode::FirstThenBest);
-    (!found.is_empty()).then(|| keep_best(found))
+    /// [`ScanMode::FirstImproving`] up to the first feasible improving
+    /// candidate; from there on only the candidates that can still tie the
+    /// best feasible cost found. The persistent engine scores those in
+    /// ascending-bound order with a cutoff; the full-BFS reference, which
+    /// bounds nothing, scores every candidate. Either way every feasible
+    /// candidate at the final best cost is kept, in enumeration order, so
+    /// the tie set does not depend on the engine.
+    BestResponses,
 }
 
 /// The improving moves of minimal new cost, in their scan order.
@@ -309,11 +286,6 @@ fn scan_moves<G: Game + ?Sized>(
     let alpha = game.alpha();
     let edge_mode = game.edge_cost_mode();
     let delta_path = ws.kind == OracleKind::Persistent;
-    let consent_delta = delta_path && game.needs_consent();
-    debug_assert!(
-        mode != ScanMode::FirstThenBest || !game.needs_consent(),
-        "a consent scan cannot order by bound"
-    );
     // The persistent engine's base cost uses exactly the decomposition of
     // its candidate scores; the reference measures `Game::cost`, like every
     // candidate it scores.
@@ -332,17 +304,16 @@ fn scan_moves<G: Game + ?Sized>(
     // scored: first by the O(D) level-histogram bound, then by the O(n)
     // kernel's (exact for a purchase). A deletion is bounded by its
     // neighbour-row summary. A candidate whose bound cost is not an
-    // improvement is dropped. In a run of Buys, or of Swaps from one `f`,
-    // a block envelope bounds up to `ENVELOPE_BLOCK` consecutive targets at
-    // once, and its members are bounded one by one only when it survives.
-    // In best-only mode without consent, surviving insertions are not
-    // re-scored inline either: they (and surviving blocks) queue up in
+    // improvement provably does not improve and is dropped, in every mode.
+    // In a run of Buys, or of Swaps from one `f`, a block envelope bounds up
+    // to `ENVELOPE_BLOCK` consecutive targets at once, and its members are
+    // bounded one by one only when it survives. Once a best-response scan
+    // has recorded a feasible improving candidate, surviving insertions are
+    // not re-scored inline either: they (and surviving blocks) queue up in
     // `pending` and are evaluated in ascending-bound order, stopping once no
     // bound can beat the best exact cost found (an A*-style cutoff). A
     // surviving deletion has no kernel tier and is scored exactly in place,
-    // so `best` is known as early as without its bound. All-improving scans
-    // disable the bound path entirely — every improving candidate needs an
-    // exact score, so the bound would be a pure detour.
+    // so `best` is known as early as without its bound.
     let mut scan = Scan {
         game,
         g,
@@ -352,18 +323,11 @@ fn scan_moves<G: Game + ?Sized>(
         alpha,
         edge_mode,
         delta_path,
-        consent_delta,
-        // In best-only mode the consent checks of delta-scored candidates
-        // are deferred to one ascending-cost pass after the scoring loop;
-        // the entries of `unchecked` mark which collected moves still owe
-        // one.
-        defer_consent: consent_delta && mode == ScanMode::BestOnly,
-        allow_bound: delta_path && mode != ScanMode::AllImproving,
-        order_by_bound: delta_path && !consent_delta && mode == ScanMode::BestOnly,
+        consent_delta: delta_path && game.needs_consent(),
+        order_by_bound: false,
         scratch_synced: false,
         out: Vec::new(),
         out_idx: Vec::new(),
-        unchecked: Vec::new(),
         pending: BinaryHeap::new(),
         best: f64::INFINITY,
         pruned: 0,
@@ -378,8 +342,7 @@ fn scan_moves<G: Game + ?Sized>(
     let mut ci = 0;
     while ci < candidates.len() {
         let mv = &candidates[ci];
-        if let Some((key, target)) = run_target(mv).filter(|_| scan.allow_bound && ci >= block_end)
-        {
+        if let Some((key, target)) = run_target(mv).filter(|_| delta_path && ci >= block_end) {
             if run.map(|(k, _)| k) != Some(key) {
                 run = Some((key, ws.evaluator.block_bounds(g, u, mv, &mut block_bounds)));
             }
@@ -414,13 +377,13 @@ fn scan_moves<G: Game + ?Sized>(
         if scan.candidate(ws, ci, mv) {
             match mode {
                 ScanMode::FirstImproving => break,
-                ScanMode::FirstThenBest => {
+                ScanMode::BestResponses => {
                     // Best-only from here on: the rest of the current block
                     // goes back under its block bound.
                     scan.order_by_bound = true;
                     block_end = ci + 1;
                 }
-                ScanMode::AllImproving | ScanMode::BestOnly => {}
+                ScanMode::AllImproving => {}
             }
         }
         ci += 1;
@@ -436,16 +399,12 @@ fn scan_moves<G: Game + ?Sized>(
     ws.candidates = candidates;
     ws.block_bounds = block_bounds;
     ws.evaluator.record_bound_prunes(scan.pruned);
-    let mut out = scan.out;
-    if scan.defer_consent && !out.is_empty() {
-        out = resolve_deferred_consent(game, g, u, ws, out, &scan.unchecked);
-    }
     if let Some(before) = kernel_calls_before {
-        if out.is_empty() && had_candidates && ws.evaluator.stats().kernel_calls == before {
+        if scan.out.is_empty() && had_candidates && ws.evaluator.stats().kernel_calls == before {
             ncg_trace::add(ncg_trace::Counter::CertifiedHappy, 1);
         }
     }
-    out
+    scan.out
 }
 
 /// The run key and target of a candidate a block envelope can bound: a
@@ -469,20 +428,18 @@ struct Scan<'s, G: ?Sized> {
     edge_mode: EdgeCostMode,
     delta_path: bool,
     consent_delta: bool,
-    defer_consent: bool,
-    allow_bound: bool,
-    /// Queue bounded insertions in `pending` instead of scoring them in
-    /// place (the best-only scans without consent).
+    /// Prune at the best feasible cost, and queue bounded insertions in
+    /// `pending` instead of scoring them in place (a best-response scan past
+    /// its first feasible improving candidate).
     order_by_bound: bool,
     scratch_synced: bool,
     out: Vec<ScoredMove>,
     /// Original candidate index of each `out` entry (enumeration order must
     /// be restored after the bound-ordered pass — tie-breaking RNG sees it).
     out_idx: Vec<usize>,
-    unchecked: Vec<bool>,
     pending: BinaryHeap<Pending>,
-    /// Best exact improving cost so far: a pending bound above it can never
-    /// be scored, so it is dropped before it is queued.
+    /// Best feasible improving cost recorded so far: once `order_by_bound`
+    /// is set, a bound or cost above it is dropped.
     best: f64,
     pruned: u64,
 }
@@ -495,8 +452,8 @@ impl<G: Game + ?Sized> Scan<'_, G> {
     }
 
     /// `true` iff a candidate (or block) whose cost is at least `lb_cost`
-    /// can be dropped: it does not improve, or a best-only scan already has
-    /// a better exact cost.
+    /// can be dropped: it does not improve, or a best-response scan already
+    /// has a better feasible cost.
     fn prunes(&self, lb_cost: f64) -> bool {
         !is_improvement(self.old_cost, lb_cost) || (self.order_by_bound && lb_cost > self.best)
     }
@@ -504,89 +461,80 @@ impl<G: Game + ?Sized> Scan<'_, G> {
     /// Bounds, queues or scores candidate `ci` as the scoring loop reaches
     /// it. `true` iff it was recorded as an improving move.
     fn candidate(&mut self, ws: &mut Workspace, ci: usize, mv: &Move) -> bool {
+        if !self.delta_path {
+            return self.score_on_scratch(ws, ci, mv);
+        }
         let (g, u) = (self.g, self.u);
-        let mut deferred = false;
-        let new_cost = if self.delta_path {
-            // Most candidates stop at the level-histogram bound, before the
-            // kernel reads `v`'s vector.
-            if self.allow_bound {
-                if let Some(lb) = ws.evaluator.level_bound(g, u, mv) {
-                    let lb_cost = self.cost_of(mv, &lb);
-                    if self.prunes(lb_cost) {
-                        self.pruned += 1;
-                        return false;
-                    }
-                    if self.order_by_bound && !matches!(mv, Move::Delete { .. }) {
-                        self.pending.push(Pending {
-                            lb_cost,
-                            ci,
-                            tier: Tier::Level,
-                        });
-                        return false;
-                    }
-                }
+        // Most candidates stop at the level-histogram bound, before the
+        // kernel reads `v`'s vector.
+        if let Some(lb) = ws.evaluator.level_bound(g, u, mv) {
+            let lb_cost = self.cost_of(mv, &lb);
+            if self.prunes(lb_cost) {
+                self.pruned += 1;
+                return false;
             }
-            let score = ws.evaluator.try_score_bounded(g, u, mv, self.allow_bound);
-            let summary = match score {
-                DeltaScore::Summary(summary) => Some(summary),
-                DeltaScore::LowerBound(lb) => {
-                    let lb_cost = self.cost_of(mv, &lb);
-                    if !is_improvement(self.old_cost, lb_cost) {
-                        // The true cost is at least the bound: provably not
-                        // an improvement, no exact evaluation needed.
-                        return false;
-                    }
-                    if self.order_by_bound {
-                        if lb_cost <= self.best {
-                            self.pending.push(Pending {
-                                lb_cost,
-                                ci,
-                                tier: Tier::Kernel,
-                            });
-                        }
-                        return false;
-                    }
-                    Some(ws.evaluator.score_exact_last())
-                }
-                DeltaScore::Inapplicable => return false,
-                DeltaScore::Unsupported => None,
-            };
-            match summary {
-                Some(summary) => {
-                    let new_cost = self.cost_of(mv, &summary);
-                    // Consent is only consulted for improving candidates,
-                    // exactly like the reference.
-                    if self.consent_delta && is_improvement(self.old_cost, new_cost) {
-                        if self.defer_consent {
-                            deferred = true;
-                        } else if consent_blocked_delta(self.game, g, u, mv, ws) {
-                            return false;
-                        }
-                    }
-                    new_cost
-                }
-                None => match self.score_on_scratch(ws, mv) {
-                    Some(cost) => cost,
-                    None => return false,
-                },
+            if self.order_by_bound && !matches!(mv, Move::Delete { .. }) {
+                self.pending.push(Pending {
+                    lb_cost,
+                    ci,
+                    tier: Tier::Level,
+                });
+                return false;
             }
-        } else {
-            match self.score_on_scratch(ws, mv) {
-                Some(cost) => cost,
-                None => return false,
+        }
+        let summary = match ws.evaluator.try_score_bounded(g, u, mv, true) {
+            DeltaScore::Summary(summary) => summary,
+            DeltaScore::LowerBound(lb) => {
+                // The true cost is at least the bound.
+                let lb_cost = self.cost_of(mv, &lb);
+                if self.prunes(lb_cost) {
+                    return false;
+                }
+                if self.order_by_bound {
+                    self.pending.push(Pending {
+                        lb_cost,
+                        ci,
+                        tier: Tier::Kernel,
+                    });
+                    return false;
+                }
+                ws.evaluator.score_exact_last()
             }
+            DeltaScore::Inapplicable => return false,
+            DeltaScore::Unsupported => return self.score_on_scratch(ws, ci, mv),
         };
-        self.record(ci, mv, new_cost, deferred)
+        let new_cost = self.cost_of(mv, &summary);
+        self.record(ws, ci, mv, new_cost, true)
     }
 
-    fn score_on_scratch(&mut self, ws: &mut Workspace, mv: &Move) -> Option<f64> {
+    /// Scores `mv` on the scratch graph, consent included, and records it.
+    fn score_on_scratch(&mut self, ws: &mut Workspace, ci: usize, mv: &Move) -> bool {
         let (game, g, u, old_cost) = (self.game, self.g, self.u, self.old_cost);
-        score_on_scratch(game, g, u, mv, ws, &mut self.scratch_synced, old_cost)
+        match score_on_scratch(game, g, u, mv, ws, &mut self.scratch_synced, old_cost) {
+            Some(new_cost) => self.record(ws, ci, mv, new_cost, false),
+            None => false,
+        }
     }
 
-    /// Keeps candidate `ci` if it improves. `true` iff it was kept.
-    fn record(&mut self, ci: usize, mv: &Move, new_cost: f64, deferred: bool) -> bool {
-        if !is_improvement(self.old_cost, new_cost) {
+    /// Keeps candidate `ci` at its exact cost `new_cost` if that cost is not
+    /// pruned and no party blocks the move. A delta-scored candidate of a
+    /// consent game asks its parties here, and only here: after the pruning
+    /// test, while its deltas are still buffered for the counterpart oracle.
+    /// A blocked candidate is never kept, so `best` is always a feasible
+    /// cost. `true` iff the candidate was kept.
+    fn record(
+        &mut self,
+        ws: &mut Workspace,
+        ci: usize,
+        mv: &Move,
+        new_cost: f64,
+        delta_scored: bool,
+    ) -> bool {
+        if self.prunes(new_cost)
+            || (delta_scored
+                && self.consent_delta
+                && consent_blocked_delta(self.game, self.g, self.u, mv, ws))
+        {
             return false;
         }
         self.out.push(ScoredMove {
@@ -596,14 +544,11 @@ impl<G: Game + ?Sized> Scan<'_, G> {
         });
         self.out_idx.push(ci);
         self.best = self.best.min(new_cost);
-        if self.defer_consent {
-            self.unchecked.push(deferred);
-        }
         true
     }
 
     /// Ascending-bound evaluation with cutoff: once the next bound exceeds
-    /// the best exact cost seen, no remaining candidate can beat (or tie)
+    /// the best feasible cost seen, no remaining candidate can beat (or tie)
     /// it — candidates tying the best have bounds ≤ it and were already
     /// evaluated. A block entry bounds its members one by one, queueing the
     /// survivors; its key is `≤` every member's, so members reach the
@@ -635,8 +580,7 @@ impl<G: Game + ?Sized> Scan<'_, G> {
             {
                 DeltaScore::Summary(summary) => summary,
                 DeltaScore::LowerBound(lb) => {
-                    let lb_cost = self.cost_of(mv, &lb);
-                    if !is_improvement(self.old_cost, lb_cost) || lb_cost > self.best {
+                    if self.prunes(self.cost_of(mv, &lb)) {
                         continue;
                     }
                     ws.evaluator.score_exact_last()
@@ -647,12 +591,13 @@ impl<G: Game + ?Sized> Scan<'_, G> {
                 }
             };
             let new_cost = self.cost_of(mv, &summary);
-            self.record(entry.ci, mv, new_cost, false);
+            self.record(ws, entry.ci, mv, new_cost, true);
         }
     }
 }
 
-/// Where a queued entry of the best-only scan's ascending-bound pass stands.
+/// Where a queued entry of the best-response scan's ascending-bound pass
+/// stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tier {
     /// A block envelope's bound on candidates `ci..end`, none bounded yet.
@@ -663,8 +608,8 @@ enum Tier {
     Kernel,
 }
 
-/// An entry queued for the best-only scan's ascending-bound pass. The heap
-/// pops the lowest bound first, ties in enumeration order.
+/// An entry queued for the best-response scan's ascending-bound pass. The
+/// heap pops the lowest bound first, ties in enumeration order.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     /// Lower bound on the cost of the entry's candidates.
@@ -698,71 +643,13 @@ impl PartialEq for Pending {
 
 impl Eq for Pending {}
 
-/// The ascending-cost consent pass of the best-only scan: finds the minimal
-/// new cost among the *feasible* (unblocked) candidates and returns exactly
-/// the feasible candidates at that cost, in their original enumeration order
-/// (the order the tie-breaking RNG sees must not depend on the scan mode).
-///
-/// Candidates that already passed an inline consent check (`unchecked[i] ==
-/// false`, e.g. scratch-scored ones) are feasible as-is; the rest are
-/// re-scored — one oracle evaluation re-buffers the candidate's deltas — and
-/// consent-checked lazily. The pass stops as soon as a cost level with a
-/// feasible candidate is fully examined, so it pays for the blocked
-/// candidates below the answer and the ties at it, not for every improving
-/// candidate of the enumeration.
-fn resolve_deferred_consent<G: Game + ?Sized>(
-    game: &G,
-    g: &OwnedGraph,
-    u: NodeId,
-    ws: &mut Workspace,
-    out: Vec<ScoredMove>,
-    unchecked: &[bool],
-) -> Vec<ScoredMove> {
-    debug_assert_eq!(out.len(), unchecked.len());
-    let mut order: Vec<usize> = (0..out.len()).collect();
-    order.sort_by(|&a, &b| {
-        out[a]
-            .new_cost
-            .partial_cmp(&out[b].new_cost)
-            .expect("costs are never NaN")
-    });
-    let mut best_cost: Option<f64> = None;
-    let mut keep = vec![false; out.len()];
-    for &i in &order {
-        if let Some(c) = best_cost {
-            if out[i].new_cost > c {
-                break;
-            }
-        }
-        let blocked = unchecked[i] && {
-            // Re-buffer this candidate's delta sequence for the counterpart
-            // queries; the state is unchanged, so the score must reproduce
-            // (a lower bound re-buffers the same sequence and is fine too).
-            let rescored = ws.evaluator.try_score(g, u, &out[i].mv);
-            debug_assert!(matches!(
-                rescored,
-                DeltaScore::Summary(_) | DeltaScore::LowerBound(_)
-            ));
-            consent_blocked_delta(game, g, u, &out[i].mv, ws)
-        };
-        if !blocked {
-            best_cost = Some(out[i].new_cost);
-            keep[i] = true;
-        }
-    }
-    out.into_iter()
-        .zip(keep)
-        .filter_map(|(mv, k)| k.then_some(mv))
-        .collect()
-}
-
 /// Delta-scored consent: `true` iff some consent party of `mv` sees her
 /// standard `edge + distance` cost strictly increase, with both sides of the
 /// comparison answered by the evaluator's counterpart oracle (journal-replay
 /// re-pin + candidate-delta what-if) — the post-move graph never exists.
 ///
-/// Must run directly after the [`CostEvaluator::try_score`] of the same
-/// candidate, whose delta sequence is still buffered in the evaluator.
+/// Must run directly after the exact score of the same candidate, whose
+/// delta sequence is still buffered in the evaluator.
 fn consent_blocked_delta<G: Game + ?Sized>(
     game: &G,
     g: &OwnedGraph,

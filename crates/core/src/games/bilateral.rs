@@ -191,8 +191,9 @@ mod tests {
                         let a = game.improving_moves(&g, u, &mut fast);
                         let b = game.improving_moves(&g, u, &mut slow);
                         assert_eq!(a, b, "trial {trial} α={alpha} {} agent {u}", game.name());
-                        // The deferred-consent best-response scan must return
-                        // the same set (and order) as the eager fallback.
+                        // The best-response scan, which asks consent in
+                        // bound order, must return the reference's set (and
+                        // order).
                         let a = game.best_responses(&g, u, &mut fast);
                         let b = game.best_responses(&g, u, &mut slow);
                         assert_eq!(

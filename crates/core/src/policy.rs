@@ -6,7 +6,7 @@
 //! policy; min-index is provided as an additional natural baseline and for the
 //! adversarial constructions in the tests.
 
-use crate::game::{scan_agent, Game, ScoredMove, Workspace};
+use crate::game::{Game, ScoredMove, Workspace};
 use ncg_graph::{NodeId, OwnedGraph};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -75,9 +75,12 @@ impl Policy {
         .map(|(mover, ())| mover)
     }
 
-    /// [`Policy::select_mover`], also returning the mover's best responses
-    /// (see [`scan_agent`]). The mover, the agents scanned before it and
-    /// the RNG draws are the same as `select_mover`'s.
+    /// [`Policy::select_mover`], also returning the mover's best responses:
+    /// the first agent in the policy's order whose
+    /// [`Game::best_responses`] are not empty. That scan is first-improving
+    /// until it finds a feasible improving move, so the mover, the agents
+    /// scanned before it and the RNG draws are the same as `select_mover`'s,
+    /// and each agent, the mover included, is scanned once.
     pub(crate) fn select_mover_with_responses<G: Game + ?Sized, R: Rng>(
         &self,
         game: &G,
@@ -87,7 +90,10 @@ impl Policy {
         rng: &mut R,
     ) -> Option<(NodeId, Vec<ScoredMove>)> {
         let order = self.scan_order(game, g, ws, tie_break, rng);
-        first_unhappy(order, ws, |u, ws| scan_agent(game, g, u, ws))
+        first_unhappy(order, ws, |u, ws| {
+            let responses = game.best_responses(g, u, ws);
+            (!responses.is_empty()).then_some(responses)
+        })
     }
 
     /// The order in which the policy scans the agents for a mover.
@@ -264,7 +270,7 @@ mod tests {
     }
 
     #[test]
-    fn min_index_and_round_robin_orderings() {
+    fn min_index_policy_moves_the_lowest_unhappy_agent() {
         let game = AsymSwapGame::sum();
         let g = generators::path(6);
         let mut ws = Workspace::new(6);

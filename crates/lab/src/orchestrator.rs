@@ -264,7 +264,15 @@ fn run_chunk(point: &SweepPoint, start: usize, len: usize) -> StreamingStats {
 /// before the worker moves on; with `resume`, previously recorded chunks are
 /// loaded instead of re-run. Errors surface only from journal I/O.
 pub fn run_sweep(plan: &SweepPlan, opts: &RunOptions) -> std::io::Result<SweepOutcome> {
-    let mut ledger = ChunkLedger::new(plan);
+    run_ledger(ChunkLedger::new(plan), opts)
+}
+
+/// [`run_sweep`] on a plan already flattened into `ledger`, for a caller
+/// that needs the ledger (or its plan hash) before the run starts.
+pub(crate) fn run_ledger(
+    mut ledger: ChunkLedger,
+    opts: &RunOptions,
+) -> std::io::Result<SweepOutcome> {
     let plan_hash = ledger.plan_hash;
 
     // Prefill the ledger from the journal on resume.

@@ -456,7 +456,9 @@ fn handle_assignment(stream: TcpStream, opts: &ServeOptions) -> io::Result<()> {
         Ok(plan) => plan,
         Err(e) => return refuse(&mut writer, format!("plan spec unreadable: {e}")),
     };
-    let derived = plan.plan_hash();
+    // The run takes this ledger, so the plan is flattened once per assignment.
+    let ledger = ChunkLedger::new(&plan);
+    let derived = ledger.plan_hash;
     if derived != plan_hash {
         return refuse(
             &mut writer,
@@ -491,7 +493,7 @@ fn handle_assignment(stream: TcpStream, opts: &ServeOptions) -> io::Result<()> {
         heartbeat: false,
         shard: Some(shard),
     };
-    let runner = std::thread::spawn(move || crate::orchestrator::run_sweep(&plan, &run_opts));
+    let runner = std::thread::spawn(move || crate::orchestrator::run_ledger(ledger, &run_opts));
     let pumped = pump_journal(&mut writer, &journal, &runner, opts.heartbeat_ms);
     // Always join before returning: the next assignment for this shard
     // truncates the same journal path, and a still-running orphan writer

@@ -137,3 +137,52 @@ fn equal_split_cost_accounting() {
     // disconnect the path — infinite distance cost — so it is not improving.
     assert!(improving.iter().all(|s| s.mv != mv));
 }
+
+/// Every step scans each agent once: the policy scans an agent with its
+/// best-response scan, and the scan that finds the mover unhappy also yields
+/// the move it makes. So a traced run opens one `enumerate` span (one
+/// `scan_moves` call) per agent the policy scanned, in the bilateral game,
+/// whose scan asks consent, as in the Greedy Buy Game (the control). This
+/// file runs as its own test process, and no other test in it switches the
+/// global trace flag.
+#[test]
+fn every_step_scans_each_agent_once() {
+    use selfish_ncg::trace::{self, Counter, Phase, PhaseNode};
+    fn spans(nodes: &[PhaseNode], phase: Phase) -> u64 {
+        nodes
+            .iter()
+            .map(|node| u64::from(node.phase == phase) * node.count + spans(&node.children, phase))
+            .sum()
+    }
+    let n = 9;
+    let initial = generators::random_with_m_edges(n, 14, &mut StdRng::seed_from_u64(71));
+    let mut games: Vec<Box<dyn Game>> = Vec::new();
+    for alpha in [1.0, 4.0] {
+        games.push(Box::new(BilateralBuyGame::sum(alpha)));
+        games.push(Box::new(BilateralBuyGame::max(alpha)));
+    }
+    games.push(Box::new(GreedyBuyGame::sum(n as f64 / 4.0)));
+    trace::set_enabled(true);
+    let _ = trace::take_report();
+    for game in &games {
+        let game = game.as_ref();
+        let mut rng = StdRng::seed_from_u64(13);
+        let out = run_dynamics(
+            game,
+            &initial,
+            &DynamicsConfig::simulation(200 * n),
+            &mut rng,
+        );
+        let report = trace::take_report();
+        assert!(out.converged(), "{}", game.name());
+        assert!(out.steps > 0, "{}: no move to scan for", game.name());
+        assert_eq!(
+            spans(&report.roots, Phase::Enumerate),
+            report.counter(Counter::AgentsScanned),
+            "{}: scans against agents scanned over {} steps",
+            game.name(),
+            out.steps
+        );
+    }
+    trace::set_enabled(false);
+}

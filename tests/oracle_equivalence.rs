@@ -152,9 +152,10 @@ fn oracle_stays_exact_along_random_move_sequences() {
 
 /// The bounded scan modes — the best-response tie set in enumeration order
 /// (what the random tie-break draws from) and the unhappiness verdict —
-/// must be identical on two workspaces. Only these modes take the
-/// level-histogram and kernel bound paths; `improving_moves` scores
-/// exactly.
+/// must be identical on two workspaces. Every scan, `improving_moves`
+/// included, drops the candidates whose level-histogram or kernel bound
+/// does not improve; the best-response scan also orders the rest by bound
+/// and cuts at the best cost found.
 fn assert_bounded_scans_agree(
     game: &dyn Game,
     g: &OwnedGraph,
