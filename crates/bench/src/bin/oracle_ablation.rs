@@ -17,17 +17,18 @@
 //! number of repeats). It asserts the identities the fast engine rests on:
 //! traced ≡ untraced runs before any timing, `persistent` ≡ `full-bfs` step
 //! counts in every cell both engines run (up to `full_max_n`, 512 by
-//! default), and all-zero oracle counters on the reference, which builds no
-//! oracle. `smoke=1` shrinks everything for CI, adds random-policy
-//! cells of both families at n = 64 and a SUM-GBG cell at n = 130, whose
+//! default), and all-zero oracle counters on the reference, whose oracle
+//! never syncs. `smoke=1` shrinks everything for CI, adds random-policy
+//! cells of both families at n = 64, a SUM-GBG cell at n = 130, whose
 //! scans cross the 64-vertex blocks of the oracle's level-histogram
-//! envelopes, and checks each persistent cell's work counters
-//! against the golden file [`GOLDEN_PATH`]: a counter that grows fails the
-//! run, one that shrinks is printed, and `smoke=1 bless=1` rewrites the
-//! file. `json=PATH` additionally writes the measurements as a
-//! JSON snapshot, stamped with the commit, toolchain and host: per cell the
-//! fastest repeat per engine (`seconds`) and every repeat
-//! (`repeat_seconds`).
+//! envelopes, and a SUM-BIL cell at n = 10, whose consent checks ask the
+//! mover's oracle what each party pays, and checks each persistent cell's
+//! work counters against the golden file [`GOLDEN_PATH`]: a counter that
+//! differs from its pinned value fails the run, printed as `golden → now`,
+//! and `smoke=1 bless=1` rewrites the file. `json=PATH` additionally writes
+//! the measurements as a JSON snapshot, stamped with the commit, toolchain
+//! and host: per cell the fastest repeat per engine (`seconds`) and every
+//! repeat (`repeat_seconds`).
 
 use ncg_bench::{exit_bad_args, parse_arg, parse_flag, provenance_json, split_arg};
 use ncg_core::policy::Policy;
@@ -388,7 +389,8 @@ struct SweepRow {
 
 /// Checks the pinned counters of every cell that ran against
 /// [`GOLDEN_PATH`], or rewrites the file with `bless`. Exits non-zero,
-/// naming the cell and counter, when a counter grew or a cell has no line.
+/// naming the cell and counter as `golden → now`, when a counter differs
+/// from its pinned value or a cell has no line.
 fn check_smoke_counters(rows: &[SweepRow], labels: &[String], bless: bool) {
     let mut current: Vec<(String, Vec<(&'static str, u64)>)> = Vec::new();
     for row in rows {
@@ -401,19 +403,15 @@ fn check_smoke_counters(rows: &[SweepRow], labels: &[String], bless: bool) {
             current.push((format!("{} n={} {label}", row.family, row.n), pinned));
         }
     }
-    let render = |cell: &str, counters: &[(&str, u64)]| {
-        let values: Vec<String> = counters.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        format!("{cell} {}", values.join(" "))
-    };
     if bless {
         let mut out = String::from(
             "# Work counters of the `oracle_ablation smoke=1` cells, fixed by their seeds:\n\
              # <family> n=<n> <engine> <counter>=<value>...\n\
-             # `smoke=1` fails when a counter grows; `smoke=1 bless=1` rewrites this file.\n",
+             # `smoke=1` fails when any counter differs; `smoke=1 bless=1` rewrites this file.\n",
         );
         for (cell, counters) in &current {
-            out.push_str(&render(cell, counters));
-            out.push('\n');
+            let values: Vec<String> = counters.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            let _ = writeln!(out, "{cell} {}", values.join(" "));
         }
         std::fs::write(GOLDEN_PATH, out).expect("write the smoke-counter golden file");
         println!("\nblessed {GOLDEN_PATH}");
@@ -436,41 +434,33 @@ fn check_smoke_counters(rows: &[SweepRow], labels: &[String], bless: bool) {
         })
         .collect();
     let mut failures = Vec::new();
-    let mut shrunk = Vec::new();
     for (cell, counters) in &current {
         let Some(pinned) = golden.get(cell) else {
             failures.push(format!("{cell}: no line in the golden file"));
             continue;
         };
-        let mut cell_shrunk = false;
         for &(name, value) in counters {
             match pinned.get(name) {
                 None => failures.push(format!("{cell}: {name} is not pinned")),
-                Some(&expect) if value > expect => {
-                    failures.push(format!("{cell}: {name} grew from {expect} to {value}"));
+                Some(&expect) if value != expect => {
+                    failures.push(format!("{cell}: {name} {expect} → {value}"));
                 }
-                Some(&expect) => cell_shrunk |= value < expect,
+                Some(_) => {}
             }
-        }
-        if cell_shrunk {
-            shrunk.push(render(cell, counters));
-        }
-    }
-    if !shrunk.is_empty() {
-        println!("\nwork counters shrank below {GOLDEN_PATH} (smoke=1 bless=1 pins them):");
-        for line in &shrunk {
-            println!("  {line}");
         }
     }
     if !failures.is_empty() {
-        eprintln!("\nwork counters above {GOLDEN_PATH}:");
+        eprintln!(
+            "\nwork counters differ from {GOLDEN_PATH} (golden → now; \
+             smoke=1 bless=1 pins a change made on purpose):"
+        );
         for failure in &failures {
             eprintln!("  {failure}");
         }
         std::process::exit(1);
     }
     println!(
-        "\nwork counters OK: {} cells within {GOLDEN_PATH}",
+        "\nwork counters OK: {} cells equal {GOLDEN_PATH}",
         current.len()
     );
 }
@@ -510,7 +500,7 @@ fn main() {
     // Smoke mode adds random-policy cells: the max-cost policy re-measures
     // every agent's cost each step, the random policy does not, so their
     // counters pin how the parked vectors are kept current between scans.
-    // It also adds one multi-block max-cost cell.
+    // It also adds one multi-block max-cost cell and one consent-game cell.
     let mut cells = vec![
         (GameFamily::AsgSum, Policy::MaxCost, ns.clone()),
         (GameFamily::GbgSum, Policy::MaxCost, ns.clone()),
@@ -523,6 +513,9 @@ fn main() {
             // cell fits in one block, so only this one pins the counters of
             // scans whose targets cross a block boundary.
             (GameFamily::GbgSum, Policy::MaxCost, vec![130]),
+            // The only consent game: its counters pin the counterpart
+            // queries that consent checks ask of the mover's oracle.
+            (GameFamily::BilateralSum, Policy::MaxCost, vec![10]),
         ]);
     }
     for (family, policy, ns) in cells {
@@ -567,7 +560,7 @@ fn main() {
                     assert_eq!(
                         st,
                         OracleStats::default(),
-                        "{family_label} n={n}: the reference builds no oracle"
+                        "{family_label} n={n}: the reference's oracle never syncs"
                     );
                 }
                 stats.push((idx == 1).then_some(st));

@@ -17,18 +17,19 @@
 //! persistent oracle's delta-stack prefix reuse pays the shared repairs only
 //! once across the exponential enumeration.
 //!
-//! Consent games are scored here too: a second oracle answers what each
+//! Consent games are scored here too: the same oracle answers what each
 //! consent party pays after the candidate
-//! ([`CostEvaluator::score_counterpart`]). Only the full-BFS reference
+//! ([`CostEvaluator::score_counterpart`]), from a copy of the party's row
+//! that leaves the mover's pin as it was. Only the full-BFS reference
 //! ([`OracleKind::FullBfs`](ncg_graph::oracle::OracleKind::FullBfs)) applies
 //! every candidate to a scratch graph, measures it by BFS and undoes it
-//! ([`crate::game`]); it never queries an evaluator, which then builds no
-//! oracle.
+//! ([`crate::game`]); it never queries an evaluator, whose oracle then
+//! never syncs.
 //!
 //! Observability: the oracle layer beneath emits the `oracle-begin`,
 //! `fused-kernel`, `delta-repair` and `pin-sources` trace phases,
 //! so every evaluator entry point is attributed for free. The evaluator adds
-//! only the [`ncg_trace::Phase::Consent`] span around consent-oracle work,
+//! only the [`ncg_trace::Phase::Consent`] span around counterpart queries,
 //! separating counterpart time from mover time in the profile.
 
 use crate::cost::EdgeCostMode;
@@ -60,21 +61,15 @@ pub enum DeltaScore {
     Unsupported,
 }
 
-/// A distance-oracle-backed scorer for one agent's candidate moves.
+/// A distance-oracle-backed scorer for one agent's candidate moves, and
+/// for what its consent parties pay after them: one oracle, one distance
+/// cache, one sync point.
 pub struct CostEvaluator {
-    /// Vertex count the oracles are created for.
-    n: usize,
-    /// The mover's oracle, created by the first query. Both oracles live on
-    /// the heap: held inline, their fields made the scan loop's own time
-    /// (the `enumerate` trace phase) ~1.6× longer on `asg-sum-1024`.
-    oracle: Option<Box<PersistentOracle>>,
+    /// The one oracle. It lives on the heap: held inline, its fields made
+    /// the scan loop's own time (the `enumerate` trace phase) ~1.6× longer
+    /// on `asg-sum-1024`. Its buffers are sized by its first sync.
+    oracle: Box<PersistentOracle>,
     deltas: Vec<EdgeDelta>,
-    /// Second oracle answering *counterpart* queries ("what does agent `v`
-    /// pay after the mover's candidate?") for consent checks. It keeps its
-    /// own cache and sync point, so consent queries never unpin the mover's
-    /// base vector or its delta-stack prefix. Created on the first
-    /// consent-checked scan.
-    consent: Option<Box<PersistentOracle>>,
     /// Candidates the scans pruned on a [`CostEvaluator::level_bound`], and
     /// blocks on a [`CostEvaluator::block_bounds`] entry (reported as
     /// [`OracleStats::bound_pruned`]).
@@ -82,30 +77,21 @@ pub struct CostEvaluator {
 }
 
 impl CostEvaluator {
-    /// Creates an evaluator for graphs on `n` vertices. Its oracles are
-    /// created by the first query, so an evaluator that is never queried
-    /// (the full-BFS reference's) holds none.
+    /// Creates an evaluator for graphs on `n` vertices. Its oracle holds
+    /// no cache until the first query syncs it, so an evaluator that is
+    /// never queried (the full-BFS reference's) allocates no buffers.
     pub fn new(n: usize) -> Self {
         CostEvaluator {
-            n,
-            oracle: None,
+            oracle: Box::new(PersistentOracle::new(n)),
             deltas: Vec::with_capacity(4),
-            consent: None,
             bound_pruned: 0,
         }
     }
 
-    /// Work counters of the mover's oracle and of the consent oracle, as far
-    /// as they were created, plus the scans' level-bound prunes. Both caches
-    /// are live at once, so their `peak_parked_bytes` add.
+    /// Work counters of the oracle, mover and counterpart queries alike,
+    /// plus the scans' level-bound prunes.
     pub fn stats(&self) -> OracleStats {
-        let mut stats = OracleStats::default();
-        for oracle in self.oracle.iter().chain(&self.consent) {
-            let counted = oracle.stats();
-            let peak = stats.peak_parked_bytes + counted.peak_parked_bytes;
-            stats.merge(&counted);
-            stats.peak_parked_bytes = peak;
-        }
+        let mut stats = self.oracle.stats();
         stats.bound_pruned += self.bound_pruned;
         stats.debug_validate();
         stats
@@ -113,16 +99,14 @@ impl CostEvaluator {
 
     /// Clears the work counters.
     pub fn reset_stats(&mut self) {
-        for oracle in self.oracle.iter_mut().chain(&mut self.consent) {
-            oracle.reset_stats();
-        }
+        self.oracle.reset_stats();
         self.bound_pruned = 0;
     }
 
     /// Pins the base state `(g, u)` for the following
     /// [`CostEvaluator::try_score`] calls and returns `u`'s base summary.
     pub fn begin_agent(&mut self, g: &OwnedGraph, u: NodeId) -> DistanceSummary {
-        created(&mut self.oracle, self.n).begin(g, u)
+        self.oracle.begin(g, u)
     }
 
     /// Scores candidate `mv` of agent `u` against the pinned base state.
@@ -159,8 +143,8 @@ impl CostEvaluator {
         // miss) takes the repair machinery.
         if let Some((&EdgeDelta::Insert { u: a, v: b }, prefix)) = self.deltas.split_last() {
             if a == u && (may_bound || prefix.is_empty()) {
-                let oracle = created(&mut self.oracle, self.n);
-                if let Some((summary, exact)) = oracle.evaluate_insert_via_cache(g, prefix, a, b) {
+                let cached = self.oracle.evaluate_insert_via_cache(g, prefix, a, b);
+                if let Some((summary, exact)) = cached {
                     return if exact {
                         DeltaScore::Summary(summary)
                     } else {
@@ -169,8 +153,7 @@ impl CostEvaluator {
                 }
             }
         }
-        let summary = created(&mut self.oracle, self.n).evaluate(&self.deltas);
-        DeltaScore::Summary(summary)
+        DeltaScore::Summary(self.oracle.evaluate(&self.deltas))
     }
 
     /// The tier in front of [`CostEvaluator::try_score_bounded`]: a lower
@@ -192,12 +175,11 @@ impl CostEvaluator {
     /// like after `try_score`.
     pub fn level_bound(&mut self, g: &OwnedGraph, u: NodeId, mv: &Move) -> Option<DistanceSummary> {
         self.buffer_deltas(g, u, mv).ok()?;
-        let oracle = created(&mut self.oracle, self.n);
         match (self.deltas.split_last(), mv) {
             (Some((&EdgeDelta::Insert { u: a, v: b }, prefix)), _) if a == u => {
-                oracle.insert_level_bound(g, prefix, a, b)
+                self.oracle.insert_level_bound(g, prefix, a, b)
             }
-            (_, &Move::Delete { to }) => oracle.removal_bound(g, u, to),
+            (_, &Move::Delete { to }) => self.oracle.removal_bound(g, u, to),
             _ => None,
         }
     }
@@ -227,7 +209,7 @@ impl CostEvaluator {
             .deltas
             .split_last()
             .expect("a Buy or Swap ends in its insertion");
-        created(&mut self.oracle, self.n).insert_block_bounds(g, prefix, u, out)
+        self.oracle.insert_block_bounds(g, prefix, u, out)
     }
 
     /// Adds `count` prunes by a [`CostEvaluator::level_bound`] (one per
@@ -290,31 +272,29 @@ impl CostEvaluator {
     /// [`DeltaScore::LowerBound`] that survived its prune, by running the
     /// buffered delta sequence through the repair machinery.
     pub fn score_exact_last(&mut self) -> DistanceSummary {
-        created(&mut self.oracle, self.n).evaluate(&self.deltas)
+        self.oracle.evaluate(&self.deltas)
     }
 
-    /// The agent's distance summary served from its row of the main
-    /// oracle's distance matrix at the current version of `g`, without
-    /// re-pinning.
+    /// The agent's distance summary served from its row of the oracle's
+    /// distance matrix at the current version of `g`, without re-pinning.
     /// See [`PersistentOracle::cached_summary`].
     pub fn cached_summary(&mut self, g: &OwnedGraph, u: NodeId) -> DistanceSummary {
-        created(&mut self.oracle, self.n).cached_summary(g, u)
+        self.oracle.cached_summary(g, u)
     }
 
-    /// Brings the distance vectors of `sources` in the **main** oracle to
-    /// the current version of `g`. The oracle keeps every source's vector
-    /// current at its sync, so this only syncs: the first call fills every
-    /// vector in bitset waves.
+    /// Brings the distance vectors of `sources` to the current version of
+    /// `g`. The oracle keeps every source's vector current at its sync, so
+    /// this only syncs: the first call fills every vector in bitset waves.
     pub fn pin_sources(&mut self, g: &OwnedGraph, sources: &[NodeId]) {
-        created(&mut self.oracle, self.n).pin_sources(g, sources);
+        self.oracle.pin_sources(g, sources);
     }
 
-    /// Counterpart what-if for the **last scored candidate**: re-pins agent
-    /// `v` on the consent oracle and scores the candidate's delta sequence
-    /// from `v`'s point of view, returning `v`'s `(base, post-move)` distance
-    /// summaries. The re-pin copies `v`'s cached row, which the consent
-    /// oracle's sync keeps current by journal replay, and the what-if is a
-    /// truncated repair — no apply/undo, no full BFS.
+    /// Counterpart what-if for the **last scored candidate**: agent `v`'s
+    /// `(base, post-move)` distance summaries under the candidate's delta
+    /// sequence, from a copy of `v`'s row of the mover's distance matrix
+    /// repaired by truncated BFS — no apply/undo, no full BFS, and the
+    /// mover's pin, delta stack and row bounds stay as they were (see
+    /// [`PersistentOracle::evaluate_for_source`]).
     ///
     /// Must follow a [`CostEvaluator::try_score`] that returned
     /// [`DeltaScore::Summary`]; the delta sequence of that candidate is still
@@ -325,7 +305,7 @@ impl CostEvaluator {
         v: NodeId,
     ) -> (DistanceSummary, DistanceSummary) {
         let _sp = ncg_trace::span(ncg_trace::Phase::Consent);
-        created(&mut self.consent, self.n).evaluate_for_source(g, v, &self.deltas)
+        self.oracle.evaluate_for_source(g, v, &self.deltas)
     }
 
     /// Degree change of vertex `v` under the last scored candidate's delta
@@ -343,11 +323,6 @@ impl CostEvaluator {
         }
         delta
     }
-}
-
-/// The oracle in `slot`, created for `n` vertices on first use.
-fn created(slot: &mut Option<Box<PersistentOracle>>, n: usize) -> &mut PersistentOracle {
-    slot.get_or_insert_with(|| Box::new(PersistentOracle::new(n)))
 }
 
 /// `true` iff the slice is strictly ascending (the documented contract of the
@@ -396,9 +371,7 @@ fn push_set_deltas(
 
 impl std::fmt::Debug for CostEvaluator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CostEvaluator")
-            .field("n", &self.n)
-            .finish_non_exhaustive()
+        f.debug_struct("CostEvaluator").finish_non_exhaustive()
     }
 }
 
@@ -637,10 +610,10 @@ mod tests {
 
     #[test]
     fn pinned_consent_sources_are_served_by_replay() {
-        // The consent oracle fills every party's vector at its first query
-        // and keeps them current by journal replay: counterpart queries
-        // after a graph change stay BFS-exact without a refill, and the
-        // evaluator's counters include the consent oracle's work.
+        // Counterpart queries read the rows of the mover's matrix, which its
+        // one sync point fills once and keeps current by journal replay:
+        // they stay BFS-exact after a graph change without a refill or a
+        // cache of their own.
         let mut g = generators::path(10);
         let mut evaluator = CostEvaluator::new(10);
         let mv = Move::SetNeighbors {
@@ -666,20 +639,123 @@ mod tests {
             }
         }
         let stats = evaluator.stats();
-        assert_eq!(stats.batched_repins, 2 * 10, "one fill per oracle");
-        assert_eq!(
-            stats.replayed_begins,
-            2 * 10,
-            "one replayed sync per oracle"
-        );
-        // Per oracle: the 10 × 10 distance matrix, plus per row its level
-        // counts and aggregates.
+        assert_eq!(stats.batched_repins, 10, "one fill");
+        assert_eq!(stats.replayed_begins, 10, "one replayed sync");
+        // The 10 × 10 distance matrix, plus per row its level counts and
+        // aggregates.
         let per_row = 2 * LEVELS + size_of::<BatchSummary>();
         assert_eq!(
             stats.peak_parked_bytes,
-            2 * (10 * 10 * 2 + 10 * per_row) as u64,
-            "two full caches add"
+            (10 * 10 * 2 + 10 * per_row) as u64,
+            "one cache"
         );
+    }
+
+    /// What one candidate of [`scan_with_counterparts`] returned to the
+    /// mover: its level bound, its first score, and the exact score that
+    /// upgrades a lower bound.
+    type MoverScore = (Option<DistanceSummary>, DeltaScore, Option<DistanceSummary>);
+
+    /// Scores `moves` of agent `u` the way a scan does (level bound, then a
+    /// bound-enabled score, upgraded when it is a lower bound) and, when
+    /// `parties` is non-empty, asks each party's counterpart what-if right
+    /// after each applicable candidate. Returns the mover's scores and the
+    /// counterpart answers.
+    fn scan_with_counterparts(
+        evaluator: &mut CostEvaluator,
+        g: &OwnedGraph,
+        u: NodeId,
+        moves: &[Move],
+        parties: &[NodeId],
+    ) -> (Vec<MoverScore>, Vec<(DistanceSummary, DistanceSummary)>) {
+        evaluator.begin_agent(g, u);
+        let (mut scores, mut answers) = (Vec::new(), Vec::new());
+        for mv in moves {
+            let bound = evaluator.level_bound(g, u, mv);
+            let score = evaluator.try_score_bounded(g, u, mv, true);
+            let exact = match score {
+                DeltaScore::LowerBound(_) => Some(evaluator.score_exact_last()),
+                DeltaScore::Summary(s) => Some(s),
+                _ => None,
+            };
+            scores.push((bound, score, exact));
+            if exact.is_some() {
+                for &v in parties {
+                    answers.push(evaluator.score_counterpart(g, v));
+                }
+            }
+        }
+        (scores, answers)
+    }
+
+    #[test]
+    fn counterpart_queries_leave_the_mover_scan_as_it_was() {
+        // Counterpart queries between a mover's candidates answer from a
+        // copy of the party's row: the mover's scores, its delta-stack
+        // reuse and its row bounds are those of a scan without them, and
+        // the cache is filled and replayed once, not once per query kind.
+        let mut g = generators::cycle(12);
+        g.add_edge(0, 6);
+        g.add_edge(3, 9);
+        g.add_edge(0, 4);
+        // A Greedy Buy Game agent: Swaps sharing each removal prefix, then
+        // Buys and Deletes; and a bilateral agent's neighbour sets.
+        let mut gbg_moves = Vec::new();
+        for &from in g.owned_neighbors(0) {
+            let targets = (1..12).filter(|&to| !g.has_edge(0, to));
+            gbg_moves.extend(targets.map(|to| Move::Swap { from, to }));
+        }
+        gbg_moves.extend((1..12).map(|to| Move::Buy { to }));
+        gbg_moves.extend(g.owned_neighbors(0).iter().map(|&to| Move::Delete { to }));
+        let bilateral_moves: Vec<Move> = [vec![2, 4], vec![2, 5, 8, 11], vec![4, 10], vec![0]]
+            .into_iter()
+            .map(|new_neighbors| Move::SetNeighbors { new_neighbors })
+            .collect();
+        let parties: Vec<NodeId> = vec![0, 3, 5, 11];
+        let mut with = CostEvaluator::new(12);
+        let mut without = CostEvaluator::new(12);
+        let mut buf = BfsBuffer::new(12);
+        let mut queries = 0u64;
+        for round in 0..2 {
+            if round == 1 {
+                // A graph change: both evaluators replay it at their sync.
+                g.add_edge(7, 1);
+                g.remove_edge(3, 9);
+            }
+            for (u, moves) in [(0, &gbg_moves), (3, &bilateral_moves)] {
+                let (scores, answers) = scan_with_counterparts(&mut with, &g, u, moves, &parties);
+                let (alone, _) = scan_with_counterparts(&mut without, &g, u, moves, &[]);
+                assert_eq!(scores, alone, "round {round}, agent {u}: mover scores");
+                let mut answers = answers.into_iter();
+                for (mv, &(_, _, exact)) in moves.iter().zip(&scores) {
+                    let mut h = g.clone();
+                    let applied = apply_move(&mut h, u, mv).is_some();
+                    assert_eq!(applied, exact.is_some(), "round {round}, agent {u}, {mv:?}");
+                    if !applied {
+                        continue;
+                    }
+                    let ctx = format!("round {round}, agent {u}, {mv:?}");
+                    assert_eq!(exact, Some(buf.summary(&h, u)), "{ctx}: mover");
+                    for &v in &parties {
+                        let (base, modified) = answers.next().expect("one answer per party");
+                        assert_eq!(base, buf.summary(&g, v), "{ctx}: party {v} base");
+                        assert_eq!(modified, buf.summary(&h, v), "{ctx}: party {v} after");
+                        queries += 1;
+                    }
+                }
+                assert!(answers.next().is_none(), "round {round}, agent {u}");
+            }
+        }
+        let (a, b) = (with.stats(), without.stats());
+        assert_eq!(a.batched_repins, b.batched_repins, "one fill: {a:?}");
+        assert_eq!(a.replayed_begins, b.replayed_begins, "one replay: {a:?}");
+        assert_eq!(a.peak_parked_bytes, b.peak_parked_bytes, "one cache");
+        assert_eq!(
+            (a.kernel_calls, a.bound_queries, a.row_bounds),
+            (b.kernel_calls, b.bound_queries, b.row_bounds),
+            "the mover's kernels and row bounds are untouched"
+        );
+        assert_eq!(a.evaluations, b.evaluations + queries, "one per query");
     }
 
     #[test]

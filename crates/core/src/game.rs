@@ -25,8 +25,10 @@ pub struct Workspace {
     /// Single-source BFS workspace (used by the scratch-graph scoring path
     /// and by the cost queries of policies and equilibrium checks).
     pub bfs: BfsBuffer,
-    /// Distance-oracle-backed candidate scorer of the persistent engine. The
-    /// full-BFS reference never queries it, so it builds no oracle there.
+    /// Distance-oracle-backed candidate scorer of the persistent engine: one
+    /// oracle, whose one distance cache also answers consent parties'
+    /// what-ifs. The full-BFS reference never queries it, so its oracle
+    /// never syncs there and holds no cache.
     pub evaluator: CostEvaluator,
     kind: OracleKind,
     scratch: OwnedGraph,
@@ -56,8 +58,8 @@ impl Workspace {
         }
     }
 
-    /// Work counters of the distance oracles (for ablation measurements);
-    /// all zero on the full-BFS reference, which builds none.
+    /// Work counters of the distance oracle (for ablation measurements);
+    /// all zero on the full-BFS reference, whose oracle never syncs.
     pub fn oracle_stats(&self) -> OracleStats {
         self.evaluator.stats()
     }
@@ -519,7 +521,7 @@ impl<G: Game + ?Sized> Scan<'_, G> {
     /// Keeps candidate `ci` at its exact cost `new_cost` if that cost is not
     /// pruned and no party blocks the move. A delta-scored candidate of a
     /// consent game asks its parties here, and only here: after the pruning
-    /// test, while its deltas are still buffered for the counterpart oracle.
+    /// test, while its deltas are still buffered for the counterpart query.
     /// A blocked candidate is never kept, so `best` is always a feasible
     /// cost. `true` iff the candidate was kept.
     fn record(
@@ -645,8 +647,9 @@ impl Eq for Pending {}
 
 /// Delta-scored consent: `true` iff some consent party of `mv` sees her
 /// standard `edge + distance` cost strictly increase, with both sides of the
-/// comparison answered by the evaluator's counterpart oracle (journal-replay
-/// re-pin + candidate-delta what-if) — the post-move graph never exists.
+/// comparison answered by the evaluator's counterpart query (a copy of the
+/// party's row, repaired for the candidate's deltas) — the post-move graph
+/// never exists.
 ///
 /// Must run directly after the exact score of the same candidate, whose
 /// delta sequence is still buffered in the evaluator.

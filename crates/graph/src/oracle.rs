@@ -5,7 +5,7 @@
 //! `G` and an agent `u`, what is `u`'s distance summary in `G ± a few edges`?*
 //! The full-BFS reference ([`OracleKind::FullBfs`]) answers it the plain way:
 //! apply the move to a scratch copy of the graph, run a BFS, undo the move
-//! (`ncg_core::game`). It keeps no oracle. [`PersistentOracle`] answers it
+//! (`ncg_core::game`). It keeps no cache. [`PersistentOracle`] answers it
 //! without a BFS per candidate: it keeps the source's exact distance vector
 //! for the *base* graph and repairs it under each candidate's [`EdgeDelta`]s
 //! with truncated BFS. Inserts run a decrease-only relaxation from the
@@ -77,8 +77,8 @@ pub enum EdgeDelta {
 pub enum OracleKind {
     /// The reference the fast engine is checked against: every candidate is
     /// applied to a scratch copy of the graph, scored by a BFS on it and
-    /// undone (`ncg_core::game`), consent included. It builds no oracle, so
-    /// its [`OracleStats`] are all zero.
+    /// undone (`ncg_core::game`), consent included. Its oracle never syncs,
+    /// so its [`OracleStats`] are all zero.
     FullBfs,
     /// Journaled truncated-BFS repair per candidate evaluation, with distance
     /// vectors carried **across** `begin` calls: every source's vector is a
@@ -110,7 +110,7 @@ impl OracleKind {
 }
 
 /// Work counters of the persistent oracle, for ablation measurements. The
-/// full-BFS reference keeps no oracle and counts nothing.
+/// full-BFS reference's oracle never syncs and counts nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
     /// Candidate evaluations answered by seating their deltas on the
@@ -147,8 +147,8 @@ pub struct OracleStats {
     /// High-water mark of the per-source cache, in bytes, from the first
     /// sync on: the `n × n` `u16` distance matrix, plus per row its
     /// [`LEVELS`] `u16` level counts and its aggregates ([`BatchSummary`]),
-    /// `2n² + 88n` bytes on 64-bit hosts. Two caches live at once (the
-    /// scoring layer's consent oracle beside the mover's) add.
+    /// `2n² + 88n` bytes on 64-bit hosts. A workspace holds this one cache:
+    /// consent parties' what-ifs read the mover's matrix.
     pub peak_parked_bytes: u64,
     /// Fused `O(n)` insertion kernels run by
     /// [`PersistentOracle::evaluate_insert_via_cache`].
@@ -208,13 +208,13 @@ impl OracleStats {
 
 /// Creates the persistent oracle for graphs on `n` vertices. It is the only
 /// oracle: the full-BFS reference ([`OracleKind::FullBfs`]) scores on a
-/// scratch graph and builds none, so `kind` must be
+/// scratch graph and never syncs one, so `kind` must be
 /// [`OracleKind::Persistent`].
 pub fn make_oracle(kind: OracleKind, n: usize) -> PersistentOracle {
     assert_eq!(
         kind,
         OracleKind::Persistent,
-        "the full-BFS reference keeps no oracle"
+        "the full-BFS reference keeps no cache"
     );
     PersistentOracle::new(n)
 }
@@ -372,8 +372,8 @@ impl RowMut<'_> {
     }
 }
 
-/// The working vector: a copy of the pinned source's row, which candidate
-/// deltas repair, with an undo journal.
+/// A working vector: a copy of one source's row, which candidate deltas
+/// repair, with an undo journal.
 #[derive(Debug, Clone, Default)]
 struct DistState {
     dist: Vec<u16>,
@@ -383,6 +383,16 @@ struct DistState {
 }
 
 impl DistState {
+    /// Copies row `src` of the cache, its level counts and aggregates, and
+    /// clears the journal: `O(n)`.
+    fn load(&mut self, cache: &RowCache, src: usize) {
+        self.journal.clear();
+        self.dist.clear();
+        self.dist.extend_from_slice(cache.dist.row(src));
+        self.levels = cache.levels[src];
+        self.totals = cache.totals[src];
+    }
+
     /// The working vector as the repairs write it, journaled.
     fn row(&mut self) -> RowMut<'_> {
         RowMut {
@@ -800,6 +810,16 @@ impl RepairScratch {
         live
     }
 
+    /// The one repair dispatch: activates `delta` in the overlay, then
+    /// repairs `row` for it. Returns the vertices expanded.
+    fn apply(&mut self, csr: &CsrAdjacency, row: &mut RowMut, delta: EdgeDelta) -> u64 {
+        self.overlay.activate(&delta);
+        match delta {
+            EdgeDelta::Insert { u, v } => self.repair_insert(csr, row, u as u32, v as u32),
+            EdgeDelta::Remove { u, v } => self.repair_delete(csr, row, u as u32, v as u32),
+        }
+    }
+
     /// Runs the journal window `changes` through the repairs on `row`, in
     /// place, and returns the vertices expanded. The CSR must already be
     /// synced to the *post-window* graph; the overlay must be empty, and is
@@ -817,16 +837,11 @@ impl RepairScratch {
         }
         let mut expanded = 0;
         for change in changes {
-            expanded += match *change {
-                EdgeChange::Added { u, v } => {
-                    self.overlay.activate(&EdgeDelta::Insert { u, v });
-                    self.repair_insert(csr, &mut row, u as u32, v as u32)
-                }
-                EdgeChange::Removed { u, v } => {
-                    self.overlay.activate(&EdgeDelta::Remove { u, v });
-                    self.repair_delete(csr, &mut row, u as u32, v as u32)
-                }
+            let delta = match *change {
+                EdgeChange::Added { u, v } => EdgeDelta::Insert { u, v },
+                EdgeChange::Removed { u, v } => EdgeDelta::Remove { u, v },
             };
+            expanded += self.apply(csr, &mut row, delta);
         }
         debug_assert!(self.overlay.is_empty(), "replay must cancel the rewind");
         expanded
@@ -852,7 +867,8 @@ impl RepairScratch {
 /// lineage, a discarded window, a new graph size) or that is too long to
 /// replay profitably, refills every row in 64-wide bitset waves instead, so
 /// the oracle is exact in all cases. `begin` copies the pinned source's row
-/// into a working vector, which the candidate deltas repair.
+/// into a working vector, which the candidate deltas repair;
+/// `evaluate_for_source` repairs a copy of any row in a second one.
 ///
 /// The cache holds every source's row from the first query on: `2n²`
 /// bytes of distances plus 88 bytes of level counts and aggregates per
@@ -866,6 +882,10 @@ pub struct PersistentOracle {
     src: u32,
     /// Row `src` under the delta stack.
     state: DistState,
+    /// The never-pinned copy `evaluate_for_source` repairs, under an overlay
+    /// of its own that is swapped into the repair scratch for the query.
+    other: DistState,
+    other_overlay: DeltaOverlay,
     /// Deltas currently applied on top of the base row.
     active: Vec<EdgeDelta>,
     /// `checkpoints[i]` restores the state right before `active[i]`.
@@ -910,12 +930,8 @@ impl PersistentOracle {
             max_hint: self.state.totals.max_hint,
         });
         self.active.push(delta);
-        self.repair.overlay.activate(&delta);
-        let (csr, row) = (&self.csr, &mut self.state.row());
-        self.stats.nodes_expanded += match delta {
-            EdgeDelta::Insert { u, v } => self.repair.repair_insert(csr, row, u as u32, v as u32),
-            EdgeDelta::Remove { u, v } => self.repair.repair_delete(csr, row, u as u32, v as u32),
-        };
+        let row = &mut self.state.row();
+        self.stats.nodes_expanded += self.repair.apply(&self.csr, row, delta);
     }
 
     /// Rolls the delta stack back to its first `prefix` entries.
@@ -1047,12 +1063,7 @@ impl PersistentOracle {
         self.active.clear();
         self.checkpoints.clear();
         self.repair.overlay.clear();
-        let state = &mut self.state;
-        state.journal.clear();
-        state.dist.clear();
-        state.dist.extend_from_slice(self.cache.dist.row(src));
-        state.levels = self.cache.levels[src];
-        state.totals = self.cache.totals[src];
+        self.state.load(&self.cache, src);
         self.src = src as u32;
     }
 
@@ -1448,23 +1459,38 @@ impl PersistentOracle {
         self.state.row().summary()
     }
 
-    /// Multi-source what-if query: re-pins `(g, src)` and scores `deltas`
-    /// against it, returning the source's `(base, modified)` summaries.
+    /// Multi-source what-if query: the `(base, modified)` summaries of any
+    /// source `src` at the current version of `g`, `modified` after `deltas`
+    /// (applied in order), counted as one evaluation.
     ///
     /// This is the primitive behind consent checks: "what does agent `src`
-    /// pay *after* candidate move `deltas`?" answered without materialising
-    /// the post-move graph. The re-pin copies the source's matrix row, which
-    /// the sync keeps current by replaying the graph's change journal, so
-    /// the whole query costs `O(n + affected region)`.
+    /// pay *after* the mover's candidate `deltas`?" answered without
+    /// materialising the post-move graph. It syncs, copies `src`'s matrix
+    /// row into a second working vector that is never pinned, and repairs
+    /// that copy for `deltas` under an overlay of its own, so the query
+    /// costs `O(n + affected region)` and leaves the pinned source, its
+    /// delta stack and its row bounds exactly as they were: the scan that
+    /// asks keeps its prefix reuse.
     pub fn evaluate_for_source(
         &mut self,
         g: &OwnedGraph,
         src: NodeId,
         deltas: &[EdgeDelta],
     ) -> (DistanceSummary, DistanceSummary) {
-        let base = self.begin(g, src);
-        let modified = self.evaluate(deltas);
-        (base, modified)
+        let _sp = trace::span(trace::Phase::DeltaRepair);
+        self.sync(g);
+        self.stats.evaluations += 1;
+        let base = self.cache.row_mut(src).summary();
+        self.other.load(&self.cache, src);
+        let repair = &mut self.repair;
+        std::mem::swap(&mut repair.overlay, &mut self.other_overlay);
+        repair.overlay.clear();
+        let mut row = self.other.row();
+        for &delta in deltas {
+            self.stats.nodes_expanded += repair.apply(&self.csr, &mut row, delta);
+        }
+        std::mem::swap(&mut repair.overlay, &mut self.other_overlay);
+        (base, row.summary())
     }
 
     /// Arithmetic what-if for a **trailing edge insertion** `{u, v}` applied

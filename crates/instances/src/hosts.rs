@@ -9,8 +9,8 @@
 //!
 //! **Reproduction note.** The arXiv text determines the cycle networks up to the
 //! ownership of the edges that are never moved. Our exploration of the full
-//! improving-move state space (see [`explore_sum_host`] / [`explore_max_host`] and
-//! `EXPERIMENTS.md`) shows that for *every* assignment of those owners some
+//! improving-move state space (see [`explore_sum_host`] / [`explore_max_host`])
+//! shows that for *every* assignment of those owners some
 //! non-moving agent has an improving edge-deletion in the dense middle states of
 //! the cycle (e.g. the owner of `de` in state `G3` of Fig. 9 saves `α ∈ (7,8)`
 //! while its distances grow by at most 5), so improving-move sequences that escape

@@ -23,7 +23,7 @@ pub struct EngineSpec {
 
 impl EngineSpec {
     /// The reference engine: every candidate is applied to a scratch graph,
-    /// measured by BFS and undone, consent included; it builds no oracle.
+    /// measured by BFS and undone, consent included; its oracle never syncs.
     pub fn baseline() -> Self {
         EngineSpec {
             oracle: OracleKind::FullBfs,

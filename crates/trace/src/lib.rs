@@ -67,9 +67,10 @@ pub enum Phase {
     /// full-BFS backend, a fresh BFS) of the pinned vector, and the
     /// neighbour-row passes that bound a one-removal prefix in its place.
     DeltaRepair,
-    /// Work on the evaluator's *consent* oracle: counterpart what-if queries
-    /// and consent-source pins/warms. Oracle phases nest beneath it, so
-    /// consent time is separable from mover time in the profile.
+    /// Counterpart what-if queries of consent checks: what a party pays
+    /// after the mover's candidate, read from a copy of its row of the
+    /// mover's distance matrix. Oracle phases nest beneath it, so consent
+    /// time is separable from mover time in the profile.
     Consent,
     /// One (point, chunk) job executed by an orchestrator worker.
     ChunkRun,

@@ -1,6 +1,6 @@
 //! Probe: per-engine wall-clock and steps on the SUM-GBG and SUM-ASG
 //! ablation workloads, with the persistent engine's oracle work counters
-//! (the full-BFS reference builds no oracle and counts nothing), plus a
+//! (the full-BFS reference's oracle never syncs and counts nothing), plus a
 //! traced trial per family rendered as a text flame profile (`ncg-trace`
 //! phase tree).
 //!
