@@ -21,11 +21,13 @@
 //! never syncs. `smoke=1` shrinks everything for CI, adds random-policy
 //! cells of both families at n = 64, a SUM-GBG cell at n = 130, whose
 //! scans cross the 64-vertex blocks of the oracle's level-histogram
-//! envelopes, and a SUM-BIL cell at n = 10, whose consent checks ask the
-//! mover's oracle what each party pays, and checks each persistent cell's
-//! work counters against the golden file [`GOLDEN_PATH`]: a counter that
-//! differs from its pinned value fails the run, printed as `golden → now`,
-//! and `smoke=1 bless=1` rewrites the file. `json=PATH` additionally writes
+//! envelopes, a SUM-BIL cell at n = 10, whose consent checks ask the
+//! mover's oracle what each party pays, and a MAX-GBG cell at n = 64, whose
+//! costs read the level counts and max bounds that the sync's column patch
+//! keeps in step, and checks each persistent cell's work counters against
+//! the golden file [`GOLDEN_PATH`]: a counter that differs from its pinned
+//! value fails the run, printed as `golden → now`, and `smoke=1 bless=1`
+//! rewrites the file. `json=PATH` additionally writes
 //! the measurements as a JSON snapshot, stamped with the commit, toolchain
 //! and host: per cell the fastest repeat per engine (`seconds`) and every
 //! repeat (`repeat_seconds`).
@@ -54,7 +56,7 @@ const GOLDEN_PATH: &str = concat!(
 /// The [`OracleStats`] fields a seed fixes, pinned in [`GOLDEN_PATH`]. They
 /// count algorithmic work and the cache's bytes, so they catch a regression
 /// that wall-clock on a noisy host cannot.
-const PINNED_COUNTERS: [&str; 12] = [
+const PINNED_COUNTERS: [&str; 13] = [
     "evaluations",
     "nodes_expanded",
     "kernel_calls",
@@ -62,6 +64,7 @@ const PINNED_COUNTERS: [&str; 12] = [
     "bound_pruned",
     "row_bounds",
     "replayed_begins",
+    "column_patches",
     "lazy_replays",
     "batched_repins",
     "csr_patches",
@@ -70,11 +73,12 @@ const PINNED_COUNTERS: [&str; 12] = [
 ];
 
 /// Every [`OracleStats`] field by name.
-fn counter_fields(st: &OracleStats) -> [(&'static str, u64); 12] {
+fn counter_fields(st: &OracleStats) -> [(&'static str, u64); 13] {
     [
         ("evaluations", st.evaluations),
         ("nodes_expanded", st.nodes_expanded),
         ("replayed_begins", st.replayed_begins),
+        ("column_patches", st.column_patches),
         ("csr_patches", st.csr_patches),
         ("csr_rebuilds", st.csr_rebuilds),
         ("lazy_replays", st.lazy_replays),
@@ -500,7 +504,8 @@ fn main() {
     // Smoke mode adds random-policy cells: the max-cost policy re-measures
     // every agent's cost each step, the random policy does not, so their
     // counters pin how the parked vectors are kept current between scans.
-    // It also adds one multi-block max-cost cell and one consent-game cell.
+    // It also adds one multi-block max-cost cell, one consent-game cell and
+    // one MAX cell.
     let mut cells = vec![
         (GameFamily::AsgSum, Policy::MaxCost, ns.clone()),
         (GameFamily::GbgSum, Policy::MaxCost, ns.clone()),
@@ -516,6 +521,9 @@ fn main() {
             // The only consent game: its counters pin the counterpart
             // queries that consent checks ask of the mover's oracle.
             (GameFamily::BilateralSum, Policy::MaxCost, vec![10]),
+            // The only MAX cell: its costs read each row's level counts and
+            // max bound, which the sync's column patch keeps in step.
+            (GameFamily::GbgMax, Policy::MaxCost, vec![64]),
         ]);
     }
     for (family, policy, ns) in cells {

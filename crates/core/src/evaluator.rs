@@ -611,9 +611,9 @@ mod tests {
     #[test]
     fn pinned_consent_sources_are_served_by_replay() {
         // Counterpart queries read the rows of the mover's matrix, which its
-        // one sync point fills once and keeps current by journal replay:
-        // they stay BFS-exact after a graph change without a refill or a
-        // cache of their own.
+        // one sync point fills once and keeps current: they stay BFS-exact
+        // after a graph change without a refill of every row or a cache of
+        // their own.
         let mut g = generators::path(10);
         let mut evaluator = CostEvaluator::new(10);
         let mv = Move::SetNeighbors {
@@ -639,8 +639,14 @@ mod tests {
             }
         }
         let stats = evaluator.stats();
-        assert_eq!(stats.batched_repins, 10, "one fill");
-        assert_eq!(stats.replayed_begins, 10, "one replayed sync");
+        // The chord's mover 0 is refilled, and its neighbours' rows and the
+        // rows that change off its column are replayed.
+        assert_eq!(stats.batched_repins, 10 + 1, "one fill, then row 0");
+        assert_eq!(
+            (stats.replayed_begins, stats.column_patches),
+            (6, 1),
+            "one column-wise sync"
+        );
         // The 10 × 10 distance matrix, plus per row its level counts and
         // aggregates.
         let per_row = 2 * LEVELS + size_of::<BatchSummary>();

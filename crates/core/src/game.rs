@@ -218,10 +218,13 @@ pub trait Game {
 /// Cost of agent `u` measured through the workspace.
 ///
 /// On the persistent engine the summary is read off `u`'s cached row.
-/// The first read after a move brings every cached row current by
-/// journal replay, in time proportional to the region the move actually
-/// changed instead of one BFS per agent — this is what makes the max-cost
-/// policy's per-step cost refresh of all `n` agents cheap. The value is
+/// The first read after a move brings every cached row current instead of
+/// running one BFS per agent: the mover's row is refilled, the rows of its
+/// old and new neighbours and the rows that change off the mover's column
+/// are repaired by journal replay, and every other row gets its new
+/// distance to the mover written in, with its sum, level counts and max
+/// bound kept in step — this is what makes the max-cost policy's per-step
+/// cost refresh of all `n` agents cheap. The value is
 /// [`Game::cost`]'s default, `edge_cost(g, u) + metric(distance summary of
 /// u)` on the exact distance vector (see its override contract). The
 /// full-BFS reference measures [`Game::cost`] itself.

@@ -37,11 +37,17 @@
 //! `n × n` matrix, with [`LEVELS`]-bucket level counts and aggregates per
 //! row, and one sync point: the first call that arrives with a
 //! [`GraphVersion`] the oracle has not seen brings the CSR snapshot and all
-//! `n` rows to it in one pass, replaying the journal window between the two
-//! versions into each row, in place, through the same repair machinery.
-//! The first sync, and one whose window the journal no longer holds or
-//! that is longer than `max(8, n/8)` changes, refills every row in 64-wide
-//! bitset waves instead. Every other method reads only current rows.
+//! `n` rows to it in one pass over the journal window between the two
+//! versions. A window whose changes are all edges at one mover `u`, as
+//! every committed move's are, is advanced column-wise: the rows of `u`'s
+//! old and new neighbours `Q`, and the rows whose distance to some `q ∈ Q`
+//! changed, are replayed in place through the same repair machinery; row
+//! `u` is refilled from its new neighbours' rows; every other row changes
+//! at most at `d(x, u)`, which is read off `u`'s new row. Any other window
+//! is replayed into every row. The first sync, and one whose window the
+//! journal no longer holds or that is longer than `max(8, n/8)` changes,
+//! refills every row in 64-wide bitset waves instead. Every other method
+//! reads only current rows.
 
 use crate::batch::{level_bucket, BatchSummary, MultiSourceBfs, BATCH_WIDTH, LEVELS};
 use crate::csr::{CsrAdjacency, PatchOutcome};
@@ -123,9 +129,15 @@ pub struct OracleStats {
     pub nodes_expanded: u64,
     /// Distance rows advanced to a new graph version by replaying the
     /// graph's change journal at the oracle's sync point, instead of a full
-    /// BFS each: `n` per move under the max-cost policy, which reads every
-    /// agent's cost each step.
+    /// BFS each. A window whose changes all touch one mover `u` replays the
+    /// rows of `u`'s old and new neighbours and the rows that change off
+    /// `u`'s column, a fraction of `n`; any other window replays all `n`.
     pub replayed_begins: u64,
+    /// Rows advanced to a new graph version by writing `d(x, u)` alone,
+    /// read off the mover `u`'s refilled row: the rows a column-wise sync
+    /// neither replays nor leaves as they were (see
+    /// [`PersistentOracle`]'s sync).
+    pub column_patches: u64,
     /// CSR snapshot syncs served by in-place journal patching — `O(changes)`
     /// instead of the `O(n + m)` rebuild.
     pub csr_patches: u64,
@@ -134,15 +146,16 @@ pub struct OracleStats {
     /// slack.
     pub csr_rebuilds: u64,
     /// Always 0: the persistent oracle advances rows only at its sync
-    /// point, all of them at once (counted in `replayed_begins`), never one
-    /// row when a query reads it. The field remains so that code
-    /// reading it, such as the `perfbench` harness, keeps compiling.
+    /// point, all of them at once, never one row when a query reads it. The
+    /// field remains so that code reading it, such as the `perfbench`
+    /// harness, keeps compiling.
     pub lazy_replays: u64,
-    /// Vectors filled by the word-parallel bulk waves (up to [`BATCH_WIDTH`]
-    /// sources per shared bitset BFS) instead of one scalar traversal each:
-    /// all `n` at the first sync, and all `n`
-    /// again at every sync whose journal window cannot be replayed (past
-    /// the replay limit, a foreign lineage, a new graph size).
+    /// Vectors filled afresh instead of repaired: all `n` at the first sync
+    /// and again at every sync whose journal window cannot be replayed (past
+    /// the replay limit, a foreign lineage, a new graph size), by the
+    /// word-parallel bulk waves (up to [`BATCH_WIDTH`] sources per shared
+    /// bitset BFS) instead of one scalar traversal each; and the mover's
+    /// row at every column-wise sync, from its new neighbours' rows.
     pub batched_repins: u64,
     /// High-water mark of the per-source cache, in bytes, from the first
     /// sync on: the `n × n` `u16` distance matrix, plus per row its
@@ -194,6 +207,7 @@ impl OracleStats {
         self.evaluations += other.evaluations;
         self.nodes_expanded += other.nodes_expanded;
         self.replayed_begins += other.replayed_begins;
+        self.column_patches += other.column_patches;
         self.csr_patches += other.csr_patches;
         self.csr_rebuilds += other.csr_rebuilds;
         self.lazy_replays += other.lazy_replays;
@@ -281,6 +295,41 @@ fn invert(change: &EdgeChange) -> EdgeDelta {
         EdgeChange::Added { u, v } => EdgeDelta::Remove { u, v },
         EdgeChange::Removed { u, v } => EdgeDelta::Insert { u, v },
     }
+}
+
+/// The level counts and aggregates of a full distance row, its max exact.
+fn aggregates(dist: &[u16]) -> ([u16; LEVELS], BatchSummary) {
+    let mut levels = [0u16; LEVELS];
+    let mut totals = BatchSummary::default();
+    for &d in dist {
+        if d != UNREACHABLE {
+            levels[level_bucket(d)] += 1;
+            totals.sum += u64::from(d);
+            totals.reached += 1;
+            totals.max_hint = totals.max_hint.max(d);
+        }
+    }
+    (levels, totals)
+}
+
+/// The two endpoints of a journal entry.
+fn endpoints(change: &EdgeChange) -> (NodeId, NodeId) {
+    match *change {
+        EdgeChange::Added { u, v } | EdgeChange::Removed { u, v } => (u, v),
+    }
+}
+
+/// The vertex every change of `window` is an edge at: the mover of a window
+/// that holds one move (a Swap, Buy, Delete or whole-strategy change).
+/// When every change is the same edge, its first-named endpoint.
+fn window_mover(window: &[EdgeChange]) -> Option<NodeId> {
+    let (a, b) = endpoints(window.first()?);
+    [a, b].into_iter().find(|&x| {
+        window.iter().all(|change| {
+            let (p, q) = endpoints(change);
+            p == x || q == x
+        })
+    })
 }
 
 /// Iterates the neighbours of `x` in the overlaid graph.
@@ -505,17 +554,8 @@ impl RowBound {
             .unwrap_or(UNREACHABLE);
         let via = &mut self.dist[f as usize];
         *via = (*via).max(entry.saturating_add(1));
-        let mut levels = [0u16; LEVELS];
-        let (mut sum, mut reached, mut max) = (0u64, 0usize, 0u16);
-        for &c in &self.dist {
-            if c != UNREACHABLE {
-                levels[level_bucket(c)] += 1;
-                sum += u64::from(c);
-                reached += 1;
-                max = max.max(c);
-            }
-        }
-        (self.sum, self.reached, self.max) = (sum, reached, max);
+        let (levels, totals) = aggregates(&self.dist);
+        (self.sum, self.reached, self.max) = (totals.sum, totals.reached, totals.max_hint);
         if self.levels_of(f).is_none() {
             self.cf_levels.push((f, levels));
         }
@@ -602,6 +642,22 @@ impl RowCache {
         let per_row = size_of::<[u16; LEVELS]>() + size_of::<BatchSummary>();
         (n * n * size_of::<u16>() + n * per_row) as u64
     }
+}
+
+/// Scratch of the sync's column-wise pass over a window with one mover `u`
+/// (see [`PersistentOracle::advance_mover`]).
+#[derive(Debug, Clone, Default)]
+struct ColumnScratch {
+    /// `Q`: the mover's neighbours before or after the window.
+    neighbours: Vec<u32>,
+    /// Row `u` from before the window.
+    old_u: Vec<u16>,
+    /// Row `u` after the window.
+    new_u: Vec<u16>,
+    /// The rows of `Q` from before the window, back to back.
+    old_q: Vec<u16>,
+    /// Per row: replay it over the window.
+    flagged: Vec<bool>,
 }
 
 /// Scratch of the truncated-BFS repairs. The repairs write a [`RowMut`], so
@@ -830,7 +886,6 @@ impl RepairScratch {
     /// advances the overlaid graph one step right before its repair runs, and
     /// the rewind cancels out entirely by the end.
     fn replay(&mut self, csr: &CsrAdjacency, mut row: RowMut<'_>, changes: &[EdgeChange]) -> u64 {
-        let _sp = trace::span(trace::Phase::ScalarReplay);
         debug_assert!(self.overlay.is_empty());
         for change in changes.iter().rev() {
             self.overlay.activate(&invert(change));
@@ -860,9 +915,13 @@ impl RepairScratch {
 /// candidate.
 ///
 /// Every source's distance row lives in one `n × n` matrix with one sync
-/// point: the first call at a graph version the oracle has not seen replays
-/// the edge changes recorded in the graph's journal into every row, in
-/// place, through the same repair machinery, so no row is ever stale. The
+/// point: the first call at a graph version the oracle has not seen brings
+/// every row to it, so no row is ever stale. When the edge changes recorded
+/// in the graph's journal are all at one mover `u`, the sync refills row
+/// `u`, replays the changes in place, through the same repair machinery,
+/// into the rows of `u`'s old and new neighbours and into the rows whose
+/// distance to one of them changed, and writes the new `d(x, u)` into the
+/// rest; any other window is replayed into every row. The
 /// first sync, and one whose window the journal cannot serve (a foreign
 /// lineage, a discarded window, a new graph size) or that is too long to
 /// replay profitably, refills every row in 64-wide bitset waves instead, so
@@ -899,6 +958,8 @@ pub struct PersistentOracle {
     synced: Option<GraphVersion>,
     /// Shared bitset-frontier workspace of the bulk waves.
     wave: MultiSourceBfs,
+    /// Scratch of the sync's column-wise pass.
+    column: ColumnScratch,
     /// Neighbour-row bound of the pinned source's one-removal prefixes.
     rows: RowBound,
     /// Block envelopes of every row's level counts at the synced version.
@@ -922,6 +983,19 @@ impl PersistentOracle {
     fn stale_limit(&self) -> usize {
         (self.cache.len() / 8).max(8)
     }
+
+    /// Fewest old and new neighbours `Q` of a mover that make the sync
+    /// replay every row instead of advancing column-wise. The column-wise
+    /// pass keeps a copy of each `q`'s row, so the bound caps that scratch
+    /// at 63 rows: 126 KB at `n = 1024`, where a star centre's move would
+    /// otherwise copy the whole matrix. Nothing else reaches it: over
+    /// max-cost SUM trials at `n = 16…1024`, `|Q|` averaged 3.3–6.3 and
+    /// stayed at most 13 except for hub moves (SUM-GBG, 0.3–0.5 % of
+    /// windows), and every bound from 16 up timed the same sync. Scaling
+    /// the bound down with `n` only hurts: `n / 8` made `n = 16…32` trials
+    /// replay 46–100 % of rows instead of 13–23 %, and their syncs took up
+    /// to 2.5× as long.
+    const COLUMN_LIMIT: usize = 64;
 
     /// Applies one delta on top of the stack, recording its resume point.
     fn push_delta(&mut self, delta: EdgeDelta) {
@@ -983,12 +1057,14 @@ impl PersistentOracle {
     /// deltas are patched into the CSR's flat buffers in place —
     /// `O(changes)` instead of the `O(n + m)` rebuild, with the patcher's own
     /// rebuild fallback for dense journals and exhausted segment slack — and
-    /// the same window is replayed into every row. The first sync, and a
-    /// window the journal cannot serve (a foreign lineage or a discarded
-    /// window) or one longer than the replay limit, rebuild the CSR and
-    /// refill every row in bitset waves instead. The working vector is then
-    /// copied afresh from the pinned source's row, and the delta stack is
-    /// dropped.
+    /// every row is advanced over the same window
+    /// ([`PersistentOracle::replay_window`]): column-wise when the window
+    /// holds one mover's changes, by a replay of every row otherwise. The
+    /// first sync, and a window the journal cannot serve (a foreign lineage
+    /// or a discarded window) or one longer than the replay limit, rebuild
+    /// the CSR and refill every row in bitset waves instead. The working
+    /// vector is then copied afresh from the pinned source's row, and the
+    /// delta stack is dropped.
     fn sync(&mut self, g: &OwnedGraph) {
         let cur = g.version();
         if self.synced == Some(cur) {
@@ -1018,21 +1094,125 @@ impl PersistentOracle {
             self.stats.csr_rebuilds += 1;
         }
         match window.filter(|changes| changes.len() <= self.stale_limit()) {
-            Some(changes) => {
-                // The delta stack goes with the working vector, which is
-                // copied afresh below: the replay needs an empty overlay.
-                self.repair.overlay.clear();
-                for src in 0..n {
-                    let row = self.cache.row_mut(src);
-                    self.stats.nodes_expanded += self.repair.replay(&self.csr, row, changes);
-                    self.stats.replayed_begins += 1;
-                }
-            }
+            Some(changes) => self.replay_window(changes),
             None => self.batch_repin(),
         }
         self.synced = Some(cur);
         if n > 0 {
             self.load_row(self.src as usize);
+        }
+    }
+
+    /// Advances every row over the journal window `changes`, the CSR
+    /// already patched to its end, in one `scalar-replay` span.
+    ///
+    /// A window whose changes are all edges at one mover `u`, with fewer
+    /// than [`PersistentOracle::COLUMN_LIMIT`] old and new neighbours `Q`,
+    /// is advanced column-wise ([`PersistentOracle::advance_mover`]): the
+    /// rows of `Q` are replayed and row `u` refilled, a row `x` is replayed
+    /// only if `d(x, q)` changed for some `q ∈ Q`, and every other row gets
+    /// `d(x, u)` from `u`'s new row where it changed. Any other window
+    /// replays every row.
+    fn replay_window(&mut self, changes: &[EdgeChange]) {
+        let _sp = trace::span(trace::Phase::ScalarReplay);
+        // The delta stack goes with the working vector, which is copied
+        // afresh after the sync: the replay needs an empty overlay.
+        self.repair.overlay.clear();
+        let n = self.cache.len();
+        let mover = window_mover(changes).filter(|&u| self.gather_neighbours(u, changes));
+        self.column.flagged.clear();
+        self.column.flagged.resize(n, mover.is_none());
+        if let Some(u) = mover {
+            self.advance_mover(u, changes);
+        }
+        for x in 0..n {
+            if self.column.flagged[x] {
+                let row = self.cache.row_mut(x);
+                self.stats.nodes_expanded += self.repair.replay(&self.csr, row, changes);
+                self.stats.replayed_begins += 1;
+            } else if let Some(u) = mover {
+                let d = self.column.new_u[x];
+                if self.column.old_u[x] != d {
+                    let mut row = self.cache.row_mut(x);
+                    // Row `u` and the rows of `Q` are current already.
+                    if row.get(u as u32) != d {
+                        row.set(u as u32, d);
+                        self.stats.column_patches += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Collects `Q`, the old and new neighbours of the mover `u` over the
+    /// window `changes`, and reports whether they are fewer than
+    /// [`PersistentOracle::COLUMN_LIMIT`].
+    fn gather_neighbours(&mut self, u: NodeId, changes: &[EdgeChange]) -> bool {
+        let q = &mut self.column.neighbours;
+        q.clear();
+        q.extend_from_slice(self.csr.neighbors(u));
+        for change in changes {
+            let (a, b) = endpoints(change);
+            let w = if a == u { b } else { a } as u32;
+            if !q.contains(&w) {
+                q.push(w);
+            }
+        }
+        q.len() < Self::COLUMN_LIMIT
+    }
+
+    /// The first half of the column-wise pass for the mover `u`: replays
+    /// the rows of `Q`, refills row `u` from its new neighbours' rows,
+    /// keeping copies of all of them from before the window, and flags
+    /// every row `x` with a changed `d(x, q) = d(q, x)`, `q ∈ Q`.
+    ///
+    /// Row `u` is `1 + min d(w, x)` over its new neighbours `w ∈ Q`,
+    /// whose rows are current by then: a shortest path from `u` to `x ≠ u`
+    /// starts with an edge to one of them. Those `deg(u)` contiguous passes
+    /// beat a one-source bitset wave, which clears three `n`-word bitsets:
+    /// the sync took 59–73 µs per move against 92–102 µs on SUM-ASG trials
+    /// at `n = 1024`. The flags are exact. Every
+    /// changed edge is at `u`, so a shortest path from `x` to `y ≠ u` whose
+    /// length changed runs through `u` (in the graph where it is shorter),
+    /// on to some `q ∈ Q`. Its part from `q` to `y` avoids `u`, so that
+    /// part is a path of both graphs; with `d(x, q)` unchanged, the graph
+    /// where the path is shorter could not beat the other one. Flagged rows
+    /// other than `u` and `Q` are replayed by the caller; every other row
+    /// differs at most at `d(x, u)`.
+    fn advance_mover(&mut self, u: NodeId, changes: &[EdgeChange]) {
+        let n = self.cache.len();
+        let (col, cache) = (&mut self.column, &mut self.cache);
+        col.old_u.clear();
+        col.old_u.extend_from_slice(cache.dist.row(u));
+        col.old_q.clear();
+        for &q in &col.neighbours {
+            col.old_q.extend_from_slice(cache.dist.row(q as usize));
+        }
+        for (&q, old) in col.neighbours.iter().zip(col.old_q.chunks_exact(n)) {
+            let row = cache.row_mut(q as usize);
+            self.stats.nodes_expanded += self.repair.replay(&self.csr, row, changes);
+            self.stats.replayed_begins += 1;
+            let new = cache.dist.row(q as usize);
+            for ((flag, &a), &b) in col.flagged.iter_mut().zip(old).zip(new) {
+                *flag |= a != b;
+            }
+        }
+        col.new_u.clear();
+        col.new_u.resize(n, UNREACHABLE);
+        let neighbors = self.csr.neighbors(u);
+        for &w in neighbors {
+            for (d, &dw) in col.new_u.iter_mut().zip(cache.dist.row(w as usize)) {
+                *d = (*d).min(dw.saturating_add(1));
+            }
+        }
+        col.new_u[u] = 0;
+        cache.dist.row_mut(u).copy_from_slice(&col.new_u);
+        (cache.levels[u], cache.totals[u]) = aggregates(&col.new_u);
+        self.stats.nodes_expanded += (neighbors.len() * n) as u64;
+        self.stats.batched_repins += 1;
+        col.flagged[u] = false;
+        for &q in &col.neighbours {
+            col.flagged[q as usize] = false;
         }
     }
 
@@ -1919,8 +2099,10 @@ mod tests {
             16,
             "the first sync fills all"
         );
-        // Mutate the graph a little and re-pin the same source: every
-        // distance vector must be repaired by journal replay, not recomputed.
+        // Mutate the graph a little and re-pin the same source: no sync may
+        // recompute every distance vector. Each toggled chord has one mover,
+        // so each sync refills the mover's row from its neighbours' rows,
+        // replays the rows that change off its column and patches the rest.
         for step in 0..12 {
             let a = step % 16;
             let b = (step + 5) % 16;
@@ -1938,8 +2120,12 @@ mod tests {
             );
         }
         let stats = oracle.stats();
-        assert_eq!(stats.batched_repins, 16, "only the first sync fills");
-        assert_eq!(stats.replayed_begins, 12 * 16, "each sync replays all 16");
+        assert_eq!(stats.batched_repins, 16 + 12, "the first sync fills all");
+        assert_eq!(
+            (stats.replayed_begins, stats.column_patches),
+            (78, 4),
+            "rows replayed and patched by the 12 syncs, of 12 × 16"
+        );
     }
 
     #[test]
@@ -1969,9 +2155,14 @@ mod tests {
                 );
             }
         }
+        // Each round's chord has one mover, whose row its sync refills.
         let stats = oracle.stats();
-        assert_eq!(stats.batched_repins, 20, "only the first sync fills");
-        assert_eq!(stats.replayed_begins, 6 * 20, "each sync replays all 20");
+        assert_eq!(stats.batched_repins, 20 + 6, "the first sync fills all");
+        assert_eq!(
+            (stats.replayed_begins, stats.column_patches),
+            (82, 1),
+            "rows replayed and patched by the 6 syncs, of 6 × 20"
+        );
     }
 
     #[test]
@@ -1979,16 +2170,18 @@ mod tests {
         // The sync's replay path and its three refill paths: a window past
         // the replay limit (a replay would be slower than a fresh wave), a
         // clone (a fresh lineage whose journal can never serve a version
-        // taken on the original), and a graph of another size. A replay
-        // advances all n vectors; a refill recomputes all n in the waves,
-        // the pinned one included. Either way every summary is then current,
-        // and no path runs a scalar BFS.
+        // taken on the original), and a graph of another size. A replayed
+        // window with one mover refills the mover's row from its neighbours'
+        // rows, replays the rows that change off its column and patches
+        // `d(x, u)` into the rest; a refill recomputes all n rows in the
+        // waves, the pinned one included. Either way every summary is then
+        // current, and no path runs a scalar BFS. `expect` holds the rows
+        // the sync replays, patches and refills.
         fn assert_current(
             oracle: &mut PersistentOracle,
             g: &OwnedGraph,
             path: &str,
-            replayed: u64,
-            refilled: u64,
+            expect: (u64, u64, u64),
         ) {
             let n = g.num_nodes();
             let before = oracle.stats();
@@ -2000,31 +2193,32 @@ mod tests {
                 assert_eq!(summary, buf.summary(g, src), "{path}: src {src}");
             }
             let after = oracle.stats();
-            assert_eq!(
+            let advanced = (
                 after.replayed_begins - before.replayed_begins,
-                replayed,
-                "{path}"
-            );
-            assert_eq!(
+                after.column_patches - before.column_patches,
                 after.batched_repins - before.batched_repins,
-                refilled,
-                "{path}"
             );
+            assert_eq!(advanced, expect, "{path}: rows replayed, patched, refilled");
         }
         let mut g = generators::path(32);
         let mut oracle = PersistentOracle::new(32);
-        assert_current(&mut oracle, &g, "first sync", 0, 32);
+        assert_current(&mut oracle, &g, "first sync", (0, 0, 32));
+        // The chord's mover 0 is refilled. Its neighbours 1 and 31 are
+        // replayed, and so are the 26 rows whose distance to one of them
+        // changed: rows 2–14 (to 31) and 18–30 (to 1). Of 15, 16 and 17,
+        // only row 17 changes, at d(17, 0) = 17 → 15, and is patched.
         g.add_edge(0, 31);
-        assert_current(&mut oracle, &g, "replayed window", 32, 0);
+        assert_current(&mut oracle, &g, "replayed window", (28, 1, 1));
         for i in 0..16 {
             g.add_edge(i, i + 16);
         }
         assert!(16 > oracle.stale_limit());
-        assert_current(&mut oracle, &g, "window past the limit", 0, 32);
+        assert_current(&mut oracle, &g, "window past the limit", (0, 0, 32));
         let mut clone = g.clone();
         clone.swap_edge(0, 1, 20);
-        assert_current(&mut oracle, &clone, "foreign lineage", 0, 32);
-        assert_current(&mut oracle, &generators::cycle(20), "size change", 0, 20);
+        assert_current(&mut oracle, &clone, "foreign lineage", (0, 0, 32));
+        let cycle = generators::cycle(20);
+        assert_current(&mut oracle, &cycle, "size change", (0, 0, 20));
         assert_eq!(oracle.stats().peak_parked_bytes, cache_bytes(32));
     }
 
@@ -2083,11 +2277,15 @@ mod tests {
             let (_, expect) = truth(&g, src, &deltas);
             assert_eq!(modified, expect, "replayed src {src}");
         }
+        // The new edge's mover 1 is refilled. Its neighbours 0, 2 and 10
+        // are replayed, and so are the rows whose distance to one of them
+        // changed.
+        let stats = oracle.stats();
         assert_eq!(
-            oracle.stats().replayed_begins,
-            11,
-            "pinned sources are served by journal replay"
+            stats.replayed_begins, 6,
+            "pinned sources are served by replay"
         );
+        assert_eq!(stats.batched_repins, 11 + 1, "the first fill and row 1");
     }
 
     #[test]
@@ -2110,8 +2308,11 @@ mod tests {
             after.replayed_begins, before.replayed_begins,
             "summary reads never re-pin"
         );
-        // A moved graph is answered too: the first read's sync replays the
-        // window into every row, still without pinning or a BFS.
+        // A moved graph is answered too, still without pinning or a BFS. The
+        // first read's sync refills the chord's mover 0 from its new
+        // neighbours' rows and replays rows 1, 7 and 13, and the rows whose
+        // distance to one of them changed: 2, 5, 6, 8, 9 and 12. Rows 3, 4,
+        // 10 and 11 keep even their distance to 0.
         g.add_edge(0, 7);
         for src in 0..14 {
             assert_eq!(
@@ -2121,8 +2322,9 @@ mod tests {
             );
         }
         let moved = oracle.stats();
-        assert_eq!(moved.replayed_begins, after.replayed_begins + 14);
-        assert_eq!(moved.batched_repins, after.batched_repins);
+        assert_eq!(moved.replayed_begins, after.replayed_begins + 9);
+        assert_eq!(moved.column_patches, after.column_patches);
+        assert_eq!(moved.batched_repins, after.batched_repins + 1);
     }
 
     #[test]
@@ -2207,10 +2409,14 @@ mod tests {
         oracle.begin(&g, 2);
         g.add_edge(2, 7);
         oracle.begin(&g, 2);
+        // The chord's mover 2 is refilled. Rows 1, 3 and 7 are replayed,
+        // and so are rows 6 and 8, whose distance to 3 and 1 changed. Rows
+        // 0, 4, 5 and 9 keep even their distance to 2.
+        let stats = oracle.stats();
         assert_eq!(
-            oracle.stats().replayed_begins,
-            10,
-            "one sync replays all 10"
+            (stats.replayed_begins, stats.column_patches),
+            (5, 0),
+            "one sync replays 5 of 10 rows"
         );
         let deltas = [
             EdgeDelta::Remove { u: 2, v: 7 },
@@ -2810,7 +3016,14 @@ mod tests {
             );
             assert_eq!(oracle.cache.dist.row(src), buf.run(&g, src), "src {src}");
         }
-        assert_eq!(oracle.stats().replayed_begins, 80, "the chord was replayed");
+        // The chord's mover 0 is refilled. Its neighbours 1 and 79 are
+        // replayed, and so are the 74 rows whose distance to one of them
+        // changed. Of rows 39, 40 and 41, only row 41 changes, at
+        // d(41, 0) = 41 → 39, and is patched.
+        let stats = oracle.stats();
+        assert_eq!(stats.replayed_begins, 76, "the chord was replayed");
+        assert_eq!(stats.column_patches, 1, "row 41 was patched");
+        assert_eq!(stats.batched_repins, 81, "the first fill and row 0");
         assert_eq!(oracle.begin(&g, 39), buf.summary(&g, 39));
         let (_, expect) = truth(&g, 39, &chord);
         assert_eq!(oracle.evaluate(&chord), expect);

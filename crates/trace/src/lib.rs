@@ -53,7 +53,8 @@ pub enum Phase {
     OracleBegin,
     /// Bulk pinning of many sources (`pin_sources`, trial-start bulk pin).
     PinSources,
-    /// Scalar journal-window replay of one parked vector.
+    /// The oracle's sync over one journal window, all rows at once: the
+    /// column-wise pass, or the replay of every row.
     ScalarReplay,
     /// Word-parallel 64-wide bitset BFS wave (first fill, long windows).
     BatchWave,

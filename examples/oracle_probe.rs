@@ -56,8 +56,9 @@ fn run(n: usize, family: &str, oracle: OracleKind) {
     }
     let stats = dynamics.oracle_stats();
     println!(
-        " replays={:>7} evals={:>8} expanded={:>10} csr_patch={:>6} csr_rebuild={:>6} batched={:>6} peak_parked={:>9}B",
+        " replays={:>7} column_patches={:>7} evals={:>8} expanded={:>10} csr_patch={:>6} csr_rebuild={:>6} batched={:>6} peak_parked={:>9}B",
         stats.replayed_begins,
+        stats.column_patches,
         stats.evaluations,
         stats.nodes_expanded,
         stats.csr_patches,

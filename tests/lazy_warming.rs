@@ -2,11 +2,12 @@
 //! from-scratch BFS.
 //!
 //! The first call at a new graph version brings every parked vector to it in
-//! one pass by replaying the journal window, or refills every vector in
+//! one pass over the journal window, or refills every vector in
 //! bitset waves when the window is past the replay limit. The tests drive
 //! one oracle over random move sequences of mostly one- or two-change
-//! windows (the per-move regime) with bursts past the limit, re-pin only a
-//! random half of the sources per window (the rest are read as the sync left
+//! windows (the per-move regime, single moves included, which the sync
+//! advances column-wise) with bursts past the limit, re-pin only a random
+//! half of the sources per window (the rest are read as the sync left
 //! them), and check every distance vector and summary against a fresh BFS,
 //! the cache-arithmetic scoring path included. Iteration counts scale up in
 //! `--release` like the other randomized suites.
@@ -14,7 +15,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selfish_ncg::core::{Game, GreedyBuyGame, OracleKind, Workspace};
-use selfish_ncg::graph::oracle::PersistentOracle;
+use selfish_ncg::graph::oracle::{OracleStats, PersistentOracle};
 use selfish_ncg::graph::{generators, BfsBuffer, OwnedGraph};
 
 /// Scale factor for the randomized loops: modest in debug (tier-1), the full
@@ -57,58 +58,173 @@ fn random_half<R: Rng>(n: usize, rng: &mut R) -> Vec<usize> {
     (0..n).filter(|_| rng.gen_bool(0.5)).collect()
 }
 
-/// Sync-point replay ≡ full BFS over long random move sequences, with
-/// bursts past the replay limit (every slot refilled) and only a random half
-/// of the sources re-pinned per window: every summary read is served and
-/// never stale, and every `begin` matches a fresh BFS.
+/// A path of 33–47 vertices: most rows reach the last level bucket, which
+/// counts every level from 31 on.
+fn long_path<R: Rng>(rng: &mut R) -> OwnedGraph {
+    generators::path(rng.gen_range(33usize..48))
+}
+
+/// Two random components with no edge between them, and an isolated
+/// vertex: every row holds unreachable entries.
+fn disconnected_graph<R: Rng>(rng: &mut R) -> OwnedGraph {
+    let n = rng.gen_range(10usize..28);
+    let half = n / 2;
+    let mut g = OwnedGraph::new(n);
+    for (lo, hi) in [(0, half), (half, n - 1)] {
+        for v in lo + 1..hi {
+            g.add_edge(v, rng.gen_range(lo..v));
+        }
+        for _ in 0..hi - lo {
+            let (a, b) = (rng.gen_range(lo..hi), rng.gen_range(lo..hi));
+            g.add_edge(a, b);
+        }
+    }
+    g
+}
+
+/// One move by one random agent `u`, as the dynamics commit it: a Swap, a
+/// Buy, a Delete or a whole-strategy change, so every journal entry of the
+/// window is an edge at `u`. Returns `false` if the drawn move does not
+/// apply.
+fn apply_random_move<R: Rng>(g: &mut OwnedGraph, rng: &mut R) -> bool {
+    let n = g.num_nodes();
+    let u = rng.gen_range(0..n);
+    let pick = |list: &[usize], rng: &mut R| list[rng.gen_range(0..list.len())];
+    match rng.gen_range(0u32..4) {
+        0 if g.degree(u) > 0 => {
+            let from = pick(g.neighbors(u), rng);
+            g.swap_edge(u, from, rng.gen_range(0..n))
+        }
+        1 => g.add_edge(u, rng.gen_range(0..n)),
+        2 if g.owned_degree(u) > 0 => {
+            let v = pick(g.owned_neighbors(u), rng);
+            g.remove_owned_edge(u, v)
+        }
+        3 => {
+            let mut owned: Vec<usize> = (0..rng.gen_range(0usize..4))
+                .map(|_| rng.gen_range(0..n))
+                .filter(|&v| v != u)
+                .collect();
+            owned.sort_unstable();
+            owned.dedup();
+            g.set_owned_neighbors(u, &owned)
+        }
+        _ => false,
+    }
+}
+
+/// Toggles two edges with four distinct endpoints: a window with two
+/// movers and no vertex common to its changes.
+fn toggle_two_disjoint_edges<R: Rng>(g: &mut OwnedGraph, rng: &mut R) {
+    let n = g.num_nodes();
+    let mut ends = Vec::new();
+    while ends.len() < 4 {
+        let v = rng.gen_range(0..n);
+        if !ends.contains(&v) {
+            ends.push(v);
+        }
+    }
+    for pair in ends.chunks(2) {
+        let (a, b) = (pair[0], pair[1]);
+        if g.has_edge(a, b) {
+            g.remove_edge(a, b);
+        } else {
+            g.add_edge(a, b);
+        }
+    }
+}
+
+/// Sync-point replay ≡ full BFS over long random move sequences, on random
+/// graphs, long paths and disconnected graphs. The windows are random
+/// changes, single moves (a Swap, Buy, Delete or whole-strategy change by
+/// one agent, which the sync advances column-wise), windows with two
+/// movers, and bursts past the replay limit (every row refilled); only a
+/// random half of the sources is re-pinned per window. After every window
+/// every summary read is current, and every source's full row read by
+/// `begin` matches a fresh BFS.
 #[test]
 fn lazy_warming_matches_eager_sync_and_full_bfs() {
     let mut rng = StdRng::seed_from_u64(0x1a2f);
-    let (mut replayed_begins, mut rewaved) = (0u64, 0u64);
-    for case in 0..6 * SCALE {
-        let mut g = random_graph(&mut rng);
+    let (mut replayed_begins, mut column_patches) = (0u64, 0u64);
+    let (mut two_mover_windows, mut refills) = (0usize, 0usize);
+    for case in 0..9 * SCALE {
+        let mut g = match case % 3 {
+            0 => random_graph(&mut rng),
+            1 => long_path(&mut rng),
+            _ => disconnected_graph(&mut rng),
+        };
         let n = g.num_nodes();
         let all: Vec<usize> = (0..n).collect();
         let mut oracle = PersistentOracle::new(n);
         let mut buf = BfsBuffer::new(n);
         oracle.pin_sources(&g, &all);
         for step in 0..18 {
-            // Mostly small windows (the per-move regime); occasionally a
+            let before = oracle.stats();
+            // Mostly one move or one or two random changes (the per-move
+            // regime), sometimes two movers at once, and occasionally a
             // burst past the staleness limit max(8, n/8), so the sync
             // refills every slot in the waves.
-            let window = if rng.gen_bool(0.15) {
-                (n / 8).max(8) + 3
-            } else {
-                rng.gen_range(1usize..3)
-            };
-            for _ in 0..window {
-                apply_random_change(&mut g, &mut rng);
+            let mut two_movers = false;
+            match rng.gen_range(0u32..20) {
+                0..=2 => {
+                    for _ in 0..(n / 8).max(8) + 3 {
+                        apply_random_change(&mut g, &mut rng);
+                    }
+                }
+                3..=7 => {
+                    for _ in 0..rng.gen_range(1usize..3) {
+                        apply_random_change(&mut g, &mut rng);
+                    }
+                }
+                8..=9 => {
+                    toggle_two_disjoint_edges(&mut g, &mut rng);
+                    two_movers = true;
+                }
+                _ => {
+                    apply_random_move(&mut g, &mut rng);
+                }
             }
             let touched = random_half(n, &mut rng);
             oracle.pin_sources(&g, &touched);
+            // A column-wise sync refills one row; a burst refills all n.
+            refills +=
+                usize::from(oracle.stats().batched_repins - before.batched_repins == n as u64);
             for src in 0..n {
                 let ctx = format!("case {case} step {step} src {src}");
                 let summary = oracle.cached_summary(&g, src);
                 assert_eq!(summary, buf.summary(&g, src), "{ctx}");
             }
-            for probe in 0..4 {
-                let src = rng.gen_range(0..n);
-                let ctx = format!("case {case} step {step} probe {probe} src {src}");
+            for src in 0..n {
+                let ctx = format!("case {case} step {step} row {src}");
                 assert_eq!(oracle.begin(&g, src), buf.summary(&g, src), "{ctx}");
                 assert_eq!(oracle.base_distances(), &buf.run(&g, src)[..n], "{ctx}");
+            }
+            if two_movers {
+                let after = oracle.stats();
+                assert_eq!(
+                    after.replayed_begins - before.replayed_begins,
+                    n as u64,
+                    "case {case} step {step}: a window with two movers replays every row"
+                );
+                assert_eq!(after.column_patches, before.column_patches);
+                assert_eq!(after.batched_repins, before.batched_repins);
+                two_mover_windows += 1;
             }
         }
         let stats = oracle.stats();
         replayed_begins += stats.replayed_begins;
-        rewaved += stats.batched_repins - n as u64;
+        column_patches += stats.column_patches;
     }
-    // Both sync paths must have been taken: replay, and a burst that
-    // refilled every slot in the waves.
+    // Every sync path must have been taken: the column-wise pass, the
+    // replay of every row, and a burst that refilled every slot in the
+    // waves.
     assert!(
         replayed_begins > 0,
         "no parked vector was replayed at a sync"
     );
-    assert!(rewaved > 0, "no burst refilled the slots in the waves");
+    assert!(column_patches > 0, "no window was advanced column-wise");
+    assert!(two_mover_windows > 0, "no window had two movers");
+    assert!(refills > 0, "no burst refilled the slots in the waves");
 }
 
 /// Tentpole property of the word-parallel waves: the persistent oracle's
@@ -119,7 +235,7 @@ fn lazy_warming_matches_eager_sync_and_full_bfs() {
 #[test]
 fn batched_warm_replay_matches_scalar_and_full_bfs() {
     let mut rng = StdRng::seed_from_u64(0xb175);
-    let mut batched_repins = 0u64;
+    let mut refills = 0usize;
     for case in 0..6 * SCALE {
         let mut g = random_graph(&mut rng);
         let n = g.num_nodes();
@@ -127,9 +243,6 @@ fn batched_warm_replay_matches_scalar_and_full_bfs() {
         let mut batched = PersistentOracle::new(n);
         let mut scalar = BfsBuffer::new(n);
         batched.pin_sources(&g, &all);
-        // Count only the waves that refill the slots after a burst, not the
-        // initial fill.
-        batched.reset_stats();
         for step in 0..14 {
             // Mostly small windows; frequent bursts past the replay limit
             // max(8, n/8), which refill every slot in the waves.
@@ -141,7 +254,10 @@ fn batched_warm_replay_matches_scalar_and_full_bfs() {
             for _ in 0..window {
                 apply_random_change(&mut g, &mut rng);
             }
+            let before = batched.stats().batched_repins;
             batched.pin_sources(&g, &random_half(n, &mut rng));
+            // A column-wise sync refills one row; a burst refills all n.
+            refills += usize::from(batched.stats().batched_repins - before == n as u64);
             if step % 4 == 3 {
                 // Periodic bulk re-pin: every summary of the batched oracle
                 // is current, whatever the last sync did.
@@ -164,18 +280,17 @@ fn batched_warm_replay_matches_scalar_and_full_bfs() {
                 );
             }
         }
-        batched_repins += batched.stats().batched_repins;
     }
     assert!(
-        batched_repins > 0,
+        refills > 0,
         "no window past the replay limit went through the waves"
     );
 }
 
 /// An unannounced graph move: park every vector, mutate the graph *without*
 /// re-pinning, and the buy-candidate scans must still match the full-BFS
-/// workspace exactly. The first scan's sync replays the window into every
-/// parked vector before any bound or kernel reads one.
+/// workspace exactly. The first scan's sync brings every parked vector
+/// current before any bound or kernel reads one, and no later scan syncs.
 #[test]
 fn on_demand_warming_keeps_buy_scans_exact() {
     let mut rng = StdRng::seed_from_u64(0x0dde);
@@ -189,7 +304,7 @@ fn on_demand_warming_keeps_buy_scans_exact() {
         for u in 0..n {
             let _ = game.improving_moves(&g, u, &mut ws_pers);
         }
-        let before = ws_pers.oracle_stats().replayed_begins;
+        let before = ws_pers.oracle_stats();
         // …then move the graph on without telling the persistent workspace.
         for _ in 0..2 {
             apply_random_change(&mut g, &mut rng);
@@ -206,10 +321,12 @@ fn on_demand_warming_keeps_buy_scans_exact() {
                 "case {case} agent {u}"
             );
         }
-        let replayed = ws_pers.oracle_stats().replayed_begins - before;
-        assert_eq!(
-            replayed, n as u64,
-            "case {case}: one sync replays every parked vector once"
+        let after = ws_pers.oracle_stats();
+        let syncs = |s: &OracleStats| s.csr_patches + s.csr_rebuilds;
+        assert_eq!(syncs(&after) - syncs(&before), 1, "case {case}: one sync");
+        assert!(
+            after.replayed_begins - before.replayed_begins <= n as u64,
+            "case {case}: the sync replays every parked vector at most once"
         );
     }
 }
